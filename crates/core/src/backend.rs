@@ -10,14 +10,14 @@
 //! * [`HeavyWtBackend`] — §4.1: the synchronization array and its
 //!   dedicated pipelined interconnect.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hfs_check::{Checker, Mutation};
 use hfs_cpu::{StreamCompletion, StreamPort, StreamSubmit, StreamToken};
 use hfs_isa::{Addr, CoreId, QueueId};
 use hfs_mem::{Completion, CtlPayload, MemEvent, MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::StallComponent;
-use hfs_sim::Cycle;
+use hfs_sim::{Cycle, DenseMap, FnvMap};
 use hfs_trace::{TraceEvent, Tracer};
 
 use crate::design::{DesignPoint, HeavyWtConfig, SyncOptiConfig};
@@ -41,6 +41,14 @@ fn queue_of_addr(addr: Addr, queues: &[QueueId]) -> Option<(QueueId, u64)> {
     let off = (a - QUEUE_BASE) % QUEUE_SPAN;
     let q = QueueId(u16::try_from(qi).ok()?);
     queues.contains(&q).then_some((q, off))
+}
+
+/// Counts one more performed store on `line`; true (and the count starts
+/// over) when that makes `per_line` of them, i.e. the line is complete.
+fn bump_line(counts: &mut FnvMap<u32>, line: u64, per_line: u32) -> bool {
+    let n = counts.get(line).copied().unwrap_or(0) + 1;
+    counts.insert(line, if n >= per_line { 0 } else { n });
+    n >= per_line
 }
 
 /// The design-point dispatch enum owned by the machine.
@@ -271,7 +279,7 @@ pub(crate) struct SoftwareBackend {
     consumer: CoreId,
     forward: bool,
     /// Per line number: flag-set stores performed since last forward.
-    line_sets: HashMap<u64, u32>,
+    line_sets: FnvMap<u32>,
     pending_forwards: VecDeque<Addr>,
     check: QueueCheck,
     /// Queue layout unit (slots per line, Figure 5).
@@ -294,7 +302,7 @@ impl SoftwareBackend {
             producer,
             consumer,
             forward,
-            line_sets: HashMap::new(),
+            line_sets: FnvMap::new(),
             pending_forwards: VecDeque::new(),
             check: QueueCheck::new(),
             qlu,
@@ -338,10 +346,7 @@ impl SoftwareBackend {
                     self.check.on_consume(q, seen, seen);
                 } else if core == self.producer && is_flag && value != 0 && self.forward {
                     let line = addr.as_u64() / LINE_BYTES;
-                    let n = self.line_sets.entry(line).or_insert(0);
-                    *n += 1;
-                    if *n >= self.qlu {
-                        *n = 0;
+                    if bump_line(&mut self.line_sets, line, self.qlu) {
                         self.pending_forwards.push_back(addr.line_base(LINE_BYTES));
                     }
                 }
@@ -387,7 +392,7 @@ struct SoQueue {
     cons_next_completed: u64,
     forwarded: u64,
     performed: u64,
-    line_fill: HashMap<u64, u32>,
+    line_fill: FnvMap<u32>,
     pending_forwards: VecDeque<Addr>,
 }
 
@@ -401,6 +406,8 @@ struct WaitingConsume {
     /// Released before the slot's line was write-forwarded: the gated
     /// load pulls the data through ordinary coherence instead.
     early_released: bool,
+    /// Stall-attribution location, refreshed by every `process`.
+    location: StallComponent,
 }
 
 /// Backend for SYNCOPTI and its optimized variants.
@@ -409,11 +416,10 @@ pub(crate) struct SyncOptiBackend {
     producer: CoreId,
     consumer: CoreId,
     queues: Vec<QueueId>,
-    state: HashMap<QueueId, SoQueue>,
+    state: DenseMap<SoQueue>,
     waiting_consumes: VecDeque<WaitingConsume>,
     completions: Vec<StreamCompletion>,
     pending_acks: Vec<(QueueId, u64)>,
-    locations: HashMap<StreamToken, StallComponent>,
     next_token: u64,
     sc: Option<StreamCache>,
     check: QueueCheck,
@@ -434,29 +440,27 @@ impl SyncOptiBackend {
         producer: CoreId,
         consumer: CoreId,
     ) -> Self {
-        let state = queues
-            .iter()
-            .map(|&q| {
-                let info = queue_mem_info(design, q).expect("SYNCOPTI uses memory backing");
-                (
-                    q,
-                    SoQueue {
-                        info,
-                        last_perform: Cycle::ZERO,
-                        prod_next: 0,
-                        prod_released: 0,
-                        acked: 0,
-                        waiting_produces: VecDeque::new(),
-                        cons_next: 0,
-                        cons_next_completed: 0,
-                        forwarded: 0,
-                        performed: 0,
-                        line_fill: HashMap::new(),
-                        pending_forwards: VecDeque::new(),
-                    },
-                )
-            })
-            .collect();
+        let mut state = DenseMap::new();
+        for &q in queues {
+            let info = queue_mem_info(design, q).expect("SYNCOPTI uses memory backing");
+            state.insert(
+                q.index(),
+                SoQueue {
+                    info,
+                    last_perform: Cycle::ZERO,
+                    prod_next: 0,
+                    prod_released: 0,
+                    acked: 0,
+                    waiting_produces: VecDeque::new(),
+                    cons_next: 0,
+                    cons_next_completed: 0,
+                    forwarded: 0,
+                    performed: 0,
+                    line_fill: FnvMap::new(),
+                    pending_forwards: VecDeque::new(),
+                },
+            );
+        }
         SyncOptiBackend {
             sc: cfg.stream_cache.then(StreamCache::paper_1kb),
             producer,
@@ -466,7 +470,6 @@ impl SyncOptiBackend {
             waiting_consumes: VecDeque::new(),
             completions: Vec::new(),
             pending_acks: Vec::new(),
-            locations: HashMap::new(),
             next_token: 0,
             check: QueueCheck::new(),
             tracer: Tracer::disabled(),
@@ -500,7 +503,7 @@ impl SyncOptiBackend {
         now: Cycle,
     ) -> StreamSubmit {
         assert_eq!(core, self.producer, "{q} is produced by {}", self.producer);
-        let s = self.state.get_mut(&q).expect("queue planned");
+        let s = self.state.get_mut(q.index()).expect("queue planned");
         // Stream address generation (renaming) assigns the next slot; its
         // 2-cycle latency is overlapped with the L1 access (§4.2).
         let addr = s.info.slot_addr(s.prod_next);
@@ -544,7 +547,7 @@ impl SyncOptiBackend {
         now: Cycle,
     ) -> StreamSubmit {
         assert_eq!(core, self.consumer, "{q} is consumed by {}", self.consumer);
-        let s = self.state.get_mut(&q).expect("queue planned");
+        let s = self.state.get_mut(q.index()).expect("queue planned");
         let slot = s.cons_next;
         let addr = s.info.slot_addr(slot);
         // Stream-cache hit: 1-cycle consume-to-use. The consume still
@@ -596,6 +599,7 @@ impl SyncOptiBackend {
                     stream_token: stok,
                     released: false,
                     early_released: false,
+                    location: StallComponent::PreL2,
                 });
                 self.tracer.emit(|| TraceEvent::SyncWait {
                     core,
@@ -617,10 +621,10 @@ impl SyncOptiBackend {
     }
 
     fn location(&self, token: StreamToken) -> StallComponent {
-        self.locations
-            .get(&token)
-            .copied()
-            .unwrap_or(StallComponent::PreL2)
+        self.waiting_consumes
+            .iter()
+            .find(|w| w.stream_token == token)
+            .map_or(StallComponent::PreL2, |w| w.location)
     }
 
     fn on_mem_completion(&mut self, c: Completion) {
@@ -639,13 +643,12 @@ impl SyncOptiBackend {
                 seq: w.slot,
                 at: c.at.as_u64(),
             });
-            self.locations.remove(&w.stream_token);
             self.completions.push(StreamCompletion {
                 token: w.stream_token,
                 value: Some(value),
                 at: c.at,
             });
-            let s = self.state.get_mut(&w.q).expect("queue planned");
+            let s = self.state.get_mut(w.q.index()).expect("queue planned");
             s.cons_next_completed = s.cons_next_completed.max(w.slot + 1);
             let done = w.slot + 1;
             // Bulk ACK when the last item of a line is consumed; timeout
@@ -665,14 +668,11 @@ impl SyncOptiBackend {
                     let Some((q, _)) = queue_of_addr(addr, &self.queues) else {
                         continue;
                     };
-                    let s = self.state.get_mut(&q).expect("queue planned");
+                    let s = self.state.get_mut(q.index()).expect("queue planned");
                     s.performed += 1;
                     s.last_perform = now;
                     let line = addr.as_u64() / LINE_BYTES;
-                    let n = s.line_fill.entry(line).or_insert(0);
-                    *n += 1;
-                    if *n >= s.info.qlu {
-                        *n = 0;
+                    if bump_line(&mut s.line_fill, line, s.info.qlu) {
                         s.pending_forwards.push_back(addr.line_base(LINE_BYTES));
                     }
                 }
@@ -680,7 +680,7 @@ impl SyncOptiBackend {
                     let Some((q, _)) = queue_of_addr(line_addr, &self.queues) else {
                         continue;
                     };
-                    let s = self.state.get_mut(&q).expect("queue planned");
+                    let s = self.state.get_mut(q.index()).expect("queue planned");
                     let first = s.forwarded;
                     s.forwarded += u64::from(s.info.qlu);
                     if let Some(sc) = self.sc.as_mut() {
@@ -706,7 +706,7 @@ impl SyncOptiBackend {
                     if to == self.producer && payload.kind == CTL_BULK_ACK =>
                 {
                     let q = QueueId(payload.a as u16);
-                    if let Some(s) = self.state.get_mut(&q) {
+                    if let Some(s) = self.state.get_mut(q.index()) {
                         s.acked = s.acked.max(payload.b);
                     }
                 }
@@ -729,7 +729,7 @@ impl SyncOptiBackend {
 
         // 3. Release produces admitted by the occupancy counter.
         for q in &self.queues {
-            let s = self.state.get_mut(q).expect("queue planned");
+            let s = self.state.get_mut(q.index()).expect("queue planned");
             while let Some(&tok) = s.waiting_produces.front() {
                 if s.prod_released - s.acked >= u64::from(s.info.depth) {
                     break; // queue full (or wrap-around not yet consumed)
@@ -750,7 +750,7 @@ impl SyncOptiBackend {
             if w.released {
                 continue;
             }
-            let s = &self.state[&w.q];
+            let s = self.state.get(w.q.index()).expect("queue planned");
             if w.slot < s.forwarded {
                 w.released = true;
                 mem.release(w.mem_token, now);
@@ -763,7 +763,7 @@ impl SyncOptiBackend {
 
         // 5. Issue queued line forwards.
         for q in &self.queues {
-            let s = self.state.get_mut(q).expect("queue planned");
+            let s = self.state.get_mut(q.index()).expect("queue planned");
             while let Some(line_addr) = s.pending_forwards.front().copied() {
                 if mem.forward_line(self.producer, self.consumer, line_addr, now) {
                     s.pending_forwards.pop_front();
@@ -774,12 +774,10 @@ impl SyncOptiBackend {
         }
 
         // 6. Refresh stall-attribution locations.
-        for w in &self.waiting_consumes {
-            let comp = mem
+        for w in self.waiting_consumes.iter_mut() {
+            w.location = mem
                 .location(w.mem_token)
-                .map(|l| l.component())
-                .unwrap_or(StallComponent::PostL2);
-            self.locations.insert(w.stream_token, comp);
+                .map_or(StallComponent::PostL2, |l| l.component());
         }
 
         // 7. Stream-cache inclusion audit: every still-takeable entry
@@ -793,7 +791,7 @@ impl SyncOptiBackend {
                 let mut entries: Vec<_> = sc.entries().collect();
                 entries.sort_unstable_by_key(|&(q, slot, _)| (q.0, slot));
                 for (q, slot, v) in entries {
-                    let s = &self.state[&q];
+                    let s = self.state.get(q.index()).expect("queue planned");
                     if slot < s.cons_next_completed {
                         continue;
                     }
@@ -831,7 +829,7 @@ impl SyncOptiBackend {
             if w.released {
                 continue;
             }
-            let s = &self.state[&w.q];
+            let s = self.state.get(w.q.index()).expect("queue planned");
             if w.slot < s.forwarded {
                 fold(floor);
             } else if w.slot < s.performed {
@@ -864,14 +862,14 @@ pub(crate) struct HeavyWtBackend {
     producer: CoreId,
     consumer: CoreId,
     sa: SyncArray,
-    waiting: HashMap<QueueId, VecDeque<StreamToken>>,
+    waiting: DenseMap<VecDeque<StreamToken>>,
     completions: Vec<StreamCompletion>,
     next_token: u64,
     check: QueueCheck,
     /// Per-queue produced count (producer-side occupancy numerator).
-    injected: HashMap<QueueId, u64>,
+    injected: DenseMap<u64>,
     /// Per-queue consumption ACKs received back at the producer.
-    acked: HashMap<QueueId, u64>,
+    acked: DenseMap<u64>,
     /// ACKs in flight on the dedicated interconnect (one per consume,
     /// arriving `transit` cycles later): the §4.4 synchronization
     /// acknowledgment delay that makes full queues transit-sensitive.
@@ -908,12 +906,12 @@ impl HeavyWtBackend {
                 ops_per_cycle: cfg.sa_ops_per_cycle,
                 stage_capacity: cfg.sa_ops_per_cycle,
             })?,
-            waiting: HashMap::new(),
+            waiting: DenseMap::new(),
             completions: Vec::new(),
             next_token: 0,
             check: QueueCheck::new(),
-            injected: HashMap::new(),
-            acked: HashMap::new(),
+            injected: DenseMap::new(),
+            acked: DenseMap::new(),
             acks_in_flight: hfs_sim::TimedQueue::new(),
             depth: u64::from(cfg.queue_depth),
             transit: cfg.transit,
@@ -924,6 +922,12 @@ impl HeavyWtBackend {
             touched: false,
             last_begin: None,
         })
+    }
+
+    /// Producer-side occupancy of `q`: produced minus ACKed consumptions.
+    fn occupancy(&self, q: QueueId) -> u64 {
+        let count = |t: &DenseMap<u64>| t.get(q.index()).copied().unwrap_or(0);
+        count(&self.injected) - count(&self.acked)
     }
 
     /// Runs [`SyncArray::begin_cycle`] at most once per cycle. Per-cycle
@@ -945,7 +949,7 @@ impl HeavyWtBackend {
 
     fn process(&mut self, now: Cycle) {
         while let Some(q) = self.acks_in_flight.pop_ready(now) {
-            *self.acked.entry(q).or_insert(0) += 1;
+            *self.acked.or_default(q.index()) += 1;
         }
         if self.sa.in_network() > 0 && self.checker.fire_once(Mutation::SyncArrayLoseItem) {
             let _ = self.sa.lose_one_in_network();
@@ -957,23 +961,26 @@ impl HeavyWtBackend {
         // into cycle counts and break run-to-run determinism.
         let mut queues = std::mem::take(&mut self.wake_scratch);
         queues.clear();
+        // Ascending queue id: the table iterates in key order.
         queues.extend(
             self.waiting
                 .iter()
                 .filter(|(_, w)| !w.is_empty())
-                .map(|(q, _)| *q),
+                .map(|(q, _)| QueueId(q as u16)),
         );
-        queues.sort_unstable();
         let drop_wakes = !queues.is_empty()
             && queues.iter().any(|&q| self.sa.occupancy(q) > 0)
             && self.checker.fire_once(Mutation::DropConsumerWake);
         if !drop_wakes {
             for &q in &queues {
-                while let Some(&tok) = self.waiting.get(&q).and_then(VecDeque::front) {
+                while let Some(&tok) = self.waiting.get(q.index()).and_then(VecDeque::front) {
                     let Some(v) = self.sa.try_consume(q) else {
                         break;
                     };
-                    self.waiting.get_mut(&q).expect("queue known").pop_front();
+                    self.waiting
+                        .get_mut(q.index())
+                        .expect("queue known")
+                        .pop_front();
                     let slot = self.check.consumed(q);
                     self.check.on_consume(q, slot, v);
                     self.acks_in_flight.push(now + self.transit, q);
@@ -1001,9 +1008,8 @@ impl HeavyWtBackend {
                 self.sa.in_network() as u64,
             );
             let depth = self.sa.config().depth as usize;
-            let mut qs: Vec<QueueId> = self.injected.keys().copied().collect();
-            qs.sort_unstable();
-            for q in qs {
+            for (q, _) in self.injected.iter() {
+                let q = QueueId(q as u16);
                 self.checker
                     .sync_array_queue(now, q, self.sa.occupancy(q), depth);
             }
@@ -1011,7 +1017,7 @@ impl HeavyWtBackend {
             // while its ring has data and ports remain means the pass
             // skipped it.
             for &q in &self.wake_scratch {
-                if self.waiting.get(&q).is_some_and(|w| !w.is_empty()) {
+                if self.waiting.get(q.index()).is_some_and(|w| !w.is_empty()) {
                     self.checker.sync_array_wake(
                         now,
                         q,
@@ -1030,15 +1036,15 @@ impl HeavyWtBackend {
         // consumptions. ACKs take a transit delay back, so a longer
         // interconnect shrinks the usable queue for codes that keep it
         // full (§4.4's bzip2 effect; a deeper queue restores the slack).
-        let occ =
-            self.injected.get(&q).copied().unwrap_or(0) - self.acked.get(&q).copied().unwrap_or(0);
+        let occ = self.occupancy(q);
         if occ >= self.depth {
             return StreamSubmit::Blocked;
         }
         if self.sa.try_inject(q, value) {
             self.touched = true;
-            let seq = self.injected.get(&q).copied().unwrap_or(0);
-            *self.injected.entry(q).or_insert(0) += 1;
+            let injected = self.injected.or_default(q.index());
+            let seq = *injected;
+            *injected += 1;
             self.check.on_produce(q, value);
             self.tracer.emit(|| TraceEvent::Produce {
                 core,
@@ -1066,7 +1072,7 @@ impl HeavyWtBackend {
         // ACK onto the interconnect; a parked one arms the wake pass.
         self.touched = true;
         self.refresh(now);
-        let no_earlier_waiter = self.waiting.get(&q).is_none_or(VecDeque::is_empty);
+        let no_earlier_waiter = self.waiting.get(q.index()).is_none_or(VecDeque::is_empty);
         if no_earlier_waiter {
             if let Some(v) = self.sa.try_consume(q) {
                 let slot = self.check.consumed(q);
@@ -1087,7 +1093,7 @@ impl HeavyWtBackend {
         }
         let tok = StreamToken(self.next_token);
         self.next_token += 1;
-        self.waiting.entry(q).or_default().push_back(tok);
+        self.waiting.or_default(q.index()).push_back(tok);
         self.tracer.emit(|| TraceEvent::SyncWait {
             core,
             queue: q,
@@ -1118,8 +1124,8 @@ impl HeavyWtBackend {
         if self.sa.in_network() > 0 || !self.completions.is_empty() {
             fold(floor);
         }
-        for (q, w) in &self.waiting {
-            if !w.is_empty() && self.sa.occupancy(*q) > 0 {
+        for (q, w) in self.waiting.iter() {
+            if !w.is_empty() && self.sa.occupancy(QueueId(q as u16)) > 0 {
                 fold(floor);
             }
         }
@@ -1131,12 +1137,8 @@ impl HeavyWtBackend {
     /// but found injection stage 0 full bumped the array's inject-stall
     /// counter on every attempt. Consumes never block on this design.
     fn charge_blocked(&mut self, _core: CoreId, q: QueueId, produce: bool, n: u64) {
-        if produce {
-            let occ = self.injected.get(&q).copied().unwrap_or(0)
-                - self.acked.get(&q).copied().unwrap_or(0);
-            if occ < self.depth {
-                self.sa.charge_inject_stalls(n);
-            }
+        if produce && self.occupancy(q) < self.depth {
+            self.sa.charge_inject_stalls(n);
         }
     }
 }
@@ -1275,7 +1277,7 @@ mod tests {
                 other => panic!("produce {i}: {other:?}"),
             }
         }
-        let s = &b.state[&QueueId(0)];
+        let s = b.state.get(0).expect("queue planned");
         assert_eq!(s.prod_next, 3);
         assert_eq!(s.waiting_produces.len(), 3);
         // Slot addresses stride by line/QLU = 16 bytes.

@@ -6,15 +6,14 @@
 //! fails the run if FIFO order or conservation is violated — a built-in
 //! self-check of the whole timing/functional stack.
 
-use std::collections::HashMap;
-
 use hfs_isa::QueueId;
+use hfs_sim::DenseMap;
 
 /// Observes produce/consume values and verifies FIFO semantics.
 #[derive(Debug, Default, Clone)]
 pub struct QueueCheck {
-    produced: HashMap<QueueId, u64>,
-    consumed: HashMap<QueueId, u64>,
+    produced: DenseMap<u64>,
+    consumed: DenseMap<u64>,
     errors: Vec<String>,
 }
 
@@ -26,7 +25,7 @@ impl QueueCheck {
 
     /// Records a produce of `value` on `q`; values must count up from 0.
     pub fn on_produce(&mut self, q: QueueId, value: u64) {
-        let n = self.produced.entry(q).or_insert(0);
+        let n = self.produced.or_default(q.index());
         if value != *n {
             self.errors
                 .push(format!("{q}: produce #{n} carried value {value}"));
@@ -44,7 +43,7 @@ impl QueueCheck {
                 "{q}: slot {slot} received value {value} (depth {depth})"
             ));
         }
-        *self.produced.entry(q).or_insert(0) += 1;
+        *self.produced.or_default(q.index()) += 1;
     }
 
     /// Records a consume on `q`: the consume for `slot` returned `value`.
@@ -58,17 +57,17 @@ impl QueueCheck {
                 "{q}: consume of slot {slot} returned value {value}"
             ));
         }
-        *self.consumed.entry(q).or_insert(0) += 1;
+        *self.consumed.or_default(q.index()) += 1;
     }
 
     /// Produces observed on `q`.
     pub fn produced(&self, q: QueueId) -> u64 {
-        self.produced.get(&q).copied().unwrap_or(0)
+        self.produced.get(q.index()).copied().unwrap_or(0)
     }
 
     /// Consumes observed on `q`.
     pub fn consumed(&self, q: QueueId) -> u64 {
-        self.consumed.get(&q).copied().unwrap_or(0)
+        self.consumed.get(q.index()).copied().unwrap_or(0)
     }
 
     /// FIFO violations recorded so far (truncated reporting is the
@@ -87,8 +86,9 @@ impl QueueCheck {
         if !self.errors.is_empty() {
             return Err(self.errors[..self.errors.len().min(5)].join("; "));
         }
-        for (q, p) in &self.produced {
-            let c = self.consumed(*q);
+        for (q, p) in self.produced.iter() {
+            let q = QueueId(q as u16);
+            let c = self.consumed(q);
             if *p != c {
                 return Err(format!("{q}: {p} produced but {c} consumed"));
             }

@@ -7,19 +7,21 @@
 //! the hit invalidates the entry. Fills arriving when the cache is full
 //! are dropped (the consume then follows the ordinary L2 path).
 
-use std::collections::HashMap;
-
 use hfs_isa::QueueId;
+use hfs_sim::FnvMap;
 
-/// Key: absolute queue slot sequence number (not wrapped), so stale
-/// entries from previous wraps can never alias.
-type Key = (QueueId, u64);
+/// Key: the queue id under the absolute queue slot sequence number (not
+/// wrapped), so stale entries from previous wraps can never alias.
+fn key(q: QueueId, slot: u64) -> u64 {
+    debug_assert!(slot < 1 << 48, "slot sequence numbers fit 48 bits");
+    slot << 16 | u64::from(q.0)
+}
 
 /// A fully-associative cache of queue data keyed by (queue, slot).
 #[derive(Debug, Clone)]
 pub struct StreamCache {
     capacity: usize,
-    entries: HashMap<Key, u64>,
+    entries: FnvMap<u64>,
     hits: u64,
     misses: u64,
     dropped_fills: u64,
@@ -34,7 +36,7 @@ impl StreamCache {
     pub fn with_capacity_bytes(bytes: usize) -> Self {
         StreamCache {
             capacity: bytes / Self::ENTRY_BYTES,
-            entries: HashMap::new(),
+            entries: FnvMap::new(),
             hits: 0,
             misses: 0,
             dropped_fills: 0,
@@ -68,14 +70,14 @@ impl StreamCache {
             self.dropped_fills += 1;
             return false;
         }
-        self.entries.insert((q, slot), value);
+        self.entries.insert(key(q, slot), value);
         true
     }
 
     /// Consumes `(q, slot)`: returns the datum and invalidates the entry
     /// on a hit.
     pub fn take(&mut self, q: QueueId, slot: u64) -> Option<u64> {
-        match self.entries.remove(&(q, slot)) {
+        match self.entries.remove(key(q, slot)) {
             Some(v) => {
                 self.hits += 1;
                 Some(v)
@@ -112,7 +114,9 @@ impl StreamCache {
     /// Iterates over resident `((queue, slot), value)` entries in
     /// arbitrary order — used by the machine checker's inclusion audit.
     pub fn entries(&self) -> impl Iterator<Item = (QueueId, u64, u64)> + '_ {
-        self.entries.iter().map(|(&(q, s), &v)| (q, s, v))
+        self.entries
+            .iter()
+            .map(|(k, &v)| (QueueId(k as u16), k >> 16, v))
     }
 }
 

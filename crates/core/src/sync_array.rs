@@ -12,10 +12,10 @@
 //! The array services a fixed number of operations per cycle (4 in the
 //! paper), shared between network arrivals and consume reads.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hfs_isa::QueueId;
-use hfs_sim::ConfigError;
+use hfs_sim::{ConfigError, DenseMap};
 
 /// Synchronization-array configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub struct SyncArray {
     cfg: SyncArrayConfig,
     /// `stages[0]` is the injection point; the last stage feeds the array.
     stages: Vec<VecDeque<(QueueId, u64)>>,
-    rings: HashMap<QueueId, VecDeque<u64>>,
+    rings: DenseMap<VecDeque<u64>>,
     budget: u32,
     injected: u64,
     delivered: u64,
@@ -83,7 +83,7 @@ impl SyncArray {
         cfg.validate()?;
         Ok(SyncArray {
             stages: (0..cfg.transit).map(|_| VecDeque::new()).collect(),
-            rings: HashMap::new(),
+            rings: DenseMap::new(),
             budget: cfg.ops_per_cycle,
             injected: 0,
             delivered: 0,
@@ -108,7 +108,7 @@ impl SyncArray {
             let Some(&(q, _)) = self.stages[last].front() else {
                 break;
             };
-            let ring = self.rings.entry(q).or_default();
+            let ring = self.rings.or_default(q.index());
             if ring.len() >= self.cfg.depth as usize {
                 break; // head-of-line blocked on a full ring
             }
@@ -153,14 +153,14 @@ impl SyncArray {
         if self.budget == 0 {
             return None;
         }
-        let v = self.rings.get_mut(&q)?.pop_front()?;
+        let v = self.rings.get_mut(q.index())?.pop_front()?;
         self.budget -= 1;
         Some(v)
     }
 
     /// Items buffered in `q`'s ring.
     pub fn occupancy(&self, q: QueueId) -> usize {
-        self.rings.get(&q).map_or(0, VecDeque::len)
+        self.rings.get(q.index()).map_or(0, VecDeque::len)
     }
 
     /// Items anywhere in the network.

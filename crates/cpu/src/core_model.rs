@@ -252,9 +252,8 @@ impl Core {
             {
                 e.status = Status::Done { done: c.at };
                 self.waiting_ops -= 1;
-                if let (Some(dest), Some(v)) = (e.instr.dest, c.value) {
+                if let (Some(dest), Some(_)) = (e.instr.dest, c.value) {
                     self.reg_ready[dest.index()] = c.at;
-                    let _ = v;
                 }
                 if let DynOp::Load {
                     spin: Some(tok), ..
@@ -332,10 +331,10 @@ impl Core {
             if self.window.len() >= self.cfg.window as usize {
                 break;
             }
-            let Some(instr) = seq.peek().copied() else {
+            let Some(instr) = seq.peek() else {
                 break; // finished or blocked on a spin value
             };
-            if !self.sources_ready(&instr, now) {
+            if !self.sources_ready(instr, now) {
                 break; // in-order: a stalled instruction blocks later ones
             }
             let class = instr.op.fu_class();
@@ -451,7 +450,7 @@ impl Core {
                     }
                 }
             }
-            let _ = seq.pop();
+            let instr = seq.pop().expect("peeked above");
             if matches!(status, Status::WaitMem { .. } | Status::WaitStream { .. }) {
                 self.waiting_ops += 1;
             }

@@ -40,7 +40,7 @@ impl Addr {
     #[inline]
     pub fn line(self, line_bytes: u64) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
-        self.0 / line_bytes
+        self.0 >> line_bytes.trailing_zeros()
     }
 
     /// Address of the first byte of this address's cache line.

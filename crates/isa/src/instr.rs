@@ -57,7 +57,7 @@ pub enum StoreValue {
 }
 
 /// An instruction template: one static instruction inside a loop body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrTemplate {
     /// Operation performed.
     pub op: Op,
@@ -96,7 +96,7 @@ impl InstrTemplate {
 }
 
 /// A static operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Integer ALU operation (1-cycle).
     IntAlu,

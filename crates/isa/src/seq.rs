@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use hfs_sim::Rng64;
+use hfs_sim::{DenseMap, Rng64};
 
 use crate::addr::{Addr, AddrPattern};
 use crate::ids::{QueueId, Reg, RegionId};
@@ -25,13 +25,30 @@ pub struct SpinToken(pub u64);
 pub const SPIN_REG: Reg = Reg(127);
 
 /// Compiled bytecode step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum CStep {
     Instr { site: usize, t: InstrTemplate },
     Spin { q: QueueId, until_full: bool },
     Advance(QueueId),
     LoopStart { count: u64 },
     LoopEnd { start: usize },
+}
+
+/// Sequencing state of one planned queue.
+#[derive(Debug)]
+struct QueueState {
+    layout: Option<QueueMemLayout>,
+    depth: u32,
+    /// Thread-local head/tail slot index.
+    slot: u32,
+    /// Produce payload counter.
+    payload: u64,
+}
+
+impl QueueState {
+    fn layout(&self) -> &QueueMemLayout {
+        self.layout.as_ref().expect("validated queue layout")
+    }
 }
 
 /// Spin-expansion micro-state.
@@ -69,16 +86,11 @@ pub struct Sequencer {
     loop_counters: Vec<u64>,
     /// Per-site stream cursors (byte offsets).
     cursors: Vec<u64>,
-    region_base: HashMap<RegionId, Addr>,
-    region_size: HashMap<RegionId, u64>,
-    queue_layout: HashMap<QueueId, QueueMemLayout>,
-    queue_depth: HashMap<QueueId, u32>,
-    /// Thread-local head/tail slot index per queue.
-    slot: HashMap<QueueId, u32>,
-    /// Per-queue produce payload counter.
-    payload: HashMap<QueueId, u64>,
+    /// Base address and size of each region, by region id.
+    regions: DenseMap<(Addr, u64)>,
+    /// State of each planned queue, by queue id.
+    queues: DenseMap<QueueState>,
     spin: SpinState,
-    spin_q: QueueId,
     spin_until_full: bool,
     /// A flag value delivered before the spin branch was generated
     /// (the core can resolve a flag load faster than it fetches the
@@ -110,43 +122,38 @@ impl Sequencer {
         seed: u64,
     ) -> Result<Self, hfs_sim::ConfigError> {
         program.validate()?;
+        let mut regions = DenseMap::new();
         for r in &program.regions {
-            if !region_bases.contains_key(&r.id) {
+            let Some(&base) = region_bases.get(&r.id) else {
                 return Err(hfs_sim::ConfigError::new(format!(
                     "no base address assigned for region {} ({})",
                     r.id, r.name
                 )));
-            }
+            };
+            regions.insert(r.id.index(), (base, r.bytes));
+        }
+        let mut queues = DenseMap::new();
+        for qp in &program.queues {
+            let state = QueueState {
+                layout: qp.layout,
+                depth: qp.depth,
+                slot: 0,
+                payload: 0,
+            };
+            queues.insert(qp.q.index(), state);
         }
         let mut code = Vec::new();
         let mut sites = 0usize;
         compile(&program.body, &mut code, &mut sites);
-        let mut queue_layout = HashMap::new();
-        let mut queue_depth = HashMap::new();
-        let mut slot = HashMap::new();
-        let mut payload = HashMap::new();
-        for qp in &program.queues {
-            if let Some(l) = qp.layout {
-                queue_layout.insert(qp.q, l);
-            }
-            queue_depth.insert(qp.q, qp.depth);
-            slot.insert(qp.q, 0);
-            payload.insert(qp.q, 0);
-        }
         Ok(Sequencer {
             code,
             pc: 0,
             outer_remaining: program.iterations,
             loop_counters: Vec::new(),
             cursors: vec![0; sites],
-            region_base: region_bases.clone(),
-            region_size: program.regions.iter().map(|r| (r.id, r.bytes)).collect(),
-            queue_layout,
-            queue_depth,
-            slot,
-            payload,
+            regions,
+            queues,
             spin: SpinState::Idle,
-            spin_q: QueueId(0),
             spin_until_full: false,
             spin_value_early: None,
             next_token: 0,
@@ -183,6 +190,7 @@ impl Sequencer {
     /// The next instruction, if one is available without further input.
     /// Returns `None` when finished **or** when blocked awaiting a spin
     /// value (distinguish with [`Sequencer::finished`]).
+    #[inline]
     pub fn peek(&mut self) -> Option<&DynInstr> {
         if self.lookahead.is_none() {
             self.lookahead = self.generate();
@@ -191,11 +199,12 @@ impl Sequencer {
     }
 
     /// Consumes and returns the next instruction.
+    #[inline]
     pub fn pop(&mut self) -> Option<DynInstr> {
-        if self.lookahead.is_none() {
-            self.lookahead = self.generate();
+        match self.lookahead.take() {
+            Some(i) => Some(i),
+            None => self.generate(),
         }
-        self.lookahead.take()
     }
 
     /// Delivers the value loaded by the spin flag load identified by
@@ -252,6 +261,14 @@ impl Sequencer {
 
     /// Advances the bytecode VM until an instruction is produced, the
     /// sequencer blocks on a spin value, or the program finishes.
+    ///
+    /// Inlined into its two callers (as `expand` is into it) so the
+    /// instruction is assembled field by field where it ends up — the
+    /// lookahead slot, or `pop`'s return value. Handed on by value, each
+    /// hop re-reads with wide loads what was just written with narrow
+    /// stores, which stalls the host pipeline for longer than the whole
+    /// step otherwise takes.
+    #[inline(always)]
     fn generate(&mut self) -> Option<DynInstr> {
         loop {
             if self.finished {
@@ -292,16 +309,13 @@ impl Sequencer {
                 }
                 continue;
             }
-            let step = self.code[self.pc].clone();
-            match step {
+            match self.code[self.pc] {
                 CStep::Instr { site, t } => {
                     self.pc += 1;
-                    let d = self.expand(site, &t);
-                    return Some(d);
+                    return Some(self.expand(site, &t));
                 }
                 CStep::Spin { q, until_full } => {
                     // Emit the flag load; the branch and the wait follow.
-                    self.spin_q = q;
                     self.spin_until_full = until_full;
                     let token = SpinToken(self.next_token);
                     self.next_token += 1;
@@ -319,9 +333,13 @@ impl Sequencer {
                 }
                 CStep::Advance(q) => {
                     self.pc += 1;
-                    let depth = self.queue_depth[&q];
-                    let s = self.slot.get_mut(&q).expect("validated queue");
-                    *s = (*s + 1) % depth;
+                    let qs = self.queue_mut(q);
+                    // `slot < depth`, so this is `(slot + 1) % depth`.
+                    qs.slot = if qs.slot + 1 == qs.depth {
+                        0
+                    } else {
+                        qs.slot + 1
+                    };
                     return Some(self.emit(DynOp::IntAlu, None, [None, None], InstrKind::Comm));
                 }
                 CStep::LoopStart { count } => {
@@ -345,6 +363,7 @@ impl Sequencer {
         }
     }
 
+    #[inline(always)]
     fn expand(&mut self, site: usize, t: &InstrTemplate) -> DynInstr {
         let op = match &t.op {
             Op::IntAlu => DynOp::IntAlu,
@@ -391,7 +410,7 @@ impl Sequencer {
     }
 
     fn next_payload(&mut self, q: QueueId) -> u64 {
-        let c = self.payload.get_mut(&q).expect("validated queue");
+        let c = &mut self.queue_mut(q).payload;
         let v = *c;
         *c += 1;
         v
@@ -399,37 +418,49 @@ impl Sequencer {
 
     fn gen_addr(&mut self, site: usize, p: AddrPattern) -> Addr {
         match p {
-            AddrPattern::Fixed { region, offset } => self.region_base[&region] + offset,
+            AddrPattern::Fixed { region, offset } => self.region(region).0 + offset,
             AddrPattern::Stream { region, stride } => {
-                let size = self.region_size[&region];
+                let (base, size) = self.region(region);
                 let cur = &mut self.cursors[site];
-                let a = self.region_base[&region] + *cur;
-                *cur = (*cur + stride) % size;
+                let a = base + *cur;
+                let next = *cur + stride;
+                *cur = if next < size { next } else { next % size };
                 a
             }
             AddrPattern::Random { region } => {
-                let size = self.region_size[&region];
+                let (base, size) = self.region(region);
                 // 8-byte aligned uniform offset.
                 let words = (size / 8).max(1);
-                let off = self.rng.below(words) * 8;
-                self.region_base[&region] + off
+                base + self.rng.below(words) * 8
             }
             AddrPattern::QueueData { q } => {
-                let slot = self.slot[&q];
-                self.queue_layout[&q].data_addr(slot)
+                let qs = self.queue(q);
+                qs.layout().data_addr(qs.slot)
             }
             AddrPattern::QueueFlag { q } => self.queue_flag_addr(q),
         }
     }
 
     fn queue_flag_addr(&self, q: QueueId) -> Addr {
-        let slot = self.slot[&q];
-        self.queue_layout[&q].flag_addr(slot)
+        let qs = self.queue(q);
+        qs.layout().flag_addr(qs.slot)
+    }
+
+    fn region(&self, id: RegionId) -> (Addr, u64) {
+        *self.regions.get(id.index()).expect("validated region")
+    }
+
+    fn queue(&self, q: QueueId) -> &QueueState {
+        self.queues.get(q.index()).expect("validated queue")
+    }
+
+    fn queue_mut(&mut self, q: QueueId) -> &mut QueueState {
+        self.queues.get_mut(q.index()).expect("validated queue")
     }
 
     /// The current slot index this thread would access next on `q`.
     pub fn current_slot(&self, q: QueueId) -> Option<u32> {
-        self.slot.get(&q).copied()
+        self.queues.get(q.index()).map(|qs| qs.slot)
     }
 }
 
@@ -439,7 +470,7 @@ fn compile(steps: &[Step], out: &mut Vec<CStep>, sites: &mut usize) {
             Step::Instr(t) => {
                 out.push(CStep::Instr {
                     site: *sites,
-                    t: t.clone(),
+                    t: *t,
                 });
                 *sites += 1;
             }
@@ -729,5 +760,109 @@ mod tests {
         let b = s.pop().unwrap();
         assert_eq!(a, b);
         assert!(s.pop().is_none());
+    }
+
+    /// Software-queue produce sequences on three queues plus a streamed
+    /// and a scalar region, under the given ids: `queues[i]` is planned
+    /// at position `i` (depths 2, 3, 4) but used in the order 2, 0, 1.
+    fn queue_program(queues: [u16; 3], regions: [u16; 2]) -> (Program, HashMap<RegionId, Addr>) {
+        let [stream, scalar] = regions.map(RegionId);
+        let plans = queues
+            .iter()
+            .zip(0u64..)
+            .map(|(&q, i)| QueuePlan {
+                q: QueueId(q),
+                role: QueueRole::Produce,
+                depth: 2 + i as u32,
+                layout: Some(QueueMemLayout {
+                    base: Addr::new(0x4000_0000 + i * 0x1_0000),
+                    slot_stride: 16,
+                    flag_offset: Some(8),
+                }),
+            })
+            .collect();
+        let instr = |op| Step::Instr(InstrTemplate::new(op, InstrKind::Comm));
+        let mut body = vec![instr(Op::Load(AddrPattern::Stream {
+            region: stream,
+            stride: 24,
+        }))];
+        for q in [queues[2], queues[0], queues[1]].map(QueueId) {
+            body.extend([
+                instr(Op::Store(
+                    AddrPattern::QueueData { q },
+                    StoreValue::QueuePayload(q),
+                )),
+                instr(Op::StoreRelease(
+                    AddrPattern::QueueFlag { q },
+                    StoreValue::Flag(true),
+                )),
+                Step::AdvanceQueue(q),
+            ]);
+        }
+        body.push(instr(Op::Store(
+            AddrPattern::Fixed {
+                region: scalar,
+                offset: 8,
+            },
+            StoreValue::Opaque,
+        )));
+        let program = Program {
+            regions: vec![
+                Region::new(stream, "stream", 64),
+                Region::new(scalar, "scalar", 16),
+            ],
+            queues: plans,
+            body,
+            iterations: 5,
+        };
+        let bases = HashMap::from([(scalar, Addr::new(0x7000)), (stream, Addr::new(0x9000))]);
+        (program, bases)
+    }
+
+    /// Queue ids as `new_multi_pipeline` assigns them (16 apart) and
+    /// non-contiguous region ids.
+    fn sparse_program() -> (Program, HashMap<RegionId, Addr>) {
+        queue_program([16, 32, 48], [40, 7])
+    }
+
+    #[test]
+    fn sparse_queue_and_region_ids_sequence_like_dense_ones() {
+        let stream = |(p, bases): (Program, HashMap<RegionId, Addr>)| {
+            let mut s = Sequencer::new(&p, &bases, 0).unwrap();
+            let stream: Vec<DynInstr> = std::iter::from_fn(|| s.pop()).collect();
+            (stream, s)
+        };
+        let (sparse, s) = stream(sparse_program());
+        let (dense, _) = stream(queue_program([0, 1, 2], [0, 1]));
+        assert_eq!(sparse, dense);
+        assert_eq!(sparse.len(), 5 * 11);
+        assert_eq!(s.current_slot(QueueId(32)), Some(5 % 3));
+        assert_eq!(s.current_slot(QueueId(0)), None);
+        // Spot checks against the plans: the streamed load wraps at 64
+        // bytes, and the fourth iteration's first data store is payload 3
+        // into slot 3 of the depth-4 queue planned last.
+        let loads: Vec<u64> = sparse
+            .iter()
+            .filter_map(|d| match d.op {
+                DynOp::Load { addr, .. } => Some(addr.as_u64()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(loads, vec![0x9000, 0x9018, 0x9030, 0x9008, 0x9020]);
+        assert_eq!(
+            sparse[3 * 11 + 1].op,
+            DynOp::Store {
+                addr: Addr::new(0x4002_0000 + 3 * 16),
+                value: 3,
+                release: false,
+            }
+        );
+    }
+
+    #[test]
+    fn sparse_region_without_a_base_is_an_error_not_a_panic() {
+        let (p, mut bases) = sparse_program();
+        bases.remove(&RegionId(40));
+        assert!(Sequencer::new(&p, &bases, 0).is_err());
     }
 }

@@ -147,7 +147,12 @@ impl CacheArray {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        (line % self.geom.sets()) as usize
+        let sets = self.sets.len() as u64;
+        if sets.is_power_of_two() {
+            (line & (sets - 1)) as usize
+        } else {
+            (line % sets) as usize
+        }
     }
 
     /// Looks up `line`, updating LRU and hit/miss statistics.

@@ -1,8 +1,7 @@
 //! Sparse functional memory backing the timing model with values.
 
-use std::collections::HashMap;
-
 use hfs_isa::Addr;
+use hfs_sim::FnvMap;
 
 /// A sparse, word-granular (8-byte) functional memory.
 ///
@@ -22,7 +21,7 @@ use hfs_isa::Addr;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FuncMem {
-    words: HashMap<u64, u64>,
+    words: FnvMap<u64>,
 }
 
 impl FuncMem {
@@ -37,7 +36,7 @@ impl FuncMem {
 
     /// Reads the 64-bit word containing `addr`.
     pub fn read(&self, addr: Addr) -> u64 {
-        self.words.get(&Self::word(addr)).copied().unwrap_or(0)
+        self.words.get(Self::word(addr)).copied().unwrap_or(0)
     }
 
     /// Writes the 64-bit word containing `addr`.
@@ -53,7 +52,7 @@ impl FuncMem {
     /// Iterates over every `(word address, value)` pair ever written, in
     /// arbitrary order — used to seed the machine checker's golden copy.
     pub fn iter_words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.words.iter().map(|(a, &v)| (a, v))
     }
 }
 

@@ -92,8 +92,9 @@ impl L3 {
     }
 
     /// Advances one cycle; completed requests accumulate and are drained
-    /// with [`L3::take_ready`].
-    pub(crate) fn tick(&mut self, now: Cycle) {
+    /// with [`L3::take_ready`]. Requests whose lookup misses into DRAM
+    /// this cycle are appended to `to_dram`.
+    pub(crate) fn tick(&mut self, now: Cycle, to_dram: &mut Vec<L3Req>) {
         while let Some(req) = self.lookups.pop_ready(now) {
             if self.array.access(req.line).is_some() {
                 self.ready.push(L3Ready {
@@ -103,6 +104,7 @@ impl L3 {
             } else {
                 self.dram_accesses.inc();
                 self.dram.push(now + self.dram_latency, req);
+                to_dram.push(req);
             }
         }
         while let Some(req) = self.dram.pop_ready(now) {
@@ -131,13 +133,6 @@ impl L3 {
         self.dram
             .iter()
             .any(|r| r.line == line && r.requester == requester)
-    }
-
-    /// Every `(line, requester)` currently at the DRAM stage — lets the
-    /// stall-attribution sweep walk the DRAM residents directly instead
-    /// of probing every busy line for every core.
-    pub(crate) fn in_dram(&self) -> impl Iterator<Item = (u64, CoreId)> + '_ {
-        self.dram.iter().map(|r| (r.line, r.requester))
     }
 
     /// Conservative lower bound on the L3's next state change: the head
@@ -203,7 +198,7 @@ mod tests {
         c.request(req(7), Cycle::new(0));
         let mut ready_at = None;
         for t in 0..200 {
-            c.tick(Cycle::new(t));
+            c.tick(Cycle::new(t), &mut Vec::new());
             let mut r = Vec::new();
             c.take_ready(&mut r);
             if !r.is_empty() {
@@ -220,7 +215,7 @@ mod tests {
         c.request(req(7), Cycle::new(200));
         let mut hit_at = None;
         for t in 200..260 {
-            c.tick(Cycle::new(t));
+            c.tick(Cycle::new(t), &mut Vec::new());
             let mut r = Vec::new();
             c.take_ready(&mut r);
             if !r.is_empty() {
@@ -240,7 +235,7 @@ mod tests {
         c.writeback(42);
         c.request(req(42), Cycle::new(0));
         for t in 0..20 {
-            c.tick(Cycle::new(t));
+            c.tick(Cycle::new(t), &mut Vec::new());
             let mut ready = Vec::new();
             c.take_ready(&mut ready);
             if let Some(r) = ready.into_iter().next() {
@@ -264,7 +259,7 @@ mod tests {
         let mut c = l3();
         c.request(req(3), Cycle::new(0));
         for t in 0..20 {
-            c.tick(Cycle::new(t));
+            c.tick(Cycle::new(t), &mut Vec::new());
         }
         assert!(c.line_in_dram(3, CoreId(0)));
         assert!(!c.line_in_dram(4, CoreId(0)));

@@ -1,8 +1,6 @@
 //! The assembled memory system: cores' L1/L2, shared bus, L3, DRAM,
 //! coherence glue, and the streaming hooks used by the machine model.
 
-use std::collections::HashSet;
-
 use hfs_check::{Checker, Mutation};
 use hfs_isa::{Addr, CoreId};
 use hfs_sim::stats::Counter;
@@ -15,7 +13,7 @@ use crate::config::{MemConfig, Protocol};
 use crate::func::FuncMem;
 use crate::l1::L1d;
 use crate::l2::{EntryKind, L2Ctl, L2Outcome, LineStage, ResolvedWaiter};
-use crate::l3::{L3Ready, L3};
+use crate::l3::{L3Ready, L3Req, L3};
 use crate::msg::{Completion, CtlPayload, MemEvent, MemToken, OpLocation, RejectReason};
 
 /// Cycles between the L2 returning load data and the value being
@@ -104,11 +102,6 @@ pub enum Submit {
     Rejected(RejectReason),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TokenMeta {
-    gated: bool,
-}
-
 /// Aggregate memory-system statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
@@ -139,8 +132,7 @@ pub struct MemSystem {
     l2s: Vec<L2Ctl>,
     bus: Bus,
     l3: L3,
-    busy_lines: HashSet<u64>,
-    meta: Vec<FnvMap<TokenMeta>>,
+    busy_lines: FnvMap<()>,
     completions: Vec<TimedQueue<Completion>>,
     events: Vec<MemEvent>,
     /// Per-tick scratch buffers, reused every cycle so the hot loop
@@ -148,7 +140,9 @@ pub struct MemSystem {
     addr_scratch: Vec<AddrTxn>,
     data_scratch: Vec<DataTxn>,
     l3_scratch: Vec<L3Ready>,
+    dram_scratch: Vec<L3Req>,
     l2_scratch: Vec<L2Outcome>,
+    waiter_scratch: Vec<ResolvedWaiter>,
     /// In-flight forward pushes: (line, producer core, OzQ entry id).
     forward_track: Vec<(u64, CoreId, u64)>,
     forwards_done: u64,
@@ -197,14 +191,15 @@ impl MemSystem {
             func: FuncMem::new(),
             l1s,
             l2s,
-            busy_lines: HashSet::new(),
-            meta: vec![FnvMap::new(); cores],
+            busy_lines: FnvMap::new(),
             completions: (0..cores).map(|_| TimedQueue::new()).collect(),
             events: Vec::new(),
             addr_scratch: Vec::new(),
             data_scratch: Vec::new(),
             l3_scratch: Vec::new(),
+            dram_scratch: Vec::new(),
             l2_scratch: Vec::new(),
+            waiter_scratch: Vec::new(),
             forward_track: Vec::new(),
             forwards_done: 0,
             updates_done: 0,
@@ -296,7 +291,6 @@ impl MemSystem {
             None => EntryKind::Load,
         };
         let id = self.l2s[c].allocate(op.addr, kind, op.background, op.gated, now);
-        self.meta[c].insert(id, TokenMeta { gated: op.gated });
         // Only an *accepted* submission arms new timed state. Rejections
         // and L1 hits touch nothing with autonomous timing (the refused
         // re-attempt side effects are bulk-replayed at jump time), so
@@ -372,6 +366,7 @@ impl MemSystem {
 
     /// Stall-attribution location of an in-flight operation, or `None`
     /// once it has completed.
+    #[inline]
     pub fn location(&self, token: MemToken) -> Option<OpLocation> {
         self.l2s[token.core().index()].location(token.id())
     }
@@ -393,6 +388,7 @@ impl MemSystem {
 
     /// Appends completions ready for `core` at `now` to the caller-owned
     /// `out` buffer (not cleared), avoiding a per-cycle allocation.
+    #[inline]
     pub fn drain_completions_into(&mut self, core: CoreId, now: Cycle, out: &mut Vec<Completion>) {
         let q = &mut self.completions[core.index()];
         while let Some(c) = q.pop_ready(now) {
@@ -492,6 +488,7 @@ impl MemSystem {
         out.extend(self.l3.counters());
         out.extend(self.bus.counters());
         out.push(agg("mem.forwards", self.forwards_done));
+        out.push(agg("mem.updates", self.updates_done));
         out
     }
 
@@ -537,7 +534,16 @@ impl MemSystem {
         self.data_scratch = datas;
 
         // 2. L3: move lookups along; ship serviced lines onto the bus.
-        self.l3.tick(now);
+        // A request is stamped `InDram` for stall attribution once, as its
+        // lookup misses: from then until its fill is `Incoming` the line
+        // is busy, so nothing else can restage its pending entry.
+        let mut to_dram = std::mem::take(&mut self.dram_scratch);
+        to_dram.clear();
+        self.l3.tick(now, &mut to_dram);
+        for req in &to_dram {
+            self.l2s[req.requester.index()].line_stage(req.line, LineStage::InDram);
+        }
+        self.dram_scratch = to_dram;
         let mut serviced = std::mem::take(&mut self.l3_scratch);
         self.l3.take_ready(&mut serviced);
         for ready in &serviced {
@@ -571,15 +577,7 @@ impl MemSystem {
         }
         self.l2_scratch = outcomes;
 
-        // 4. Track DRAM progression for stall attribution: walk the DRAM
-        // residents directly — `line_stage` ignores lines with no pending
-        // request, so this marks exactly the busy lines the old per-line
-        // sweep did, in O(DRAM occupancy) instead of O(lines × cores).
-        for (line, core) in self.l3.in_dram() {
-            self.l2s[core.index()].line_stage(line, LineStage::InDram);
-        }
-
-        // 5. Machine-check audits (no-ops when checking is off).
+        // 4. Machine-check audits (no-ops when checking is off).
         if self.checker.is_enabled() {
             for (c, l2) in self.l2s.iter().enumerate() {
                 self.checker
@@ -646,18 +644,16 @@ impl MemSystem {
                 id,
                 addr,
                 background,
+                gated,
             } => {
                 let mut value = self.func.read(addr);
                 if self.checker.fire_once(Mutation::CorruptLoadValue) {
                     value ^= 1;
                 }
                 self.checker.on_load(now, addr.as_u64(), value);
-                let meta = self.meta[c]
-                    .remove(id)
-                    .unwrap_or(TokenMeta { gated: false });
                 // Gated (streaming) loads bypass the L1 and its fill
                 // latency; their data goes straight to the consumer.
-                let at = if meta.gated {
+                let at = if gated {
                     now
                 } else {
                     self.l1s[c].fill(addr);
@@ -688,7 +684,6 @@ impl MemSystem {
                 }
                 self.func.write(addr, stored);
                 self.checker.on_store(now, addr.as_u64(), value);
-                self.meta[c].remove(id);
                 self.events
                     .push(MemEvent::StorePerformed { core, addr, value });
                 self.completions[c].push(
@@ -751,13 +746,13 @@ impl MemSystem {
                 self.bus.request_addr(core, txn);
             }
             L2Outcome::ForwardReady { id, line, to } => {
-                if self.busy_lines.contains(&line) {
+                if self.busy_lines.contains_key(line) {
                     // The destination is already fetching the line by
                     // demand; drop the push.
                     self.l2s[c].forward_complete(id, u64::MAX); // remove entry only
                     return;
                 }
-                self.busy_lines.insert(line);
+                self.busy_lines.insert(line, ());
                 self.bus.request_data(
                     Agent::Core(core),
                     self.cfg.l2.line_bytes,
@@ -768,20 +763,10 @@ impl MemSystem {
                     },
                 );
                 // Remember which entry to complete on delivery.
-                self.meta[c].insert(id, TokenMeta { gated: false });
-                self.pending_forwards_insert(line, core, id);
+                self.forward_track.push((line, core, id));
             }
-            L2Outcome::ForwardAbort { id } => {
-                self.meta[c].remove(id);
-            }
+            L2Outcome::ForwardAbort { .. } => {}
         }
-    }
-
-    fn pending_forwards_insert(&mut self, line: u64, core: CoreId, id: u64) {
-        // Stored compactly in the meta map keyed by a synthetic slot: the
-        // forward entry id itself is enough because forward_complete takes
-        // the id. We track (line -> (core,id)) in a small vec.
-        self.forward_track.push((line, core, id));
     }
 
     fn handle_addr(&mut self, txn: AddrTxn, now: Cycle) {
@@ -794,11 +779,11 @@ impl MemSystem {
             AddrTxn::Rd {
                 line, requester, ..
             } => {
-                if self.busy_lines.contains(&line) {
+                if self.busy_lines.contains_key(line) {
                     self.l2s[requester.index()].nack_line(line, now + backoff, false);
                     return;
                 }
-                self.busy_lines.insert(line);
+                self.busy_lines.insert(line, ());
                 self.checker.on_addr_request(now, requester, line);
                 let mut supplied = false;
                 let mut other_holder = false;
@@ -844,7 +829,7 @@ impl MemSystem {
                     }
                     self.l2s[requester.index()].line_stage(line, LineStage::InL3);
                     self.l3.request(
-                        crate::l3::L3Req {
+                        L3Req {
                             line,
                             requester,
                             fill,
@@ -856,11 +841,11 @@ impl MemSystem {
             AddrTxn::RdX {
                 line, requester, ..
             } => {
-                if self.busy_lines.contains(&line) {
+                if self.busy_lines.contains_key(line) {
                     self.l2s[requester.index()].nack_line(line, now + backoff, true);
                     return;
                 }
-                self.busy_lines.insert(line);
+                self.busy_lines.insert(line, ());
                 self.checker.on_addr_request(now, requester, line);
                 let mut supplied = false;
                 for c in 0..self.l2s.len() {
@@ -903,7 +888,7 @@ impl MemSystem {
                 if !supplied {
                     self.l2s[requester.index()].line_stage(line, LineStage::InL3);
                     self.l3.request(
-                        crate::l3::L3Req {
+                        L3Req {
                             line,
                             requester,
                             fill: LineState::Modified,
@@ -915,7 +900,7 @@ impl MemSystem {
             AddrTxn::Upgr {
                 line, requester, ..
             } => {
-                if self.busy_lines.contains(&line) {
+                if self.busy_lines.contains_key(line) {
                     self.l2s[requester.index()].nack_line(line, now + backoff, true);
                     return;
                 }
@@ -959,7 +944,7 @@ impl MemSystem {
                 // writer becomes the SM owner (EM with no sharers left).
                 // No data-channel transfer and no split-transaction
                 // response follow.
-                if self.busy_lines.contains(&line) {
+                if self.busy_lines.contains_key(line) {
                     self.l2s[requester.index()].nack_line(line, now + backoff, true);
                     return;
                 }
@@ -1023,14 +1008,14 @@ impl MemSystem {
     fn handle_data(&mut self, txn: DataTxn, now: Cycle) {
         match txn {
             DataTxn::FillL2 { line, dest, state } => {
-                self.busy_lines.remove(&line);
+                self.busy_lines.remove(line);
                 self.install_fill(dest, line, state, false, now);
             }
             DataTxn::WbL3 { line, .. } => {
                 self.l3.writeback(line);
             }
             DataTxn::ForwardLine { line, from, to } => {
-                self.busy_lines.remove(&line);
+                self.busy_lines.remove(line);
                 // Complete the producer-side forward entry.
                 if let Some(pos) = self
                     .forward_track
@@ -1039,7 +1024,6 @@ impl MemSystem {
                 {
                     let (_, _, id) = self.forward_track.remove(pos);
                     self.l2s[from.index()].forward_complete(id, line);
-                    self.meta[from.index()].remove(id);
                 }
                 let line_addr = Addr::new(line * self.cfg.l2.line_bytes);
                 self.l1s[from.index()].invalidate_span(line_addr, self.cfg.l2.line_bytes);
@@ -1130,8 +1114,10 @@ impl MemSystem {
     /// store-then-load sequences observe their own writes.
     fn resolve_waiters(&mut self, core: CoreId, line: u64, now: Cycle) {
         let c = core.index();
-        let waiters: Vec<ResolvedWaiter> = self.l2s[c].drain_line_waiters(line, now);
-        for w in waiters {
+        let mut waiters = std::mem::take(&mut self.waiter_scratch);
+        waiters.clear();
+        self.l2s[c].drain_line_waiters(line, now, &mut waiters);
+        for &w in &waiters {
             match w.kind {
                 EntryKind::Store { value, .. } => {
                     let mut stored = value;
@@ -1140,7 +1126,6 @@ impl MemSystem {
                     }
                     self.func.write(w.addr, stored);
                     self.checker.on_store(now, w.addr.as_u64(), value);
-                    self.meta[c].remove(w.id);
                     self.events.push(MemEvent::StorePerformed {
                         core,
                         addr: w.addr,
@@ -1162,10 +1147,7 @@ impl MemSystem {
                         value ^= 1;
                     }
                     self.checker.on_load(now, w.addr.as_u64(), value);
-                    let meta = self.meta[c]
-                        .remove(w.id)
-                        .unwrap_or(TokenMeta { gated: false });
-                    let at = if meta.gated {
+                    let at = if w.gated {
                         now
                     } else {
                         self.l1s[c].fill(w.addr);
@@ -1184,6 +1166,7 @@ impl MemSystem {
                 EntryKind::Forward { .. } => unreachable!("forwards never wait on lines"),
             }
         }
+        self.waiter_scratch = waiters;
     }
 }
 

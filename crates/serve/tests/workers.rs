@@ -8,7 +8,7 @@
 //! batch completes, and the restart shows up in the metrics.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use hfs_core::kernel::KernelPair;
@@ -37,7 +37,14 @@ fn offline_bytes(job: &Job) -> String {
     outcome_to_json(&execute(job, 0)).to_pretty()
 }
 
+/// Held by every live [`TestServer`]: `worker_pids` sees the `--worker`
+/// children of the whole test process, so two servers alive at once
+/// (the harness runs tests on parallel threads) would count each
+/// other's workers as orphans.
+static ONE_SERVER: Mutex<()> = Mutex::new(());
+
 struct TestServer {
+    _alone: MutexGuard<'static, ()>,
     endpoint: Endpoint,
     sock: PathBuf,
     cache: PathBuf,
@@ -64,6 +71,8 @@ impl TestServer {
         worker_bin: PathBuf,
         default_retries: u32,
     ) -> TestServer {
+        // A test that failed holding the lock poisons nothing it guards.
+        let alone = ONE_SERVER.lock().unwrap_or_else(PoisonError::into_inner);
         let base = std::env::temp_dir().join(format!("hfs-workers-{}-{tag}", std::process::id()));
         let sock = base.with_extension("sock");
         let cache = base.with_extension("cache");
@@ -82,6 +91,7 @@ impl TestServer {
         let server = Server::bind(&endpoint, &config).expect("bind test server");
         let handle = std::thread::spawn(move || server.run());
         TestServer {
+            _alone: alone,
             endpoint,
             sock,
             cache,

@@ -13,6 +13,7 @@
 //!   xorshift64*) behind workload address randomness and randomized tests,
 //! * [`FnvMap`] — a `u64`-keyed FNV-1a open-addressing map for
 //!   per-transaction hot-path state (cheaper than SipHash `HashMap`),
+//!   and [`DenseMap`] — a flat table for small dense ids (queues, regions),
 //! * [`ConfigError`] — validation errors for machine configuration,
 //! * [`CancelToken`] — a thread-safe cooperative cancellation flag polled
 //!   by long-running simulations (used by the `hfs-serve` service layer
@@ -47,6 +48,6 @@ pub mod stats;
 pub use cancel::CancelToken;
 pub use cycle::Cycle;
 pub use error::ConfigError;
-pub use map::FnvMap;
+pub use map::{DenseMap, FnvMap};
 pub use queue::{Pipe, TimedQueue};
 pub use rng::Rng64;

@@ -180,6 +180,71 @@ impl<V: fmt::Debug> fmt::Debug for FnvMap<V> {
     }
 }
 
+/// A table keyed by small dense integers (queue and region ids):
+/// one `Option<V>` slot per key up to the largest ever inserted, so a
+/// lookup is a bounds check and iteration runs in ascending key order.
+#[derive(Debug, Clone)]
+pub struct DenseMap<V> {
+    slots: Vec<Option<V>>,
+}
+
+impl<V> DenseMap<V> {
+    /// Creates an empty table; no allocation until the first insert.
+    pub fn new() -> Self {
+        DenseMap { slots: Vec::new() }
+    }
+
+    /// Returns a reference to the value for `key`.
+    pub fn get(&self, key: usize) -> Option<&V> {
+        self.slots.get(key)?.as_ref()
+    }
+
+    /// Returns a mutable reference to the value for `key`.
+    pub fn get_mut(&mut self, key: usize) -> Option<&mut V> {
+        self.slots.get_mut(key)?.as_mut()
+    }
+
+    /// The slot of `key`, growing the table to hold it.
+    fn slot(&mut self, key: usize) -> &mut Option<V> {
+        if key >= self.slots.len() {
+            self.slots.resize_with(key + 1, || None);
+        }
+        &mut self.slots[key]
+    }
+
+    /// Inserts `key → value`, returning the previous value if any.
+    pub fn insert(&mut self, key: usize, value: V) -> Option<V> {
+        self.slot(key).replace(value)
+    }
+
+    /// The value for `key`, inserted as `V::default()` when absent.
+    pub fn or_default(&mut self, key: usize) -> &mut V
+    where
+        V: Default,
+    {
+        self.slot(key).get_or_insert_with(V::default)
+    }
+
+    /// Iterates over `(key, &value)` pairs in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &V)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(k, s)| s.as_ref().map(|v| (k, v)))
+    }
+
+    /// Iterates over the values in ascending key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<V> Default for DenseMap<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,5 +431,21 @@ mod tests {
         let mut b: Vec<(u64, u64)> = reference.into_iter().collect();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn dense_map_is_sparse_tolerant_and_ordered() {
+        let mut m: DenseMap<u64> = DenseMap::new();
+        assert_eq!(m.get(48), None);
+        assert_eq!(m.insert(48, 1), None);
+        assert_eq!(m.insert(16, 2), None);
+        assert_eq!(m.insert(48, 3), Some(1));
+        *m.or_default(32) += 7;
+        *m.get_mut(16).unwrap() += 1;
+        assert_eq!(m.get(17), None);
+        assert_eq!(m.get(1000), None);
+        let pairs: Vec<(usize, u64)> = m.iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(pairs, vec![(16, 3), (32, 7), (48, 3)]);
+        assert_eq!(m.values().sum::<u64>(), 13);
     }
 }

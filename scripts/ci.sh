@@ -98,6 +98,18 @@ else
     grep -q '"schema": "simbench-v2"' "$QUICK_JSON" || { echo "malformed $QUICK_JSON"; exit 1; }
 fi
 
+echo "==> benchmark: its own tests, then sim_dense with every correctness check"
+# The benchmark's checks (every timed run equals its warm-up run, the
+# production loop equals the per-cycle walk, recorded cycle and
+# instruction counts) gate every simulator change, not only the changes
+# that claim a gain.
+(cd benchmark && cargo test -q --offline)
+BENCH_OUT=$(benchmark/run.sh --workload sim_dense --seed 1 --seconds 3 --trace 0)
+echo "$BENCH_OUT"
+if grep -q 'model drift' <<<"$BENCH_OUT"; then
+    echo "sim_dense no longer simulates the counts recorded in benchmark/goldens.json"; exit 1
+fi
+
 echo "==> hfs-serve smoke (concurrent clients, byte-identical artifacts, dedup, drain)"
 SERVE_TMP=$(mktemp -d)
 SERVE_PID=

@@ -9,6 +9,7 @@ use hfs::harness::{Engine, Job};
 use hfs::isa::QueueId;
 use hfs::mem::Protocol;
 use hfs::sim::Rng64;
+use hfs::trace::Tracer;
 
 const CASES: u64 = 6;
 
@@ -111,12 +112,17 @@ fn only_dragon_issues_bus_updates() {
         cfg.mem.protocol = p;
         let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
         m.set_check_level(CheckLevel::Full);
+        m.set_tracer(Tracer::metrics_only());
         let r = m.run(20_000_000).unwrap_or_else(|e| panic!("{p}: {e}"));
         if p == Protocol::Dragon {
             assert!(r.mem.updates > 0, "Dragon run performed no bus updates");
         } else {
             assert_eq!(r.mem.updates, 0, "{p} must never issue bus updates");
         }
+        // The metrics report shows the same traffic.
+        let report = r.metrics.expect("a metrics tracer was attached");
+        let reported = report.counters.iter().find(|(n, _)| n == "mem.updates");
+        assert_eq!(reported, Some(&("mem.updates".to_string(), r.mem.updates)));
     }
 }
 
