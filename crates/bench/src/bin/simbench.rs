@@ -4,17 +4,15 @@
 //! [`hfs_harness::execute_once`] (no engine, no cache — every simulated
 //! cycle is paid for) and reports **simulated cycles per wall-clock
 //! second** for each, measured with `std::time::Instant`. Each point is
-//! timed twice: once with the scheduled loop enabled (the event-driven
-//! calendar-queue scheduler by default; the polling fast-forward loop
-//! under `HFS_SCHED=poll`) and once pinned to plain per-cycle stepping
-//! via the `HFS_NO_FASTFWD` escape hatch, so the headline speedup of
-//! the scheduled loop is recorded alongside the absolute rate. Every
-//! point is tagged with the `sched` mode that produced its fast sample,
-//! and the artifact's top-level `geomean_speedup` summarizes the whole
-//! set (schema `simbench-v2`). A `host` block records `nproc`, the
-//! scheduler mode, and an iso-8601 timestamp (overridable via
-//! `HFS_BENCH_TIMESTAMP` so CI drivers can pin it); `--check` matches
-//! baseline rows by point keys only and ignores it.
+//! timed twice: once as the run loop runs by default (fast-forwarding
+//! dead cycles) and once pinned to plain per-cycle stepping via the
+//! `HFS_NO_FASTFWD` escape hatch, so the headline speedup of
+//! fast-forwarding is recorded alongside the absolute rate. The
+//! artifact's top-level `geomean_speedup` summarizes the whole set
+//! (schema `simbench-v3`). A `host` block records `nproc` and an
+//! iso-8601 timestamp (overridable via `HFS_BENCH_TIMESTAMP` so CI
+//! drivers can pin it); `--check` matches baseline rows by point keys
+//! only and ignores it.
 //!
 //! The full run writes `BENCH_simloop.json` at the current directory
 //! (the repo root under `scripts/ci.sh`), recording the perf trajectory
@@ -42,20 +40,6 @@ use hfs_workloads::benchmark;
 
 /// Environment variable that disables the fast-forward loop.
 const ENV_NO_FASTFWD: &str = "HFS_NO_FASTFWD";
-
-/// Environment variable selecting the run loop (`poll` pins the polling
-/// loop; anything else is the event-driven scheduler).
-const ENV_SCHED: &str = "HFS_SCHED";
-
-/// The scheduler-mode label tagged onto every measured point: which run
-/// loop produced the fast (`cycles_per_sec`) sample. The slow sample is
-/// always plain per-cycle stepping (`HFS_NO_FASTFWD=1`).
-fn sched_label() -> &'static str {
-    match std::env::var(ENV_SCHED) {
-        Ok(v) if v.eq_ignore_ascii_case("poll") => "poll",
-        _ => "event",
-    }
-}
 
 /// One benchmark × design configuration to time.
 struct Point {
@@ -242,12 +226,11 @@ fn point_json(p: &Point, m: &Measurement) -> Json {
             Json::F64(no_ff.cycles_per_sec().round()),
         ),
         ("fastfwd_speedup", Json::F64(round2(m.speedup))),
-        ("sched", Json::Str(sched_label().to_string())),
     ])
 }
 
 /// Geometric mean of the per-point speedups (the artifact's headline
-/// number: how much faster the scheduled loop is than per-cycle
+/// number: how much faster the fast-forwarding loop is than per-cycle
 /// stepping across the whole point set).
 fn geomean_speedup(rows: &[Json]) -> f64 {
     let speedups: Vec<f64> = rows
@@ -377,7 +360,7 @@ fn run_check(
 }
 
 /// Host metadata recorded alongside the measurements: worker-thread
-/// capacity, the scheduler mode, and when the run happened. Purely
+/// capacity and when the run happened. Purely
 /// descriptive — `--check` matches baseline rows by the `points` keys
 /// only, so this block never affects the regression gate.
 fn host_json() -> Json {
@@ -385,7 +368,6 @@ fn host_json() -> Json {
     let timestamp = bench_timestamp();
     Json::obj(vec![
         ("nproc", Json::U64(nproc)),
-        ("sched", Json::Str(sched_label().to_string())),
         ("timestamp", Json::Str(timestamp)),
     ])
 }
@@ -434,13 +416,12 @@ fn main() {
 
     let gm = geomean_speedup(&rows);
     println!(
-        "simbench: geomean speedup {:.2}x over per-cycle stepping ({} loop, {} points)",
+        "simbench: geomean speedup {:.2}x over per-cycle stepping ({} points)",
         gm,
-        sched_label(),
         rows.len(),
     );
     let doc = Json::obj(vec![
-        ("schema", Json::Str("simbench-v2".to_string())),
+        ("schema", Json::Str("simbench-v3".to_string())),
         (
             "mode",
             Json::Str(if quick { "quick" } else { "full" }.to_string()),

@@ -130,38 +130,6 @@ impl Backend {
         }
     }
 
-    /// The wake time the event scheduler arms for this backend: the
-    /// `next_event` bound, tightened for SYNCOPTI so that *any* in-flight
-    /// consume — released or not — keeps the backend processed every
-    /// cycle. `next_event` rightly imposes no timing bound on a released
-    /// consume (memory progress covers it), but `process` step 6
-    /// refreshes the consume's stall-attribution location from the memory
-    /// system each cycle, and the waiting consumer reads it every tick;
-    /// skipping a process cycle would leave attribution stale versus
-    /// per-cycle simulation.
-    pub(crate) fn sched_wake(&self, now: Cycle) -> Option<Cycle> {
-        let mut wake = self.next_event(now);
-        if let Backend::SyncOpti(b) = self {
-            if !b.waiting_consumes.is_empty() {
-                let floor = now.next();
-                wake = Some(wake.map_or(floor, |w| w.min(floor)));
-            }
-        }
-        wake
-    }
-
-    /// Clears and returns the externally-driven-mutation flag (always
-    /// false for the software backend: its only autonomous state is
-    /// armed inside `process`, which the scheduler already re-arms
-    /// after). Event-scheduler use only.
-    pub(crate) fn take_touched(&mut self) -> bool {
-        match self {
-            Backend::Software(_) => false,
-            Backend::SyncOpti(b) => std::mem::take(&mut b.touched),
-            Backend::HeavyWt(b) => std::mem::take(&mut b.touched),
-        }
-    }
-
     pub(crate) fn check(&self) -> &QueueCheck {
         match self {
             Backend::Software(b) => &b.check,
@@ -425,11 +393,6 @@ pub(crate) struct SyncOptiBackend {
     check: QueueCheck,
     tracer: Tracer,
     checker: Checker,
-    /// Set when an externally driven call (produce/consume submission,
-    /// matched memory completion) arms new backend state; the event
-    /// scheduler polls-and-clears it to know when to re-derive this
-    /// backend's wake time.
-    touched: bool,
 }
 
 impl SyncOptiBackend {
@@ -474,7 +437,6 @@ impl SyncOptiBackend {
             check: QueueCheck::new(),
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            touched: false,
         }
     }
 
@@ -528,7 +490,6 @@ impl SyncOptiBackend {
                     at: now.as_u64(),
                     depth,
                 });
-                self.touched = true;
                 StreamSubmit::Done {
                     at: now + 1,
                     value: None,
@@ -579,7 +540,6 @@ impl SyncOptiBackend {
                 if done.is_multiple_of(u64::from(s.info.qlu)) {
                     self.pending_acks.push((q, done));
                 }
-                self.touched = true;
                 return StreamSubmit::Done {
                     at: now + 1,
                     value: Some(v),
@@ -606,7 +566,6 @@ impl SyncOptiBackend {
                     queue: q,
                     at: now.as_u64(),
                 });
-                self.touched = true;
                 StreamSubmit::Pending(stok)
             }
             Submit::Rejected(_) => StreamSubmit::Blocked,
@@ -656,7 +615,6 @@ impl SyncOptiBackend {
             if done.is_multiple_of(u64::from(s.info.qlu)) || w.early_released {
                 self.pending_acks.push((w.q, done));
             }
-            self.touched = true;
         }
     }
 
@@ -882,13 +840,6 @@ pub(crate) struct HeavyWtBackend {
     wake_scratch: Vec<QueueId>,
     tracer: Tracer,
     checker: Checker,
-    /// See [`SyncOptiBackend`]: externally-driven-mutation flag for the
-    /// event scheduler.
-    touched: bool,
-    /// Cycle of the last [`SyncArray::begin_cycle`], so core-side
-    /// `try_*` calls can lazily run the reset the event scheduler's
-    /// skipped `process` would have performed (see [`Self::refresh`]).
-    last_begin: Option<Cycle>,
 }
 
 impl HeavyWtBackend {
@@ -919,8 +870,6 @@ impl HeavyWtBackend {
             wake_scratch: Vec::new(),
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            touched: false,
-            last_begin: None,
         })
     }
 
@@ -930,23 +879,6 @@ impl HeavyWtBackend {
         count(&self.injected) - count(&self.acked)
     }
 
-    /// Runs [`SyncArray::begin_cycle`] at most once per cycle. Per-cycle
-    /// stepping resets the array's port budget every cycle via
-    /// `process`; the event scheduler skips `process` on cycles where
-    /// the backend provably has nothing timed to do, but a core-side
-    /// `try_produce`/`try_consume` can still land on such a cycle and
-    /// must not be charged against a stale, partially-spent budget from
-    /// the last processed cycle. On a skipped cycle the network is
-    /// empty and no ACK is due (`next_event` arms the backend
-    /// otherwise), so the budget reset is the only effect the skipped
-    /// `begin_cycle` would have had.
-    fn refresh(&mut self, now: Cycle) {
-        if self.last_begin != Some(now) {
-            self.last_begin = Some(now);
-            self.sa.begin_cycle();
-        }
-    }
-
     fn process(&mut self, now: Cycle) {
         while let Some(q) = self.acks_in_flight.pop_ready(now) {
             *self.acked.or_default(q.index()) += 1;
@@ -954,7 +886,7 @@ impl HeavyWtBackend {
         if self.sa.in_network() > 0 && self.checker.fire_once(Mutation::SyncArrayLoseItem) {
             let _ = self.sa.lose_one_in_network();
         }
-        self.refresh(now);
+        self.sa.begin_cycle();
         // Wake consumes that were waiting for data, in FIFO order per
         // queue, while array ports remain. Queue order must be fixed:
         // ports are contended, so a map-iteration order here would leak
@@ -1031,7 +963,6 @@ impl HeavyWtBackend {
 
     fn try_produce(&mut self, core: CoreId, q: QueueId, value: u64, now: Cycle) -> StreamSubmit {
         assert_eq!(core, self.producer, "{q} is produced by {}", self.producer);
-        self.refresh(now);
         // Occupancy counter check (queue-full): produced minus ACKed
         // consumptions. ACKs take a transit delay back, so a longer
         // interconnect shrinks the usable queue for codes that keep it
@@ -1041,7 +972,6 @@ impl HeavyWtBackend {
             return StreamSubmit::Blocked;
         }
         if self.sa.try_inject(q, value) {
-            self.touched = true;
             let injected = self.injected.or_default(q.index());
             let seq = *injected;
             *injected += 1;
@@ -1068,10 +998,6 @@ impl HeavyWtBackend {
 
     fn try_consume(&mut self, core: CoreId, q: QueueId, now: Cycle) -> StreamSubmit {
         assert_eq!(core, self.consumer, "{q} is consumed by {}", self.consumer);
-        // Both outcomes arm timed state: an immediate consume launches an
-        // ACK onto the interconnect; a parked one arms the wake pass.
-        self.touched = true;
-        self.refresh(now);
         let no_earlier_waiter = self.waiting.get(q.index()).is_none_or(VecDeque::is_empty);
         if no_earlier_waiter {
             if let Some(v) = self.sa.try_consume(q) {

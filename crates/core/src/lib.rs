@@ -60,7 +60,7 @@ mod sync_array;
 pub use config::MachineConfig;
 pub use design::{DesignPoint, HeavyWtConfig, RegMappedConfig, SoftwareConfig, SyncOptiConfig};
 pub use hfs_check::{CheckLevel, Checker, Mutation, Violation};
-pub use machine::{FastForwardStats, Machine, RunResult, SchedMode, SimError};
+pub use machine::{FastForwardStats, Machine, RunResult, SchedMode, SchedStats, SimError};
 pub use queues::QueueCheck;
 pub use stream_cache::StreamCache;
 pub use sync_array::{SyncArray, SyncArrayConfig};

@@ -7,7 +7,6 @@ use hfs_check::{CheckLevel, Checker};
 use hfs_cpu::{BlockedAttempt, Core, CoreStats, NullStreamPort, StreamPort};
 use hfs_isa::{CoreId, Sequencer};
 use hfs_mem::{Completion, MemEvent, MemStats, MemSystem};
-use hfs_sim::sched::{CalendarQueue, SchedStats};
 use hfs_sim::stats::StallComponent;
 use hfs_sim::{CancelToken, ConfigError, Cycle};
 use hfs_trace::{MetricsReport, Tracer};
@@ -38,8 +37,9 @@ const FF_CYCLE_WINDOW: u64 = 4096;
 const FF_MIN_WINDOW_SKIP: u64 = 64;
 
 /// Fast-forward auto-disable: cost of one bound computation, expressed
-/// in skipped-cycle equivalents (a bound walks every component's
-/// `next_event`, roughly half the price of stepping a live cycle). A
+/// in skipped-cycle equivalents (a fold that gets as far as a jump walks
+/// every component's `next_event`, at most half the price of stepping a
+/// live cycle; one that finds the next cycle pinned stops sooner). A
 /// window must skip at least `window_bounds / FF_BOUND_COST_DIV` cycles
 /// to have paid for its bounds; workloads that compute a bound almost
 /// every cycle but jump only occasionally (e.g. streaming loops with
@@ -51,87 +51,24 @@ const FF_BOUND_COST_DIV: u64 = 2;
 /// memory-bound phase.
 const FF_LOW_WINDOWS: u32 = 2;
 
-/// Event-scheduler auto-latch: a [`FF_CYCLE_WINDOW`]-cycle window is
-/// *low-skip* when it skips fewer than `FF_CYCLE_WINDOW /
-/// EVENT_LOW_SKIP_DIV` cycles (12.5%). After [`FF_LOW_WINDOWS`]
-/// consecutive low windows the event loop latches to plain per-cycle
-/// stepping for the rest of the run: on compute-dense workloads the
-/// queue, the arming, and the wake bounds are pure overhead — exactly
-/// the polling loop's auto-disable, applied to the scheduler itself.
-/// The threshold sits well above the break-even overhead (measured
-/// 5–25% of a live cycle depending on tick weight) and well below the
-/// ~20% skip fraction of the sync-heavy workloads that profit.
-const EVENT_LOW_SKIP_DIV: u64 = 8;
-
-/// Scheduler token for the memory system (bus + L3/DRAM + private L2s,
-/// which tick as one unit and share one `next_event` bound).
-const TOK_MEM: u32 = 0;
-/// Scheduler token for the strided deadlock sweep.
-const TOK_SWEEP: u32 = 1;
-/// Scheduler token for the sampling grid of [`Machine::run_sampled`].
-const TOK_SAMPLE: u32 = 2;
-/// Scheduler token for the timeout watchdog (armed once, at
-/// `max_cycles + 1` — routinely exercising the calendar queue's
-/// overflow heap).
-const TOK_WATCH: u32 = 3;
-/// First per-component token: backends at `TOK_COMP + k`, cores at
-/// `TOK_COMP + backends + i`.
-const TOK_COMP: u32 = 4;
-
-/// Which run loop drives the simulation (see the `HFS_SCHED`
-/// environment variable). Results are bit-identical across modes; only
-/// wall-clock changes.
+/// Retained only because `benchmark/`, which the change that retired the
+/// event-driven loop could not touch, still names both variants; the next
+/// `benchmark` PR removes it. There is one production run loop, so the
+/// variants mean the same thing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Event-driven: components push wake times into a calendar queue
-    /// when their state changes, and the run loop steps only woken
-    /// components (the default).
+    /// The run loop.
     Event,
-    /// Per-advance `next_event` polling with the fast-forward pay-floor
-    /// latch — the pre-scheduler loop, kept as the debug cross-check and
-    /// `HFS_SCHED=poll` escape hatch.
+    /// The run loop.
     Poll,
 }
 
-/// Reads `HFS_SCHED` (`poll` selects the polling loop; anything else —
-/// including unset — selects the event-driven scheduler).
-fn sched_from_env() -> SchedMode {
-    match std::env::var("HFS_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("poll") => SchedMode::Poll,
-        _ => SchedMode::Event,
-    }
-}
-
-/// Arms `token` to wake at `at`, recording the wake in the caller's
-/// armed-time table. Arming only ever *tightens*: a later wake than the
-/// currently armed one is ignored (the token will re-arm when it
-/// processes), so the queue never needs explicit cancellation — a
-/// superseded entry surfaces as a stale pop and is discarded.
-fn arm(
-    q: &mut CalendarQueue,
-    armed: &mut [u64],
-    near: &mut u32,
-    sched: &mut SchedStats,
-    now: u64,
-    token: u32,
-    at: Cycle,
-) {
-    let at = at.as_u64();
-    if at < armed[token as usize] {
-        armed[token as usize] = at;
-        if at <= now + 1 {
-            // Fast path for the dense regime: an arm for the immediately
-            // next cycle never enters the queue — it cannot be superseded
-            // (no earlier wake exists), so it is guaranteed to fire and is
-            // accounted for at arm time. `near` forces the next cycle to
-            // be processed.
-            *near += 1;
-            sched.scheduled += 1;
-            sched.fired += 1;
-        } else {
-            q.schedule(Cycle::new(at), token);
-        }
-    }
+/// Retained for `benchmark/` like [`SchedMode`], and removed with it.
+#[derive(Clone, Copy, Debug)]
+pub struct SchedStats {
+    /// Cycles skipped by fast-forward jumps: always
+    /// [`FastForwardStats::skipped_cycles`].
+    pub cycles_skipped: u64,
 }
 
 /// A simulation failure.
@@ -286,13 +223,8 @@ pub struct Machine {
     /// Idle-cycle fast-forwarding (on unless `HFS_NO_FASTFWD` is set).
     /// Results are bit-identical either way; only wall-clock changes.
     fast_forward: bool,
-    /// Skip-rate accounting behind the fast-forward auto-disable
-    /// (poll-mode only; the event scheduler needs no pay-floor latch).
+    /// Skip-rate accounting behind the fast-forward auto-disable.
     ff: FastForwardStats,
-    /// Which run loop drives the simulation (from `HFS_SCHED`).
-    sched_mode: SchedMode,
-    /// Calendar-queue accounting for the last event-driven run.
-    sched: SchedStats,
     /// Cooperative cancellation, polled once per simulated cycle.
     cancel: Option<CancelToken>,
     /// Per-cycle scratch buffers, reused so the hot loop allocates
@@ -399,8 +331,6 @@ impl Machine {
             checker: Checker::disabled(),
             fast_forward: fastfwd_enabled(),
             ff: FastForwardStats::default(),
-            sched_mode: sched_from_env(),
-            sched: SchedStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
             drop_scratch: Vec::new(),
@@ -438,8 +368,6 @@ impl Machine {
             checker: Checker::disabled(),
             fast_forward: fastfwd_enabled(),
             ff: FastForwardStats::default(),
-            sched_mode: sched_from_env(),
-            sched: SchedStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
             drop_scratch: Vec::new(),
@@ -484,25 +412,16 @@ impl Machine {
         self.ff
     }
 
-    /// Selects the run loop (defaults to `HFS_SCHED` from the
-    /// environment). Results are bit-identical across modes; only
-    /// wall-clock changes. Note that [`SchedMode::Event`] additionally
-    /// requires fast-forwarding on, no enabled checker, and no recording
-    /// tracer — otherwise the run falls back to the polling loop (the
-    /// per-cycle bound those features pin to *is* the polling loop).
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
-    }
+    /// Accepted and ignored: either mode runs the one loop. Retained for
+    /// `benchmark/` (see [`SchedMode`]).
+    pub fn set_sched_mode(&mut self, _mode: SchedMode) {}
 
-    /// The scheduler mode selected with [`Machine::set_sched_mode`].
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched_mode
-    }
-
-    /// Calendar-queue accounting for the most recent event-driven run
-    /// (all zero after a polling run).
-    pub fn sched_stats(&self) -> &SchedStats {
-        &self.sched
+    /// The skipped-cycle count under its old name. Retained for
+    /// `benchmark/` (see [`SchedStats`]).
+    pub fn sched_stats(&self) -> SchedStats {
+        SchedStats {
+            cycles_skipped: self.ff.skipped_cycles,
+        }
     }
 
     /// Attaches a cooperative cancellation token, polled once per
@@ -582,40 +501,16 @@ impl Machine {
     /// iterations)` every `interval` cycles when `Some` — useful for
     /// warm-up/steady-state analysis of the streaming protocols.
     ///
+    /// This is the one run loop: every component steps on every
+    /// processed cycle, and [`Machine::advance`] folds `next_event`
+    /// bounds to jump over dead windows. With fast-forward off (or a
+    /// checker attached) it is the plain per-cycle walk the tests use as
+    /// their oracle.
+    ///
     /// # Errors
     ///
     /// Same failure modes as [`Machine::run`].
     pub fn run_sampled(
-        &mut self,
-        max_cycles: u64,
-        interval: Option<u64>,
-    ) -> Result<(RunResult, Vec<(u64, u64)>), SimError> {
-        // The per-cycle bound that an enabled checker or a recording
-        // tracer pins to *is* the polling loop, and `HFS_NO_FASTFWD`
-        // (cleared `fast_forward`) asks for exactly that bound; the
-        // event scheduler drives every other configuration.
-        let event = self.sched_mode == SchedMode::Event
-            && self.fast_forward
-            && !self.checker.is_enabled()
-            && !self.tracer.is_recording();
-        if event {
-            self.run_sampled_event(max_cycles, interval)
-        } else {
-            self.run_sampled_poll(max_cycles, interval)
-        }
-    }
-
-    /// The polling run loop: every component steps every cycle, with
-    /// [`Machine::advance`] folding `next_event` bounds to fast-forward
-    /// dead windows. Kept as the debug cross-check and `HFS_SCHED=poll`
-    /// escape hatch, and as the pinned loop for checkers and recording
-    /// tracers.
-    // One shared copy for both call sites (the dispatcher and the event
-    // loop's low-skip handoff): inlining either would fork the hot loop
-    // into differently-optimized duplicates, and mode-vs-mode benchmark
-    // ratios would then measure code layout instead of scheduling.
-    #[inline(never)]
-    fn run_sampled_poll(
         &mut self,
         max_cycles: u64,
         interval: Option<u64>,
@@ -718,479 +613,6 @@ impl Machine {
         Ok((self.result(), samples))
     }
 
-    /// The event-driven run loop: components push their next wake time
-    /// into a calendar queue whenever their state changes, and the
-    /// machine steps only woken components, jumping `now` straight to
-    /// the earliest armed wake when a cycle ends with nothing due.
-    ///
-    /// Dueness is decided by the `armed` table (one slot per token,
-    /// `u64::MAX` = unarmed), not by queue entries: a superseded entry
-    /// surfaces as a stale pop and is discarded. Cores that cannot
-    /// prove a wake bound (structurally blocked, or mid-execution with
-    /// in-flight memory) run *reactively* — ticked every processed
-    /// cycle and folded into jump computations poll-style — so the
-    /// scheduler never needs a per-cycle bound it cannot justify.
-    /// Results are bit-identical with the polling loop: skipped cycles
-    /// are charged to sleeping and reactive cores exactly as live ticks
-    /// would have, including per-cycle trace events when tracing.
-    #[inline(never)]
-    fn run_sampled_event(
-        &mut self,
-        max_cycles: u64,
-        interval: Option<u64>,
-    ) -> Result<(RunResult, Vec<(u64, u64)>), SimError> {
-        let nb = self.backends.len();
-        let ntok = TOK_COMP as usize + nb + self.cores.len();
-        let mut q = CalendarQueue::new(self.now);
-        let mut armed = vec![u64::MAX; ntok];
-        // Cores currently without a pushed wake time; ticked every
-        // processed cycle, like the polling loop would.
-        let mut reactive = vec![false; self.cores.len()];
-        // Arms made this cycle for the immediately next one (the fast
-        // path bypassing the queue); any forces the next cycle live.
-        let mut near: u32 = 0;
-        // Low-skip auto-latch state: after FF_LOW_WINDOWS consecutive
-        // low-skip windows the loop *wants* to latch; it hands the run
-        // off to the polling loop (fast-forward disabled — plain
-        // per-cycle stepping) at the first cycle with no core mid-sleep,
-        // so no pre-charged idle window is ever double-counted. While
-        // the latch is pending, no new sleeps are granted, which bounds
-        // the wait by the longest already-armed wake.
-        let mut want_latch = false;
-        let mut handoff = false;
-        let mut window_start = self.now.as_u64();
-        let mut window_skipped: u64 = 0;
-        let mut low_windows: u32 = 0;
-        self.sched = SchedStats::default();
-        let mut samples = Vec::new();
-        // Everything wakes on the first cycle; the watchdog is armed
-        // once, at the cycle the timeout fires (routinely far enough
-        // out to exercise the queue's overflow heap).
-        for tok in 0..ntok as u32 {
-            if tok != TOK_WATCH {
-                arm(
-                    &mut q,
-                    &mut armed,
-                    &mut near,
-                    &mut self.sched,
-                    self.now.as_u64(),
-                    tok,
-                    self.now,
-                );
-            }
-        }
-        arm(
-            &mut q,
-            &mut armed,
-            &mut near,
-            &mut self.sched,
-            self.now.as_u64(),
-            TOK_WATCH,
-            Cycle::new(max_cycles.saturating_add(1)),
-        );
-        let outcome: Result<(), SimError> = 'cycle: loop {
-            let now = self.now;
-            near = 0;
-            self.sched.cycles_processed += 1;
-            if now.as_u64() > max_cycles {
-                break Err(SimError::Timeout { max_cycles });
-            }
-            if let Some(c) = &self.cancel {
-                if c.is_cancelled() {
-                    break Err(SimError::Cancelled {
-                        cycle: now.as_u64(),
-                    });
-                }
-            }
-            if !want_latch && now.as_u64() - window_start >= FF_CYCLE_WINDOW {
-                if window_skipped < FF_CYCLE_WINDOW / EVENT_LOW_SKIP_DIV {
-                    low_windows += 1;
-                    want_latch = low_windows >= FF_LOW_WINDOWS;
-                } else {
-                    low_windows = 0;
-                }
-                window_start = now.as_u64();
-                window_skipped = 0;
-            }
-            if want_latch
-                && (TOK_COMP as usize + nb..ntok)
-                    .all(|t| armed[t] == u64::MAX || armed[t] <= now.as_u64())
-            {
-                // No core holds a pre-charged future wake: every idle
-                // cycle charged so far lies strictly behind `now`, so
-                // per-cycle stepping can take over mid-run.
-                handoff = true;
-                break Ok(());
-            }
-            // Surface due queue entries. The armed table is the
-            // authority on dueness below; this drain only classifies
-            // entries as fired or lazily cancelled.
-            while let Some((at, tok)) = q.pop_due(now) {
-                if armed[tok as usize] == at.as_u64() {
-                    self.sched.fired += 1;
-                } else {
-                    self.sched.cancelled += 1;
-                }
-            }
-            let mem_due = armed[TOK_MEM as usize] <= now.as_u64();
-            let mut events = std::mem::take(&mut self.events_scratch);
-            events.clear();
-            if mem_due {
-                armed[TOK_MEM as usize] = u64::MAX;
-                self.mem.tick(now);
-                self.mem.take_events(&mut events);
-            }
-            // Backends run on their own wake or whenever the
-            // (single-drain) event stream is non-empty: every backend
-            // filters the full stream to its own queues.
-            let mut backend_ran = [false; MAX_CORES / 2];
-            for (k, b) in self.backends.iter_mut().enumerate() {
-                let tok = TOK_COMP as usize + k;
-                if armed[tok] <= now.as_u64() || !events.is_empty() {
-                    armed[tok] = u64::MAX;
-                    b.process(&mut self.mem, &events, now);
-                    backend_ran[k] = true;
-                }
-            }
-            self.events_scratch = events;
-            let mut all_done = true;
-            for (i, reactive_i) in reactive.iter_mut().enumerate() {
-                let tok = TOK_COMP + (nb + i) as u32;
-                let core = &mut self.cores[i];
-                let seq = &mut self.seqs[i];
-                if core.finished(seq) {
-                    armed[tok as usize] = u64::MAX;
-                    *reactive_i = false;
-                    // Drain stray completions (e.g. late store acks);
-                    // the memory system's own wake covers their ready
-                    // cycles, so finished cores need no wake of their
-                    // own.
-                    if self.mem.has_completions(core.id(), now) {
-                        self.drop_scratch.clear();
-                        self.mem
-                            .drain_completions_into(core.id(), now, &mut self.drop_scratch);
-                    }
-                    continue;
-                }
-                all_done = false;
-                if !*reactive_i && armed[tok as usize] > now.as_u64() {
-                    // Asleep: already charged through its armed wake.
-                    continue;
-                }
-                armed[tok as usize] = u64::MAX;
-                match self.backends.get_mut(i / 2) {
-                    Some(b) => core.tick(now, seq, &mut self.mem, b),
-                    None => {
-                        let mut null = NullStreamPort;
-                        core.tick(now, seq, &mut self.mem, &mut null);
-                    }
-                }
-                if core.finished(seq) {
-                    // Committed its last instruction this cycle; the
-                    // termination check must run on the next one.
-                    *reactive_i = false;
-                    arm(
-                        &mut q,
-                        &mut armed,
-                        &mut near,
-                        &mut self.sched,
-                        now.as_u64(),
-                        tok,
-                        now.next(),
-                    );
-                } else if core.last_commit() == now {
-                    // Busy: a committing core almost certainly commits
-                    // again next cycle, so skip the bound computation
-                    // (the polling loop's busy heuristic).
-                    *reactive_i = false;
-                    arm(
-                        &mut q,
-                        &mut armed,
-                        &mut near,
-                        &mut self.sched,
-                        now.as_u64(),
-                        tok,
-                        now.next(),
-                    );
-                } else if !want_latch && core.can_sleep() {
-                    // Nothing in flight and not structurally blocked:
-                    // the core's own bound is exact, completed by the
-                    // memory system's earliest completion for it (a
-                    // drained-but-undelivered ack would otherwise pin
-                    // nothing).
-                    let mut wake = core.next_event(now, seq);
-                    if let Some(c) = self.mem.next_completion(core.id()) {
-                        let c = c.max(now.next());
-                        wake = Some(wake.map_or(c, |w| w.min(c)));
-                    }
-                    match wake {
-                        Some(w) if w > now.next() => {
-                            // Sleep: charge the idle window now, at the
-                            // stall component it holds throughout (no
-                            // component state it depends on changes
-                            // before `w`).
-                            let gap = w.as_u64() - now.next().as_u64();
-                            let comp = match self.backends.get(i / 2) {
-                                Some(b) => core.idle_component(now.next(), &self.mem, b),
-                                None => core.idle_component(now.next(), &self.mem, &NullStreamPort),
-                            };
-                            core.charge_idle(gap, comp);
-                            if self.tracer.is_enabled() {
-                                for cy in now.next().as_u64()..w.as_u64() {
-                                    core.trace_idle(Cycle::new(cy), comp);
-                                }
-                            }
-                            *reactive_i = false;
-                            arm(
-                                &mut q,
-                                &mut armed,
-                                &mut near,
-                                &mut self.sched,
-                                now.as_u64(),
-                                tok,
-                                w,
-                            );
-                        }
-                        Some(w) => {
-                            *reactive_i = false;
-                            arm(
-                                &mut q,
-                                &mut armed,
-                                &mut near,
-                                &mut self.sched,
-                                now.as_u64(),
-                                tok,
-                                w.max(now.next()),
-                            );
-                        }
-                        None => *reactive_i = true,
-                    }
-                } else {
-                    *reactive_i = true;
-                }
-            }
-            // Fail loudly, at the offending cycle (the dispatcher pins
-            // enabled checkers to the polling loop, so only the queue
-            // self-check applies here).
-            for b in &self.backends {
-                if let Some(e) = b.check().errors().first() {
-                    break 'cycle Err(SimError::Verification(format!("queue-check: {e}")));
-                }
-            }
-            if all_done && self.mem.is_idle() && self.backends.iter().all(Backend::quiescent) {
-                break Ok(());
-            }
-            // Deadlock sweep, as a scheduled event: commit stamps are
-            // exact, so arming the first stride multiple at which the
-            // current progress could declare is always at or before the
-            // true declaration sweep (progress only moves it later, and
-            // a too-early wake just re-arms).
-            if now.as_u64().is_multiple_of(DEADLOCK_STRIDE) {
-                let last = self.last_progress();
-                if now.saturating_since(last) > self.cfg.deadlock_cycles {
-                    break Err(SimError::Deadlock {
-                        cycle: last.as_u64() + self.cfg.deadlock_cycles + 1,
-                        detail: self.diagnose(),
-                    });
-                }
-            }
-            if armed[TOK_SWEEP as usize] <= now.as_u64() {
-                armed[TOK_SWEEP as usize] = u64::MAX;
-                let declare = self.last_progress().as_u64() + self.cfg.deadlock_cycles + 1;
-                let sweep = (declare.div_ceil(DEADLOCK_STRIDE) * DEADLOCK_STRIDE)
-                    .max((now.as_u64() / DEADLOCK_STRIDE + 1) * DEADLOCK_STRIDE);
-                arm(
-                    &mut q,
-                    &mut armed,
-                    &mut near,
-                    &mut self.sched,
-                    now.as_u64(),
-                    TOK_SWEEP,
-                    Cycle::new(sweep),
-                );
-            }
-            if let Some(step) = interval {
-                if now.as_u64().is_multiple_of(step) {
-                    let iters = self
-                        .seqs
-                        .iter()
-                        .map(Sequencer::iterations_completed)
-                        .min()
-                        .unwrap_or(0);
-                    samples.push((now.as_u64(), iters));
-                }
-                if armed[TOK_SAMPLE as usize] <= now.as_u64() {
-                    armed[TOK_SAMPLE as usize] = u64::MAX;
-                    arm(
-                        &mut q,
-                        &mut armed,
-                        &mut near,
-                        &mut self.sched,
-                        now.as_u64(),
-                        TOK_SAMPLE,
-                        Cycle::new((now.as_u64() / step + 1) * step),
-                    );
-                }
-            }
-            // Re-arm externally driven components whose timed state this
-            // cycle touched (their own tick is covered by `*_due`). On a
-            // busy cycle (some core committed) the next cycle is live
-            // anyway, so active components arm `now + 1` without paying
-            // their bound computation — extra ticks are exactly what
-            // per-cycle stepping does, so results cannot change; real
-            // bounds are computed only on commit-free cycles, where a
-            // jump could actually use them (the polling loop's busy
-            // heuristic, applied per re-arm).
-            let busy = self.last_progress() == now;
-            if mem_due || self.mem.take_touched() {
-                if busy {
-                    arm(
-                        &mut q,
-                        &mut armed,
-                        &mut near,
-                        &mut self.sched,
-                        now.as_u64(),
-                        TOK_MEM,
-                        now.next(),
-                    );
-                } else if let Some(w) = self.mem.next_event(now) {
-                    arm(
-                        &mut q,
-                        &mut armed,
-                        &mut near,
-                        &mut self.sched,
-                        now.as_u64(),
-                        TOK_MEM,
-                        w.max(now.next()),
-                    );
-                }
-            }
-            for (k, b) in self.backends.iter_mut().enumerate() {
-                if backend_ran[k] || b.take_touched() {
-                    if busy {
-                        arm(
-                            &mut q,
-                            &mut armed,
-                            &mut near,
-                            &mut self.sched,
-                            now.as_u64(),
-                            TOK_COMP + k as u32,
-                            now.next(),
-                        );
-                    } else if let Some(w) = b.sched_wake(now) {
-                        arm(
-                            &mut q,
-                            &mut armed,
-                            &mut near,
-                            &mut self.sched,
-                            now.as_u64(),
-                            TOK_COMP + k as u32,
-                            w.max(now.next()),
-                        );
-                    }
-                }
-            }
-            // Jump to the earliest armed wake, bounded by the reactive
-            // cores' conservative `next_event` (poll-style; a blocked
-            // core may have no bound of its own — its unblock is always
-            // someone else's armed wake).
-            let next = now.next();
-            let mut candidate = if near > 0 {
-                next
-            } else {
-                q.next_due().map_or(next, |c| c.max(next))
-            };
-            if candidate > next {
-                for (i, &reactive_i) in reactive.iter().enumerate() {
-                    if !reactive_i {
-                        continue;
-                    }
-                    if let Some(t) = self.cores[i].next_event(now, &mut self.seqs[i]) {
-                        candidate = candidate.min(t.max(next));
-                    }
-                    if candidate <= next {
-                        break;
-                    }
-                }
-            }
-            if candidate > next {
-                // Charge the skipped window to reactive cores only:
-                // sleeping cores were charged up front, and the
-                // candidate never overshoots their wake.
-                let skipped = candidate.as_u64() - next.as_u64();
-                self.sched.cycles_skipped += skipped;
-                window_skipped += skipped;
-                let mut live = [false; MAX_CORES];
-                let mut comps = [StallComponent::PreL2; MAX_CORES];
-                for i in 0..self.cores.len() {
-                    if !reactive[i] {
-                        continue;
-                    }
-                    live[i] = true;
-                    comps[i] = match self.backends.get(i / 2) {
-                        Some(b) => self.cores[i].idle_component(next, &self.mem, b),
-                        None => self.cores[i].idle_component(next, &self.mem, &NullStreamPort),
-                    };
-                    self.cores[i].charge_idle(skipped, comps[i]);
-                    match self.cores[i].blocked_attempt() {
-                        Some(BlockedAttempt::OzqLoad(addr) | BlockedAttempt::OzqStore(addr)) => {
-                            let id = self.cores[i].id();
-                            self.mem.replay_blocked_probes(id, addr, skipped);
-                        }
-                        Some(BlockedAttempt::Stream { q: qid, produce }) => {
-                            let id = self.cores[i].id();
-                            if let Some(b) = self.backends.get_mut(i / 2) {
-                                b.charge_blocked(id, qid, produce, skipped);
-                            }
-                        }
-                        Some(BlockedAttempt::Fence) | None => {}
-                    }
-                }
-                if self.tracer.is_enabled() {
-                    // Replay per-cycle stall events in live order:
-                    // cycles outermost, cores in index order.
-                    for cy in next.as_u64()..candidate.as_u64() {
-                        for i in 0..self.cores.len() {
-                            if live[i] {
-                                self.cores[i].trace_idle(Cycle::new(cy), comps[i]);
-                            }
-                        }
-                    }
-                }
-                self.now = candidate;
-            } else {
-                self.now = next;
-            }
-        };
-        // Fast-path arms were counted at arm time; the queue contributes
-        // the far-scheduled ones (its occupancy histogram likewise
-        // samples only far schedules).
-        self.sched.scheduled += q.scheduled();
-        self.sched.occupancy = q.occupancy().clone();
-        outcome?;
-        if handoff {
-            // Low-skip latch: finish the run in the polling loop with
-            // fast-forward disabled — plain per-cycle stepping in the
-            // code path compiled for exactly that. Identical semantics
-            // (the polling loop resumes from `self.now`, and its inline
-            // deadlock/sample stride checks match the scheduled wakes),
-            // so only wall-clock changes.
-            self.fast_forward = false;
-            self.ff.auto_disabled = true;
-            let (result, tail) = self.run_sampled_poll(max_cycles, interval)?;
-            samples.extend(tail);
-            // Every cycle of the run was either processed live (by this
-            // loop or the per-cycle tail) or skipped by a jump.
-            self.sched.cycles_processed =
-                (result.cycles + 1).saturating_sub(self.sched.cycles_skipped);
-            return Ok((result, samples));
-        }
-        for b in &self.backends {
-            b.check().finish().map_err(SimError::Verification)?;
-        }
-        Ok((self.result(), samples))
-    }
-
     /// Last cycle any core committed an instruction.
     fn last_progress(&self) -> Cycle {
         self.cores
@@ -1253,10 +675,30 @@ impl Machine {
         if self.last_progress() == now {
             return next;
         }
+        self.ff.bound_computations += 1;
+        self.ff.window_bounds += 1;
+        // Fold the bounds, the memory system first (it is the one that
+        // most often allows nothing), and stop at the first that pins
+        // the next cycle: most commit-free cycles cannot be skipped, and
+        // on those every further bound would be computed for nothing.
         // Timeout fires at max_cycles + 1.
         let mut target = Cycle::new(max_cycles.saturating_add(1));
-        // Next deadlock sweep that could declare: the first stride
-        // multiple past the declaration point, and past `now`.
+        let mut pins_next = |t: Option<Cycle>| {
+            target = t.map_or(target, |t| target.min(t));
+            target <= next
+        };
+        let (cores, seqs) = (&self.cores, &mut self.seqs);
+        if pins_next(self.mem.next_event(now))
+            || self.backends.iter().any(|b| pins_next(b.next_event(now)))
+            || (0..cores.len()).any(|i| {
+                !cores[i].finished(&seqs[i]) && pins_next(cores[i].next_event(now, &mut seqs[i]))
+            })
+        {
+            return next;
+        }
+        // The simulator's own events. Next deadlock sweep that could
+        // declare: the first stride multiple past the declaration point,
+        // and past `now`.
         let declare = self.last_progress().as_u64() + self.cfg.deadlock_cycles + 1;
         let sweep = (declare.div_ceil(DEADLOCK_STRIDE) * DEADLOCK_STRIDE)
             .max((now.as_u64() / DEADLOCK_STRIDE + 1) * DEADLOCK_STRIDE);
@@ -1264,30 +706,6 @@ impl Machine {
         if let Some(step) = interval {
             target = target.min(Cycle::new((now.as_u64() / step + 1) * step));
         }
-        if let Some(t) = self.mem.next_event(now) {
-            target = target.min(t);
-        }
-        for b in &self.backends {
-            if let Some(t) = b.next_event(now) {
-                target = target.min(t);
-            }
-        }
-        for i in 0..self.cores.len() {
-            if self.cores[i].finished(&self.seqs[i]) {
-                continue;
-            }
-            if let Some(t) = self.cores[i].next_event(now, &mut self.seqs[i]) {
-                target = target.min(t);
-            }
-        }
-        // Skip-rate accounting feeding the cycle-window auto-disable
-        // above (bit-identical results either way; only wall-clock
-        // changes when the latch fires).
-        let skipped_by_jump = target.as_u64().saturating_sub(next.as_u64());
-        self.ff.bound_computations += 1;
-        self.ff.skipped_cycles += skipped_by_jump;
-        self.ff.window_skipped += skipped_by_jump;
-        self.ff.window_bounds += 1;
         if target <= next {
             return next;
         }
@@ -1295,6 +713,11 @@ impl Machine {
         // core. No component changes state in a dead window, so the stall
         // component is constant across it.
         let skipped = target.as_u64() - next.as_u64();
+        // Skip-rate accounting feeding the cycle-window auto-disable
+        // above (bit-identical results either way; only wall-clock
+        // changes when the latch fires).
+        self.ff.skipped_cycles += skipped;
+        self.ff.window_skipped += skipped;
         let mut live = [false; MAX_CORES];
         let mut comps = [StallComponent::PreL2; MAX_CORES];
         for i in 0..self.cores.len() {
@@ -1424,22 +847,6 @@ impl Machine {
             r.counter("sc.misses", misses);
             r.counter("sc.dropped_fills", dropped);
         }
-        // Scheduler accounting (all zero after a polling run). Excluded
-        // from harness artifact bytes and cache keys — wall-clock
-        // machinery, not simulated behavior.
-        r.counter("sched.scheduled", self.sched.scheduled);
-        r.counter("sched.fired", self.sched.fired);
-        r.counter("sched.cancelled", self.sched.cancelled);
-        r.counter("sched.cycles_processed", self.sched.cycles_processed);
-        r.counter("sched.cycles_skipped", self.sched.cycles_skipped);
-        r.counter(
-            "sched.occupancy_p50",
-            self.sched.occupancy.percentile(50.0).unwrap_or(0),
-        );
-        r.counter(
-            "sched.occupancy_p95",
-            self.sched.occupancy.percentile(95.0).unwrap_or(0),
-        );
         for (name, v) in self.tracer.event_counts() {
             r.counter(format!("trace.{name}"), v);
         }

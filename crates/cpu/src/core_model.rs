@@ -90,10 +90,6 @@ pub struct Core {
     /// any; lets fast-forward replicate the per-cycle side effects of
     /// the re-attempts it skips.
     blocked: Option<BlockedAttempt>,
-    /// Window entries currently waiting on a memory or stream completion
-    /// (`WaitMem`/`WaitStream`); maintained incrementally so the
-    /// event-driven scheduler's sleep check is O(1).
-    waiting_ops: u32,
 }
 
 /// An issue attempt refused by structural back-pressure. While the
@@ -139,7 +135,6 @@ impl Core {
             mem_scratch: Vec::new(),
             stream_scratch: Vec::new(),
             blocked: None,
-            waiting_ops: 0,
         })
     }
 
@@ -251,7 +246,6 @@ impl Core {
                 .find(|e| e.status == (Status::WaitMem { token: c.token }))
             {
                 e.status = Status::Done { done: c.at };
-                self.waiting_ops -= 1;
                 if let (Some(dest), Some(_)) = (e.instr.dest, c.value) {
                     self.reg_ready[dest.index()] = c.at;
                 }
@@ -277,7 +271,6 @@ impl Core {
                 .find(|e| e.status == (Status::WaitStream { token: c.token }))
             {
                 e.status = Status::Done { done: c.at };
-                self.waiting_ops -= 1;
                 if let Some(dest) = e.instr.dest {
                     self.reg_ready[dest.index()] = c.at;
                 }
@@ -451,9 +444,6 @@ impl Core {
                 }
             }
             let instr = seq.pop().expect("peeked above");
-            if matches!(status, Status::WaitMem { .. } | Status::WaitStream { .. }) {
-                self.waiting_ops += 1;
-            }
             self.window.push_back(InFlight { instr, status });
             if !folded {
                 fu_used[slot] += 1;
@@ -514,16 +504,6 @@ impl Core {
     /// backend counters) across fast-forwarded windows.
     pub fn blocked_attempt(&self) -> Option<BlockedAttempt> {
         self.blocked
-    }
-
-    /// Whether this core's future is fully determined by its own
-    /// `next_event` bound plus pending memory completions: no structural
-    /// block to re-attempt and nothing in the window waiting on an
-    /// external completion whose arrival time the bound cannot see. The
-    /// event-driven scheduler only puts such cores to sleep; everything
-    /// else stays reactive (ticked every processed cycle).
-    pub fn can_sleep(&self) -> bool {
-        self.blocked.is_none() && self.waiting_ops == 0
     }
 
     /// Emits the `CoreState` trace event a live idle cycle would have

@@ -137,10 +137,7 @@ fn summary_from_json(v: &Json) -> Result<HistogramSummary, DecodeError> {
 }
 
 /// Serializes a [`MetricsReport`]. Counters and histograms keep their
-/// insertion order (the report's serialization contract). `sched.*`
-/// counters are excluded: they describe wall-clock machinery, not
-/// simulated behavior, and artifact bytes must be identical across
-/// `HFS_SCHED` modes.
+/// insertion order (the report's serialization contract).
 pub fn metrics_to_json(m: &MetricsReport) -> Json {
     Json::obj(vec![
         ("breakdown", breakdown_to_json(&m.breakdown)),
@@ -149,7 +146,6 @@ pub fn metrics_to_json(m: &MetricsReport) -> Json {
             Json::Obj(
                 m.counters
                     .iter()
-                    .filter(|(n, _)| !n.starts_with("sched."))
                     .map(|(n, v)| (n.clone(), Json::U64(*v)))
                     .collect(),
             ),
@@ -407,19 +403,6 @@ mod tests {
         }
         m.histogram("consume_to_use_cycles", &h);
         m
-    }
-
-    #[test]
-    fn sched_counters_are_excluded_from_artifact_bytes() {
-        let mut with_sched = sample_metrics();
-        with_sched.counter("sched.scheduled", 123);
-        with_sched.counter("sched.cycles_skipped", 456);
-        let plain = sample_metrics();
-        assert_eq!(
-            metrics_to_json(&with_sched).to_string(),
-            metrics_to_json(&plain).to_string(),
-            "sched.* counters must not change artifact bytes"
-        );
     }
 
     #[test]

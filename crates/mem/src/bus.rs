@@ -100,13 +100,30 @@ pub struct BusStats {
     pub ctl_delivered: u64,
 }
 
+/// The agent after `idx` in round-robin order among `n`.
+fn next_agent(idx: usize, n: usize) -> usize {
+    if idx + 1 == n {
+        0
+    } else {
+        idx + 1
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Bus {
     cfg: BusConfig,
+    /// The first bus cycle after the last tick: a tick before it is not
+    /// on a bus cycle, a tick at it is, and only a tick past it (the run
+    /// loop skipped cycles) has to divide to find out.
+    next_bus_cycle: Cycle,
     addr_queues: Vec<VecDeque<AddrTxn>>,
+    /// Requests in `addr_queues`, all agents together.
+    addr_queued: usize,
     addr_rr: usize,
     addr_inflight: TimedQueue<AddrTxn>,
     data_queues: Vec<VecDeque<(u64, DataTxn)>>,
+    /// Transfers in `data_queues`, all agents together.
+    data_queued: usize,
     data_rr: usize,
     data_busy_until: Cycle,
     data_inflight: TimedQueue<DataTxn>,
@@ -122,11 +139,14 @@ impl Bus {
     pub(crate) fn new(cfg: BusConfig, cores: usize) -> Self {
         Bus {
             cfg,
+            next_bus_cycle: Cycle::ZERO,
             addr_queues: vec![VecDeque::new(); cores],
+            addr_queued: 0,
             addr_rr: 0,
             addr_inflight: TimedQueue::new(),
             // Data agents: each core plus the L3 (last index).
             data_queues: vec![VecDeque::new(); cores + 1],
+            data_queued: 0,
             data_rr: 0,
             data_busy_until: Cycle::ZERO,
             data_inflight: TimedQueue::new(),
@@ -176,12 +196,14 @@ impl Bus {
     /// Queues an address-phase request from a core.
     pub(crate) fn request_addr(&mut self, from: CoreId, txn: AddrTxn) {
         self.addr_queues[from.index()].push_back(txn);
+        self.addr_queued += 1;
     }
 
     /// Queues a data transfer of `bytes` from `agent`.
     pub(crate) fn request_data(&mut self, agent: Agent, bytes: u64, txn: DataTxn) {
         let idx = self.data_agent_index(agent);
         self.data_queues[idx].push_back((bytes, txn));
+        self.data_queued += 1;
     }
 
     /// Pending address-phase requests from `core` (for back-pressure
@@ -195,12 +217,25 @@ impl Bus {
     pub(crate) fn is_idle(&self) -> bool {
         self.addr_inflight.is_empty()
             && self.data_inflight.is_empty()
-            && self.addr_queues.iter().all(VecDeque::is_empty)
-            && self.data_queues.iter().all(VecDeque::is_empty)
+            && self.addr_queued == 0
+            && self.data_queued == 0
     }
 
-    fn on_bus_cycle(&self, now: Cycle) -> bool {
-        now.as_u64().is_multiple_of(self.cfg.clock_divider)
+    /// Whether `now` is a bus cycle (a multiple of the clock divider),
+    /// moving the `next_bus_cycle` stamp past it. Ticks never go back in
+    /// time, which is what lets the stamp stand in for the division.
+    fn on_bus_cycle(&mut self, now: Cycle) -> bool {
+        if now < self.next_bus_cycle {
+            return false;
+        }
+        let d = self.cfg.clock_divider;
+        let on = now == self.next_bus_cycle || now.as_u64().is_multiple_of(d);
+        self.next_bus_cycle = if on {
+            now + d
+        } else {
+            Cycle::new((now.as_u64() / d + 1) * d)
+        };
+        on
     }
 
     /// Advances one CPU cycle. Address phases and data transfers
@@ -257,15 +292,19 @@ impl Bus {
             // checker's bounded-wait rule must eventually flag it.
             let starve_armed = self.checker.mutation_active(Mutation::StarveBusAgent);
             let starved = move |idx: usize| idx == 1 && starve_armed;
+            // An empty slot (the common case) grants nothing whoever is
+            // asked first.
+            let passes = if self.addr_queued == 0 { &[] } else { passes };
             'grant: for &allow_streaming in passes {
-                for i in 0..n {
-                    let idx = (self.addr_rr + i) % n;
+                let mut idx = self.addr_rr;
+                for _ in 0..n {
                     let eligible = match self.addr_queues[idx].front() {
                         Some(t) => (allow_streaming || !is_streaming(t)) && !starved(idx),
                         None => false,
                     };
                     if eligible {
                         let txn = self.addr_queues[idx].pop_front().expect("front checked");
+                        self.addr_queued -= 1;
                         self.addr_phases.inc();
                         self.tracer.emit(|| TraceEvent::BusGrant {
                             core: CoreId(idx as u8),
@@ -275,7 +314,7 @@ impl Bus {
                         self.checker.on_grant(now, idx as u8);
                         let deliver = now + self.cfg.pipeline_stages * self.cfg.clock_divider;
                         self.addr_inflight.push(deliver, txn);
-                        self.addr_rr = (idx + 1) % n;
+                        self.addr_rr = next_agent(idx, n);
                         // Fault injection: grant a second phase in the
                         // same arbitration slot.
                         if self.checker.mutation_active(Mutation::DoubleGrantBus) {
@@ -290,18 +329,17 @@ impl Bus {
                                 if self.checker.fire_once(Mutation::DoubleGrantBus) {
                                     let txn2 =
                                         self.addr_queues[idx2].pop_front().expect("front checked");
+                                    self.addr_queued -= 1;
                                     self.addr_phases.inc();
                                     self.checker.on_grant(now, idx2 as u8);
                                     self.addr_inflight.push(deliver, txn2);
-                                    self.addr_rr = (idx2 + 1) % n;
+                                    self.addr_rr = next_agent(idx2, n);
                                 }
                             }
                         }
                         break 'grant;
                     }
-                }
-                if !self.cfg.favor_app_traffic {
-                    break;
+                    idx = next_agent(idx, n);
                 }
             }
             // Bounded-wait audit: any agent that ends the slot with a
@@ -314,18 +352,19 @@ impl Bus {
                 }
             }
             // Data channel: start the next transfer if idle.
-            if self.data_busy_until <= now {
+            if self.data_busy_until <= now && self.data_queued > 0 {
                 let n = self.data_queues.len();
-                for i in 0..n {
-                    let idx = (self.data_rr + i) % n;
+                let mut idx = self.data_rr;
+                for _ in 0..n {
                     if let Some((bytes, txn)) = self.data_queues[idx].pop_front() {
+                        self.data_queued -= 1;
                         // Fault injection: silently drop one fill
                         // response; the requester's split transaction is
                         // never answered.
                         if matches!(txn, DataTxn::FillL2 { .. })
                             && self.checker.fire_once(Mutation::DropBusResponse)
                         {
-                            self.data_rr = (idx + 1) % n;
+                            self.data_rr = next_agent(idx, n);
                             break;
                         }
                         let busy = self.cfg.data_cycles(bytes) * self.cfg.clock_divider;
@@ -336,9 +375,10 @@ impl Bus {
                         });
                         self.data_busy_until = now + busy;
                         self.data_inflight.push(now + busy, txn);
-                        self.data_rr = (idx + 1) % n;
+                        self.data_rr = next_agent(idx, n);
                         break;
                     }
+                    idx = next_agent(idx, n);
                 }
             }
         }
@@ -361,16 +401,10 @@ impl Bus {
         if let Some(t) = self.data_inflight.next_ready() {
             fold(t.max(now.next()));
         }
-        let queued = !self.addr_queues.iter().all(VecDeque::is_empty)
-            || !self.data_queues.iter().all(VecDeque::is_empty);
-        if queued {
-            let d = self.cfg.clock_divider;
-            let next_bus_cycle = if d <= 1 {
-                now.next()
-            } else {
-                Cycle::new((now.as_u64() / d + 1) * d)
-            };
-            fold(next_bus_cycle);
+        if self.addr_queued > 0 || self.data_queued > 0 {
+            // After a tick at `now` the stamp is the boundary itself;
+            // without one it can only be early.
+            fold(self.next_bus_cycle.max(now.next()));
         }
         best
     }

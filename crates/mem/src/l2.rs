@@ -174,17 +174,15 @@ pub(crate) struct L2Ctl {
     want_issue: usize,
     /// Reused each tick for expired NACK backoffs (no per-cycle alloc).
     reissue_scratch: Vec<(u64, bool)>,
-    /// Conservative earliest cycle with timed work for [`L2Ctl::tick`]
-    /// (pipe resolution due, port arbitration, NACK reissue) — ratcheted
-    /// down by every transition into a timed state, recomputed exactly by
-    /// each non-skipped tick. [`NEVER`] when no timed work exists, which
-    /// is what [`L2Ctl::next_event`] reports.
-    wake_at: Cycle,
-    /// Earliest cycle at which [`L2Ctl::tick`] can change anything: like
-    /// `wake_at`, but a release store held back behind older entries
-    /// does not count — its timer has long expired, yet nothing happens
-    /// until an older entry leaves the queue, which lowers this again.
-    /// Ticks before it return without scanning the OzQ.
+    /// The controller's one bound: a conservative earliest cycle at
+    /// which [`L2Ctl::tick`] can change anything (pipe resolution due,
+    /// port arbitration, NACK reissue). Ratcheted down by every
+    /// transition into a timed state, recomputed by each tick that walks
+    /// the OzQ; [`NEVER`] when no timed work exists. A release store
+    /// held back behind older entries does not count — its timer has
+    /// long expired, yet it cannot act until an older entry leaves the
+    /// queue, which lowers this again. Ticks before it return without
+    /// scanning the OzQ, and it is what [`L2Ctl::next_event`] reports.
     work_at: Cycle,
     // Statistics.
     pipe_accesses: Counter,
@@ -217,7 +215,6 @@ impl L2Ctl {
             pending_lines: Vec::new(),
             want_issue: 0,
             reissue_scratch: Vec::new(),
-            wake_at: NEVER,
             work_at: NEVER,
             pipe_accesses: Counter::new("mem.l2_accesses"),
             port_conflicts: Counter::new("mem.l2_port_conflicts"),
@@ -245,7 +242,6 @@ impl L2Ctl {
     /// Records a transition into a timed state so the next [`L2Ctl::tick`]
     /// at or after `t` runs the full scan.
     fn note_wake(&mut self, t: Cycle) {
-        self.wake_at = self.wake_at.min(t);
         self.work_at = self.work_at.min(t);
     }
 
@@ -397,9 +393,8 @@ impl L2Ctl {
         let mut seen_non_forward = false;
         let mut any_done = false;
         let mut any_held = false;
-        // Next due time of the held-back release stores, and of
-        // everything else.
-        let (mut wake, mut work) = (NEVER, NEVER);
+        // Next due time of everything but the held-back release stores.
+        let mut work = NEVER;
         for i in 0..self.entries.len() {
             let e = self.entries[i];
             // A release store is held back (without consuming ports)
@@ -411,7 +406,6 @@ impl L2Ctl {
                 EntryState::InPipe { done_at } if done_at <= now => self.resolve_pipe(e, now, out),
                 EntryState::WaitPort { retry_at } if retry_at <= now && held => {
                     any_held = true;
-                    wake = wake.min(retry_at);
                     continue;
                 }
                 EntryState::WaitPort { retry_at } if retry_at <= now => {
@@ -488,7 +482,6 @@ impl L2Ctl {
                 work = work.min(now.next());
             }
         }
-        self.wake_at = wake.min(work);
         self.work_at = work;
     }
 
@@ -583,15 +576,11 @@ impl L2Ctl {
     /// the bus/L3 bounds instead. Returns `None` when every entry is
     /// externally driven (or there are none).
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // `wake_at` is exactly the minimum this method used to scan for:
-        // WaitPort retry times (a held-back release store keeps its
-        // `retry_at <= now`, so the floor clamp forbids any skip while it
-        // waits), InPipe resolution times, and WantIssue reissue timers.
-        if self.wake_at == NEVER {
-            None
-        } else {
-            Some(self.wake_at.max(now.next()))
-        }
+        // A tick before `work_at` is a proven no-op, so the cycles up to
+        // it can be skipped as well as ticked through. A held-back
+        // release store's expired timer is not an event: whatever frees
+        // the store is some other component's bound.
+        (self.work_at != NEVER).then(|| self.work_at.max(now.next()))
     }
 
     fn want_line(
@@ -683,7 +672,7 @@ impl L2Ctl {
             _ => false,
         };
         let mut upgrade_exclusive = false;
-        let mut wake = NEVER;
+        let mut requeued = false;
         let resolved = out.len();
         for e in &mut self.entries {
             if e.state != (EntryState::WaitLine { line }) {
@@ -710,7 +699,7 @@ impl L2Ctl {
                 // Re-arbitrate (e.g. a store that only got a Shared copy
                 // and must upgrade).
                 e.state = EntryState::WaitPort { retry_at: now };
-                wake = wake.min(now);
+                requeued = true;
             }
         }
         if upgrade_exclusive && self.array.probe(line) == Some(LineState::Exclusive) {
@@ -718,11 +707,14 @@ impl L2Ctl {
             // upgrade happens at resolution (MESI E→M, Dragon EC→EM).
             self.array.set_state(line, LineState::Modified);
         }
-        self.note_wake(wake);
-        if out.len() > resolved {
+        let any_resolved = out.len() > resolved;
+        if any_resolved {
             self.reclaim_done();
-            // A held-back release store may now be the oldest.
-            self.work_at = self.work_at.min(now);
+        }
+        // An entry re-arbitrates, or a held-back release store may now be
+        // the oldest.
+        if requeued || any_resolved {
+            self.note_wake(now);
         }
     }
 
@@ -1187,44 +1179,83 @@ mod tests {
 
     #[test]
     fn release_store_waits_for_older_accesses_but_not_for_forwards() {
+        let at = Cycle::new;
         for older in [EntryKind::Load, store(false), store(true)] {
             let mut c = l2();
             // The older access misses and waits for its line.
-            let first = c.allocate(Addr::new(0x8000), older, false, false, Cycle::new(0));
-            let rel = c.allocate(Addr::new(0x9000), store(true), false, false, Cycle::new(0));
+            let first = c.allocate(Addr::new(0x8000), older, false, false, at(0));
+            let rel = c.allocate(Addr::new(0x9000), store(true), false, false, at(0));
             let out = drive(&mut c, 0, 40);
             assert_eq!(in_pipe(&c), Vec::<u64>::new());
             assert_eq!(c.pipe_accesses(), 1, "only {older:?} accessed the pipe");
             assert_eq!(c.port_conflicts(), 0, "a held store loses no arbitration");
             assert_eq!(out.len(), 1, "one line request: {out:?}");
             assert_eq!(c.location(rel), Some(OpLocation::WaitPort));
-            // Held, it still pins the wake time (no cycle may be skipped),
-            // but costs no walk.
-            assert_eq!(c.next_event(Cycle::new(40)), Some(Cycle::new(41)));
-            assert_eq!(c.work_at, NEVER);
-            // The older access completes; the release store goes next.
+            // Held, its expired timer is not an event: nothing here can
+            // act until the line arrives, which is the bus's to announce.
+            assert_eq!(c.next_event(at(40)), None);
+            // The older access completes and leaves; the release store
+            // is due at once, and goes next.
             let line = c.line_of(Addr::new(0x8000));
-            c.fill(line, LineState::Modified, Cycle::new(40));
+            c.fill(line, LineState::Modified, at(40));
+            assert_eq!(c.next_event(at(40)), None, "a fill alone frees nothing");
             assert_eq!(drain(&mut c, line, 40)[0].id, first);
-            c.tick(Cycle::new(40), &mut Vec::new());
+            assert_eq!(c.next_event(at(40)), Some(at(41)));
+            c.tick(at(40), &mut Vec::new());
             assert_eq!(in_pipe(&c), vec![rel]);
         }
+        // The older access hits, and leaves when the tick that resolves
+        // it reclaims its slot.
+        let mut c = l2();
+        c.fill(0, LineState::Shared, at(0));
+        let load = c.allocate(Addr::new(0), EntryKind::Load, false, false, at(0));
+        let rel = c.allocate(Addr::new(0x9000), store(true), false, false, at(0));
+        c.tick(at(0), &mut Vec::new());
+        assert_eq!(in_pipe(&c), vec![load]);
+        let done = c.next_event(at(0)).expect("the load is in the pipe");
+        assert!(done > at(1), "held, the store leaves the bound to the load");
+        let out = drive(&mut c, 1, done.as_u64() + 1);
+        assert!(matches!(out[..], [(_, L2Outcome::LoadHit { .. })]));
+        assert_eq!((c.occupancy(), in_pipe(&c)), (1, vec![]));
+        assert_eq!(c.next_event(done), Some(done.next()));
+        c.tick(done.next(), &mut Vec::new());
+        assert_eq!(in_pipe(&c), vec![rel]);
         // Behind forwards only, it is not held at all.
         let mut c = l2();
         let push = EntryKind::Forward { to: CoreId(1) };
-        let fwd = c.allocate(Addr::new(0x8000), push, true, false, Cycle::new(0));
-        let rel = c.allocate(Addr::new(0x9000), store(true), false, false, Cycle::new(0));
-        c.tick(Cycle::new(0), &mut Vec::new());
+        let fwd = c.allocate(Addr::new(0x8000), push, true, false, at(0));
+        let rel = c.allocate(Addr::new(0x9000), store(true), false, false, at(0));
+        c.tick(at(0), &mut Vec::new());
         assert_eq!(in_pipe(&c), vec![fwd, rel]);
     }
 
-    /// The wake time the timers of `c`'s current state call for.
-    fn brute_force_wake(c: &L2Ctl) -> Cycle {
-        let entries = c.entries.iter().filter_map(|e| match e.state {
-            EntryState::WaitPort { retry_at } => Some(retry_at),
-            EntryState::InPipe { done_at } => Some(done_at),
-            _ => None,
-        });
+    /// Whether entry `i` of `c` is a release store behind an older load
+    /// or store.
+    fn held(c: &L2Ctl, i: usize) -> bool {
+        let orders = |e: &OzqEntry| !matches!(e.kind, EntryKind::Forward { .. });
+        matches!(c.entries[i].kind, EntryKind::Store { release: true, .. })
+            && c.entries[..i].iter().any(orders)
+    }
+
+    /// Whether a held-back release store of `c` has its timer expired.
+    fn held_expired(c: &L2Ctl, now: Cycle) -> bool {
+        let expired =
+            |e: &OzqEntry| matches!(e.state, EntryState::WaitPort { retry_at } if retry_at <= now);
+        (0..c.entries.len()).any(|i| held(c, i) && expired(&c.entries[i]))
+    }
+
+    /// The earliest cycle the timers of `c`'s current state let a tick
+    /// change anything: held-back release stores cannot act.
+    fn brute_force_work(c: &L2Ctl) -> Cycle {
+        let entries = c
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.state {
+                EntryState::WaitPort { retry_at } if !held(c, i) => Some(retry_at),
+                EntryState::InPipe { done_at } => Some(done_at),
+                _ => None,
+            });
         let lines = c.pending_lines.iter().filter_map(|(_, s)| match s {
             LineStage::WantIssue { retry_at, .. } => Some(*retry_at),
             _ => None,
@@ -1241,9 +1272,9 @@ mod tests {
     /// releases, NACKs, stage updates, fills, grants, forward completions
     /// and snoops — the calls the system makes, in the order it may make
     /// them. `fast` is the controller as built; `slow` has `work_at`
-    /// pulled back to `wake_at` before every tick, so it walks the OzQ
-    /// on every cycle `wake_at` allows, held-back release stores
-    /// included. Both must agree on everything, every cycle.
+    /// pulled back to `now` before every tick, so it walks the OzQ on
+    /// every cycle. Both must agree on everything, every cycle: a tick
+    /// before `work_at` changes nothing.
     fn run_script(protocol: Protocol, seed: u64) -> (u64, u64) {
         let mut rng = Rng64::new(seed);
         let build = || {
@@ -1357,8 +1388,8 @@ mod tests {
             }
 
             let walks = fast.work_at <= now;
-            held_skips += u64::from(!walks && fast.wake_at <= now);
-            slow.work_at = slow.wake_at;
+            held_skips += u64::from(!walks && held_expired(&fast, now));
+            slow.work_at = slow.work_at.min(now);
             out_fast.clear();
             out_slow.clear();
             fast.tick(now, &mut out_fast);
@@ -1371,15 +1402,18 @@ mod tests {
                 lines
             };
             assert_eq!(sorted(&fast), sorted(&slow), "cycle {t}");
-            assert_eq!(fast.wake_at, slow.wake_at, "cycle {t}");
             assert_eq!(fast.pipe_accesses(), slow.pipe_accesses(), "cycle {t}");
             assert_eq!(fast.port_conflicts(), slow.port_conflicts(), "cycle {t}");
 
             // The bookkeeping against brute-force scans of the state.
-            assert!(fast.wake_at <= brute_force_wake(&fast), "cycle {t}");
+            // The bound is never late; a tick that walked leaves it exact,
+            // or at the next cycle when it reclaimed a slot a held store
+            // may have been waiting for.
+            let (next, exact) = (now.next(), brute_force_work(&fast));
+            assert!(fast.work_at.max(next) <= exact.max(next), "cycle {t}");
+            assert!(slow.work_at == exact || slow.work_at == next, "cycle {t}");
             if walks {
-                assert_eq!(fast.wake_at, brute_force_wake(&fast), "cycle {t}");
-                assert!(fast.wake_at <= fast.work_at, "cycle {t}");
+                assert_eq!(fast.work_at, slow.work_at, "cycle {t}");
             }
             assert_eq!(fast.want_issue, backing_off(&fast), "cycle {t}");
             reissue_waits += u64::from(fast.want_issue > 0);

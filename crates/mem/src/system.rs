@@ -153,12 +153,6 @@ pub struct MemSystem {
     streaming_range: Option<(u64, u64)>,
     tracer: Tracer,
     checker: Checker,
-    /// Set whenever an externally driven call mutates timed state
-    /// (submit accepted, gated release, forward push, control message).
-    /// The event-driven scheduler polls-and-clears this to know when the
-    /// memory system's `next_event` bound must be recomputed; ticking is
-    /// covered separately, so internal progress need not set it.
-    touched: bool,
 }
 
 impl MemSystem {
@@ -206,7 +200,6 @@ impl MemSystem {
             streaming_range: None,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            touched: false,
             cfg,
         })
     }
@@ -291,20 +284,13 @@ impl MemSystem {
             None => EntryKind::Load,
         };
         let id = self.l2s[c].allocate(op.addr, kind, op.background, op.gated, now);
-        // Only an *accepted* submission arms new timed state. Rejections
-        // and L1 hits touch nothing with autonomous timing (the refused
-        // re-attempt side effects are bulk-replayed at jump time), so
-        // flagging them would pin the scheduler awake for nothing.
-        self.touched = true;
         Submit::Accepted(MemToken::new(core, id))
     }
 
     /// Releases a gated operation so it proceeds to the L2.
     /// Returns false if the token is unknown (already completed).
     pub fn release(&mut self, token: MemToken, now: Cycle) -> bool {
-        let released = self.l2s[token.core().index()].release(token.id(), now);
-        self.touched |= released;
-        released
+        self.l2s[token.core().index()].release(token.id(), now)
     }
 
     /// Injects a write-forward push of the line containing `line_addr`
@@ -317,7 +303,6 @@ impl MemSystem {
             return false;
         }
         self.l2s[f].allocate(line_addr, EntryKind::Forward { to }, true, false, now);
-        self.touched = true;
         true
     }
 
@@ -343,7 +328,6 @@ impl MemSystem {
     pub fn send_ctl(&mut self, from: CoreId, to: CoreId, payload: CtlPayload) {
         self.bus
             .request_addr(from, AddrTxn::Ctl { from, to, payload });
-        self.touched = true;
     }
 
     /// In-flight operations for `core`.
@@ -403,22 +387,6 @@ impl MemSystem {
         self.completions[core.index()]
             .next_ready()
             .is_some_and(|ready| ready <= now)
-    }
-
-    /// The earliest cycle any undelivered completion for `core` becomes
-    /// ready, or `None` when none are pending. The event-driven
-    /// scheduler folds this into a sleeping core's wake time so stray
-    /// completions (store acks, stream-cache shadow loads) are drained —
-    /// and the per-core completion queue emptied — at exactly the cycle
-    /// per-cycle simulation would drain them.
-    pub fn next_completion(&self, core: CoreId) -> Option<Cycle> {
-        self.completions[core.index()].next_ready()
-    }
-
-    /// Clears and returns the externally-driven-mutation flag (see the
-    /// `touched` field). Event-scheduler use only.
-    pub fn take_touched(&mut self) -> bool {
-        std::mem::take(&mut self.touched)
     }
 
     /// Replays the L1 side effects of `n` back-to-back submissions the
@@ -593,23 +561,25 @@ impl MemSystem {
     /// `None` when fully quiescent (nothing will ever happen without new
     /// submissions).
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let floor = now.next();
+        // Undrained events must reach the backends next cycle.
+        let undrained = (!self.events.is_empty()).then_some(floor);
+        // Cheapest first, each computed only if the ones before it left
+        // room to skip: every bound is clamped to `floor`, so the first
+        // to reach it settles the answer.
+        let l2s = self.l2s.iter().map(|l2| l2.next_event(now));
+        let completions = self.completions.iter().map(|q| q.next_ready());
+        let bounds = std::iter::once(undrained)
+            .chain(l2s)
+            .chain(completions)
+            .chain(std::iter::once_with(|| self.bus.next_event(now)))
+            .chain(std::iter::once_with(|| self.l3.next_event(now)));
         let mut best: Option<Cycle> = None;
-        let mut fold = |t: Option<Cycle>| {
-            if let Some(t) = t {
-                best = Some(best.map_or(t, |b| b.min(t)));
+        for t in bounds.flatten() {
+            if t <= floor {
+                return Some(floor);
             }
-        };
-        fold(self.bus.next_event(now));
-        fold(self.l3.next_event(now));
-        for l2 in &self.l2s {
-            fold(l2.next_event(now));
-        }
-        for q in &self.completions {
-            fold(q.next_ready().map(|t| t.max(now.next())));
-        }
-        if !self.events.is_empty() {
-            // Undrained events must reach the backends next cycle.
-            fold(Some(now.next()));
+            best = Some(best.map_or(t, |b| b.min(t)));
         }
         best
     }

@@ -18,8 +18,8 @@
 //! * [`CancelToken`] — a thread-safe cooperative cancellation flag polled
 //!   by long-running simulations (used by the `hfs-serve` service layer
 //!   to abandon jobs whose clients disconnected),
-//! * [`sched`] — the calendar queue behind the machine's event-driven
-//!   run mode ([`sched::CalendarQueue`] timing wheel + overflow heap).
+//! * [`sched`] — a calendar queue (timing wheel + overflow heap) that no
+//!   production code uses; retained for `benchmark/` until its next PR.
 //!
 //! # Example
 //!

@@ -1,18 +1,13 @@
-//! Calendar-queue event scheduler for the simulation hot loop.
+//! A calendar queue: a bucketed timing wheel over [`Cycle`] with an
+//! overflow min-heap for events beyond the wheel's horizon.
 //!
-//! The machine's event-driven run mode replaces per-cycle `next_event`
-//! polling with *pushed* wake times: whenever a component's state
-//! changes, the machine schedules its next wake into a [`CalendarQueue`]
-//! — a bucketed timing wheel over [`Cycle`] with an overflow min-heap
-//! for events beyond the wheel's horizon. Popping the next non-empty
-//! bucket yields the next cycle anything can happen, so dead windows are
-//! skipped in O(1) per component instead of O(components) per advance.
-//!
-//! Entries are *lazily* invalidated: re-arming a token earlier simply
-//! pushes a second entry, and the machine discards the superseded one
-//! when it surfaces (its recorded wake no longer matches the token's
-//! armed time). A stale early entry therefore costs at most one spurious
-//! — and harmless — processed cycle.
+//! No production code uses it: the machine's one run loop folds
+//! `next_event` bounds instead of queueing wake times. It is retained,
+//! unit-tested, only because `benchmark/` (which the change that retired
+//! the event-driven run loop could not touch) still times
+//! [`CalendarQueue::new`], [`CalendarQueue::schedule`],
+//! [`CalendarQueue::next_due`] and [`CalendarQueue::pop_due`]; the next
+//! `benchmark` PR removes the module.
 //!
 //! # Example
 //!
@@ -32,7 +27,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::stats::Histogram;
 use crate::Cycle;
 
 /// Wheel size in one-cycle buckets. Events within this many cycles of
@@ -42,49 +36,11 @@ use crate::Cycle;
 /// the configured machines, so promotion is rare.
 const WHEEL_SLOTS: u64 = 256;
 
-/// Occupancy histogram resolution (entries outstanding at schedule time).
-const OCCUPANCY_BUCKETS: usize = 64;
-
-/// Counters describing one run of the event-driven scheduler (surfaced
-/// in `MetricsReport` as `sched.*` under `HFS_METRICS=1`).
-#[derive(Debug, Clone)]
-pub struct SchedStats {
-    /// Wake times pushed into the queue.
-    pub scheduled: u64,
-    /// Due entries that matched their token's armed wake time.
-    pub fired: u64,
-    /// Due entries superseded by a later re-arm (lazily cancelled).
-    pub cancelled: u64,
-    /// Cycles the machine actually stepped.
-    pub cycles_processed: u64,
-    /// Cycles the machine skipped by jumping between wake times.
-    pub cycles_skipped: u64,
-    /// Queue occupancy sampled at each `schedule` call.
-    pub occupancy: Histogram,
-}
-
-impl Default for SchedStats {
-    fn default() -> Self {
-        SchedStats {
-            scheduled: 0,
-            fired: 0,
-            cancelled: 0,
-            cycles_processed: 0,
-            cycles_skipped: 0,
-            occupancy: Histogram::new(OCCUPANCY_BUCKETS),
-        }
-    }
-}
-
 /// A calendar queue: a timing wheel of one-cycle buckets plus an
 /// overflow min-heap for events beyond the wheel horizon.
 ///
 /// Each entry is a `(wake cycle, token)` pair; tokens are small integers
-/// chosen by the caller (the machine uses one per component plus a few
-/// for its own scheduled events — deadlock sweep, sampling grid,
-/// watchdog deadline). The queue never coalesces entries: cancellation
-/// is the caller's job via its own armed-time table (see the module
-/// docs).
+/// chosen by the caller. The queue never coalesces or cancels entries.
 #[derive(Debug)]
 pub struct CalendarQueue {
     /// `wheel[c % WHEEL_SLOTS]` holds every entry with wake cycle `c`
@@ -100,10 +56,6 @@ pub struct CalendarQueue {
     overflow: BinaryHeap<Reverse<(u64, u32)>>,
     /// Entry count currently in the wheel (not the overflow heap).
     wheel_len: usize,
-    /// Wake times pushed so far.
-    scheduled: u64,
-    /// Occupancy at each push.
-    occupancy: Histogram,
 }
 
 impl CalendarQueue {
@@ -114,8 +66,6 @@ impl CalendarQueue {
             cursor: start.as_u64(),
             overflow: BinaryHeap::new(),
             wheel_len: 0,
-            scheduled: 0,
-            occupancy: Histogram::new(OCCUPANCY_BUCKETS),
         }
     }
 
@@ -124,9 +74,6 @@ impl CalendarQueue {
     /// immediately).
     pub fn schedule(&mut self, at: Cycle, token: u32) {
         let at = at.as_u64().max(self.cursor);
-        self.scheduled += 1;
-        self.occupancy
-            .record(self.wheel_len as u64 + self.overflow.len() as u64);
         if at < self.cursor + WHEEL_SLOTS {
             self.wheel[(at % WHEEL_SLOTS) as usize].push((at, token));
             self.wheel_len += 1;
@@ -200,26 +147,6 @@ impl CalendarQueue {
         overflow_min.map(Cycle::new)
     }
 
-    /// Entries currently scheduled (wheel + overflow).
-    pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    /// Whether no entries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total `schedule` calls so far.
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Queue occupancy sampled at each `schedule` call.
-    pub fn occupancy(&self) -> &Histogram {
-        &self.occupancy
-    }
-
     /// Moves overflow entries that now fall inside the wheel horizon
     /// into their buckets.
     fn promote(&mut self) {
@@ -258,7 +185,7 @@ mod tests {
             got.push(at.as_u64());
         }
         assert_eq!(got, expect);
-        assert!(q.is_empty());
+        assert_eq!(q.next_due(), None);
     }
 
     #[test]
@@ -266,14 +193,12 @@ mod tests {
         let mut q = CalendarQueue::new(Cycle::ZERO);
         let far = WHEEL_SLOTS * 10 + 17;
         q.schedule(Cycle::new(far), 42);
-        assert_eq!(q.len(), 1);
         // Parked in the overflow heap, still visible to next_due.
         assert_eq!(q.next_due(), Some(Cycle::new(far)));
         // Not due before its time.
         assert_eq!(q.pop_due(Cycle::new(far - 1)), None);
         // Due exactly at its wake cycle, after promotion.
         assert_eq!(q.pop_due(Cycle::new(far)), Some((Cycle::new(far), 42)));
-        assert!(q.is_empty());
         assert_eq!(q.next_due(), None);
     }
 
@@ -298,7 +223,7 @@ mod tests {
         // Regression: pop_due's cursor jump over an empty window used to
         // skip promote(), leaving an overflow entry inside the wheel
         // horizon; a later wheel schedule then shadowed it in next_due()
-        // and the machine could jump past a pending armed wake.
+        // and a caller could jump past a pending wake.
         let mut q = CalendarQueue::new(Cycle::ZERO);
         q.schedule(Cycle::new(300), 1); // beyond horizon: overflow heap
         assert_eq!(q.pop_due(Cycle::new(100)), None); // cursor hops to 101
@@ -306,7 +231,7 @@ mod tests {
         assert_eq!(q.next_due(), Some(Cycle::new(300)));
         assert_eq!(q.pop_due(Cycle::new(400)), Some((Cycle::new(300), 1)));
         assert_eq!(q.pop_due(Cycle::new(400)), Some((Cycle::new(350), 2)));
-        assert!(q.is_empty());
+        assert_eq!(q.next_due(), None);
     }
 
     #[test]
@@ -314,25 +239,5 @@ mod tests {
         let mut q = CalendarQueue::new(Cycle::new(50));
         q.schedule(Cycle::new(10), 7); // in the past: surfaces at cursor
         assert_eq!(q.pop_due(Cycle::new(50)), Some((Cycle::new(50), 7)));
-    }
-
-    #[test]
-    fn stats_track_scheduling() {
-        let mut q = CalendarQueue::new(Cycle::ZERO);
-        for i in 0..10 {
-            q.schedule(Cycle::new(i), i as u32);
-        }
-        assert_eq!(q.scheduled(), 10);
-        assert_eq!(q.occupancy().count(), 10);
-        // First sample sees an empty queue, last sees nine entries.
-        assert_eq!(q.occupancy().percentile(100.0), Some(9));
-    }
-
-    #[test]
-    fn sched_stats_default_is_zeroed() {
-        let s = SchedStats::default();
-        assert_eq!(s.scheduled + s.fired + s.cancelled, 0);
-        assert_eq!(s.cycles_processed + s.cycles_skipped, 0);
-        assert_eq!(s.occupancy.count(), 0);
     }
 }

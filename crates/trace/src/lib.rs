@@ -147,12 +147,8 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether the raw event stream is being retained (recording mode).
-    ///
-    /// The machine's event-driven scheduler pins a *recording* machine to
-    /// per-cycle stepping so exported event streams stay byte-identical,
-    /// but metrics-only tracers (fixed-order counts, order-insensitive
-    /// histograms) are safe to fast-forward.
+    /// Whether the raw event stream is being retained (recording mode),
+    /// as opposed to a metrics-only tracer's counts and histograms.
     pub fn is_recording(&self) -> bool {
         match &self.inner {
             Some(buf) => buf.borrow().retain,

@@ -29,14 +29,8 @@ fi
 echo "==> trace smoke (golden cycles + Chrome trace validity)"
 cargo run --release -p hfs-bench --bin trace_smoke
 
-echo "==> scheduler equivalence (event/poll/per-cycle, both HFS_SCHED modes)"
-# The suites pin modes explicitly, but running them under both env
-# settings also exercises the dispatcher's env plumbing end to end.
-cargo test --release -q --test sched_equivalence --test fastforward
-HFS_SCHED=poll cargo test --release -q --test sched_equivalence --test fastforward
-
-echo "==> trace smoke under HFS_SCHED=poll (same goldens as the event scheduler)"
-HFS_SCHED=poll cargo run --release -p hfs-bench --bin trace_smoke
+echo "==> fast-forward equivalence (the run loop vs the per-cycle walk)"
+cargo test --release -q --test fastforward
 
 echo "==> machine check: fault injection, once per protocol (every seeded bug caught)"
 # Each sweep arms every mutation applicable under that protocol and
@@ -85,17 +79,16 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$QUICK_JSON" <<'EOF'
 import json, sys
 quick = json.load(open(sys.argv[1]))
-assert quick["schema"] == "simbench-v2" and quick["points"], "malformed quick bench"
+assert quick["schema"] == "simbench-v3" and quick["points"], "malformed quick bench"
 assert isinstance(quick["geomean_speedup"], (int, float)), "missing geomean_speedup"
 for p in quick["points"]:
     assert p["sim_cycles"] > 0 and p["cycles_per_sec"] > 0, f"degenerate point {p}"
-    assert p["sched"] in ("event", "poll"), f"missing sched tag {p}"
 host = quick["host"]
-assert host["nproc"] >= 1 and host["sched"] in ("event", "poll"), f"malformed host block {host}"
+assert host["nproc"] >= 1, f"malformed host block {host}"
 assert host["timestamp"], "missing host timestamp"
 EOF
 else
-    grep -q '"schema": "simbench-v2"' "$QUICK_JSON" || { echo "malformed $QUICK_JSON"; exit 1; }
+    grep -q '"schema": "simbench-v3"' "$QUICK_JSON" || { echo "malformed $QUICK_JSON"; exit 1; }
 fi
 
 echo "==> benchmark: its own tests, then sim_dense with every correctness check"

@@ -3,9 +3,10 @@
 //! declare at the same cycle per-cycle simulation would.
 
 use hfs::core::kernel::{KStep, Kernel, KernelPair};
-use hfs::core::{CheckLevel, DesignPoint, Machine, MachineConfig, RunResult, SchedMode, SimError};
+use hfs::core::{CheckLevel, DesignPoint, Machine, MachineConfig, RunResult, SimError};
 use hfs::isa::QueueId;
 use hfs::sim::Rng64;
+use hfs::trace::Tracer;
 
 const CASES: u64 = 8;
 
@@ -45,6 +46,9 @@ fn designs() -> Vec<DesignPoint> {
         DesignPoint::syncopti(),
         DesignPoint::syncopti_sc_q64(),
         DesignPoint::heavywt(),
+        // Centralized store: long consume-to-use latency keeps the
+        // producer blocked on a full queue for whole windows.
+        DesignPoint::heavywt_centralized(12),
     ]
 }
 
@@ -52,6 +56,14 @@ fn run_with_ff(cfg: &MachineConfig, pair: &KernelPair, ff: bool) -> RunResult {
     let mut m = Machine::new_pipeline(cfg, pair).expect("machine builds");
     m.set_fast_forward(ff);
     m.run(20_000_000).expect("run completes")
+}
+
+fn assert_identical(fast: &RunResult, slow: &RunResult, label: &str) {
+    assert_eq!(fast.cycles, slow.cycles, "{label}: cycles");
+    assert_eq!(fast.cores, slow.cores, "{label}: core stats");
+    assert_eq!(fast.mem, slow.mem, "{label}: mem stats");
+    assert_eq!(fast.stream_cache, slow.stream_cache, "{label}: SC");
+    assert_eq!(fast.iterations, slow.iterations, "{label}: iters");
 }
 
 /// Fast-forwarded runs must be bit-identical to per-cycle simulation:
@@ -68,13 +80,135 @@ fn fastforward_matches_percycle_on_random_configs() {
             let cfg = MachineConfig::itanium2_cmp(design);
             let fast = run_with_ff(&cfg, &pair, true);
             let slow = run_with_ff(&cfg, &pair, false);
-            let label = format!("case {case}, {}", fast.design);
-            assert_eq!(fast.cycles, slow.cycles, "{label}: cycles");
-            assert_eq!(fast.cores, slow.cores, "{label}: core stats");
-            assert_eq!(fast.mem, slow.mem, "{label}: mem stats");
-            assert_eq!(fast.stream_cache, slow.stream_cache, "{label}: SC");
-            assert_eq!(fast.iterations, slow.iterations, "{label}: iters");
+            assert_identical(&fast, &slow, &format!("case {case}, {}", fast.design));
         }
+    }
+}
+
+/// The single-core fused baseline fast-forwards too.
+#[test]
+fn fastforward_matches_percycle_on_single_core_machines() {
+    let mut rng = Rng64::new(0xFF_0003);
+    let pair = arb_pair(&mut rng);
+    let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
+    let run = |ff| {
+        let mut m = Machine::new_single(&cfg, &pair).expect("machine builds");
+        m.set_fast_forward(ff);
+        m.run(20_000_000).expect("run completes")
+    };
+    assert_identical(&run(true), &run(false), "single-core");
+}
+
+/// A producer blocked on a full queue for whole windows (centralized
+/// store, long consume-to-use latency): hundreds of iterations with
+/// sustained queue-full phases, which the short random pipelines above
+/// never reach. A sync-array port budget left stale across a skipped
+/// window once showed up here, in `stream_blocked`.
+#[test]
+fn heavywt_centralized_long_blocked_phases_stay_identical() {
+    let bench = hfs::workloads::all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "wc")
+        .expect("wc registered");
+    let mut pair = bench.pair.clone();
+    pair.iterations = 300;
+    let cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt_centralized(12));
+    let fast = run_with_ff(&cfg, &pair, true);
+    let slow = run_with_ff(&cfg, &pair, false);
+    assert_identical(&fast, &slow, "wc/centralized");
+}
+
+/// A metrics-only tracer is safe to fast-forward: its fixed-order event
+/// totals and order-insensitive histograms must match the per-cycle run
+/// exactly. (Exported event *streams* are compared byte for byte by the
+/// trace determinism suite.)
+#[test]
+fn metrics_only_tracer_is_identical_with_and_without_fastforward() {
+    let mut rng = Rng64::new(0xFF_0004);
+    let pair = arb_pair(&mut rng);
+    for design in designs() {
+        let cfg = MachineConfig::itanium2_cmp(design);
+        let run = |ff: bool| {
+            let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+            m.set_fast_forward(ff);
+            m.set_tracer(Tracer::metrics_only());
+            let r = m.run(20_000_000).expect("run completes");
+            let t = m.tracer().clone();
+            (r, t.event_counts(), t.consume_to_use(), t.queue_depth())
+        };
+        let (fast, counts_f, use_f, depth_f) = run(true);
+        let (slow, counts_s, use_s, depth_s) = run(false);
+        let label = format!("metrics {}", fast.design);
+        assert_identical(&fast, &slow, &label);
+        assert_eq!(fast.metrics, slow.metrics, "{label}: metrics report");
+        assert_eq!(counts_f, counts_s, "{label}: event counts");
+        assert_eq!(
+            (use_f.count(), use_f.sum()),
+            (use_s.count(), use_s.sum()),
+            "{label}: consume-to-use histogram"
+        );
+        assert_eq!(
+            (depth_f.count(), depth_f.sum()),
+            (depth_s.count(), depth_s.sum()),
+            "{label}: queue-depth histogram"
+        );
+    }
+}
+
+/// `run_sampled` lands on the same grid with the same iteration counts
+/// whether or not dead cycles are skipped — and with the grid in the way
+/// some still are.
+#[test]
+fn sampling_grid_survives_fastforward() {
+    let mut rng = Rng64::new(0xFF_0005);
+    let pair = arb_pair(&mut rng);
+    let cfg = MachineConfig::itanium2_cmp(DesignPoint::syncopti_sc_q64());
+    let run = |ff| {
+        let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+        m.set_fast_forward(ff);
+        let out = m.run_sampled(20_000_000, Some(64)).expect("run completes");
+        (out, m.fast_forward_stats())
+    };
+    let ((fast, samples_f), stats) = run(true);
+    let ((slow, samples_s), walked) = run(false);
+    assert_identical(&fast, &slow, "sampled");
+    assert_eq!(samples_f, samples_s, "sample streams must be identical");
+    assert!(
+        samples_f.len() as u64 > fast.cycles / 64,
+        "one sample a step"
+    );
+    assert!(stats.skipped_cycles > 0, "the grid is no bar to skipping");
+    assert!(stats.skipped_cycles < fast.cycles, "{stats:?}");
+    assert_eq!(walked.skipped_cycles, 0, "the per-cycle walk skips nothing");
+}
+
+/// Cold design sweeps are many short software-queue jobs, whose held-back
+/// release stores once pinned the next cycle for as long as they waited
+/// (13% of such a job was skipped then). One job of that shape: a
+/// quarter of its cycles must be skipped, at a result equal field by
+/// field to the per-cycle walk.
+#[test]
+fn short_software_queue_jobs_skip_a_quarter_of_their_cycles() {
+    let pair = KernelPair::simple("sweep", 4, 50);
+    for design in [DesignPoint::existing(), DesignPoint::memopti()] {
+        let cfg = MachineConfig::itanium2_cmp(design);
+        let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+        m.set_fast_forward(true);
+        let fast = m.run(20_000_000).expect("run completes");
+        let stats = m.fast_forward_stats();
+        let slow = run_with_ff(&cfg, &pair, false);
+        let label = format!("sweep {}", fast.design);
+        assert_eq!(fast.design, slow.design, "{label}: design");
+        assert_identical(&fast, &slow, &label);
+        assert_eq!(fast.metrics, slow.metrics, "{label}: metrics");
+        assert_eq!(fast.checked, slow.checked, "{label}: checked");
+        assert!(
+            stats.skipped_cycles * 4 >= fast.cycles,
+            "{label}: skipped {} of {} cycles",
+            stats.skipped_cycles,
+            fast.cycles
+        );
+        assert_eq!(m.sched_stats().cycles_skipped, stats.skipped_cycles);
     }
 }
 
@@ -110,7 +244,7 @@ fn checker_preserves_results_and_pins_percycle() {
 }
 
 /// A dense pair: independent ALU work every cycle on both cores, so the
-/// event-driven bound almost never clears the next cycle. Under the
+/// jump target almost never clears the next cycle. Under the
 /// EXISTING design this is the pathological case for fast-forward —
 /// bound computations are pure overhead.
 fn dense_pair() -> KernelPair {
@@ -144,9 +278,6 @@ fn auto_disable_latches_on_low_skip_workloads() {
     let pair = dense_pair();
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
     let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-    // The pay-floor latch belongs to the polling loop's bound machinery;
-    // the event scheduler needs no latch, so pin the mode under test.
-    m.set_sched_mode(SchedMode::Poll);
     m.set_fast_forward(true);
     let fast = m.run(20_000_000).expect("run completes");
     let stats = m.fast_forward_stats();
@@ -180,7 +311,6 @@ fn auto_disable_spares_skip_heavy_workloads() {
     let pair = sparse_pair();
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::syncopti_sc_q64());
     let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-    m.set_sched_mode(SchedMode::Poll);
     m.set_fast_forward(true);
     let r = m.run(20_000_000).expect("run completes");
     let stats = m.fast_forward_stats();
@@ -207,7 +337,6 @@ fn set_fast_forward_rearms_after_auto_disable() {
     let pair = dense_pair();
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
     let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-    m.set_sched_mode(SchedMode::Poll);
     m.set_fast_forward(true);
     m.run(20_000_000).expect("run completes");
     assert!(m.fast_forward_stats().auto_disabled, "precondition");
