@@ -1,12 +1,11 @@
-//! Shared plumbing for the wall-clock perf benchmarks (`simbench`,
-//! `sweepbench`).
+//! Plumbing for the wall-clock perf benchmark `simbench` (and the
+//! iso-8601 clock `benchmark/` stamps its reports with).
 //!
-//! Each benchmark bin commits a `BENCH_*.json` artifact at the repo
-//! root recording its measurements, re-runs in `--quick` mode against
-//! `target/`, and gates CI with `--check` against the committed
-//! baseline. The conventions those bins share — the timestamp override,
-//! the iso-8601 clock, the regression floor, and the committed-artifact
-//! loader — live here so the artifacts stay mutually consistent.
+//! `simbench` commits `BENCH_simloop.json` at the repo root recording
+//! its measurements, re-runs in `--quick` mode against `target/`, and
+//! gates CI with `--check` against the committed baseline: the
+//! timestamp override, the clock, the regression floor, and the
+//! committed-artifact loader live here.
 
 use hfs_harness::Json;
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use hfs_core::{DesignPoint, MachineConfig, RunResult, SimError};
-use hfs_harness::{Batch, Engine, Job};
+use hfs_harness::{env_flag, Batch, Engine, Job};
 use hfs_mem::Protocol;
 use hfs_trace::{chrome_trace_json, Tracer};
 use hfs_workloads::Benchmark;
@@ -76,10 +76,6 @@ pub fn engine() -> &'static Engine {
     ENGINE.get_or_init(Engine::from_env)
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
-
 /// Whether batches route through an `hfs-serve` instance.
 pub fn via_server() -> bool {
     env_flag(ENV_VIA_SERVER)
@@ -88,10 +84,8 @@ pub fn via_server() -> bool {
 /// Runs an experiment batch — the single entry point every experiment
 /// uses. Locally this is [`Engine::run_batch`]; with `HFS_VIA_SERVER=1`
 /// the batch is instead submitted to the `hfs-serve` instance named by
-/// `HFS_SOCK`/`HFS_ADDR` on the pipelined batched path
-/// (`HFS_SUBMIT_CHUNK`/`HFS_SUBMIT_WINDOW`), streaming chunked progress
-/// back and writing the same byte-identical `results/<name>.json`
-/// artifact.
+/// `HFS_SOCK`/`HFS_ADDR`, streaming chunked progress back and writing
+/// the same byte-identical `results/<name>.json` artifact.
 ///
 /// # Panics
 ///

@@ -3,10 +3,10 @@
 //!
 //! Sharding keeps per-directory entry counts manageable when a
 //! long-running `hfs-serve` instance accumulates a large design-space
-//! cache, and spreads rename traffic across directories. Caches written
-//! by older harnesses stored entries flat (`<dir>/<key>.json`); a
-//! migration shim in [`Cache::load`] still finds those and moves each
-//! one into its shard on first touch.
+//! cache, and spreads rename traffic across directories. Keys reach the
+//! cache from the wire (`submit_refs`), so only strings shaped like a
+//! [`Job::key`](crate::job::Job::key) ever become a path: any other key
+//! is a miss on load and a no-op on store.
 //!
 //! Only successful outcomes are persisted — failures are worth retrying
 //! on the next run, and a partial `all_figures` pass therefore resumes
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::hotcache::{HotCache, HotEntry};
-use crate::job::JobOutcome;
+use crate::job::{is_cache_key, JobOutcome};
 use crate::json::parse;
 use crate::ser::{outcome_from_json, outcome_to_json};
 
@@ -74,30 +74,15 @@ impl Cache {
         &self.dir
     }
 
-    /// The shard subdirectory for `key`: its first hex digit, giving 16
-    /// shards for the 16-hex-digit FNV keys.
-    fn shard_dir(&self, key: &str) -> PathBuf {
-        let shard = key
-            .chars()
-            .next()
-            .filter(char::is_ascii_hexdigit)
-            .unwrap_or('0');
-        self.dir.join(shard.to_string())
-    }
-
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.shard_dir(key).join(format!("{key}.json"))
-    }
-
-    /// The pre-sharding flat location of `key` (`<dir>/<key>.json`).
-    fn legacy_path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+    /// Where `key`'s entry lives: the shard named by its first hex digit
+    /// (16 shards for the 16-hex-digit FNV keys), then `<key>.json`.
+    /// `None` for anything that is not a well-formed key.
+    fn path_for(&self, key: &str) -> Option<PathBuf> {
+        is_cache_key(key).then(|| self.dir.join(&key[..1]).join(format!("{key}.json")))
     }
 
     /// Loads the outcome cached under `key`, if present and decodable.
-    /// Corrupt or unreadable entries are treated as misses. Entries found
-    /// at the pre-sharding flat path still hit, and are moved into their
-    /// shard (best-effort) so the next lookup is direct.
+    /// Corrupt or unreadable entries are treated as misses.
     pub fn load(&self, key: &str) -> Option<JobOutcome> {
         Some(self.load_entry(key)?.outcome().clone())
     }
@@ -111,18 +96,7 @@ impl Cache {
         if let Some(entry) = self.hot_entry(key) {
             return Some(entry);
         }
-        let path = self.path_for(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                let legacy = self.legacy_path_for(key);
-                let t = fs::read_to_string(&legacy).ok()?;
-                if fs::create_dir_all(self.shard_dir(key)).is_ok() {
-                    let _ = fs::rename(&legacy, &path);
-                }
-                t
-            }
-        };
+        let text = fs::read_to_string(self.path_for(key)?).ok()?;
         let outcome = outcome_from_json(&parse(&text).ok()?).ok()?;
         if let Some(hot) = &self.hot {
             hot.insert(key, &outcome, Some(&text));
@@ -134,16 +108,16 @@ impl Cache {
     /// ignored. I/O failures are swallowed: the cache is an accelerator,
     /// never a correctness dependency.
     pub fn store(&self, key: &str, outcome: &JobOutcome) {
-        if !outcome.is_ok() {
+        let Some(path) = self.path_for(key).filter(|_| outcome.is_ok()) else {
             return;
-        }
+        };
         // One serialization feeds both layers.
         let body = outcome_to_json(outcome).to_pretty();
         if let Some(hot) = &self.hot {
             hot.insert(key, outcome, Some(&body));
         }
-        let shard = self.shard_dir(key);
-        if fs::create_dir_all(&shard).is_err() {
+        let shard = path.parent().expect("entries live in a shard directory");
+        if fs::create_dir_all(shard).is_err() {
             return;
         }
         let tmp = shard.join(format!(
@@ -151,7 +125,7 @@ impl Cache {
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, body).is_ok() && fs::rename(&tmp, self.path_for(key)).is_err() {
+        if fs::write(&tmp, body).is_ok() && fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -214,36 +188,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_entries_hit_and_migrate() {
-        let dir = tmp_dir("migrate");
-        let cache = Cache::new(&dir);
-        let (key, out) = demo_outcome();
-        // Simulate a pre-sharding cache: write the entry flat by hand.
+    fn foreign_keys_never_reach_the_filesystem() {
+        let root = tmp_dir("foreign");
+        let dir = root.join("cache");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(format!("{key}.json")),
-            outcome_to_json(&out).to_pretty(),
-        )
-        .unwrap();
-        let loaded = cache.load(&key).expect("legacy entry hits");
-        assert_eq!(loaded.ok().unwrap().cycles, out.ok().unwrap().cycles);
-        // The shim moved it into its shard; the flat file is gone.
-        let shard = key.chars().next().unwrap().to_string();
-        assert!(dir.join(&shard).join(format!("{key}.json")).is_file());
-        assert!(!dir.join(format!("{key}.json")).exists());
-        // And the migrated location keeps hitting.
-        assert!(cache.load(&key).is_some());
-        let _ = fs::remove_dir_all(&dir);
+        let (_, out) = demo_outcome();
+        let body = outcome_to_json(&out).to_pretty();
+        // A valid entry one level above the cache directory: a key that
+        // walks out of it must neither read nor move it.
+        let victim = root.join("victim.json");
+        fs::write(&victim, &body).unwrap();
+        let cache = Cache::with_hot(&dir, None);
+        for key in ["../victim", "victim", "", "0123456789ABCDEF"] {
+            assert!(cache.load_entry(key).is_none(), "{key:?} must miss");
+            cache.store(key, &out);
+        }
+        assert_eq!(fs::read_to_string(&victim).unwrap(), body, "unmoved");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing stored");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn failures_are_not_cached() {
         let dir = tmp_dir("failures");
         let cache = Cache::new(&dir);
-        cache.store("deadbeef", &JobOutcome::Timeout { max_cycles: 1 });
-        cache.store("deadbeef", &JobOutcome::SimError("x".into()));
-        cache.store("deadbeef", &JobOutcome::Cancelled);
-        assert!(cache.load("deadbeef").is_none());
+        let key = "deadbeefdeadbeef";
+        cache.store(key, &JobOutcome::Timeout { max_cycles: 1 });
+        cache.store(key, &JobOutcome::SimError("x".into()));
+        cache.store(key, &JobOutcome::Cancelled);
+        assert!(cache.load(key).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -293,9 +266,10 @@ mod tests {
     #[test]
     fn corrupt_entries_are_misses() {
         let dir = tmp_dir("corrupt");
+        let key = "abcdefabcdefabcd";
         fs::create_dir_all(dir.join("a")).unwrap();
-        fs::write(dir.join("a").join("abc.json"), "{not json").unwrap();
-        assert!(Cache::new(&dir).load("abc").is_none());
+        fs::write(dir.join("a").join(format!("{key}.json")), "{not json").unwrap();
+        assert!(Cache::new(&dir).load(key).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,12 +10,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use hfs_core::SimError;
 use hfs_obs::{Counter, HistogramMetric, Registry};
 use hfs_trace::{chrome_trace_json, MetricsReport, Tracer};
 
 use crate::cache::Cache;
-use crate::job::{execute_counted, execute_once_with, Job, JobOutcome};
+use crate::job::{classify, execute_counted, execute_once_with, Job, JobOutcome};
 use crate::json::Json;
 use crate::ser::outcome_to_json;
 
@@ -37,8 +36,101 @@ pub const ENV_METRICS: &str = "HFS_METRICS";
 /// Setting it implies `HFS_METRICS=1`.
 pub const ENV_TRACE_DIR: &str = "HFS_TRACE_DIR";
 
-fn env_flag(name: &str) -> bool {
+/// Whether the environment sets `name` to anything but `0` or the empty
+/// string — the one reading of every on/off `HFS_*` variable.
+pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
+}
+
+/// The execution settings the offline engine and the server share,
+/// read from the environment in one place.
+#[derive(Debug, Clone)]
+pub struct ExecEnv {
+    /// `HFS_JOBS` workers (default: available parallelism).
+    pub workers: usize,
+    /// The result cache in `HFS_CACHE_DIR` (default `results/cache`);
+    /// `None` under `HFS_NO_CACHE=1`.
+    pub cache_dir: Option<PathBuf>,
+    /// `HFS_RETRIES` retries for jobs that set none (default 1).
+    pub retries: u32,
+}
+
+impl ExecEnv {
+    /// Reads the settings.
+    pub fn read() -> ExecEnv {
+        ExecEnv {
+            workers: std::env::var(ENV_JOBS)
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            cache_dir: (!env_flag(ENV_NO_CACHE)).then(|| {
+                std::env::var_os(ENV_CACHE_DIR).map_or_else(|| "results/cache".into(), Into::into)
+            }),
+            retries: std::env::var(ENV_RETRIES)
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(1),
+        }
+    }
+}
+
+/// How one job resolved in [`resolve`].
+#[derive(Debug, Clone)]
+pub struct Resolved {
+    /// The outcome, from the cache or from `run`.
+    pub outcome: JobOutcome,
+    /// Whether the outcome came from the result cache.
+    pub cached: bool,
+    /// Re-executions `run` reported (0 on a hit).
+    pub retries: u32,
+    /// Wall-clock milliseconds the step took (≈0 on a hit).
+    pub wall_millis: u64,
+}
+
+impl Resolved {
+    /// Whether the job ran to a verdict here: neither a cache hit nor
+    /// abandoned by its owner. The lifecycle histograms and the
+    /// `executed` counters observe exactly these.
+    pub fn executed(&self) -> bool {
+        !self.cached && !matches!(self.outcome, JobOutcome::Cancelled)
+    }
+
+    /// Whether the job hit its cycle budget.
+    pub fn timed_out(&self) -> bool {
+        matches!(self.outcome, JobOutcome::Timeout { .. })
+    }
+}
+
+/// The per-job step every executor shares: answer from `cache` if it
+/// can, otherwise `run` the job (which reports its outcome and the
+/// retries it consumed) and store the outcome — [`Cache::store`] keeps
+/// only successes, so failures, cancellations and dead workers are
+/// always run again. What differs between executors is `run` alone: an
+/// in-process simulation, a round-trip through a worker process, or a
+/// traced run.
+pub fn resolve(
+    cache: Option<&Cache>,
+    key: &str,
+    run: impl FnOnce() -> (JobOutcome, u32),
+) -> Resolved {
+    let started = Instant::now();
+    let (outcome, cached, retries) = match cache.and_then(|c| c.load(key)) {
+        Some(hit) => (hit, true, 0),
+        None => {
+            let (outcome, retries) = run();
+            if let Some(cache) = cache {
+                cache.store(key, &outcome);
+            }
+            (outcome, false, retries)
+        }
+    };
+    Resolved {
+        outcome,
+        cached,
+        retries,
+        wall_millis: started.elapsed().as_millis() as u64,
+    }
 }
 
 /// Live counters aggregated across every batch an engine runs.
@@ -133,41 +225,24 @@ impl Engine {
     }
 
     /// The production configuration, honoring the `HFS_*` environment:
-    /// `HFS_JOBS` workers (default: available parallelism), a result
-    /// cache in `HFS_CACHE_DIR` (default `results/cache`, disable with
-    /// `HFS_NO_CACHE=1`), artifacts in `HFS_RESULTS_DIR` (default
-    /// `results`), `HFS_RETRIES` retries (default 1), and a progress
-    /// stream on stderr unless `HFS_NO_PROGRESS=1`. `HFS_METRICS=1`
-    /// attaches a metrics report to every result; `HFS_TRACE_DIR=<dir>`
+    /// workers, result cache and retries per [`ExecEnv`], artifacts in
+    /// `HFS_RESULTS_DIR` (default `results`), and a progress stream on
+    /// stderr unless `HFS_NO_PROGRESS=1`. `HFS_METRICS=1` attaches a
+    /// metrics report to every result; `HFS_TRACE_DIR=<dir>`
     /// additionally writes a Chrome trace-event JSON per executed job.
     pub fn from_env() -> Engine {
-        let workers = std::env::var(ENV_JOBS)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let cache = if env_flag(ENV_NO_CACHE) {
-            None
-        } else {
-            let dir = std::env::var(ENV_CACHE_DIR).unwrap_or_else(|_| "results/cache".to_string());
-            Some(Cache::new(dir))
-        };
-        let results_dir = Some(PathBuf::from(
-            std::env::var(ENV_RESULTS_DIR).unwrap_or_else(|_| "results".to_string()),
-        ));
-        let default_retries = std::env::var(ENV_RETRIES)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+        let env = ExecEnv::read();
         Engine {
-            workers,
-            cache,
-            results_dir,
+            workers: env.workers,
+            cache: env.cache_dir.map(Cache::new),
+            results_dir: Some(PathBuf::from(
+                std::env::var(ENV_RESULTS_DIR).unwrap_or_else(|_| "results".to_string()),
+            )),
             trace_dir: std::env::var_os(ENV_TRACE_DIR)
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from),
             metrics: env_flag(ENV_METRICS),
-            default_retries,
+            default_retries: env.retries,
             progress: !env_flag(ENV_NO_PROGRESS),
             counters: EngineCounters::default(),
             obs: EngineObs::default(),
@@ -328,25 +403,20 @@ impl Engine {
         self.obs
             .queue_wait_ms
             .observe(submitted.elapsed().as_millis() as u64);
-        let started = Instant::now();
-        let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
-            Some(hit) => (hit, true),
-            None => {
-                let outcome = match &self.trace_dir {
-                    Some(dir) => self.execute_traced(batch, job, dir),
-                    None => {
-                        let (outcome, retries) = execute_counted(job, self.default_retries, None);
-                        self.obs.retries.add(u64::from(retries));
-                        outcome
-                    }
-                };
-                if let Some(cache) = &self.cache {
-                    cache.store(&key, &outcome);
-                }
-                (outcome, false)
-            }
-        };
-        let wall_millis = started.elapsed().as_millis() as u64;
+        let step = resolve(self.cache.as_ref(), &key, || match &self.trace_dir {
+            Some(dir) => (self.execute_traced(batch, job, dir), 0),
+            None => execute_counted(job, self.default_retries, None),
+        });
+        self.obs.retries.add(u64::from(step.retries));
+        if step.timed_out() {
+            self.obs.timeouts.inc();
+        }
+        let Resolved {
+            outcome,
+            cached,
+            wall_millis,
+            ..
+        } = step;
 
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
         if cached {
@@ -365,9 +435,6 @@ impl Engine {
         }
         if !outcome.is_ok() {
             self.counters.failures.fetch_add(1, Ordering::Relaxed);
-            if matches!(outcome, JobOutcome::Timeout { .. }) {
-                self.obs.timeouts.inc();
-            }
         }
 
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -409,12 +476,7 @@ impl Engine {
     /// simulator is deterministic, so a traced failure would recur.
     fn execute_traced(&self, batch: &str, job: &Job, dir: &Path) -> JobOutcome {
         let tracer = Tracer::recording();
-        let outcome = match execute_once_with(job, &tracer) {
-            Ok(r) => JobOutcome::Ok(r),
-            Err(SimError::Timeout { max_cycles }) => JobOutcome::Timeout { max_cycles },
-            Err(SimError::Verification(msg)) => JobOutcome::CheckFailed(msg),
-            Err(e) => JobOutcome::SimError(e.to_string()),
-        };
+        let outcome = classify(execute_once_with(job, &tracer));
         let json = chrome_trace_json(&tracer.take_events());
         let path = dir.join(format!(
             "{}__{}.trace.json",

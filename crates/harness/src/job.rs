@@ -185,6 +185,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Whether `s` has the shape of a [`Job::key`]: exactly 16 lowercase
+/// hex digits. Keys arrive from outside the program (a `submit_refs`
+/// frame) and name files in the result cache, so anything else is
+/// refused before it can reach the filesystem.
+pub fn is_cache_key(s: &str) -> bool {
+    s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// The structured result of attempting one job: success, a simulation
 /// error (config/deadlock/verification), or a watchdog timeout. Replaces
 /// the seed harness's `panic!`-on-error behavior so one bad kernel no
@@ -281,36 +289,16 @@ pub fn execute_once(job: &Job) -> Result<RunResult, SimError> {
 ///
 /// Any [`SimError`] from machine construction or the run itself.
 pub fn execute_once_with(job: &Job, tracer: &Tracer) -> Result<RunResult, SimError> {
-    execute_once_instrumented(job, tracer, &Checker::disabled())
+    run_once(job, tracer, &Checker::disabled(), None)
 }
 
-/// Runs `job` once with both a tracer and a machine-check handle. A
-/// disabled `checker` leaves the machine's own (env-derived) checker in
-/// place, so `HFS_CHECK=1` keeps working through every harness entry
-/// point; an enabled one overrides it — the hook the fault-injection
-/// tests use to arm [`hfs_core::Mutation`]s through the job path.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself.
-pub fn execute_once_instrumented(
-    job: &Job,
-    tracer: &Tracer,
-    checker: &Checker,
-) -> Result<RunResult, SimError> {
-    execute_once_cancellable(job, tracer, checker, None)
-}
-
-/// The fully-instrumented single-run entry point: tracer, machine-check
-/// handle, and an optional cancellation token polled once per simulated
-/// cycle. The `hfs-serve` dispatcher uses the token to abandon jobs
-/// whose waiting clients have all disconnected.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself,
-/// including [`SimError::Cancelled`] when the token fires mid-run.
-pub fn execute_once_cancellable(
+/// The single-run core: tracer, machine-check handle, and an optional
+/// cancellation token polled once per simulated cycle. A disabled
+/// `checker` leaves the machine's own (env-derived) checker in place, so
+/// `HFS_CHECK=1` keeps working through every harness entry point; an
+/// enabled one overrides it — the hook the fault-injection tests use to
+/// arm [`hfs_core::Mutation`]s through the job path.
+fn run_once(
     job: &Job,
     tracer: &Tracer,
     checker: &Checker,
@@ -334,6 +322,20 @@ pub fn execute_once_cancellable(
     machine.run(job.max_cycles)
 }
 
+/// The one `SimError` → [`JobOutcome`] mapping. Only a
+/// [`JobOutcome::SimError`] is worth another attempt: timeouts and
+/// machine-check violations recur (the simulator is deterministic), and
+/// a cancellation is the owner's decision.
+pub(crate) fn classify(run: Result<RunResult, SimError>) -> JobOutcome {
+    match run {
+        Ok(r) => JobOutcome::Ok(r),
+        Err(SimError::Timeout { max_cycles }) => JobOutcome::Timeout { max_cycles },
+        Err(SimError::Verification(msg)) => JobOutcome::CheckFailed(msg),
+        Err(SimError::Cancelled { .. }) => JobOutcome::Cancelled,
+        Err(e) => JobOutcome::SimError(e.to_string()),
+    }
+}
+
 /// Runs `job` with its retry policy, classifying failures.
 ///
 /// Timeouts and machine-check violations are never retried (the
@@ -341,53 +343,31 @@ pub fn execute_once_cancellable(
 /// retried up to `max(job.retries, default_retries)` times to absorb
 /// transient harness issues.
 pub fn execute(job: &Job, default_retries: u32) -> JobOutcome {
-    execute_checked(job, default_retries, &Checker::disabled())
-}
-
-/// [`execute`] with an explicit machine-check handle (see
-/// [`execute_once_instrumented`] for how a disabled handle behaves).
-pub fn execute_checked(job: &Job, default_retries: u32, checker: &Checker) -> JobOutcome {
-    execute_with(job, default_retries, checker, None)
-}
-
-/// [`execute`] with a cancellation token: the `hfs-serve` worker entry
-/// point. A fired token surfaces as [`JobOutcome::Cancelled`] without
-/// consuming the retry budget.
-pub fn execute_cancellable(job: &Job, default_retries: u32, cancel: &CancelToken) -> JobOutcome {
-    execute_with(job, default_retries, &Checker::disabled(), Some(cancel))
+    execute_counted(job, default_retries, None).0
 }
 
 /// [`execute`] with an optional cancellation token, additionally
 /// reporting how many *re*-executions the retry policy consumed (0 when
-/// the first attempt settled the outcome). The telemetry entry point:
-/// the engine and the `hfs-serve` dispatcher feed the count into their
-/// retry counters without changing what gets cached or returned.
+/// the first attempt settled the outcome) — what the engine and the
+/// `hfs-serve` workers run. A fired token surfaces as
+/// [`JobOutcome::Cancelled`] without consuming the retry budget.
 pub fn execute_counted(
     job: &Job,
     default_retries: u32,
     cancel: Option<&CancelToken>,
 ) -> (JobOutcome, u32) {
-    execute_with_counted(job, default_retries, &Checker::disabled(), cancel)
+    run_attempts(job, default_retries, &Checker::disabled(), cancel)
 }
 
-fn execute_with(
-    job: &Job,
-    default_retries: u32,
-    checker: &Checker,
-    cancel: Option<&CancelToken>,
-) -> JobOutcome {
-    execute_with_counted(job, default_retries, checker, cancel).0
-}
-
-fn execute_with_counted(
+fn run_attempts(
     job: &Job,
     default_retries: u32,
     checker: &Checker,
     cancel: Option<&CancelToken>,
 ) -> (JobOutcome, u32) {
-    let attempts = 1 + job.retries.max(default_retries);
-    let mut last_err = String::new();
-    for attempt in 0..attempts {
+    let last = job.retries.max(default_retries);
+    let mut attempt = 0;
+    loop {
         // A fresh tracer per attempt: tracer clones share one buffer, so
         // reusing a tracer across a retry would fold the failed attempt's
         // partial event stream into the succeeding run's metrics report
@@ -397,19 +377,12 @@ fn execute_with_counted(
         } else {
             Tracer::disabled()
         };
-        let outcome = match execute_once_cancellable(job, &tracer, checker, cancel) {
-            Ok(r) => JobOutcome::Ok(r),
-            Err(SimError::Timeout { max_cycles }) => JobOutcome::Timeout { max_cycles },
-            Err(SimError::Verification(msg)) => JobOutcome::CheckFailed(msg),
-            Err(SimError::Cancelled { .. }) => JobOutcome::Cancelled,
-            Err(e) => {
-                last_err = e.to_string();
-                continue;
-            }
-        };
-        return (outcome, attempt);
+        let outcome = classify(run_once(job, &tracer, checker, cancel));
+        if attempt == last || !matches!(outcome, JobOutcome::SimError(_)) {
+            return (outcome, attempt);
+        }
+        attempt += 1;
     }
-    (JobOutcome::SimError(last_err), attempts - 1)
 }
 
 #[cfg(test)]
@@ -431,7 +404,16 @@ mod tests {
         let mut b = demo_job(50);
         b.label = "something/else".into();
         assert_eq!(a.key(), b.key());
-        assert_eq!(a.key().len(), 16);
+        assert!(is_cache_key(&a.key()));
+        for foreign in [
+            "",
+            "../victim",
+            "0123456789ABCDEF",
+            "0123456789abcde",
+            "0123456789abcdef0",
+        ] {
+            assert!(!is_cache_key(foreign), "{foreign:?}");
+        }
     }
 
     #[test]
@@ -519,7 +501,7 @@ mod tests {
             cfg: MachineConfig::itanium2_cmp(DesignPoint::existing()),
             ..demo_job(200)
         };
-        match execute_checked(&job, 3, &checker) {
+        match run_attempts(&job, 3, &checker, None).0 {
             JobOutcome::CheckFailed(e) => {
                 assert!(e.contains("bus.double_grant"), "{e}");
             }
@@ -527,7 +509,7 @@ mod tests {
         }
         // The same job under a clean checker succeeds and reports it.
         let clean = hfs_core::Checker::with_level(CheckLevel::Full);
-        let out = execute_checked(&job, 0, &clean);
+        let out = run_attempts(&job, 0, &clean, None).0;
         assert_eq!(out.status(), "ok");
         assert!(out.ok().expect("clean run ok").checked);
     }
@@ -563,13 +545,14 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         // A pre-fired token aborts at cycle 0, regardless of retries.
-        let out = execute_cancellable(&demo_job(5_000).with_retries(5), 3, &token);
+        let (out, retries) = execute_counted(&demo_job(5_000).with_retries(5), 3, Some(&token));
         assert_eq!(out.status(), "cancelled");
+        assert_eq!(retries, 0);
         assert!(!out.is_ok());
         assert!(out.to_string().contains("cancelled"));
         // An unfired token changes nothing.
         let fresh = CancelToken::new();
-        let out = execute_cancellable(&demo_job(40), 0, &fresh);
+        let out = execute_counted(&demo_job(40), 0, Some(&fresh)).0;
         assert_eq!(out.ok().expect("runs to completion").iterations, 40);
     }
 

@@ -37,11 +37,10 @@ pub mod ser;
 pub mod spec;
 
 pub use cache::Cache;
-pub use engine::{Batch, Engine, EngineStats, Record};
+pub use engine::{env_flag, resolve, Batch, Engine, EngineStats, ExecEnv, Record, Resolved};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
-    execute, execute_cancellable, execute_checked, execute_counted, execute_once,
-    execute_once_cancellable, execute_once_instrumented, execute_once_with, Job, JobOutcome, Mode,
+    execute, execute_counted, execute_once, execute_once_with, is_cache_key, Job, JobOutcome, Mode,
     CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
 };
 pub use json::{parse, Json, ParseError};

@@ -15,21 +15,16 @@
 //! offline runner's `results/<experiment>.json`.
 //!
 //! `--subscribe` picks the result traffic for `submit`: `final` (the
-//! default) uses the pipelined batched path — chunked submissions
-//! (`HFS_SUBMIT_CHUNK`/`HFS_SUBMIT_WINDOW`) with chunked result frames;
-//! `all` uses the legacy path with one `job` frame per job; `none`
-//! primes the server's cache without streaming results back (no
-//! artifact is written).
+//! default) has the server buffer results into chunked frames; `all`
+//! has it flush a frame after every result, so progress lines follow
+//! the jobs one by one; `none` primes the server's cache without
+//! streaming results back (no artifact is written).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hfs_harness::{sweep_from_json, Json};
+use hfs_harness::{env_flag, sweep_from_json, Json};
 use hfs_serve::{print_update, Client, Subscribe};
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -86,13 +81,7 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
             print_update(&experiment, u);
         }
     };
-    // `all` keeps the legacy one-frame-per-job conversation; everything
-    // else rides the pipelined batched path.
-    let result = match subscribe {
-        Subscribe::All => client.submit(&experiment, jobs, on_update),
-        s => client.submit_batched(&experiment, jobs, s, on_update),
-    };
-    let batch = match result {
+    let batch = match client.submit_batched(&experiment, jobs, subscribe, on_update) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("hfs-client: submit failed: {e}");

@@ -1,18 +1,16 @@
 //! Client-side library for talking to an `hfs-serve` instance.
 //!
-//! [`Client::submit`] streams a batch through the server and reassembles
-//! the answers into the same [`hfs_harness::Batch`] the offline
-//! [`hfs_harness::Engine`] produces — so `Batch::write_artifact` yields
-//! byte-identical `results/<experiment>.json` files whichever path ran
-//! the jobs.
-//!
-//! [`Client::submit_batched`] is the sweep-scale path: it splits the
-//! jobs into `submit_batch` chunks (`HFS_SUBMIT_CHUNK`), keeps a
-//! window of them in flight (`HFS_SUBMIT_WINDOW`) so the server never
-//! idles between batches, asks for chunked `batch_results` frames
-//! instead of one `job` frame per job, and rides out `busy` rejections
-//! with bounded retries. It reassembles the very same [`Batch`], so the
-//! artifact bytes cannot depend on which submit path ran.
+//! [`Client::submit_batched`] carries a sweep of any size through the
+//! server and reassembles the answers into the same
+//! [`hfs_harness::Batch`] the offline [`hfs_harness::Engine`] produces —
+//! so `Batch::write_artifact` yields byte-identical
+//! `results/<experiment>.json` files whichever path ran the jobs. It
+//! splits the jobs into chunks of [`SUBMIT_CHUNK`], keeps
+//! [`SUBMIT_WINDOW`] of them in flight so the server never idles
+//! between chunks, offers each chunk by content key first and as full
+//! specs only once the server reports a miss, and rides out `busy`
+//! rejections with bounded retries. [`Client::submit`] is the same
+//! conversation with a result frame per job.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -23,37 +21,18 @@ use hfs_harness::{Batch, Job, JobOutcome, Record};
 use crate::net::{Endpoint, Stream};
 use crate::proto::{ClientFrame, JobRef, ProtoError, ServeStats, ServerFrame, Subscribe};
 
-/// Jobs per `submit_batch` frame on the batched path
-/// (`HFS_SUBMIT_CHUNK`).
-pub const ENV_SUBMIT_CHUNK: &str = "HFS_SUBMIT_CHUNK";
+/// Jobs per submission frame. With [`SUBMIT_WINDOW`] chunks in flight
+/// this keeps at most `DEFAULT_QUEUE_LIMIT` jobs enqueued server-side,
+/// so a lone client never trips a default server's admission control;
+/// against a smaller limit the client shrinks its chunks to fit.
+pub const SUBMIT_CHUNK: usize = 512;
 
-/// Chunks kept in flight on the batched path (`HFS_SUBMIT_WINDOW`).
-pub const ENV_SUBMIT_WINDOW: &str = "HFS_SUBMIT_WINDOW";
-
-/// Set to `0` to disable content-key reference submission
-/// (`HFS_SUBMIT_REFS=0`): the batched path then always sends full job
-/// specs, as if every `submit_refs` probe missed.
-pub const ENV_SUBMIT_REFS: &str = "HFS_SUBMIT_REFS";
-
-/// Default chunk size. With the default window this keeps at most
-/// `DEFAULT_QUEUE_LIMIT` jobs enqueued server-side, so a lone client
-/// never trips admission control.
-pub const DEFAULT_SUBMIT_CHUNK: usize = 512;
-
-/// Default in-flight chunk window.
-pub const DEFAULT_SUBMIT_WINDOW: usize = 2;
+/// Chunks kept in flight.
+pub const SUBMIT_WINDOW: usize = 2;
 
 /// Consecutive `busy` rejections tolerated before the batched path
 /// gives up (each idle retry backs off 50ms).
 const BUSY_RETRY_LIMIT: u32 = 1200;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// Anything that can go wrong on the client side.
 #[derive(Debug)]
@@ -111,9 +90,8 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A streamed per-job progress update, handed to the callback of
-/// [`Client::submit`] as results arrive (completion order, not
-/// submission order).
+/// A per-job progress update, handed to the submit callbacks as
+/// results arrive (completion order, not submission order).
 #[derive(Debug, Clone)]
 pub struct JobUpdate {
     /// How many of the batch's jobs have resolved, this one included.
@@ -226,150 +204,46 @@ impl Client {
         }
     }
 
-    /// Submits a batch and blocks until every job has streamed back,
-    /// invoking `on_update` per resolved job. The returned [`Batch`]
-    /// holds records in submission order, exactly like
-    /// [`hfs_harness::Engine::run_batch`].
+    /// [`Client::submit_batched`] with [`Subscribe::All`]: the server
+    /// sends every result as it resolves, so `on_update` fires per job
+    /// while later jobs are still running.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`]/[`ClientError::ShuttingDown`] on rejection,
-    /// plus transport, protocol, and sequencing failures.
+    /// As [`Client::submit_batched`].
     pub fn submit(
         &mut self,
         experiment: &str,
         jobs: Vec<Job>,
-        mut on_update: impl FnMut(&JobUpdate),
+        on_update: impl FnMut(&JobUpdate),
     ) -> Result<Batch, ClientError> {
-        let total = jobs.len() as u64;
-        ClientFrame::Submit {
-            experiment: experiment.to_string(),
-            jobs,
-        }
-        .write_to(&mut self.stream)?;
-        match self.read_frame()? {
-            ServerFrame::Accepted {
-                experiment: e,
-                total: t,
-                ..
-            } => {
-                if e != experiment || t != total {
-                    return Err(ClientError::Unexpected(format!(
-                        "accepted {e}/{t}, submitted {experiment}/{total}"
-                    )));
-                }
-            }
-            ServerFrame::Busy { queued, limit, .. } => {
-                return Err(ClientError::Busy { queued, limit })
-            }
-            ServerFrame::ShuttingDown => return Err(ClientError::ShuttingDown),
-            ServerFrame::Error { message } => return Err(ClientError::Server(message)),
-            other => {
-                return Err(ClientError::Unexpected(format!(
-                    "expected accepted, got {other:?}"
-                )))
-            }
-        }
-        let mut slots: Vec<Option<Record>> = (0..total).map(|_| None).collect();
-        let mut finished: u64 = 0;
-        loop {
-            match self.read_frame()? {
-                ServerFrame::Job {
-                    experiment: e,
-                    index,
-                    label,
-                    key,
-                    cached,
-                    outcome,
-                } => {
-                    if e != experiment {
-                        return Err(ClientError::Unexpected(format!(
-                            "job frame for batch {e:?} while waiting on {experiment:?}"
-                        )));
-                    }
-                    let slot = slots.get_mut(index as usize).ok_or_else(|| {
-                        ClientError::Unexpected(format!("job index {index} out of range {total}"))
-                    })?;
-                    if slot.is_some() {
-                        return Err(ClientError::Unexpected(format!(
-                            "duplicate result for job index {index}"
-                        )));
-                    }
-                    finished += 1;
-                    on_update(&JobUpdate {
-                        finished,
-                        total,
-                        label: label.clone(),
-                        cached,
-                        outcome: outcome.clone(),
-                    });
-                    *slot = Some(Record {
-                        label,
-                        key,
-                        cached,
-                        // Wall time is a server-side detail; artifacts
-                        // exclude it, so zero keeps records honest
-                        // without affecting bytes.
-                        wall_millis: 0,
-                        outcome,
-                    });
-                }
-                ServerFrame::Done { experiment: e, .. } => {
-                    if e != experiment {
-                        return Err(ClientError::Unexpected(format!(
-                            "done frame for batch {e:?} while waiting on {experiment:?}"
-                        )));
-                    }
-                    let records: Vec<Record> = slots
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            s.ok_or_else(|| {
-                                ClientError::Unexpected(format!("done before job {i} resolved"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    return Ok(Batch {
-                        name: experiment.to_string(),
-                        records,
-                    });
-                }
-                ServerFrame::Error { message } => return Err(ClientError::Server(message)),
-                other => {
-                    return Err(ClientError::Unexpected(format!(
-                        "unexpected frame mid-batch: {other:?}"
-                    )))
-                }
-            }
-        }
+        self.submit_batched(experiment, jobs, Subscribe::All, on_update)
     }
 
-    /// Submits a sweep on the pipelined batched path and blocks until
-    /// every chunk has resolved. Jobs are split into `submit_batch`
-    /// chunks of `HFS_SUBMIT_CHUNK` jobs; `HFS_SUBMIT_WINDOW` chunks
-    /// stay in flight so the server's queue never drains dry between
-    /// submissions. Results come back as chunked `batch_results` frames
-    /// (far fewer frames than one per job) and are reassembled into a
-    /// [`Batch`] byte-identical to [`Client::submit`]'s.
+    /// Submits a sweep and blocks until every job has resolved. The
+    /// returned [`Batch`] holds records in submission order, exactly
+    /// like [`hfs_harness::Engine::run_batch`].
     ///
     /// `subscribe` picks the result traffic: [`Subscribe::Final`]
-    /// streams chunked results (the default choice); [`Subscribe::None`]
+    /// streams results in chunked frames (the default choice);
+    /// [`Subscribe::All`] a frame per result; [`Subscribe::None`]
     /// suppresses them entirely — a cache-priming mode that returns an
-    /// empty-record [`Batch`]; [`Subscribe::All`] degrades to `Final`
-    /// here because per-job `job` frames carry no batch id to demux on.
+    /// empty-record [`Batch`].
     ///
-    /// Chunks are first offered as `submit_refs` — content keys plus
-    /// labels, a few dozen bytes per job instead of a full spec — so a
-    /// warm resweep costs neither client-side job serialization nor
+    /// Jobs travel in chunks of [`SUBMIT_CHUNK`], [`SUBMIT_WINDOW`] in
+    /// flight. Chunks are first offered as `submit_refs` — content keys
+    /// plus labels, a few dozen bytes per job instead of a full spec —
+    /// so a warm resweep costs neither client-side job serialization nor
     /// server-side parsing. If any key is unknown server-side the whole
     /// chunk bounces back (`refs_miss`, side-effect free) and this and
-    /// every later chunk falls back to full `submit_batch` specs;
-    /// `HFS_SUBMIT_REFS=0` skips the probe entirely.
+    /// every later chunk goes as full `submit_batch` specs.
     ///
-    /// A `busy` rejection is not fatal: the chunk is requeued and
-    /// retried once a whole in-flight chunk drains (or after a 50ms
-    /// backoff when nothing is in flight), up to a bounded number of
-    /// consecutive rejections.
+    /// A `busy` rejection is not fatal. A chunk larger than the limit
+    /// the frame reports could never be admitted, so it (and every
+    /// later chunk) is cut to fit and sent again at once; otherwise the
+    /// chunk is requeued and retried once a whole in-flight chunk
+    /// drains (or after a 50ms backoff when nothing is in flight), up
+    /// to a bounded number of consecutive rejections.
     ///
     /// # Errors
     ///
@@ -390,54 +264,36 @@ impl Client {
                 records: Vec::new(),
             });
         }
-        let subscribe = match subscribe {
-            Subscribe::All => Subscribe::Final,
-            s => s,
-        };
-        let chunk_size = env_usize(ENV_SUBMIT_CHUNK, DEFAULT_SUBMIT_CHUNK);
-        let window = env_usize(ENV_SUBMIT_WINDOW, DEFAULT_SUBMIT_WINDOW);
         // Key-reference probing starts on and latches off at the first
         // `refs_miss`: a sweep is either warm (every chunk resolves
         // from the server's caches) or cold (one bounced chunk per
         // window slot, then full specs for the rest).
-        let mut use_refs = std::env::var(ENV_SUBMIT_REFS)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(true);
+        let mut use_refs = true;
+        // Largest chunk worth sending; a `busy` frame can lower it.
+        let mut fit = SUBMIT_CHUNK;
 
-        // Chunk ids are 1-based offsets into the sweep; `base_of` maps
-        // them back to global slot positions and doubles as the
-        // outstanding-chunk set (ids leave it on `done`).
-        let mut pending: VecDeque<(u64, Vec<Job>)> = VecDeque::new();
-        let mut base_of: HashMap<u64, usize> = HashMap::new();
-        {
-            let mut rest = jobs;
-            let mut id = 0u64;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let tail = rest.split_off(rest.len().min(chunk_size));
-                id += 1;
-                base_of.insert(id, base);
-                base += rest.len();
-                pending.push_back((id, std::mem::replace(&mut rest, tail)));
-            }
-        }
-        let nchunks = pending.len();
+        // Unsent jobs, cut into chunks of `fit` as they are sent. Chunk
+        // ids count up from 1; `base_of` maps them back to global slot
+        // positions and doubles as the outstanding-chunk set (an id
+        // enters when its chunk is cut and leaves on `done`).
+        let mut pending: VecDeque<(u64, Vec<Job>)> = VecDeque::from([(1, jobs)]);
+        let mut base_of: HashMap<u64, usize> = HashMap::from([(1, 0)]);
+        let mut next_id = 2u64;
 
         let mut slots: Vec<Option<Record>> = (0..total).map(|_| None).collect();
         // Chunks written but not yet accepted keep their jobs here in
         // case a `busy` bounces them back to `pending`.
         let mut awaiting: HashMap<u64, Vec<Job>> = HashMap::new();
         let mut finished: u64 = 0;
-        let mut done_chunks = 0usize;
         let mut in_flight = 0usize;
         let mut stalled = false;
         let mut consecutive_busy: u32 = 0;
 
-        while done_chunks < nchunks {
+        while !base_of.is_empty() {
             // Keep the window full — unless the server just said busy,
             // in which case resubmitting before anything drained would
             // only spin on rejections.
-            while in_flight < window && !pending.is_empty() && (!stalled || in_flight == 0) {
+            while in_flight < SUBMIT_WINDOW && !pending.is_empty() && (!stalled || in_flight == 0) {
                 if stalled {
                     // Nothing of ours is in flight, so no result
                     // traffic will free queue space; back off in time
@@ -445,7 +301,13 @@ impl Client {
                     std::thread::sleep(Duration::from_millis(50));
                     stalled = false;
                 }
-                let (id, chunk) = pending.pop_front().expect("checked non-empty");
+                let (id, mut chunk) = pending.pop_front().expect("checked non-empty");
+                if chunk.len() > fit {
+                    let tail = chunk.split_off(fit);
+                    base_of.insert(next_id, base_of[&id] + fit);
+                    pending.push_front((next_id, tail));
+                    next_id += 1;
+                }
                 if use_refs {
                     ClientFrame::SubmitRefs {
                         experiment: experiment.to_string(),
@@ -494,13 +356,19 @@ impl Client {
                     let Some(chunk) = awaiting.remove(&id) else {
                         return Err(ClientError::Busy { queued, limit });
                     };
-                    consecutive_busy += 1;
-                    if consecutive_busy > BUSY_RETRY_LIMIT {
-                        return Err(ClientError::Busy { queued, limit });
+                    let room = usize::try_from(limit).unwrap_or(usize::MAX).max(1);
+                    if room < chunk.len() {
+                        // Retrying this chunk whole can never succeed.
+                        fit = room;
+                    } else {
+                        consecutive_busy += 1;
+                        if consecutive_busy > BUSY_RETRY_LIMIT {
+                            return Err(ClientError::Busy { queued, limit });
+                        }
+                        stalled = true;
                     }
                     pending.push_front((id, chunk));
                     in_flight -= 1;
-                    stalled = true;
                 }
                 ServerFrame::RefsMiss { id, .. } => {
                     let Some(chunk) = awaiting.remove(&id) else {
@@ -554,8 +422,9 @@ impl Client {
                             label: r.label,
                             key: r.key,
                             cached: r.cached,
-                            // Server-side detail, excluded from
-                            // artifacts; zero matches `submit`.
+                            // Wall time is a server-side detail;
+                            // artifacts exclude it, so zero keeps
+                            // records honest without affecting bytes.
                             wall_millis: 0,
                             outcome: r.outcome,
                         });
@@ -572,7 +441,6 @@ impl Client {
                             "done for unknown chunk {id} of batch {e:?}"
                         )));
                     }
-                    done_chunks += 1;
                     in_flight -= 1;
                     consecutive_busy = 0;
                     stalled = false;

@@ -39,10 +39,7 @@ pub mod server;
 pub mod signal;
 pub mod worker;
 
-pub use client::{
-    print_update, Client, ClientError, JobUpdate, DEFAULT_SUBMIT_CHUNK, DEFAULT_SUBMIT_WINDOW,
-    ENV_SUBMIT_CHUNK, ENV_SUBMIT_REFS, ENV_SUBMIT_WINDOW,
-};
+pub use client::{print_update, Client, ClientError, JobUpdate, SUBMIT_CHUNK, SUBMIT_WINDOW};
 pub use net::{Endpoint, Listener, Stream, ENV_ADDR, ENV_SOCK};
 pub use proto::{
     read_frame, write_frame, ClientFrame, JobRef, JobResult, ProtoError, ServeStats, ServerFrame,

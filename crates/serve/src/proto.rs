@@ -16,8 +16,8 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use hfs_harness::{
-    job_from_json, job_to_json, outcome_from_json, outcome_to_json, parse, DecodeError, Job,
-    JobOutcome, Json, ParseError,
+    is_cache_key, job_from_json, job_to_json, outcome_from_json, outcome_to_json, parse,
+    DecodeError, Job, JobOutcome, Json, ParseError,
 };
 
 /// Upper bound on a single frame body. Large sweeps are a few megabytes
@@ -151,21 +151,38 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, ProtoError> {
     }
 }
 
-/// How much per-job traffic a batch submission wants back.
-///
-/// A 10⁵-job sweep under the legacy protocol generates 10⁵ `job` frames
-/// per subscriber; `Final` collapses that to a handful of chunked
-/// [`ServerFrame::BatchResults`] frames, and `None` to just
-/// `accepted`/`done` (cache-priming submissions).
+fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ProtoError> {
+    v.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| ProtoError::Malformed(format!("missing array field \"{key}\"")))
+}
+
+/// The fields `submit_batch` and `submit_refs` share: experiment, the
+/// nonzero batch id, and the subscription level.
+fn submit_header(v: &Json) -> Result<(String, u64, Subscribe), ProtoError> {
+    let id = u64_field(v, "id")?;
+    if id == 0 {
+        return Err(ProtoError::Malformed(
+            "submission id must be nonzero".to_string(),
+        ));
+    }
+    let subscribe = Subscribe::parse(&str_field(v, "subscribe")?)
+        .ok_or_else(|| ProtoError::Malformed("subscribe must be none|final|all".to_string()))?;
+    Ok((str_field(v, "experiment")?, id, subscribe))
+}
+
+/// How much per-job traffic a batch submission wants back. Results
+/// always travel as [`ServerFrame::BatchResults`]; the level picks how
+/// eagerly the server flushes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Subscribe {
-    /// No per-job frames at all: `accepted`, then `done`.
+    /// No per-job frames at all: `accepted`, then `done`
+    /// (cache-priming submissions).
     None,
-    /// Chunked [`ServerFrame::BatchResults`] frames, then `done`.
+    /// Results buffered into a handful of chunked frames, then `done`.
     #[default]
     Final,
-    /// A [`ServerFrame::Job`] frame per job (the legacy behavior), then
-    /// `done`.
+    /// A frame after every result — per-job streaming — then `done`.
     All,
 }
 
@@ -190,9 +207,7 @@ impl Subscribe {
     }
 }
 
-/// One resolved job inside a [`ServerFrame::BatchResults`] chunk — the
-/// same payload as a [`ServerFrame::Job`] frame, without the per-frame
-/// envelope.
+/// One resolved job inside a [`ServerFrame::BatchResults`] chunk.
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// The job's position in the submitted batch.
@@ -244,19 +259,6 @@ impl JobResult {
     }
 }
 
-/// A batch id echoed on responses, or 0 for the legacy (un-multiplexed)
-/// submit path. Serialized only when nonzero so legacy frames keep
-/// their exact pre-batching byte layout.
-fn opt_id_field(v: &Json) -> u64 {
-    v.get("id").and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn push_id(pairs: &mut Vec<(String, Json)>, id: u64) {
-    if id != 0 {
-        pairs.push(("id".to_string(), Json::U64(id)));
-    }
-}
-
 /// A content-key reference to one job of a `submit_refs` chunk.
 ///
 /// The client holds the full spec and sends only the content key
@@ -283,8 +285,15 @@ impl JobRef {
     }
 
     fn from_json(v: &Json) -> Result<JobRef, ProtoError> {
+        let key = str_field(v, "key")?;
+        if !is_cache_key(&key) {
+            // The key names a file in the server's cache directory.
+            return Err(ProtoError::Malformed(format!(
+                "ref key {key:?} is not 16 lowercase hex digits"
+            )));
+        }
         Ok(JobRef {
-            key: str_field(v, "key")?,
+            key,
             label: str_field(v, "label")?,
         })
     }
@@ -293,15 +302,8 @@ impl JobRef {
 /// A message from a client to the server.
 #[derive(Debug, Clone)]
 pub enum ClientFrame {
-    /// Submit a named batch of jobs for execution.
-    Submit {
-        /// Experiment name (artifact file stem on the client side).
-        experiment: String,
-        /// The jobs, in submission order.
-        jobs: Vec<Job>,
-    },
-    /// Submit a named batch with an explicit id and a per-job update
-    /// subscription level — the pipelined bulk path. Responses carrying
+    /// Submit a named batch of full job specs with an explicit id and a
+    /// per-job update subscription level. Responses carrying
     /// the same `id` (`accepted`/`busy`/`batch_results`/`done`) can
     /// interleave with those of other in-flight batches on the same
     /// connection.
@@ -347,11 +349,6 @@ impl ClientFrame {
     /// Encodes the frame body.
     pub fn to_json(&self) -> Json {
         match self {
-            ClientFrame::Submit { experiment, jobs } => Json::obj(vec![
-                ("type", Json::Str("submit".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("jobs", Json::Arr(jobs.iter().map(job_to_json).collect())),
-            ]),
             ClientFrame::SubmitBatch {
                 experiment,
                 id,
@@ -393,34 +390,9 @@ impl ClientFrame {
     /// [`ProtoError::Malformed`] on unknown tags or missing fields.
     pub fn from_json(v: &Json) -> Result<ClientFrame, ProtoError> {
         match tag_of(v)? {
-            "submit" => {
-                let experiment = str_field(v, "experiment")?;
-                let jobs = v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError::Malformed("submit has no jobs array".to_string()))?
-                    .iter()
-                    .map(job_from_json)
-                    .collect::<Result<Vec<Job>, DecodeError>>()?;
-                Ok(ClientFrame::Submit { experiment, jobs })
-            }
             "submit_batch" => {
-                let experiment = str_field(v, "experiment")?;
-                let id = u64_field(v, "id")?;
-                if id == 0 {
-                    return Err(ProtoError::Malformed(
-                        "submit_batch id must be nonzero".to_string(),
-                    ));
-                }
-                let subscribe = Subscribe::parse(&str_field(v, "subscribe")?).ok_or_else(|| {
-                    ProtoError::Malformed("subscribe must be none|final|all".to_string())
-                })?;
-                let jobs = v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        ProtoError::Malformed("submit_batch has no jobs array".to_string())
-                    })?
+                let (experiment, id, subscribe) = submit_header(v)?;
+                let jobs = arr_field(v, "jobs")?
                     .iter()
                     .map(job_from_json)
                     .collect::<Result<Vec<Job>, DecodeError>>()?;
@@ -432,22 +404,8 @@ impl ClientFrame {
                 })
             }
             "submit_refs" => {
-                let experiment = str_field(v, "experiment")?;
-                let id = u64_field(v, "id")?;
-                if id == 0 {
-                    return Err(ProtoError::Malformed(
-                        "submit_refs id must be nonzero".to_string(),
-                    ));
-                }
-                let subscribe = Subscribe::parse(&str_field(v, "subscribe")?).ok_or_else(|| {
-                    ProtoError::Malformed("subscribe must be none|final|all".to_string())
-                })?;
-                let refs = v
-                    .get("refs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        ProtoError::Malformed("submit_refs has no refs array".to_string())
-                    })?
+                let (experiment, id, subscribe) = submit_header(v)?;
+                let refs = arr_field(v, "refs")?
                     .iter()
                     .map(JobRef::from_json)
                     .collect::<Result<Vec<_>, _>>()?;
@@ -566,14 +524,13 @@ impl ServeStats {
 /// A message from the server to a client.
 #[derive(Debug, Clone)]
 pub enum ServerFrame {
-    /// The batch passed admission control; job frames will follow.
+    /// The batch passed admission control; results will follow.
     Accepted {
         /// Echo of the submitted experiment name.
         experiment: String,
         /// Number of jobs accepted.
         total: u64,
-        /// Echo of the batch id (0 on the legacy submit path; omitted
-        /// from the wire when 0).
+        /// Echo of the batch id.
         id: u64,
     },
     /// The whole batch was rejected: the flight queue is full.
@@ -582,29 +539,12 @@ pub enum ServerFrame {
         queued: u64,
         /// The admission limit.
         limit: u64,
-        /// Echo of the batch id (0 on the legacy submit path; omitted
-        /// from the wire when 0).
+        /// Echo of the batch id.
         id: u64,
     },
-    /// One job of a batch resolved.
-    Job {
-        /// The batch it belongs to.
-        experiment: String,
-        /// The job's position in the submitted batch.
-        index: u64,
-        /// The job's display label.
-        label: String,
-        /// Content-derived cache key.
-        key: String,
-        /// Whether the outcome came from the on-disk cache.
-        cached: bool,
-        /// The outcome itself.
-        outcome: JobOutcome,
-    },
-    /// A chunk of resolved jobs for a `submit_batch` submission with
-    /// `subscribe: final`. Chunks stream as results accumulate; indexes
-    /// within and across chunks arrive in resolution order, not
-    /// submission order.
+    /// A chunk of resolved jobs. Chunks stream as results accumulate
+    /// (after every result under `subscribe: all`); indexes within and
+    /// across chunks arrive in resolution order, not submission order.
     BatchResults {
         /// The batch they belong to.
         experiment: String,
@@ -628,8 +568,7 @@ pub enum ServerFrame {
         experiment: String,
         /// Whether every job succeeded.
         ok: bool,
-        /// Echo of the batch id (0 on the legacy submit path; omitted
-        /// from the wire when 0).
+        /// Echo of the batch id.
         id: u64,
     },
     /// Counter snapshot, answering [`ClientFrame::Stats`].
@@ -659,39 +598,17 @@ impl ServerFrame {
                 experiment,
                 total,
                 id,
-            } => {
-                let mut pairs = vec![
-                    ("type".to_string(), Json::Str("accepted".to_string())),
-                    ("experiment".to_string(), Json::Str(experiment.clone())),
-                    ("total".to_string(), Json::U64(*total)),
-                ];
-                push_id(&mut pairs, *id);
-                Json::Obj(pairs)
-            }
-            ServerFrame::Busy { queued, limit, id } => {
-                let mut pairs = vec![
-                    ("type".to_string(), Json::Str("busy".to_string())),
-                    ("queued".to_string(), Json::U64(*queued)),
-                    ("limit".to_string(), Json::U64(*limit)),
-                ];
-                push_id(&mut pairs, *id);
-                Json::Obj(pairs)
-            }
-            ServerFrame::Job {
-                experiment,
-                index,
-                label,
-                key,
-                cached,
-                outcome,
             } => Json::obj(vec![
-                ("type", Json::Str("job".to_string())),
+                ("type", Json::Str("accepted".to_string())),
                 ("experiment", Json::Str(experiment.clone())),
-                ("index", Json::U64(*index)),
-                ("label", Json::Str(label.clone())),
-                ("key", Json::Str(key.clone())),
-                ("cached", Json::Bool(*cached)),
-                ("outcome", outcome_to_json(outcome)),
+                ("total", Json::U64(*total)),
+                ("id", Json::U64(*id)),
+            ]),
+            ServerFrame::Busy { queued, limit, id } => Json::obj(vec![
+                ("type", Json::Str("busy".to_string())),
+                ("queued", Json::U64(*queued)),
+                ("limit", Json::U64(*limit)),
+                ("id", Json::U64(*id)),
             ]),
             ServerFrame::BatchResults {
                 experiment,
@@ -714,15 +631,12 @@ impl ServerFrame {
                     Json::Arr(missing.iter().map(|&i| Json::U64(i)).collect()),
                 ),
             ]),
-            ServerFrame::Done { experiment, ok, id } => {
-                let mut pairs = vec![
-                    ("type".to_string(), Json::Str("done".to_string())),
-                    ("experiment".to_string(), Json::Str(experiment.clone())),
-                    ("ok".to_string(), Json::Bool(*ok)),
-                ];
-                push_id(&mut pairs, *id);
-                Json::Obj(pairs)
-            }
+            ServerFrame::Done { experiment, ok, id } => Json::obj(vec![
+                ("type", Json::Str("done".to_string())),
+                ("experiment", Json::Str(experiment.clone())),
+                ("ok", Json::Bool(*ok)),
+                ("id", Json::U64(*id)),
+            ]),
             ServerFrame::Stats(stats) => {
                 let mut body = vec![("type".to_string(), Json::Str("stats".to_string()))];
                 if let Json::Obj(pairs) = stats.to_json() {
@@ -755,45 +669,24 @@ impl ServerFrame {
             "accepted" => Ok(ServerFrame::Accepted {
                 experiment: str_field(v, "experiment")?,
                 total: u64_field(v, "total")?,
-                id: opt_id_field(v),
+                id: u64_field(v, "id")?,
             }),
             "busy" => Ok(ServerFrame::Busy {
                 queued: u64_field(v, "queued")?,
                 limit: u64_field(v, "limit")?,
-                id: opt_id_field(v),
-            }),
-            "job" => Ok(ServerFrame::Job {
-                experiment: str_field(v, "experiment")?,
-                index: u64_field(v, "index")?,
-                label: str_field(v, "label")?,
-                key: str_field(v, "key")?,
-                cached: bool_field(v, "cached")?,
-                outcome: outcome_from_json(
-                    v.get("outcome")
-                        .ok_or_else(|| ProtoError::Malformed("job has no outcome".to_string()))?,
-                )?,
+                id: u64_field(v, "id")?,
             }),
             "batch_results" => Ok(ServerFrame::BatchResults {
                 experiment: str_field(v, "experiment")?,
                 id: u64_field(v, "id")?,
-                results: v
-                    .get("results")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        ProtoError::Malformed("batch_results has no results array".to_string())
-                    })?
+                results: arr_field(v, "results")?
                     .iter()
                     .map(JobResult::from_json)
                     .collect::<Result<Vec<_>, _>>()?,
             }),
             "refs_miss" => Ok(ServerFrame::RefsMiss {
                 id: u64_field(v, "id")?,
-                missing: v
-                    .get("missing")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        ProtoError::Malformed("refs_miss has no missing array".to_string())
-                    })?
+                missing: arr_field(v, "missing")?
                     .iter()
                     .map(|e| {
                         e.as_u64().ok_or_else(|| {
@@ -805,7 +698,7 @@ impl ServerFrame {
             "done" => Ok(ServerFrame::Done {
                 experiment: str_field(v, "experiment")?,
                 ok: bool_field(v, "ok")?,
-                id: opt_id_field(v),
+                id: u64_field(v, "id")?,
             }),
             "stats" => Ok(ServerFrame::Stats(ServeStats::from_json(v)?)),
             "metrics" => Ok(ServerFrame::Metrics {
@@ -876,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_refs_round_trips_and_requires_nonzero_id() {
+    fn refs_frames_round_trip_and_refuse_zero_ids_and_foreign_keys() {
         let frame = ClientFrame::SubmitRefs {
             experiment: "sweep".to_string(),
             id: 7,
@@ -914,6 +807,26 @@ mod tests {
             ClientFrame::from_json(&body).is_err(),
             "id 0 must be rejected"
         );
+        // A key is a file name server-side: only the exact key shape
+        // decodes.
+        for foreign in ["../victim", "00ff00ff00ff00f", "00FF00FF00FF00FF"] {
+            let frame = ClientFrame::SubmitRefs {
+                experiment: "sweep".to_string(),
+                id: 7,
+                subscribe: Subscribe::Final,
+                refs: vec![JobRef {
+                    key: foreign.to_string(),
+                    label: "sweep/p0".to_string(),
+                }],
+            };
+            assert!(
+                matches!(
+                    ClientFrame::from_json(&frame.to_json()),
+                    Err(ProtoError::Malformed(_))
+                ),
+                "{foreign:?}"
+            );
+        }
     }
 
     #[test]
@@ -926,26 +839,6 @@ mod tests {
             ServerFrame::RefsMiss { id, missing } => {
                 assert_eq!(id, 9);
                 assert_eq!(missing, vec![0, 3, 511]);
-            }
-            other => panic!("wrong frame: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn submit_round_trips_with_equivalent_jobs() {
-        let job = demo_job();
-        let frame = ClientFrame::Submit {
-            experiment: "fig6".to_string(),
-            jobs: vec![job.clone()],
-        };
-        match pipe_client(&frame) {
-            ClientFrame::Submit { experiment, jobs } => {
-                assert_eq!(experiment, "fig6");
-                assert_eq!(jobs.len(), 1);
-                // Key equality is the strong property: the decoded job
-                // hits the same cache entry and simulates identically.
-                assert_eq!(jobs[0].key(), job.key());
-                assert_eq!(jobs[0].label, job.label);
             }
             other => panic!("wrong frame: {other:?}"),
         }
@@ -971,43 +864,14 @@ mod tests {
                     assert_eq!(experiment, "sweep");
                     assert_eq!(id, 7);
                     assert_eq!(subscribe, sub);
+                    // Key equality is the strong property: the decoded
+                    // job hits the same cache entry and simulates
+                    // identically.
                     assert_eq!(jobs[0].key(), job.key());
+                    assert_eq!(jobs[0].label, job.label);
                 }
                 other => panic!("wrong frame: {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn pre_encoded_outcomes_decode_identically_to_plain_ones() {
-        let outcome = execute(&demo_job(), 0);
-        let mk = |encoded| ServerFrame::BatchResults {
-            experiment: "sweep".to_string(),
-            id: 3,
-            results: vec![JobResult {
-                index: 0,
-                label: "sweep/a".to_string(),
-                key: "0123456789abcdef".to_string(),
-                cached: true,
-                outcome: outcome.clone(),
-                encoded,
-            }],
-        };
-        let text: Arc<str> = outcome_to_json(&outcome).to_pretty().into();
-        let (plain, spliced) = (pipe_server(&mk(None)), pipe_server(&mk(Some(text))));
-        match (plain, spliced) {
-            (
-                ServerFrame::BatchResults { results: a, .. },
-                ServerFrame::BatchResults { results: b, .. },
-            ) => {
-                assert_eq!(
-                    outcome_to_json(&a[0].outcome).to_pretty(),
-                    outcome_to_json(&b[0].outcome).to_pretty(),
-                    "spliced text decodes to the same outcome"
-                );
-                assert!(b[0].encoded.is_none(), "decoders never set `encoded`");
-            }
-            other => panic!("wrong frames: {other:?}"),
         }
     }
 
@@ -1056,27 +920,9 @@ mod tests {
                     );
                     assert_eq!(a[0].label, nasty);
                     assert_eq!(b[0].label, nasty);
+                    assert!(b[0].encoded.is_none(), "decoders never set `encoded`");
                 }
                 other => panic!("wrong frames: {other:?}"),
-            }
-            // The per-job `job` frame (streaming subscribe path) carries
-            // the same text through the always-parsed encoder.
-            let jf = ServerFrame::Job {
-                experiment: "sweep".to_string(),
-                index: 1,
-                label: nasty.to_string(),
-                key: "fedcba9876543210".to_string(),
-                cached: false,
-                outcome: outcome.clone(),
-            };
-            match pipe_server(&jf) {
-                ServerFrame::Job {
-                    outcome: o, label, ..
-                } => {
-                    assert_eq!(outcome_to_json(&o).to_pretty(), text.as_ref());
-                    assert_eq!(label, nasty);
-                }
-                other => panic!("wrong frame: {other:?}"),
             }
         }
     }
@@ -1141,29 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_omit_the_id_field() {
-        // The legacy (id = 0) spellings must keep their exact
-        // pre-batching byte layout so old clients and goldens agree.
-        let accepted = ServerFrame::Accepted {
-            experiment: "fig6".to_string(),
-            total: 3,
-            id: 0,
-        };
-        let text = accepted.to_json().to_string();
-        assert!(!text.contains("\"id\""), "{text}");
-        let done = ServerFrame::Done {
-            experiment: "fig6".to_string(),
-            ok: true,
-            id: 0,
-        };
-        assert!(!done.to_json().to_string().contains("\"id\""));
-        match pipe_server(&accepted) {
-            ServerFrame::Accepted { id, .. } => assert_eq!(id, 0),
-            other => panic!("wrong frame: {other:?}"),
-        }
-    }
-
-    #[test]
     fn control_frames_round_trip() {
         assert!(matches!(pipe_client(&ClientFrame::Ping), ClientFrame::Ping));
         assert!(matches!(
@@ -1179,33 +1002,6 @@ mod tests {
             pipe_server(&ServerFrame::ShuttingDown),
             ServerFrame::ShuttingDown
         ));
-    }
-
-    #[test]
-    fn job_frame_round_trips_outcome() {
-        let outcome = execute(&demo_job(), 0);
-        let cycles = outcome.ok().expect("demo job runs").cycles;
-        let frame = ServerFrame::Job {
-            experiment: "fig6".to_string(),
-            index: 3,
-            label: "fig6/demo".to_string(),
-            key: "0123456789abcdef".to_string(),
-            cached: true,
-            outcome,
-        };
-        match pipe_server(&frame) {
-            ServerFrame::Job {
-                index,
-                cached,
-                outcome,
-                ..
-            } => {
-                assert_eq!(index, 3);
-                assert!(cached);
-                assert_eq!(outcome.ok().unwrap().cycles, cycles);
-            }
-            other => panic!("wrong frame: {other:?}"),
-        }
     }
 
     #[test]
@@ -1281,8 +1077,12 @@ mod tests {
 
     #[test]
     fn unknown_frame_types_fail_loudly() {
-        let v = Json::obj(vec![("type", Json::Str("warp_core".to_string()))]);
-        assert!(ClientFrame::from_json(&v).is_err());
-        assert!(ServerFrame::from_json(&v).is_err());
+        // `submit` and `job` were frames once; a peer that still speaks
+        // them must hear about it.
+        for tag in ["warp_core", "submit", "job"] {
+            let v = Json::obj(vec![("type", Json::Str(tag.to_string()))]);
+            assert!(ClientFrame::from_json(&v).is_err(), "{tag}");
+            assert!(ServerFrame::from_json(&v).is_err(), "{tag}");
+        }
     }
 }

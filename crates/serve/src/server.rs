@@ -12,9 +12,11 @@
 //! existing flight (single-flight execution), and the one result fans
 //! out to every waiter when the flight resolves.
 //!
-//! Workers pop flights, consult the shared result [`Cache`] (hot layer
-//! first, then disk), and otherwise execute. Two worker modes share the
-//! dispatcher: *thread mode* (the default) runs simulations on
+//! Workers pop flights and put each through the harness's per-job step
+//! ([`hfs_harness::resolve`]: the shared result [`Cache`] first, hot
+//! layer then disk, otherwise execute and store). Two worker modes share
+//! the dispatcher and its one worker loop, differing only in how a job
+//! is run: *thread mode* (the default) runs simulations on
 //! in-process threads; *process mode* (`--workers N` /
 //! `HFS_SERVE_WORKERS`) re-execs the server binary as `--worker` child
 //! processes and proxies jobs to them over pipes using the same
@@ -36,7 +38,10 @@
 //! push it past the limit is rejected whole with a `busy` frame —
 //! never partially accepted. Submissions whose keys sit in the
 //! in-memory hot cache resolve inline during `submit`, consuming no
-//! queue slot and no worker round-trip.
+//! queue slot and no worker round-trip. A `submit_refs` chunk carries
+//! keys without specs, so every one of its entries must resolve that
+//! way (or from disk, or by joining a flight); otherwise the chunk is
+//! refused whole with `refs_miss` and nothing changes.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Write as _};
@@ -47,12 +52,12 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hfs_harness::{execute_counted, Cache, HotCache, Job, JobOutcome};
+use hfs_harness::{execute_counted, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome};
 use hfs_obs::{Counter, Gauge, HistogramMetric, Registry};
 use hfs_sim::CancelToken;
 
 use crate::net::{Endpoint, Listener};
-use crate::proto::{ClientFrame, JobRef, JobResult, ServeStats, ServerFrame, Subscribe};
+use crate::proto::{ClientFrame, JobResult, ServeStats, ServerFrame, Subscribe};
 use crate::signal;
 use crate::worker::{WorkerReply, WorkerRequest};
 
@@ -74,12 +79,9 @@ pub const DEFAULT_QUEUE_LIMIT: usize = 1024;
 const MAX_WORKER_CRASHES: u32 = 2;
 
 /// Results buffered per `subscribe: final` batch before a
-/// [`ServerFrame::BatchResults`] chunk is flushed.
+/// [`ServerFrame::BatchResults`] chunk is flushed; `subscribe: all`
+/// flushes after every result.
 const BATCH_CHUNK: usize = 256;
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Server tuning knobs. Connection/drain logging is no longer a config
 /// flag: it goes through the `hfs-obs` logger, so `HFS_LOG` controls it
@@ -125,47 +127,29 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The production configuration, honoring the same `HFS_*`
-    /// environment as [`hfs_harness::Engine::from_env`]: `HFS_JOBS`
-    /// workers, a cache in `HFS_CACHE_DIR` (default `results/cache`,
-    /// disabled by `HFS_NO_CACHE=1`), `HFS_RETRIES` retries (default
-    /// 1), plus `HFS_SERVE_QUEUE_LIMIT` for admission control and
-    /// `HFS_SERVE_WORKERS` for the worker-process count (the hot-cache
-    /// budget rides on `HFS_HOT_CACHE_MB` inside the harness cache).
+    /// The production configuration: workers, result cache and retries
+    /// from the same environment as the offline engine
+    /// ([`hfs_harness::ExecEnv`]), plus `HFS_SERVE_QUEUE_LIMIT` for
+    /// admission control and `HFS_SERVE_WORKERS` for the worker-process
+    /// count (the hot-cache budget rides on `HFS_HOT_CACHE_MB` inside
+    /// the harness cache).
     pub fn from_env() -> ServerConfig {
-        let workers = std::env::var("HFS_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let process_workers = std::env::var(ENV_WORKERS)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let cache_dir = if env_flag("HFS_NO_CACHE") {
-            None
-        } else {
-            Some(PathBuf::from(
-                std::env::var("HFS_CACHE_DIR").unwrap_or_else(|_| "results/cache".to_string()),
-            ))
+        let env = ExecEnv::read();
+        let env_usize = |name| {
+            std::env::var(name)
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
         };
-        let queue_limit = std::env::var(ENV_QUEUE_LIMIT)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_QUEUE_LIMIT);
-        let default_retries = std::env::var("HFS_RETRIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
         ServerConfig {
-            workers,
-            process_workers,
+            workers: env.workers,
+            process_workers: env_usize(ENV_WORKERS).unwrap_or(0),
             worker_bin: None,
-            queue_limit,
-            cache_dir,
+            queue_limit: env_usize(ENV_QUEUE_LIMIT)
+                .filter(|&n| n > 0)
+                .unwrap_or(DEFAULT_QUEUE_LIMIT),
+            cache_dir: env.cache_dir,
             hot_cache_mb: None,
-            default_retries,
+            default_retries: env.retries,
         }
     }
 }
@@ -173,14 +157,12 @@ impl ServerConfig {
 /// One batch submission's delivery state, shared by its waiters.
 struct BatchState {
     experiment: String,
-    /// Batch id echoed on every response frame; 0 on the legacy
-    /// `submit` path.
+    /// Batch id echoed on every response frame.
     id: u64,
     subscribe: Subscribe,
     remaining: AtomicUsize,
     all_ok: AtomicBool,
-    /// Resolved results awaiting a `batch_results` flush
-    /// (`subscribe: final` only).
+    /// Resolved results awaiting a `batch_results` flush.
     buffer: Mutex<Vec<JobResult>>,
     tx: Sender<ServerFrame>,
 }
@@ -188,71 +170,31 @@ struct BatchState {
 impl BatchState {
     /// Delivers one resolved job to this batch: counts it, streams it
     /// per the subscription level, and emits the final chunk plus the
-    /// `done` frame when it is the last one. `encoded`, when present,
-    /// is the outcome's cached serialization and is spliced into
-    /// `batch_results` frames instead of re-encoding.
-    // One call site per resolution path; a params struct would just
-    // restate the field list.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &self,
-        obs: &Telemetry,
-        index: u64,
-        label: String,
-        key: &str,
-        cached: bool,
-        outcome: JobOutcome,
-        encoded: Option<Arc<str>>,
-    ) {
+    /// `done` frame when it is the last one.
+    fn deliver(&self, obs: &Telemetry, result: JobResult) {
         obs.delivered.inc();
-        if !outcome.is_ok() {
+        if !result.outcome.is_ok() {
             self.all_ok.store(false, Ordering::Relaxed);
         }
-        match self.subscribe {
-            Subscribe::All => {
-                let _ = self.tx.send(ServerFrame::Job {
-                    experiment: self.experiment.clone(),
-                    index,
-                    label,
-                    key: key.to_string(),
-                    cached,
-                    outcome,
-                });
-            }
-            Subscribe::Final => {
-                let mut buf = self.buffer.lock().unwrap();
-                buf.push(JobResult {
-                    index,
-                    label,
-                    key: key.to_string(),
-                    cached,
-                    outcome,
-                    encoded,
-                });
-                if buf.len() >= BATCH_CHUNK {
-                    let results = std::mem::take(&mut *buf);
-                    // Send while still holding the buffer lock: the
-                    // final flush below also sends under it, so a chunk
-                    // can never be ordered after `done`.
-                    let _ = self.tx.send(ServerFrame::BatchResults {
-                        experiment: self.experiment.clone(),
-                        id: self.id,
-                        results,
-                    });
-                }
-            }
-            Subscribe::None => {}
+        // Everything below happens under the buffer lock, so results
+        // reach the writer in order and none can follow `done`.
+        let mut buf = self.buffer.lock().unwrap();
+        let flush_at = match self.subscribe {
+            Subscribe::All => 1,
+            _ => BATCH_CHUNK,
+        };
+        if self.subscribe != Subscribe::None {
+            buf.push(result);
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut buf = self.buffer.lock().unwrap();
-            let results = std::mem::take(&mut *buf);
-            if !results.is_empty() {
-                let _ = self.tx.send(ServerFrame::BatchResults {
-                    experiment: self.experiment.clone(),
-                    id: self.id,
-                    results,
-                });
-            }
+        let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+        if buf.len() >= flush_at || (last && !buf.is_empty()) {
+            let _ = self.tx.send(ServerFrame::BatchResults {
+                experiment: self.experiment.clone(),
+                id: self.id,
+                results: std::mem::take(&mut *buf),
+            });
+        }
+        if last {
             let _ = self.tx.send(ServerFrame::Done {
                 experiment: self.experiment.clone(),
                 ok: self.all_ok.load(Ordering::Relaxed),
@@ -275,9 +217,6 @@ struct Flight {
     job: Arc<Job>,
     cancel: CancelToken,
     running: bool,
-    /// The worker-process index executing this flight (process mode
-    /// only) — the address `drop_conn` forwards `cancel` frames to.
-    worker: Option<usize>,
     waiters: Vec<Waiter>,
     /// When the flight (re-)entered the queue — the lifecycle "queued"
     /// timestamp from which queue wait is measured at worker pickup.
@@ -363,19 +302,16 @@ impl Default for Telemetry {
     }
 }
 
-/// Why a submission was refused.
-enum SubmitRejected {
-    Busy { queued: u64, limit: u64 },
-    Draining,
-}
+/// One entry of a submission: content key, display label, and — from a
+/// `submit_batch` frame — the spec. A `submit_refs` entry carries none:
+/// it can only resolve from a cache or by joining a flight.
+type Entry = (String, String, Option<Job>);
 
-/// Why a `submit_refs` chunk was refused.
-enum RefsRejected {
-    /// These chunk-relative indexes resolved neither from the cache
-    /// nor from an in-flight execution; the client must re-send the
-    /// chunk with full specs.
-    Miss(Vec<u64>),
-    Draining,
+/// The entries a `submit_batch` frame's jobs become.
+fn spec_entries(jobs: Vec<Job>) -> Vec<Entry> {
+    jobs.into_iter()
+        .map(|j| (j.key(), j.label.clone(), Some(j)))
+        .collect()
 }
 
 /// The parent side of the worker-process pool: per-worker stdin
@@ -509,22 +445,23 @@ impl Dispatcher {
         }
     }
 
-    /// The live metric registry rendered as Prometheus text — the
-    /// payload of the `metrics` frame.
-    fn metrics_text(&self) -> String {
-        self.obs.registry.render_prometheus()
-    }
-
-    /// Admits a whole batch or rejects it whole. On success the
-    /// `accepted` frame (and, for empty batches, the `done` frame) is
-    /// sent *under the dispatcher lock*, before any worker can pop the
-    /// new flights — guaranteeing clients see `accepted` before the
-    /// first result frame.
+    /// Admits a whole submission or refuses it whole — the one way into
+    /// the dispatcher; `Err` is the refusal frame to answer with (`busy`,
+    /// `refs_miss` or `shutting_down`). These hold for every entry, spec
+    /// or ref:
     ///
-    /// Jobs whose keys sit in the in-memory hot cache resolve right
-    /// here: they count as cache hits and deliver inline, consume no
-    /// queue slot (so a warm re-sweep never trips admission control),
-    /// and never touch a worker.
+    /// - Cache probes run before the dispatcher lock (a ref's probe may
+    ///   read the disk; a spec's is memory-only, because a worker can do
+    ///   its disk read later).
+    /// - A refusal mutates *nothing* — no counter but `rejected`, no
+    ///   queue slot, no waiter — so a `refs_miss` re-send starts clean.
+    /// - A cache hit counts as one, delivers inline with the cached
+    ///   serialization spliced in, and takes no queue slot or worker, so
+    ///   a warm re-sweep never trips admission control.
+    /// - A key already in flight gains a waiter instead of a flight.
+    /// - `accepted` (and, for empty batches, `done`) is sent *under the
+    ///   dispatcher lock*, before any worker can pop the new flights, so
+    ///   clients see `accepted` before the first result.
     fn submit(
         &self,
         conn_id: u64,
@@ -532,74 +469,92 @@ impl Dispatcher {
         experiment: &str,
         id: u64,
         subscribe: Subscribe,
-        jobs: Vec<Job>,
-    ) -> Result<u64, SubmitRejected> {
-        let keys: Vec<String> = jobs.iter().map(Job::key).collect();
-        let hot: Vec<Option<Arc<hfs_harness::HotEntry>>> = match &self.cache {
-            Some(cache) => keys.iter().map(|k| cache.hot_entry(k)).collect(),
-            None => vec![None; keys.len()],
-        };
+        entries: Vec<Entry>,
+    ) -> Result<(), ServerFrame> {
+        let hits: Vec<Option<Arc<HotEntry>>> = entries
+            .iter()
+            .map(|(key, _, job)| {
+                let cache = self.cache.as_ref()?;
+                match job {
+                    Some(_) => cache.hot_entry(key),
+                    None => cache.load_entry(key),
+                }
+            })
+            .collect();
         let mut inner = self.inner.lock().unwrap();
         if inner.draining {
-            return Err(SubmitRejected::Draining);
+            return Err(ServerFrame::ShuttingDown);
         }
-        let new_keys: HashSet<&str> = keys
-            .iter()
-            .zip(&hot)
-            .filter(|(k, h)| h.is_none() && !inner.flights.contains_key(k.as_str()))
-            .map(|(k, _)| k.as_str())
-            .collect();
+        // Entries nothing answers yet: a spec among them needs a queue
+        // slot (one per distinct key); a ref cannot be served at all.
+        let mut missing: Vec<u64> = Vec::new();
+        let mut new_keys: HashSet<&str> = HashSet::new();
+        for (i, ((key, _, job), hit)) in entries.iter().zip(&hits).enumerate() {
+            if hit.is_some() || inner.flights.contains_key(key.as_str()) {
+                continue;
+            }
+            match job {
+                Some(_) => {
+                    new_keys.insert(key);
+                }
+                // The client must re-send the chunk with full specs.
+                None => missing.push(i as u64),
+            }
+        }
+        if !missing.is_empty() {
+            return Err(ServerFrame::RefsMiss { id, missing });
+        }
         if inner.queued_total() + new_keys.len() > self.queue_limit {
             self.obs.rejected.inc();
-            return Err(SubmitRejected::Busy {
+            return Err(ServerFrame::Busy {
                 queued: inner.queued_total() as u64,
                 limit: self.queue_limit as u64,
+                id,
             });
         }
-        let total = jobs.len() as u64;
         let _ = tx.send(ServerFrame::Accepted {
             experiment: experiment.to_string(),
-            total,
+            total: entries.len() as u64,
             id,
         });
-        if jobs.is_empty() {
+        if entries.is_empty() {
             let _ = tx.send(ServerFrame::Done {
                 experiment: experiment.to_string(),
                 ok: true,
                 id,
             });
-            return Ok(0);
+            return Ok(());
         }
         let batch = Arc::new(BatchState {
             experiment: experiment.to_string(),
             id,
             subscribe,
-            remaining: AtomicUsize::new(jobs.len()),
+            remaining: AtomicUsize::new(entries.len()),
             all_ok: AtomicBool::new(true),
             buffer: Mutex::new(Vec::new()),
             tx: tx.clone(),
         });
-        for (index, (job, (key, hot_entry))) in
-            jobs.into_iter().zip(keys.into_iter().zip(hot)).enumerate()
-        {
+        for (index, ((key, label, job), hit)) in entries.into_iter().zip(hits).enumerate() {
             self.obs.submitted.inc();
-            if let Some(entry) = hot_entry {
+            if let Some(entry) = hit {
                 self.obs.cache_hits.inc();
-                batch.deliver(
-                    &self.obs,
-                    index as u64,
-                    job.label.clone(),
-                    &key,
-                    true,
-                    entry.outcome().clone(),
-                    Some(Arc::clone(entry.json_arc())),
-                );
+                // The entry's stored serialization rides along, spliced
+                // into the result frame instead of re-encoding.
+                let result = JobResult {
+                    index: index as u64,
+                    label,
+                    key,
+                    cached: true,
+                    outcome: entry.outcome().clone(),
+                    encoded: Some(Arc::clone(entry.json_arc())),
+                };
+                batch.deliver(&self.obs, result);
                 continue;
             }
             let waiter = Waiter {
                 conn_id,
                 index,
-                label: job.label.clone(),
+                label,
                 batch: Arc::clone(&batch),
             };
             if let Some(flight) = inner.flights.get_mut(&key) {
@@ -610,10 +565,9 @@ impl Dispatcher {
                 inner.flights.insert(
                     key.clone(),
                     Flight {
-                        job: Arc::new(job),
+                        job: Arc::new(job.expect("unresolved refs were refused above")),
                         cancel: CancelToken::new(),
                         running: false,
-                        worker: None,
                         waiters: vec![waiter],
                         enqueued_at: Instant::now(),
                     },
@@ -624,100 +578,7 @@ impl Dispatcher {
         self.note_queue_depth(&inner);
         drop(inner);
         self.work_ready.notify_all();
-        Ok(total)
-    }
-
-    /// Admits a `submit_refs` chunk: every reference must resolve from
-    /// the result cache (hot or disk) or attach to an in-flight
-    /// execution of its key, else the whole chunk is refused with the
-    /// missing indexes and *nothing* is mutated — no counters, no
-    /// queue slots, no waiters — so the client's full-spec re-send
-    /// starts from a clean slate. Resolved references deliver inline
-    /// as cache hits and consume no queue slot, exactly like the
-    /// hot-path resolution in [`Dispatcher::submit`], so admission
-    /// control never applies to a refs chunk.
-    fn submit_refs(
-        &self,
-        conn_id: u64,
-        tx: &Sender<ServerFrame>,
-        experiment: &str,
-        id: u64,
-        subscribe: Subscribe,
-        refs: Vec<JobRef>,
-    ) -> Result<u64, RefsRejected> {
-        // Cache probes can do IO (a disk read on hot-layer miss), so
-        // they run before the dispatcher lock. Entries carry the
-        // outcome's cached serialization, which delivery splices into
-        // result frames instead of re-encoding per hit.
-        let hits: Vec<Option<Arc<hfs_harness::HotEntry>>> = match &self.cache {
-            Some(cache) => refs.iter().map(|r| cache.load_entry(&r.key)).collect(),
-            None => vec![None; refs.len()],
-        };
-        let mut inner = self.inner.lock().unwrap();
-        if inner.draining {
-            return Err(RefsRejected::Draining);
-        }
-        let missing: Vec<u64> = refs
-            .iter()
-            .zip(&hits)
-            .enumerate()
-            .filter(|(_, (r, hit))| hit.is_none() && !inner.flights.contains_key(r.key.as_str()))
-            .map(|(i, _)| i as u64)
-            .collect();
-        if !missing.is_empty() {
-            return Err(RefsRejected::Miss(missing));
-        }
-        let total = refs.len() as u64;
-        let _ = tx.send(ServerFrame::Accepted {
-            experiment: experiment.to_string(),
-            total,
-            id,
-        });
-        if refs.is_empty() {
-            let _ = tx.send(ServerFrame::Done {
-                experiment: experiment.to_string(),
-                ok: true,
-                id,
-            });
-            return Ok(0);
-        }
-        let batch = Arc::new(BatchState {
-            experiment: experiment.to_string(),
-            id,
-            subscribe,
-            remaining: AtomicUsize::new(refs.len()),
-            all_ok: AtomicBool::new(true),
-            buffer: Mutex::new(Vec::new()),
-            tx: tx.clone(),
-        });
-        for (index, (r, hit)) in refs.into_iter().zip(hits).enumerate() {
-            self.obs.submitted.inc();
-            if let Some(entry) = hit {
-                self.obs.cache_hits.inc();
-                batch.deliver(
-                    &self.obs,
-                    index as u64,
-                    r.label,
-                    &r.key,
-                    true,
-                    entry.outcome().clone(),
-                    Some(Arc::clone(entry.json_arc())),
-                );
-                continue;
-            }
-            let flight = inner
-                .flights
-                .get_mut(r.key.as_str())
-                .expect("unresolved refs were rejected above");
-            self.obs.deduped.inc();
-            flight.waiters.push(Waiter {
-                conn_id,
-                index,
-                label: r.label,
-                batch: Arc::clone(&batch),
-            });
-        }
-        Ok(total)
+        Ok(())
     }
 
     /// Blocks until shard `idx` has work (returning its pickup state)
@@ -732,7 +593,6 @@ impl Dispatcher {
                     .get_mut(&key)
                     .expect("queued key has a flight");
                 flight.running = true;
-                flight.worker = Some(idx);
                 let job = Arc::clone(&flight.job);
                 let cancel = flight.cancel.clone();
                 let queue_wait_ms = flight.enqueued_at.elapsed().as_millis() as u64;
@@ -748,81 +608,36 @@ impl Dispatcher {
         }
     }
 
-    /// One worker thread: pop, resolve (cache or simulate), deliver.
-    fn worker_loop(&self) {
-        loop {
-            let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(0) else {
-                return;
-            };
-
-            let executing_at = Instant::now();
-            let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
-                Some(hit) => (hit, true),
-                None => {
-                    let (outcome, retries) =
-                        execute_counted(&job, self.default_retries, Some(&cancel));
-                    self.obs.retries.add(u64::from(retries));
-                    if let Some(cache) = &self.cache {
-                        cache.store(&key, &outcome);
-                    }
-                    (outcome, false)
-                }
-            };
-            if cached {
+    /// The worker loop of shard `shard`: pop a flight, put it through the
+    /// harness's per-job step, count, deliver. Thread mode and process
+    /// mode differ in the `run` closure alone — simulate here, or
+    /// round-trip the job through this shard's child process (which the
+    /// loop owns, and reaps when the drain ends it).
+    fn worker_loop(&self, shard: usize) {
+        let mut child: Option<WorkerChild> = None;
+        while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(shard) {
+            let step = resolve(self.cache.as_ref(), &key, || match &self.proc {
+                Some(pool) => self.run_on_child(pool, &mut child, shard, &key, &job),
+                None => execute_counted(&job, self.default_retries, Some(&cancel)),
+            });
+            self.obs.retries.add(u64::from(step.retries));
+            if step.cached {
                 self.obs.cache_hits.inc();
-            } else if !matches!(outcome, JobOutcome::Cancelled) {
+            } else if step.executed() {
                 // The executed path is the only one that observes the
                 // lifecycle histograms, keeping
                 // `queue_wait count == executed` an exact invariant.
                 self.obs.executed.inc();
                 self.obs.queue_wait_ms.observe(queue_wait_ms);
-                self.obs
-                    .exec_wall_ms
-                    .observe(executing_at.elapsed().as_millis() as u64);
+                self.obs.exec_wall_ms.observe(step.wall_millis);
             }
-            if matches!(outcome, JobOutcome::Timeout { .. }) {
+            if step.timed_out() {
                 self.obs.timeouts.inc();
             }
-            self.complete(&key, outcome, cached);
+            self.complete(&key, step.outcome, step.cached);
         }
-    }
-
-    /// One worker-process proxy thread: pop from this worker's shard,
-    /// resolve from the cache, or round-trip the job through the child
-    /// process — restarting it (bounded) if it dies mid-job.
-    fn proc_worker_loop(&self, idx: usize) {
-        let mut child: Option<WorkerChild> = None;
-        loop {
-            let Some((key, job, _cancel, queue_wait_ms)) = self.next_flight(idx) else {
-                self.reap_worker(idx, child.take());
-                return;
-            };
-
-            let executing_at = Instant::now();
-            let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
-                Some(hit) => (hit, true),
-                None => {
-                    let (outcome, retries) = self.run_on_child(&mut child, idx, &key, &job);
-                    self.obs.retries.add(u64::from(retries));
-                    if let Some(cache) = &self.cache {
-                        cache.store(&key, &outcome);
-                    }
-                    (outcome, false)
-                }
-            };
-            if cached {
-                self.obs.cache_hits.inc();
-            } else if !matches!(outcome, JobOutcome::Cancelled) {
-                self.obs.executed.inc();
-                self.obs.queue_wait_ms.observe(queue_wait_ms);
-                self.obs
-                    .exec_wall_ms
-                    .observe(executing_at.elapsed().as_millis() as u64);
-            }
-            if matches!(outcome, JobOutcome::Timeout { .. }) {
-                self.obs.timeouts.inc();
-            }
-            self.complete(&key, outcome, cached);
+        if let Some(pool) = &self.proc {
+            self.reap_worker(pool, shard, child);
         }
     }
 
@@ -834,12 +649,12 @@ impl Dispatcher {
     /// structured error instead of hanging.
     fn run_on_child(
         &self,
+        pool: &ProcPool,
         child: &mut Option<WorkerChild>,
         idx: usize,
         key: &str,
         job: &Job,
     ) -> (JobOutcome, u32) {
-        let pool = self.proc.as_ref().expect("process mode");
         // A worker death is a transient harness failure like a watchdog
         // timeout, so the operator's `HFS_RETRIES` extends the default
         // crash budget exactly as it extends in-process retries. Every
@@ -912,7 +727,7 @@ impl Dispatcher {
             };
             if !sent {
                 // The child died while idle; count it and respawn.
-                self.note_worker_death(idx, child, &mut crashes, "write failed");
+                self.note_worker_death(pool, idx, child, &mut crashes, "write failed");
                 continue;
             }
             let reply = {
@@ -929,6 +744,7 @@ impl Dispatcher {
                     // one-outstanding protocol; treat the child as
                     // wedged.
                     self.note_worker_death(
+                        pool,
                         idx,
                         child,
                         &mut crashes,
@@ -936,7 +752,7 @@ impl Dispatcher {
                     );
                 }
                 None => {
-                    self.note_worker_death(idx, child, &mut crashes, "died mid-job");
+                    self.note_worker_death(pool, idx, child, &mut crashes, "died mid-job");
                 }
             }
         }
@@ -946,12 +762,12 @@ impl Dispatcher {
     /// shared stdin slot, and bumps the restart telemetry.
     fn note_worker_death(
         &self,
+        pool: &ProcPool,
         idx: usize,
         child: &mut Option<WorkerChild>,
         crashes: &mut u32,
         why: &str,
     ) {
-        let pool = self.proc.as_ref().expect("process mode");
         *pool.stdins[idx].lock().unwrap() = None;
         if let Some(mut c) = child.take() {
             let _ = c.child.kill();
@@ -972,8 +788,7 @@ impl Dispatcher {
     /// Gracefully retires worker `idx`'s child at drain: sends `exit`,
     /// closes its stdin, and reaps it (with a bounded wait, then a
     /// kill) so a drained server leaves no orphan processes behind.
-    fn reap_worker(&self, idx: usize, child: Option<WorkerChild>) {
-        let pool = self.proc.as_ref().expect("process mode");
+    fn reap_worker(&self, pool: &ProcPool, idx: usize, child: Option<WorkerChild>) {
         let stdin = pool.stdins[idx].lock().unwrap().take();
         if let Some(mut s) = stdin {
             let _ = crate::proto::write_frame(&mut s, &WorkerRequest::Exit.to_json());
@@ -1013,7 +828,6 @@ impl Dispatcher {
             // token nobody has fired.
             flight.cancel = CancelToken::new();
             flight.running = false;
-            flight.worker = None;
             flight.enqueued_at = Instant::now();
             let shard = self.shard_of(key);
             inner.flights.insert(key.to_string(), flight);
@@ -1023,27 +837,25 @@ impl Dispatcher {
             self.work_ready.notify_all();
             return;
         }
-        // One serialization shared by every chunk-delivered waiter;
-        // skipped entirely when nobody buffers results (per-job `job`
-        // frames encode the outcome themselves). Failures are rare
-        // enough to encode per-waiter.
+        // One serialization shared by every waiter that gets a result
+        // frame. Failures are rare enough to encode per-waiter.
         let wants_encoded = outcome.is_ok()
             && flight
                 .waiters
                 .iter()
-                .any(|w| matches!(w.batch.subscribe, Subscribe::Final));
+                .any(|w| w.batch.subscribe != Subscribe::None);
         let encoded: Option<Arc<str>> =
             wants_encoded.then(|| hfs_harness::outcome_to_json(&outcome).to_pretty().into());
         for w in &flight.waiters {
-            w.batch.deliver(
-                &self.obs,
-                w.index as u64,
-                w.label.clone(),
-                key,
+            let result = JobResult {
+                index: w.index as u64,
+                label: w.label.clone(),
+                key: key.to_string(),
                 cached,
-                outcome.clone(),
-                encoded.clone(),
-            );
+                outcome: outcome.clone(),
+                encoded: encoded.clone(),
+            };
+            w.batch.deliver(&self.obs, result);
         }
         let drained = inner.draining && inner.idle();
         drop(inner);
@@ -1061,18 +873,14 @@ impl Dispatcher {
     fn drop_conn(&self, conn_id: u64) {
         let mut inner = self.inner.lock().unwrap();
         let mut dead_queued: Vec<String> = Vec::new();
-        let mut cancel_on_worker: Vec<(usize, String)> = Vec::new();
+        let mut cancelled: Vec<String> = Vec::new();
         for (key, flight) in &mut inner.flights {
             flight.waiters.retain(|w| w.conn_id != conn_id);
             if flight.waiters.is_empty() {
                 if flight.running {
                     flight.cancel.cancel();
                     self.obs.cancelled.inc();
-                    if let Some(widx) = flight.worker {
-                        if self.proc.is_some() {
-                            cancel_on_worker.push((widx, key.clone()));
-                        }
-                    }
+                    cancelled.push(key.clone());
                 } else {
                     dead_queued.push(key.clone());
                 }
@@ -1088,11 +896,12 @@ impl Dispatcher {
         self.note_queue_depth(&inner);
         let drained = inner.draining && inner.idle();
         drop(inner);
-        // Forward cancels into the worker processes (best-effort: a
-        // result that already raced back simply wins).
+        // Forward cancels into the worker processes — a running flight
+        // sits on the child of its key's shard — best-effort: a result
+        // that already raced back simply wins.
         if let Some(pool) = &self.proc {
-            for (widx, key) in cancel_on_worker {
-                if let Some(stdin) = pool.stdins[widx].lock().unwrap().as_mut() {
+            for key in cancelled {
+                if let Some(stdin) = pool.stdins[self.shard_of(&key)].lock().unwrap().as_mut() {
                     let _ =
                         crate::proto::write_frame(stdin, &WorkerRequest::Cancel { key }.to_json());
                 }
@@ -1189,21 +998,18 @@ impl Server {
             endpoint_desc,
             workers,
         } = self;
-        let worker_handles: Vec<_> = if dispatcher.proc.is_some() {
-            (0..dispatcher.nshards)
-                .map(|i| {
-                    let d = Arc::clone(&dispatcher);
-                    std::thread::spawn(move || d.proc_worker_loop(i))
-                })
-                .collect()
-        } else {
-            (0..workers)
-                .map(|_| {
-                    let d = Arc::clone(&dispatcher);
-                    std::thread::spawn(move || d.worker_loop())
-                })
-                .collect()
+        // Process mode: one loop per shard, each proxying to its child.
+        // Thread mode: `workers` loops sharing the single shard.
+        let loops = match dispatcher.proc {
+            Some(_) => dispatcher.nshards,
+            None => workers,
         };
+        let worker_handles: Vec<_> = (0..loops)
+            .map(|i| {
+                let d = Arc::clone(&dispatcher);
+                std::thread::spawn(move || d.worker_loop(i % d.nshards))
+            })
+            .collect();
 
         listener.set_nonblocking(true)?;
         let live_conns = Arc::new(AtomicUsize::new(0));
@@ -1295,6 +1101,11 @@ fn handle_conn(dispatcher: &Dispatcher, stream: crate::net::Stream, conn_id: u64
         let _ = write_half.flush();
     });
 
+    let admit = |experiment: &str, id, subscribe, entries| {
+        if let Err(refusal) = dispatcher.submit(conn_id, &tx, experiment, id, subscribe, entries) {
+            let _ = tx.send(refusal);
+        }
+    };
     let mut read_half = stream;
     loop {
         match ClientFrame::read_from(&mut read_half) {
@@ -1318,56 +1129,28 @@ fn handle_conn(dispatcher: &Dispatcher, stream: crate::net::Stream, conn_id: u64
             }
             Ok(Some(ClientFrame::Metrics)) => {
                 let _ = tx.send(ServerFrame::Metrics {
-                    text: dispatcher.metrics_text(),
+                    text: dispatcher.obs.registry.render_prometheus(),
                 });
             }
             Ok(Some(ClientFrame::Shutdown)) => {
                 let _ = tx.send(ServerFrame::ShuttingDown);
                 dispatcher.begin_drain();
             }
-            Ok(Some(ClientFrame::Submit { experiment, jobs })) => {
-                match dispatcher.submit(conn_id, &tx, &experiment, 0, Subscribe::All, jobs) {
-                    Ok(_) => {}
-                    Err(SubmitRejected::Busy { queued, limit }) => {
-                        let _ = tx.send(ServerFrame::Busy {
-                            queued,
-                            limit,
-                            id: 0,
-                        });
-                    }
-                    Err(SubmitRejected::Draining) => {
-                        let _ = tx.send(ServerFrame::ShuttingDown);
-                    }
-                }
-            }
             Ok(Some(ClientFrame::SubmitBatch {
                 experiment,
                 id,
                 subscribe,
                 jobs,
-            })) => match dispatcher.submit(conn_id, &tx, &experiment, id, subscribe, jobs) {
-                Ok(_) => {}
-                Err(SubmitRejected::Busy { queued, limit }) => {
-                    let _ = tx.send(ServerFrame::Busy { queued, limit, id });
-                }
-                Err(SubmitRejected::Draining) => {
-                    let _ = tx.send(ServerFrame::ShuttingDown);
-                }
-            },
+            })) => admit(&experiment, id, subscribe, spec_entries(jobs)),
             Ok(Some(ClientFrame::SubmitRefs {
                 experiment,
                 id,
                 subscribe,
                 refs,
-            })) => match dispatcher.submit_refs(conn_id, &tx, &experiment, id, subscribe, refs) {
-                Ok(_) => {}
-                Err(RefsRejected::Miss(missing)) => {
-                    let _ = tx.send(ServerFrame::RefsMiss { id, missing });
-                }
-                Err(RefsRejected::Draining) => {
-                    let _ = tx.send(ServerFrame::ShuttingDown);
-                }
-            },
+            })) => {
+                let entries = refs.into_iter().map(|r| (r.key, r.label, None)).collect();
+                admit(&experiment, id, subscribe, entries);
+            }
         }
     }
     dispatcher.drop_conn(conn_id);
@@ -1394,6 +1177,11 @@ mod tests {
         )
     }
 
+    /// The entries a `submit_refs` frame for `jobs` becomes.
+    fn refs(jobs: Vec<Job>) -> Vec<Entry> {
+        jobs.into_iter().map(|j| (j.key(), j.label, None)).collect()
+    }
+
     fn dispatcher(workers: usize, queue_limit: usize) -> Arc<Dispatcher> {
         let d = Arc::new(Dispatcher::new(&ServerConfig {
             workers,
@@ -1404,7 +1192,7 @@ mod tests {
         }));
         for _ in 0..workers {
             let dd = Arc::clone(&d);
-            std::thread::spawn(move || dd.worker_loop());
+            std::thread::spawn(move || dd.worker_loop(0));
         }
         d
     }
@@ -1414,28 +1202,46 @@ mod tests {
         d.wait_drained();
     }
 
+    /// Reads frames until `dones` batches have finished; returns how
+    /// many results arrived and whether every batch reported `ok`.
+    fn collect(rx: &std::sync::mpsc::Receiver<ServerFrame>, dones: usize) -> (usize, bool) {
+        let (mut results, mut seen, mut all_ok) = (0, 0, true);
+        while seen < dones {
+            match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
+                ServerFrame::BatchResults { results: r, .. } => results += r.len(),
+                ServerFrame::Done { ok, .. } => {
+                    seen += 1;
+                    all_ok &= ok;
+                }
+                ServerFrame::Accepted { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        (results, all_ok)
+    }
+
+    fn wait_until_running(d: &Dispatcher) {
+        let t0 = Instant::now();
+        while d.stats().running == 0 && t0.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn identity_holds(s: &ServeStats) -> bool {
+        s.submitted == s.deduped + s.executed + s.cache_hits
+    }
+
     #[test]
     fn identical_jobs_execute_once() {
         let d = dispatcher(2, 64);
         let (tx, rx) = channel();
         // Two batches of the same job from the same logical client.
-        d.submit(0, &tx, "a", 0, Subscribe::All, vec![job("a/x", 2, 40)])
-            .ok()
-            .unwrap();
-        d.submit(0, &tx, "b", 0, Subscribe::All, vec![job("b/x", 2, 40)])
-            .ok()
-            .unwrap();
-        let mut jobs = 0;
-        let mut dones = 0;
-        while dones < 2 {
-            match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-                ServerFrame::Job { .. } => jobs += 1,
-                ServerFrame::Done { .. } => dones += 1,
-                ServerFrame::Accepted { .. } => {}
-                other => panic!("unexpected frame {other:?}"),
-            }
+        for (id, name) in [(1, "a"), (2, "b")] {
+            let jobs = vec![job(&format!("{name}/x"), 2, 40)];
+            d.submit(0, &tx, name, id, Subscribe::All, spec_entries(jobs))
+                .unwrap();
         }
-        assert_eq!(jobs, 2, "both waiters got a result");
+        assert_eq!(collect(&rx, 2).0, 2, "both waiters got a result");
         let stats = d.stats();
         // Single-flight: two submissions, one execution (timing may
         // let both flights run if the first resolves before the second
@@ -1444,7 +1250,7 @@ mod tests {
         // The hard guarantee is executed + deduped == submitted when
         // nothing is cached or cancelled.)
         assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.executed + stats.deduped, 2);
+        assert!(identity_holds(&stats), "{stats:?}");
         drain(&d);
     }
 
@@ -1458,38 +1264,84 @@ mod tests {
         // submission after the first (without the blocker, a fast
         // enough simulator finishes x/a before the later submits land
         // and re-executes it).
-        d.submit(
-            9,
-            &tx,
-            "blk",
-            0,
-            Subscribe::All,
-            vec![job("blk/hold", 2, 20_000)],
-        )
-        .ok()
-        .unwrap();
+        let blocker = vec![job("blk/hold", 2, 20_000)];
+        d.submit(9, &tx, "blk", 1, Subscribe::Final, spec_entries(blocker))
+            .unwrap();
         let jobs = || vec![job("x/a", 2, 200), job("x/b", 3, 200), job("x/c", 4, 200)];
         for conn in 0..4 {
-            d.submit(conn, &tx, "x", 0, Subscribe::All, jobs())
-                .ok()
-                .unwrap();
+            d.submit(
+                conn,
+                &tx,
+                "x",
+                2 + conn,
+                Subscribe::Final,
+                spec_entries(jobs()),
+            )
+            .unwrap();
         }
-        let mut dones = 0;
-        while dones < 5 {
-            if let ServerFrame::Done { ok, .. } = rx.recv_timeout(Duration::from_secs(60)).unwrap()
-            {
-                assert!(ok);
-                dones += 1;
-            }
-        }
+        let (results, all_ok) = collect(&rx, 5);
+        assert!(all_ok);
+        assert_eq!(results, 13, "every waiter served");
         let stats = d.stats();
         assert_eq!(stats.submitted, 13);
-        assert_eq!(stats.delivered, 13, "every waiter served");
+        assert_eq!(stats.delivered, 13);
         assert!(
             stats.deduped >= 9,
             "at most the blocker and the first batch's 3 jobs execute; got {stats:?}"
         );
         assert!(stats.executed <= 4);
+        assert!(identity_holds(&stats), "{stats:?}");
+        drain(&d);
+    }
+
+    /// A `submit_refs` chunk whose keys are all in flight joins those
+    /// flights; one with a single unknown key is refused whole and
+    /// leaves every counter, the queue and the flight table as they
+    /// were.
+    #[test]
+    fn refs_join_flights_or_change_nothing() {
+        let d = dispatcher(1, 64);
+        let (tx, rx) = channel();
+        let blocker = vec![job("blk/hold", 2, 20_000)];
+        d.submit(0, &tx, "blk", 1, Subscribe::Final, spec_entries(blocker))
+            .unwrap();
+        let queued = || vec![job("x/a", 2, 200), job("x/b", 3, 200)];
+        d.submit(0, &tx, "x", 2, Subscribe::Final, spec_entries(queued()))
+            .unwrap();
+        wait_until_running(&d);
+
+        let waiters = |d: &Dispatcher| -> Vec<(String, usize)> {
+            let inner = d.inner.lock().unwrap();
+            let mut w: Vec<_> = inner
+                .flights
+                .iter()
+                .map(|(k, f)| (k.clone(), f.waiters.len()))
+                .collect();
+            w.sort();
+            w
+        };
+        let (stats_before, waiters_before) = (d.stats(), waiters(&d));
+        let mut chunk = queued();
+        chunk.push(job("x/unknown", 5, 200));
+        match d.submit(1, &tx, "x", 3, Subscribe::Final, refs(chunk)) {
+            Err(ServerFrame::RefsMiss { id: 3, missing }) => assert_eq!(missing, vec![2]),
+            _ => panic!("expected a refs miss"),
+        }
+        assert_eq!(d.stats(), stats_before, "a refused chunk counts nowhere");
+        assert_eq!(waiters(&d), waiters_before, "and joins no flight");
+
+        d.submit(1, &tx, "x", 4, Subscribe::Final, refs(queued()))
+            .expect("keys in flight resolve as refs");
+        let joined = d.stats();
+        assert_eq!(joined.deduped, stats_before.deduped + 2);
+        assert_eq!(joined.queued, stats_before.queued, "refs take no slot");
+
+        let (results, all_ok) = collect(&rx, 3);
+        assert!(all_ok);
+        assert_eq!(results, 5);
+        let stats = d.stats();
+        assert_eq!((stats.submitted, stats.executed, stats.deduped), (5, 3, 2));
+        assert!(identity_holds(&stats), "{stats:?}");
         drain(&d);
     }
 
@@ -1498,46 +1350,24 @@ mod tests {
         let d = dispatcher(1, 2);
         let (tx, rx) = channel();
         // Occupy the worker and fill the queue.
-        d.submit(
-            0,
-            &tx,
-            "fill",
-            0,
-            Subscribe::All,
-            vec![job("f/1", 2, 2_000), job("f/2", 3, 2_000)],
-        )
-        .ok()
-        .unwrap();
+        let fill = vec![job("f/1", 2, 2_000), job("f/2", 3, 2_000)];
+        d.submit(0, &tx, "fill", 1, Subscribe::All, spec_entries(fill))
+            .unwrap();
         // Wait until the first flight is actually running so the queue
         // has deterministic occupancy (1 queued, 1 running).
-        let t0 = Instant::now();
-        while d.stats().running == 0 && t0.elapsed() < Duration::from_secs(30) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let res = d.submit(
-            1,
-            &tx,
-            "big",
-            0,
-            Subscribe::All,
-            vec![job("b/1", 4, 10), job("b/2", 5, 10), job("b/3", 6, 10)],
-        );
-        match res {
-            Err(SubmitRejected::Busy { limit, .. }) => assert_eq!(limit, 2),
+        wait_until_running(&d);
+        let big = vec![job("b/1", 4, 10), job("b/2", 5, 10), job("b/3", 6, 10)];
+        match d.submit(1, &tx, "big", 2, Subscribe::All, spec_entries(big)) {
+            Err(ServerFrame::Busy { limit, id: 2, .. }) => assert_eq!(limit, 2),
             _ => panic!("expected busy"),
         }
         assert_eq!(d.stats().rejected, 1);
         // A duplicate of queued work costs no slot and is admitted even
         // at the bound.
-        d.submit(1, &tx, "dup", 0, Subscribe::All, vec![job("d/2", 3, 2_000)])
-            .ok()
+        let dup = vec![job("d/2", 3, 2_000)];
+        d.submit(1, &tx, "dup", 3, Subscribe::All, spec_entries(dup))
             .expect("duplicate admits without a queue slot");
-        let mut dones = 0;
-        while dones < 2 {
-            if let ServerFrame::Done { .. } = rx.recv_timeout(Duration::from_secs(60)).unwrap() {
-                dones += 1;
-            }
-        }
+        assert_eq!(collect(&rx, 2).0, 3);
         drain(&d);
     }
 
@@ -1546,20 +1376,10 @@ mod tests {
         let d = dispatcher(1, 64);
         let (tx, rx) = channel();
         // Long-running head job plus queued tail, all owned by conn 7.
-        d.submit(
-            7,
-            &tx,
-            "gone",
-            0,
-            Subscribe::All,
-            vec![job("g/head", 2, 2_000_000), job("g/tail", 3, 50)],
-        )
-        .ok()
-        .unwrap();
-        let t0 = Instant::now();
-        while d.stats().running == 0 && t0.elapsed() < Duration::from_secs(30) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let gone = vec![job("g/head", 2, 2_000_000), job("g/tail", 3, 50)];
+        d.submit(7, &tx, "gone", 1, Subscribe::All, spec_entries(gone))
+            .unwrap();
+        wait_until_running(&d);
         d.drop_conn(7);
         // The tail was discarded, the head cancelled; the dispatcher
         // settles to empty without delivering anything.
@@ -1576,17 +1396,16 @@ mod tests {
         drop(rx);
         // The dispatcher stays healthy: new work from a live conn runs.
         let (tx2, rx2) = channel();
-        d.submit(8, &tx2, "after", 0, Subscribe::All, vec![job("a/1", 2, 40)])
-            .ok()
-            .unwrap();
-        let mut done = false;
-        while !done {
-            if let ServerFrame::Done { ok, .. } = rx2.recv_timeout(Duration::from_secs(30)).unwrap()
-            {
-                assert!(ok);
-                done = true;
-            }
-        }
+        d.submit(
+            8,
+            &tx2,
+            "after",
+            2,
+            Subscribe::All,
+            spec_entries(vec![job("a/1", 2, 40)]),
+        )
+        .unwrap();
+        assert_eq!(collect(&rx2, 1), (1, true));
         drain(&d);
     }
 
@@ -1595,10 +1414,15 @@ mod tests {
         let d = dispatcher(1, 64);
         d.begin_drain();
         let (tx, _rx) = channel();
-        assert!(matches!(
-            d.submit(0, &tx, "late", 0, Subscribe::All, vec![job("l/1", 2, 10)]),
-            Err(SubmitRejected::Draining)
-        ));
+        for entries in [
+            spec_entries(vec![job("l/1", 2, 10)]),
+            refs(vec![job("l/1", 2, 10)]),
+        ] {
+            assert!(matches!(
+                d.submit(0, &tx, "late", 1, Subscribe::All, entries),
+                Err(ServerFrame::ShuttingDown)
+            ));
+        }
         d.wait_drained();
     }
 
@@ -1606,16 +1430,23 @@ mod tests {
     fn empty_batch_completes_immediately() {
         let d = dispatcher(1, 64);
         let (tx, rx) = channel();
-        d.submit(0, &tx, "empty", 0, Subscribe::All, Vec::new())
-            .ok()
+        d.submit(0, &tx, "empty", 1, Subscribe::All, Vec::new())
             .unwrap();
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            ServerFrame::Accepted { total: 0, .. }
+            ServerFrame::Accepted {
+                total: 0,
+                id: 1,
+                ..
+            }
         ));
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            ServerFrame::Done { ok: true, .. }
+            ServerFrame::Done {
+                ok: true,
+                id: 1,
+                ..
+            }
         ));
         drain(&d);
     }
