@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use crate::hotcache::{HotCache, HotEntry};
 use crate::job::{is_cache_key, JobOutcome};
-use crate::json::parse;
-use crate::ser::{outcome_from_json, outcome_to_json};
+use crate::ser::{outcome_from_text, outcome_to_text};
 
 /// A directory of cached job outcomes keyed by content hash, optionally
 /// fronted by a bounded in-memory hot layer.
@@ -97,7 +96,7 @@ impl Cache {
             return Some(entry);
         }
         let text = fs::read_to_string(self.path_for(key)?).ok()?;
-        let outcome = outcome_from_json(&parse(&text).ok()?).ok()?;
+        let outcome = outcome_from_text(&text).ok()?;
         if let Some(hot) = &self.hot {
             hot.insert(key, &outcome, Some(&text));
         }
@@ -112,7 +111,7 @@ impl Cache {
             return;
         };
         // One serialization feeds both layers.
-        let body = outcome_to_json(outcome).to_pretty();
+        let body = outcome_to_text(outcome);
         if let Some(hot) = &self.hot {
             hot.insert(key, outcome, Some(&body));
         }
@@ -193,7 +192,7 @@ mod tests {
         let dir = root.join("cache");
         fs::create_dir_all(&dir).unwrap();
         let (_, out) = demo_outcome();
-        let body = outcome_to_json(&out).to_pretty();
+        let body = outcome_to_text(&out);
         // A valid entry one level above the cache directory: a key that
         // walks out of it must neither read nor move it.
         let victim = root.join("victim.json");

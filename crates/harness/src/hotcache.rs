@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use hfs_obs::{Counter, Gauge, Registry};
 
 use crate::job::JobOutcome;
-use crate::ser::outcome_to_json;
+use crate::ser::outcome_to_text;
 
 /// Hot-cache byte budget in megabytes (`HFS_HOT_CACHE_MB`). `0`
 /// disables the hot layer entirely; unset means [`DEFAULT_HOT_CACHE_MB`].
@@ -246,7 +246,7 @@ impl HotCache {
         }
         let json: Arc<str> = match json {
             Some(t) => Arc::from(t),
-            None => Arc::from(outcome_to_json(outcome).to_pretty().as_str()),
+            None => Arc::from(outcome_to_text(outcome)),
         };
         let cost = ENTRY_OVERHEAD + 2 * key.len() as u64 + json.len() as u64;
         if cost > self.shard_cap {
@@ -313,6 +313,7 @@ impl HotCache {
 mod tests {
     use super::*;
     use crate::job::{execute, Job};
+    use crate::ser::outcome_to_json;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
 

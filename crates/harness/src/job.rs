@@ -1,6 +1,6 @@
 //! Experiment job specifications and outcomes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
 
 use hfs_core::kernel::KernelPair;
@@ -161,28 +161,43 @@ impl Job {
     /// spelling of [`Job::key`] for hot paths that only compare or hash.
     pub fn key_ref(&self) -> &str {
         self.key_memo.get_or_init(|| {
-            let mut canonical = format!(
+            // The canonical text goes through the hash as it is
+            // formatted; it is never held in memory.
+            let mut h = Fnv1a64::default();
+            write!(
+                h,
                 "schema={CACHE_SCHEMA}|mode={:?}|max_cycles={}|pair={:?}|cfg={:?}",
                 self.mode, self.max_cycles, self.pair, self.cfg
-            );
+            )
+            .expect("hashing cannot fail");
             // Appended only when set, so pre-existing cache entries for
             // untraced jobs keep their keys.
             if self.metrics {
-                canonical.push_str("|metrics=1");
+                h.write_str("|metrics=1").expect("hashing cannot fail");
             }
-            format!("{:016x}", fnv1a64(canonical.as_bytes()))
+            format!("{:016x}", h.0)
         })
     }
 }
 
-/// 64-bit FNV-1a, the workspace's content hash for cache keys.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit FNV-1a over whatever is formatted into it: the workspace's
+/// content hash for cache keys.
+struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// Whether `s` has the shape of a [`Job::key`]: exactly 16 lowercase

@@ -43,12 +43,14 @@ pub use job::{
     execute, execute_counted, execute_once, execute_once_with, is_cache_key, Job, JobOutcome, Mode,
     CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
 };
-pub use json::{parse, Json, ParseError};
+pub use json::{
+    from_text, from_tree, parse, to_text, to_tree, DecodeError, Json, ParseError, Sink, Source,
+};
 pub use ser::{
-    metrics_from_json, metrics_to_json, outcome_from_json, outcome_to_json, run_result_from_json,
-    run_result_to_json, DecodeError,
+    metrics_from_json, metrics_to_json, outcome_from_json, outcome_from_text, outcome_to_json,
+    outcome_to_text, read_outcome, run_result_from_json, run_result_to_json, write_outcome,
 };
 pub use spec::{
-    job_from_json, job_to_json, machine_config_from_json, machine_config_to_json, sweep_from_json,
-    sweep_to_json,
+    job_from_json, job_to_json, machine_config_from_json, machine_config_to_json, read_job,
+    sweep_from_json, sweep_to_json, write_job,
 };

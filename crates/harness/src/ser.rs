@@ -1,8 +1,13 @@
 //! Hand-rolled (de)serialization of run results and job outcomes.
 //!
 //! Everything a [`RunResult`] carries — per-core stats, the Figure 7
-//! stall breakdown, memory-system counters — round-trips through the
-//! [`Json`] model so cached results reconstruct bit-identically.
+//! stall breakdown, memory-system counters — round-trips exactly, so
+//! cached results reconstruct bit-identically. Each type is described
+//! once, as a `write_*`/`read_*` pair over [`Sink`]/[`Source`]: the
+//! cache and the wire run them straight to and from text
+//! ([`outcome_to_text`], [`outcome_from_text`], [`write_outcome`],
+//! [`read_outcome`]), and the `*_to_json`/`*_from_json` entry points run
+//! the same pair to and from a [`Json`] tree for document builders.
 
 use hfs_core::RunResult;
 use hfs_cpu::CoreStats;
@@ -11,155 +16,290 @@ use hfs_sim::stats::{Breakdown, StallComponent};
 use hfs_trace::{HistogramSummary, MetricsReport};
 
 use crate::job::JobOutcome;
-use crate::json::Json;
+pub use crate::json::DecodeError;
+use crate::json::{from_text, from_tree, to_text, to_tree, Json, Sink, Source};
 
-/// A cache/artifact decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(pub String);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "result decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn field(v: &Json, key: &str) -> Result<u64, DecodeError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| DecodeError(format!("missing u64 field `{key}`")))
-}
-
-fn breakdown_to_json(b: &Breakdown) -> Json {
-    let mut pairs = vec![("busy", Json::U64(b.busy()))];
+fn write_breakdown<S: Sink>(s: &mut S, b: &Breakdown) {
+    s.begin_obj();
+    s.u64_field("busy", b.busy());
     for (c, cycles) in b.iter() {
-        pairs.push((c.label(), Json::U64(cycles)));
+        s.u64_field(c.label(), cycles);
     }
-    Json::obj(pairs)
+    s.end_obj();
 }
 
-fn breakdown_from_json(v: &Json) -> Result<Breakdown, DecodeError> {
-    let mut b = Breakdown::new();
-    b.charge_busy(field(v, "busy")?);
-    for c in StallComponent::ALL {
-        b.charge(c, field(v, c.label())?);
+fn read_breakdown<'a, S: Source<'a>>(s: &mut S) -> Result<Breakdown, DecodeError> {
+    s.obj(|s, o| {
+        let mut b = Breakdown::new();
+        b.charge_busy(s.u64_field(o, "busy")?);
+        for c in StallComponent::ALL {
+            b.charge(c, s.u64_field(o, c.label())?);
+        }
+        Ok(b)
+    })
+}
+
+fn write_core<S: Sink>(s: &mut S, c: &CoreStats) {
+    s.begin_obj();
+    s.u64_field("cycles", c.cycles);
+    s.u64_field("app_instrs", c.app_instrs);
+    s.u64_field("comm_instrs", c.comm_instrs);
+    s.u64_field("ozq_stalls", c.ozq_stalls);
+    s.u64_field("stream_blocked", c.stream_blocked);
+    s.key("breakdown");
+    write_breakdown(s, &c.breakdown);
+    s.end_obj();
+}
+
+fn read_core<'a, S: Source<'a>>(s: &mut S) -> Result<CoreStats, DecodeError> {
+    s.obj(|s, o| {
+        Ok(CoreStats {
+            cycles: s.u64_field(o, "cycles")?,
+            app_instrs: s.u64_field(o, "app_instrs")?,
+            comm_instrs: s.u64_field(o, "comm_instrs")?,
+            ozq_stalls: s.u64_field(o, "ozq_stalls")?,
+            stream_blocked: s.u64_field(o, "stream_blocked")?,
+            breakdown: s.field(o, "breakdown", read_breakdown)?,
+        })
+    })
+}
+
+fn write_bus<S: Sink>(s: &mut S, b: &BusStats) {
+    s.begin_obj();
+    s.u64_field("addr_phases", b.addr_phases);
+    s.u64_field("data_transfers", b.data_transfers);
+    s.u64_field("data_busy_cycles", b.data_busy_cycles);
+    s.u64_field("ctl_delivered", b.ctl_delivered);
+    s.end_obj();
+}
+
+fn read_bus<'a, S: Source<'a>>(s: &mut S) -> Result<BusStats, DecodeError> {
+    s.obj(|s, o| {
+        Ok(BusStats {
+            addr_phases: s.u64_field(o, "addr_phases")?,
+            data_transfers: s.u64_field(o, "data_transfers")?,
+            data_busy_cycles: s.u64_field(o, "data_busy_cycles")?,
+            ctl_delivered: s.u64_field(o, "ctl_delivered")?,
+        })
+    })
+}
+
+fn write_mem<S: Sink>(s: &mut S, m: &MemStats) {
+    s.begin_obj();
+    s.u64_field("l1_hits", m.l1_hits);
+    s.u64_field("l1_misses", m.l1_misses);
+    s.u64_field("l2_accesses", m.l2_accesses);
+    s.u64_field("l2_port_conflicts", m.l2_port_conflicts);
+    s.u64_field("dram_accesses", m.dram_accesses);
+    s.u64_field("forwards", m.forwards);
+    s.u64_field("updates", m.updates);
+    s.key("bus");
+    write_bus(s, &m.bus);
+    s.end_obj();
+}
+
+fn read_mem<'a, S: Source<'a>>(s: &mut S) -> Result<MemStats, DecodeError> {
+    s.obj(|s, o| {
+        Ok(MemStats {
+            l1_hits: s.u64_field(o, "l1_hits")?,
+            l1_misses: s.u64_field(o, "l1_misses")?,
+            l2_accesses: s.u64_field(o, "l2_accesses")?,
+            l2_port_conflicts: s.u64_field(o, "l2_port_conflicts")?,
+            dram_accesses: s.u64_field(o, "dram_accesses")?,
+            forwards: s.u64_field(o, "forwards")?,
+            // Absent in blobs cached before the protocol axis existed.
+            updates: if s.seek(o, "updates")? { s.u64()? } else { 0 },
+            bus: s.field(o, "bus", read_bus)?,
+        })
+    })
+}
+
+fn write_summary<S: Sink>(s: &mut S, h: &HistogramSummary) {
+    s.begin_obj();
+    s.u64_field("count", h.count);
+    s.u64_field("sum", h.sum);
+    s.u64_field("p50", h.p50);
+    s.u64_field("p95", h.p95);
+    s.u64_field("p99", h.p99);
+    s.end_obj();
+}
+
+fn read_summary<'a, S: Source<'a>>(s: &mut S) -> Result<HistogramSummary, DecodeError> {
+    s.obj(|s, o| {
+        Ok(HistogramSummary {
+            count: s.u64_field(o, "count")?,
+            sum: s.u64_field(o, "sum")?,
+            p50: s.u64_field(o, "p50")?,
+            p95: s.u64_field(o, "p95")?,
+            p99: s.u64_field(o, "p99")?,
+        })
+    })
+}
+
+/// Counters and histograms keep their insertion order (the report's
+/// serialization contract).
+fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
+    s.begin_obj();
+    s.key("breakdown");
+    write_breakdown(s, &m.breakdown);
+    s.key("counters");
+    s.begin_obj();
+    for (name, v) in &m.counters {
+        s.u64_field(name, *v);
     }
-    Ok(b)
+    s.end_obj();
+    s.key("histograms");
+    s.begin_obj();
+    for (name, h) in &m.histograms {
+        s.key(name);
+        write_summary(s, h);
+    }
+    s.end_obj();
+    s.end_obj();
 }
 
-fn core_to_json(c: &CoreStats) -> Json {
-    Json::obj(vec![
-        ("cycles", Json::U64(c.cycles)),
-        ("app_instrs", Json::U64(c.app_instrs)),
-        ("comm_instrs", Json::U64(c.comm_instrs)),
-        ("ozq_stalls", Json::U64(c.ozq_stalls)),
-        ("stream_blocked", Json::U64(c.stream_blocked)),
-        ("breakdown", breakdown_to_json(&c.breakdown)),
-    ])
-}
-
-fn core_from_json(v: &Json) -> Result<CoreStats, DecodeError> {
-    Ok(CoreStats {
-        cycles: field(v, "cycles")?,
-        app_instrs: field(v, "app_instrs")?,
-        comm_instrs: field(v, "comm_instrs")?,
-        ozq_stalls: field(v, "ozq_stalls")?,
-        stream_blocked: field(v, "stream_blocked")?,
-        breakdown: breakdown_from_json(
-            v.get("breakdown")
-                .ok_or_else(|| DecodeError("missing `breakdown`".into()))?,
-        )?,
+fn read_metrics<'a, S: Source<'a>>(s: &mut S) -> Result<MetricsReport, DecodeError> {
+    s.obj(|s, o| {
+        let mut m = MetricsReport::new();
+        m.breakdown = s.field(o, "breakdown", read_breakdown)?;
+        s.field(o, "counters", |s| {
+            s.obj(|s, entries| {
+                while let Some(name) = s.next_entry(entries)? {
+                    m.counter(name, s.u64()?);
+                }
+                Ok::<_, DecodeError>(())
+            })
+        })?;
+        s.field(o, "histograms", |s| {
+            s.obj(|s, entries| {
+                while let Some(name) = s.next_entry(entries)? {
+                    m.histograms.push((name.into_owned(), read_summary(s)?));
+                }
+                Ok::<_, DecodeError>(())
+            })
+        })?;
+        Ok(m)
     })
 }
 
-fn mem_to_json(m: &MemStats) -> Json {
-    Json::obj(vec![
-        ("l1_hits", Json::U64(m.l1_hits)),
-        ("l1_misses", Json::U64(m.l1_misses)),
-        ("l2_accesses", Json::U64(m.l2_accesses)),
-        ("l2_port_conflicts", Json::U64(m.l2_port_conflicts)),
-        ("dram_accesses", Json::U64(m.dram_accesses)),
-        ("forwards", Json::U64(m.forwards)),
-        ("updates", Json::U64(m.updates)),
-        (
-            "bus",
-            Json::obj(vec![
-                ("addr_phases", Json::U64(m.bus.addr_phases)),
-                ("data_transfers", Json::U64(m.bus.data_transfers)),
-                ("data_busy_cycles", Json::U64(m.bus.data_busy_cycles)),
-                ("ctl_delivered", Json::U64(m.bus.ctl_delivered)),
-            ]),
-        ),
-    ])
+/// The optional `metrics` field is appended last and only when present,
+/// so untraced results keep their exact pre-metrics byte layout.
+fn write_run_result<S: Sink>(s: &mut S, r: &RunResult) {
+    s.begin_obj();
+    s.str_field("design", &r.design);
+    s.u64_field("cycles", r.cycles);
+    s.u64_field("iterations", r.iterations);
+    s.arr_field("cores", &r.cores, write_core);
+    s.key("mem");
+    write_mem(s, &r.mem);
+    match r.stream_cache {
+        Some((hits, misses, drops)) => s.arr_field("stream_cache", [hits, misses, drops], S::u64),
+        None => {
+            s.key("stream_cache");
+            s.null();
+        }
+    }
+    if let Some(m) = &r.metrics {
+        s.key("metrics");
+        write_metrics(s, m);
+    }
+    s.end_obj();
 }
 
-fn mem_from_json(v: &Json) -> Result<MemStats, DecodeError> {
-    let bus = v
-        .get("bus")
-        .ok_or_else(|| DecodeError("missing `bus`".into()))?;
-    Ok(MemStats {
-        l1_hits: field(v, "l1_hits")?,
-        l1_misses: field(v, "l1_misses")?,
-        l2_accesses: field(v, "l2_accesses")?,
-        l2_port_conflicts: field(v, "l2_port_conflicts")?,
-        dram_accesses: field(v, "dram_accesses")?,
-        forwards: field(v, "forwards")?,
-        // Absent in blobs cached before the protocol axis existed.
-        updates: v.get("updates").and_then(Json::as_u64).unwrap_or(0),
-        bus: BusStats {
-            addr_phases: field(bus, "addr_phases")?,
-            data_transfers: field(bus, "data_transfers")?,
-            data_busy_cycles: field(bus, "data_busy_cycles")?,
-            ctl_delivered: field(bus, "ctl_delivered")?,
-        },
+fn read_run_result<'a, S: Source<'a>>(s: &mut S) -> Result<RunResult, DecodeError> {
+    s.obj(|s, o| {
+        Ok(RunResult {
+            design: s.str_field(o, "design")?.into_owned(),
+            cycles: s.u64_field(o, "cycles")?,
+            iterations: s.u64_field(o, "iterations")?,
+            cores: s.arr_field(o, "cores", read_core)?,
+            mem: s.field(o, "mem", read_mem)?,
+            stream_cache: s.field(o, "stream_cache", |s| {
+                if s.null()? {
+                    return Ok(None);
+                }
+                match s.items(S::u64)?[..] {
+                    [hits, misses, drops] => Ok(Some((hits, misses, drops))),
+                    _ => Err(DecodeError::Shape(
+                        "`stream_cache` must be a 3-array".into(),
+                    )),
+                }
+            })?,
+            metrics: if s.seek(o, "metrics")? {
+                Some(Box::new(read_metrics(s)?))
+            } else {
+                None
+            },
+            // Not serialized: a cache hit reconstructs the numbers, not
+            // the fact that some past run was checked. CI re-runs
+            // checked configurations with the cache disabled.
+            checked: false,
+        })
     })
 }
 
-fn summary_to_json(s: &HistogramSummary) -> Json {
-    Json::obj(vec![
-        ("count", Json::U64(s.count)),
-        ("sum", Json::U64(s.sum)),
-        ("p50", Json::U64(s.p50)),
-        ("p95", Json::U64(s.p95)),
-        ("p99", Json::U64(s.p99)),
-    ])
+/// Pushes a [`JobOutcome`] (the cache/artifact/wire payload) into `s`.
+pub fn write_outcome<S: Sink>(s: &mut S, o: &JobOutcome) {
+    s.begin_obj();
+    s.str_field("status", o.status());
+    match o {
+        JobOutcome::Ok(r) => {
+            s.key("result");
+            write_run_result(s, r);
+        }
+        JobOutcome::SimError(e) | JobOutcome::CheckFailed(e) | JobOutcome::WorkerDied(e) => {
+            s.str_field("error", e);
+        }
+        JobOutcome::Timeout { max_cycles } => s.u64_field("max_cycles", *max_cycles),
+        JobOutcome::Cancelled => {}
+    }
+    s.end_obj();
 }
 
-fn summary_from_json(v: &Json) -> Result<HistogramSummary, DecodeError> {
-    Ok(HistogramSummary {
-        count: field(v, "count")?,
-        sum: field(v, "sum")?,
-        p50: field(v, "p50")?,
-        p95: field(v, "p95")?,
-        p99: field(v, "p99")?,
+/// Pulls a [`JobOutcome`] out of `s`.
+///
+/// # Errors
+///
+/// [`DecodeError`] on unknown status tags or malformed payloads.
+pub fn read_outcome<'a, S: Source<'a>>(s: &mut S) -> Result<JobOutcome, DecodeError> {
+    s.obj(|s, o| {
+        let status = s.str_field(o, "status")?;
+        Ok(match &*status {
+            "ok" => JobOutcome::Ok(s.field(o, "result", read_run_result)?),
+            "sim_error" | "check_failed" | "worker_died" => {
+                let error = s.str_field(o, "error")?.into_owned();
+                match &*status {
+                    "sim_error" => JobOutcome::SimError(error),
+                    "check_failed" => JobOutcome::CheckFailed(error),
+                    _ => JobOutcome::WorkerDied(error),
+                }
+            }
+            "timeout" => JobOutcome::Timeout {
+                max_cycles: s.u64_field(o, "max_cycles")?,
+            },
+            "cancelled" => JobOutcome::Cancelled,
+            other => return Err(DecodeError::Shape(format!("unknown status {other:?}"))),
+        })
     })
 }
 
-/// Serializes a [`MetricsReport`]. Counters and histograms keep their
-/// insertion order (the report's serialization contract).
+/// The text the caches store for an outcome: pretty, newline-terminated.
+pub fn outcome_to_text(o: &JobOutcome) -> String {
+    to_text(true, |w| write_outcome(w, o))
+}
+
+/// Decodes an outcome straight from its text, no tree between.
+///
+/// # Errors
+///
+/// [`DecodeError`] on malformed JSON or a malformed payload.
+pub fn outcome_from_text(text: &str) -> Result<JobOutcome, DecodeError> {
+    from_text(text, read_outcome)
+}
+
+/// Serializes a [`MetricsReport`].
 pub fn metrics_to_json(m: &MetricsReport) -> Json {
-    Json::obj(vec![
-        ("breakdown", breakdown_to_json(&m.breakdown)),
-        (
-            "counters",
-            Json::Obj(
-                m.counters
-                    .iter()
-                    .map(|(n, v)| (n.clone(), Json::U64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                m.histograms
-                    .iter()
-                    .map(|(n, s)| (n.clone(), summary_to_json(s)))
-                    .collect(),
-            ),
-        ),
-    ])
+    to_tree(|s| write_metrics(s, m))
 }
 
 /// Reconstructs a [`MetricsReport`] from JSON.
@@ -168,58 +308,12 @@ pub fn metrics_to_json(m: &MetricsReport) -> Json {
 ///
 /// [`DecodeError`] on missing or mistyped fields.
 pub fn metrics_from_json(v: &Json) -> Result<MetricsReport, DecodeError> {
-    let mut m = MetricsReport::new();
-    m.breakdown = breakdown_from_json(
-        v.get("breakdown")
-            .ok_or_else(|| DecodeError("missing metrics `breakdown`".into()))?,
-    )?;
-    match v.get("counters") {
-        Some(Json::Obj(pairs)) => {
-            for (n, val) in pairs {
-                let val = val
-                    .as_u64()
-                    .ok_or_else(|| DecodeError(format!("counter `{n}` is not a u64")))?;
-                m.counter(n.clone(), val);
-            }
-        }
-        _ => return Err(DecodeError("missing metrics `counters` object".into())),
-    }
-    match v.get("histograms") {
-        Some(Json::Obj(pairs)) => {
-            for (n, val) in pairs {
-                m.histograms.push((n.clone(), summary_from_json(val)?));
-            }
-        }
-        _ => return Err(DecodeError("missing metrics `histograms` object".into())),
-    }
-    Ok(m)
+    from_tree(v, read_metrics)
 }
 
-/// Serializes a [`RunResult`] to JSON. The optional `metrics` field is
-/// appended last and only when present, so untraced results keep their
-/// exact pre-metrics byte layout.
+/// Serializes a [`RunResult`] to JSON.
 pub fn run_result_to_json(r: &RunResult) -> Json {
-    let mut pairs = vec![
-        ("design", Json::Str(r.design.clone())),
-        ("cycles", Json::U64(r.cycles)),
-        ("iterations", Json::U64(r.iterations)),
-        (
-            "cores",
-            Json::Arr(r.cores.iter().map(core_to_json).collect()),
-        ),
-        ("mem", mem_to_json(&r.mem)),
-        (
-            "stream_cache",
-            match r.stream_cache {
-                Some((h, m, d)) => Json::Arr(vec![Json::U64(h), Json::U64(m), Json::U64(d)]),
-                None => Json::Null,
-            },
-        ),
-    ];
-    if let Some(m) = &r.metrics {
-        pairs.push(("metrics", metrics_to_json(m)));
-    }
-    Json::obj(pairs)
+    to_tree(|s| write_run_result(s, r))
 }
 
 /// Reconstructs a [`RunResult`] from JSON.
@@ -228,86 +322,12 @@ pub fn run_result_to_json(r: &RunResult) -> Json {
 ///
 /// [`DecodeError`] on missing or mistyped fields.
 pub fn run_result_from_json(v: &Json) -> Result<RunResult, DecodeError> {
-    let cores = v
-        .get("cores")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| DecodeError("missing `cores` array".into()))?
-        .iter()
-        .map(core_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let sc = v
-        .get("stream_cache")
-        .ok_or_else(|| DecodeError("missing `stream_cache`".into()))?;
-    let stream_cache = if sc.is_null() {
-        None
-    } else {
-        let arr = sc
-            .as_arr()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| DecodeError("`stream_cache` must be a 3-array".into()))?;
-        Some((
-            arr[0]
-                .as_u64()
-                .ok_or_else(|| DecodeError("bad stream_cache hits".into()))?,
-            arr[1]
-                .as_u64()
-                .ok_or_else(|| DecodeError("bad stream_cache misses".into()))?,
-            arr[2]
-                .as_u64()
-                .ok_or_else(|| DecodeError("bad stream_cache drops".into()))?,
-        ))
-    };
-    Ok(RunResult {
-        design: v
-            .get("design")
-            .and_then(Json::as_str)
-            .ok_or_else(|| DecodeError("missing `design`".into()))?
-            .to_string(),
-        cycles: field(v, "cycles")?,
-        iterations: field(v, "iterations")?,
-        cores,
-        mem: mem_from_json(
-            v.get("mem")
-                .ok_or_else(|| DecodeError("missing `mem`".into()))?,
-        )?,
-        stream_cache,
-        metrics: v
-            .get("metrics")
-            .map(metrics_from_json)
-            .transpose()?
-            .map(Box::new),
-        // Not serialized: a cache hit reconstructs the numbers, not the
-        // fact that some past run was checked. CI re-runs checked
-        // configurations with the cache disabled.
-        checked: false,
-    })
+    from_tree(v, read_run_result)
 }
 
 /// Serializes a [`JobOutcome`] (the cache/artifact payload).
 pub fn outcome_to_json(o: &JobOutcome) -> Json {
-    match o {
-        JobOutcome::Ok(r) => Json::obj(vec![
-            ("status", Json::Str("ok".into())),
-            ("result", run_result_to_json(r)),
-        ]),
-        JobOutcome::SimError(e) => Json::obj(vec![
-            ("status", Json::Str("sim_error".into())),
-            ("error", Json::Str(e.clone())),
-        ]),
-        JobOutcome::CheckFailed(e) => Json::obj(vec![
-            ("status", Json::Str("check_failed".into())),
-            ("error", Json::Str(e.clone())),
-        ]),
-        JobOutcome::Timeout { max_cycles } => Json::obj(vec![
-            ("status", Json::Str("timeout".into())),
-            ("max_cycles", Json::U64(*max_cycles)),
-        ]),
-        JobOutcome::Cancelled => Json::obj(vec![("status", Json::Str("cancelled".into()))]),
-        JobOutcome::WorkerDied(e) => Json::obj(vec![
-            ("status", Json::Str("worker_died".into())),
-            ("error", Json::Str(e.clone())),
-        ]),
-    }
+    to_tree(|s| write_outcome(s, o))
 }
 
 /// Reconstructs a [`JobOutcome`] from JSON.
@@ -316,35 +336,7 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
 ///
 /// [`DecodeError`] on unknown status tags or malformed payloads.
 pub fn outcome_from_json(v: &Json) -> Result<JobOutcome, DecodeError> {
-    match v.get("status").and_then(Json::as_str) {
-        Some("ok") => Ok(JobOutcome::Ok(run_result_from_json(
-            v.get("result")
-                .ok_or_else(|| DecodeError("missing `result`".into()))?,
-        )?)),
-        Some("sim_error") => Ok(JobOutcome::SimError(
-            v.get("error")
-                .and_then(Json::as_str)
-                .ok_or_else(|| DecodeError("missing `error`".into()))?
-                .to_string(),
-        )),
-        Some("check_failed") => Ok(JobOutcome::CheckFailed(
-            v.get("error")
-                .and_then(Json::as_str)
-                .ok_or_else(|| DecodeError("missing `error`".into()))?
-                .to_string(),
-        )),
-        Some("timeout") => Ok(JobOutcome::Timeout {
-            max_cycles: field(v, "max_cycles")?,
-        }),
-        Some("cancelled") => Ok(JobOutcome::Cancelled),
-        Some("worker_died") => Ok(JobOutcome::WorkerDied(
-            v.get("error")
-                .and_then(Json::as_str)
-                .ok_or_else(|| DecodeError("missing `error`".into()))?
-                .to_string(),
-        )),
-        other => Err(DecodeError(format!("unknown status {other:?}"))),
-    }
+    from_tree(v, read_outcome)
 }
 
 #[cfg(test)]

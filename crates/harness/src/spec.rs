@@ -8,6 +8,11 @@
 //! simulator's own `validate()` runs when the machine is built, so a
 //! malformed spec fails the job, not the server).
 //!
+//! Each type is described once, as a `write_*`/`read_*` pair over
+//! [`Sink`]/[`Source`]: frames run [`write_job`]/[`read_job`] straight
+//! to and from text, and the `*_to_json`/`*_from_json` entry points run
+//! the same pairs to and from a [`Json`] tree.
+//!
 //! Kernel and region names are `&'static str` in the simulator's types;
 //! decoding interns each distinct name once (leaking it), which is
 //! bounded by the set of distinct benchmark/region names a server ever
@@ -25,7 +30,7 @@ use hfs_isa::QueueId;
 use hfs_mem::{BusConfig, CacheGeometry, MemConfig, Protocol};
 
 use crate::job::{Job, Mode};
-use crate::json::Json;
+use crate::json::{from_tree, to_tree, Json, Sink, Source};
 use crate::ser::DecodeError;
 
 /// Interns `s`, returning a `'static` copy. Each distinct string leaks
@@ -41,360 +46,436 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, DecodeError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| DecodeError(format!("missing u64 field `{key}`")))
-}
-
-fn u32_field(v: &Json, key: &str) -> Result<u32, DecodeError> {
-    u32::try_from(u64_field(v, key)?).map_err(|_| DecodeError(format!("field `{key}` exceeds u32")))
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, DecodeError> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(DecodeError(format!("missing bool field `{key}`"))),
-    }
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| DecodeError(format!("missing string field `{key}`")))
-}
-
-fn obj_field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
-    v.get(key)
-        .ok_or_else(|| DecodeError(format!("missing object field `{key}`")))
-}
-
-fn step_to_json(s: &KStep) -> Json {
-    match s {
-        KStep::Alu(n) => Json::obj(vec![
-            ("op", Json::Str("alu".into())),
-            ("n", Json::U64(u64::from(*n))),
-        ]),
-        KStep::AluChain(n) => Json::obj(vec![
-            ("op", Json::Str("alu_chain".into())),
-            ("n", Json::U64(u64::from(*n))),
-        ]),
-        KStep::FpChain(n) => Json::obj(vec![
-            ("op", Json::Str("fp_chain".into())),
-            ("n", Json::U64(u64::from(*n))),
-        ]),
-        KStep::Fp(n) => Json::obj(vec![
-            ("op", Json::Str("fp".into())),
-            ("n", Json::U64(u64::from(*n))),
-        ]),
-        KStep::Branch => Json::obj(vec![("op", Json::Str("branch".into()))]),
-        KStep::LoadStream { region, stride } => Json::obj(vec![
-            ("op", Json::Str("load_stream".into())),
-            ("region", Json::U64(*region as u64)),
-            ("stride", Json::U64(*stride)),
-        ]),
-        KStep::LoadRandom { region } => Json::obj(vec![
-            ("op", Json::Str("load_random".into())),
-            ("region", Json::U64(*region as u64)),
-        ]),
-        KStep::StoreStream { region, stride } => Json::obj(vec![
-            ("op", Json::Str("store_stream".into())),
-            ("region", Json::U64(*region as u64)),
-            ("stride", Json::U64(*stride)),
-        ]),
-        KStep::StoreRandom { region } => Json::obj(vec![
-            ("op", Json::Str("store_random".into())),
-            ("region", Json::U64(*region as u64)),
-        ]),
-        KStep::Produce(q) => Json::obj(vec![
-            ("op", Json::Str("produce".into())),
-            ("queue", Json::U64(u64::from(q.0))),
-        ]),
-        KStep::Consume(q) => Json::obj(vec![
-            ("op", Json::Str("consume".into())),
-            ("queue", Json::U64(u64::from(q.0))),
-        ]),
-        KStep::Loop(body, count) => Json::obj(vec![
-            ("op", Json::Str("loop".into())),
-            ("count", Json::U64(*count)),
-            ("body", Json::Arr(body.iter().map(step_to_json).collect())),
-        ]),
-    }
-}
-
-fn step_from_json(v: &Json) -> Result<KStep, DecodeError> {
-    let queue = |v: &Json| -> Result<QueueId, DecodeError> {
-        let q = u64_field(v, "queue")?;
-        u16::try_from(q)
-            .map(QueueId)
-            .map_err(|_| DecodeError("queue id exceeds u16".into()))
-    };
-    let region = |v: &Json| -> Result<usize, DecodeError> {
-        usize::try_from(u64_field(v, "region")?)
-            .map_err(|_| DecodeError("region index exceeds usize".into()))
-    };
-    match str_field(v, "op")? {
-        "alu" => Ok(KStep::Alu(u32_field(v, "n")?)),
-        "alu_chain" => Ok(KStep::AluChain(u32_field(v, "n")?)),
-        "fp_chain" => Ok(KStep::FpChain(u32_field(v, "n")?)),
-        "fp" => Ok(KStep::Fp(u32_field(v, "n")?)),
-        "branch" => Ok(KStep::Branch),
-        "load_stream" => Ok(KStep::LoadStream {
-            region: region(v)?,
-            stride: u64_field(v, "stride")?,
-        }),
-        "load_random" => Ok(KStep::LoadRandom { region: region(v)? }),
-        "store_stream" => Ok(KStep::StoreStream {
-            region: region(v)?,
-            stride: u64_field(v, "stride")?,
-        }),
-        "store_random" => Ok(KStep::StoreRandom { region: region(v)? }),
-        "produce" => Ok(KStep::Produce(queue(v)?)),
-        "consume" => Ok(KStep::Consume(queue(v)?)),
-        "loop" => {
-            let body = obj_field(v, "body")?
-                .as_arr()
-                .ok_or_else(|| DecodeError("loop `body` must be an array".into()))?
-                .iter()
-                .map(step_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(KStep::Loop(body, u64_field(v, "count")?))
+fn write_step<S: Sink>(s: &mut S, step: &KStep) {
+    use KStep::*;
+    s.begin_obj();
+    s.str_field(
+        "op",
+        match step {
+            Alu(_) => "alu",
+            AluChain(_) => "alu_chain",
+            FpChain(_) => "fp_chain",
+            Fp(_) => "fp",
+            Branch => "branch",
+            LoadStream { .. } => "load_stream",
+            LoadRandom { .. } => "load_random",
+            StoreStream { .. } => "store_stream",
+            StoreRandom { .. } => "store_random",
+            Produce(_) => "produce",
+            Consume(_) => "consume",
+            Loop(..) => "loop",
+        },
+    );
+    match step {
+        Alu(n) | AluChain(n) | FpChain(n) | Fp(n) => s.u64_field("n", u64::from(*n)),
+        Branch => {}
+        LoadStream { region, .. }
+        | LoadRandom { region }
+        | StoreStream { region, .. }
+        | StoreRandom { region } => s.u64_field("region", *region as u64),
+        Produce(q) | Consume(q) => s.u64_field("queue", u64::from(q.0)),
+        Loop(body, count) => {
+            s.u64_field("count", *count);
+            s.arr_field("body", body, write_step);
         }
-        other => Err(DecodeError(format!("unknown kernel op `{other}`"))),
     }
-}
-
-fn kernel_to_json(k: &Kernel) -> Json {
-    Json::obj(vec![
-        (
-            "regions",
-            Json::Arr(
-                k.regions
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("name", Json::Str(r.name.to_string())),
-                            ("bytes", Json::U64(r.bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "steps",
-            Json::Arr(k.steps.iter().map(step_to_json).collect()),
-        ),
-    ])
-}
-
-fn kernel_from_json(v: &Json) -> Result<Kernel, DecodeError> {
-    let regions = obj_field(v, "regions")?
-        .as_arr()
-        .ok_or_else(|| DecodeError("`regions` must be an array".into()))?
-        .iter()
-        .map(|r| {
-            Ok(KRegion {
-                name: intern(str_field(r, "name")?),
-                bytes: u64_field(r, "bytes")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let steps = obj_field(v, "steps")?
-        .as_arr()
-        .ok_or_else(|| DecodeError("`steps` must be an array".into()))?
-        .iter()
-        .map(step_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Kernel { regions, steps })
-}
-
-fn pair_to_json(p: &KernelPair) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(p.name.to_string())),
-        ("producer", kernel_to_json(&p.producer)),
-        ("consumer", kernel_to_json(&p.consumer)),
-        ("iterations", Json::U64(p.iterations)),
-    ])
-}
-
-fn pair_from_json(v: &Json) -> Result<KernelPair, DecodeError> {
-    Ok(KernelPair {
-        name: intern(str_field(v, "name")?),
-        producer: kernel_from_json(obj_field(v, "producer")?)?,
-        consumer: kernel_from_json(obj_field(v, "consumer")?)?,
-        iterations: u64_field(v, "iterations")?,
-    })
-}
-
-fn design_to_json(d: &DesignPoint) -> Json {
-    match d {
-        DesignPoint::Existing(c) => Json::obj(vec![
-            ("kind", Json::Str("existing".into())),
-            ("qlu", Json::U64(u64::from(c.qlu))),
-        ]),
-        DesignPoint::MemOpti(c) => Json::obj(vec![
-            ("kind", Json::Str("memopti".into())),
-            ("qlu", Json::U64(u64::from(c.qlu))),
-        ]),
-        DesignPoint::SyncOpti(c) => Json::obj(vec![
-            ("kind", Json::Str("syncopti".into())),
-            ("queue_depth", Json::U64(u64::from(c.queue_depth))),
-            ("qlu", Json::U64(u64::from(c.qlu))),
-            ("stream_cache", Json::Bool(c.stream_cache)),
-        ]),
-        DesignPoint::HeavyWt(c) => Json::obj(vec![
-            ("kind", Json::Str("heavywt".into())),
-            ("queue_depth", Json::U64(u64::from(c.queue_depth))),
-            ("transit", Json::U64(c.transit)),
-            ("sa_ops_per_cycle", Json::U64(u64::from(c.sa_ops_per_cycle))),
-            ("sa_latency", Json::U64(c.sa_latency)),
-        ]),
-        DesignPoint::RegMapped(c) => Json::obj(vec![
-            ("kind", Json::Str("regmapped".into())),
-            ("queue_depth", Json::U64(u64::from(c.queue_depth))),
-            ("transit", Json::U64(c.transit)),
-            ("sa_ops_per_cycle", Json::U64(u64::from(c.sa_ops_per_cycle))),
-            ("spill_ops", Json::U64(u64::from(c.spill_ops))),
-        ]),
+    if let LoadStream { stride, .. } | StoreStream { stride, .. } = step {
+        s.u64_field("stride", *stride);
     }
+    s.end_obj();
 }
 
-fn design_from_json(v: &Json) -> Result<DesignPoint, DecodeError> {
-    match str_field(v, "kind")? {
-        "existing" => Ok(DesignPoint::Existing(SoftwareConfig {
-            qlu: u32_field(v, "qlu")?,
-        })),
-        "memopti" => Ok(DesignPoint::MemOpti(SoftwareConfig {
-            qlu: u32_field(v, "qlu")?,
-        })),
-        "syncopti" => Ok(DesignPoint::SyncOpti(SyncOptiConfig {
-            queue_depth: u32_field(v, "queue_depth")?,
-            qlu: u32_field(v, "qlu")?,
-            stream_cache: bool_field(v, "stream_cache")?,
-        })),
-        "heavywt" => Ok(DesignPoint::HeavyWt(HeavyWtConfig {
-            queue_depth: u32_field(v, "queue_depth")?,
-            transit: u64_field(v, "transit")?,
-            sa_ops_per_cycle: u32_field(v, "sa_ops_per_cycle")?,
-            sa_latency: u64_field(v, "sa_latency")?,
-        })),
-        "regmapped" => Ok(DesignPoint::RegMapped(RegMappedConfig {
-            queue_depth: u32_field(v, "queue_depth")?,
-            transit: u64_field(v, "transit")?,
-            sa_ops_per_cycle: u32_field(v, "sa_ops_per_cycle")?,
-            spill_ops: u32_field(v, "spill_ops")?,
-        })),
-        other => Err(DecodeError(format!("unknown design kind `{other}`"))),
-    }
-}
-
-fn geometry_to_json(g: &CacheGeometry) -> Json {
-    Json::obj(vec![
-        ("bytes", Json::U64(g.bytes)),
-        ("ways", Json::U64(u64::from(g.ways))),
-        ("line_bytes", Json::U64(g.line_bytes)),
-    ])
-}
-
-fn geometry_from_json(v: &Json) -> Result<CacheGeometry, DecodeError> {
-    Ok(CacheGeometry {
-        bytes: u64_field(v, "bytes")?,
-        ways: u32_field(v, "ways")?,
-        line_bytes: u64_field(v, "line_bytes")?,
-    })
-}
-
-fn mem_to_json(m: &MemConfig) -> Json {
-    Json::obj(vec![
-        ("cores", Json::U64(u64::from(m.cores))),
-        ("l1d", geometry_to_json(&m.l1d)),
-        ("l1_latency", Json::U64(m.l1_latency)),
-        ("l2", geometry_to_json(&m.l2)),
-        ("l2_latency_min", Json::U64(m.l2_latency_min)),
-        ("l2_ports", Json::U64(u64::from(m.l2_ports))),
-        ("ozq_entries", Json::U64(u64::from(m.ozq_entries))),
-        ("recirc_interval", Json::U64(m.recirc_interval)),
-        ("l3", geometry_to_json(&m.l3)),
-        ("l3_latency", Json::U64(m.l3_latency)),
-        ("dram_latency", Json::U64(m.dram_latency)),
-        (
-            "bus",
-            Json::obj(vec![
-                ("width_bytes", Json::U64(m.bus.width_bytes)),
-                ("clock_divider", Json::U64(m.bus.clock_divider)),
-                ("pipeline_stages", Json::U64(m.bus.pipeline_stages)),
-                ("favor_app_traffic", Json::Bool(m.bus.favor_app_traffic)),
-            ]),
-        ),
-        ("protocol", Json::Str(m.protocol.label().into())),
-    ])
-}
-
-fn mem_from_json(v: &Json) -> Result<MemConfig, DecodeError> {
-    let bus = obj_field(v, "bus")?;
-    Ok(MemConfig {
-        cores: u8::try_from(u64_field(v, "cores")?)
-            .map_err(|_| DecodeError("`cores` exceeds u8".into()))?,
-        l1d: geometry_from_json(obj_field(v, "l1d")?)?,
-        l1_latency: u64_field(v, "l1_latency")?,
-        l2: geometry_from_json(obj_field(v, "l2")?)?,
-        l2_latency_min: u64_field(v, "l2_latency_min")?,
-        l2_ports: u32_field(v, "l2_ports")?,
-        ozq_entries: u32_field(v, "ozq_entries")?,
-        recirc_interval: u64_field(v, "recirc_interval")?,
-        l3: geometry_from_json(obj_field(v, "l3")?)?,
-        l3_latency: u64_field(v, "l3_latency")?,
-        dram_latency: u64_field(v, "dram_latency")?,
-        bus: BusConfig {
-            width_bytes: u64_field(bus, "width_bytes")?,
-            clock_divider: u64_field(bus, "clock_divider")?,
-            pipeline_stages: u64_field(bus, "pipeline_stages")?,
-            favor_app_traffic: bool_field(bus, "favor_app_traffic")?,
-        },
-        // Specs written before the protocol axis existed default to MSI.
-        protocol: match v.get("protocol").and_then(Json::as_str) {
-            None => Protocol::Msi,
-            Some(s) => {
-                Protocol::parse(s).ok_or_else(|| DecodeError(format!("unknown protocol `{s}`")))?
+fn read_step<'a, S: Source<'a>>(s: &mut S) -> Result<KStep, DecodeError> {
+    s.obj(|s, o| {
+        let op = s.str_field(o, "op")?;
+        Ok(match &*op {
+            "alu" | "alu_chain" | "fp_chain" | "fp" => {
+                let n = s.uint_field(o, "n")?;
+                match &*op {
+                    "alu" => KStep::Alu(n),
+                    "alu_chain" => KStep::AluChain(n),
+                    "fp_chain" => KStep::FpChain(n),
+                    _ => KStep::Fp(n),
+                }
             }
-        },
+            "branch" => KStep::Branch,
+            "load_random" | "store_random" | "load_stream" | "store_stream" => {
+                let region = s.uint_field(o, "region")?;
+                let load = op.starts_with("load");
+                if op.ends_with("random") {
+                    if load {
+                        KStep::LoadRandom { region }
+                    } else {
+                        KStep::StoreRandom { region }
+                    }
+                } else {
+                    let stride = s.u64_field(o, "stride")?;
+                    if load {
+                        KStep::LoadStream { region, stride }
+                    } else {
+                        KStep::StoreStream { region, stride }
+                    }
+                }
+            }
+            "produce" | "consume" => {
+                let q = QueueId(s.uint_field(o, "queue")?);
+                if &*op == "produce" {
+                    KStep::Produce(q)
+                } else {
+                    KStep::Consume(q)
+                }
+            }
+            "loop" => {
+                let count = s.u64_field(o, "count")?;
+                KStep::Loop(s.arr_field(o, "body", read_step)?, count)
+            }
+            other => return Err(DecodeError::Shape(format!("unknown kernel op `{other}`"))),
+        })
     })
 }
 
-fn core_to_json(c: &CoreConfig) -> Json {
-    Json::obj(vec![
-        ("issue_width", Json::U64(u64::from(c.issue_width))),
-        ("int_alus", Json::U64(u64::from(c.int_alus))),
-        ("fp_units", Json::U64(u64::from(c.fp_units))),
-        ("branch_units", Json::U64(u64::from(c.branch_units))),
-        ("mem_ports", Json::U64(u64::from(c.mem_ports))),
-        ("window", Json::U64(u64::from(c.window))),
-        ("free_queue_ops", Json::Bool(c.free_queue_ops)),
-    ])
+fn write_kernel<S: Sink>(s: &mut S, k: &Kernel) {
+    s.begin_obj();
+    s.arr_field("regions", &k.regions, |s, r| {
+        s.begin_obj();
+        s.str_field("name", r.name);
+        s.u64_field("bytes", r.bytes);
+        s.end_obj();
+    });
+    s.arr_field("steps", &k.steps, write_step);
+    s.end_obj();
 }
 
-fn core_from_json(v: &Json) -> Result<CoreConfig, DecodeError> {
-    Ok(CoreConfig {
-        issue_width: u32_field(v, "issue_width")?,
-        int_alus: u32_field(v, "int_alus")?,
-        fp_units: u32_field(v, "fp_units")?,
-        branch_units: u32_field(v, "branch_units")?,
-        mem_ports: u32_field(v, "mem_ports")?,
-        window: u32_field(v, "window")?,
-        free_queue_ops: bool_field(v, "free_queue_ops")?,
+fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
+    s.obj(|s, o| {
+        Ok(Kernel {
+            regions: s.arr_field(o, "regions", |s| {
+                s.obj(|s, o| {
+                    Ok::<_, DecodeError>(KRegion {
+                        name: intern(&s.str_field(o, "name")?),
+                        bytes: s.u64_field(o, "bytes")?,
+                    })
+                })
+            })?,
+            steps: s.arr_field(o, "steps", read_step)?,
+        })
+    })
+}
+
+fn write_pair<S: Sink>(s: &mut S, p: &KernelPair) {
+    s.begin_obj();
+    s.str_field("name", p.name);
+    s.key("producer");
+    write_kernel(s, &p.producer);
+    s.key("consumer");
+    write_kernel(s, &p.consumer);
+    s.u64_field("iterations", p.iterations);
+    s.end_obj();
+}
+
+fn read_pair<'a, S: Source<'a>>(s: &mut S) -> Result<KernelPair, DecodeError> {
+    s.obj(|s, o| {
+        Ok(KernelPair {
+            name: intern(&s.str_field(o, "name")?),
+            producer: s.field(o, "producer", read_kernel)?,
+            consumer: s.field(o, "consumer", read_kernel)?,
+            iterations: s.u64_field(o, "iterations")?,
+        })
+    })
+}
+
+fn write_design<S: Sink>(s: &mut S, d: &DesignPoint) {
+    use DesignPoint::*;
+    s.begin_obj();
+    s.str_field(
+        "kind",
+        match d {
+            Existing(_) => "existing",
+            MemOpti(_) => "memopti",
+            SyncOpti(_) => "syncopti",
+            HeavyWt(_) => "heavywt",
+            RegMapped(_) => "regmapped",
+        },
+    );
+    // One site per field, in wire order; each variant carries a subset.
+    if let SyncOpti(SyncOptiConfig { queue_depth, .. })
+    | HeavyWt(HeavyWtConfig { queue_depth, .. })
+    | RegMapped(RegMappedConfig { queue_depth, .. }) = d
+    {
+        s.u64_field("queue_depth", u64::from(*queue_depth));
+    }
+    if let Existing(SoftwareConfig { qlu })
+    | MemOpti(SoftwareConfig { qlu })
+    | SyncOpti(SyncOptiConfig { qlu, .. }) = d
+    {
+        s.u64_field("qlu", u64::from(*qlu));
+    }
+    if let SyncOpti(c) = d {
+        s.bool_field("stream_cache", c.stream_cache);
+    }
+    if let HeavyWt(HeavyWtConfig {
+        transit,
+        sa_ops_per_cycle,
+        ..
+    })
+    | RegMapped(RegMappedConfig {
+        transit,
+        sa_ops_per_cycle,
+        ..
+    }) = d
+    {
+        s.u64_field("transit", *transit);
+        s.u64_field("sa_ops_per_cycle", u64::from(*sa_ops_per_cycle));
+    }
+    if let HeavyWt(c) = d {
+        s.u64_field("sa_latency", c.sa_latency);
+    }
+    if let RegMapped(c) = d {
+        s.u64_field("spill_ops", u64::from(c.spill_ops));
+    }
+    s.end_obj();
+}
+
+fn read_design<'a, S: Source<'a>>(s: &mut S) -> Result<DesignPoint, DecodeError> {
+    s.obj(|s, o| {
+        let kind = s.str_field(o, "kind")?;
+        let software = matches!(&*kind, "existing" | "memopti");
+        let queued = matches!(&*kind, "syncopti" | "heavywt" | "regmapped");
+        if !software && !queued {
+            return Err(DecodeError::Shape(format!("unknown design kind `{kind}`")));
+        }
+        // Mirrors `write_design`: one site per field, in wire order.
+        let mut queue_depth = 0;
+        if queued {
+            queue_depth = s.uint_field(o, "queue_depth")?;
+        }
+        let mut qlu = 0;
+        if software || &*kind == "syncopti" {
+            qlu = s.uint_field(o, "qlu")?;
+        }
+        Ok(match &*kind {
+            "existing" => DesignPoint::Existing(SoftwareConfig { qlu }),
+            "memopti" => DesignPoint::MemOpti(SoftwareConfig { qlu }),
+            "syncopti" => DesignPoint::SyncOpti(SyncOptiConfig {
+                queue_depth,
+                qlu,
+                stream_cache: s.bool_field(o, "stream_cache")?,
+            }),
+            _ => {
+                let transit = s.u64_field(o, "transit")?;
+                let sa_ops_per_cycle = s.uint_field(o, "sa_ops_per_cycle")?;
+                if &*kind == "heavywt" {
+                    DesignPoint::HeavyWt(HeavyWtConfig {
+                        queue_depth,
+                        transit,
+                        sa_ops_per_cycle,
+                        sa_latency: s.u64_field(o, "sa_latency")?,
+                    })
+                } else {
+                    DesignPoint::RegMapped(RegMappedConfig {
+                        queue_depth,
+                        transit,
+                        sa_ops_per_cycle,
+                        spill_ops: s.uint_field(o, "spill_ops")?,
+                    })
+                }
+            }
+        })
+    })
+}
+
+fn write_geometry<S: Sink>(s: &mut S, key: &str, g: &CacheGeometry) {
+    s.key(key);
+    s.begin_obj();
+    s.u64_field("bytes", g.bytes);
+    s.u64_field("ways", u64::from(g.ways));
+    s.u64_field("line_bytes", g.line_bytes);
+    s.end_obj();
+}
+
+fn read_geometry<'a, S: Source<'a>>(s: &mut S) -> Result<CacheGeometry, DecodeError> {
+    s.obj(|s, o| {
+        Ok(CacheGeometry {
+            bytes: s.u64_field(o, "bytes")?,
+            ways: s.uint_field(o, "ways")?,
+            line_bytes: s.u64_field(o, "line_bytes")?,
+        })
+    })
+}
+
+fn write_bus<S: Sink>(s: &mut S, b: &BusConfig) {
+    s.begin_obj();
+    s.u64_field("width_bytes", b.width_bytes);
+    s.u64_field("clock_divider", b.clock_divider);
+    s.u64_field("pipeline_stages", b.pipeline_stages);
+    s.bool_field("favor_app_traffic", b.favor_app_traffic);
+    s.end_obj();
+}
+
+fn read_bus<'a, S: Source<'a>>(s: &mut S) -> Result<BusConfig, DecodeError> {
+    s.obj(|s, o| {
+        Ok(BusConfig {
+            width_bytes: s.u64_field(o, "width_bytes")?,
+            clock_divider: s.u64_field(o, "clock_divider")?,
+            pipeline_stages: s.u64_field(o, "pipeline_stages")?,
+            favor_app_traffic: s.bool_field(o, "favor_app_traffic")?,
+        })
+    })
+}
+
+fn write_mem<S: Sink>(s: &mut S, m: &MemConfig) {
+    s.begin_obj();
+    s.u64_field("cores", u64::from(m.cores));
+    write_geometry(s, "l1d", &m.l1d);
+    s.u64_field("l1_latency", m.l1_latency);
+    write_geometry(s, "l2", &m.l2);
+    s.u64_field("l2_latency_min", m.l2_latency_min);
+    s.u64_field("l2_ports", u64::from(m.l2_ports));
+    s.u64_field("ozq_entries", u64::from(m.ozq_entries));
+    s.u64_field("recirc_interval", m.recirc_interval);
+    write_geometry(s, "l3", &m.l3);
+    s.u64_field("l3_latency", m.l3_latency);
+    s.u64_field("dram_latency", m.dram_latency);
+    s.key("bus");
+    write_bus(s, &m.bus);
+    s.str_field("protocol", m.protocol.label());
+    s.end_obj();
+}
+
+fn read_mem<'a, S: Source<'a>>(s: &mut S) -> Result<MemConfig, DecodeError> {
+    s.obj(|s, o| {
+        Ok(MemConfig {
+            cores: s.uint_field(o, "cores")?,
+            l1d: s.field(o, "l1d", read_geometry)?,
+            l1_latency: s.u64_field(o, "l1_latency")?,
+            l2: s.field(o, "l2", read_geometry)?,
+            l2_latency_min: s.u64_field(o, "l2_latency_min")?,
+            l2_ports: s.uint_field(o, "l2_ports")?,
+            ozq_entries: s.uint_field(o, "ozq_entries")?,
+            recirc_interval: s.u64_field(o, "recirc_interval")?,
+            l3: s.field(o, "l3", read_geometry)?,
+            l3_latency: s.u64_field(o, "l3_latency")?,
+            dram_latency: s.u64_field(o, "dram_latency")?,
+            bus: s.field(o, "bus", read_bus)?,
+            // Specs written before the protocol axis existed default to
+            // MSI.
+            protocol: if s.seek(o, "protocol")? {
+                let label = s.str()?;
+                Protocol::parse(&label)
+                    .ok_or_else(|| DecodeError::Shape(format!("unknown protocol `{label}`")))?
+            } else {
+                Protocol::Msi
+            },
+        })
+    })
+}
+
+fn write_core<S: Sink>(s: &mut S, c: &CoreConfig) {
+    s.begin_obj();
+    s.u64_field("issue_width", u64::from(c.issue_width));
+    s.u64_field("int_alus", u64::from(c.int_alus));
+    s.u64_field("fp_units", u64::from(c.fp_units));
+    s.u64_field("branch_units", u64::from(c.branch_units));
+    s.u64_field("mem_ports", u64::from(c.mem_ports));
+    s.u64_field("window", u64::from(c.window));
+    s.bool_field("free_queue_ops", c.free_queue_ops);
+    s.end_obj();
+}
+
+fn read_core<'a, S: Source<'a>>(s: &mut S) -> Result<CoreConfig, DecodeError> {
+    s.obj(|s, o| {
+        Ok(CoreConfig {
+            issue_width: s.uint_field(o, "issue_width")?,
+            int_alus: s.uint_field(o, "int_alus")?,
+            fp_units: s.uint_field(o, "fp_units")?,
+            branch_units: s.uint_field(o, "branch_units")?,
+            mem_ports: s.uint_field(o, "mem_ports")?,
+            window: s.uint_field(o, "window")?,
+            free_queue_ops: s.bool_field(o, "free_queue_ops")?,
+        })
+    })
+}
+
+fn write_machine_config<S: Sink>(s: &mut S, c: &MachineConfig) {
+    s.begin_obj();
+    s.key("mem");
+    write_mem(s, &c.mem);
+    s.key("core");
+    write_core(s, &c.core);
+    s.key("design");
+    write_design(s, &c.design);
+    s.u64_field("seed", c.seed);
+    s.u64_field("deadlock_cycles", c.deadlock_cycles);
+    s.end_obj();
+}
+
+fn read_machine_config<'a, S: Source<'a>>(s: &mut S) -> Result<MachineConfig, DecodeError> {
+    s.obj(|s, o| {
+        Ok(MachineConfig {
+            mem: s.field(o, "mem", read_mem)?,
+            core: s.field(o, "core", read_core)?,
+            design: s.field(o, "design", read_design)?,
+            seed: s.u64_field(o, "seed")?,
+            deadlock_cycles: s.u64_field(o, "deadlock_cycles")?,
+        })
+    })
+}
+
+/// Pushes a [`Job`] spec into `s` — everything a remote engine needs to
+/// run it, including the display label (which is not part of the cache
+/// key).
+pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
+    s.begin_obj();
+    s.str_field("label", &job.label);
+    s.key("mode");
+    match job.mode {
+        Mode::Pipeline => s.str("pipeline"),
+        Mode::Single => s.str("single"),
+        Mode::Multi(n) => {
+            s.str("multi");
+            s.u64_field("pairs", u64::from(n));
+        }
+    }
+    s.u64_field("max_cycles", job.max_cycles);
+    s.u64_field("retries", u64::from(job.retries));
+    s.bool_field("metrics", job.metrics);
+    s.key("pair");
+    write_pair(s, &job.pair);
+    s.key("cfg");
+    write_machine_config(s, &job.cfg);
+    s.end_obj();
+}
+
+/// Pulls a [`Job`] out of its wire spec.
+///
+/// # Errors
+///
+/// [`DecodeError`] on missing or mistyped fields, unknown modes, or
+/// unknown design kinds.
+pub fn read_job<'a, S: Source<'a>>(s: &mut S) -> Result<Job, DecodeError> {
+    s.obj(|s, o| {
+        let label = s.str_field(o, "label")?.into_owned();
+        let mode = match &*s.str_field(o, "mode")? {
+            "pipeline" => Mode::Pipeline,
+            "single" => Mode::Single,
+            "multi" => Mode::Multi(s.uint_field(o, "pairs")?),
+            other => return Err(DecodeError::Shape(format!("unknown mode `{other}`"))),
+        };
+        let max_cycles = s.u64_field(o, "max_cycles")?;
+        let retries = s.uint_field(o, "retries")?;
+        let metrics = s.bool_field(o, "metrics")?;
+        let pair = s.field(o, "pair", read_pair)?;
+        let cfg = s.field(o, "cfg", read_machine_config)?;
+        Ok(Job::from_parts(
+            label, pair, cfg, mode, max_cycles, retries, metrics,
+        ))
     })
 }
 
 /// Serializes a full [`MachineConfig`] (memory hierarchy, core, design
 /// point, seed, deadlock window).
 pub fn machine_config_to_json(c: &MachineConfig) -> Json {
-    Json::obj(vec![
-        ("mem", mem_to_json(&c.mem)),
-        ("core", core_to_json(&c.core)),
-        ("design", design_to_json(&c.design)),
-        ("seed", Json::U64(c.seed)),
-        ("deadlock_cycles", Json::U64(c.deadlock_cycles)),
-    ])
+    to_tree(|s| write_machine_config(s, c))
 }
 
 /// Reconstructs a [`MachineConfig`] from JSON.
@@ -403,79 +484,32 @@ pub fn machine_config_to_json(c: &MachineConfig) -> Json {
 ///
 /// [`DecodeError`] on missing or mistyped fields.
 pub fn machine_config_from_json(v: &Json) -> Result<MachineConfig, DecodeError> {
-    Ok(MachineConfig {
-        mem: mem_from_json(obj_field(v, "mem")?)?,
-        core: core_from_json(obj_field(v, "core")?)?,
-        design: design_from_json(obj_field(v, "design")?)?,
-        seed: u64_field(v, "seed")?,
-        deadlock_cycles: u64_field(v, "deadlock_cycles")?,
-    })
+    from_tree(v, read_machine_config)
 }
 
-/// Serializes a [`Job`] spec — everything a remote engine needs to run
-/// it, including the display label (which is not part of the cache key).
+/// Serializes a [`Job`] spec.
 pub fn job_to_json(job: &Job) -> Json {
-    let mut pairs = vec![
-        ("label", Json::Str(job.label.clone())),
-        (
-            "mode",
-            Json::Str(
-                match job.mode {
-                    Mode::Pipeline => "pipeline",
-                    Mode::Single => "single",
-                    Mode::Multi(_) => "multi",
-                }
-                .into(),
-            ),
-        ),
-    ];
-    if let Mode::Multi(n) = job.mode {
-        pairs.push(("pairs", Json::U64(u64::from(n))));
-    }
-    pairs.extend([
-        ("max_cycles", Json::U64(job.max_cycles)),
-        ("retries", Json::U64(u64::from(job.retries))),
-        ("metrics", Json::Bool(job.metrics)),
-        ("pair", pair_to_json(&job.pair)),
-        ("cfg", machine_config_to_json(&job.cfg)),
-    ]);
-    Json::obj(pairs)
+    to_tree(|s| write_job(s, job))
 }
 
 /// Reconstructs a [`Job`] from its wire spec.
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on missing or mistyped fields, unknown modes, or
-/// unknown design kinds.
+/// As [`read_job`].
 pub fn job_from_json(v: &Json) -> Result<Job, DecodeError> {
-    let mode = match str_field(v, "mode")? {
-        "pipeline" => Mode::Pipeline,
-        "single" => Mode::Single,
-        "multi" => Mode::Multi(
-            u8::try_from(u64_field(v, "pairs")?)
-                .map_err(|_| DecodeError("`pairs` exceeds u8".into()))?,
-        ),
-        other => Err(DecodeError(format!("unknown mode `{other}`")))?,
-    };
-    Ok(Job::from_parts(
-        str_field(v, "label")?.to_string(),
-        pair_from_json(obj_field(v, "pair")?)?,
-        machine_config_from_json(obj_field(v, "cfg")?)?,
-        mode,
-        u64_field(v, "max_cycles")?,
-        u32_field(v, "retries")?,
-        bool_field(v, "metrics")?,
-    ))
+    from_tree(v, read_job)
 }
 
 /// Serializes a named sweep — the `hfs-client submit` payload and the
 /// `--dump-jobs` output format: `{"experiment": ..., "jobs": [...]}`.
 pub fn sweep_to_json(experiment: &str, jobs: &[Job]) -> Json {
-    Json::obj(vec![
-        ("experiment", Json::Str(experiment.to_string())),
-        ("jobs", Json::Arr(jobs.iter().map(job_to_json).collect())),
-    ])
+    to_tree(|s| {
+        s.begin_obj();
+        s.str_field("experiment", experiment);
+        s.arr_field("jobs", jobs, write_job);
+        s.end_obj();
+    })
 }
 
 /// Decodes a named sweep back into `(experiment, jobs)`.
@@ -484,14 +518,14 @@ pub fn sweep_to_json(experiment: &str, jobs: &[Job]) -> Json {
 ///
 /// [`DecodeError`] on malformed sweeps or any malformed job within.
 pub fn sweep_from_json(v: &Json) -> Result<(String, Vec<Job>), DecodeError> {
-    let name = str_field(v, "experiment")?.to_string();
-    let jobs = obj_field(v, "jobs")?
-        .as_arr()
-        .ok_or_else(|| DecodeError("`jobs` must be an array".into()))?
-        .iter()
-        .map(job_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((name, jobs))
+    from_tree(v, |s| {
+        s.obj(|s, o| {
+            Ok((
+                s.str_field(o, "experiment")?.into_owned(),
+                s.arr_field(o, "jobs", read_job)?,
+            ))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -592,7 +626,7 @@ mod tests {
             DesignPoint::heavywt_centralized(12),
             DesignPoint::regmapped(3),
         ] {
-            let back = design_from_json(&design_to_json(&d)).unwrap();
+            let back = from_tree(&to_tree(|s| write_design(s, &d)), read_design).unwrap();
             assert_eq!(back, d, "{d}");
         }
     }

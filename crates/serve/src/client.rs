@@ -16,10 +16,12 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::time::Duration;
 
-use hfs_harness::{Batch, Job, JobOutcome, Record};
+use hfs_harness::{write_job, Batch, Job, JobOutcome, Record, Sink};
 
 use crate::net::{Endpoint, Stream};
-use crate::proto::{ClientFrame, JobRef, ProtoError, ServeStats, ServerFrame, Subscribe};
+use crate::proto::{
+    write_frame, write_submit, ClientFrame, JobRef, ProtoError, ServeStats, ServerFrame, Subscribe,
+};
 
 /// Jobs per submission frame. With [`SUBMIT_WINDOW`] chunks in flight
 /// this keeps at most `DEFAULT_QUEUE_LIMIT` jobs enqueued server-side,
@@ -90,20 +92,20 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A per-job progress update, handed to the submit callbacks as
-/// results arrive (completion order, not submission order).
-#[derive(Debug, Clone)]
-pub struct JobUpdate {
+/// A per-job progress update, lent to the submit callbacks as results
+/// arrive (completion order, not submission order).
+#[derive(Debug, Clone, Copy)]
+pub struct JobUpdate<'a> {
     /// How many of the batch's jobs have resolved, this one included.
     pub finished: u64,
     /// Total jobs in the batch.
     pub total: u64,
     /// The resolved job's label.
-    pub label: String,
+    pub label: &'a str,
     /// Whether it was served from the server's cache.
     pub cached: bool,
     /// Its outcome.
-    pub outcome: JobOutcome,
+    pub outcome: &'a JobOutcome,
 }
 
 /// A connection to an `hfs-serve` instance.
@@ -215,7 +217,7 @@ impl Client {
         &mut self,
         experiment: &str,
         jobs: Vec<Job>,
-        on_update: impl FnMut(&JobUpdate),
+        on_update: impl FnMut(&JobUpdate<'_>),
     ) -> Result<Batch, ClientError> {
         self.submit_batched(experiment, jobs, Subscribe::All, on_update)
     }
@@ -255,7 +257,7 @@ impl Client {
         experiment: &str,
         jobs: Vec<Job>,
         subscribe: Subscribe,
-        mut on_update: impl FnMut(&JobUpdate),
+        mut on_update: impl FnMut(&JobUpdate<'_>),
     ) -> Result<Batch, ClientError> {
         let total = jobs.len() as u64;
         if jobs.is_empty() {
@@ -308,37 +310,23 @@ impl Client {
                     pending.push_front((next_id, tail));
                     next_id += 1;
                 }
-                if use_refs {
-                    ClientFrame::SubmitRefs {
-                        experiment: experiment.to_string(),
-                        id,
-                        subscribe,
-                        refs: chunk
-                            .iter()
-                            .map(|j| JobRef {
-                                key: j.key(),
-                                label: j.label.clone(),
-                            })
-                            .collect(),
+                // The frame borrows the chunk: what `ClientFrame::
+                // {SubmitRefs, SubmitBatch}` would write, without cloning
+                // a key, a label or a job into one.
+                write_frame(&mut self.stream, |w| {
+                    if use_refs {
+                        write_submit(w, "submit_refs", experiment, id, subscribe, |w| {
+                            w.arr_field("refs", &chunk, |w, j| {
+                                JobRef::write(w, j.key_ref(), &j.label);
+                            });
+                        });
+                    } else {
+                        write_submit(w, "submit_batch", experiment, id, subscribe, |w| {
+                            w.arr_field("jobs", &chunk, write_job);
+                        });
                     }
-                    .write_to(&mut self.stream)?;
-                    awaiting.insert(id, chunk);
-                } else {
-                    // Build the frame with the owned jobs and take them
-                    // back after the write: chunks are too big to clone
-                    // per submission.
-                    let frame = ClientFrame::SubmitBatch {
-                        experiment: experiment.to_string(),
-                        id,
-                        subscribe,
-                        jobs: chunk,
-                    };
-                    frame.write_to(&mut self.stream)?;
-                    let ClientFrame::SubmitBatch { jobs: chunk, .. } = frame else {
-                        unreachable!("constructed as submit_batch above");
-                    };
-                    awaiting.insert(id, chunk);
-                }
+                })?;
+                awaiting.insert(id, chunk);
                 in_flight += 1;
             }
             match self.read_frame()? {
@@ -411,14 +399,7 @@ impl Client {
                             )));
                         }
                         finished += 1;
-                        on_update(&JobUpdate {
-                            finished,
-                            total,
-                            label: r.label.clone(),
-                            cached: r.cached,
-                            outcome: r.outcome.clone(),
-                        });
-                        *slot = Some(Record {
+                        let record = slot.insert(Record {
                             label: r.label,
                             key: r.key,
                             cached: r.cached,
@@ -427,6 +408,13 @@ impl Client {
                             // records honest without affecting bytes.
                             wall_millis: 0,
                             outcome: r.outcome,
+                        });
+                        on_update(&JobUpdate {
+                            finished,
+                            total,
+                            label: &record.label,
+                            cached: record.cached,
+                            outcome: &record.outcome,
                         });
                     }
                 }
@@ -480,12 +468,12 @@ impl Client {
 /// A progress reporter matching the offline engine's structured stream:
 /// one `job_done` record at info level per resolved job, so `HFS_LOG`
 /// governs client-side progress exactly like engine-side progress.
-pub fn print_update(experiment: &str, u: &JobUpdate) {
+pub fn print_update(experiment: &str, u: &JobUpdate<'_>) {
     let label = u
         .label
         .strip_prefix(experiment)
         .and_then(|rest| rest.strip_prefix('/'))
-        .unwrap_or(&u.label);
+        .unwrap_or(u.label);
     hfs_obs::info(
         "client",
         "job_done",

@@ -42,8 +42,7 @@ pub mod worker;
 pub use client::{print_update, Client, ClientError, JobUpdate, SUBMIT_CHUNK, SUBMIT_WINDOW};
 pub use net::{Endpoint, Listener, Stream, ENV_ADDR, ENV_SOCK};
 pub use proto::{
-    read_frame, write_frame, ClientFrame, JobRef, JobResult, ProtoError, ServeStats, ServerFrame,
-    Subscribe, MAX_FRAME_BYTES,
+    ClientFrame, JobRef, JobResult, ProtoError, ServeStats, ServerFrame, Subscribe, MAX_FRAME_BYTES,
 };
 pub use server::{Server, ServerConfig, DEFAULT_QUEUE_LIMIT, ENV_QUEUE_LIMIT, ENV_WORKERS};
 pub use worker::worker_main;

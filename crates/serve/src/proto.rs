@@ -10,14 +10,18 @@
 //!
 //! Frame types are closed enums ([`ClientFrame`], [`ServerFrame`]) with
 //! a `"type"` tag; unknown tags decode to [`ProtoError::Malformed`] so
-//! version skew fails loudly instead of silently dropping work.
+//! version skew fails loudly instead of silently dropping work. Each
+//! frame is described once, over [`Sink`]/[`Source`]: `write_to` and
+//! `read_from` run that description straight to and from the frame's
+//! text, `to_json` and `from_json` to and from a [`Json`] tree.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
+use hfs_harness::json::Writer;
 use hfs_harness::{
-    is_cache_key, job_from_json, job_to_json, outcome_from_json, outcome_to_json, parse,
-    DecodeError, Job, JobOutcome, Json, ParseError,
+    from_text, from_tree, is_cache_key, read_job, read_outcome, to_text, to_tree, write_job,
+    write_outcome, DecodeError, Job, JobOutcome, Json, ParseError, Sink, Source,
 };
 
 /// Upper bound on a single frame body. Large sweeps are a few megabytes
@@ -62,25 +66,26 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-impl From<ParseError> for ProtoError {
-    fn from(e: ParseError) -> ProtoError {
-        ProtoError::Parse(e)
-    }
-}
-
 impl From<DecodeError> for ProtoError {
     fn from(e: DecodeError) -> ProtoError {
-        ProtoError::Decode(e)
+        match e {
+            DecodeError::Syntax(e) => ProtoError::Parse(e),
+            shape => ProtoError::Decode(shape),
+        }
     }
 }
 
-/// Writes one frame: 4-byte big-endian length, then the compact JSON.
-///
-/// # Errors
-///
-/// Propagates transport write failures.
-pub fn write_frame(w: &mut impl Write, body: &Json) -> io::Result<()> {
-    let text = body.to_string();
+fn malformed<T>(message: impl Into<String>) -> Result<T, ProtoError> {
+    Err(ProtoError::Malformed(message.into()))
+}
+
+/// Writes one frame: 4-byte big-endian length, then the compact JSON
+/// `emit` pushes.
+pub(crate) fn write_frame(
+    w: &mut impl Write,
+    emit: impl FnOnce(&mut Writer<'_>),
+) -> io::Result<()> {
+    let text = to_text(false, emit);
     let len = u32::try_from(text.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body too large"))?;
     w.write_all(&len.to_be_bytes())?;
@@ -88,13 +93,9 @@ pub fn write_frame(w: &mut impl Write, body: &Json) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame. Returns `Ok(None)` on a clean EOF *between* frames
-/// (the peer closed); EOF mid-frame is an error.
-///
-/// # Errors
-///
-/// Transport failures, oversized length prefixes, and invalid JSON.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, ProtoError> {
+/// Reads one frame body. Returns `Ok(None)` on a clean EOF *between*
+/// frames (the peer closed); EOF mid-frame is an error.
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no more frames" from "truncated prefix" by hand: a
     // clean close yields 0 bytes before the next prefix.
@@ -118,58 +119,55 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, ProtoError> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|_| ProtoError::Malformed("frame body is not UTF-8".to_string()))?;
-    Ok(Some(parse(&text)?))
+    String::from_utf8(body)
+        .map(Some)
+        .or_else(|_| malformed("frame body is not UTF-8"))
 }
 
-fn tag_of(v: &Json) -> Result<&str, ProtoError> {
-    v.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::Malformed("frame has no \"type\" tag".to_string()))
-}
+/// The `write_to`/`read_from`/`to_json`/`from_json` quartet every frame
+/// type offers, over its one `write`/`read` description.
+macro_rules! frame_drivers {
+    ($frame:ty) => {
+        impl $frame {
+            /// Encodes the frame body as a tree.
+            pub fn to_json(&self) -> Json {
+                to_tree(|s| self.write(s))
+            }
 
-fn str_field(v: &Json, key: &str) -> Result<String, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing string field \"{key}\"")))
-}
+            /// Decodes a frame body from a tree.
+            ///
+            /// # Errors
+            ///
+            /// [`ProtoError::Malformed`] on unknown tags,
+            /// [`ProtoError::Decode`] on missing or mistyped fields.
+            pub fn from_json(v: &Json) -> Result<$frame, ProtoError> {
+                from_tree(v, Self::read)
+            }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing integer field \"{key}\"")))
-}
+            /// Writes the frame to a transport.
+            ///
+            /// # Errors
+            ///
+            /// Propagates transport write failures.
+            pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+                write_frame(w, |s| self.write(s))
+            }
 
-fn bool_field(v: &Json, key: &str) -> Result<bool, ProtoError> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(ProtoError::Malformed(format!(
-            "missing boolean field \"{key}\""
-        ))),
-    }
+            /// Reads the next frame; `Ok(None)` on clean EOF.
+            ///
+            /// # Errors
+            ///
+            /// Transport or decode failures.
+            pub fn read_from(r: &mut impl Read) -> Result<Option<$frame>, ProtoError> {
+                match read_frame(r)? {
+                    None => Ok(None),
+                    Some(text) => from_text(&text, Self::read).map(Some),
+                }
+            }
+        }
+    };
 }
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ProtoError> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing array field \"{key}\"")))
-}
-
-/// The fields `submit_batch` and `submit_refs` share: experiment, the
-/// nonzero batch id, and the subscription level.
-fn submit_header(v: &Json) -> Result<(String, u64, Subscribe), ProtoError> {
-    let id = u64_field(v, "id")?;
-    if id == 0 {
-        return Err(ProtoError::Malformed(
-            "submission id must be nonzero".to_string(),
-        ));
-    }
-    let subscribe = Subscribe::parse(&str_field(v, "subscribe")?)
-        .ok_or_else(|| ProtoError::Malformed("subscribe must be none|final|all".to_string()))?;
-    Ok((str_field(v, "experiment")?, id, subscribe))
-}
+pub(crate) use frame_drivers;
 
 /// How much per-job traffic a batch submission wants back. Results
 /// always travel as [`ServerFrame::BatchResults`]; the level picks how
@@ -230,31 +228,30 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    fn to_json(&self) -> Json {
-        let outcome = match &self.encoded {
-            Some(text) => Json::Raw(Arc::clone(text)),
-            None => outcome_to_json(&self.outcome),
-        };
-        Json::obj(vec![
-            ("index", Json::U64(self.index)),
-            ("label", Json::Str(self.label.clone())),
-            ("key", Json::Str(self.key.clone())),
-            ("cached", Json::Bool(self.cached)),
-            ("outcome", outcome),
-        ])
+    fn write<S: Sink>(&self, s: &mut S) {
+        s.begin_obj();
+        s.u64_field("index", self.index);
+        s.str_field("label", &self.label);
+        s.str_field("key", &self.key);
+        s.bool_field("cached", self.cached);
+        s.key("outcome");
+        match &self.encoded {
+            Some(text) => s.raw(text),
+            None => write_outcome(s, &self.outcome),
+        }
+        s.end_obj();
     }
 
-    fn from_json(v: &Json) -> Result<JobResult, ProtoError> {
-        Ok(JobResult {
-            index: u64_field(v, "index")?,
-            label: str_field(v, "label")?,
-            key: str_field(v, "key")?,
-            cached: bool_field(v, "cached")?,
-            outcome: outcome_from_json(
-                v.get("outcome")
-                    .ok_or_else(|| ProtoError::Malformed("result has no outcome".to_string()))?,
-            )?,
-            encoded: None,
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<JobResult, DecodeError> {
+        s.obj(|s, o| {
+            Ok(JobResult {
+                index: s.u64_field(o, "index")?,
+                label: s.str_field(o, "label")?.into_owned(),
+                key: s.str_field(o, "key")?.into_owned(),
+                cached: s.bool_field(o, "cached")?,
+                outcome: s.field(o, "outcome", read_outcome)?,
+                encoded: None,
+            })
         })
     }
 }
@@ -277,24 +274,25 @@ pub struct JobRef {
 }
 
 impl JobRef {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("key", Json::Str(self.key.clone())),
-            ("label", Json::Str(self.label.clone())),
-        ])
+    /// Pushes one entry of a `submit_refs` frame.
+    pub(crate) fn write<S: Sink>(s: &mut S, key: &str, label: &str) {
+        s.begin_obj();
+        s.str_field("key", key);
+        s.str_field("label", label);
+        s.end_obj();
     }
 
-    fn from_json(v: &Json) -> Result<JobRef, ProtoError> {
-        let key = str_field(v, "key")?;
-        if !is_cache_key(&key) {
-            // The key names a file in the server's cache directory.
-            return Err(ProtoError::Malformed(format!(
-                "ref key {key:?} is not 16 lowercase hex digits"
-            )));
-        }
-        Ok(JobRef {
-            key,
-            label: str_field(v, "label")?,
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<JobRef, ProtoError> {
+        s.obj(|s, o| {
+            let key = s.str_field(o, "key")?;
+            if !is_cache_key(&key) {
+                // The key names a file in the server's cache directory.
+                return malformed(format!("ref key {key:?} is not 16 lowercase hex digits"));
+            }
+            Ok(JobRef {
+                key: key.into_owned(),
+                label: s.str_field(o, "label")?.into_owned(),
+            })
         })
     }
 }
@@ -345,107 +343,119 @@ pub enum ClientFrame {
     Shutdown,
 }
 
+/// Pushes a submission frame: the tag, the header `submit_batch` and
+/// `submit_refs` share, then whatever `entries` pushes. What
+/// [`ClientFrame::write_to`] runs, lent to the client so that it can
+/// frame a chunk of jobs it goes on owning.
+pub(crate) fn write_submit<S: Sink>(
+    s: &mut S,
+    tag: &str,
+    experiment: &str,
+    id: u64,
+    subscribe: Subscribe,
+    entries: impl FnOnce(&mut S),
+) {
+    s.begin_obj();
+    s.str_field("type", tag);
+    s.str_field("experiment", experiment);
+    s.u64_field("id", id);
+    s.str_field("subscribe", subscribe.as_str());
+    entries(s);
+    s.end_obj();
+}
+
+/// The header after the tag: experiment, the nonzero batch id, and the
+/// subscription level.
+fn read_submit_header<'a, S: Source<'a>>(
+    s: &mut S,
+    o: &mut S::Obj,
+) -> Result<(String, u64, Subscribe), ProtoError> {
+    let experiment = s.str_field(o, "experiment")?.into_owned();
+    let id = s.u64_field(o, "id")?;
+    if id == 0 {
+        return malformed("submission id must be nonzero");
+    }
+    match Subscribe::parse(&s.str_field(o, "subscribe")?) {
+        Some(subscribe) => Ok((experiment, id, subscribe)),
+        None => malformed("subscribe must be none|final|all"),
+    }
+}
+
 impl ClientFrame {
-    /// Encodes the frame body.
-    pub fn to_json(&self) -> Json {
-        match self {
+    fn write<S: Sink>(&self, s: &mut S) {
+        let tag = match self {
             ClientFrame::SubmitBatch {
                 experiment,
                 id,
                 subscribe,
                 jobs,
-            } => Json::obj(vec![
-                ("type", Json::Str("submit_batch".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("id", Json::U64(*id)),
-                ("subscribe", Json::Str(subscribe.as_str().to_string())),
-                ("jobs", Json::Arr(jobs.iter().map(job_to_json).collect())),
-            ]),
+            } => {
+                return write_submit(s, "submit_batch", experiment, *id, *subscribe, |s| {
+                    s.arr_field("jobs", jobs, write_job);
+                });
+            }
             ClientFrame::SubmitRefs {
                 experiment,
                 id,
                 subscribe,
                 refs,
-            } => Json::obj(vec![
-                ("type", Json::Str("submit_refs".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("id", Json::U64(*id)),
-                ("subscribe", Json::Str(subscribe.as_str().to_string())),
-                (
-                    "refs",
-                    Json::Arr(refs.iter().map(JobRef::to_json).collect()),
-                ),
-            ]),
-            ClientFrame::Ping => Json::obj(vec![("type", Json::Str("ping".to_string()))]),
-            ClientFrame::Stats => Json::obj(vec![("type", Json::Str("stats".to_string()))]),
-            ClientFrame::Metrics => Json::obj(vec![("type", Json::Str("metrics".to_string()))]),
-            ClientFrame::Shutdown => Json::obj(vec![("type", Json::Str("shutdown".to_string()))]),
-        }
-    }
-
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<ClientFrame, ProtoError> {
-        match tag_of(v)? {
-            "submit_batch" => {
-                let (experiment, id, subscribe) = submit_header(v)?;
-                let jobs = arr_field(v, "jobs")?
-                    .iter()
-                    .map(job_from_json)
-                    .collect::<Result<Vec<Job>, DecodeError>>()?;
-                Ok(ClientFrame::SubmitBatch {
-                    experiment,
-                    id,
-                    subscribe,
-                    jobs,
-                })
+            } => {
+                return write_submit(s, "submit_refs", experiment, *id, *subscribe, |s| {
+                    s.arr_field("refs", refs, |s, r| JobRef::write(s, &r.key, &r.label));
+                });
             }
-            "submit_refs" => {
-                let (experiment, id, subscribe) = submit_header(v)?;
-                let refs = arr_field(v, "refs")?
-                    .iter()
-                    .map(JobRef::from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ClientFrame::SubmitRefs {
-                    experiment,
-                    id,
-                    subscribe,
-                    refs,
-                })
-            }
-            "ping" => Ok(ClientFrame::Ping),
-            "stats" => Ok(ClientFrame::Stats),
-            "metrics" => Ok(ClientFrame::Metrics),
-            "shutdown" => Ok(ClientFrame::Shutdown),
-            other => Err(ProtoError::Malformed(format!(
-                "unknown client frame type {other:?}"
-            ))),
-        }
+            ClientFrame::Ping => "ping",
+            ClientFrame::Stats => "stats",
+            ClientFrame::Metrics => "metrics",
+            ClientFrame::Shutdown => "shutdown",
+        };
+        s.begin_obj();
+        s.str_field("type", tag);
+        s.end_obj();
     }
 
-    /// Writes the frame to a transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write failures.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write_frame(w, &self.to_json())
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<ClientFrame, ProtoError> {
+        s.obj(|s, o| {
+            Ok(match &*read_tag(s, o)? {
+                "submit_batch" => {
+                    let (experiment, id, subscribe) = read_submit_header(s, o)?;
+                    ClientFrame::SubmitBatch {
+                        experiment,
+                        id,
+                        subscribe,
+                        jobs: s.arr_field(o, "jobs", read_job)?,
+                    }
+                }
+                "submit_refs" => {
+                    let (experiment, id, subscribe) = read_submit_header(s, o)?;
+                    ClientFrame::SubmitRefs {
+                        experiment,
+                        id,
+                        subscribe,
+                        refs: s.arr_field(o, "refs", JobRef::read)?,
+                    }
+                }
+                "ping" => ClientFrame::Ping,
+                "stats" => ClientFrame::Stats,
+                "metrics" => ClientFrame::Metrics,
+                "shutdown" => ClientFrame::Shutdown,
+                other => return malformed(format!("unknown client frame type {other:?}")),
+            })
+        })
     }
+}
 
-    /// Reads the next client frame; `Ok(None)` on clean EOF.
-    ///
-    /// # Errors
-    ///
-    /// Transport or decode failures.
-    pub fn read_from(r: &mut impl Read) -> Result<Option<ClientFrame>, ProtoError> {
-        match read_frame(r)? {
-            None => Ok(None),
-            Some(v) => ClientFrame::from_json(&v).map(Some),
-        }
+frame_drivers!(ClientFrame);
+
+/// The `"type"` tag every frame leads with.
+pub(crate) fn read_tag<'a, S: Source<'a>>(
+    s: &mut S,
+    o: &mut S::Obj,
+) -> Result<std::borrow::Cow<'a, str>, ProtoError> {
+    if !s.seek(o, "type")? {
+        return malformed("frame has no \"type\" tag");
     }
+    Ok(s.str()?)
 }
 
 /// Aggregate server counters, reported via [`ServerFrame::Stats`].
@@ -482,41 +492,46 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Encodes the snapshot as a stats frame body (sans tag).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("submitted", Json::U64(self.submitted)),
-            ("executed", Json::U64(self.executed)),
-            ("cache_hits", Json::U64(self.cache_hits)),
-            ("deduped", Json::U64(self.deduped)),
-            ("cancelled", Json::U64(self.cancelled)),
-            ("aborted", Json::U64(self.aborted)),
-            ("rejected", Json::U64(self.rejected)),
-            ("delivered", Json::U64(self.delivered)),
-            ("queued", Json::U64(self.queued)),
-            ("running", Json::U64(self.running)),
-            ("draining", Json::Bool(self.draining)),
-        ])
+    /// Pushes the counters as fields of the object `s` has open.
+    fn write_fields<S: Sink>(&self, s: &mut S) {
+        s.u64_field("submitted", self.submitted);
+        s.u64_field("executed", self.executed);
+        s.u64_field("cache_hits", self.cache_hits);
+        s.u64_field("deduped", self.deduped);
+        s.u64_field("cancelled", self.cancelled);
+        s.u64_field("aborted", self.aborted);
+        s.u64_field("rejected", self.rejected);
+        s.u64_field("delivered", self.delivered);
+        s.u64_field("queued", self.queued);
+        s.u64_field("running", self.running);
+        s.bool_field("draining", self.draining);
     }
 
-    /// Decodes a snapshot from a stats frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on missing fields.
-    pub fn from_json(v: &Json) -> Result<ServeStats, ProtoError> {
+    fn read_fields<'a, S: Source<'a>>(
+        s: &mut S,
+        o: &mut S::Obj,
+    ) -> Result<ServeStats, DecodeError> {
         Ok(ServeStats {
-            submitted: u64_field(v, "submitted")?,
-            executed: u64_field(v, "executed")?,
-            cache_hits: u64_field(v, "cache_hits")?,
-            deduped: u64_field(v, "deduped")?,
-            cancelled: u64_field(v, "cancelled")?,
-            aborted: u64_field(v, "aborted")?,
-            rejected: u64_field(v, "rejected")?,
-            delivered: u64_field(v, "delivered")?,
-            queued: u64_field(v, "queued")?,
-            running: u64_field(v, "running")?,
-            draining: bool_field(v, "draining")?,
+            submitted: s.u64_field(o, "submitted")?,
+            executed: s.u64_field(o, "executed")?,
+            cache_hits: s.u64_field(o, "cache_hits")?,
+            deduped: s.u64_field(o, "deduped")?,
+            cancelled: s.u64_field(o, "cancelled")?,
+            aborted: s.u64_field(o, "aborted")?,
+            rejected: s.u64_field(o, "rejected")?,
+            delivered: s.u64_field(o, "delivered")?,
+            queued: s.u64_field(o, "queued")?,
+            running: s.u64_field(o, "running")?,
+            draining: s.bool_field(o, "draining")?,
+        })
+    }
+
+    /// Encodes the snapshot as a stats frame body (sans tag).
+    pub fn to_json(&self) -> Json {
+        to_tree(|s| {
+            s.begin_obj();
+            self.write_fields(s);
+            s.end_obj();
         })
     }
 }
@@ -591,158 +606,114 @@ pub enum ServerFrame {
 }
 
 impl ServerFrame {
-    /// Encodes the frame body.
-    pub fn to_json(&self) -> Json {
+    fn write<S: Sink>(&self, s: &mut S) {
+        s.begin_obj();
         match self {
             ServerFrame::Accepted {
                 experiment,
                 total,
                 id,
-            } => Json::obj(vec![
-                ("type", Json::Str("accepted".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("total", Json::U64(*total)),
-                ("id", Json::U64(*id)),
-            ]),
-            ServerFrame::Busy { queued, limit, id } => Json::obj(vec![
-                ("type", Json::Str("busy".to_string())),
-                ("queued", Json::U64(*queued)),
-                ("limit", Json::U64(*limit)),
-                ("id", Json::U64(*id)),
-            ]),
+            } => {
+                s.str_field("type", "accepted");
+                s.str_field("experiment", experiment);
+                s.u64_field("total", *total);
+                s.u64_field("id", *id);
+            }
+            ServerFrame::Busy { queued, limit, id } => {
+                s.str_field("type", "busy");
+                s.u64_field("queued", *queued);
+                s.u64_field("limit", *limit);
+                s.u64_field("id", *id);
+            }
             ServerFrame::BatchResults {
                 experiment,
                 id,
                 results,
-            } => Json::obj(vec![
-                ("type", Json::Str("batch_results".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("id", Json::U64(*id)),
-                (
-                    "results",
-                    Json::Arr(results.iter().map(JobResult::to_json).collect()),
-                ),
-            ]),
-            ServerFrame::RefsMiss { id, missing } => Json::obj(vec![
-                ("type", Json::Str("refs_miss".to_string())),
-                ("id", Json::U64(*id)),
-                (
-                    "missing",
-                    Json::Arr(missing.iter().map(|&i| Json::U64(i)).collect()),
-                ),
-            ]),
-            ServerFrame::Done { experiment, ok, id } => Json::obj(vec![
-                ("type", Json::Str("done".to_string())),
-                ("experiment", Json::Str(experiment.clone())),
-                ("ok", Json::Bool(*ok)),
-                ("id", Json::U64(*id)),
-            ]),
+            } => {
+                s.str_field("type", "batch_results");
+                s.str_field("experiment", experiment);
+                s.u64_field("id", *id);
+                s.arr_field("results", results, |s, r| r.write(s));
+            }
+            ServerFrame::RefsMiss { id, missing } => {
+                s.str_field("type", "refs_miss");
+                s.u64_field("id", *id);
+                s.arr_field("missing", missing.iter().copied(), S::u64);
+            }
+            ServerFrame::Done { experiment, ok, id } => {
+                s.str_field("type", "done");
+                s.str_field("experiment", experiment);
+                s.bool_field("ok", *ok);
+                s.u64_field("id", *id);
+            }
             ServerFrame::Stats(stats) => {
-                let mut body = vec![("type".to_string(), Json::Str("stats".to_string()))];
-                if let Json::Obj(pairs) = stats.to_json() {
-                    body.extend(pairs);
-                }
-                Json::Obj(body)
+                s.str_field("type", "stats");
+                stats.write_fields(s);
             }
-            ServerFrame::Metrics { text } => Json::obj(vec![
-                ("type", Json::Str("metrics".to_string())),
-                ("text", Json::Str(text.clone())),
-            ]),
-            ServerFrame::Pong => Json::obj(vec![("type", Json::Str("pong".to_string()))]),
-            ServerFrame::ShuttingDown => {
-                Json::obj(vec![("type", Json::Str("shutting_down".to_string()))])
+            ServerFrame::Metrics { text } => {
+                s.str_field("type", "metrics");
+                s.str_field("text", text);
             }
-            ServerFrame::Error { message } => Json::obj(vec![
-                ("type", Json::Str("error".to_string())),
-                ("message", Json::Str(message.clone())),
-            ]),
+            ServerFrame::Pong => s.str_field("type", "pong"),
+            ServerFrame::ShuttingDown => s.str_field("type", "shutting_down"),
+            ServerFrame::Error { message } => {
+                s.str_field("type", "error");
+                s.str_field("message", message);
+            }
         }
+        s.end_obj();
     }
 
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<ServerFrame, ProtoError> {
-        match tag_of(v)? {
-            "accepted" => Ok(ServerFrame::Accepted {
-                experiment: str_field(v, "experiment")?,
-                total: u64_field(v, "total")?,
-                id: u64_field(v, "id")?,
-            }),
-            "busy" => Ok(ServerFrame::Busy {
-                queued: u64_field(v, "queued")?,
-                limit: u64_field(v, "limit")?,
-                id: u64_field(v, "id")?,
-            }),
-            "batch_results" => Ok(ServerFrame::BatchResults {
-                experiment: str_field(v, "experiment")?,
-                id: u64_field(v, "id")?,
-                results: arr_field(v, "results")?
-                    .iter()
-                    .map(JobResult::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "refs_miss" => Ok(ServerFrame::RefsMiss {
-                id: u64_field(v, "id")?,
-                missing: arr_field(v, "missing")?
-                    .iter()
-                    .map(|e| {
-                        e.as_u64().ok_or_else(|| {
-                            ProtoError::Malformed("refs_miss index is not a u64".to_string())
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "done" => Ok(ServerFrame::Done {
-                experiment: str_field(v, "experiment")?,
-                ok: bool_field(v, "ok")?,
-                id: u64_field(v, "id")?,
-            }),
-            "stats" => Ok(ServerFrame::Stats(ServeStats::from_json(v)?)),
-            "metrics" => Ok(ServerFrame::Metrics {
-                text: str_field(v, "text")?,
-            }),
-            "pong" => Ok(ServerFrame::Pong),
-            "shutting_down" => Ok(ServerFrame::ShuttingDown),
-            "error" => Ok(ServerFrame::Error {
-                message: str_field(v, "message")?,
-            }),
-            other => Err(ProtoError::Malformed(format!(
-                "unknown server frame type {other:?}"
-            ))),
-        }
-    }
-
-    /// Writes the frame to a transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write failures.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write_frame(w, &self.to_json())
-    }
-
-    /// Reads the next server frame; `Ok(None)` on clean EOF.
-    ///
-    /// # Errors
-    ///
-    /// Transport or decode failures.
-    pub fn read_from(r: &mut impl Read) -> Result<Option<ServerFrame>, ProtoError> {
-        match read_frame(r)? {
-            None => Ok(None),
-            Some(v) => ServerFrame::from_json(&v).map(Some),
-        }
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<ServerFrame, ProtoError> {
+        s.obj(|s, o| {
+            Ok(match &*read_tag(s, o)? {
+                "accepted" => ServerFrame::Accepted {
+                    experiment: s.str_field(o, "experiment")?.into_owned(),
+                    total: s.u64_field(o, "total")?,
+                    id: s.u64_field(o, "id")?,
+                },
+                "busy" => ServerFrame::Busy {
+                    queued: s.u64_field(o, "queued")?,
+                    limit: s.u64_field(o, "limit")?,
+                    id: s.u64_field(o, "id")?,
+                },
+                "batch_results" => ServerFrame::BatchResults {
+                    experiment: s.str_field(o, "experiment")?.into_owned(),
+                    id: s.u64_field(o, "id")?,
+                    results: s.arr_field(o, "results", JobResult::read)?,
+                },
+                "refs_miss" => ServerFrame::RefsMiss {
+                    id: s.u64_field(o, "id")?,
+                    missing: s.arr_field(o, "missing", S::u64)?,
+                },
+                "done" => ServerFrame::Done {
+                    experiment: s.str_field(o, "experiment")?.into_owned(),
+                    ok: s.bool_field(o, "ok")?,
+                    id: s.u64_field(o, "id")?,
+                },
+                "stats" => ServerFrame::Stats(ServeStats::read_fields(s, o)?),
+                "metrics" => ServerFrame::Metrics {
+                    text: s.str_field(o, "text")?.into_owned(),
+                },
+                "pong" => ServerFrame::Pong,
+                "shutting_down" => ServerFrame::ShuttingDown,
+                "error" => ServerFrame::Error {
+                    message: s.str_field(o, "message")?.into_owned(),
+                },
+                other => return malformed(format!("unknown server frame type {other:?}")),
+            })
+        })
     }
 }
+
+frame_drivers!(ServerFrame);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
-    use hfs_harness::execute;
+    use hfs_harness::{execute, outcome_to_json};
 
     fn demo_job() -> Job {
         Job::pipeline(

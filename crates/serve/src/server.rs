@@ -713,15 +713,13 @@ impl Dispatcher {
                     }
                 }
             }
-            let request = WorkerRequest::Run {
-                key: key.to_string(),
-                retries: self.default_retries,
-                job: job.clone(),
-            };
             let sent = {
                 let mut stdin = pool.stdins[idx].lock().unwrap();
                 match stdin.as_mut() {
-                    Some(s) => crate::proto::write_frame(s, &request.to_json()).is_ok(),
+                    Some(s) => crate::proto::write_frame(s, |w| {
+                        WorkerRequest::write_run(w, key, self.default_retries, job);
+                    })
+                    .is_ok(),
                     None => false,
                 }
             };
@@ -732,10 +730,7 @@ impl Dispatcher {
             }
             let reply = {
                 let c = child.as_mut().expect("child was just ensured");
-                crate::proto::read_frame(&mut c.stdout)
-                    .ok()
-                    .flatten()
-                    .and_then(|v| WorkerReply::from_json(&v).ok())
+                WorkerReply::read_from(&mut c.stdout).ok().flatten()
             };
             match reply {
                 Some(r) if r.key == key => return (r.outcome, r.retries_used),
@@ -791,7 +786,7 @@ impl Dispatcher {
     fn reap_worker(&self, pool: &ProcPool, idx: usize, child: Option<WorkerChild>) {
         let stdin = pool.stdins[idx].lock().unwrap().take();
         if let Some(mut s) = stdin {
-            let _ = crate::proto::write_frame(&mut s, &WorkerRequest::Exit.to_json());
+            let _ = WorkerRequest::Exit.write_to(&mut s);
             // Dropping the handle closes the pipe: EOF is the backup
             // exit signal if the frame never arrived.
         }
@@ -845,7 +840,7 @@ impl Dispatcher {
                 .iter()
                 .any(|w| w.batch.subscribe != Subscribe::None);
         let encoded: Option<Arc<str>> =
-            wants_encoded.then(|| hfs_harness::outcome_to_json(&outcome).to_pretty().into());
+            wants_encoded.then(|| hfs_harness::outcome_to_text(&outcome).into());
         for w in &flight.waiters {
             let result = JobResult {
                 index: w.index as u64,
@@ -902,8 +897,7 @@ impl Dispatcher {
         if let Some(pool) = &self.proc {
             for key in cancelled {
                 if let Some(stdin) = pool.stdins[self.shard_of(&key)].lock().unwrap().as_mut() {
-                    let _ =
-                        crate::proto::write_frame(stdin, &WorkerRequest::Cancel { key }.to_json());
+                    let _ = WorkerRequest::Cancel { key }.write_to(stdin);
                 }
             }
         }

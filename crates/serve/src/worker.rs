@@ -8,10 +8,9 @@
 //! is what keeps the stats identities and byte-identical artifacts
 //! independent of the worker mode.
 //!
-//! Frames reuse the client protocol's transport
-//! ([`read_frame`]/[`write_frame`]: 4-byte big-endian length + compact
-//! JSON) and the harness codec for jobs and outcomes, so nothing new
-//! has to round-trip.
+//! Frames reuse the client protocol's transport (4-byte big-endian
+//! length + compact JSON) and the harness codec for jobs and outcomes,
+//! so nothing new has to round-trip.
 //!
 //! The child runs one job at a time (the parent never pipelines a
 //! second `run` before the reply), but a `cancel` frame may arrive
@@ -20,17 +19,17 @@
 //! parent died or dropped the pipe — is an exit signal, so a crashed
 //! parent never leaves orphan workers behind.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 use hfs_harness::{
-    execute_counted, job_from_json, job_to_json, outcome_from_json, outcome_to_json, Job,
-    JobOutcome, Json,
+    execute_counted, from_text, from_tree, read_job, read_outcome, to_tree, write_job,
+    write_outcome, Job, JobOutcome, Json, Sink, Source,
 };
 use hfs_sim::CancelToken;
 
-use crate::proto::{read_frame, write_frame, ProtoError};
+use crate::proto::{frame_drivers, read_frame, read_tag, write_frame, ProtoError};
 
 /// A parent→worker frame.
 // `Run` dwarfs the other variants, but requests are built once per
@@ -59,60 +58,57 @@ pub enum WorkerRequest {
 }
 
 impl WorkerRequest {
-    /// Encodes the frame body.
-    pub fn to_json(&self) -> Json {
-        match self {
-            WorkerRequest::Run { key, retries, job } => Json::obj(vec![
-                ("type", Json::Str("run".to_string())),
-                ("key", Json::Str(key.clone())),
-                ("retries", Json::U64(u64::from(*retries))),
-                ("job", job_to_json(job)),
-            ]),
-            WorkerRequest::Cancel { key } => Json::obj(vec![
-                ("type", Json::Str("cancel".to_string())),
-                ("key", Json::Str(key.clone())),
-            ]),
-            WorkerRequest::Exit => Json::obj(vec![("type", Json::Str("exit".to_string()))]),
-        }
+    /// Pushes a `run` frame for a job the dispatcher goes on owning.
+    pub(crate) fn write_run<S: Sink>(s: &mut S, key: &str, retries: u32, job: &Job) {
+        s.begin_obj();
+        s.str_field("type", "run");
+        s.str_field("key", key);
+        s.u64_field("retries", u64::from(retries));
+        s.key("job");
+        write_job(s, job);
+        s.end_obj();
     }
 
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<WorkerRequest, ProtoError> {
-        let tag = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::Malformed("worker frame has no type".to_string()))?;
-        let key = || {
-            v.get("key")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ProtoError::Malformed("worker frame has no key".to_string()))
-        };
-        match tag {
-            "run" => Ok(WorkerRequest::Run {
-                key: key()?,
-                retries: v
-                    .get("retries")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| ProtoError::Malformed("run has no retries".to_string()))?,
-                job: job_from_json(
-                    v.get("job")
-                        .ok_or_else(|| ProtoError::Malformed("run has no job".to_string()))?,
-                )?,
-            }),
-            "cancel" => Ok(WorkerRequest::Cancel { key: key()? }),
-            "exit" => Ok(WorkerRequest::Exit),
-            other => Err(ProtoError::Malformed(format!(
-                "unknown worker frame type {other:?}"
-            ))),
+    fn write<S: Sink>(&self, s: &mut S) {
+        if let WorkerRequest::Run { key, retries, job } = self {
+            return WorkerRequest::write_run(s, key, *retries, job);
         }
+        s.begin_obj();
+        match self {
+            WorkerRequest::Cancel { key } => {
+                s.str_field("type", "cancel");
+                s.str_field("key", key);
+            }
+            _ => s.str_field("type", "exit"),
+        }
+        s.end_obj();
+    }
+
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<WorkerRequest, ProtoError> {
+        s.obj(|s, o| {
+            let tag = read_tag(s, o)?;
+            if &*tag == "exit" {
+                return Ok(WorkerRequest::Exit);
+            }
+            let key = s.str_field(o, "key")?.into_owned();
+            Ok(match &*tag {
+                "run" => WorkerRequest::Run {
+                    key,
+                    retries: s.uint_field(o, "retries")?,
+                    job: s.field(o, "job", read_job)?,
+                },
+                "cancel" => WorkerRequest::Cancel { key },
+                other => {
+                    return Err(ProtoError::Malformed(format!(
+                        "unknown worker frame type {other:?}"
+                    )))
+                }
+            })
+        })
     }
 }
+
+frame_drivers!(WorkerRequest);
 
 /// A worker→parent frame: the outcome of one `run`.
 #[derive(Debug, Clone)]
@@ -126,45 +122,33 @@ pub struct WorkerReply {
 }
 
 impl WorkerReply {
-    /// Encodes the frame body.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("type", Json::Str("result".to_string())),
-            ("key", Json::Str(self.key.clone())),
-            ("retries_used", Json::U64(u64::from(self.retries_used))),
-            ("outcome", outcome_to_json(&self.outcome)),
-        ])
+    fn write<S: Sink>(&self, s: &mut S) {
+        s.begin_obj();
+        s.str_field("type", "result");
+        s.str_field("key", &self.key);
+        s.u64_field("retries_used", u64::from(self.retries_used));
+        s.key("outcome");
+        write_outcome(s, &self.outcome);
+        s.end_obj();
     }
 
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<WorkerReply, ProtoError> {
-        if v.get("type").and_then(Json::as_str) != Some("result") {
-            return Err(ProtoError::Malformed(
-                "worker reply is not a result frame".to_string(),
-            ));
-        }
-        Ok(WorkerReply {
-            key: v
-                .get("key")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ProtoError::Malformed("result has no key".to_string()))?,
-            retries_used: v
-                .get("retries_used")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| ProtoError::Malformed("result has no retries_used".to_string()))?,
-            outcome: outcome_from_json(
-                v.get("outcome")
-                    .ok_or_else(|| ProtoError::Malformed("result has no outcome".to_string()))?,
-            )?,
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<WorkerReply, ProtoError> {
+        s.obj(|s, o| {
+            if &*read_tag(s, o)? != "result" {
+                return Err(ProtoError::Malformed(
+                    "worker reply is not a result frame".to_string(),
+                ));
+            }
+            Ok(WorkerReply {
+                key: s.str_field(o, "key")?.into_owned(),
+                retries_used: s.uint_field(o, "retries_used")?,
+                outcome: s.field(o, "outcome", read_outcome)?,
+            })
         })
     }
 }
+
+frame_drivers!(WorkerReply);
 
 /// The `--worker` entry point: serve `run` requests from stdin until
 /// `exit` or EOF. Returns the process exit code.
@@ -177,22 +161,13 @@ pub fn worker_main() -> i32 {
     let reader = std::thread::spawn(move || {
         let mut stdin = io::stdin().lock();
         loop {
-            let frame = match read_frame(&mut stdin) {
-                Ok(Some(v)) => WorkerRequest::from_json(&v),
-                // EOF (parent gone) and transport errors both end the
-                // worker; never linger as an orphan.
-                Ok(None) | Err(_) => {
-                    let _ = work_tx.send(None);
-                    return;
-                }
-            };
-            match frame {
-                Ok(WorkerRequest::Run { key, retries, job }) => {
+            match WorkerRequest::read_from(&mut stdin) {
+                Ok(Some(WorkerRequest::Run { key, retries, job })) => {
                     if work_tx.send(Some((key, retries, job))).is_err() {
                         return;
                     }
                 }
-                Ok(WorkerRequest::Cancel { key }) => {
+                Ok(Some(WorkerRequest::Cancel { key })) => {
                     let guard = reader_current.lock().unwrap();
                     if let Some((running, token)) = guard.as_ref() {
                         if *running == key {
@@ -200,7 +175,10 @@ pub fn worker_main() -> i32 {
                         }
                     }
                 }
-                Ok(WorkerRequest::Exit) | Err(_) => {
+                // EOF (parent gone), transport errors and frames that do
+                // not decode all end the worker; never linger as an
+                // orphan.
+                Ok(Some(WorkerRequest::Exit) | None) | Err(_) => {
                     let _ = work_tx.send(None);
                     return;
                 }
@@ -219,7 +197,7 @@ pub fn worker_main() -> i32 {
             retries_used,
             outcome,
         };
-        if write_frame(&mut stdout, &reply.to_json()).is_err() {
+        if reply.write_to(&mut stdout).is_err() {
             break; // parent gone; nothing left to report to
         }
     }

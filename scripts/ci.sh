@@ -91,7 +91,7 @@ else
     grep -q '"schema": "simbench-v3"' "$QUICK_JSON" || { echo "malformed $QUICK_JSON"; exit 1; }
 fi
 
-echo "==> benchmark: its own tests, then sim_dense and sweep_warm with every correctness check"
+echo "==> benchmark: its own tests, then sim_dense, sweep_warm and sweep_cold with every correctness check"
 # The benchmark's checks (every timed run equals its warm-up run, the
 # production loop equals the per-cycle walk, recorded cycle and
 # instruction counts) gate every simulator change, not only the changes
@@ -106,6 +106,13 @@ fi
 # an outcome differed from direct execution, the server's accounting
 # identity broke, or a warm pass executed a job.
 benchmark/run.sh --workload sweep_warm --seed 1 --seconds 3 --trace 0
+# The cold sweep is the only step that pushes full specs through
+# `submit_batch` and compares every outcome with direct execution.
+COLD_OUT=$(benchmark/run.sh --workload sweep_cold --seed 1 --seconds 3 --trace 0)
+echo "$COLD_OUT"
+if ! tail -n1 <<<"$COLD_OUT" | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,'; then
+    echo "sweep_cold: an outcome through submit_batch differed from its reference"; exit 1
+fi
 
 echo "==> hfs-serve smoke (concurrent clients, byte-identical artifacts, dedup, drain)"
 SERVE_TMP=$(mktemp -d)

@@ -2,7 +2,9 @@
 //! and server frames — truncation, bit flips, lying length prefixes,
 //! wrong-typed fields — pushed through `read_from`. A decoder may refuse
 //! a frame; it may never panic, never hang, and never hand back a frame
-//! that is not itself well-formed.
+//! that is not itself well-formed. The same for the one JSON tokenizer
+//! under them: deep nesting, huge numbers, surrogates, truncation, bit
+//! flips — and whatever parses must re-serialise to the same tree.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -231,4 +233,128 @@ fn mutated_frames_are_refused_or_well_formed() {
     // Most mutations must actually bite, or the loop tests nothing.
     assert!(client > CASES / 2, "only {client} client frames refused");
     assert!(server > CASES / 2, "only {server} server frames refused");
+}
+
+#[test]
+fn a_deeply_nested_frame_is_refused_not_recursed_into() {
+    // 200 KB of open brackets, honestly framed: well under the frame
+    // cap, and once enough to overflow the parser's stack and abort the
+    // process. Also behind a key the decoder has to step over.
+    for body in [
+        "[".repeat(200_000),
+        format!("{{\"type\":\"ping\",\"x\":{}", "{\"y\":".repeat(40_000)),
+    ] {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body.as_bytes());
+        assert!(ClientFrame::read_from(&mut frame.as_slice()).is_err());
+        assert!(ServerFrame::read_from(&mut frame.as_slice()).is_err());
+    }
+}
+
+/// A random document: nested to `depth`, with the values that stress
+/// the tokenizer (huge and tiny numbers, escapes, surrogate pairs).
+fn document(rng: &mut Rng64, depth: u32) -> String {
+    const SCALARS: [&str; 14] = [
+        "null",
+        "true",
+        "0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-0",
+        "1e308",
+        "-2.5E-3",
+        "123456789012345678901234567890",
+        "\"\"",
+        "\"a\\\"b\\\\c\\n\\u0041\\u00e9\"",
+        "\"\\ud83d\\ude80\"",
+        "\"π🚀é\"",
+        "\"\\/\\b\\f\\r\\t\"",
+    ];
+    let n = rng.below(4);
+    match if depth == 0 { 0 } else { rng.below(3) } {
+        0 => SCALARS[rng.below(SCALARS.len() as u64) as usize].to_string(),
+        1 => {
+            let items: Vec<String> = (0..n).map(|_| document(rng, depth - 1)).collect();
+            format!("[{}]", items.join(if rng.bool() { "," } else { " ,\n\t" }))
+        }
+        _ => {
+            let pairs: Vec<String> = (0..n)
+                .map(|i| format!("\"k{i}\\u00e9\" : {}", document(rng, depth - 1)))
+                .collect();
+            format!("{{{}}}", pairs.join(","))
+        }
+    }
+}
+
+#[test]
+fn hostile_json_is_refused_or_round_trips() {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut rng = Rng64::new(0x5eed).split(3);
+        let (mut parsed, mut refused) = (0u64, 0u64);
+        for case in 0..4 * CASES {
+            let mut text = document(&mut rng, 1 + (case % 6) as u32).into_bytes();
+            match rng.below(6) {
+                // As generated: must parse.
+                0 => {}
+                1 => text.truncate(rng.below(text.len() as u64 + 1) as usize),
+                2 => {
+                    let at = rng.below(text.len() as u64) as usize;
+                    text[at] ^= 1 << rng.below(8);
+                }
+                // Nesting past any sane depth, closed or not.
+                3 => {
+                    let levels = rng.range(100, 5_000) as usize;
+                    let mut deep = b"[".repeat(levels);
+                    deep.extend_from_slice(&text);
+                    if rng.bool() {
+                        deep.extend_from_slice(&b"]".repeat(levels));
+                    }
+                    text = deep;
+                }
+                // The tokenizer's own edge cases.
+                4 => {
+                    let bad = [
+                        "\"\\ud83d\"",
+                        "\"\\ude80\\ud83d\"",
+                        "\"\\u+123\"",
+                        "01",
+                        "1.",
+                        "1e999",
+                        "-",
+                        "\"\\u12",
+                    ];
+                    text = bad[rng.below(bad.len() as u64) as usize]
+                        .as_bytes()
+                        .to_vec();
+                }
+                _ => text.extend_from_slice(b" x"),
+            }
+            // Bit flips can leave invalid UTF-8, which never reaches the
+            // parser (`read_frame` refuses it first).
+            let Ok(text) = String::from_utf8(text) else {
+                refused += 1;
+                continue;
+            };
+            match parse(&text) {
+                Err(_) => refused += 1,
+                Ok(tree) => {
+                    parsed += 1;
+                    for again in [tree.to_string(), tree.to_pretty()] {
+                        assert_eq!(
+                            parse(&again).as_ref(),
+                            Ok(&tree),
+                            "case {case}: {text:?} re-serialised to {again:?}"
+                        );
+                    }
+                }
+            }
+        }
+        let _ = tx.send((parsed, refused));
+    });
+    let (parsed, refused) = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the parser panicked or hung on hostile text");
+    assert!(parsed > CASES / 2, "only {parsed} documents parsed");
+    assert!(refused > CASES / 2, "only {refused} documents refused");
 }
