@@ -12,11 +12,10 @@
 //! Observability hooks: `HFS_METRICS=1` attaches a metrics report to
 //! every run in the artifacts and writes `harness_metrics.json`;
 //! `HFS_TRACE_DIR=<dir>` additionally exports a Chrome trace per
-//! executed job; `--trace <path>` / `HFS_TRACE=<path>` records a
-//! Perfetto-loadable trace of one demo design point. A figure that
-//! fails (watchdog timeout, deadlock) is reported and skipped; the run
-//! continues, exits nonzero, and an immediate re-run resumes from the
-//! cache.
+//! executed job; `--trace <path>` records a Perfetto-loadable trace of
+//! one demo design point. A figure that fails (watchdog timeout,
+//! deadlock) is reported and skipped; the run continues, exits nonzero,
+//! and an immediate re-run resumes from the cache.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,7 +1,7 @@
 //! Regenerates Figure 6 (transit-delay sensitivity).
 //!
-//! Pass `--trace <path>` (or set `HFS_TRACE=<path>`) to also record a
-//! Chrome trace of the demo HEAVYWT design point, loadable in Perfetto.
+//! Pass `--trace <path>` to also record a Chrome trace of the demo
+//! HEAVYWT design point, loadable in Perfetto.
 //!
 //! Pass `--dump-jobs <path>` to write the figure's sweep spec as JSON
 //! (for `hfs-client submit`) instead of simulating.

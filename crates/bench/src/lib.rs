@@ -19,6 +19,9 @@
 //! Run everything with `cargo run -p hfs-bench --release --bin all_figures`.
 //! Set `HFS_QUICK=1` to cap per-benchmark iteration counts for a fast
 //! (less steady-state) pass.
+//!
+//! Nothing here measures wall-clock time: `benchmark/run.sh` is the
+//! repository's one benchmark.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -22,10 +22,6 @@ pub const MAX_CYCLES: u64 = hfs_harness::DEFAULT_MAX_CYCLES;
 /// fidelity for speed.
 pub const QUICK_ITERATIONS: u64 = 300;
 
-/// Environment variable naming a file to receive the demo Chrome trace
-/// (equivalent to the `--trace <path>` flag on the fig binaries).
-pub const ENV_TRACE: &str = "HFS_TRACE";
-
 /// Set to route experiment batches through a running `hfs-serve`
 /// instance (`HFS_VIA_SERVER=1`; endpoint from `HFS_SOCK`/`HFS_ADDR`)
 /// instead of the in-process engine. Artifacts stay byte-identical.
@@ -133,7 +129,7 @@ pub fn run_batch(name: &str, jobs: Vec<Job>) -> Batch {
 
 /// Returns the benchmark with quick-mode iteration capping applied.
 pub fn scaled(bench: &Benchmark) -> Benchmark {
-    if std::env::var_os("HFS_QUICK").is_some() {
+    if env_flag("HFS_QUICK") {
         bench.with_iterations(bench.pair.iterations.min(QUICK_ITERATIONS))
     } else {
         bench.clone()
@@ -190,17 +186,6 @@ pub fn try_run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> Result<Run
     ))
 }
 
-/// Runs the fused single-threaded version of `bench`.
-///
-/// # Errors
-///
-/// See [`try_run_with_config`].
-pub fn try_run_single(bench: &Benchmark) -> Result<RunResult, SimError> {
-    let b = scaled(bench);
-    let cfg = apply_protocol(MachineConfig::itanium2_single());
-    hfs_harness::execute_once(&Job::single(b.name, b.pair.clone(), cfg))
-}
-
 /// Runs `bench` as a two-thread pipeline under `design` on the baseline
 /// machine.
 ///
@@ -222,15 +207,6 @@ pub fn run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> RunResult {
         .unwrap_or_else(|e| panic!("{} under {}: {e}", bench.name, cfg.design))
 }
 
-/// Runs the fused single-threaded version of `bench` (Figure 9 baseline).
-///
-/// # Panics
-///
-/// See [`run_design`].
-pub fn run_single(bench: &Benchmark) -> RunResult {
-    try_run_single(bench).unwrap_or_else(|e| panic!("{} single-threaded: {e}", bench.name))
-}
-
 /// Runs the demo design point — the Figure 6 HEAVYWT pipeline on `fir`,
 /// capped at [`QUICK_ITERATIONS`] — with a recording tracer, returning
 /// the Chrome trace-event JSON and the (metrics-carrying) run result.
@@ -249,25 +225,17 @@ pub fn demo_trace() -> (String, RunResult) {
 }
 
 /// Honors the fig binaries' trace hook: when `--trace <path>` was passed
-/// on the command line or `HFS_TRACE=<path>` is set, writes the
-/// [`demo_trace`] Chrome JSON to that path and returns it.
+/// on the command line, writes the [`demo_trace`] Chrome JSON to that
+/// path and returns it.
 ///
 /// # Panics
 ///
 /// Panics if the trace file cannot be written.
 pub fn maybe_write_demo_trace() -> Option<PathBuf> {
-    let mut cli = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            cli = args.next().map(PathBuf::from);
-        }
-    }
-    let path = cli.or_else(|| {
-        std::env::var_os(ENV_TRACE)
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    })?;
+    let path = std::env::args()
+        .skip_while(|a| a != "--trace")
+        .nth(1)
+        .map(PathBuf::from)?;
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).expect("create trace output directory");
     }
@@ -286,14 +254,6 @@ mod tests {
         let b = benchmark("fir").unwrap().with_iterations(50);
         let r = run_design(&b, DesignPoint::heavywt());
         assert_eq!(r.iterations, 50);
-    }
-
-    #[test]
-    fn run_single_completes() {
-        let b = benchmark("wc").unwrap().with_iterations(50);
-        let r = run_single(&b);
-        assert_eq!(r.iterations, 50);
-        assert_eq!(r.cores.len(), 1);
     }
 
     #[test]

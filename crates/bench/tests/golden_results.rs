@@ -1,48 +1,104 @@
-//! Stale-golden guard: the committed Figure 7 renderings (the stall
-//! breakdowns, which depend on every stall-attribution stamp the memory
-//! system makes) must equal a fresh regeneration, byte for byte.
+//! Guards that drive the built binaries, each in its own process (the
+//! engine reads its environment once, on first use).
+//!
+//! Stale-golden guard: every rendering committed under `results/` must
+//! equal what `all_figures` writes today, byte for byte, and
+//! `all_figures` must write no rendering that is not committed. The
+//! figure list lives in `all_figures` alone; no name is repeated here.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
-use hfs_bench::experiments::fig7;
+use hfs_bench::runner::QUICK_ITERATIONS;
+use hfs_harness::{env_flag, parse, sweep_from_json};
+
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("hfs_{tag}_{}", std::process::id()))
+}
+
+/// File name → bytes of every rendering in `dir`. The engine's own
+/// leftovers in `results/` (`*.json` artifacts and `cache/`, both in
+/// `.gitignore`) are not renderings.
+fn renderings(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|p| p.is_file() && p.extension().is_some_and(|ext| ext != "json"))
+        .map(|p| {
+            let name = p.file_name().expect("a file has a name");
+            let bytes = fs::read(&p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+            (name.to_string_lossy().into_owned(), bytes)
+        })
+        .collect()
+}
 
 #[test]
-fn committed_fig7_matches_a_fresh_regeneration() {
-    if std::env::var_os("HFS_QUICK").is_some() {
+fn committed_results_match_a_fresh_regeneration() {
+    if env_flag("HFS_QUICK") {
         eprintln!("skipped: HFS_QUICK caps iteration counts, the goldens are full runs");
         return;
     }
-    // The engine reads its environment once, on first use; this is the
-    // only test in this binary. A non-default protocol would render
-    // other numbers under other file names.
-    let out = std::env::temp_dir().join(format!("hfs_golden_results_{}", std::process::id()));
-    fs::create_dir_all(&out).expect("create the temporary results directory");
-    std::env::set_var("HFS_NO_CACHE", "1");
-    std::env::set_var("HFS_NO_PROGRESS", "1");
-    std::env::set_var("HFS_RESULTS_DIR", &out);
-    std::env::remove_var("HFS_PROTOCOL");
-    std::env::remove_var("HFS_VIA_SERVER");
+    let tmp = scratch("golden_results");
+    let out = tmp.join("out");
+    // A non-default protocol or a metrics report would render other
+    // numbers under other file names.
+    let status = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+        .env("HFS_NO_CACHE", "1")
+        .env("HFS_LOG", "warn")
+        .env("HFS_RESULTS_DIR", tmp.join("json"))
+        .env("HFS_OUT_DIR", &out)
+        .env_remove("HFS_PROTOCOL")
+        .env_remove("HFS_VIA_SERVER")
+        .env_remove("HFS_METRICS")
+        .env_remove("HFS_TRACE_DIR")
+        .stdout(Stdio::null())
+        .status()
+        .expect("run all_figures");
+    assert!(status.success(), "all_figures: {status}");
 
-    let f7 = fig7::run();
-    let rendered = [
-        (
-            "fig7.txt",
-            f7.render("Figure 7: design points, baseline bus"),
-        ),
-        ("fig7_producer.csv", f7.producer_table("Figure 7").to_csv()),
-        ("fig7_consumer.csv", f7.consumer_table("Figure 7").to_csv()),
-    ];
-    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for (name, body) in &rendered {
-        fs::write(out.join(name), body).expect("write the regenerated file");
-        let golden = fs::read_to_string(committed.join(name))
-            .unwrap_or_else(|e| panic!("results/{name}: {e}"));
-        assert!(
-            *body == golden,
-            "results/{name} is stale: a fresh render is in {}",
-            out.display()
-        );
-    }
-    let _ = fs::remove_dir_all(&out);
+    let fresh = renderings(&out);
+    let committed = renderings(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
+    assert!(!committed.is_empty(), "results/ holds no rendering");
+    let stale: BTreeSet<&String> = fresh
+        .keys()
+        .chain(committed.keys())
+        .filter(|name| fresh.get(*name) != committed.get(*name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "results/ is stale: {stale:?} differ from (or are missing on one side of) a fresh render in {}",
+        out.display()
+    );
+    let _ = fs::remove_dir_all(&tmp);
+}
+
+/// The largest iteration count in `fig6 --dump-jobs` under `HFS_QUICK`
+/// set to `quick` (unset for `None`).
+fn dumped_iterations(quick: Option<&str>) -> u64 {
+    let path = scratch(&format!("quick_{}", quick.unwrap_or("unset"))).with_extension("json");
+    let mut fig6 = Command::new(env!("CARGO_BIN_EXE_fig6"));
+    fig6.arg("--dump-jobs").arg(&path).stderr(Stdio::null());
+    match quick {
+        Some(v) => fig6.env("HFS_QUICK", v),
+        None => fig6.env_remove("HFS_QUICK"),
+    };
+    assert!(fig6.status().expect("run fig6").success());
+    let text = fs::read_to_string(&path).expect("fig6 wrote its sweep");
+    let _ = fs::remove_file(&path);
+    let (_, jobs) = sweep_from_json(&parse(&text).expect("sweep parses")).expect("sweep decodes");
+    jobs.iter()
+        .map(|j| j.pair.iterations)
+        .max()
+        .expect("a sweep has jobs")
+}
+
+#[test]
+fn hfs_quick_reads_like_every_other_on_off_variable() {
+    let full = dumped_iterations(None);
+    assert!(full > QUICK_ITERATIONS, "fig6 runs {full} iterations");
+    assert_eq!(dumped_iterations(Some("0")), full, "HFS_QUICK=0 is off");
+    assert_eq!(dumped_iterations(Some("")), full, "HFS_QUICK= is off");
+    assert_eq!(dumped_iterations(Some("1")), QUICK_ITERATIONS);
 }

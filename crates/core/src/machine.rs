@@ -220,8 +220,9 @@ pub struct Machine {
     now: Cycle,
     tracer: Tracer,
     checker: Checker,
-    /// Idle-cycle fast-forwarding (on unless `HFS_NO_FASTFWD` is set).
-    /// Results are bit-identical either way; only wall-clock changes.
+    /// Idle-cycle fast-forwarding (on until [`Machine::set_fast_forward`]
+    /// turns it off). Results are bit-identical either way; only
+    /// wall-clock changes.
     fast_forward: bool,
     /// Skip-rate accounting behind the fast-forward auto-disable.
     ff: FastForwardStats,
@@ -231,11 +232,6 @@ pub struct Machine {
     /// nothing in steady state.
     events_scratch: Vec<MemEvent>,
     drop_scratch: Vec<Completion>,
-}
-
-/// Whether the `HFS_NO_FASTFWD` escape hatch is set in the environment.
-fn fastfwd_enabled() -> bool {
-    std::env::var_os("HFS_NO_FASTFWD").is_none_or(|v| v.is_empty())
 }
 
 impl Machine {
@@ -329,7 +325,7 @@ impl Machine {
             cfg,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            fast_forward: fastfwd_enabled(),
+            fast_forward: true,
             ff: FastForwardStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
@@ -366,7 +362,7 @@ impl Machine {
             cfg,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            fast_forward: fastfwd_enabled(),
+            fast_forward: true,
             ff: FastForwardStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
@@ -376,9 +372,9 @@ impl Machine {
         Ok(m)
     }
 
-    /// Enables or disables idle-cycle fast-forwarding (defaults to the
-    /// `HFS_NO_FASTFWD` environment variable being unset). Simulation
-    /// results are bit-identical either way; only wall-clock changes.
+    /// Enables or disables idle-cycle fast-forwarding (machines start
+    /// with it on). Simulation results are bit-identical either way;
+    /// only wall-clock changes.
     /// Re-enabling clears a previous skip-rate auto-disable latch.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;

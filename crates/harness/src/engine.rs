@@ -11,6 +11,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use hfs_obs::{Counter, HistogramMetric, Registry};
+use hfs_sim::env_flag;
 use hfs_trace::{chrome_trace_json, MetricsReport, Tracer};
 
 use crate::cache::Cache;
@@ -35,12 +36,6 @@ pub const ENV_METRICS: &str = "HFS_METRICS";
 /// Directory for per-job Chrome trace-event exports (`HFS_TRACE_DIR`).
 /// Setting it implies `HFS_METRICS=1`.
 pub const ENV_TRACE_DIR: &str = "HFS_TRACE_DIR";
-
-/// Whether the environment sets `name` to anything but `0` or the empty
-/// string — the one reading of every on/off `HFS_*` variable.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 /// The execution settings the offline engine and the server share,
 /// read from the environment in one place.
@@ -256,25 +251,10 @@ impl Engine {
         self
     }
 
-    /// Sets the artifact output directory (written by
-    /// [`Engine::run_batch`] after each batch).
-    #[must_use]
-    pub fn with_results_dir(mut self, dir: impl Into<PathBuf>) -> Engine {
-        self.results_dir = Some(dir.into());
-        self
-    }
-
     /// Enables or disables the stderr progress stream.
     #[must_use]
     pub fn with_progress(mut self, on: bool) -> Engine {
         self.progress = on;
-        self
-    }
-
-    /// Sets the default retry count applied to every job.
-    #[must_use]
-    pub fn with_default_retries(mut self, retries: u32) -> Engine {
-        self.default_retries = retries;
         self
     }
 

@@ -37,7 +37,8 @@ pub mod ser;
 pub mod spec;
 
 pub use cache::Cache;
-pub use engine::{env_flag, resolve, Batch, Engine, EngineStats, ExecEnv, Record, Resolved};
+pub use engine::{resolve, Batch, Engine, EngineStats, ExecEnv, Record, Resolved};
+pub use hfs_sim::env_flag;
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
     execute, execute_counted, execute_once, execute_once_with, is_cache_key, Job, JobOutcome, Mode,

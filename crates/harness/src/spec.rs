@@ -14,9 +14,10 @@
 //! the same pairs to and from a [`Json`] tree.
 //!
 //! Kernel and region names are `&'static str` in the simulator's types;
-//! decoding interns each distinct name once (leaking it), which is
-//! bounded by the set of distinct benchmark/region names a server ever
-//! sees.
+//! decoding interns each distinct name once (leaking it). The names
+//! arrive from the wire, so the leak is bounded here: at most
+//! [`MAX_INTERNED`] names of at most [`MAX_NAME_BYTES`] bytes each, and
+//! a spec that would pass either bound is refused.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -33,17 +34,42 @@ use crate::job::{Job, Mode};
 use crate::json::{from_tree, to_tree, Json, Sink, Source};
 use crate::ser::DecodeError;
 
+/// Longest kernel or region name a spec may carry; the repository's own
+/// are at most 16 bytes.
+const MAX_NAME_BYTES: usize = 128;
+
+/// Most distinct names one process ever interns; the repository's own
+/// sweeps use fewer than 40.
+const MAX_INTERNED: usize = 4096;
+
 /// Interns `s`, returning a `'static` copy. Each distinct string leaks
 /// exactly once, shared by every later request for it.
-fn intern(s: &str) -> &'static str {
+///
+/// # Errors
+///
+/// A name longer than [`MAX_NAME_BYTES`], or a new name once
+/// [`MAX_INTERNED`] are held: any client can send names forever, and
+/// the leak must not follow.
+fn intern(s: &str) -> Result<&'static str, DecodeError> {
     static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    if s.len() > MAX_NAME_BYTES {
+        return Err(DecodeError::Shape(format!(
+            "a {}-byte name (at most {MAX_NAME_BYTES})",
+            s.len()
+        )));
+    }
     let mut set = INTERNED.lock().unwrap();
     if let Some(&hit) = set.get(s) {
-        return hit;
+        return Ok(hit);
+    }
+    if set.len() >= MAX_INTERNED {
+        return Err(DecodeError::Shape(format!(
+            "name `{s}`: {MAX_INTERNED} distinct names are already known"
+        )));
     }
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     set.insert(leaked);
-    leaked
+    Ok(leaked)
 }
 
 fn write_step<S: Sink>(s: &mut S, step: &KStep) {
@@ -152,7 +178,7 @@ fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
             regions: s.arr_field(o, "regions", |s| {
                 s.obj(|s, o| {
                     Ok::<_, DecodeError>(KRegion {
-                        name: intern(&s.str_field(o, "name")?),
+                        name: intern(&s.str_field(o, "name")?)?,
                         bytes: s.u64_field(o, "bytes")?,
                     })
                 })
@@ -176,7 +202,7 @@ fn write_pair<S: Sink>(s: &mut S, p: &KernelPair) {
 fn read_pair<'a, S: Source<'a>>(s: &mut S) -> Result<KernelPair, DecodeError> {
     s.obj(|s, o| {
         Ok(KernelPair {
-            name: intern(&s.str_field(o, "name")?),
+            name: intern(&s.str_field(o, "name")?)?,
             producer: s.field(o, "producer", read_kernel)?,
             consumer: s.field(o, "consumer", read_kernel)?,
             iterations: s.u64_field(o, "iterations")?,
@@ -644,9 +670,21 @@ mod tests {
 
     #[test]
     fn interner_dedupes_names() {
-        let a = intern("same-name");
-        let b = intern("same-name");
+        let a = intern("same-name").unwrap();
+        let b = intern("same-name").unwrap();
         assert_eq!(a.as_ptr(), b.as_ptr(), "one leak per distinct string");
+    }
+
+    #[test]
+    fn an_overlong_name_is_refused() {
+        let named = |len: usize| {
+            let name: &'static str = Box::leak("n".repeat(len).into_boxed_str());
+            let job = Job::pipeline("spec/long", KernelPair::simple(name, 3, 50), demo_job().cfg);
+            job_from_json(&job_to_json(&job))
+        };
+        assert!(named(MAX_NAME_BYTES).is_ok());
+        let err = named(MAX_NAME_BYTES + 1).unwrap_err();
+        assert!(matches!(err, DecodeError::Shape(_)), "{err}");
     }
 
     #[test]

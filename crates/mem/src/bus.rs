@@ -206,13 +206,6 @@ impl Bus {
         self.data_queued += 1;
     }
 
-    /// Pending address-phase requests from `core` (for back-pressure
-    /// queries).
-    #[allow(dead_code)] // part of the bus API surface; used by tests/tools
-    pub(crate) fn addr_backlog(&self, core: CoreId) -> usize {
-        self.addr_queues[core.index()].len()
-    }
-
     /// Whether any channel has in-flight or queued work.
     pub(crate) fn is_idle(&self) -> bool {
         self.addr_inflight.is_empty()

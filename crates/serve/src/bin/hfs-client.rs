@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The server endpoint comes from `HFS_SOCK`/`HFS_ADDR`. A sweep spec
-//! is the JSON written by `all_figures fig6 --dump-jobs` (or
+//! is the JSON written by `fig6 --dump-jobs <path>` (or
 //! [`hfs_harness::sweep_to_json`]): `{"experiment": ..., "jobs":
 //! [...]}`. The artifact written by `submit` is byte-identical to the
 //! offline runner's `results/<experiment>.json`.

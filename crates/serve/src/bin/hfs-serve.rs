@@ -2,26 +2,25 @@
 //!
 //! ```text
 //! hfs-serve [--sock PATH | --addr HOST:PORT] [--workers N]
-//!           [--queue-limit N] [--verbose]
+//!           [--queue-limit N]
 //! hfs-serve --worker
 //! ```
 //!
 //! Without flags the endpoint comes from `HFS_SOCK`/`HFS_ADDR`. The
 //! execution environment (`HFS_JOBS`, `HFS_CACHE_DIR`, `HFS_NO_CACHE`,
-//! `HFS_RETRIES`, `HFS_SERVE_QUEUE_LIMIT`, `HFS_HOT_CACHE_MB`) matches
-//! the offline engine. `--workers N` (env `HFS_SERVE_WORKERS`) runs
-//! simulations on `N` *worker processes*: the server re-execs this
-//! binary with `--worker` per slot and shards jobs across the children
-//! by content key; without it, simulations run on in-process threads
-//! (`HFS_JOBS`). `--worker` is that internal child mode — it speaks
-//! frames on stdin/stdout and is not meant to be invoked by hand.
-//! Operational logging goes through the `hfs-obs` structured logger:
-//! `HFS_LOG=error|warn|info|debug` sets the level (`--verbose` is an
-//! alias for `HFS_LOG=debug` when `HFS_LOG` is unset) and
-//! `HFS_LOG_FILE` redirects it from stderr. The server runs until a
-//! client sends `shutdown` or the process receives SIGTERM/SIGINT,
-//! then drains: accepted work finishes, every pending result is
-//! delivered, and every worker process is reaped before exit.
+//! `HFS_RETRIES`, `HFS_HOT_CACHE_MB`) matches the offline engine.
+//! `--queue-limit N` bounds the queued flights before submissions get
+//! `busy` (default 1024). `--workers N` runs simulations on `N` *worker
+//! processes*: the server re-execs this binary with `--worker` per slot
+//! and shards jobs across the children by content key; without it,
+//! simulations run on in-process threads (`HFS_JOBS`). `--worker` is
+//! that internal child mode — it speaks frames on stdin/stdout and is
+//! not meant to be invoked by hand. Operational logging goes through
+//! the `hfs-obs` structured logger: `HFS_LOG=error|warn|info|debug`
+//! sets the level and `HFS_LOG_FILE` redirects it from stderr. The
+//! server runs until a client sends `shutdown` or the process receives
+//! SIGTERM/SIGINT, then drains: accepted work finishes, every pending
+//! result is delivered, and every worker process is reaped before exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,7 +30,7 @@ use hfs_serve::{signal, worker_main, Endpoint, Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: hfs-serve [--sock PATH | --addr HOST:PORT] [--workers N] \
-         [--queue-limit N] [--verbose]"
+         [--queue-limit N]"
     );
     std::process::exit(2);
 }
@@ -75,14 +74,6 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| n > 0)
                     .unwrap_or_else(|| usage());
-            }
-            "--verbose" => {
-                // Alias for HFS_LOG=debug; an explicit HFS_LOG wins.
-                // Must land before the first log call initializes the
-                // process logger.
-                if std::env::var_os(hfs_obs::ENV_LOG).is_none() {
-                    std::env::set_var(hfs_obs::ENV_LOG, "debug");
-                }
             }
             "--help" | "-h" => usage(),
             other => {

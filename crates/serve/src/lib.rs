@@ -44,5 +44,5 @@ pub use net::{Endpoint, Listener, Stream, ENV_ADDR, ENV_SOCK};
 pub use proto::{
     ClientFrame, JobRef, JobResult, ProtoError, ServeStats, ServerFrame, Subscribe, MAX_FRAME_BYTES,
 };
-pub use server::{Server, ServerConfig, DEFAULT_QUEUE_LIMIT, ENV_QUEUE_LIMIT, ENV_WORKERS};
+pub use server::{Server, ServerConfig, DEFAULT_QUEUE_LIMIT};
 pub use worker::worker_main;

@@ -17,13 +17,13 @@
 //! layer then disk, otherwise execute and store). Two worker modes share
 //! the dispatcher and its one worker loop, differing only in how a job
 //! is run: *thread mode* (the default) runs simulations on
-//! in-process threads; *process mode* (`--workers N` /
-//! `HFS_SERVE_WORKERS`) re-execs the server binary as `--worker` child
-//! processes and proxies jobs to them over pipes using the same
-//! length-prefixed JSON frames as the client protocol. In process mode
-//! flights are sharded across workers by [`Job::key`], so the
-//! single-flight guarantee needs no cross-process locking: one key maps
-//! to one worker, and the parent-side dedup map is the only authority.
+//! in-process threads; *process mode* (`--workers N`) re-execs the
+//! server binary as `--worker` child processes and proxies jobs to
+//! them over pipes using the same length-prefixed JSON frames as the
+//! client protocol. In process mode flights are sharded across workers
+//! by [`Job::key`], so the single-flight guarantee needs no
+//! cross-process locking: one key maps to one worker, and the
+//! parent-side dedup map is the only authority.
 //! A crashed worker is restarted and its in-flight job re-dispatched
 //! (bounded times; then the job resolves as
 //! [`JobOutcome::WorkerDied`]).
@@ -61,14 +61,6 @@ use crate::proto::{ClientFrame, JobResult, ServeStats, ServerFrame, Subscribe};
 use crate::signal;
 use crate::worker::{WorkerReply, WorkerRequest};
 
-/// Admission-control queue bound environment variable
-/// (`HFS_SERVE_QUEUE_LIMIT`).
-pub const ENV_QUEUE_LIMIT: &str = "HFS_SERVE_QUEUE_LIMIT";
-
-/// Worker-process count environment variable (`HFS_SERVE_WORKERS`);
-/// `0` (the default) executes on in-process threads instead.
-pub const ENV_WORKERS: &str = "HFS_SERVE_WORKERS";
-
 /// Default bound on queued (not yet running) flights.
 pub const DEFAULT_QUEUE_LIMIT: usize = 1024;
 
@@ -91,10 +83,10 @@ const BATCH_CHUNK: usize = 256;
 pub struct ServerConfig {
     /// Worker (simulation) threads when running in thread mode.
     pub workers: usize,
-    /// Worker *processes* (`--workers` / `HFS_SERVE_WORKERS`): when
-    /// nonzero, the server re-execs its own binary `--worker` this many
-    /// times and shards flights across the children by job key; `0`
-    /// (the default) executes on in-process threads.
+    /// Worker *processes* (`--workers`): when nonzero, the server
+    /// re-execs its own binary `--worker` this many times and shards
+    /// flights across the children by job key; `0` (the default)
+    /// executes on in-process threads.
     pub process_workers: usize,
     /// Binary to re-exec as `--worker` children; `None` uses
     /// `std::env::current_exe()`. Tests point this at a specific built
@@ -129,27 +121,16 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// The production configuration: workers, result cache and retries
     /// from the same environment as the offline engine
-    /// ([`hfs_harness::ExecEnv`]), plus `HFS_SERVE_QUEUE_LIMIT` for
-    /// admission control and `HFS_SERVE_WORKERS` for the worker-process
-    /// count (the hot-cache budget rides on `HFS_HOT_CACHE_MB` inside
-    /// the harness cache).
+    /// ([`hfs_harness::ExecEnv`]); the hot-cache budget rides on
+    /// `HFS_HOT_CACHE_MB` inside the harness cache, and everything else
+    /// is the default until a `hfs-serve` flag says otherwise.
     pub fn from_env() -> ServerConfig {
         let env = ExecEnv::read();
-        let env_usize = |name| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        };
         ServerConfig {
             workers: env.workers,
-            process_workers: env_usize(ENV_WORKERS).unwrap_or(0),
-            worker_bin: None,
-            queue_limit: env_usize(ENV_QUEUE_LIMIT)
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_QUEUE_LIMIT),
             cache_dir: env.cache_dir,
-            hot_cache_mb: None,
             default_retries: env.retries,
+            ..ServerConfig::default()
         }
     }
 }

@@ -15,6 +15,7 @@
 //!   per-transaction hot-path state (cheaper than SipHash `HashMap`),
 //!   and [`DenseMap`] — a flat table for small dense ids (queues, regions),
 //! * [`ConfigError`] — validation errors for machine configuration,
+//! * [`env_flag`] — the one reading of every on/off `HFS_*` variable,
 //! * [`CancelToken`] — a thread-safe cooperative cancellation flag polled
 //!   by long-running simulations (used by the `hfs-serve` service layer
 //!   to abandon jobs whose clients disconnected),
@@ -38,6 +39,7 @@
 
 mod cancel;
 mod cycle;
+mod env;
 mod error;
 mod map;
 mod queue;
@@ -47,6 +49,7 @@ pub mod stats;
 
 pub use cancel::CancelToken;
 pub use cycle::Cycle;
+pub use env::env_flag;
 pub use error::ConfigError;
 pub use map::{DenseMap, FnvMap};
 pub use queue::{Pipe, TimedQueue};

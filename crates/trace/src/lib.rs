@@ -147,15 +147,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether the raw event stream is being retained (recording mode),
-    /// as opposed to a metrics-only tracer's counts and histograms.
-    pub fn is_recording(&self) -> bool {
-        match &self.inner {
-            Some(buf) => buf.borrow().retain,
-            None => false,
-        }
-    }
-
     /// Emits an event. The closure defers construction so the disabled
     /// path costs a single branch.
     #[inline]

@@ -10,6 +10,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# No step may rewrite a committed file or leave an unignored one behind:
+# the tree must end as it began (checked last).
+tree_state() { git status --porcelain; git diff HEAD | git hash-object --stdin; }
+TREE_BEFORE=$(tree_state)
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -67,29 +72,6 @@ for proto in mesi dragon; do
         echo "machine check reported violations in fig6__$proto artifacts"; exit 1
     fi
 done
-
-echo "==> simbench --quick --check (hot-loop throughput gate vs committed baseline)"
-# --check fails the run when a point regresses >10% vs its committed
-# BENCH_simloop.json row (after one damped re-measure).
-cargo run --release -p hfs-bench --bin simbench -- --quick --check
-QUICK_JSON=target/BENCH_simloop_quick.json
-[ -s "$QUICK_JSON" ] || { echo "simbench wrote no $QUICK_JSON"; exit 1; }
-# Well-formedness gate on the written artifact.
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$QUICK_JSON" <<'EOF'
-import json, sys
-quick = json.load(open(sys.argv[1]))
-assert quick["schema"] == "simbench-v3" and quick["points"], "malformed quick bench"
-assert isinstance(quick["geomean_speedup"], (int, float)), "missing geomean_speedup"
-for p in quick["points"]:
-    assert p["sim_cycles"] > 0 and p["cycles_per_sec"] > 0, f"degenerate point {p}"
-host = quick["host"]
-assert host["nproc"] >= 1, f"malformed host block {host}"
-assert host["timestamp"], "missing host timestamp"
-EOF
-else
-    grep -q '"schema": "simbench-v3"' "$QUICK_JSON" || { echo "malformed $QUICK_JSON"; exit 1; }
-fi
 
 echo "==> benchmark: its own tests, then sim_dense, sweep_warm and sweep_cold with every correctness check"
 # The benchmark's checks (every timed run equals its warm-up run, the
@@ -294,6 +276,12 @@ for line in open(sys.argv[1]):
 assert seqs == sorted(seqs) and len(seqs) == len(set(seqs)), "seq not strictly increasing"
 assert {"listening", "connection_accepted", "drained"} <= events, events
 EOF
+fi
+
+echo "==> clean tree (no step rewrote a committed file or left an unignored one)"
+if [ "$(tree_state)" != "$TREE_BEFORE" ]; then
+    git status --porcelain
+    echo "a ci step changed the working tree"; exit 1
 fi
 
 echo "==> ci OK"

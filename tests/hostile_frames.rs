@@ -358,3 +358,44 @@ fn hostile_json_is_refused_or_round_trips() {
     assert!(parsed > CASES / 2, "only {parsed} documents parsed");
     assert!(refused > CASES / 2, "only {refused} documents refused");
 }
+
+#[test]
+fn names_from_the_wire_stop_being_interned_at_the_cap() {
+    // `MAX_INTERNED` in `harness/src/spec.rs`. The table is process-wide:
+    // the fuzz loop above mints names with its bit flips too, which only
+    // lowers how many this test gets to add.
+    const CAP: usize = 4096;
+    let seed = ClientFrame::SubmitBatch {
+        experiment: "hostile".to_string(),
+        id: 9,
+        subscribe: Subscribe::Final,
+        jobs: vec![job(0)],
+    }
+    .to_json()
+    .to_string();
+    let own = "\"name\":\"hostile\"";
+    assert_eq!(seed.matches(own).count(), 1, "one kernel name per job");
+    let submit = |name: &str| {
+        let text = seed.replace(own, &format!("\"name\":\"{name}\""));
+        ClientFrame::from_json(&parse(&text).expect("the frame is well-formed JSON"))
+    };
+    assert!(submit("hostile").is_ok());
+
+    let accepted: Vec<bool> = (0..5_000)
+        .map(|i| submit(&format!("flood-{i}")).is_ok())
+        .collect();
+    // `hostile` holds a slot, so fewer than CAP new names fit.
+    let taken = accepted.iter().filter(|&&ok| ok).count();
+    assert!(
+        (1..CAP).contains(&taken),
+        "{taken} of 5000 distinct names interned"
+    );
+    assert!(
+        accepted[taken..].iter().all(|&ok| !ok),
+        "a new name was interned after another was refused"
+    );
+    // A known name is a hit, not an insert: it still decodes.
+    assert!(submit("hostile").is_ok());
+    assert!(submit("flood-0").is_ok());
+    assert!(submit(&"n".repeat(129)).is_err(), "a 129-byte name");
+}
