@@ -30,7 +30,7 @@ struct Sink {
 
 impl Sink {
     fn new() -> Self {
-        let dir = std::env::var_os("HFS_OUT_DIR").map(PathBuf::from);
+        let dir = hfs_harness::env_path("HFS_OUT_DIR");
         if let Some(d) = &dir {
             fs::create_dir_all(d).expect("create HFS_OUT_DIR");
         }

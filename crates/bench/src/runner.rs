@@ -66,7 +66,7 @@ fn apply_protocol(mut cfg: MachineConfig) -> MachineConfig {
 
 /// The process-wide experiment engine, configured from the `HFS_*`
 /// environment (`HFS_JOBS`, `HFS_CACHE_DIR`, `HFS_NO_CACHE`,
-/// `HFS_RETRIES`, `HFS_RESULTS_DIR`, `HFS_NO_PROGRESS`) on first use.
+/// `HFS_RESULTS_DIR`, `HFS_METRICS`, `HFS_TRACE_DIR`) on first use.
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::from_env)
@@ -102,14 +102,11 @@ pub fn run_batch(name: &str, jobs: Vec<Job>) -> Batch {
     } else {
         jobs
     };
-    let progress = !env_flag("HFS_NO_PROGRESS");
     let mut client = hfs_serve::Client::from_env()
         .unwrap_or_else(|e| panic!("HFS_VIA_SERVER=1 but cannot reach hfs-serve: {e}"));
     let batch = client
         .submit_batched(name, jobs, hfs_serve::Subscribe::Final, |u| {
-            if progress {
-                hfs_serve::print_update(name, u);
-            }
+            hfs_serve::print_update(name, u);
         })
         .unwrap_or_else(|e| panic!("server batch `{name}` failed: {e}"));
     if let Some(dir) = engine().results_dir() {

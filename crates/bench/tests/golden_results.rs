@@ -102,3 +102,42 @@ fn hfs_quick_reads_like_every_other_on_off_variable() {
     assert_eq!(dumped_iterations(Some("")), full, "HFS_QUICK= is off");
     assert_eq!(dumped_iterations(Some("1")), QUICK_ITERATIONS);
 }
+
+#[test]
+fn an_empty_path_variable_means_its_default() {
+    // Run where a stray file would show: an empty working directory.
+    let cwd = scratch("empty_paths");
+    let _ = fs::remove_dir_all(&cwd);
+    fs::create_dir_all(&cwd).expect("create the working directory");
+    let status = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+        .current_dir(&cwd)
+        .env("HFS_QUICK", "1")
+        .env("HFS_LOG", "warn")
+        .env("HFS_CACHE_DIR", "")
+        .env("HFS_RESULTS_DIR", "")
+        .env("HFS_OUT_DIR", "")
+        .env("HFS_TRACE_DIR", "")
+        .env_remove("HFS_NO_CACHE")
+        .env_remove("HFS_VIA_SERVER")
+        .stdout(Stdio::null())
+        .status()
+        .expect("run all_figures");
+    assert!(status.success(), "all_figures: {status}");
+    let names = |dir: &Path| -> BTreeSet<String> {
+        fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.expect("directory entry").file_name())
+            .map(|name| name.to_string_lossy().into_owned())
+            .collect()
+    };
+    // Cache shards, artifacts and renderings all went to the current
+    // directory when "" was taken for a path.
+    assert_eq!(names(&cwd), BTreeSet::from(["results".to_string()]));
+    let results = names(&cwd.join("results"));
+    assert!(results.contains("cache") && results.contains("fig9.json"));
+    assert!(
+        renderings(&cwd.join("results")).is_empty(),
+        "HFS_OUT_DIR= writes no rendering"
+    );
+    let _ = fs::remove_dir_all(&cwd);
+}

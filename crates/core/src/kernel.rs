@@ -7,6 +7,8 @@
 //! communication mechanism. [`crate::lower`] turns a kernel into a
 //! concrete ISA program for a given [`crate::DesignPoint`].
 
+use std::sync::Arc;
+
 use hfs_isa::QueueId;
 use hfs_sim::ConfigError;
 
@@ -60,10 +62,10 @@ pub enum KStep {
 
 /// A named memory region a kernel touches. The size determines cache
 /// behavior (working-set effects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KRegion {
     /// Human-readable name.
-    pub name: &'static str,
+    pub name: Arc<str>,
     /// Size in bytes.
     pub bytes: u64,
 }
@@ -87,7 +89,8 @@ impl Kernel {
     }
 
     /// Adds a region and returns its kernel-local index.
-    pub fn add_region(&mut self, name: &'static str, bytes: u64) -> usize {
+    pub fn add_region(&mut self, name: impl Into<Arc<str>>, bytes: u64) -> usize {
+        let name = name.into();
         self.regions.push(KRegion { name, bytes });
         self.regions.len() - 1
     }
@@ -136,7 +139,7 @@ impl Kernel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPair {
     /// Benchmark name (Table 1).
-    pub name: &'static str,
+    pub name: Arc<str>,
     /// The upstream (producer) thread's kernel.
     pub producer: Kernel,
     /// The downstream (consumer) thread's kernel.
@@ -149,10 +152,10 @@ impl KernelPair {
     /// A minimal pipeline for tests and quickstarts: the producer does
     /// `work` ALU ops then produces; the consumer consumes then does
     /// `work` ALU ops. One queue, `iterations` iterations.
-    pub fn simple(name: &'static str, work: u32, iterations: u64) -> Self {
+    pub fn simple(name: impl Into<Arc<str>>, work: u32, iterations: u64) -> Self {
         let q = QueueId(0);
         KernelPair {
-            name,
+            name: name.into(),
             producer: Kernel::new(vec![KStep::Alu(work), KStep::Produce(q), KStep::Branch]),
             consumer: Kernel::new(vec![KStep::Consume(q), KStep::Alu(work), KStep::Branch]),
             iterations,
@@ -293,7 +296,7 @@ mod tests {
     fn nested_loops_multiply_comm_counts() {
         let q = QueueId(0);
         let pair = KernelPair {
-            name: "nest",
+            name: "nest".into(),
             producer: Kernel::new(vec![KStep::Loop(vec![KStep::Produce(q)], 4)]),
             consumer: Kernel::new(vec![KStep::Loop(vec![KStep::Consume(q)], 4)]),
             iterations: 3,
@@ -307,6 +310,6 @@ mod tests {
         let mut k = Kernel::default();
         assert_eq!(k.add_region("a", 64), 0);
         assert_eq!(k.add_region("b", 128), 1);
-        assert_eq!(k.regions[1].name, "b");
+        assert_eq!(&*k.regions[1].name, "b");
     }
 }

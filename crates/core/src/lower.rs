@@ -17,6 +17,7 @@
 //! queues).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use hfs_isa::program::QueueMemLayout;
 use hfs_isa::{
@@ -149,7 +150,7 @@ pub fn lower_at(
     let mut region_ids = Vec::new();
     let mut next = work_base;
     for r in &kernel.regions {
-        let id = b.declare_region(r.name, r.bytes);
+        let id = b.declare_region(r.name.clone(), r.bytes);
         bases.insert(id, Addr::new(next));
         // Page-align successive regions.
         next += r.bytes.div_ceil(4096) * 4096 + 4096;
@@ -182,7 +183,10 @@ pub fn lower_at(
     // live values pay spill/fill pairs every iteration (§3.1.3).
     let spills = design.spill_ops();
     if spills > 0 {
-        let spill_region = b.declare_region("regmapped_spill", 1024);
+        // One shared name: lowering allocates nothing for it.
+        static SPILL_NAME: OnceLock<Arc<str>> = OnceLock::new();
+        let name = SPILL_NAME.get_or_init(|| "regmapped_spill".into());
+        let spill_region = b.declare_region(Arc::clone(name), 1024);
         bases.insert(spill_region, Addr::new(work_base + 0x0800_0000));
         for _ in 0..spills {
             b.store_stream(spill_region, 8);
@@ -211,7 +215,7 @@ pub fn lower_fused(pair: &KernelPair) -> Result<Lowered, ConfigError> {
     let mut prod_ids = Vec::new();
     let mut next = PRODUCER_WORK_BASE;
     for r in &pair.producer.regions {
-        let id = b.declare_region(r.name, r.bytes);
+        let id = b.declare_region(r.name.clone(), r.bytes);
         bases.insert(id, Addr::new(next));
         next += r.bytes.div_ceil(4096) * 4096 + 4096;
         prod_ids.push(id);
@@ -219,7 +223,7 @@ pub fn lower_fused(pair: &KernelPair) -> Result<Lowered, ConfigError> {
     let mut cons_ids = Vec::new();
     let mut next = CONSUMER_WORK_BASE;
     for r in &pair.consumer.regions {
-        let id = b.declare_region(r.name, r.bytes);
+        let id = b.declare_region(r.name.clone(), r.bytes);
         bases.insert(id, Addr::new(next));
         next += r.bytes.div_ceil(4096) * 4096 + 4096;
         cons_ids.push(id);
@@ -437,7 +441,7 @@ mod tests {
         );
         producer.steps.insert(1, KStep::LoadRandom { region: b2 });
         let pair = KernelPair {
-            name: "r",
+            name: "r".into(),
             producer,
             consumer: Kernel::new(vec![KStep::Consume(q)]),
             iterations: 5,
@@ -455,7 +459,7 @@ mod tests {
     fn nested_loops_lower_recursively() {
         let q = QueueId(0);
         let pair = KernelPair {
-            name: "nest",
+            name: "nest".into(),
             producer: Kernel::new(vec![KStep::Loop(vec![KStep::Alu(2), KStep::Produce(q)], 3)]),
             consumer: Kernel::new(vec![KStep::Loop(vec![KStep::Consume(q)], 3)]),
             iterations: 2,

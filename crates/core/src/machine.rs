@@ -160,17 +160,6 @@ impl RunResult {
         self.cores.get(1)
     }
 
-    /// Execution time of this run relative to `base` (1.0 = same speed;
-    /// bigger = slower).
-    pub fn normalized_to(&self, base: &RunResult) -> f64 {
-        self.cycles as f64 / base.cycles as f64
-    }
-
-    /// Speedup of this run over `base`.
-    pub fn speedup_over(&self, base: &RunResult) -> f64 {
-        base.cycles as f64 / self.cycles as f64
-    }
-
     /// Cycles per completed iteration.
     pub fn cycles_per_iteration(&self) -> f64 {
         if self.iterations == 0 {
@@ -936,8 +925,7 @@ mod tests {
     fn results_expose_normalization_helpers() {
         let a = run_design(DesignPoint::heavywt(), 2, 100);
         let b = run_design(DesignPoint::existing(), 2, 100);
-        assert!(b.normalized_to(&a) > 1.0);
-        assert!(a.speedup_over(&b) > 1.0);
+        assert!(b.cycles > a.cycles);
         assert!(a.cycles_per_iteration() > 0.0);
     }
 
@@ -951,7 +939,7 @@ mod tests {
         // producer only feeds every other... — instead simply starve:
         // producer iterates fewer times than the consumer expects.
         let pair = KernelPair {
-            name: "starve",
+            name: "starve".into(),
             producer: Kernel::new(vec![KStep::Produce(QueueId(0))]),
             consumer: Kernel::new(vec![KStep::Consume(QueueId(0)), KStep::Consume(QueueId(0))]),
             iterations: 50,

@@ -8,8 +8,8 @@
 //! [`Job::key`](crate::job::Job::key) ever become a path: any other key
 //! is a miss on load and a no-op on store.
 //!
-//! Only successful outcomes are persisted — failures are worth retrying
-//! on the next run, and a partial `all_figures` pass therefore resumes
+//! Only successful outcomes are persisted — the next run simulates a
+//! failure again, and a partial `all_figures` pass therefore resumes
 //! exactly where it failed. Writes go through a temp file + rename so a
 //! killed run never leaves a truncated entry behind.
 //!

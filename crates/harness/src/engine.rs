@@ -10,14 +10,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use hfs_obs::{Counter, HistogramMetric, Registry};
-use hfs_sim::env_flag;
+use hfs_obs::{Counter, HistogramMetric, Level, Registry};
+use hfs_sim::{env_flag, env_path};
 use hfs_trace::{chrome_trace_json, MetricsReport, Tracer};
 
 use crate::cache::Cache;
-use crate::job::{classify, execute_counted, execute_once_with, Job, JobOutcome};
-use crate::json::Json;
-use crate::ser::outcome_to_json;
+use crate::job::{classify, execute_cancellable, execute_once_with, Job, JobOutcome};
+use crate::json::{to_text, Sink};
+use crate::ser::write_outcome;
 
 /// Worker-count environment variable (`HFS_JOBS`).
 pub const ENV_JOBS: &str = "HFS_JOBS";
@@ -25,12 +25,8 @@ pub const ENV_JOBS: &str = "HFS_JOBS";
 pub const ENV_CACHE_DIR: &str = "HFS_CACHE_DIR";
 /// Set to disable the result cache entirely (`HFS_NO_CACHE=1`).
 pub const ENV_NO_CACHE: &str = "HFS_NO_CACHE";
-/// Default retry count for failed jobs (`HFS_RETRIES`).
-pub const ENV_RETRIES: &str = "HFS_RETRIES";
 /// Artifact output directory (`HFS_RESULTS_DIR`).
 pub const ENV_RESULTS_DIR: &str = "HFS_RESULTS_DIR";
-/// Set to suppress the per-job progress stream (`HFS_NO_PROGRESS=1`).
-pub const ENV_NO_PROGRESS: &str = "HFS_NO_PROGRESS";
 /// Set to attach metrics reports to every job result (`HFS_METRICS=1`).
 pub const ENV_METRICS: &str = "HFS_METRICS";
 /// Directory for per-job Chrome trace-event exports (`HFS_TRACE_DIR`).
@@ -46,8 +42,6 @@ pub struct ExecEnv {
     /// The result cache in `HFS_CACHE_DIR` (default `results/cache`);
     /// `None` under `HFS_NO_CACHE=1`.
     pub cache_dir: Option<PathBuf>,
-    /// `HFS_RETRIES` retries for jobs that set none (default 1).
-    pub retries: u32,
 }
 
 impl ExecEnv {
@@ -59,13 +53,8 @@ impl ExecEnv {
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            cache_dir: (!env_flag(ENV_NO_CACHE)).then(|| {
-                std::env::var_os(ENV_CACHE_DIR).map_or_else(|| "results/cache".into(), Into::into)
-            }),
-            retries: std::env::var(ENV_RETRIES)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
+            cache_dir: (!env_flag(ENV_NO_CACHE))
+                .then(|| env_path(ENV_CACHE_DIR).unwrap_or_else(|| "results/cache".into())),
         }
     }
 }
@@ -77,8 +66,6 @@ pub struct Resolved {
     pub outcome: JobOutcome,
     /// Whether the outcome came from the result cache.
     pub cached: bool,
-    /// Re-executions `run` reported (0 on a hit).
-    pub retries: u32,
     /// Wall-clock milliseconds the step took (≈0 on a hit).
     pub wall_millis: u64,
 }
@@ -98,32 +85,26 @@ impl Resolved {
 }
 
 /// The per-job step every executor shares: answer from `cache` if it
-/// can, otherwise `run` the job (which reports its outcome and the
-/// retries it consumed) and store the outcome — [`Cache::store`] keeps
-/// only successes, so failures, cancellations and dead workers are
-/// always run again. What differs between executors is `run` alone: an
-/// in-process simulation, a round-trip through a worker process, or a
-/// traced run.
-pub fn resolve(
-    cache: Option<&Cache>,
-    key: &str,
-    run: impl FnOnce() -> (JobOutcome, u32),
-) -> Resolved {
+/// can, otherwise `run` the job and store the outcome — [`Cache::store`]
+/// keeps only successes, so failures, cancellations and dead workers
+/// are always run again. What differs between executors is `run` alone:
+/// an in-process simulation, a round-trip through a worker process, or
+/// a traced run.
+pub fn resolve(cache: Option<&Cache>, key: &str, run: impl FnOnce() -> JobOutcome) -> Resolved {
     let started = Instant::now();
-    let (outcome, cached, retries) = match cache.and_then(|c| c.load(key)) {
-        Some(hit) => (hit, true, 0),
+    let (outcome, cached) = match cache.and_then(|c| c.load(key)) {
+        Some(hit) => (hit, true),
         None => {
-            let (outcome, retries) = run();
+            let outcome = run();
             if let Some(cache) = cache {
                 cache.store(key, &outcome);
             }
-            (outcome, false, retries)
+            (outcome, false)
         }
     };
     Resolved {
         outcome,
         cached,
-        retries,
         wall_millis: started.elapsed().as_millis() as u64,
     }
 }
@@ -153,7 +134,6 @@ struct EngineObs {
     registry: Registry,
     queue_wait_ms: HistogramMetric,
     exec_wall_ms: HistogramMetric,
-    retries: Counter,
     timeouts: Counter,
 }
 
@@ -163,7 +143,6 @@ impl Default for EngineObs {
         EngineObs {
             queue_wait_ms: registry.histogram("hfs_job_queue_wait_ms", LATENCY_HISTOGRAM_MAX_MS),
             exec_wall_ms: registry.histogram("hfs_job_exec_wall_ms", LATENCY_HISTOGRAM_MAX_MS),
-            retries: registry.counter("hfs_job_retries_total"),
             timeouts: registry.counter("hfs_job_timeouts_total"),
             registry,
         }
@@ -196,7 +175,6 @@ pub struct Engine {
     results_dir: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
     metrics: bool,
-    default_retries: u32,
     progress: bool,
     counters: EngineCounters,
     obs: EngineObs,
@@ -212,7 +190,6 @@ impl Engine {
             results_dir: None,
             trace_dir: None,
             metrics: false,
-            default_retries: 0,
             progress: false,
             counters: EngineCounters::default(),
             obs: EngineObs::default(),
@@ -220,25 +197,20 @@ impl Engine {
     }
 
     /// The production configuration, honoring the `HFS_*` environment:
-    /// workers, result cache and retries per [`ExecEnv`], artifacts in
-    /// `HFS_RESULTS_DIR` (default `results`), and a progress stream on
-    /// stderr unless `HFS_NO_PROGRESS=1`. `HFS_METRICS=1` attaches a
-    /// metrics report to every result; `HFS_TRACE_DIR=<dir>`
-    /// additionally writes a Chrome trace-event JSON per executed job.
+    /// workers and result cache per [`ExecEnv`], artifacts in
+    /// `HFS_RESULTS_DIR` (default `results`), and one `job_done` log
+    /// line per job at info level. `HFS_METRICS=1` attaches a metrics
+    /// report to every result; `HFS_TRACE_DIR=<dir>` additionally
+    /// writes a Chrome trace-event JSON per executed job.
     pub fn from_env() -> Engine {
         let env = ExecEnv::read();
         Engine {
             workers: env.workers,
             cache: env.cache_dir.map(Cache::new),
-            results_dir: Some(PathBuf::from(
-                std::env::var(ENV_RESULTS_DIR).unwrap_or_else(|_| "results".to_string()),
-            )),
-            trace_dir: std::env::var_os(ENV_TRACE_DIR)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from),
+            results_dir: Some(env_path(ENV_RESULTS_DIR).unwrap_or_else(|| "results".into())),
+            trace_dir: env_path(ENV_TRACE_DIR),
             metrics: env_flag(ENV_METRICS),
-            default_retries: env.retries,
-            progress: !env_flag(ENV_NO_PROGRESS),
+            progress: true,
             counters: EngineCounters::default(),
             obs: EngineObs::default(),
         }
@@ -248,13 +220,6 @@ impl Engine {
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Engine {
         self.cache = Some(Cache::new(dir));
-        self
-    }
-
-    /// Enables or disables the stderr progress stream.
-    #[must_use]
-    pub fn with_progress(mut self, on: bool) -> Engine {
-        self.progress = on;
         self
     }
 
@@ -384,10 +349,9 @@ impl Engine {
             .queue_wait_ms
             .observe(submitted.elapsed().as_millis() as u64);
         let step = resolve(self.cache.as_ref(), &key, || match &self.trace_dir {
-            Some(dir) => (self.execute_traced(batch, job, dir), 0),
-            None => execute_counted(job, self.default_retries, None),
+            Some(dir) => self.execute_traced(batch, job, dir),
+            None => execute_cancellable(job, None),
         });
-        self.obs.retries.add(u64::from(step.retries));
         if step.timed_out() {
             self.obs.timeouts.inc();
         }
@@ -395,7 +359,6 @@ impl Engine {
             outcome,
             cached,
             wall_millis,
-            ..
         } = step;
 
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
@@ -418,10 +381,10 @@ impl Engine {
         }
 
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.progress {
+        if self.progress && hfs_obs::logger().enabled(Level::Info) {
             // Labels conventionally start with the batch name; don't
             // print it twice. One structured line per job, at info level
-            // — `HFS_LOG=warn` (or `HFS_NO_PROGRESS=1`) silences it.
+            // — `HFS_LOG=warn` silences it.
             let label = job
                 .label
                 .strip_prefix(batch)
@@ -452,8 +415,7 @@ impl Engine {
     }
 
     /// Runs one job with a recording tracer and exports its event stream
-    /// as Chrome trace-event JSON. Retries are skipped on this path: the
-    /// simulator is deterministic, so a traced failure would recur.
+    /// as Chrome trace-event JSON.
     fn execute_traced(&self, batch: &str, job: &Job, dir: &Path) -> JobOutcome {
         let tracer = Tracer::recording();
         let outcome = classify(execute_once_with(job, &tracer));
@@ -477,7 +439,7 @@ impl Engine {
     }
 
     /// The engine's live metric registry: job queue-wait and
-    /// execution-wall histograms plus retry/timeout counters, exposable
+    /// execution-wall histograms plus the timeout counter, exposable
     /// as Prometheus text via [`Registry::render_prometheus`].
     pub fn registry(&self) -> &Registry {
         &self.obs.registry
@@ -485,7 +447,7 @@ impl Engine {
 
     /// The harness's own execution metrics in the same [`MetricsReport`]
     /// shape the simulator emits, so one toolchain reads both. Includes
-    /// the lifecycle telemetry: retry/timeout counters and queue-wait /
+    /// the lifecycle telemetry: the timeout counter and queue-wait /
     /// execution-wall histogram summaries.
     pub fn metrics_report(&self) -> MetricsReport {
         let s = self.stats();
@@ -497,7 +459,6 @@ impl Engine {
         m.counter("harness.failures", s.failures);
         m.counter("harness.sim_cycles", s.sim_cycles);
         m.counter("harness.exec_millis", s.exec_millis);
-        m.counter("harness.retries", self.obs.retries.get());
         m.counter("harness.timeouts", self.obs.timeouts.get());
         m.histograms.push((
             "harness.queue_wait_ms".to_string(),
@@ -595,26 +556,20 @@ impl Batch {
     /// wall-clock times and cache flags so the bytes are identical across
     /// runs, worker counts, and warm/cold caches.
     pub fn artifact_json(&self) -> String {
-        Json::obj(vec![
-            ("experiment", Json::Str(self.name.clone())),
-            ("schema", Json::U64(u64::from(crate::job::CACHE_SCHEMA))),
-            (
-                "jobs",
-                Json::Arr(
-                    self.records
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("label", Json::Str(r.label.clone())),
-                                ("key", Json::Str(r.key.clone())),
-                                ("outcome", outcome_to_json(&r.outcome)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_pretty()
+        to_text(true, |s| {
+            s.begin_obj();
+            s.str_field("experiment", &self.name);
+            s.u64_field("schema", u64::from(crate::job::CACHE_SCHEMA));
+            s.arr_field("jobs", &self.records, |s, r| {
+                s.begin_obj();
+                s.str_field("label", &r.label);
+                s.str_field("key", &r.key);
+                s.key("outcome");
+                write_outcome(s, &r.outcome);
+                s.end_obj();
+            });
+            s.end_obj();
+        })
     }
 
     /// Writes the batch artifact as `<dir>/<name>.json`.
@@ -633,6 +588,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
 

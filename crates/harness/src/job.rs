@@ -29,7 +29,7 @@ pub enum Mode {
 }
 
 /// One unit of experiment work: a kernel pair under a machine
-/// configuration, with a watchdog budget and retry policy.
+/// configuration, with a watchdog budget.
 ///
 /// The job's [cache key](Job::key) is derived from the *content* that
 /// determines the simulation result (pair, config, mode, cycle budget) —
@@ -47,8 +47,6 @@ pub struct Job {
     pub mode: Mode,
     /// Watchdog budget in simulated cycles.
     pub max_cycles: u64,
-    /// Re-execution attempts after a transient harness failure.
-    pub retries: u32,
     /// Whether to attach a metrics-digesting tracer so the result carries
     /// a [`hfs_trace::MetricsReport`]. Part of the cache key (traced and
     /// untraced results serialize differently).
@@ -72,7 +70,6 @@ impl Job {
             cfg,
             mode: Mode::Pipeline,
             max_cycles: DEFAULT_MAX_CYCLES,
-            retries: 0,
             metrics: false,
             key_memo: OnceLock::new(),
         }
@@ -89,14 +86,12 @@ impl Job {
     /// Rebuilds a job from its raw parts (the spec-codec entry point).
     /// Keeps the deserializer honest about every keyed field without
     /// exposing the key memo outside this module.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         label: String,
         pair: KernelPair,
         cfg: MachineConfig,
         mode: Mode,
         max_cycles: u64,
-        retries: u32,
         metrics: bool,
     ) -> Job {
         Job {
@@ -105,7 +100,6 @@ impl Job {
             cfg,
             mode,
             max_cycles,
-            retries,
             metrics,
             key_memo: OnceLock::new(),
         }
@@ -123,14 +117,6 @@ impl Job {
     #[must_use]
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Job {
         self.max_cycles = max_cycles;
-        self.key_memo = OnceLock::new();
-        self
-    }
-
-    /// Overrides the retry count.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Job {
-        self.retries = retries;
         self.key_memo = OnceLock::new();
         self
     }
@@ -216,12 +202,10 @@ pub fn is_cache_key(s: &str) -> bool {
 pub enum JobOutcome {
     /// The run completed; full statistics attached.
     Ok(RunResult),
-    /// The simulator reported an error (after exhausting retries).
+    /// The simulator reported an error.
     SimError(String),
     /// The machine checker (`HFS_CHECK=1`) found an invariant violation
-    /// or a queue-accounting error. Never retried: the simulator is
-    /// deterministic, so a checked failure reproduces — it is a model
-    /// bug to fix, not a transient to absorb.
+    /// or a queue-accounting error: a model bug to fix.
     CheckFailed(String),
     /// The run exceeded its cycle budget.
     Timeout {
@@ -229,8 +213,8 @@ pub enum JobOutcome {
         max_cycles: u64,
     },
     /// The run was abandoned because its cancellation token fired (e.g.
-    /// every client waiting on it disconnected). Never cached and never
-    /// retried here — the owner decides whether to re-enqueue.
+    /// every client waiting on it disconnected). Never cached — the
+    /// owner decides whether to re-enqueue.
     Cancelled,
     /// The worker *process* executing the job died repeatedly (crash,
     /// kill, or broken pipe) and the dispatcher exhausted its requeue
@@ -288,12 +272,16 @@ impl fmt::Display for JobOutcome {
 ///
 /// Any [`SimError`] from machine construction or the run itself.
 pub fn execute_once(job: &Job) -> Result<RunResult, SimError> {
-    let tracer = if job.metrics {
+    execute_once_with(job, &own_tracer(job))
+}
+
+/// The tracer a job asks for itself: metrics-digesting or none.
+fn own_tracer(job: &Job) -> Tracer {
+    if job.metrics {
         Tracer::metrics_only()
     } else {
         Tracer::disabled()
-    };
-    execute_once_with(job, &tracer)
+    }
 }
 
 /// Runs `job` once with an explicit tracer attached to the machine —
@@ -337,10 +325,7 @@ fn run_once(
     machine.run(job.max_cycles)
 }
 
-/// The one `SimError` → [`JobOutcome`] mapping. Only a
-/// [`JobOutcome::SimError`] is worth another attempt: timeouts and
-/// machine-check violations recur (the simulator is deterministic), and
-/// a cancellation is the owner's decision.
+/// The one `SimError` → [`JobOutcome`] mapping.
 pub(crate) fn classify(run: Result<RunResult, SimError>) -> JobOutcome {
     match run {
         Ok(r) => JobOutcome::Ok(r),
@@ -351,53 +336,24 @@ pub(crate) fn classify(run: Result<RunResult, SimError>) -> JobOutcome {
     }
 }
 
-/// Runs `job` with its retry policy, classifying failures.
+/// Runs `job` once, classifying failures. The simulator is
+/// deterministic, so no failure is worth a second attempt.
 ///
-/// Timeouts and machine-check violations are never retried (the
-/// simulator is deterministic, so both will recur); other errors are
-/// retried up to `max(job.retries, default_retries)` times to absorb
-/// transient harness issues.
-pub fn execute(job: &Job, default_retries: u32) -> JobOutcome {
-    execute_counted(job, default_retries, None).0
+/// `_retries` is ignored; the parameter is kept for `benchmark/`.
+pub fn execute(job: &Job, _retries: u32) -> JobOutcome {
+    execute_cancellable(job, None)
 }
 
-/// [`execute`] with an optional cancellation token, additionally
-/// reporting how many *re*-executions the retry policy consumed (0 when
-/// the first attempt settled the outcome) — what the engine and the
-/// `hfs-serve` workers run. A fired token surfaces as
-/// [`JobOutcome::Cancelled`] without consuming the retry budget.
-pub fn execute_counted(
-    job: &Job,
-    default_retries: u32,
-    cancel: Option<&CancelToken>,
-) -> (JobOutcome, u32) {
-    run_attempts(job, default_retries, &Checker::disabled(), cancel)
-}
-
-fn run_attempts(
-    job: &Job,
-    default_retries: u32,
-    checker: &Checker,
-    cancel: Option<&CancelToken>,
-) -> (JobOutcome, u32) {
-    let last = job.retries.max(default_retries);
-    let mut attempt = 0;
-    loop {
-        // A fresh tracer per attempt: tracer clones share one buffer, so
-        // reusing a tracer across a retry would fold the failed attempt's
-        // partial event stream into the succeeding run's metrics report
-        // (double-counted progress totals).
-        let tracer = if job.metrics {
-            Tracer::metrics_only()
-        } else {
-            Tracer::disabled()
-        };
-        let outcome = classify(run_once(job, &tracer, checker, cancel));
-        if attempt == last || !matches!(outcome, JobOutcome::SimError(_)) {
-            return (outcome, attempt);
-        }
-        attempt += 1;
-    }
+/// [`execute`] with an optional cancellation token — what the engine
+/// and the `hfs-serve` workers run. A fired token surfaces as
+/// [`JobOutcome::Cancelled`].
+pub fn execute_cancellable(job: &Job, cancel: Option<&CancelToken>) -> JobOutcome {
+    classify(run_once(
+        job,
+        &own_tracer(job),
+        &Checker::disabled(),
+        cancel,
+    ))
 }
 
 #[cfg(test)]
@@ -508,15 +464,15 @@ mod tests {
     fn check_violations_fail_loudly_and_skip_retries() {
         use hfs_core::{CheckLevel, Mutation};
         // A machine-check violation must surface as its own outcome —
-        // not be misfiled as a generic sim error, not run to timeout,
-        // and not be retried (it is deterministic).
+        // not be misfiled as a generic sim error, not run to timeout.
         let checker = hfs_core::Checker::with_level(CheckLevel::Full);
         checker.set_mutation(Mutation::DoubleGrantBus);
         let job = Job {
             cfg: MachineConfig::itanium2_cmp(DesignPoint::existing()),
             ..demo_job(200)
         };
-        match run_attempts(&job, 3, &checker, None).0 {
+        let run = |checker| classify(run_once(&job, &Tracer::disabled(), checker, None));
+        match run(&checker) {
             JobOutcome::CheckFailed(e) => {
                 assert!(e.contains("bus.double_grant"), "{e}");
             }
@@ -524,34 +480,9 @@ mod tests {
         }
         // The same job under a clean checker succeeds and reports it.
         let clean = hfs_core::Checker::with_level(CheckLevel::Full);
-        let out = run_attempts(&job, 0, &clean, None).0;
+        let out = run(&clean);
         assert_eq!(out.status(), "ok");
         assert!(out.ok().expect("clean run ok").checked);
-    }
-
-    #[test]
-    fn retry_attempts_never_share_a_tracer() {
-        // The hazard this pins: tracer clones share one buffer, so a
-        // tracer reused across two runs folds both event streams into the
-        // second report — the HFS_RETRIES double-count bug.
-        let job = demo_job(40).with_metrics(true);
-        let shared = Tracer::metrics_only();
-        let first = execute_once_with(&job, &shared).unwrap();
-        let second = execute_once_with(&job, &shared).unwrap();
-        let p1 = first.metrics.unwrap().get_counter("trace.produce").unwrap();
-        let p2 = second
-            .metrics
-            .unwrap()
-            .get_counter("trace.produce")
-            .unwrap();
-        assert_eq!(p2, 2 * p1, "a shared buffer double-counts");
-        // The retry path allocates a fresh tracer per attempt, so even
-        // with a retry budget the report carries single-run totals.
-        let out = execute(&demo_job(40).with_metrics(true).with_retries(3), 2);
-        let r = out.ok().expect("retried run ok");
-        let m = r.metrics.as_ref().expect("metrics attached");
-        assert_eq!(m.get_counter("trace.produce"), Some(p1));
-        assert!(m.get_histogram("consume_to_use_cycles").unwrap().count <= p1);
     }
 
     #[test]
@@ -559,15 +490,14 @@ mod tests {
         use hfs_sim::CancelToken;
         let token = CancelToken::new();
         token.cancel();
-        // A pre-fired token aborts at cycle 0, regardless of retries.
-        let (out, retries) = execute_counted(&demo_job(5_000).with_retries(5), 3, Some(&token));
+        // A pre-fired token aborts at cycle 0.
+        let out = execute_cancellable(&demo_job(5_000), Some(&token));
         assert_eq!(out.status(), "cancelled");
-        assert_eq!(retries, 0);
         assert!(!out.is_ok());
         assert!(out.to_string().contains("cancelled"));
         // An unfired token changes nothing.
         let fresh = CancelToken::new();
-        let out = execute_counted(&demo_job(40), 0, Some(&fresh)).0;
+        let out = execute_cancellable(&demo_job(40), Some(&fresh));
         assert_eq!(out.ok().expect("runs to completion").iterations, 40);
     }
 

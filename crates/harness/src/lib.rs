@@ -14,12 +14,13 @@
 //!   bounded in-memory [`HotCache`] (`HFS_HOT_CACHE_MB`) so warm
 //!   lookups skip disk I/O and re-parsing;
 //! - robustness: simulator failures become structured [`JobOutcome`]s
-//!   (never panics mid-batch), with a per-job simulated-cycle watchdog
-//!   and configurable retries;
+//!   (never panics mid-batch), with a per-job simulated-cycle watchdog;
+//!   a job runs once — the simulator is deterministic, so a failure
+//!   would only recur;
 //! - observability: per-job timing and a structured progress stream via
-//!   the `hfs-obs` logger (info level; `HFS_LOG=warn` or
-//!   `HFS_NO_PROGRESS=1` silence it), engine counters and lifecycle
-//!   histograms via [`Engine::stats`]/[`Engine::summary`]/
+//!   the `hfs-obs` logger (info level; `HFS_LOG=warn` silences it),
+//!   engine counters and lifecycle histograms via
+//!   [`Engine::stats`]/[`Engine::summary`]/
 //!   [`Engine::registry`], machine-readable `results/<experiment>.json`
 //!   artifacts, and — with `HFS_METRICS=1` / `HFS_TRACE_DIR=<dir>` —
 //!   per-run [`hfs_trace::MetricsReport`]s and Chrome trace-event
@@ -38,11 +39,11 @@ pub mod spec;
 
 pub use cache::Cache;
 pub use engine::{resolve, Batch, Engine, EngineStats, ExecEnv, Record, Resolved};
-pub use hfs_sim::env_flag;
+pub use hfs_sim::{env_flag, env_path};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
-    execute, execute_counted, execute_once, execute_once_with, is_cache_key, Job, JobOutcome, Mode,
-    CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
+    execute, execute_cancellable, execute_once, execute_once_with, is_cache_key, Job, JobOutcome,
+    Mode, CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
 };
 pub use json::{
     from_text, from_tree, parse, to_text, to_tree, DecodeError, Json, ParseError, Sink, Source,

@@ -13,14 +13,10 @@
 //! to and from text, and the `*_to_json`/`*_from_json` entry points run
 //! the same pairs to and from a [`Json`] tree.
 //!
-//! Kernel and region names are `&'static str` in the simulator's types;
-//! decoding interns each distinct name once (leaking it). The names
-//! arrive from the wire, so the leak is bounded here: at most
-//! [`MAX_INTERNED`] names of at most [`MAX_NAME_BYTES`] bytes each, and
-//! a spec that would pass either bound is refused.
+//! Kernel and region names are owned by the job that carries them; a
+//! name from the wire is refused past [`MAX_NAME_BYTES`].
 
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use hfs_core::kernel::{KRegion, KStep, Kernel, KernelPair};
 use hfs_core::{
@@ -38,38 +34,20 @@ use crate::ser::DecodeError;
 /// are at most 16 bytes.
 const MAX_NAME_BYTES: usize = 128;
 
-/// Most distinct names one process ever interns; the repository's own
-/// sweeps use fewer than 40.
-const MAX_INTERNED: usize = 4096;
-
-/// Interns `s`, returning a `'static` copy. Each distinct string leaks
-/// exactly once, shared by every later request for it.
+/// The required `name` of a kernel pair or a region.
 ///
 /// # Errors
 ///
-/// A name longer than [`MAX_NAME_BYTES`], or a new name once
-/// [`MAX_INTERNED`] are held: any client can send names forever, and
-/// the leak must not follow.
-fn intern(s: &str) -> Result<&'static str, DecodeError> {
-    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    if s.len() > MAX_NAME_BYTES {
+/// A name longer than [`MAX_NAME_BYTES`]: names arrive from the wire.
+fn read_name<'a, S: Source<'a>>(s: &mut S, o: &mut S::Obj) -> Result<Arc<str>, DecodeError> {
+    let name = s.str_field(o, "name")?;
+    if name.len() > MAX_NAME_BYTES {
         return Err(DecodeError::Shape(format!(
             "a {}-byte name (at most {MAX_NAME_BYTES})",
-            s.len()
+            name.len()
         )));
     }
-    let mut set = INTERNED.lock().unwrap();
-    if let Some(&hit) = set.get(s) {
-        return Ok(hit);
-    }
-    if set.len() >= MAX_INTERNED {
-        return Err(DecodeError::Shape(format!(
-            "name `{s}`: {MAX_INTERNED} distinct names are already known"
-        )));
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    set.insert(leaked);
-    Ok(leaked)
+    Ok(name.into())
 }
 
 fn write_step<S: Sink>(s: &mut S, step: &KStep) {
@@ -164,7 +142,7 @@ fn write_kernel<S: Sink>(s: &mut S, k: &Kernel) {
     s.begin_obj();
     s.arr_field("regions", &k.regions, |s, r| {
         s.begin_obj();
-        s.str_field("name", r.name);
+        s.str_field("name", &r.name);
         s.u64_field("bytes", r.bytes);
         s.end_obj();
     });
@@ -178,7 +156,7 @@ fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
             regions: s.arr_field(o, "regions", |s| {
                 s.obj(|s, o| {
                     Ok::<_, DecodeError>(KRegion {
-                        name: intern(&s.str_field(o, "name")?)?,
+                        name: read_name(s, o)?,
                         bytes: s.u64_field(o, "bytes")?,
                     })
                 })
@@ -190,7 +168,7 @@ fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
 
 fn write_pair<S: Sink>(s: &mut S, p: &KernelPair) {
     s.begin_obj();
-    s.str_field("name", p.name);
+    s.str_field("name", &p.name);
     s.key("producer");
     write_kernel(s, &p.producer);
     s.key("consumer");
@@ -202,7 +180,7 @@ fn write_pair<S: Sink>(s: &mut S, p: &KernelPair) {
 fn read_pair<'a, S: Source<'a>>(s: &mut S) -> Result<KernelPair, DecodeError> {
     s.obj(|s, o| {
         Ok(KernelPair {
-            name: intern(&s.str_field(o, "name")?)?,
+            name: read_name(s, o)?,
             producer: s.field(o, "producer", read_kernel)?,
             consumer: s.field(o, "consumer", read_kernel)?,
             iterations: s.u64_field(o, "iterations")?,
@@ -463,7 +441,6 @@ pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
         }
     }
     s.u64_field("max_cycles", job.max_cycles);
-    s.u64_field("retries", u64::from(job.retries));
     s.bool_field("metrics", job.metrics);
     s.key("pair");
     write_pair(s, &job.pair);
@@ -488,13 +465,10 @@ pub fn read_job<'a, S: Source<'a>>(s: &mut S) -> Result<Job, DecodeError> {
             other => return Err(DecodeError::Shape(format!("unknown mode `{other}`"))),
         };
         let max_cycles = s.u64_field(o, "max_cycles")?;
-        let retries = s.uint_field(o, "retries")?;
         let metrics = s.bool_field(o, "metrics")?;
         let pair = s.field(o, "pair", read_pair)?;
         let cfg = s.field(o, "cfg", read_machine_config)?;
-        Ok(Job::from_parts(
-            label, pair, cfg, mode, max_cycles, retries, metrics,
-        ))
+        Ok(Job::from_parts(label, pair, cfg, mode, max_cycles, metrics))
     })
 }
 
@@ -612,7 +586,7 @@ mod tests {
         });
         consumer.steps.push(KStep::StoreRandom { region: dst });
         let pair = KernelPair {
-            name: "complex",
+            name: "complex".into(),
             producer,
             consumer,
             iterations: 77,
@@ -626,7 +600,6 @@ mod tests {
         cfg.seed = 42;
         let job = Job::multi("spec/complex", pair, cfg, 3)
             .with_max_cycles(123_456)
-            .with_retries(2)
             .with_metrics(true);
         let text = job_to_json(&job).to_string();
         let back = job_from_json(&parse(&text).unwrap()).unwrap();
@@ -634,7 +607,6 @@ mod tests {
         assert_eq!(back.cfg, job.cfg);
         assert_eq!(back.mode, Mode::Multi(3));
         assert_eq!(back.max_cycles, 123_456);
-        assert_eq!(back.retries, 2);
         assert!(back.metrics);
         assert_eq!(back.key(), job.key());
     }
@@ -669,17 +641,10 @@ mod tests {
     }
 
     #[test]
-    fn interner_dedupes_names() {
-        let a = intern("same-name").unwrap();
-        let b = intern("same-name").unwrap();
-        assert_eq!(a.as_ptr(), b.as_ptr(), "one leak per distinct string");
-    }
-
-    #[test]
     fn an_overlong_name_is_refused() {
         let named = |len: usize| {
-            let name: &'static str = Box::leak("n".repeat(len).into_boxed_str());
-            let job = Job::pipeline("spec/long", KernelPair::simple(name, 3, 50), demo_job().cfg);
+            let pair = KernelPair::simple("n".repeat(len), 3, 50);
+            let job = Job::pipeline("spec/long", pair, demo_job().cfg);
             job_from_json(&job_to_json(&job))
         };
         assert!(named(MAX_NAME_BYTES).is_ok());
@@ -703,7 +668,7 @@ mod tests {
         for bad in [
             "{}",
             r#"{"label":"x","mode":"warp"}"#,
-            r#"{"label":"x","mode":"multi","max_cycles":1,"retries":0,"metrics":false}"#,
+            r#"{"label":"x","mode":"multi","max_cycles":1,"metrics":false}"#,
         ] {
             assert!(job_from_json(&parse(bad).unwrap()).is_err(), "{bad}");
         }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::Add;
+use std::sync::Arc;
 
 use crate::ids::{QueueId, RegionId};
 
@@ -73,14 +74,15 @@ pub struct Region {
     /// Identifier referenced by [`AddrPattern`]s.
     pub id: RegionId,
     /// Human-readable name, for diagnostics.
-    pub name: &'static str,
+    pub name: Arc<str>,
     /// Region size in bytes.
     pub bytes: u64,
 }
 
 impl Region {
     /// Creates a region description.
-    pub fn new(id: RegionId, name: &'static str, bytes: u64) -> Self {
+    pub fn new(id: RegionId, name: impl Into<Arc<str>>, bytes: u64) -> Self {
+        let name = name.into();
         Region { id, name, bytes }
     }
 }
@@ -148,7 +150,7 @@ mod tests {
     fn region_fields() {
         let r = Region::new(RegionId(1), "heap", 4096);
         assert_eq!(r.id, RegionId(1));
-        assert_eq!(r.name, "heap");
+        assert_eq!(&*r.name, "heap");
         assert_eq!(r.bytes, 4096);
     }
 

@@ -1,5 +1,7 @@
 //! Ergonomic construction of [`Program`]s.
 
+use std::sync::Arc;
+
 use crate::addr::AddrPattern;
 use crate::ids::{QueueId, Reg, RegionId};
 use crate::instr::{InstrKind, InstrTemplate, Op, StoreValue};
@@ -62,7 +64,7 @@ impl ProgramBuilder {
     }
 
     /// Declares a memory region and returns its id.
-    pub fn declare_region(&mut self, name: &'static str, bytes: u64) -> RegionId {
+    pub fn declare_region(&mut self, name: impl Into<Arc<str>>, bytes: u64) -> RegionId {
         let id = RegionId(self.next_region);
         self.next_region += 1;
         self.regions.push(Region::new(id, name, bytes));

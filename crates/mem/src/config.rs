@@ -52,11 +52,6 @@ impl Protocol {
         }
     }
 
-    /// True for update-based protocols (no invalidations ever).
-    pub fn update_based(self) -> bool {
-        matches!(self, Protocol::Dragon)
-    }
-
     /// The checker-side protocol id selecting the invariant table.
     pub fn kind(self) -> ProtocolKind {
         match self {
@@ -235,12 +230,6 @@ impl MemConfig {
         }
         self.bus.validate()
     }
-
-    /// The L2 bank latency for `line`: 5, 7 or 9 cycles selected by the
-    /// low line-address bits, modeling the Itanium 2's banked L2.
-    pub fn l2_latency_for(&self, line: u64) -> u64 {
-        self.l2_latency_min + 2 * (line % 3)
-    }
 }
 
 impl Default for MemConfig {
@@ -312,14 +301,38 @@ mod tests {
         }
         assert_eq!(Protocol::parse("mosi"), None);
         assert_eq!(Protocol::default(), Protocol::Msi);
-        assert!(Protocol::Dragon.update_based());
-        assert!(!Protocol::Mesi.update_based());
     }
 
     #[test]
     fn l2_bank_latencies_cover_5_7_9() {
+        // The configured minimum plus the L2's bank offset: time a load
+        // hit on six consecutive lines.
+        use crate::l2::{EntryKind, L2Ctl};
+        use hfs_isa::{Addr, CoreId};
+        use hfs_sim::Cycle;
         let c = MemConfig::itanium2_cmp();
-        let lats: std::collections::HashSet<u64> = (0..6).map(|l| c.l2_latency_for(l)).collect();
+        let hit_latency = |n: u64| {
+            let mut l2 = L2Ctl::new(
+                CoreId(0),
+                c.l2,
+                c.l2_latency_min,
+                c.l2_ports,
+                c.ozq_entries,
+                c.recirc_interval,
+            )
+            .unwrap();
+            let addr = Addr::new(n * c.l2.line_bytes);
+            l2.fill(l2.line_of(addr), crate::LineState::Shared, Cycle::new(0));
+            l2.allocate(addr, EntryKind::Load, false, false, Cycle::new(0));
+            let mut out = Vec::new();
+            (0..16)
+                .find(|&t| {
+                    l2.tick(Cycle::new(t), &mut out);
+                    !out.is_empty()
+                })
+                .expect("the load hits")
+        };
+        let lats: std::collections::HashSet<u64> = (0..6).map(hit_latency).collect();
         assert_eq!(lats, [5, 7, 9].into_iter().collect());
     }
 }

@@ -44,11 +44,6 @@ impl FuncMem {
         self.words.insert(Self::word(addr), value);
     }
 
-    /// Number of words ever written.
-    pub fn footprint_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Iterates over every `(word address, value)` pair ever written, in
     /// arbitrary order — used to seed the machine checker's golden copy.
     pub fn iter_words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -72,7 +67,6 @@ mod tests {
         let mut m = FuncMem::new();
         m.write(Addr::new(64), 99);
         assert_eq!(m.read(Addr::new(64)), 99);
-        assert_eq!(m.footprint_words(), 1);
     }
 
     #[test]
@@ -90,6 +84,5 @@ mod tests {
         m.write(Addr::new(8), 1);
         m.write(Addr::new(8), 2);
         assert_eq!(m.read(Addr::new(8)), 2);
-        assert_eq!(m.footprint_words(), 1);
     }
 }

@@ -810,12 +810,6 @@ impl L2Ctl {
         self.array.set_state(line, next);
     }
 
-    /// Whether a line request is pending (issued or awaiting reissue).
-    #[cfg(test)]
-    pub(crate) fn line_pending(&self, line: u64) -> bool {
-        self.pending(line).is_some()
-    }
-
     /// Renders entry states for deadlock diagnostics.
     pub(crate) fn debug_entries(&self) -> String {
         let mut s = String::new();
@@ -902,10 +896,8 @@ mod tests {
                 ..
             }
         )));
-        assert!(c.line_pending(line));
         // Fill arrives; MSHR semantics satisfy the waiting load at once.
         assert!(c.fill(line, LineState::Shared, Cycle::new(20)).is_none());
-        assert!(!c.line_pending(line));
         let waiters = drain(&mut c, line, 20);
         assert_eq!(waiters.len(), 1);
         assert_eq!(waiters[0].kind, EntryKind::Load);

@@ -235,15 +235,13 @@ impl Logger {
     /// back to stderr if the file cannot be opened, and on no setting).
     pub fn from_env() -> Logger {
         let level = Level::from_env();
-        let writer: Box<dyn Write + Send> = match std::env::var_os(ENV_LOG_FILE)
-            .filter(|v| !v.is_empty())
-            .and_then(|p| {
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(p)
-                    .ok()
-            }) {
+        let writer: Box<dyn Write + Send> = match hfs_sim::env_path(ENV_LOG_FILE).and_then(|p| {
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(p)
+                .ok()
+        }) {
             Some(f) => Box::new(f),
             None => Box::new(std::io::stderr()),
         };

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hfs_harness::{env_flag, sweep_from_json, Json};
+use hfs_harness::{env_flag, env_path, sweep_from_json};
 use hfs_serve::{print_update, Client, Subscribe};
 
 fn usage() -> ! {
@@ -70,17 +70,12 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
     } else {
         jobs
     };
-    let progress = !env_flag("HFS_NO_PROGRESS");
 
     let mut client = match connect() {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let on_update = |u: &hfs_serve::JobUpdate| {
-        if progress {
-            print_update(&experiment, u);
-        }
-    };
+    let on_update = |u: &hfs_serve::JobUpdate| print_update(&experiment, u);
     let batch = match client.submit_batched(&experiment, jobs, subscribe, on_update) {
         Ok(b) => b,
         Err(e) => {
@@ -94,9 +89,9 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
         return ExitCode::SUCCESS;
     }
 
-    let dir = out_dir.unwrap_or_else(|| {
-        PathBuf::from(std::env::var("HFS_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
-    });
+    let dir = out_dir
+        .or_else(|| env_path("HFS_RESULTS_DIR"))
+        .unwrap_or_else(|| "results".into());
     match batch.write_artifact(&dir) {
         Ok(path) => println!("{}", path.display()),
         Err(e) => {
@@ -117,11 +112,7 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
 fn stats_once(mut c: Client) -> ExitCode {
     match c.stats() {
         Ok(stats) => {
-            let mut body = stats.to_json();
-            if let Json::Obj(pairs) = &mut body {
-                pairs.retain(|(k, _)| k != "type");
-            }
-            println!("{}", body.to_pretty().trim_end());
+            println!("{}", stats.to_json().to_pretty().trim_end());
             ExitCode::SUCCESS
         }
         Err(e) => {

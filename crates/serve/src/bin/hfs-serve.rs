@@ -8,7 +8,7 @@
 //!
 //! Without flags the endpoint comes from `HFS_SOCK`/`HFS_ADDR`. The
 //! execution environment (`HFS_JOBS`, `HFS_CACHE_DIR`, `HFS_NO_CACHE`,
-//! `HFS_RETRIES`, `HFS_HOT_CACHE_MB`) matches the offline engine.
+//! `HFS_HOT_CACHE_MB`) matches the offline engine.
 //! `--queue-limit N` bounds the queued flights before submissions get
 //! `busy` (default 1024). `--workers N` runs simulations on `N` *worker
 //! processes*: the server re-execs this binary with `--worker` per slot

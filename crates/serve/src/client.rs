@@ -469,6 +469,10 @@ impl Client {
 /// one `job_done` record at info level per resolved job, so `HFS_LOG`
 /// governs client-side progress exactly like engine-side progress.
 pub fn print_update(experiment: &str, u: &JobUpdate<'_>) {
+    // A filtered line costs this compare, not the field list.
+    if !hfs_obs::logger().enabled(hfs_obs::Level::Info) {
+        return;
+    }
     let label = u
         .label
         .strip_prefix(experiment)

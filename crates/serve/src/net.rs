@@ -29,8 +29,8 @@ impl Endpoint {
     /// Unix), then `HFS_ADDR`; `None` if neither is set.
     pub fn from_env() -> Option<Endpoint> {
         #[cfg(unix)]
-        if let Some(path) = std::env::var_os(ENV_SOCK).filter(|v| !v.is_empty()) {
-            return Some(Endpoint::Unix(PathBuf::from(path)));
+        if let Some(path) = hfs_sim::env_path(ENV_SOCK) {
+            return Some(Endpoint::Unix(path));
         }
         std::env::var(ENV_ADDR)
             .ok()

@@ -52,7 +52,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hfs_harness::{execute_counted, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome};
+use hfs_harness::{
+    execute_cancellable, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome,
+};
 use hfs_obs::{Counter, Gauge, HistogramMetric, Registry};
 use hfs_sim::CancelToken;
 
@@ -100,7 +102,7 @@ pub struct ServerConfig {
     /// `Some(0)` disables the in-memory layer, `Some(n)` forces `n`
     /// MiB.
     pub hot_cache_mb: Option<u64>,
-    /// Retries applied to jobs that don't override their own.
+    /// Ignored: a job runs once. Kept for `benchmark/`.
     pub default_retries: u32,
 }
 
@@ -119,7 +121,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The production configuration: workers, result cache and retries
+    /// The production configuration: workers and result cache
     /// from the same environment as the offline engine
     /// ([`hfs_harness::ExecEnv`]); the hot-cache budget rides on
     /// `HFS_HOT_CACHE_MB` inside the harness cache, and everything else
@@ -129,7 +131,6 @@ impl ServerConfig {
         ServerConfig {
             workers: env.workers,
             cache_dir: env.cache_dir,
-            default_retries: env.retries,
             ..ServerConfig::default()
         }
     }
@@ -246,7 +247,6 @@ struct Telemetry {
     aborted: Counter,
     rejected: Counter,
     delivered: Counter,
-    retries: Counter,
     timeouts: Counter,
     worker_restarts: Counter,
     queue_depth: Gauge,
@@ -269,7 +269,6 @@ impl Default for Telemetry {
             aborted: registry.counter("hfs_jobs_aborted_total"),
             rejected: registry.counter("hfs_batches_rejected_total"),
             delivered: registry.counter("hfs_jobs_delivered_total"),
-            retries: registry.counter("hfs_job_retries_total"),
             timeouts: registry.counter("hfs_job_timeouts_total"),
             worker_restarts: registry.counter("hfs_worker_restarts_total"),
             queue_depth: registry.gauge("hfs_queue_depth"),
@@ -334,7 +333,6 @@ struct Dispatcher {
     obs: Telemetry,
     cache: Option<Cache>,
     queue_limit: usize,
-    default_retries: u32,
     /// Queue shards: 1 in thread mode, the worker count in process
     /// mode.
     nshards: usize,
@@ -381,7 +379,6 @@ impl Dispatcher {
             obs,
             cache,
             queue_limit: config.queue_limit,
-            default_retries: config.default_retries,
             nshards,
             proc,
         }
@@ -599,9 +596,8 @@ impl Dispatcher {
         while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(shard) {
             let step = resolve(self.cache.as_ref(), &key, || match &self.proc {
                 Some(pool) => self.run_on_child(pool, &mut child, shard, &key, &job),
-                None => execute_counted(&job, self.default_retries, Some(&cancel)),
+                None => execute_cancellable(&job, Some(&cancel)),
             });
-            self.obs.retries.add(u64::from(step.retries));
             if step.cached {
                 self.obs.cache_hits.inc();
             } else if step.executed() {
@@ -635,22 +631,15 @@ impl Dispatcher {
         idx: usize,
         key: &str,
         job: &Job,
-    ) -> (JobOutcome, u32) {
-        // A worker death is a transient harness failure like a watchdog
-        // timeout, so the operator's `HFS_RETRIES` extends the default
-        // crash budget exactly as it extends in-process retries. Every
-        // respawn re-sends the job from scratch, so each attempt gets a
-        // fresh progress (cycle-budget) deadline.
-        let budget = MAX_WORKER_CRASHES.max(self.default_retries);
+    ) -> JobOutcome {
+        // Every respawn re-sends the job from scratch, so each attempt
+        // gets a fresh progress (cycle-budget) deadline.
         let mut crashes: u32 = 0;
         loop {
-            if crashes > budget {
-                return (
-                    JobOutcome::WorkerDied(format!(
-                        "worker {idx} died {crashes} times running this job"
-                    )),
-                    0,
-                );
+            if crashes > MAX_WORKER_CRASHES {
+                return JobOutcome::WorkerDied(format!(
+                    "worker {idx} died {crashes} times running this job"
+                ));
             }
             if child.is_none() {
                 // Once drain begins, a dead child is reaped but never
@@ -658,12 +647,9 @@ impl Dispatcher {
                 // structured outcome instead of spinning up a process
                 // the shutdown path would immediately have to kill.
                 if crashes > 0 && self.inner.lock().unwrap().draining {
-                    return (
-                        JobOutcome::WorkerDied(format!(
-                            "worker {idx} died during drain; not respawned"
-                        )),
-                        0,
-                    );
+                    return JobOutcome::WorkerDied(format!(
+                        "worker {idx} died during drain; not respawned"
+                    ));
                 }
                 match spawn_worker(&pool.worker_bin) {
                     Ok((c, stdin)) => {
@@ -698,7 +684,7 @@ impl Dispatcher {
                 let mut stdin = pool.stdins[idx].lock().unwrap();
                 match stdin.as_mut() {
                     Some(s) => crate::proto::write_frame(s, |w| {
-                        WorkerRequest::write_run(w, key, self.default_retries, job);
+                        WorkerRequest::write_run(w, key, job);
                     })
                     .is_ok(),
                     None => false,
@@ -714,7 +700,7 @@ impl Dispatcher {
                 WorkerReply::read_from(&mut c.stdout).ok().flatten()
             };
             match reply {
-                Some(r) if r.key == key => return (r.outcome, r.retries_used),
+                Some(r) if r.key == key => return r.outcome,
                 Some(r) => {
                     // A reply for another key breaks the
                     // one-outstanding protocol; treat the child as
@@ -1162,7 +1148,6 @@ mod tests {
             workers,
             queue_limit,
             cache_dir: None,
-            default_retries: 0,
             ..ServerConfig::default()
         }));
         for _ in 0..workers {

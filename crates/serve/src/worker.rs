@@ -24,7 +24,7 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 use hfs_harness::{
-    execute_counted, from_text, from_tree, read_job, read_outcome, to_tree, write_job,
+    execute_cancellable, from_text, from_tree, read_job, read_outcome, to_tree, write_job,
     write_outcome, Job, JobOutcome, Json, Sink, Source,
 };
 use hfs_sim::CancelToken;
@@ -42,8 +42,6 @@ pub enum WorkerRequest {
     Run {
         /// The job's content key (echoed back; the child never hashes).
         key: String,
-        /// Default retry budget for the run.
-        retries: u32,
         /// The job itself.
         job: Job,
     },
@@ -59,19 +57,18 @@ pub enum WorkerRequest {
 
 impl WorkerRequest {
     /// Pushes a `run` frame for a job the dispatcher goes on owning.
-    pub(crate) fn write_run<S: Sink>(s: &mut S, key: &str, retries: u32, job: &Job) {
+    pub(crate) fn write_run<S: Sink>(s: &mut S, key: &str, job: &Job) {
         s.begin_obj();
         s.str_field("type", "run");
         s.str_field("key", key);
-        s.u64_field("retries", u64::from(retries));
         s.key("job");
         write_job(s, job);
         s.end_obj();
     }
 
     fn write<S: Sink>(&self, s: &mut S) {
-        if let WorkerRequest::Run { key, retries, job } = self {
-            return WorkerRequest::write_run(s, key, *retries, job);
+        if let WorkerRequest::Run { key, job } = self {
+            return WorkerRequest::write_run(s, key, job);
         }
         s.begin_obj();
         match self {
@@ -94,7 +91,6 @@ impl WorkerRequest {
             Ok(match &*tag {
                 "run" => WorkerRequest::Run {
                     key,
-                    retries: s.uint_field(o, "retries")?,
                     job: s.field(o, "job", read_job)?,
                 },
                 "cancel" => WorkerRequest::Cancel { key },
@@ -115,8 +111,6 @@ frame_drivers!(WorkerRequest);
 pub struct WorkerReply {
     /// Echo of the run's key.
     pub key: String,
-    /// Retries the execution consumed.
-    pub retries_used: u32,
     /// The simulation outcome.
     pub outcome: JobOutcome,
 }
@@ -126,7 +120,6 @@ impl WorkerReply {
         s.begin_obj();
         s.str_field("type", "result");
         s.str_field("key", &self.key);
-        s.u64_field("retries_used", u64::from(self.retries_used));
         s.key("outcome");
         write_outcome(s, &self.outcome);
         s.end_obj();
@@ -141,7 +134,6 @@ impl WorkerReply {
             }
             Ok(WorkerReply {
                 key: s.str_field(o, "key")?.into_owned(),
-                retries_used: s.uint_field(o, "retries_used")?,
                 outcome: s.field(o, "outcome", read_outcome)?,
             })
         })
@@ -154,7 +146,7 @@ frame_drivers!(WorkerReply);
 /// `exit` or EOF. Returns the process exit code.
 pub fn worker_main() -> i32 {
     // None = exit; Some = one job to run.
-    let (work_tx, work_rx) = channel::<Option<(String, u32, Job)>>();
+    let (work_tx, work_rx) = channel::<Option<(String, Job)>>();
     let current: Arc<Mutex<Option<(String, CancelToken)>>> = Arc::new(Mutex::new(None));
 
     let reader_current = Arc::clone(&current);
@@ -162,8 +154,8 @@ pub fn worker_main() -> i32 {
         let mut stdin = io::stdin().lock();
         loop {
             match WorkerRequest::read_from(&mut stdin) {
-                Ok(Some(WorkerRequest::Run { key, retries, job })) => {
-                    if work_tx.send(Some((key, retries, job))).is_err() {
+                Ok(Some(WorkerRequest::Run { key, job })) => {
+                    if work_tx.send(Some((key, job))).is_err() {
                         return;
                     }
                 }
@@ -187,16 +179,12 @@ pub fn worker_main() -> i32 {
     });
 
     let mut stdout = io::stdout().lock();
-    while let Ok(Some((key, retries, job))) = work_rx.recv() {
+    while let Ok(Some((key, job))) = work_rx.recv() {
         let token = CancelToken::new();
         *current.lock().unwrap() = Some((key.clone(), token.clone()));
-        let (outcome, retries_used) = execute_counted(&job, retries, Some(&token));
+        let outcome = execute_cancellable(&job, Some(&token));
         *current.lock().unwrap() = None;
-        let reply = WorkerReply {
-            key,
-            retries_used,
-            outcome,
-        };
+        let reply = WorkerReply { key, outcome };
         if reply.write_to(&mut stdout).is_err() {
             break; // parent gone; nothing left to report to
         }
@@ -227,17 +215,11 @@ mod tests {
         let job = demo_job();
         let run = WorkerRequest::Run {
             key: job.key(),
-            retries: 2,
             job: job.clone(),
         };
         match WorkerRequest::from_json(&run.to_json()).unwrap() {
-            WorkerRequest::Run {
-                key,
-                retries,
-                job: back,
-            } => {
+            WorkerRequest::Run { key, job: back } => {
                 assert_eq!(key, job.key());
-                assert_eq!(retries, 2);
                 assert_eq!(back.key(), job.key());
             }
             other => panic!("wrong frame: {other:?}"),
@@ -260,12 +242,10 @@ mod tests {
         let cycles = outcome.ok().expect("demo job runs").cycles;
         let reply = WorkerReply {
             key: job.key(),
-            retries_used: 1,
             outcome,
         };
         let back = WorkerReply::from_json(&reply.to_json()).unwrap();
         assert_eq!(back.key, job.key());
-        assert_eq!(back.retries_used, 1);
         assert_eq!(back.outcome.ok().unwrap().cycles, cycles);
     }
 

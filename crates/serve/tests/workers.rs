@@ -55,22 +55,12 @@ impl TestServer {
     /// Binds a fresh-cache server with `workers` re-exec'd `--worker`
     /// children (the actual built `hfs-serve` binary).
     fn start(tag: &str, workers: usize) -> TestServer {
-        Self::start_with(
-            tag,
-            workers,
-            PathBuf::from(env!("CARGO_BIN_EXE_hfs-serve")),
-            0,
-        )
+        Self::start_with(tag, workers, PathBuf::from(env!("CARGO_BIN_EXE_hfs-serve")))
     }
 
     /// Like [`TestServer::start`], with an explicit worker binary (for
-    /// crash injection) and retry budget.
-    fn start_with(
-        tag: &str,
-        workers: usize,
-        worker_bin: PathBuf,
-        default_retries: u32,
-    ) -> TestServer {
+    /// crash injection).
+    fn start_with(tag: &str, workers: usize, worker_bin: PathBuf) -> TestServer {
         // A test that failed holding the lock poisons nothing it guards.
         let alone = ONE_SERVER.lock().unwrap_or_else(PoisonError::into_inner);
         let base = std::env::temp_dir().join(format!("hfs-workers-{}-{tag}", std::process::id()));
@@ -84,7 +74,6 @@ impl TestServer {
             worker_bin: Some(worker_bin),
             cache_dir: Some(cache.clone()),
             hot_cache_mb: None,
-            default_retries,
             ..ServerConfig::default()
         };
         let endpoint = Endpoint::Unix(sock.clone());
@@ -284,7 +273,7 @@ fn killed_worker_restarts_and_batch_completes_byte_identically() {
 /// re-executes instead of being served the stale corpse.
 #[test]
 fn crashing_worker_yields_structured_outcome_never_cached() {
-    let server = TestServer::start_with("false", 1, PathBuf::from("/bin/false"), 0);
+    let server = TestServer::start_with("false", 1, PathBuf::from("/bin/false"));
     let js = jobs("false", 1, 40);
     let mut client = server.client();
 
@@ -294,8 +283,8 @@ fn crashing_worker_yields_structured_outcome_never_cached() {
     assert_eq!(first.records.len(), 1);
     assert_eq!(first.records[0].outcome.status(), "worker_died");
     assert!(!first.records[0].cached);
-    // Default crash budget with no retries: MAX_WORKER_CRASHES (2)
-    // means three attempts, each counted as a death.
+    // The crash budget, MAX_WORKER_CRASHES (2), means three attempts,
+    // each counted as a death.
     assert_eq!(restarts_metric(&mut client), 3);
     assert_eq!(
         cache_files(&server.cache),
@@ -311,31 +300,6 @@ fn crashing_worker_yields_structured_outcome_never_cached() {
     assert_eq!(second.records[0].outcome.status(), "worker_died");
     assert!(!second.records[0].cached, "failures are not served back");
     assert_eq!(restarts_metric(&mut client), 6, "the job ran again");
-    drop(client);
-    server.shutdown();
-}
-
-/// `HFS_RETRIES` extends the crash budget the same way it extends
-/// in-process retries: with 4 retries the job is attempted five times
-/// before resolving as `worker_died`.
-#[test]
-fn retry_budget_extends_crash_budget() {
-    let server = TestServer::start_with("false-retries", 1, PathBuf::from("/bin/false"), 4);
-    let mut client = server.client();
-    let batch = client
-        .submit_batched(
-            "workers-false-retries",
-            jobs("false-retries", 1, 40),
-            Subscribe::Final,
-            |_| {},
-        )
-        .expect("batch completes");
-    assert_eq!(batch.records[0].outcome.status(), "worker_died");
-    assert_eq!(
-        restarts_metric(&mut client),
-        5,
-        "budget = max(2, retries=4) + 1 attempts"
-    );
     drop(client);
     server.shutdown();
 }

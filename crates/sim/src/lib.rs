@@ -15,7 +15,8 @@
 //!   per-transaction hot-path state (cheaper than SipHash `HashMap`),
 //!   and [`DenseMap`] — a flat table for small dense ids (queues, regions),
 //! * [`ConfigError`] — validation errors for machine configuration,
-//! * [`env_flag`] — the one reading of every on/off `HFS_*` variable,
+//! * [`env_flag`] and [`env_path`] — the one reading of every on/off
+//!   and every path `HFS_*` variable,
 //! * [`CancelToken`] — a thread-safe cooperative cancellation flag polled
 //!   by long-running simulations (used by the `hfs-serve` service layer
 //!   to abandon jobs whose clients disconnected),
@@ -49,7 +50,7 @@ pub mod stats;
 
 pub use cancel::CancelToken;
 pub use cycle::Cycle;
-pub use env::env_flag;
+pub use env::{env_flag, env_path};
 pub use error::ConfigError;
 pub use map::{DenseMap, FnvMap};
 pub use queue::{Pipe, TimedQueue};

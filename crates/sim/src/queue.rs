@@ -57,14 +57,6 @@ impl<T> TimedQueue<T> {
         }
     }
 
-    /// Peeks at the head message if it is ready at `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        match self.entries.front() {
-            Some((ready, v)) if *ready <= now => Some(v),
-            _ => None,
-        }
-    }
-
     /// The ready stamp of the head message, if any.
     ///
     /// Because the queue is a strict FIFO gated only by its head stamp,
@@ -87,12 +79,6 @@ impl<T> TimedQueue<T> {
     /// Iterates over all in-flight messages in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|(_, v)| v)
-    }
-
-    /// Drains every message regardless of readiness (used by context-switch
-    /// and teardown paths that must collect in-flight state).
-    pub fn drain_all(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.entries.drain(..).map(|(_, v)| v)
     }
 }
 
@@ -148,11 +134,6 @@ impl<T> Pipe<T> {
         self.inner.pop_ready(now)
     }
 
-    /// Peeks at the head message if it has arrived by `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        self.inner.peek_ready(now)
-    }
-
     /// The arrival stamp of the head message, if any (see
     /// [`TimedQueue::next_ready`]).
     pub fn next_ready(&self) -> Option<Cycle> {
@@ -168,11 +149,6 @@ impl<T> Pipe<T> {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// Drains every in-flight message regardless of arrival time.
-    pub fn drain_all(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.inner.drain_all()
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +162,6 @@ mod tests {
         q.push(Cycle::new(2), "y");
         assert_eq!(q.len(), 2);
         assert!(q.pop_ready(Cycle::new(9)).is_none());
-        assert_eq!(q.peek_ready(Cycle::new(10)), Some(&"x"));
         assert_eq!(q.pop_ready(Cycle::new(10)), Some("x"));
         // "y" was stamped earlier but is strictly behind "x".
         assert_eq!(q.pop_ready(Cycle::new(10)), Some("y"));
@@ -209,16 +184,6 @@ mod tests {
         assert_eq!(p.next_ready(), None);
         p.push(Cycle::new(1), ());
         assert_eq!(p.next_ready(), Some(Cycle::new(5)));
-    }
-
-    #[test]
-    fn timed_queue_drain_ignores_readiness() {
-        let mut q = TimedQueue::new();
-        q.push(Cycle::new(100), 1);
-        q.push(Cycle::new(200), 2);
-        let all: Vec<_> = q.drain_all().collect();
-        assert_eq!(all, vec![1, 2]);
-        assert!(q.is_empty());
     }
 
     #[test]

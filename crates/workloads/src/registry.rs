@@ -121,7 +121,7 @@ fn art() -> Benchmark {
         exec_time_pct: Some(20),
         suite: Suite::Spec2000,
         pair: KernelPair {
-            name: "art",
+            name: "art".into(),
             producer,
             consumer,
             iterations: 1500,
@@ -165,7 +165,7 @@ fn equake() -> Benchmark {
         exec_time_pct: Some(68),
         suite: Suite::Spec2000,
         pair: KernelPair {
-            name: "equake",
+            name: "equake".into(),
             producer,
             consumer,
             iterations: 800,
@@ -202,7 +202,7 @@ fn mcf() -> Benchmark {
         exec_time_pct: Some(30),
         suite: Suite::Spec2000,
         pair: KernelPair {
-            name: "mcf",
+            name: "mcf".into(),
             producer,
             consumer,
             iterations: 700,
@@ -267,7 +267,7 @@ fn bzip2() -> Benchmark {
         exec_time_pct: Some(17),
         suite: Suite::Spec2000,
         pair: KernelPair {
-            name: "bzip2",
+            name: "bzip2".into(),
             producer,
             consumer,
             iterations: 150,
@@ -306,7 +306,7 @@ fn adpcmdec() -> Benchmark {
         exec_time_pct: Some(98),
         suite: Suite::Mediabench,
         pair: KernelPair {
-            name: "adpcmdec",
+            name: "adpcmdec".into(),
             producer,
             consumer,
             iterations: 2000,
@@ -345,7 +345,7 @@ fn epicdec() -> Benchmark {
         exec_time_pct: Some(21),
         suite: Suite::Mediabench,
         pair: KernelPair {
-            name: "epicdec",
+            name: "epicdec".into(),
             producer,
             consumer,
             iterations: 2000,
@@ -384,7 +384,7 @@ fn wc() -> Benchmark {
         exec_time_pct: Some(100),
         suite: Suite::Unix,
         pair: KernelPair {
-            name: "wc",
+            name: "wc".into(),
             producer,
             consumer,
             iterations: 2000,
@@ -418,7 +418,7 @@ fn fir() -> Benchmark {
         exec_time_pct: None,
         suite: Suite::StreamIt,
         pair: KernelPair {
-            name: "fir",
+            name: "fir".into(),
             producer,
             consumer,
             iterations: 2000,
@@ -460,7 +460,7 @@ fn fft2() -> Benchmark {
         exec_time_pct: None,
         suite: Suite::StreamIt,
         pair: KernelPair {
-            name: "fft2",
+            name: "fft2".into(),
             producer,
             consumer,
             iterations: 1500,

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let pair = KernelPair {
-        name: "figure2",
+        name: "figure2".into(),
         producer,
         consumer,
         iterations: 1_000,

@@ -15,6 +15,14 @@ cd "$(dirname "$0")/.."
 tree_state() { git status --porcelain; git diff HEAD | git hash-object --stdin; }
 TREE_BEFORE=$(tree_state)
 
+echo "==> knob table (README.md names exactly the HFS_* variables the crates read)"
+# Allowed exceptions: HFS_ENV_FLAG_UNDER_TEST exists only inside a unit
+# test, and HFS_FULL is this script's own.
+IN_SRC=$({ grep -rhoE '"HFS_[A-Z_]+"' crates/*/src | tr -d '"'; echo HFS_FULL; } | sort -u)
+IN_README=$({ grep -oE 'HFS_[A-Z_]+' README.md; echo HFS_ENV_FLAG_UNDER_TEST; } | sort -u)
+diff <(echo "$IN_SRC") <(echo "$IN_README") \
+    || { echo "crates/*/src (<) and README.md (>) disagree on the HFS_* variables"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -52,7 +60,7 @@ HFS_CHECK=1 cargo run --release -p hfs-bench --bin trace_smoke
 echo "==> machine check: quick fig6 sweep under HFS_CHECK=1"
 # Fresh results dir + cache off: cached entries would skip the checked
 # re-simulation this gate exists to run.
-HFS_CHECK=1 HFS_QUICK=1 HFS_NO_CACHE=1 HFS_NO_PROGRESS=1 \
+HFS_CHECK=1 HFS_QUICK=1 HFS_NO_CACHE=1 HFS_LOG=warn \
     HFS_RESULTS_DIR=target/check_results \
     cargo run --release -p hfs-bench --bin fig6
 if grep -q '"status": *"check_failed"' target/check_results/*.json 2>/dev/null; then
@@ -63,7 +71,7 @@ echo "==> protocol axis: quick MESI + Dragon fig6 artifact smoke"
 # Non-default protocols suffix their artifact names, so the committed
 # MSI goldens are untouched; each sweep must complete checker-clean.
 for proto in mesi dragon; do
-    HFS_PROTOCOL=$proto HFS_CHECK=1 HFS_QUICK=1 HFS_NO_CACHE=1 HFS_NO_PROGRESS=1 \
+    HFS_PROTOCOL=$proto HFS_CHECK=1 HFS_QUICK=1 HFS_NO_CACHE=1 HFS_LOG=warn \
         HFS_RESULTS_DIR=target/check_results \
         cargo run --release -p hfs-bench --bin fig6
     [ -s "target/check_results/fig6__$proto.json" ] \
@@ -107,7 +115,7 @@ trap serve_cleanup EXIT
 SOCK="$SERVE_TMP/hfs.sock"
 
 # Offline golden: the quick fig6 sweep through the plain engine.
-HFS_QUICK=1 HFS_NO_CACHE=1 HFS_NO_PROGRESS=1 \
+HFS_QUICK=1 HFS_NO_CACHE=1 HFS_LOG=warn \
     HFS_RESULTS_DIR="$SERVE_TMP/offline" \
     target/release/fig6 >/dev/null
 
@@ -137,7 +145,7 @@ for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 # Three concurrent clients submit the identical sweep.
 CLIENT_PIDS=()
 for c in a b c; do
-    HFS_SOCK="$SOCK" HFS_NO_PROGRESS=1 \
+    HFS_SOCK="$SOCK" HFS_LOG=warn \
         target/release/hfs-client submit "$SERVE_TMP/fig6_jobs.json" \
         --out "$SERVE_TMP/client_$c" >/dev/null &
     CLIENT_PIDS+=($!)
@@ -193,7 +201,7 @@ for job in doc["jobs"]:
     job["max_cycles"] -= 1  # fresh keys; caps stay far above real cycle counts
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
-    HFS_SOCK="$SOCK" HFS_NO_PROGRESS=1 \
+    HFS_SOCK="$SOCK" HFS_LOG=warn \
         target/release/hfs-client submit "$SERVE_TMP/fig6_jobs_fresh.json" \
         --out "$SERVE_TMP/client_d" >/dev/null \
         || { echo "post-kill sweep failed"; exit 1; }

@@ -51,7 +51,7 @@ fn busy_pair() -> KernelPair {
     });
     consumer.steps.push(KStep::StoreRandom { region: dst });
     KernelPair {
-        name: "busy",
+        name: "busy".into(),
         producer,
         consumer,
         iterations: 7,
@@ -90,7 +90,6 @@ fn jobs() -> Vec<Job> {
                     cfg,
                     mode,
                     10_000 + jobs.len() as u64,
-                    jobs.len() as u32 % 3,
                     jobs.len() % 4 == 0,
                 ));
             }
@@ -251,7 +250,6 @@ fn worker_frames() -> (Vec<WorkerRequest>, Vec<WorkerReply>) {
     let requests = vec![
         WorkerRequest::Run {
             key: job.key(),
-            retries: 2,
             job,
         },
         WorkerRequest::Cancel {
@@ -263,7 +261,6 @@ fn worker_frames() -> (Vec<WorkerRequest>, Vec<WorkerReply>) {
         .into_iter()
         .map(|outcome| WorkerReply {
             key: "0123456789abcdef".to_string(),
-            retries_used: 1,
             outcome,
         })
         .collect();
@@ -559,6 +556,59 @@ fn unknown_keys_are_ignored_first_duplicates_win_and_old_blobs_default() {
         job_to_json,
     );
     assert_eq!(old, Some(job_to_json(&job)));
+}
+
+#[test]
+fn leftover_retry_members_are_unknown_keys() {
+    // Specs and worker frames written before the retry mechanism went
+    // still decode, to what they decode to without the member.
+    let prefixed = |text: &str| {
+        let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        bytes
+    };
+    // `doc` with a leftover `member` among the fields at `path`, ahead
+    // of the ones still read.
+    let with = |doc: &Json, path: &[&str], member: &str| {
+        let mut old = doc.clone();
+        edit_at(&mut old, path, |pairs| {
+            pairs.insert(2, (member.to_string(), Json::U64(2)));
+        });
+        old
+    };
+
+    let job = jobs().swap_remove(11);
+    let spec = job_to_json(&job);
+    assert!(spec.get("retries").is_none(), "the spec carries no retries");
+    let old = decoded_alike(
+        &with(&spec, &[], "retries"),
+        |t| from_text(t, read_job),
+        |v| from_tree(v, read_job),
+        job_to_json,
+    );
+    assert_eq!(old, Some(spec));
+
+    let run = WorkerRequest::Run {
+        key: job.key(),
+        job,
+    }
+    .to_json();
+    let old = decoded_alike(
+        &with(&with(&run, &["job"], "retries"), &[], "retries"),
+        |t| WorkerRequest::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
+        WorkerRequest::from_json,
+        WorkerRequest::to_json,
+    );
+    assert_eq!(old, Some(run));
+
+    let reply = worker_frames().1.swap_remove(0).to_json();
+    let old = decoded_alike(
+        &with(&reply, &[], "retries_used"),
+        |t| WorkerReply::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
+        WorkerReply::from_json,
+        WorkerReply::to_json,
+    );
+    assert_eq!(old, Some(reply));
 }
 
 #[test]

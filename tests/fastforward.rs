@@ -32,7 +32,7 @@ fn arb_pair(rng: &mut Rng64) -> KernelPair {
     csteps.push(KStep::AluChain(cchain));
     csteps.push(KStep::Branch);
     KernelPair {
-        name: "ff-prop",
+        name: "ff-prop".into(),
         producer: Kernel::new(psteps),
         consumer: Kernel::new(csteps),
         iterations: iters,
@@ -250,7 +250,7 @@ fn checker_preserves_results_and_pins_percycle() {
 fn dense_pair() -> KernelPair {
     let q = QueueId(0);
     KernelPair {
-        name: "ff-dense",
+        name: "ff-dense".into(),
         producer: Kernel::new(vec![KStep::Alu(4), KStep::Produce(q), KStep::Branch]),
         consumer: Kernel::new(vec![KStep::Consume(q), KStep::AluChain(4), KStep::Branch]),
         iterations: 4000,
@@ -262,7 +262,7 @@ fn dense_pair() -> KernelPair {
 fn sparse_pair() -> KernelPair {
     let q = QueueId(0);
     KernelPair {
-        name: "ff-sparse",
+        name: "ff-sparse".into(),
         producer: Kernel::new(vec![KStep::Fp(8), KStep::Produce(q), KStep::Branch]),
         consumer: Kernel::new(vec![KStep::Consume(q), KStep::AluChain(2), KStep::Branch]),
         iterations: 12_000,
@@ -357,7 +357,7 @@ fn deadlocking_pair() -> KernelPair {
     let q0 = QueueId(0);
     let q1 = QueueId(1);
     KernelPair {
-        name: "circular-wait",
+        name: "circular-wait".into(),
         producer: Kernel::new(vec![
             KStep::Loop(vec![KStep::Produce(q0)], 200),
             KStep::Produce(q1),

@@ -360,11 +360,9 @@ fn hostile_json_is_refused_or_round_trips() {
 }
 
 #[test]
-fn names_from_the_wire_stop_being_interned_at_the_cap() {
-    // `MAX_INTERNED` in `harness/src/spec.rs`. The table is process-wide:
-    // the fuzz loop above mints names with its bit flips too, which only
-    // lowers how many this test gets to add.
-    const CAP: usize = 4096;
+fn every_distinct_name_from_the_wire_decodes() {
+    // A name is owned by the job that carries it: no process-wide table
+    // fills up, so a client cannot talk the server out of new names.
     let seed = ClientFrame::SubmitBatch {
         experiment: "hostile".to_string(),
         id: 9,
@@ -381,21 +379,11 @@ fn names_from_the_wire_stop_being_interned_at_the_cap() {
     };
     assert!(submit("hostile").is_ok());
 
-    let accepted: Vec<bool> = (0..5_000)
-        .map(|i| submit(&format!("flood-{i}")).is_ok())
-        .collect();
-    // `hostile` holds a slot, so fewer than CAP new names fit.
-    let taken = accepted.iter().filter(|&&ok| ok).count();
-    assert!(
-        (1..CAP).contains(&taken),
-        "{taken} of 5000 distinct names interned"
-    );
-    assert!(
-        accepted[taken..].iter().all(|&ok| !ok),
-        "a new name was interned after another was refused"
-    );
-    // A known name is a hit, not an insert: it still decodes.
-    assert!(submit("hostile").is_ok());
-    assert!(submit("flood-0").is_ok());
+    let refused = (0..5_000)
+        .filter(|i| submit(&format!("flood-{i}")).is_err())
+        .count();
+    assert_eq!(refused, 0, "of 5000 distinct names");
+    // The length bound on a name is what stays.
     assert!(submit(&"n".repeat(129)).is_err(), "a 129-byte name");
+    assert!(submit("hostile").is_ok());
 }

@@ -192,7 +192,6 @@ fn engine_registry_tracks_job_lifecycle() {
         n,
         "no cache configured: every job executes"
     );
-    assert_eq!(sample(&text, "hfs_job_retries_total"), 0);
     assert_eq!(sample(&text, "hfs_job_timeouts_total"), 0);
 }
 

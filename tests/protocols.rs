@@ -30,7 +30,7 @@ fn arb_pair(rng: &mut Rng64) -> KernelPair {
     csteps.push(KStep::AluChain(cchain));
     csteps.push(KStep::Branch);
     KernelPair {
-        name: "proto",
+        name: "proto".into(),
         producer: Kernel::new(psteps),
         consumer: Kernel::new(csteps),
         iterations: iters,

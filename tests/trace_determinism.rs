@@ -92,9 +92,7 @@ fn trace_files_identical_across_worker_counts() {
     let mut per_worker_bytes = Vec::new();
     for workers in [1usize, 4] {
         let dir = base.join(format!("w{workers}"));
-        let engine = Engine::new(workers)
-            .with_progress(false)
-            .with_trace_dir(dir.clone());
+        let engine = Engine::new(workers).with_trace_dir(dir.clone());
         let jobs: Vec<Job> = ["fir", "wc", "mcf"]
             .iter()
             .map(|n| {
