@@ -13,6 +13,13 @@
 //! exactly where it failed. Writes go through a temp file + rename so a
 //! killed run never leaves a truncated entry behind.
 //!
+//! An entry checks itself. Its first line is `hfs-cache <schema> <key>
+//! <checksum of the rest>`; the rest is the outcome's compact JSON, byte
+//! for byte what the hot layer holds. A file whose first line is not the
+//! one its name and body call for — an entry of another schema, one
+//! copied to another key's name, a body with a flipped bit, a file cut
+//! short — is a miss, and the next [`store`](Cache::store) replaces it.
+//!
 //! An optional in-memory [`HotCache`] fronts the disk: loads check it
 //! first, and both loads and stores populate it write-through, so a
 //! warm lookup skips the file read and JSON parse entirely. Because
@@ -25,8 +32,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::hotcache::{HotCache, HotEntry};
-use crate::job::{is_cache_key, JobOutcome};
+use crate::job::{is_cache_key, JobOutcome, CACHE_SCHEMA};
+use crate::key::checksum;
 use crate::ser::{outcome_from_text, outcome_to_text};
+
+/// The first line of the entry holding `body` under `key`.
+fn header(key: &str, body: &str) -> String {
+    let sum = checksum(body.as_bytes());
+    format!("hfs-cache {CACHE_SCHEMA} {key} {sum:016x}")
+}
 
 /// A directory of cached job outcomes keyed by content hash, optionally
 /// fronted by a bounded in-memory hot layer.
@@ -74,14 +88,14 @@ impl Cache {
     }
 
     /// Where `key`'s entry lives: the shard named by its first hex digit
-    /// (16 shards for the 16-hex-digit FNV keys), then `<key>.json`.
+    /// (16 shards for the 16-hex-digit keys), then `<key>.json`.
     /// `None` for anything that is not a well-formed key.
     fn path_for(&self, key: &str) -> Option<PathBuf> {
         is_cache_key(key).then(|| self.dir.join(&key[..1]).join(format!("{key}.json")))
     }
 
-    /// Loads the outcome cached under `key`, if present and decodable.
-    /// Corrupt or unreadable entries are treated as misses.
+    /// Loads the outcome cached under `key`, if present, intact and
+    /// decodable. Corrupt, misnamed or unreadable entries are misses.
     pub fn load(&self, key: &str) -> Option<JobOutcome> {
         Some(self.load_entry(key)?.outcome().clone())
     }
@@ -95,12 +109,16 @@ impl Cache {
         if let Some(entry) = self.hot_entry(key) {
             return Some(entry);
         }
-        let text = fs::read_to_string(self.path_for(key)?).ok()?;
-        let outcome = outcome_from_text(&text).ok()?;
-        if let Some(hot) = &self.hot {
-            hot.insert(key, &outcome, Some(&text));
+        let file = fs::read_to_string(self.path_for(key)?).ok()?;
+        let (head, body) = file.split_once('\n')?;
+        if head != header(key, body) {
+            return None;
         }
-        Some(Arc::new(HotEntry::new(outcome, text.into())))
+        let outcome = outcome_from_text(body).ok()?;
+        if let Some(hot) = &self.hot {
+            hot.insert(key, &outcome, Some(body));
+        }
+        Some(Arc::new(HotEntry::new(outcome, body.into())))
     }
 
     /// Persists a successful outcome under `key`; non-`Ok` outcomes are
@@ -124,7 +142,8 @@ impl Cache {
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, body).is_ok() && fs::rename(&tmp, &path).is_err() {
+        let file = format!("{}\n{body}", header(key, &body));
+        if fs::write(&tmp, file).is_ok() && fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -228,13 +247,16 @@ mod tests {
         let cache = Cache::with_hot(&dir, Some(Arc::clone(&hot)));
         let (key, out) = demo_outcome();
         cache.store(&key, &out);
-        // The hot entry's text is byte-identical to the disk file.
+        // The hot entry's text is the disk file's body, byte for byte.
         let disk = fs::read_to_string(
             dir.join(key.chars().next().unwrap().to_string())
                 .join(format!("{key}.json")),
         )
         .unwrap();
-        assert_eq!(cache.hot_entry(&key).unwrap().json(), disk);
+        let (head, body) = disk.split_once('\n').expect("a header line");
+        assert_eq!(cache.hot_entry(&key).unwrap().json(), body);
+        assert_eq!(head, header(&key, body));
+        assert!(head.starts_with(&format!("hfs-cache {CACHE_SCHEMA} {key} ")));
         // Removing the disk file doesn't evict the hot copy.
         let _ = fs::remove_dir_all(&dir);
         let loaded = cache.load(&key).expect("hot layer still hits");
@@ -269,6 +291,44 @@ mod tests {
         fs::create_dir_all(dir.join("a")).unwrap();
         fs::write(dir.join("a").join(format!("{key}.json")), "{not json").unwrap();
         assert!(Cache::new(&dir).load(key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_that_fails_its_own_header_is_a_miss_the_next_store_heals() {
+        let dir = tmp_dir("selfcheck");
+        let cache = Cache::with_hot(&dir, None);
+        let (key, out) = demo_outcome();
+        let path = cache.path_for(&key).unwrap();
+        cache.store(&key, &out);
+        let good = fs::read_to_string(&path).unwrap();
+        let (head, body) = good.split_once('\n').unwrap();
+        let other_key = format!("{:016x}", !u64::from_str_radix(&key, 16).unwrap());
+        for (what, bad) in [
+            ("a schema-1 blob: pretty JSON, no header", {
+                crate::json::to_text(true, |w| crate::ser::write_outcome(w, &out))
+            }),
+            ("the body alone", body.to_string()),
+            ("another schema", good.replacen(" 2 ", " 1 ", 1)),
+            ("another key's entry", good.replace(&key, &other_key)),
+            (
+                "a body that still parses",
+                good.replace("\"cycles\":", "\"cycles\":1"),
+            ),
+            ("a checksum of something else", {
+                format!("{}\n{body}", header(&key, "{}"))
+            }),
+            ("cut short", good[..good.len() - 1].to_string()),
+            ("the header alone", format!("{head}\n")),
+            ("nothing", String::new()),
+        ] {
+            assert_ne!(bad, good, "{what}");
+            fs::write(&path, &bad).unwrap();
+            assert!(cache.load(&key).is_none(), "{what} must miss");
+            cache.store(&key, &out);
+            assert_eq!(fs::read_to_string(&path).unwrap(), good, "{what} heals");
+            assert!(cache.load(&key).is_some(), "{what} hits again");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -44,8 +44,8 @@ const SHARDS: usize = 16;
 /// the key stored in both indexes) charged on top of the payload bytes.
 const ENTRY_OVERHEAD: u64 = 96;
 
-/// One resident cache entry: the decoded outcome plus the exact
-/// serialized text the disk cache holds for the same key.
+/// One resident cache entry: the decoded outcome plus a serialized
+/// text of it.
 #[derive(Debug)]
 pub struct HotEntry {
     outcome: JobOutcome,
@@ -54,8 +54,9 @@ pub struct HotEntry {
 
 impl HotEntry {
     /// An entry from a decoded outcome and its serialized text. The
-    /// caller promises `json` is exactly the serialization of
-    /// `outcome` (the invariant every consumer of [`json`] relies on).
+    /// caller promises `json` is *a* serialization of `outcome` —
+    /// compact or pretty — that `outcome_from_text` decodes to it (the
+    /// invariant every consumer of [`json`] relies on).
     ///
     /// [`json`]: HotEntry::json
     pub(crate) fn new(outcome: JobOutcome, json: Arc<str>) -> HotEntry {
@@ -67,8 +68,9 @@ impl HotEntry {
         &self.outcome
     }
 
-    /// The serialized (pretty) outcome text, byte-identical to the
-    /// disk-cache entry for the same key.
+    /// The serialized outcome text: the body of the disk-cache entry for
+    /// the same key ([`outcome_to_text`], compact) unless whoever
+    /// inserted the entry brought a text of their own.
     pub fn json(&self) -> &str {
         &self.json
     }
@@ -237,9 +239,9 @@ impl HotCache {
     /// Inserts (or refreshes) `key`, evicting least-recently-used
     /// entries in its shard until the shard fits its byte budget.
     /// Non-`Ok` outcomes and entries larger than a whole shard are
-    /// declined. `json` is the already-serialized outcome text when the
-    /// caller has one (a disk load or a store that just serialized);
-    /// otherwise it is produced here.
+    /// declined. `json` is an already-serialized text of `outcome` when
+    /// the caller has one (a disk load, a store that just serialized, a
+    /// pretty text of the caller's own); otherwise it is produced here.
     pub fn insert(&self, key: &str, outcome: &JobOutcome, json: Option<&str>) {
         if !outcome.is_ok() {
             return;
@@ -313,7 +315,7 @@ impl HotCache {
 mod tests {
     use super::*;
     use crate::job::{execute, Job};
-    use crate::ser::outcome_to_json;
+    use crate::ser::{outcome_from_text, outcome_to_json};
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
 
@@ -339,12 +341,19 @@ mod tests {
         );
         assert_eq!(
             entry.json(),
-            outcome_to_json(&out).to_pretty(),
+            outcome_to_text(&out),
             "stored text matches the disk-cache serialization"
         );
         let s = hot.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.bytes > entry.json().len() as u64);
+        // A caller's own text of the same outcome is kept as it came.
+        let pretty = outcome_to_json(&out).to_pretty();
+        hot.insert(&key, &out, Some(&pretty));
+        let entry = hot.get(&key).expect("hit after re-insert");
+        assert_eq!(entry.json(), pretty);
+        let decoded = outcome_from_text(entry.json()).expect("the text decodes");
+        assert_eq!(outcome_to_text(&decoded), outcome_to_text(entry.outcome()));
     }
 
     #[test]
@@ -362,7 +371,7 @@ mod tests {
         // A deliberately tiny budget: each shard fits only a few
         // entries, so churning many keys through one shard must evict.
         let (_, out) = demo_outcome(30);
-        let entry_cost = ENTRY_OVERHEAD + 2 * 16 + outcome_to_json(&out).to_pretty().len() as u64;
+        let entry_cost = ENTRY_OVERHEAD + 2 * 16 + outcome_to_text(&out).len() as u64;
         let hot = HotCache::new(entry_cost * 3 * SHARDS as u64);
         // All keys share a first hex digit => one shard.
         let keys: Vec<String> = (0..50).map(|i| format!("a{i:015x}")).collect();

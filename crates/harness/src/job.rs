@@ -1,6 +1,6 @@
 //! Experiment job specifications and outcomes.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::OnceLock;
 
 use hfs_core::kernel::KernelPair;
@@ -14,7 +14,8 @@ pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 
 /// Cache-schema revision. Bump when the serialized result format or the
 /// key derivation changes; old entries then miss and are re-simulated.
-pub const CACHE_SCHEMA: u32 = 1;
+/// (2: keys hash the canonical spec; entries are compact and self-checking.)
+pub const CACHE_SCHEMA: u32 = 2;
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,14 +132,15 @@ impl Job {
 
     /// The stable, content-derived cache key (16 hex digits).
     ///
-    /// Hashes everything that determines the simulation outcome: the
-    /// kernel pair (kernels, queues, iterations), the full machine
-    /// configuration (memory hierarchy, core, design point, seed), the
-    /// assembly mode, the cycle budget, and [`CACHE_SCHEMA`].
+    /// A hash of the job's canonical spec — the field list
+    /// [`write_job`](crate::spec::write_job) puts on the wire, less the
+    /// label — under [`CACHE_SCHEMA`]: the kernel pair (kernels, queues,
+    /// iterations), the full machine configuration (memory hierarchy,
+    /// core, design point, seed), the assembly mode, the cycle budget
+    /// and the metrics flag.
     ///
-    /// Computed once per job (the Debug-format canonicalization of the
-    /// pair + config dominates the cost) and memoized: cache lookups,
-    /// dedup, and worker sharding all reuse the first computation.
+    /// Computed once per job and memoized: cache lookups, dedup, and
+    /// worker sharding all reuse the first computation.
     pub fn key(&self) -> String {
         self.key_ref().to_string()
     }
@@ -146,43 +148,8 @@ impl Job {
     /// The memoized cache key as a borrowed string — the allocation-free
     /// spelling of [`Job::key`] for hot paths that only compare or hash.
     pub fn key_ref(&self) -> &str {
-        self.key_memo.get_or_init(|| {
-            // The canonical text goes through the hash as it is
-            // formatted; it is never held in memory.
-            let mut h = Fnv1a64::default();
-            write!(
-                h,
-                "schema={CACHE_SCHEMA}|mode={:?}|max_cycles={}|pair={:?}|cfg={:?}",
-                self.mode, self.max_cycles, self.pair, self.cfg
-            )
-            .expect("hashing cannot fail");
-            // Appended only when set, so pre-existing cache entries for
-            // untraced jobs keep their keys.
-            if self.metrics {
-                h.write_str("|metrics=1").expect("hashing cannot fail");
-            }
-            format!("{:016x}", h.0)
-        })
-    }
-}
-
-/// 64-bit FNV-1a over whatever is formatted into it: the workspace's
-/// content hash for cache keys.
-struct Fnv1a64(u64);
-
-impl Default for Fnv1a64 {
-    fn default() -> Fnv1a64 {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl fmt::Write for Fnv1a64 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
+        self.key_memo
+            .get_or_init(|| format!("{:016x}", crate::spec::content_hash(self)))
     }
 }
 

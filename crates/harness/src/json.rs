@@ -356,9 +356,8 @@ impl Sink for Writer<'_> {
 
     fn raw(&mut self, text: &Arc<str>) {
         self.lead();
-        // Stored pretty text keeps its interior newlines (JSON
-        // whitespace is insignificant); only the trailing newline is
-        // dropped.
+        // Pretty text keeps its interior newlines (JSON whitespace is
+        // insignificant); only the trailing newline is dropped.
         self.out.push_str(text.trim_end());
     }
 }

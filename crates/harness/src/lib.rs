@@ -34,6 +34,7 @@ pub mod engine;
 pub mod hotcache;
 pub mod job;
 pub mod json;
+mod key;
 pub mod ser;
 pub mod spec;
 

@@ -283,9 +283,11 @@ pub fn read_outcome<'a, S: Source<'a>>(s: &mut S) -> Result<JobOutcome, DecodeEr
     })
 }
 
-/// The text the caches store for an outcome: pretty, newline-terminated.
+/// The text the caches store for an outcome and result frames splice:
+/// compact, so that what is copied, sent and parsed per warm job holds
+/// no indentation. Artifacts re-encode the outcome pretty.
 pub fn outcome_to_text(o: &JobOutcome) -> String {
-    to_text(true, |w| write_outcome(w, o))
+    to_text(false, |w| write_outcome(w, o))
 }
 
 /// Decodes an outcome straight from its text, no tree between.

@@ -10,8 +10,9 @@
 //!
 //! Each type is described once, as a `write_*`/`read_*` pair over
 //! [`Sink`]/[`Source`]: frames run [`write_job`]/[`read_job`] straight
-//! to and from text, and the `*_to_json`/`*_from_json` entry points run
-//! the same pairs to and from a [`Json`] tree.
+//! to and from text, the `*_to_json`/`*_from_json` entry points run the
+//! same pairs to and from a [`Json`] tree, and [`Job::key`] hashes what
+//! `write_job` writes after the label.
 //!
 //! Kernel and region names are owned by the job that carries them; a
 //! name from the wire is refused past [`MAX_NAME_BYTES`].
@@ -26,8 +27,9 @@ use hfs_cpu::CoreConfig;
 use hfs_isa::QueueId;
 use hfs_mem::{BusConfig, CacheGeometry, MemConfig, Protocol};
 
-use crate::job::{Job, Mode};
+use crate::job::{Job, Mode, CACHE_SCHEMA};
 use crate::json::{from_tree, to_tree, Json, Sink, Source};
+use crate::key::HashSink;
 use crate::ser::DecodeError;
 
 /// Longest kernel or region name a spec may carry; the repository's own
@@ -425,12 +427,10 @@ fn read_machine_config<'a, S: Source<'a>>(s: &mut S) -> Result<MachineConfig, De
     })
 }
 
-/// Pushes a [`Job`] spec into `s` — everything a remote engine needs to
-/// run it, including the display label (which is not part of the cache
-/// key).
-pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
-    s.begin_obj();
-    s.str_field("label", &job.label);
+/// The members of a job's spec that determine its outcome — all but
+/// the display label — into the object `s` has open. The wire and the
+/// cache key ([`content_hash`]) both run this one list.
+fn write_keyed<S: Sink>(s: &mut S, job: &Job) {
     s.key("mode");
     match job.mode {
         Mode::Pipeline => s.str("pipeline"),
@@ -446,7 +446,24 @@ pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
     write_pair(s, &job.pair);
     s.key("cfg");
     write_machine_config(s, &job.cfg);
+}
+
+/// Pushes a [`Job`] spec into `s` — everything a remote engine needs to
+/// run it, including the display label (which is not part of the cache
+/// key).
+pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
+    s.begin_obj();
+    s.str_field("label", &job.label);
+    write_keyed(s, job);
     s.end_obj();
+}
+
+/// The hash behind [`Job::key`]: [`CACHE_SCHEMA`], then the keyed
+/// members of the canonical spec.
+pub(crate) fn content_hash(job: &Job) -> u64 {
+    let mut h = HashSink::new(u64::from(CACHE_SCHEMA));
+    write_keyed(&mut h, job);
+    h.finish()
 }
 
 /// Pulls a [`Job`] out of its wire spec.

@@ -377,12 +377,14 @@ impl Bus {
         }
     }
 
-    /// Conservative lower bound on the next cycle at which the bus can
-    /// deliver or grant anything: the head stamps of the two in-flight
-    /// queues (exact — FIFOs gated by their heads), plus the next bus
-    /// cycle boundary whenever any agent queue holds a request waiting
-    /// for a grant (conservative for the data channel, which may also be
-    /// busy until later; an early wake-up is a harmless no-op).
+    /// Lower bound on the next cycle at which the bus can deliver or
+    /// grant anything: the head stamps of the two in-flight queues (exact
+    /// — FIFOs gated by their heads); the next bus cycle boundary while
+    /// an address request waits for a grant; and, while a data transfer
+    /// waits, that boundary or the cycle the channel frees up, whichever
+    /// is later (no transfer starts on a busy channel). A bound that
+    /// falls between two boundaries is only early, and an early wake-up
+    /// is a harmless no-op.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut best: Option<Cycle> = None;
         let mut fold = |t: Cycle| {
@@ -394,10 +396,14 @@ impl Bus {
         if let Some(t) = self.data_inflight.next_ready() {
             fold(t.max(now.next()));
         }
-        if self.addr_queued > 0 || self.data_queued > 0 {
-            // After a tick at `now` the stamp is the boundary itself;
-            // without one it can only be early.
-            fold(self.next_bus_cycle.max(now.next()));
+        // After a tick at `now` the stamp is the boundary itself;
+        // without one it can only be early.
+        let boundary = self.next_bus_cycle.max(now.next());
+        if self.addr_queued > 0 {
+            fold(boundary);
+        }
+        if self.data_queued > 0 {
+            fold(boundary.max(self.data_busy_until));
         }
         best
     }
@@ -538,6 +544,57 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].0, 8);
         assert_eq!(d[1].0, 16); // starts only after the first finishes
+    }
+
+    #[test]
+    fn data_queued_behind_a_busy_channel_reports_data_busy_until() {
+        let cfg = BusConfig {
+            clock_divider: 4,
+            ..BusConfig::baseline()
+        };
+        let mut b = Bus::new(cfg, 2);
+        let writeback = |i: u8| DataTxn::WbL3 {
+            line: u64::from(i),
+            from: CoreId(i),
+        };
+        for i in 0..2 {
+            b.request_data(Agent::Core(CoreId(i)), 128, writeback(i));
+        }
+        let at = Cycle::new;
+        // Idle channel: the next bus cycle, as for an address request.
+        assert_eq!(b.next_event(at(0)), Some(at(1)));
+        let (mut ads, mut dts) = (Vec::new(), Vec::new());
+        b.tick(at(0), &mut ads, &mut dts);
+        // The first transfer holds the channel for 8 bus cycles of 4:
+        // the second cannot start at the boundaries in between.
+        assert_eq!(b.data_busy_until, at(32));
+        assert_eq!(b.next_event(at(0)), Some(at(32)));
+        assert_eq!(b.next_event(at(17)), Some(at(32)));
+        // A waiting address request still wants the very next boundary.
+        b.request_addr(
+            CoreId(0),
+            AddrTxn::Rd {
+                line: 5,
+                requester: CoreId(0),
+                streaming: false,
+            },
+        );
+        assert_eq!(b.next_event(at(0)), Some(at(4)));
+        // Skipping to each bound delivers the data ticking every cycle
+        // does (the address request rides along and changes none of it).
+        let mut skipped = Vec::new();
+        let mut now = at(0);
+        while let Some(next) = b.next_event(now) {
+            now = next;
+            b.tick(now, &mut ads, &mut dts);
+            skipped.extend(dts.drain(..).map(|t| (now.as_u64(), t)));
+        }
+        let mut every = Bus::new(cfg, 2);
+        for i in 0..2 {
+            every.request_data(Agent::Core(CoreId(i)), 128, writeback(i));
+        }
+        assert_eq!(skipped, run(&mut every, 0, 100).1);
+        assert_eq!(skipped.iter().map(|d| d.0).collect::<Vec<_>>(), [32, 64]);
     }
 
     #[test]

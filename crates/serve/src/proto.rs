@@ -713,7 +713,7 @@ mod tests {
     use super::*;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
-    use hfs_harness::{execute, outcome_to_json};
+    use hfs_harness::{execute, outcome_to_json, outcome_to_text};
 
     fn demo_job() -> Job {
         Job::pipeline(
@@ -857,43 +857,48 @@ mod tests {
             r.design = nasty.to_string();
         }
         for outcome in [ok, JobOutcome::WorkerDied(nasty.to_string())] {
-            let text: Arc<str> = outcome_to_json(&outcome).to_pretty().into();
-            let mk = |encoded| ServerFrame::BatchResults {
-                experiment: "sweep".to_string(),
-                id: 5,
-                results: vec![JobResult {
-                    index: 0,
-                    label: nasty.to_string(),
-                    key: "0123456789abcdef".to_string(),
-                    cached: true,
-                    outcome: outcome.clone(),
-                    encoded,
-                }],
-            };
-            let (plain, spliced) = (
-                pipe_server(&mk(None)),
-                pipe_server(&mk(Some(Arc::clone(&text)))),
-            );
-            match (plain, spliced) {
-                (
-                    ServerFrame::BatchResults { results: a, .. },
-                    ServerFrame::BatchResults { results: b, .. },
-                ) => {
-                    assert_eq!(
-                        outcome_to_json(&a[0].outcome).to_pretty(),
-                        text.as_ref(),
-                        "parsed path must reproduce the source bytes"
-                    );
-                    assert_eq!(
-                        outcome_to_json(&b[0].outcome).to_pretty(),
-                        text.as_ref(),
-                        "spliced path must reproduce the source bytes"
-                    );
-                    assert_eq!(a[0].label, nasty);
-                    assert_eq!(b[0].label, nasty);
-                    assert!(b[0].encoded.is_none(), "decoders never set `encoded`");
+            // What the caches hold (compact) and what a caller of
+            // `HotCache::insert` may bring (pretty): either splices.
+            let pretty = outcome_to_json(&outcome).to_pretty();
+            for text in [outcome_to_text(&outcome), pretty.clone()] {
+                let text: Arc<str> = text.into();
+                let mk = |encoded| ServerFrame::BatchResults {
+                    experiment: "sweep".to_string(),
+                    id: 5,
+                    results: vec![JobResult {
+                        index: 0,
+                        label: nasty.to_string(),
+                        key: "0123456789abcdef".to_string(),
+                        cached: true,
+                        outcome: outcome.clone(),
+                        encoded,
+                    }],
+                };
+                let (plain, spliced) = (
+                    pipe_server(&mk(None)),
+                    pipe_server(&mk(Some(Arc::clone(&text)))),
+                );
+                match (plain, spliced) {
+                    (
+                        ServerFrame::BatchResults { results: a, .. },
+                        ServerFrame::BatchResults { results: b, .. },
+                    ) => {
+                        assert_eq!(
+                            outcome_to_json(&a[0].outcome).to_pretty(),
+                            pretty,
+                            "parsed path must reproduce the source bytes"
+                        );
+                        assert_eq!(
+                            outcome_to_json(&b[0].outcome).to_pretty(),
+                            pretty,
+                            "spliced path must reproduce the source bytes"
+                        );
+                        assert_eq!(a[0].label, nasty);
+                        assert_eq!(b[0].label, nasty);
+                        assert!(b[0].encoded.is_none(), "decoders never set `encoded`");
+                    }
+                    other => panic!("wrong frames: {other:?}"),
                 }
-                other => panic!("wrong frames: {other:?}"),
             }
         }
     }

@@ -385,7 +385,7 @@ impl Dispatcher {
     }
 
     /// The shard (queue index / worker process) a key belongs to. Keys
-    /// are 16 lowercase hex digits of an FNV-1a hash, so the leading
+    /// are 16 lowercase hex digits of a content hash, so the leading
     /// digits are uniformly distributed.
     fn shard_of(&self, key: &str) -> usize {
         if self.nshards == 1 {

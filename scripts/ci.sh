@@ -81,6 +81,48 @@ for proto in mesi dragon; do
     fi
 done
 
+echo "==> cache heals itself (a damaged and a misnamed blob are re-simulated, never served)"
+HEAL_TMP=$(mktemp -d)
+trap 'rm -rf "$HEAL_TMP"' EXIT
+# Quick fig6 on the leg's own cache; job_done lines (one per job, with
+# `cached`) go to <run>.log.
+heal_fig6() {
+    HFS_QUICK=1 HFS_CACHE_DIR="$HEAL_TMP/cache" HFS_RESULTS_DIR="$HEAL_TMP/$1" \
+        HFS_LOG=info HFS_LOG_FILE="$HEAL_TMP/$1.log" target/release/fig6 >/dev/null
+}
+simulated() { grep -c '"event":"job_done".*"cached":false' "$HEAL_TMP/$1.log" || true; }
+heal_fig6 first
+mapfile -t BLOBS < <(find "$HEAL_TMP/cache" -name '*.json' | sort)
+[ "${#BLOBS[@]}" -ge 3 ] && [ "$(simulated first)" = "${#BLOBS[@]}" ] \
+    || { echo "a fresh cache should hold one blob per simulated fig6 job"; exit 1; }
+# One byte of a body changed so that it still parses (the checksum must
+# catch it), and an intact blob under another blob's name (the key in
+# its header must).
+cp "${BLOBS[0]}" "$HEAL_TMP/intact"
+sed -i -E '2s/("iterations":[0-9]*)0/\18/' "${BLOBS[0]}"
+! cmp -s "${BLOBS[0]}" "$HEAL_TMP/intact" || { echo "the blob edit changed nothing"; exit 1; }
+cp "${BLOBS[1]}" "${BLOBS[2]}"
+heal_fig6 second
+cmp "$HEAL_TMP/first/fig6.json" "$HEAL_TMP/second/fig6.json" \
+    || { echo "a damaged cache changed fig6 artifact bytes"; exit 1; }
+[ "$(simulated second)" = 2 ] \
+    || { echo "expected exactly the two bad blobs re-simulated, got $(simulated second)"; exit 1; }
+cmp "${BLOBS[0]}" "$HEAL_TMP/intact" || { echo "the damaged blob was not rewritten"; exit 1; }
+heal_fig6 third
+[ "$(simulated third)" = 0 ] || { echo "a healed cache is not fully hit"; exit 1; }
+cmp "$HEAL_TMP/first/fig6.json" "$HEAL_TMP/third/fig6.json"
+rm -rf "$HEAL_TMP"
+trap - EXIT
+
+echo "==> key path (a cache key depends on no Debug output)"
+# `Job::key_ref`, the field list it hashes and the hash itself.
+if { sed -n '/pub fn key_ref/,/^    }/p' crates/harness/src/job.rs
+     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/spec.rs
+     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/key.rs
+   } | grep -nE '\{:#?\?\}|Debug'; then
+    echo "the key path formats or requires Debug"; exit 1
+fi
+
 echo "==> benchmark: its own tests, then sim_dense, sweep_warm and sweep_cold with every correctness check"
 # The benchmark's checks (every timed run equals its warm-up run, the
 # production loop equals the per-cycle walk, recorded cycle and

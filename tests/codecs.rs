@@ -3,9 +3,13 @@
 //! write exactly the bytes the tree driver's `.to_string()` /
 //! `.to_pretty()` gives, and read exactly what the tree driver reads from
 //! the same bytes — unknown keys, duplicated keys, missing fields and
-//! shuffled fields included. Content keys are pinned to the values the
-//! commit before the text driver computed.
+//! shuffled fields included. Content keys are a third driver's output
+//! over the same description: nine are pinned (cache schema 2), and the
+//! properties a hash of the canonical spec owes — blind to the label, to
+//! a trip over the wire and to field order; moved by every keyed leaf;
+//! collision-free over the sweeps the repository runs — are checked.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use hfs::core::kernel::{KStep, Kernel, KernelPair};
@@ -271,10 +275,10 @@ fn worker_frames() -> (Vec<WorkerRequest>, Vec<WorkerReply>) {
 fn the_text_driver_writes_the_tree_drivers_bytes() {
     for o in outcomes() {
         let tree = outcome_to_json(&o);
-        assert_eq!(outcome_to_text(&o), tree.to_pretty(), "{o}");
+        assert_eq!(outcome_to_text(&o), tree.to_string(), "{o}");
         assert_eq!(
-            to_text(false, |w| write_outcome(w, &o)),
-            tree.to_string(),
+            to_text(true, |w| write_outcome(w, &o)),
+            tree.to_pretty(),
             "{o}"
         );
     }
@@ -295,6 +299,13 @@ fn the_text_driver_writes_the_tree_drivers_bytes() {
     }
     for f in replies {
         assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
+    }
+}
+
+/// Fisher–Yates.
+fn shuffle<T>(items: &mut [T], rng: &mut Rng64) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
     }
 }
 
@@ -335,9 +346,7 @@ fn scramble(v: &mut Json, rng: &mut Rng64) {
                 pairs.remove(rng.below(pairs.len() as u64) as usize);
             }
             if rng.below(4) == 0 {
-                for i in (1..pairs.len()).rev() {
-                    pairs.swap(i, rng.below(i as u64 + 1) as usize);
-                }
+                shuffle(pairs, rng);
             }
         }
         _ => {}
@@ -612,49 +621,313 @@ fn leftover_retry_members_are_unknown_keys() {
 }
 
 #[test]
-fn keys_are_what_the_parent_commit_computed() {
+fn keys_are_pinned() {
     let pair = || KernelPair::simple("pinned", 3, 50);
     let cfg = MachineConfig::itanium2_cmp;
     let mut dragon = cfg(DesignPoint::heavywt());
     dragon.mem.protocol = Protocol::Dragon;
-    // Literal keys printed by this list at f43720b, where the key was
-    // the FNV-1a of a `format!`ted string.
+    // Literal keys printed by this list when `CACHE_SCHEMA` became 2 and
+    // the key became a hash of the canonical spec (`HashSink` under
+    // `write_job`'s field list, label excluded). A change here orphans
+    // every cache: bump the schema and re-pin, once.
     let pinned = [
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::existing())),
-            "613d5f09f5efd021",
+            "3d0de9819264215f",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::memopti_with_qlu(4))),
-            "fbc1e06e2e72543f",
+            "631a94285a639d18",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::syncopti_sc_q64())),
-            "24f8acc74fda9084",
+            "807fdbb46727f45e",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())),
-            "39f4f2486e75bddd",
+            "cdc4f310aae55bb0",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::regmapped(3))),
-            "1f8fb1393b5d8fb3",
+            "0c847dfb4a7e5c9b",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())).with_metrics(true),
-            "e9df59cc49c69abe",
+            "7f0c00a6e4da0bc8",
         ),
         (
             Job::multi("a", pair(), cfg(DesignPoint::heavywt()), 2),
-            "045b40580cca2189",
+            "36fe6858bc000ceb",
         ),
         (
             Job::single("a", pair(), MachineConfig::itanium2_single()).with_max_cycles(12_345),
-            "248765178d9d317c",
+            "c9a7bc61453ef806",
         ),
-        (Job::pipeline("a", pair(), dragon), "c2cfd4c44799cd29"),
+        (Job::pipeline("a", pair(), dragon), "b96baa9989dfda2c"),
     ];
     for (job, key) in pinned {
         assert_eq!(job.key(), key, "{:?} {}", job.mode, job.cfg.design);
+    }
+}
+
+/// Puts the members of every object in `v` in a random order.
+fn shuffle_fields(v: &mut Json, rng: &mut Rng64) {
+    match v {
+        Json::Arr(items) => items.iter_mut().for_each(|item| shuffle_fields(item, rng)),
+        Json::Obj(pairs) => {
+            pairs
+                .iter_mut()
+                .for_each(|(_, item)| shuffle_fields(item, rng));
+            shuffle(pairs, rng);
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn a_key_is_blind_to_the_label_the_wire_and_field_order() {
+    let mut rng = Rng64::new(0xc0dec).split(600);
+    for job in jobs() {
+        let key = job.key();
+        let mut relabelled = job.clone().with_max_cycles(job.max_cycles);
+        relabelled.label = format!("{NASTY}/{}", job.label);
+        assert_eq!(relabelled.key(), key, "the label is not keyed");
+
+        let text = to_text(false, |w| write_job(w, &job));
+        let back = from_text(&text, read_job).expect("a written spec reads back");
+        assert_eq!(back.key(), key, "a trip over the wire keeps the key");
+
+        let mut doc = job_to_json(&job);
+        shuffle_fields(&mut doc, &mut rng);
+        for text in [doc.to_string(), doc.to_pretty()] {
+            assert_ne!(text, job_to_json(&job).to_string());
+            let back = from_text(&text, read_job).expect("any field order decodes");
+            assert_eq!(back.key(), key, "field order in {text}");
+        }
+    }
+}
+
+/// Changes the leaf at `pairs[at]` to another value the decoder takes.
+/// A string that names a variant becomes another variant, with whatever
+/// member the new one requires and the old one lacks.
+fn change_leaf(pairs: &mut Vec<(String, Json)>, at: usize) {
+    let variants: HashMap<&str, (&str, Option<&str>)> = HashMap::from([
+        ("pipeline", ("single", None)),
+        ("single", ("pipeline", None)),
+        ("multi", ("pipeline", None)),
+        ("alu", ("alu_chain", None)),
+        ("alu_chain", ("alu", None)),
+        ("fp", ("fp_chain", None)),
+        ("fp_chain", ("fp", None)),
+        ("branch", ("alu", Some("n"))),
+        ("produce", ("consume", None)),
+        ("consume", ("produce", None)),
+        ("load_stream", ("store_stream", None)),
+        ("store_stream", ("load_stream", None)),
+        ("load_random", ("store_random", None)),
+        ("store_random", ("load_random", None)),
+        ("loop", ("branch", None)),
+        ("existing", ("memopti", None)),
+        ("memopti", ("existing", None)),
+        ("syncopti", ("existing", None)),
+        ("heavywt", ("regmapped", Some("spill_ops"))),
+        ("regmapped", ("heavywt", Some("sa_latency"))),
+        ("msi", ("mesi", None)),
+        ("mesi", ("dragon", None)),
+        ("dragon", ("msi", None)),
+    ]);
+    let extra = match &mut pairs[at].1 {
+        Json::U64(v) => {
+            *v += 1;
+            None
+        }
+        Json::Bool(b) => {
+            *b = !*b;
+            None
+        }
+        Json::Str(text) => match variants.get(text.as_str()) {
+            Some((other, extra)) => {
+                *text = other.to_string();
+                *extra
+            }
+            // A name.
+            None => {
+                text.push('x');
+                None
+            }
+        },
+        other => panic!("a spec holds no {other}"),
+    };
+    if let Some(member) = extra {
+        pairs.push((member.to_string(), Json::U64(1)));
+    }
+}
+
+/// Calls `visit` once per leaf of `doc` with a copy of `doc` in which
+/// that leaf alone has changed, and the path to it.
+fn each_single_change(doc: &Json, visit: &mut impl FnMut(&str, Json)) {
+    // Paths are walked by index so that each copy is edited in one place.
+    fn walk(
+        root: &Json,
+        at: &Json,
+        path: &mut Vec<usize>,
+        name: &str,
+        visit: &mut dyn FnMut(&str, Json),
+    ) {
+        let children: Vec<(String, &Json)> = match at {
+            Json::Obj(pairs) => pairs
+                .iter()
+                .map(|(k, v)| (format!("{name}.{k}"), v))
+                .collect(),
+            Json::Arr(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (format!("{name}[{i}]"), v))
+                .collect(),
+            _ => unreachable!("leaves are changed in their parent"),
+        };
+        for (i, (child_name, child)) in children.into_iter().enumerate() {
+            path.push(i);
+            if matches!(child, Json::Obj(_) | Json::Arr(_)) {
+                walk(root, child, path, &child_name, visit);
+            } else {
+                let mut copy = root.clone();
+                let mut parent = &mut copy;
+                for &step in &path[..path.len() - 1] {
+                    parent = match parent {
+                        Json::Obj(pairs) => &mut pairs[step].1,
+                        Json::Arr(items) => &mut items[step],
+                        _ => unreachable!(),
+                    };
+                }
+                match parent {
+                    Json::Obj(pairs) => change_leaf(pairs, i),
+                    other => panic!("{child_name}: a spec holds no bare value in {other}"),
+                }
+                visit(&child_name, copy);
+            }
+            path.pop();
+        }
+    }
+    walk(doc, doc, &mut Vec::new(), "", visit);
+}
+
+#[test]
+fn every_keyed_leaf_moves_the_key_and_about_half_its_bits() {
+    let (mut leaves, mut bits) = (0u64, 0u64);
+    // Every design variant, step kind and mode between them.
+    for job in jobs().into_iter().step_by(4) {
+        let key = job.key();
+        let mut seen = HashMap::from([(key.clone(), "the job itself".to_string())]);
+        each_single_change(&job_to_json(&job), &mut |path, doc| {
+            let changed = from_tree(&doc, read_job)
+                .unwrap_or_else(|e| panic!("{path} changed to something undecodable: {e}"));
+            if path == ".label" {
+                assert_eq!(changed.key(), key);
+                return;
+            }
+            let flipped = u64::from_str_radix(&changed.key(), 16).unwrap()
+                ^ u64::from_str_radix(&key, 16).unwrap();
+            leaves += 1;
+            bits += u64::from(flipped.count_ones());
+            if let Some(other) = seen.insert(changed.key(), path.to_string()) {
+                panic!("changing {path} gives the key of changing {other}");
+            }
+        });
+        // `pairs` exists only under `multi`, `metrics` everywhere.
+        assert!(seen.values().any(|p| p == ".metrics"));
+        assert_eq!(
+            seen.values().any(|p| p == ".pairs"),
+            matches!(job.mode, Mode::Multi(_))
+        );
+    }
+    assert!(leaves > 1_000, "{leaves} leaves walked");
+    let mean = bits as f64 / leaves as f64;
+    assert!(mean >= 20.0, "a changed leaf flips {mean:.1} of 64 bits");
+}
+
+/// The benchmark's sweep grid (5 designs x 8 work x 61 lengths, the
+/// budget carrying the index) and figure-shaped jobs: every kernel of
+/// the paper under every design, protocol and mode the figures use.
+fn sweeps() -> Vec<Job> {
+    let cfg = MachineConfig::itanium2_cmp;
+    let mut all = Vec::new();
+    for design in [
+        DesignPoint::existing(),
+        DesignPoint::memopti(),
+        DesignPoint::syncopti(),
+        DesignPoint::syncopti_sc_q64(),
+        DesignPoint::heavywt(),
+    ] {
+        for work in 1..=8 {
+            for iterations in 20..=80 {
+                let pair = KernelPair::simple("sweep", work, iterations);
+                let i = all.len() as u64;
+                all.push(
+                    Job::pipeline(format!("sweep/p{i}"), pair, cfg(design))
+                        .with_max_cycles(1_000_000 + i),
+                );
+            }
+        }
+    }
+    assert_eq!(all.len(), 2_440);
+    for b in hfs::workloads::all_benchmarks() {
+        let label = |what: &str| format!("figures/{}/{what}", b.name);
+        all.push(Job::single(
+            label("single"),
+            b.pair.clone(),
+            MachineConfig::itanium2_single(),
+        ));
+        for design in [
+            DesignPoint::existing(),
+            DesignPoint::existing_with_qlu(1),
+            DesignPoint::memopti(),
+            DesignPoint::memopti_with_qlu(4),
+            DesignPoint::syncopti(),
+            DesignPoint::syncopti_q64(),
+            DesignPoint::syncopti_sc(),
+            DesignPoint::syncopti_sc_q64(),
+            DesignPoint::heavywt(),
+            DesignPoint::heavywt_with(10, 32),
+            DesignPoint::heavywt_with(10, 64),
+            DesignPoint::heavywt_centralized(12),
+            DesignPoint::regmapped(3),
+        ] {
+            for protocol in [Protocol::Msi, Protocol::Mesi, Protocol::Dragon] {
+                let mut cfg = cfg(design);
+                cfg.mem.protocol = protocol;
+                all.push(Job::pipeline(
+                    label(&format!("{design}/{}", protocol.label())),
+                    b.pair.clone(),
+                    cfg,
+                ));
+            }
+            for pairs in 2..=4 {
+                let job = Job::multi(label("multi"), b.pair.clone(), cfg(design), pairs);
+                all.push(job.with_metrics(pairs == 3));
+            }
+        }
+    }
+    all
+}
+
+#[test]
+fn no_two_jobs_of_the_sweeps_share_a_key() {
+    let all = sweeps();
+    assert!(all.len() > 2_700, "{} jobs", all.len());
+    let mut by_key: HashMap<String, &Job> = HashMap::new();
+    let mut by_spec: HashMap<String, &Job> = HashMap::new();
+    for job in &all {
+        let mut unlabelled = job.clone();
+        unlabelled.label.clear();
+        let spec = to_text(false, |w| write_job(w, &unlabelled));
+        assert!(
+            by_spec.insert(spec, job).is_none(),
+            "{} is listed twice",
+            job.label
+        );
+        if let Some(other) = by_key.insert(job.key(), job) {
+            panic!("{} and {} share {}", job.label, other.label, job.key());
+        }
     }
 }
