@@ -12,7 +12,7 @@
 //! Four invariant families are enforced:
 //!
 //! * **coherence** — protocol-specific census and staleness rules
-//!   selected by [`ProtocolKind`] (see [`invariant_table`]): MSI/MESI
+//!   selected by [`Protocol`] (see [`invariant_table`]): MSI/MESI
 //!   forbid replicated Modified owners and hits on snoop-invalidated
 //!   lines, MESI additionally forbids an Exclusive copy coexisting with
 //!   any other copy, and Dragon — which never invalidates — requires
@@ -83,34 +83,57 @@ pub const BUS_WAIT_BOUND: u64 = 4096;
 /// response is attributed to the bus, not reported as a generic deadlock.
 pub const REQUEST_AGE_BOUND: u64 = 20_000;
 
-/// Which coherence protocol's invariant table the checker enforces.
+/// Snoop coherence protocol run by the private L2s, and with it the
+/// invariant table the checker enforces.
 ///
-/// Mirrors the machine model's protocol axis without depending on it
-/// (the memory crate depends on this one). The default is the paper's
-/// MSI baseline; the machine sets the kind when a checker is attached.
+/// Defined here because the memory crate depends on this one; it is
+/// re-exported as `hfs_mem::Protocol`. The paper's baseline is
+/// write-invalidate MSI; the other two points probe how much of the
+/// EXISTING↔SYNCOPTI gap is an artifact of the protocol rather than of
+/// software queueing itself:
+///
+/// * `Mesi` adds the Exclusive state: a read miss that no other L2 can
+///   answer fills Exclusive, and the first store to an Exclusive line
+///   upgrades to Modified silently, with no bus transaction.
+/// * `Dragon` is the classic 4-state update protocol (SC/SM/EC/EM):
+///   stores to shared lines broadcast a bus-update that patches every
+///   sharer's copy in place instead of invalidating it, so
+///   producer→consumer lines never ping-pong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProtocolKind {
-    /// 3-state write-invalidate.
+pub enum Protocol {
+    /// 3-state write-invalidate (the paper's baseline).
     #[default]
     Msi,
     /// 4-state write-invalidate with exclusive-clean fills.
     Mesi,
-    /// 4-state write-update (no invalidations ever).
+    /// 4-state write-update (SC/SM/EC/EM; no invalidations ever).
     Dragon,
 }
 
-impl ProtocolKind {
-    /// Every protocol kind, in sweep order.
-    pub const ALL: [ProtocolKind; 3] =
-        [ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Dragon];
+impl Protocol {
+    /// Every supported protocol, in sweep order.
+    pub const ALL: [Protocol; 3] = [Protocol::Msi, Protocol::Mesi, Protocol::Dragon];
 
-    /// Lower-case label matching the config axis.
+    /// Lower-case config/spec label (`msi`, `mesi`, `dragon`).
     pub fn label(self) -> &'static str {
         match self {
-            ProtocolKind::Msi => "msi",
-            ProtocolKind::Mesi => "mesi",
-            ProtocolKind::Dragon => "dragon",
+            Protocol::Msi => "msi",
+            Protocol::Mesi => "mesi",
+            Protocol::Dragon => "dragon",
         }
+    }
+
+    /// Parses a case-insensitive label.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(s))
+    }
+}
+
+impl fmt::Display for Protocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -142,7 +165,7 @@ const SHARED_RULES: &[&str] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvariantTable {
     /// The protocol this table applies to.
-    pub protocol: ProtocolKind,
+    pub protocol: Protocol,
     /// Protocol-specific coherence rules.
     pub coherence: &'static [&'static str],
     /// Protocol-independent rules (identical across tables).
@@ -157,7 +180,7 @@ impl InvariantTable {
 }
 
 static MSI_TABLE: InvariantTable = InvariantTable {
-    protocol: ProtocolKind::Msi,
+    protocol: Protocol::Msi,
     coherence: &[
         "msi.multiple_modified",
         "msi.shared_with_modified",
@@ -168,7 +191,7 @@ static MSI_TABLE: InvariantTable = InvariantTable {
 };
 
 static MESI_TABLE: InvariantTable = InvariantTable {
-    protocol: ProtocolKind::Mesi,
+    protocol: Protocol::Mesi,
     coherence: &[
         "mesi.multiple_modified",
         "mesi.shared_with_modified",
@@ -180,7 +203,7 @@ static MESI_TABLE: InvariantTable = InvariantTable {
 };
 
 static DRAGON_TABLE: InvariantTable = InvariantTable {
-    protocol: ProtocolKind::Dragon,
+    protocol: Protocol::Dragon,
     coherence: &[
         "dragon.multiple_owners",
         "dragon.exclusive_with_sharers",
@@ -192,11 +215,11 @@ static DRAGON_TABLE: InvariantTable = InvariantTable {
 };
 
 /// The invariant table the checker enforces for `protocol`.
-pub fn invariant_table(protocol: ProtocolKind) -> &'static InvariantTable {
+pub fn invariant_table(protocol: Protocol) -> &'static InvariantTable {
     match protocol {
-        ProtocolKind::Msi => &MSI_TABLE,
-        ProtocolKind::Mesi => &MESI_TABLE,
-        ProtocolKind::Dragon => &DRAGON_TABLE,
+        Protocol::Msi => &MSI_TABLE,
+        Protocol::Mesi => &MESI_TABLE,
+        Protocol::Dragon => &DRAGON_TABLE,
     }
 }
 
@@ -313,7 +336,7 @@ impl fmt::Display for Violation {
 struct CheckState {
     level: CheckLevel,
     /// Which protocol's invariant table applies.
-    protocol: ProtocolKind,
+    protocol: Protocol,
     violations: Vec<Violation>,
     /// Violations recorded past [`MAX_VIOLATIONS`].
     dropped: u64,
@@ -349,7 +372,7 @@ impl CheckState {
     fn new(level: CheckLevel) -> Self {
         CheckState {
             level,
-            protocol: ProtocolKind::Msi,
+            protocol: Protocol::Msi,
             violations: Vec::new(),
             dropped: 0,
             golden: HashMap::new(),
@@ -513,17 +536,17 @@ impl Checker {
 
     /// Selects which protocol's invariant table this checker enforces.
     /// Call when attaching the checker to a machine; defaults to MSI.
-    pub fn set_protocol(&self, protocol: ProtocolKind) {
+    pub fn set_protocol(&self, protocol: Protocol) {
         if let Some(s) = &self.inner {
             s.borrow_mut().protocol = protocol;
         }
     }
 
     /// The protocol whose invariant table is being enforced.
-    pub fn protocol(&self) -> ProtocolKind {
+    pub fn protocol(&self) -> Protocol {
         match &self.inner {
             Some(s) => s.borrow().protocol,
-            None => ProtocolKind::Msi,
+            None => Protocol::Msi,
         }
     }
 
@@ -545,7 +568,7 @@ impl Checker {
         let mut s = s.borrow_mut();
         let total = modified + exclusive + shared + shared_modified;
         match s.protocol {
-            ProtocolKind::Msi => {
+            Protocol::Msi => {
                 if modified > 1 {
                     s.violate(
                         at,
@@ -573,7 +596,7 @@ impl Checker {
                     );
                 }
             }
-            ProtocolKind::Mesi => {
+            Protocol::Mesi => {
                 if modified > 1 {
                     s.violate(
                         at,
@@ -610,7 +633,7 @@ impl Checker {
                     );
                 }
             }
-            ProtocolKind::Dragon => {
+            Protocol::Dragon => {
                 let owners = modified + shared_modified;
                 if owners > 1 {
                     s.violate(
@@ -638,7 +661,7 @@ impl Checker {
     pub fn on_invalidate(&self, at: Cycle, core: CoreId, line: u64) {
         if let Some(s) = &self.inner {
             let mut s = s.borrow_mut();
-            if s.protocol == ProtocolKind::Dragon {
+            if s.protocol == Protocol::Dragon {
                 s.violate(
                     at,
                     "dragon.invalidate_in_update_protocol",
@@ -705,7 +728,7 @@ impl Checker {
         let Some(s) = &self.inner else { return };
         let mut s = s.borrow_mut();
         match s.protocol {
-            ProtocolKind::Dragon => {
+            Protocol::Dragon => {
                 let current = s.line_version.get(&line).copied().unwrap_or(0);
                 let seen = s
                     .holder_version
@@ -728,7 +751,7 @@ impl Checker {
             p => {
                 if s.invalidated.contains(&(core.0, line)) {
                     let rule = match p {
-                        ProtocolKind::Mesi => "mesi.hit_after_invalidate",
+                        Protocol::Mesi => "mesi.hit_after_invalidate",
                         _ => "msi.hit_after_invalidate",
                     };
                     s.violate(
@@ -1110,8 +1133,8 @@ mod tests {
     #[test]
     fn mesi_census_rules() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.set_protocol(ProtocolKind::Mesi);
-        assert_eq!(c.protocol(), ProtocolKind::Mesi);
+        c.set_protocol(Protocol::Mesi);
+        assert_eq!(c.protocol(), Protocol::Mesi);
         c.coherence_states(at(5), 0x100, 0, 1, 0, 0); // lone Exclusive: fine
         c.coherence_states(at(5), 0x100, 1, 0, 0, 0);
         c.coherence_states(at(5), 0x100, 0, 0, 2, 0);
@@ -1130,7 +1153,7 @@ mod tests {
     #[test]
     fn dragon_census_rules() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.set_protocol(ProtocolKind::Dragon);
+        c.set_protocol(Protocol::Dragon);
         c.coherence_states(at(5), 0x100, 0, 0, 2, 1); // SM owner + SC sharers
         c.coherence_states(at(5), 0x100, 1, 0, 0, 0); // lone EM
         c.coherence_states(at(5), 0x100, 0, 1, 0, 0); // lone EC
@@ -1145,7 +1168,7 @@ mod tests {
     #[test]
     fn dragon_forbids_invalidate() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.set_protocol(ProtocolKind::Dragon);
+        c.set_protocol(Protocol::Dragon);
         c.on_invalidate(at(10), CoreId(1), 0x40);
         assert_eq!(
             c.violations()[0].rule,
@@ -1156,7 +1179,7 @@ mod tests {
     #[test]
     fn dragon_update_delivery_census() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.set_protocol(ProtocolKind::Dragon);
+        c.set_protocol(Protocol::Dragon);
         c.on_bus_update(at(10), CoreId(0), 0x40, 2, 2);
         assert_eq!(c.violation_count(), 0);
         c.on_bus_update(at(20), CoreId(0), 0x40, 2, 1);
@@ -1166,7 +1189,7 @@ mod tests {
     #[test]
     fn dragon_stale_sharer_word() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.set_protocol(ProtocolKind::Dragon);
+        c.set_protocol(Protocol::Dragon);
         c.on_line_filled(CoreId(1), 0x40);
         c.on_l2_hit(at(5), CoreId(1), 0x40);
         assert_eq!(c.violation_count(), 0);
@@ -1191,7 +1214,7 @@ mod tests {
 
     #[test]
     fn invariant_tables_are_consistent() {
-        for p in ProtocolKind::ALL {
+        for p in Protocol::ALL {
             let t = invariant_table(p);
             assert_eq!(t.protocol, p);
             assert!(t.contains("bus.double_grant"));
@@ -1205,9 +1228,9 @@ mod tests {
                 );
             }
         }
-        assert!(invariant_table(ProtocolKind::Dragon).contains("dragon.update_delivered"));
-        assert!(!invariant_table(ProtocolKind::Dragon).contains("msi.hit_after_invalidate"));
-        assert!(!invariant_table(ProtocolKind::Msi).contains("mesi.exclusive_with_sharers"));
+        assert!(invariant_table(Protocol::Dragon).contains("dragon.update_delivered"));
+        assert!(!invariant_table(Protocol::Dragon).contains("msi.hit_after_invalidate"));
+        assert!(!invariant_table(Protocol::Msi).contains("mesi.exclusive_with_sharers"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use hfs_cpu::{StreamCompletion, StreamPort, StreamSubmit, StreamToken};
 use hfs_isa::{Addr, CoreId, QueueId};
 use hfs_mem::{Completion, CtlPayload, MemEvent, MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::StallComponent;
-use hfs_sim::{Cycle, DenseMap, FnvMap};
+use hfs_sim::{fold_bound, Cycle, DenseMap, FnvMap};
 use hfs_trace::{TraceEvent, Tracer};
 
 use crate::design::{DesignPoint, HeavyWtConfig, SyncOptiConfig};
@@ -765,22 +765,17 @@ impl SyncOptiBackend {
     /// queued forwards retry every cycle (`now + 1`); a waiting consume on
     /// produced-but-unforwarded data fires at the idle-flush deadline.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let floor = now.next();
-        let mut best: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            let t = t.max(floor);
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
+        let mut best = None;
         if !self.completions.is_empty() || !self.pending_acks.is_empty() {
-            fold(floor);
+            fold_bound(&mut best, now, now.next());
         }
         for s in self.state.values() {
             if !s.pending_forwards.is_empty() {
-                fold(floor);
+                fold_bound(&mut best, now, now.next());
             }
             if !s.waiting_produces.is_empty() && s.prod_released - s.acked < u64::from(s.info.depth)
             {
-                fold(floor);
+                fold_bound(&mut best, now, now.next());
             }
         }
         for w in &self.waiting_consumes {
@@ -789,9 +784,9 @@ impl SyncOptiBackend {
             }
             let s = self.state.get(w.q.index()).expect("queue planned");
             if w.slot < s.forwarded {
-                fold(floor);
+                fold_bound(&mut best, now, now.next());
             } else if w.slot < s.performed {
-                fold(s.last_perform + IDLE_FLUSH + 1);
+                fold_bound(&mut best, now, s.last_perform + IDLE_FLUSH + 1);
             }
         }
         best
@@ -1038,21 +1033,16 @@ impl HeavyWtBackend {
     /// stamp; anything moving through the network, a serviceable waiting
     /// consume, or an undrained completion needs the very next cycle.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let floor = now.next();
-        let mut best: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            let t = t.max(floor);
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
+        let mut best = None;
         if let Some(t) = self.acks_in_flight.next_ready() {
-            fold(t);
+            fold_bound(&mut best, now, t);
         }
         if self.sa.in_network() > 0 || !self.completions.is_empty() {
-            fold(floor);
+            fold_bound(&mut best, now, now.next());
         }
         for (q, w) in self.waiting.iter() {
             if !w.is_empty() && self.sa.occupancy(QueueId(q as u16)) > 0 {
-                fold(floor);
+                fold_bound(&mut best, now, now.next());
             }
         }
         best

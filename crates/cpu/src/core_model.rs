@@ -7,7 +7,7 @@ use hfs_isa::{
 };
 use hfs_mem::{MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::{Breakdown, StallComponent};
-use hfs_sim::{Cycle, TimedQueue};
+use hfs_sim::{fold_bound, Cycle, TimedQueue};
 use hfs_trace::{CoreActivity, TraceEvent, Tracer};
 
 use crate::config::CoreConfig;
@@ -172,18 +172,13 @@ impl Core {
     /// up blocked, because blocked attempts bump stall counters — so the
     /// bound never skips past a cycle where the sources are ready.
     pub fn next_event(&self, now: Cycle, seq: &mut Sequencer) -> Option<Cycle> {
-        let floor = now.next();
-        let mut best: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            let t = t.max(floor);
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
+        let mut best = None;
         if let Some(t) = self.spin_deliveries.next_ready() {
-            fold(t);
+            fold_bound(&mut best, now, t);
         }
         if let Some(e) = self.window.front() {
             if let Status::Done { done } = e.status {
-                fold(done);
+                fold_bound(&mut best, now, done);
             }
         }
         if self.window.len() < self.cfg.window as usize {
@@ -206,7 +201,7 @@ impl Core {
                     }
                 }
                 if !pending {
-                    fold(ready);
+                    fold_bound(&mut best, now, ready);
                 }
             }
         }

@@ -13,12 +13,13 @@ use std::collections::VecDeque;
 use hfs_check::{Checker, Mutation};
 use hfs_isa::CoreId;
 use hfs_sim::stats::Counter;
-use hfs_sim::{Cycle, TimedQueue};
+use hfs_sim::{fold_bound, Cycle, TimedQueue};
 use hfs_trace::{TraceEvent, Tracer};
 
 use crate::cache::LineState;
 use crate::config::BusConfig;
 use crate::msg::CtlPayload;
+use crate::protocol::LineOp;
 
 /// A bus agent: a core's L2 controller or the shared L3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,33 +33,13 @@ pub(crate) enum Agent {
 /// Address-channel transactions (requests and small control messages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AddrTxn {
-    /// Read for sharing.
-    Rd {
+    /// A coherence request for a line.
+    Line {
+        op: LineOp,
         line: u64,
         requester: CoreId,
         /// Targets the streaming (queue) region: deprioritized when the
         /// arbiter favors application traffic.
-        streaming: bool,
-    },
-    /// Read for ownership.
-    RdX {
-        line: u64,
-        requester: CoreId,
-        streaming: bool,
-    },
-    /// Upgrade S -> M without data.
-    Upgr {
-        line: u64,
-        requester: CoreId,
-        streaming: bool,
-    },
-    /// Dragon bus-update: broadcast a written word to every sharer of
-    /// the line (update-based protocols only). Like an upgrade it is a
-    /// pure address/snoop-phase transaction — the word payload rides the
-    /// snoop response, so no data-channel transfer follows.
-    Upd {
-        line: u64,
-        requester: CoreId,
         streaming: bool,
     },
     /// Streaming control message (occupancy update / bulk ACK).
@@ -261,16 +242,7 @@ impl Bus {
             let is_streaming = |t: &AddrTxn| {
                 matches!(
                     t,
-                    AddrTxn::Rd {
-                        streaming: true,
-                        ..
-                    } | AddrTxn::RdX {
-                        streaming: true,
-                        ..
-                    } | AddrTxn::Upgr {
-                        streaming: true,
-                        ..
-                    } | AddrTxn::Upd {
+                    AddrTxn::Line {
                         streaming: true,
                         ..
                     } | AddrTxn::Ctl { .. }
@@ -386,24 +358,24 @@ impl Bus {
     /// falls between two boundaries is only early, and an early wake-up
     /// is a harmless no-op.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut best: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
+        let mut best = None;
         if let Some(t) = self.addr_inflight.next_ready() {
-            fold(t.max(now.next()));
+            fold_bound(&mut best, now, t);
         }
         if let Some(t) = self.data_inflight.next_ready() {
-            fold(t.max(now.next()));
+            fold_bound(&mut best, now, t);
         }
         // After a tick at `now` the stamp is the boundary itself;
         // without one it can only be early.
-        let boundary = self.next_bus_cycle.max(now.next());
         if self.addr_queued > 0 {
-            fold(boundary);
+            fold_bound(&mut best, now, self.next_bus_cycle);
         }
         if self.data_queued > 0 {
-            fold(boundary.max(self.data_busy_until));
+            fold_bound(
+                &mut best,
+                now,
+                self.next_bus_cycle.max(self.data_busy_until),
+            );
         }
         best
     }
@@ -436,7 +408,8 @@ mod tests {
         let mut b = bus();
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 5,
                 requester: CoreId(0),
                 streaming: false,
@@ -454,7 +427,8 @@ mod tests {
         for _ in 0..2 {
             b.request_addr(
                 CoreId(0),
-                AddrTxn::Rd {
+                AddrTxn::Line {
+                    op: LineOp::Rd,
                     line: 1,
                     requester: CoreId(0),
                     streaming: false,
@@ -462,7 +436,8 @@ mod tests {
             );
             b.request_addr(
                 CoreId(1),
-                AddrTxn::Rd {
+                AddrTxn::Line {
+                    op: LineOp::Rd,
                     line: 2,
                     requester: CoreId(1),
                     streaming: false,
@@ -473,7 +448,7 @@ mod tests {
         let order: Vec<u64> = a
             .iter()
             .map(|(_, t)| match t {
-                AddrTxn::Rd { requester, .. } => u64::from(requester.0),
+                AddrTxn::Line { requester, .. } => u64::from(requester.0),
                 _ => unreachable!(),
             })
             .collect();
@@ -508,7 +483,8 @@ mod tests {
         let mut b = Bus::new(cfg, 2);
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 9,
                 requester: CoreId(0),
                 streaming: false,
@@ -573,7 +549,8 @@ mod tests {
         // A waiting address request still wants the very next boundary.
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 5,
                 requester: CoreId(0),
                 streaming: false,
@@ -629,7 +606,8 @@ mod tests {
         // an application request. The arbiter must grant core 1 first.
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 1,
                 requester: CoreId(0),
                 streaming: true,
@@ -637,7 +615,8 @@ mod tests {
         );
         b.request_addr(
             CoreId(1),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 2,
                 requester: CoreId(1),
                 streaming: false,
@@ -647,7 +626,7 @@ mod tests {
         let order: Vec<u64> = a
             .iter()
             .map(|(_, t)| match t {
-                AddrTxn::Rd { requester, .. } => u64::from(requester.0),
+                AddrTxn::Line { requester, .. } => u64::from(requester.0),
                 _ => unreachable!(),
             })
             .collect();
@@ -657,7 +636,8 @@ mod tests {
         let mut fair = Bus::new(BusConfig::baseline(), 2);
         fair.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 1,
                 requester: CoreId(0),
                 streaming: true,
@@ -665,7 +645,8 @@ mod tests {
         );
         fair.request_addr(
             CoreId(1),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 2,
                 requester: CoreId(1),
                 streaming: false,
@@ -679,7 +660,7 @@ mod tests {
         let order2: Vec<u64> = a2
             .iter()
             .map(|t| match t {
-                AddrTxn::Rd { requester, .. } => u64::from(requester.0),
+                AddrTxn::Line { requester, .. } => u64::from(requester.0),
                 _ => unreachable!(),
             })
             .collect();
@@ -695,7 +676,8 @@ mod tests {
         let mut b = Bus::new(cfg, 2);
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 7,
                 requester: CoreId(0),
                 streaming: true,
@@ -712,7 +694,8 @@ mod tests {
         assert!(b.is_idle());
         b.request_addr(
             CoreId(0),
-            AddrTxn::Rd {
+            AddrTxn::Line {
+                op: LineOp::Rd,
                 line: 0,
                 requester: CoreId(0),
                 streaming: false,

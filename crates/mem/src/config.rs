@@ -1,72 +1,9 @@
 //! Memory-system configuration (Table 2 of the paper).
 
-use hfs_check::ProtocolKind;
+pub use hfs_check::Protocol;
 use hfs_sim::ConfigError;
 
 use crate::cache::CacheGeometry;
-
-/// Snoop coherence protocol run by the private L2s.
-///
-/// The paper's baseline is write-invalidate MSI; the other two points
-/// probe how much of the EXISTING↔SYNCOPTI gap is an artifact of the
-/// protocol rather than of software queueing itself:
-///
-/// * `Mesi` adds the Exclusive state: a read miss that no other L2 can
-///   answer fills Exclusive, and the first store to an Exclusive line
-///   upgrades to Modified silently, with no bus transaction.
-/// * `Dragon` is the classic 4-state update protocol (SC/SM/EC/EM):
-///   stores to shared lines broadcast a bus-update that patches every
-///   sharer's copy in place instead of invalidating it, so
-///   producer→consumer lines never ping-pong.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Protocol {
-    /// 3-state write-invalidate (the paper's baseline).
-    #[default]
-    Msi,
-    /// 4-state write-invalidate with exclusive-clean fills.
-    Mesi,
-    /// 4-state write-update (SC/SM/EC/EM).
-    Dragon,
-}
-
-impl Protocol {
-    /// Every supported protocol, in sweep order.
-    pub const ALL: [Protocol; 3] = [Protocol::Msi, Protocol::Mesi, Protocol::Dragon];
-
-    /// Lower-case config/spec label (`msi`, `mesi`, `dragon`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::Msi => "msi",
-            Protocol::Mesi => "mesi",
-            Protocol::Dragon => "dragon",
-        }
-    }
-
-    /// Parses a case-insensitive label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "msi" => Some(Protocol::Msi),
-            "mesi" => Some(Protocol::Mesi),
-            "dragon" => Some(Protocol::Dragon),
-            _ => None,
-        }
-    }
-
-    /// The checker-side protocol id selecting the invariant table.
-    pub fn kind(self) -> ProtocolKind {
-        match self {
-            Protocol::Msi => ProtocolKind::Msi,
-            Protocol::Mesi => ProtocolKind::Mesi,
-            Protocol::Dragon => ProtocolKind::Dragon,
-        }
-    }
-}
-
-impl std::fmt::Display for Protocol {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Shared-bus parameters.
 ///

@@ -17,6 +17,7 @@ use hfs_trace::{TraceEvent, Tracer};
 use crate::cache::{CacheArray, CacheGeometry, LineState};
 use crate::config::Protocol;
 use crate::msg::OpLocation;
+use crate::protocol;
 
 /// Sentinel wake time for "no timed work pending".
 const NEVER: Cycle = Cycle::new(u64::MAX);
@@ -152,8 +153,8 @@ pub(crate) struct L2Ctl {
     core: CoreId,
     array: CacheArray,
     line_bytes: u64,
-    /// Coherence protocol: decides how stores to Shared/Exclusive lines
-    /// resolve and which states snoops leave behind.
+    /// Coherence protocol, passed to the [`protocol`] decisions: how
+    /// waiting stores resolve and which states snoops leave behind.
     protocol: Protocol,
     latency_min: u64,
     ports: u32,
@@ -204,7 +205,7 @@ impl L2Ctl {
             core,
             line_bytes: geom.line_bytes,
             array: CacheArray::new(geom)?,
-            protocol: Protocol::Msi,
+            protocol: Default::default(),
             latency_min,
             ports,
             capacity,
@@ -654,23 +655,16 @@ impl L2Ctl {
 
     /// Resolves entries waiting on `line` after a fill or upgrade/update
     /// grant: loads always complete; stores complete only when the line
-    /// is writable under the active protocol — Modified everywhere,
-    /// plus Exclusive under MESI/Dragon (silent upgrade on resolution)
-    /// and SharedModified under Dragon (a granted bus-update). Otherwise
-    /// they re-arbitrate to request ownership (or an update). Appends
-    /// the resolved operations to `out` in OzQ (program) order.
+    /// is [`protocol::writable`], and otherwise re-arbitrate to request
+    /// ownership (or an update). Appends the resolved operations to
+    /// `out` in OzQ (program) order.
     pub(crate) fn drain_line_waiters(
         &mut self,
         line: u64,
         now: Cycle,
         out: &mut Vec<ResolvedWaiter>,
     ) {
-        let writable = match self.array.probe(line) {
-            Some(LineState::Modified) => true,
-            Some(LineState::Exclusive) => self.protocol != Protocol::Msi,
-            Some(LineState::SharedModified) => self.protocol == Protocol::Dragon,
-            _ => false,
-        };
+        let writable = protocol::writable(self.protocol, self.array.probe(line));
         let mut upgrade_exclusive = false;
         let mut requeued = false;
         let resolved = out.len();
@@ -718,57 +712,44 @@ impl L2Ctl {
         }
     }
 
-    /// Snoop for a read: a dirty owner must supply the line. Under
-    /// MSI/MESI it downgrades to Shared; under Dragon the owner keeps
-    /// ownership as SharedModified. A MESI/Dragon Exclusive-clean copy
-    /// downgrades to Shared without supplying (the L3 shadow serves).
-    /// Returns true when we supply.
+    /// Snoop for a read: our copy moves to the state
+    /// [`protocol::snoop_read`] names. Returns true when we supply.
     pub(crate) fn snoop_rd(&mut self, line: u64) -> bool {
-        match self.array.probe(line) {
-            Some(LineState::Modified) => {
-                let next = if self.protocol == Protocol::Dragon {
-                    LineState::SharedModified
-                } else {
-                    LineState::Shared
-                };
-                self.array.set_state(line, next);
-                true
-            }
-            Some(LineState::SharedModified) => true,
-            Some(LineState::Exclusive) => {
-                self.array.set_state(line, LineState::Shared);
-                false
-            }
-            _ => false,
+        let Some(state) = self.array.probe(line) else {
+            return false;
+        };
+        let (next, supplies) = protocol::snoop_read(self.protocol, state);
+        if next != state {
+            self.array.set_state(line, next);
         }
+        supplies
     }
 
-    /// Snoop for an exclusive read / upgrade: invalidate our copy.
-    /// Returns `(had_line, had_dirty)`. Never called under Dragon.
-    pub(crate) fn snoop_inv(&mut self, line: u64) -> (bool, bool) {
-        match self.array.invalidate(line) {
-            Some(s) => (true, s.dirty()),
-            None => (false, false),
-        }
+    /// Snoop for an exclusive read / upgrade: invalidate our copy,
+    /// returning the state it was in. Never called under Dragon.
+    pub(crate) fn snoop_inv(&mut self, line: u64) -> Option<LineState> {
+        self.array.invalidate(line)
     }
 
-    /// Dragon: a bus-update broadcast for `line` reached this L2. Our
-    /// copy absorbs the new word and continues as a clean sharer (a
-    /// previous SM owner hands ownership to the updater). Returns true
-    /// when we held the line.
+    /// Dragon: a bus-update broadcast for `line` reached this L2; a copy
+    /// we hold moves to [`protocol::snoop_update`]. Returns true when we
+    /// held the line.
     pub(crate) fn snoop_upd(&mut self, line: u64) -> bool {
-        if self.array.probe(line).is_some() {
-            self.array.set_state(line, LineState::Shared);
-            true
-        } else {
-            false
-        }
+        self.array.set_state(line, protocol::snoop_update());
+        self.array.probe(line).is_some()
     }
 
     /// A forward data transfer finished: drop the line here (ownership
     /// moved to the destination) and complete the forward entry.
     pub(crate) fn forward_complete(&mut self, id: u64, line: u64) {
         self.array.invalidate(line);
+        self.drop_forward(id);
+    }
+
+    /// Retires forward entry `id` without touching the array: the push
+    /// was abandoned after its pipe pass (the destination is already
+    /// fetching the line by demand).
+    pub(crate) fn drop_forward(&mut self, id: u64) {
         let before = self.entries.len();
         self.entries.retain(|e| e.id != id);
         self.note_removed(before);
@@ -796,18 +777,14 @@ impl L2Ctl {
         self.array.set_state(line, LineState::Modified);
     }
 
-    /// Dragon: our bus-update for `line` was granted and delivered. With
-    /// sharers left we continue as the SM owner; with none the line is
-    /// now exclusively ours (EM). Call [`L2Ctl::drain_line_waiters`]
-    /// afterwards to resolve the waiting stores atomically.
+    /// Dragon: our bus-update for `line` was granted and delivered; the
+    /// line moves to [`protocol::after_update`]. Call
+    /// [`L2Ctl::drain_line_waiters`] afterwards to resolve the waiting
+    /// stores atomically.
     pub(crate) fn grant_update(&mut self, line: u64, any_sharer: bool, _now: Cycle) {
         self.set_pending(line, None);
-        let next = if any_sharer {
-            LineState::SharedModified
-        } else {
-            LineState::Modified
-        };
-        self.array.set_state(line, next);
+        self.array
+            .set_state(line, protocol::after_update(any_sharer));
     }
 
     /// Renders entry states for deadlock diagnostics.
@@ -1040,10 +1017,10 @@ mod tests {
     fn snoop_inv_reports_states() {
         let mut c = l2();
         c.fill(5, LineState::Modified, Cycle::new(0));
-        assert_eq!(c.snoop_inv(5), (true, true));
-        assert_eq!(c.snoop_inv(5), (false, false));
+        assert_eq!(c.snoop_inv(5), Some(LineState::Modified));
+        assert_eq!(c.snoop_inv(5), None);
         c.fill(6, LineState::Shared, Cycle::new(0));
-        assert_eq!(c.snoop_inv(6), (true, false));
+        assert_eq!(c.snoop_inv(6), Some(LineState::Shared));
     }
 
     #[test]

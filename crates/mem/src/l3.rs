@@ -2,7 +2,7 @@
 
 use hfs_isa::CoreId;
 use hfs_sim::stats::Counter;
-use hfs_sim::{ConfigError, Cycle, TimedQueue};
+use hfs_sim::{fold_bound, ConfigError, Cycle, TimedQueue};
 
 use crate::cache::{CacheArray, CacheGeometry, LineState};
 
@@ -139,19 +139,15 @@ impl L3 {
     /// stamps of the lookup and DRAM pipelines (exact), plus `now + 1`
     /// defensively while serviced requests sit undrained.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut best: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            let t = t.max(now.next());
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
+        let mut best = None;
         if let Some(t) = self.lookups.next_ready() {
-            fold(t);
+            fold_bound(&mut best, now, t);
         }
         if let Some(t) = self.dram.next_ready() {
-            fold(t);
+            fold_bound(&mut best, now, t);
         }
         if !self.ready.is_empty() {
-            fold(now.next());
+            fold_bound(&mut best, now, now.next());
         }
         best
     }

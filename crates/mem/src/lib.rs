@@ -37,6 +37,7 @@ mod l1;
 mod l2;
 mod l3;
 mod msg;
+mod protocol;
 mod system;
 
 pub use bus::BusStats;

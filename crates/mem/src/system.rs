@@ -9,12 +9,13 @@ use hfs_trace::{CacheLevel, TraceEvent, Tracer};
 
 use crate::bus::{AddrTxn, Agent, Bus, BusStats, DataTxn};
 use crate::cache::LineState;
-use crate::config::{MemConfig, Protocol};
+use crate::config::MemConfig;
 use crate::func::FuncMem;
 use crate::l1::L1d;
 use crate::l2::{EntryKind, L2Ctl, L2Outcome, LineStage, ResolvedWaiter};
 use crate::l3::{L3Ready, L3Req, L3};
 use crate::msg::{Completion, CtlPayload, MemEvent, MemToken, OpLocation, RejectReason};
+use crate::protocol::{self, LineOp};
 
 /// Cycles between the L2 returning load data and the value being
 /// architecturally available (L1 fill + register writeback; the paper's
@@ -221,7 +222,7 @@ impl MemSystem {
         if checker.is_full() {
             checker.seed_golden(self.func.iter_words());
         }
-        checker.set_protocol(self.cfg.protocol.kind());
+        checker.set_protocol(self.cfg.protocol);
         self.bus.set_checker(checker.clone());
         for l2 in &mut self.l2s {
             l2.set_checker(checker.clone());
@@ -251,12 +252,7 @@ impl MemSystem {
         if op.write.is_none() && !op.gated {
             // Demand load: try the L1 first.
             let hit = self.l1s[c].load_hit(op.addr);
-            self.tracer.emit(|| TraceEvent::CacheAccess {
-                core,
-                at: now.as_u64(),
-                level: CacheLevel::L1,
-                hit,
-            });
+            self.trace_access(core, CacheLevel::L1, hit, now);
             if hit {
                 let mut value = self.func.read(op.addr);
                 if self.checker.fire_once(Mutation::CorruptLoadValue) {
@@ -311,6 +307,21 @@ impl MemSystem {
     /// (used only when [`crate::BusConfig::favor_app_traffic`] is set).
     pub fn set_streaming_range(&mut self, base: u64, end: u64) {
         self.streaming_range = Some((base, end));
+    }
+
+    #[inline]
+    fn trace_access(&self, core: CoreId, level: CacheLevel, hit: bool, now: Cycle) {
+        self.tracer.emit(|| TraceEvent::CacheAccess {
+            core,
+            at: now.as_u64(),
+            level,
+            hit,
+        });
+    }
+
+    /// Byte address of the first word of `line`.
+    fn line_addr(&self, line: u64) -> Addr {
+        Addr::new(line * self.cfg.l2.line_bytes)
     }
 
     fn line_is_streaming(&self, line: u64) -> bool {
@@ -515,12 +526,7 @@ impl MemSystem {
         let mut serviced = std::mem::take(&mut self.l3_scratch);
         self.l3.take_ready(&mut serviced);
         for ready in &serviced {
-            self.tracer.emit(|| TraceEvent::CacheAccess {
-                core: ready.req.requester,
-                at: now.as_u64(),
-                level: CacheLevel::L3,
-                hit: !ready.from_dram,
-            });
+            self.trace_access(ready.req.requester, CacheLevel::L3, !ready.from_dram, now);
             self.l2s[ready.req.requester.index()].line_stage(ready.req.line, LineStage::Incoming);
             self.bus.request_data(
                 Agent::L3,
@@ -588,25 +594,13 @@ impl MemSystem {
         let c = core.index();
         match &o {
             L2Outcome::LoadHit { addr, .. } | L2Outcome::StorePerform { addr, .. } => {
-                self.tracer.emit(|| TraceEvent::CacheAccess {
-                    core,
-                    at: now.as_u64(),
-                    level: CacheLevel::L2,
-                    hit: true,
-                });
+                self.trace_access(core, CacheLevel::L2, true, now);
                 if self.checker.is_enabled() {
                     let line = self.l2s[c].line_of(*addr);
                     self.checker.on_l2_hit(now, core, line);
                 }
             }
-            L2Outcome::NeedLine { .. } => {
-                self.tracer.emit(|| TraceEvent::CacheAccess {
-                    core,
-                    at: now.as_u64(),
-                    level: CacheLevel::L2,
-                    hit: false,
-                });
-            }
+            L2Outcome::NeedLine { .. } => self.trace_access(core, CacheLevel::L2, false, now),
             _ => {}
         }
         match o {
@@ -615,102 +609,23 @@ impl MemSystem {
                 addr,
                 background,
                 gated,
-            } => {
-                let mut value = self.func.read(addr);
-                if self.checker.fire_once(Mutation::CorruptLoadValue) {
-                    value ^= 1;
-                }
-                self.checker.on_load(now, addr.as_u64(), value);
-                // Gated (streaming) loads bypass the L1 and its fill
-                // latency; their data goes straight to the consumer.
-                let at = if gated {
-                    now
-                } else {
-                    self.l1s[c].fill(addr);
-                    now + FILL_LATENCY
-                };
-                self.completions[c].push(
-                    at,
-                    Completion {
-                        token: MemToken::new(core, id),
-                        value: Some(value),
-                        at,
-                        background,
-                    },
-                );
-            }
+            } => self.complete_load(core, id, addr, background, gated, now),
             L2Outcome::StorePerform {
                 id,
                 addr,
                 value,
                 background,
-            } => {
-                // Fault injection: the timing model writes a wrong value
-                // while the architectural event (and the checker's
-                // golden) keep the original.
-                let mut stored = value;
-                if self.checker.fire_once(Mutation::CorruptStoreValue) {
-                    stored ^= 1;
-                }
-                self.func.write(addr, stored);
-                self.checker.on_store(now, addr.as_u64(), value);
-                self.events
-                    .push(MemEvent::StorePerformed { core, addr, value });
-                self.completions[c].push(
-                    now,
-                    Completion {
-                        token: MemToken::new(core, id),
-                        value: None,
-                        at: now,
-                        background,
-                    },
-                );
-            }
+            } => self.perform_store(core, id, addr, value, background, now),
             L2Outcome::NeedLine {
                 line,
                 exclusive,
                 have_shared,
             } => {
-                let streaming = self.line_is_streaming(line);
-                let txn = if exclusive && have_shared {
-                    // Dragon never invalidates: a store to a shared line
-                    // broadcasts a bus-update instead of upgrading.
-                    if self.cfg.protocol == Protocol::Dragon {
-                        AddrTxn::Upd {
-                            line,
-                            requester: core,
-                            streaming,
-                        }
-                    } else {
-                        AddrTxn::Upgr {
-                            line,
-                            requester: core,
-                            streaming,
-                        }
-                    }
-                } else if exclusive {
-                    // Dragon write misses fetch with a plain read; the
-                    // store then updates (or upgrades silently from EC)
-                    // once the fill lands.
-                    if self.cfg.protocol == Protocol::Dragon {
-                        AddrTxn::Rd {
-                            line,
-                            requester: core,
-                            streaming,
-                        }
-                    } else {
-                        AddrTxn::RdX {
-                            line,
-                            requester: core,
-                            streaming,
-                        }
-                    }
-                } else {
-                    AddrTxn::Rd {
-                        line,
-                        requester: core,
-                        streaming,
-                    }
+                let txn = AddrTxn::Line {
+                    op: protocol::line_request(self.cfg.protocol, exclusive, have_shared),
+                    line,
+                    requester: core,
+                    streaming: self.line_is_streaming(line),
                 };
                 self.l2s[c].line_stage(line, LineStage::OnBus);
                 self.bus.request_addr(core, txn);
@@ -719,7 +634,7 @@ impl MemSystem {
                 if self.busy_lines.contains_key(line) {
                     // The destination is already fetching the line by
                     // demand; drop the push.
-                    self.l2s[c].forward_complete(id, u64::MAX); // remove entry only
+                    self.l2s[c].drop_forward(id);
                     return;
                 }
                 self.busy_lines.insert(line, ());
@@ -739,186 +654,228 @@ impl MemSystem {
         }
     }
 
+    /// A load completes: samples the functional value and schedules the
+    /// completion.
+    fn complete_load(
+        &mut self,
+        core: CoreId,
+        id: u64,
+        addr: Addr,
+        background: bool,
+        gated: bool,
+        now: Cycle,
+    ) {
+        let c = core.index();
+        let mut value = self.func.read(addr);
+        if self.checker.fire_once(Mutation::CorruptLoadValue) {
+            value ^= 1;
+        }
+        self.checker.on_load(now, addr.as_u64(), value);
+        // Gated (streaming) loads bypass the L1 and its fill latency;
+        // their data goes straight to the consumer.
+        let at = if gated {
+            now
+        } else {
+            self.l1s[c].fill(addr);
+            now + FILL_LATENCY
+        };
+        self.completions[c].push(
+            at,
+            Completion {
+                token: MemToken::new(core, id),
+                value: Some(value),
+                at,
+                background,
+            },
+        );
+    }
+
+    /// A store performs: writes functional memory, reports the event and
+    /// completes.
+    fn perform_store(
+        &mut self,
+        core: CoreId,
+        id: u64,
+        addr: Addr,
+        value: u64,
+        background: bool,
+        now: Cycle,
+    ) {
+        // Fault injection: the timing model writes a wrong value while
+        // the architectural event (and the checker's golden) keep the
+        // original.
+        let mut stored = value;
+        if self.checker.fire_once(Mutation::CorruptStoreValue) {
+            stored ^= 1;
+        }
+        self.func.write(addr, stored);
+        self.checker.on_store(now, addr.as_u64(), value);
+        self.events
+            .push(MemEvent::StorePerformed { core, addr, value });
+        self.completions[core.index()].push(
+            now,
+            Completion {
+                token: MemToken::new(core, id),
+                value: None,
+                at: now,
+                background,
+            },
+        );
+    }
+
+    /// Invalidates every copy of `line` outside `requester`'s L2, telling
+    /// the checker, the L1s and the machine model. Returns the core that
+    /// held the line dirty, which must supply it.
+    fn snoop_invalidate(&mut self, requester: usize, line: u64, now: Cycle) -> Option<usize> {
+        let line_addr = self.line_addr(line);
+        let mut owner = None;
+        for c in 0..self.l2s.len() {
+            if c == requester {
+                continue;
+            }
+            // Fault injection: skip one snoop invalidation, leaving a
+            // stale copy behind the new owner.
+            if self.l2s[c].probe(line).is_some()
+                && self.checker.fire_once(Mutation::SkipSnoopInvalidate)
+            {
+                continue;
+            }
+            if let Some(state) = self.l2s[c].snoop_inv(line) {
+                self.checker.on_invalidate(now, CoreId(c as u8), line);
+                self.l1s[c].invalidate_span(line_addr, self.cfg.l2.line_bytes);
+                self.events.push(MemEvent::LineEvicted {
+                    core: CoreId(c as u8),
+                    line_addr,
+                    dirty: state.dirty(),
+                });
+                if state.dirty() {
+                    owner = Some(c);
+                }
+            }
+        }
+        owner
+    }
+
+    /// Answers `requester`'s request for `line`, to install in `state`:
+    /// cache-to-cache from `supplier`'s L2 (the L3 shadows a clean copy),
+    /// else from the L3.
+    fn supply(
+        &mut self,
+        supplier: Option<usize>,
+        requester: CoreId,
+        line: u64,
+        state: LineState,
+        now: Cycle,
+    ) {
+        let r = requester.index();
+        match supplier {
+            Some(c) => {
+                self.l3.install_clean(line);
+                self.l2s[r].line_stage(line, LineStage::Incoming);
+                self.bus.request_data(
+                    Agent::Core(CoreId(c as u8)),
+                    self.cfg.l2.line_bytes,
+                    DataTxn::FillL2 {
+                        line,
+                        dest: requester,
+                        state,
+                    },
+                );
+            }
+            None => {
+                self.l2s[r].line_stage(line, LineStage::InL3);
+                self.l3.request(
+                    L3Req {
+                        line,
+                        requester,
+                        fill: state,
+                    },
+                    now,
+                );
+            }
+        }
+    }
+
     fn handle_addr(&mut self, txn: AddrTxn, now: Cycle) {
-        let backoff = 2 * self.cfg.bus.pipeline_stages * self.cfg.bus.clock_divider;
-        match txn {
+        let (op, line, requester) = match txn {
             AddrTxn::Ctl { from, to, payload } => {
                 self.events
                     .push(MemEvent::CtlDelivered { from, to, payload });
+                return;
             }
-            AddrTxn::Rd {
-                line, requester, ..
-            } => {
-                if self.busy_lines.contains_key(line) {
-                    self.l2s[requester.index()].nack_line(line, now + backoff, false);
-                    return;
-                }
+            AddrTxn::Line {
+                op,
+                line,
+                requester,
+                ..
+            } => (op, line, requester),
+        };
+        let r = requester.index();
+        if self.busy_lines.contains_key(line) {
+            // Another transaction on the line is in flight. A NACKed
+            // read reissues as a read, everything else as a store's
+            // request.
+            let backoff = 2 * self.cfg.bus.pipeline_stages * self.cfg.bus.clock_divider;
+            self.l2s[r].nack_line(line, now + backoff, op != LineOp::Rd);
+            return;
+        }
+        match op {
+            LineOp::Rd => {
                 self.busy_lines.insert(line, ());
                 self.checker.on_addr_request(now, requester, line);
-                let mut supplied = false;
+                let mut supplier = None;
                 let mut other_holder = false;
                 for c in 0..self.l2s.len() {
-                    if c == requester.index() {
+                    if c == r {
                         continue;
                     }
-                    if self.l2s[c].probe(line).is_some() {
-                        other_holder = true;
-                    }
-                    if !supplied && self.l2s[c].snoop_rd(line) {
-                        supplied = true;
-                        // Cache-to-cache transfer; L3 shadows a clean copy.
-                        self.l3.install_clean(line);
-                        self.l2s[requester.index()].line_stage(line, LineStage::Incoming);
-                        self.bus.request_data(
-                            Agent::Core(CoreId(c as u8)),
-                            self.cfg.l2.line_bytes,
-                            DataTxn::FillL2 {
-                                line,
-                                dest: requester,
-                                state: LineState::Shared,
-                            },
-                        );
+                    other_holder |= self.l2s[c].probe(line).is_some();
+                    if supplier.is_none() && self.l2s[c].snoop_rd(line) {
+                        supplier = Some(c);
                     }
                 }
-                if !supplied {
-                    // MESI/Dragon: a fill no other L2 holds installs
-                    // Exclusive (E / EC), enabling the silent first-write
-                    // upgrade. MSI always fills Shared.
-                    let mut fill = if self.cfg.protocol != Protocol::Msi && !other_holder {
-                        LineState::Exclusive
-                    } else {
-                        LineState::Shared
-                    };
-                    // Fault injection: claim exclusivity despite a
-                    // surviving sharer; the install census must object.
-                    if self.cfg.protocol != Protocol::Msi
-                        && other_holder
-                        && self.checker.fire_once(Mutation::GrantExclusiveWithSharers)
-                    {
-                        fill = LineState::Exclusive;
-                    }
-                    self.l2s[requester.index()].line_stage(line, LineStage::InL3);
-                    self.l3.request(
-                        L3Req {
-                            line,
-                            requester,
-                            fill,
-                        },
-                        now,
-                    );
+                let mut fill = match supplier {
+                    Some(_) => LineState::Shared,
+                    None => protocol::read_fill(self.cfg.protocol, other_holder),
+                };
+                // Fault injection: claim exclusivity despite a surviving
+                // sharer; the install census must object.
+                let alone = protocol::read_fill(self.cfg.protocol, false);
+                if supplier.is_none()
+                    && fill != alone
+                    && self.checker.fire_once(Mutation::GrantExclusiveWithSharers)
+                {
+                    fill = alone;
                 }
+                self.supply(supplier, requester, line, fill, now);
             }
-            AddrTxn::RdX {
-                line, requester, ..
-            } => {
-                if self.busy_lines.contains_key(line) {
-                    self.l2s[requester.index()].nack_line(line, now + backoff, true);
-                    return;
-                }
+            LineOp::RdX => {
                 self.busy_lines.insert(line, ());
                 self.checker.on_addr_request(now, requester, line);
-                let mut supplied = false;
-                for c in 0..self.l2s.len() {
-                    if c == requester.index() {
-                        continue;
-                    }
-                    // Fault injection: skip one snoop invalidation,
-                    // leaving a stale copy behind the new owner.
-                    if self.l2s[c].probe(line).is_some()
-                        && self.checker.fire_once(Mutation::SkipSnoopInvalidate)
-                    {
-                        continue;
-                    }
-                    let (had, had_m) = self.l2s[c].snoop_inv(line);
-                    if had {
-                        self.checker.on_invalidate(now, CoreId(c as u8), line);
-                        let line_addr = Addr::new(line * self.cfg.l2.line_bytes);
-                        self.l1s[c].invalidate_span(line_addr, self.cfg.l2.line_bytes);
-                        self.events.push(MemEvent::LineEvicted {
-                            core: CoreId(c as u8),
-                            line_addr,
-                            dirty: had_m,
-                        });
-                    }
-                    if had_m {
-                        supplied = true;
-                        self.l3.install_clean(line);
-                        self.l2s[requester.index()].line_stage(line, LineStage::Incoming);
-                        self.bus.request_data(
-                            Agent::Core(CoreId(c as u8)),
-                            self.cfg.l2.line_bytes,
-                            DataTxn::FillL2 {
-                                line,
-                                dest: requester,
-                                state: LineState::Modified,
-                            },
-                        );
-                    }
-                }
-                if !supplied {
-                    self.l2s[requester.index()].line_stage(line, LineStage::InL3);
-                    self.l3.request(
-                        L3Req {
-                            line,
-                            requester,
-                            fill: LineState::Modified,
-                        },
-                        now,
-                    );
-                }
+                let owner = self.snoop_invalidate(r, line, now);
+                self.supply(owner, requester, line, LineState::Modified, now);
             }
-            AddrTxn::Upgr {
-                line, requester, ..
-            } => {
-                if self.busy_lines.contains_key(line) {
-                    self.l2s[requester.index()].nack_line(line, now + backoff, true);
-                    return;
-                }
-                let r = requester.index();
-                if self.l2s[r].probe(line) == Some(LineState::Shared) {
-                    for c in 0..self.l2s.len() {
-                        if c == r {
-                            continue;
-                        }
-                        if self.l2s[c].probe(line).is_some()
-                            && self.checker.fire_once(Mutation::SkipSnoopInvalidate)
-                        {
-                            continue;
-                        }
-                        let (had, _) = self.l2s[c].snoop_inv(line);
-                        if had {
-                            self.checker.on_invalidate(now, CoreId(c as u8), line);
-                            let line_addr = Addr::new(line * self.cfg.l2.line_bytes);
-                            self.l1s[c].invalidate_span(line_addr, self.cfg.l2.line_bytes);
-                            self.events.push(MemEvent::LineEvicted {
-                                core: CoreId(c as u8),
-                                line_addr,
-                                dirty: false,
-                            });
-                        }
-                    }
-                    self.l2s[r].grant_upgrade(line, now);
-                    self.audit_line_states(line, now);
-                    self.resolve_waiters(requester, line, now);
-                } else {
+            LineOp::Upgr => {
+                if self.l2s[r].probe(line) != Some(LineState::Shared) {
                     // Our copy vanished while the upgrade was in flight:
                     // reissue as a full exclusive fetch.
                     self.l2s[r].nack_line(line, now, true);
+                    return;
                 }
+                // No owner to hear from: beside our Shared copy every
+                // other legal copy is Shared, so each eviction reported
+                // is a clean one.
+                self.snoop_invalidate(r, line, now);
+                self.l2s[r].grant_upgrade(line, now);
+                self.audit_line_states(line, now);
+                self.resolve_waiters(requester, line, now);
             }
-            AddrTxn::Upd {
-                line, requester, ..
-            } => {
+            LineOp::Upd => {
                 // Dragon bus-update: a single address/snoop-phase
                 // broadcast. Every sharer patches its copy in place; the
                 // writer becomes the SM owner (EM with no sharers left).
                 // No data-channel transfer and no split-transaction
                 // response follow.
-                if self.busy_lines.contains_key(line) {
-                    self.l2s[requester.index()].nack_line(line, now + backoff, true);
-                    return;
-                }
-                let r = requester.index();
                 if !matches!(
                     self.l2s[r].probe(line),
                     Some(LineState::Shared) | Some(LineState::SharedModified)
@@ -929,8 +886,11 @@ impl MemSystem {
                     self.l2s[r].nack_line(line, now, true);
                     return;
                 }
+                let line_addr = self.line_addr(line);
                 let mut holders = 0u32;
-                let mut updated_cores: Vec<usize> = Vec::new();
+                // Sharers the broadcast reached, one bit per core (the
+                // bus model tops out at 8).
+                let mut reached = 0u8;
                 for c in 0..self.l2s.len() {
                     if c == r || self.l2s[c].probe(line).is_none() {
                         continue;
@@ -950,22 +910,21 @@ impl MemSystem {
                     self.l2s[c].snoop_upd(line);
                     // The sharer's L1 span is stale at word granularity;
                     // invalidate it so later loads refetch through L2.
-                    let line_addr = Addr::new(line * self.cfg.l2.line_bytes);
                     self.l1s[c].invalidate_span(line_addr, self.cfg.l2.line_bytes);
-                    updated_cores.push(c);
+                    reached |= 1 << c;
                 }
-                let updated = updated_cores.len() as u32;
+                let updated = reached.count_ones();
                 // Bump the broadcast version first, then mark each
                 // reached sharer current at the *new* version.
                 self.checker
                     .on_bus_update(now, requester, line, holders, updated);
-                for &c in &updated_cores {
+                for c in (0..self.l2s.len()).filter(|c| reached & (1 << c) != 0) {
                     self.checker.on_update_applied(CoreId(c as u8), line);
                 }
                 self.updates_done += 1;
                 self.events.push(MemEvent::UpdateDelivered {
                     from: requester,
-                    line_addr: Addr::new(line * self.cfg.l2.line_bytes),
+                    line_addr,
                     sharers: updated as u8,
                 });
                 self.l2s[r].grant_update(line, holders > 0, now);
@@ -981,9 +940,7 @@ impl MemSystem {
                 self.busy_lines.remove(line);
                 self.install_fill(dest, line, state, false, now);
             }
-            DataTxn::WbL3 { line, .. } => {
-                self.l3.writeback(line);
-            }
+            DataTxn::WbL3 { line, .. } => self.l3.writeback(line),
             DataTxn::ForwardLine { line, from, to } => {
                 self.busy_lines.remove(line);
                 // Complete the producer-side forward entry.
@@ -995,7 +952,7 @@ impl MemSystem {
                     let (_, _, id) = self.forward_track.remove(pos);
                     self.l2s[from.index()].forward_complete(id, line);
                 }
-                let line_addr = Addr::new(line * self.cfg.l2.line_bytes);
+                let line_addr = self.line_addr(line);
                 self.l1s[from.index()].invalidate_span(line_addr, self.cfg.l2.line_bytes);
                 self.install_fill(to, line, LineState::Modified, true, now);
                 self.forwards_done += 1;
@@ -1023,7 +980,7 @@ impl MemSystem {
         let d = dest.index();
         let victim = self.l2s[d].fill(line, state, now);
         if let Some(v) = victim {
-            let victim_addr = Addr::new(v.line * self.cfg.l2.line_bytes);
+            let victim_addr = self.line_addr(v.line);
             self.l1s[d].invalidate_span(victim_addr, self.cfg.l2.line_bytes);
             if v.dirty {
                 self.bus.request_data(
@@ -1043,7 +1000,7 @@ impl MemSystem {
         }
         self.events.push(MemEvent::LineFilled {
             core: dest,
-            line_addr: Addr::new(line * self.cfg.l2.line_bytes),
+            line_addr: self.line_addr(line),
             forwarded,
         });
         self.checker.on_line_filled(dest, line);
@@ -1062,19 +1019,18 @@ impl MemSystem {
         if !self.checker.is_enabled() {
             return;
         }
-        let (mut modified, mut exclusive, mut shared, mut shared_modified) =
-            (0u32, 0u32, 0u32, 0u32);
-        for l2 in &self.l2s {
-            match l2.probe(line) {
-                Some(LineState::Modified) => modified += 1,
-                Some(LineState::Exclusive) => exclusive += 1,
-                Some(LineState::Shared) => shared += 1,
-                Some(LineState::SharedModified) => shared_modified += 1,
-                None => {}
-            }
-        }
-        self.checker
-            .coherence_states(now, line, modified, exclusive, shared, shared_modified);
+        let count = |state| {
+            let holds = |l2: &&L2Ctl| l2.probe(line) == Some(state);
+            self.l2s.iter().filter(holds).count() as u32
+        };
+        self.checker.coherence_states(
+            now,
+            line,
+            count(LineState::Modified),
+            count(LineState::Exclusive),
+            count(LineState::Shared),
+            count(LineState::SharedModified),
+        );
     }
 
     /// Satisfies operations that were waiting on `line` at fill/upgrade
@@ -1083,55 +1039,16 @@ impl MemSystem {
     /// Operations resolve in OzQ (program) order so same-core
     /// store-then-load sequences observe their own writes.
     fn resolve_waiters(&mut self, core: CoreId, line: u64, now: Cycle) {
-        let c = core.index();
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
         waiters.clear();
-        self.l2s[c].drain_line_waiters(line, now, &mut waiters);
+        self.l2s[core.index()].drain_line_waiters(line, now, &mut waiters);
         for &w in &waiters {
             match w.kind {
                 EntryKind::Store { value, .. } => {
-                    let mut stored = value;
-                    if self.checker.fire_once(Mutation::CorruptStoreValue) {
-                        stored ^= 1;
-                    }
-                    self.func.write(w.addr, stored);
-                    self.checker.on_store(now, w.addr.as_u64(), value);
-                    self.events.push(MemEvent::StorePerformed {
-                        core,
-                        addr: w.addr,
-                        value,
-                    });
-                    self.completions[c].push(
-                        now,
-                        Completion {
-                            token: MemToken::new(core, w.id),
-                            value: None,
-                            at: now,
-                            background: w.background,
-                        },
-                    );
+                    self.perform_store(core, w.id, w.addr, value, w.background, now);
                 }
                 EntryKind::Load => {
-                    let mut value = self.func.read(w.addr);
-                    if self.checker.fire_once(Mutation::CorruptLoadValue) {
-                        value ^= 1;
-                    }
-                    self.checker.on_load(now, w.addr.as_u64(), value);
-                    let at = if w.gated {
-                        now
-                    } else {
-                        self.l1s[c].fill(w.addr);
-                        now + FILL_LATENCY
-                    };
-                    self.completions[c].push(
-                        at,
-                        Completion {
-                            token: MemToken::new(core, w.id),
-                            value: Some(value),
-                            at,
-                            background: w.background,
-                        },
-                    );
+                    self.complete_load(core, w.id, w.addr, w.background, w.gated, now);
                 }
                 EntryKind::Forward { .. } => unreachable!("forwards never wait on lines"),
             }

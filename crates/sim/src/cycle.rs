@@ -66,6 +66,15 @@ impl Cycle {
     }
 }
 
+/// The fold every `next_event` bound is built with (DESIGN §6c): `best`
+/// becomes the earlier of itself and the wake-up `t`, which is never
+/// taken to be earlier than `now + 1`.
+#[inline]
+pub fn fold_bound(best: &mut Option<Cycle>, now: Cycle, t: Cycle) {
+    let t = t.max(now.next());
+    *best = Some(best.map_or(t, |b| b.min(t)));
+}
+
 impl fmt::Display for Cycle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "cycle {}", self.0)
@@ -142,6 +151,22 @@ mod tests {
         assert!(Cycle::new(1) < Cycle::new(2));
         assert_eq!(Cycle::new(1).max(Cycle::new(2)), Cycle::new(2));
         assert_eq!(Cycle::new(5).max(Cycle::new(2)), Cycle::new(5));
+    }
+
+    #[test]
+    fn bound_folds_to_the_earliest_offer_and_never_below_now_plus_one() {
+        let now = Cycle::new(10);
+        let mut best = None;
+        for t in [40, 25, 30] {
+            fold_bound(&mut best, now, Cycle::new(t));
+        }
+        assert_eq!(best, Some(Cycle::new(25)));
+        // A stale or same-cycle stamp is clamped to the floor.
+        fold_bound(&mut best, now, Cycle::new(3));
+        assert_eq!(best, Some(Cycle::new(11)));
+        let mut best = None;
+        fold_bound(&mut best, now, now);
+        assert_eq!(best, Some(Cycle::new(11)));
     }
 
     #[test]

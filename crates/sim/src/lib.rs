@@ -3,7 +3,8 @@
 //! This crate provides the time base and bookkeeping primitives shared by
 //! every other crate in the workspace:
 //!
-//! * [`Cycle`] — a newtype over `u64` representing simulated time,
+//! * [`Cycle`] — a newtype over `u64` representing simulated time, and
+//!   [`fold_bound`] — the clamp-and-min fold behind every `next_event`,
 //! * [`TimedQueue`] and [`Pipe`] — latency-stamped message channels used to
 //!   connect hardware components without shared mutable aliasing,
 //! * [`stats`] — counters, histograms, and the per-component stall
@@ -49,7 +50,7 @@ pub mod sched;
 pub mod stats;
 
 pub use cancel::CancelToken;
-pub use cycle::Cycle;
+pub use cycle::{fold_bound, Cycle};
 pub use env::{env_flag, env_path};
 pub use error::ConfigError;
 pub use map::{DenseMap, FnvMap};

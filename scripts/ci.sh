@@ -23,6 +23,33 @@ IN_README=$({ grep -oE 'HFS_[A-Z_]+' README.md; echo HFS_ENV_FLAG_UNDER_TEST; } 
 diff <(echo "$IN_SRC") <(echo "$IN_README") \
     || { echo "crates/*/src (<) and README.md (>) disagree on the HFS_* variables"; exit 1; }
 
+echo "==> one protocol module (no other file of hfs-mem compares a Protocol; every fault hook still in place)"
+# Product code is what precedes a file's `#[cfg(test)]`. Allowed:
+# protocol.rs itself and the `Protocol::Msi` default in config.rs.
+for f in crates/mem/src/*.rs; do
+    [ "$f" = crates/mem/src/protocol.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Protocol::' | grep -v 'protocol: Protocol::Msi,'; then
+        echo "$f names a Protocol variant outside crates/mem/src/protocol.rs"; exit 1
+    fi
+done
+MUTATIONS=$(sed -n '/pub const ALL: \[Mutation; 13\]/,/\];/p' crates/check/src/lib.rs | grep -oE 'Mutation::[A-Za-z]+')
+[ "$(wc -l <<<"$MUTATIONS")" = 13 ] || { echo "expected 13 mutations in Mutation::ALL"; exit 1; }
+PRODUCT=$(for f in crates/{mem,core,cpu}/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
+for m in $MUTATIONS; do
+    grep -q "$m\b" <<<"$PRODUCT" || { echo "$m is armed by no product code"; exit 1; }
+done
+
+echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
+# Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
+# EX (MESI), EX (Dragon), SY (Dragon).
+IN_DOC=$(sed -n '/^### Coherence protocols/,/^Geomean EXISTING/p' EXPERIMENTS.md \
+    | awk -F'|' '$3 ~ /^ [0-9]+ $/ { print $2, $3+0, $4+0, $6+0, $8+0, $9+0 }' | tr -s ' ' | sed 's/^ //')
+IN_TEST=$(sed -n '/^const FIG7_CYCLES/,/^];/p' tests/protocols.rs \
+    | sed -nE 's/^ *\("([a-z0-9]+)", \[([0-9, ]+)\]\),$/\1 \2/p' | tr -d ',')
+[ "$(wc -l <<<"$IN_TEST")" = 9 ] || { echo "tests/protocols.rs: expected 9 pinned rows"; exit 1; }
+diff <(echo "$IN_DOC") <(echo "$IN_TEST") \
+    || { echo "EXPERIMENTS.md (<) and tests/protocols.rs (>) disagree on the protocol table"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

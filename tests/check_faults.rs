@@ -119,7 +119,7 @@ fn sweep(p: Protocol) {
                     .take_while(|c| *c != ':' && !c.is_whitespace())
                     .collect();
                 assert!(
-                    invariant_table(p.kind()).contains(&fired),
+                    invariant_table(p).contains(&fired),
                     "{m:?} under {p}: rule `{fired}` fired but is not in the {p} invariant table"
                 );
             }
