@@ -13,14 +13,7 @@ fn main() {
             "new interconnect",
         ],
     );
-    for d in [
-        DesignPoint::existing(),
-        DesignPoint::memopti(),
-        DesignPoint::syncopti(),
-        DesignPoint::syncopti_sc_q64(),
-        DesignPoint::heavywt(),
-        DesignPoint::regmapped(0),
-    ] {
+    for d in DesignPoint::paper_points() {
         let c = storage_cost(&d);
         t.row(vec![
             d.label(),

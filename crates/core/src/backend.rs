@@ -20,9 +20,8 @@ use hfs_sim::stats::StallComponent;
 use hfs_sim::{fold_bound, Cycle, DenseMap, FnvMap};
 use hfs_trace::{TraceEvent, Tracer};
 
-use crate::design::{DesignPoint, HeavyWtConfig, SyncOptiConfig};
-
-use crate::lower::{queue_mem_info, QueueMemInfo, LINE_BYTES, QUEUE_BASE, QUEUE_SPAN};
+use crate::design::{DesignPoint, HeavyWtConfig, Mechanism};
+use crate::lower::{QueueMemInfo, LINE_BYTES, QUEUE_BASE, QUEUE_SPAN};
 use crate::queues::QueueCheck;
 use crate::stream_cache::StreamCache;
 use crate::sync_array::{SyncArray, SyncArrayConfig};
@@ -70,29 +69,20 @@ impl Backend {
         consumer: CoreId,
     ) -> Result<Self, hfs_sim::ConfigError> {
         design.validate()?;
-        Ok(match design {
-            DesignPoint::Existing(c) => Backend::Software(SoftwareBackend::new(
-                queues, producer, consumer, false, c.qlu,
-            )),
-            DesignPoint::MemOpti(c) => Backend::Software(SoftwareBackend::new(
-                queues, producer, consumer, true, c.qlu,
-            )),
-            DesignPoint::SyncOpti(c) => {
-                Backend::SyncOpti(SyncOptiBackend::new(*c, design, queues, producer, consumer))
+        Ok(match design.mechanism() {
+            Mechanism::Software(_) => {
+                Backend::Software(SoftwareBackend::new(design, queues, producer, consumer))
             }
-            DesignPoint::HeavyWt(c) => {
-                Backend::HeavyWt(HeavyWtBackend::new(*c, producer, consumer)?)
-            }
-            DesignPoint::RegMapped(c) => Backend::HeavyWt(HeavyWtBackend::new(
-                HeavyWtConfig {
-                    queue_depth: c.queue_depth,
-                    transit: c.transit,
-                    sa_ops_per_cycle: c.sa_ops_per_cycle,
-                    sa_latency: 1,
-                },
+            Mechanism::SyncOpti(c) => Backend::SyncOpti(SyncOptiBackend::new(
+                design,
+                c.stream_cache,
+                queues,
                 producer,
                 consumer,
-            )?),
+            )),
+            Mechanism::Dedicated(c) => {
+                Backend::HeavyWt(HeavyWtBackend::new(c, producer, consumer)?)
+            }
         })
     }
 
@@ -250,48 +240,48 @@ pub(crate) struct SoftwareBackend {
     line_sets: FnvMap<u32>,
     pending_forwards: VecDeque<Addr>,
     check: QueueCheck,
-    /// Queue layout unit (slots per line, Figure 5).
-    qlu: u32,
-    /// Byte distance between slots (128 / qlu, at least 16).
-    stride: u64,
+    /// Slot geometry (Figure 5), the same for every queue of a design;
+    /// only `base` is per queue, and offsets are all this backend reads.
+    layout: QueueMemInfo,
     tracer: Tracer,
 }
 
 impl SoftwareBackend {
-    fn new(
-        queues: &[QueueId],
-        producer: CoreId,
-        consumer: CoreId,
-        forward: bool,
-        qlu: u32,
-    ) -> Self {
+    fn new(design: &DesignPoint, queues: &[QueueId], producer: CoreId, consumer: CoreId) -> Self {
         SoftwareBackend {
             queues: queues.to_vec(),
             producer,
             consumer,
-            forward,
+            forward: design.write_forwards(),
             line_sets: FnvMap::new(),
             pending_forwards: VecDeque::new(),
             check: QueueCheck::new(),
-            qlu,
-            stride: (LINE_BYTES / u64::from(qlu)).max(16),
+            layout: design
+                .queue_mem_info(QueueId(0))
+                .expect("software queues live in memory"),
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// The queue, slot and word (flag or datum) a store to `addr` hits.
+    fn classify(&self, addr: Addr) -> Option<(QueueId, u64, bool)> {
+        let (q, off) = queue_of_addr(addr, &self.queues)?;
+        let (slot, is_flag) = self.layout.slot_of_offset(off);
+        Some((q, slot, is_flag))
     }
 
     fn process(&mut self, mem: &mut MemSystem, events: &[MemEvent], now: Cycle) {
         for ev in events {
             if let MemEvent::StorePerformed { core, addr, value } = *ev {
-                let Some((q, off)) = queue_of_addr(addr, &self.queues) else {
+                let Some((q, slot, is_flag)) = self.classify(addr) else {
                     continue;
                 };
-                let is_flag = off % self.stride == 8;
                 if core == self.producer && !is_flag {
                     // A data store: verify it lands on the right slot
                     // (data stores may perform out of program order; the
                     // release flag store enforces publication order).
-                    let slot = off / self.stride;
-                    self.check.on_produce_slot(q, slot, value, 32);
+                    self.check
+                        .on_produce_slot(q, slot, value, self.layout.depth.into());
                     // Data values carry their absolute sequence number, so
                     // they double as the trace's produce/consume match key.
                     self.tracer.emit(|| TraceEvent::Produce {
@@ -314,7 +304,7 @@ impl SoftwareBackend {
                     self.check.on_consume(q, seen, seen);
                 } else if core == self.producer && is_flag && value != 0 && self.forward {
                     let line = addr.as_u64() / LINE_BYTES;
-                    if bump_line(&mut self.line_sets, line, self.qlu) {
+                    if bump_line(&mut self.line_sets, line, self.layout.qlu) {
                         self.pending_forwards.push_back(addr.line_base(LINE_BYTES));
                     }
                 }
@@ -397,15 +387,17 @@ pub(crate) struct SyncOptiBackend {
 
 impl SyncOptiBackend {
     fn new(
-        cfg: SyncOptiConfig,
         design: &DesignPoint,
+        stream_cache: bool,
         queues: &[QueueId],
         producer: CoreId,
         consumer: CoreId,
     ) -> Self {
         let mut state = DenseMap::new();
         for &q in queues {
-            let info = queue_mem_info(design, q).expect("SYNCOPTI uses memory backing");
+            let info = design
+                .queue_mem_info(q)
+                .expect("SYNCOPTI uses memory backing");
             state.insert(
                 q.index(),
                 SoQueue {
@@ -425,7 +417,7 @@ impl SyncOptiBackend {
             );
         }
         SyncOptiBackend {
-            sc: cfg.stream_cache.then(StreamCache::paper_1kb),
+            sc: stream_cache.then(StreamCache::paper_1kb),
             producer,
             consumer,
             queues: queues.to_vec(),
@@ -1221,6 +1213,34 @@ mod tests {
         b.poll(CoreId(1), Cycle::new(1), &mut done);
         assert!(done.is_empty());
         assert_eq!(b.location(tok), hfs_sim::stats::StallComponent::PreL2);
+    }
+
+    /// The addresses the sequencer generates for a software queue's
+    /// slots are the ones the backend takes for that slot's datum and
+    /// flag: both derive from the one `queue_mem_info`.
+    #[test]
+    fn sequencer_and_software_backend_agree_on_every_slot() {
+        use crate::kernel::KernelPair;
+        use crate::lower::{lower, Role};
+        let pair = KernelPair::simple("t", 1, 10);
+        let q = QueueId(0);
+        for qlu in [1, 2, 4, 8] {
+            for design in [
+                DesignPoint::existing_with_qlu(qlu),
+                DesignPoint::memopti_with_qlu(qlu),
+            ] {
+                let lowered = lower(&pair, &design, Role::Producer).unwrap();
+                let plan = lowered.program.queue_plan(q).unwrap();
+                let layout = plan.layout.expect("software queues are addressed");
+                let b = SoftwareBackend::new(&design, &[q], CoreId(0), CoreId(1));
+                for slot in 0..plan.depth {
+                    let at = u64::from(slot);
+                    assert_eq!(b.classify(layout.data_addr(slot)), Some((q, at, false)));
+                    assert_eq!(b.classify(layout.flag_addr(slot)), Some((q, at, true)));
+                }
+                assert_eq!(plan.depth, b.layout.depth, "{design}");
+            }
+        }
     }
 
     #[test]

@@ -44,13 +44,13 @@ impl MachineConfig {
     }
 
     /// Applies the §4.5 slow-bus sensitivity setting (4-cycle bus;
-    /// Figure 10). For HEAVYWT the dedicated interconnect slows to 4
-    /// cycles as well, as in the paper.
+    /// Figure 10). A dedicated interconnect (HEAVYWT's, which REGMAPPED
+    /// shares) slows to 4 cycles as well, as in the paper.
     #[must_use]
     pub fn with_bus_divider(mut self, divider: u64) -> Self {
         self.mem.bus.clock_divider = divider;
-        if let DesignPoint::HeavyWt(ref mut h) = self.design {
-            h.transit = h.transit.max(divider);
+        if let Some(transit) = self.design.dedicated_transit_mut() {
+            *transit = (*transit).max(divider);
         }
         self
     }
@@ -155,10 +155,25 @@ mod tests {
             .with_bus_width(128);
         assert_eq!(c.mem.bus.clock_divider, 4);
         assert_eq!(c.mem.bus.width_bytes, 128);
-        match c.design {
-            DesignPoint::HeavyWt(h) => assert_eq!(h.transit, 4),
-            _ => unreachable!(),
+        assert_eq!(c.design, DesignPoint::heavywt_with_transit(4));
+    }
+
+    #[test]
+    fn a_slow_bus_slows_every_dedicated_interconnect() {
+        use crate::design::Mechanism;
+        for d in DesignPoint::paper_points() {
+            let slowed = MachineConfig::itanium2_cmp(d).with_bus_divider(4).design;
+            match slowed.mechanism() {
+                Mechanism::Dedicated(hw) => assert_eq!(hw.transit, 4, "{d}"),
+                _ => assert_eq!(slowed, d, "{d} has no interconnect of its own"),
+            }
         }
+        // Never faster than the design asked for.
+        let c = MachineConfig::itanium2_cmp(DesignPoint::heavywt_with_transit(10));
+        assert_eq!(
+            c.with_bus_divider(4).design,
+            DesignPoint::heavywt_with_transit(10)
+        );
     }
 
     #[test]

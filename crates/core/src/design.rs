@@ -1,8 +1,26 @@
 //! The design space of §3–§4: four streaming-support design points.
+//!
+//! This is the one file that names a [`DesignPoint`] variant. Every
+//! design-dependent fact another layer needs — queue memory layout,
+//! backend mechanism, forwarding, wire form, bounds — is a method here.
 
 use std::fmt;
 
+use hfs_isa::QueueId;
 use hfs_sim::ConfigError;
+
+use crate::lower::{queue_base, QueueMemInfo, LINE_BYTES, QUEUE_SPAN};
+
+// Upper bounds on what a backend allocates from, loops over or adds to a
+// cycle count: a spec from the wire must fail validation, not exhaust
+// memory. Each is at least 8x the largest value any committed experiment,
+// test or example uses (depth 64, transit 20, 4 ports, latency 12,
+// spill 8). Memory-backed depth is bounded by `QUEUE_SPAN` instead.
+const MAX_QUEUE_DEPTH: u32 = 1024;
+const MAX_TRANSIT: u64 = 256;
+const MAX_SA_OPS_PER_CYCLE: u32 = 64;
+const MAX_SA_LATENCY: u64 = 256;
+const MAX_SPILL_OPS: u32 = 256;
 
 /// Software-queue parameters (EXISTING/MEMOPTI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +148,34 @@ pub enum DesignPoint {
     RegMapped(RegMappedConfig),
 }
 
+/// What carries a design's produce/consume: the three backends, with the
+/// parameters each is built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mechanism {
+    /// Load/store sequences on flagged slots in shared memory.
+    Software(SoftwareConfig),
+    /// Produce/consume instructions over the memory system.
+    SyncOpti(SyncOptiConfig),
+    /// Produce/consume on a dedicated store and interconnect.
+    Dedicated(HeavyWtConfig),
+}
+
 impl DesignPoint {
+    /// The points the paper names, in its order: the four of §4, the §5
+    /// SYNCOPTI optimizations, and §3.1.3's register-mapped variant.
+    pub fn paper_points() -> [DesignPoint; 8] {
+        [
+            Self::existing(),
+            Self::memopti(),
+            Self::syncopti(),
+            Self::syncopti_sc(),
+            Self::syncopti_q64(),
+            Self::syncopti_sc_q64(),
+            Self::heavywt(),
+            Self::regmapped(0),
+        ]
+    }
+
     /// The EXISTING baseline (QLU 8).
     pub fn existing() -> Self {
         DesignPoint::Existing(SoftwareConfig::default())
@@ -224,20 +269,65 @@ impl DesignPoint {
         })
     }
 
+    /// The backend mechanism and its parameters. REGMAPPED runs on
+    /// HEAVYWT's hardware, its store distributed at the consumer core.
+    pub(crate) fn mechanism(&self) -> Mechanism {
+        match *self {
+            DesignPoint::Existing(c) | DesignPoint::MemOpti(c) => Mechanism::Software(c),
+            DesignPoint::SyncOpti(c) => Mechanism::SyncOpti(c),
+            DesignPoint::HeavyWt(c) => Mechanism::Dedicated(c),
+            DesignPoint::RegMapped(c) => Mechanism::Dedicated(HeavyWtConfig {
+                queue_depth: c.queue_depth,
+                transit: c.transit,
+                sa_ops_per_cycle: c.sa_ops_per_cycle,
+                sa_latency: 1,
+            }),
+        }
+    }
+
+    /// The transit delay of the dedicated interconnect, for designs that
+    /// have one (see [`DesignPoint::mechanism`]).
+    pub(crate) fn dedicated_transit_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            DesignPoint::HeavyWt(c) => Some(&mut c.transit),
+            DesignPoint::RegMapped(c) => Some(&mut c.transit),
+            _ => None,
+        }
+    }
+
     /// Queue depth in entries for this design.
     pub fn queue_depth(&self) -> u32 {
-        match self {
-            DesignPoint::Existing(_) | DesignPoint::MemOpti(_) => 32,
-            DesignPoint::SyncOpti(c) => c.queue_depth,
-            DesignPoint::HeavyWt(c) => c.queue_depth,
-            DesignPoint::RegMapped(c) => c.queue_depth,
+        match self.mechanism() {
+            Mechanism::Software(_) => 32, // §4.3; not a parameter
+            Mechanism::SyncOpti(c) => c.queue_depth,
+            Mechanism::Dedicated(c) => c.queue_depth,
         }
+    }
+
+    /// Shared-memory layout of `q` (Figure 5), or `None` for designs with
+    /// a dedicated backing store.
+    pub fn queue_mem_info(&self, q: QueueId) -> Option<QueueMemInfo> {
+        let (qlu, stride, flag_offset) = match self.mechanism() {
+            // One 8-byte datum then its 8-byte flag per slot; QLU 8 packs
+            // eight slots per 128 B line, QLU 1 pads each slot to a full
+            // line.
+            Mechanism::Software(c) => (c.qlu, (LINE_BYTES / u64::from(c.qlu)).max(16), Some(8)),
+            Mechanism::SyncOpti(c) => (c.qlu, LINE_BYTES / u64::from(c.qlu), None),
+            Mechanism::Dedicated(_) => return None,
+        };
+        Some(QueueMemInfo {
+            depth: self.queue_depth(),
+            qlu,
+            stride,
+            flag_offset,
+            base: queue_base(q),
+        })
     }
 
     /// Whether communication lowers to software spin sequences (shared
     /// memory queues) rather than produce/consume instructions.
     pub fn is_software(&self) -> bool {
-        matches!(self, DesignPoint::Existing(_) | DesignPoint::MemOpti(_))
+        matches!(self.mechanism(), Mechanism::Software(_))
     }
 
     /// Whether produce/consume ride existing instructions for free
@@ -291,23 +381,89 @@ impl DesignPoint {
         }
     }
 
+    /// The `kind` string that opens this design's wire form.
+    pub fn wire_kind(&self) -> &'static str {
+        match self {
+            DesignPoint::Existing(_) => "existing",
+            DesignPoint::MemOpti(_) => "memopti",
+            DesignPoint::SyncOpti(_) => "syncopti",
+            DesignPoint::HeavyWt(_) => "heavywt",
+            DesignPoint::RegMapped(_) => "regmapped",
+        }
+    }
+
+    /// The paper's point of wire kind `kind`: the value a decoder starts
+    /// from and [`DesignPoint::map_wire_fields`] overwrites.
+    pub fn of_wire_kind(kind: &str) -> Option<Self> {
+        Self::paper_points()
+            .into_iter()
+            .find(|d| d.wire_kind() == kind)
+    }
+
+    /// Passes each field of this design's wire form through `f`, in wire
+    /// order, as `f(name, max, value)`, and keeps what `f` returns: an
+    /// encoder writes `value` and returns it, a decoder returns what it
+    /// read. Every field is an unsigned integer no larger than `max`; a
+    /// field whose `max` is 1 is a flag, which the wire carries as a
+    /// boolean.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// If `f` returns a value above the `max` it was given.
+    pub fn map_wire_fields<E>(
+        mut self,
+        mut f: impl FnMut(&'static str, u64, u64) -> Result<u64, E>,
+    ) -> Result<Self, E> {
+        const U32: u64 = u32::MAX as u64;
+        let narrow =
+            |v: u64| u32::try_from(v).expect("the field visitor keeps a value within its max");
+        match &mut self {
+            DesignPoint::Existing(c) | DesignPoint::MemOpti(c) => {
+                c.qlu = narrow(f("qlu", U32, c.qlu.into())?);
+            }
+            DesignPoint::SyncOpti(c) => {
+                c.queue_depth = narrow(f("queue_depth", U32, c.queue_depth.into())?);
+                c.qlu = narrow(f("qlu", U32, c.qlu.into())?);
+                c.stream_cache = f("stream_cache", 1, c.stream_cache.into())? != 0;
+            }
+            DesignPoint::HeavyWt(c) => {
+                c.queue_depth = narrow(f("queue_depth", U32, c.queue_depth.into())?);
+                c.transit = f("transit", u64::MAX, c.transit)?;
+                c.sa_ops_per_cycle = narrow(f("sa_ops_per_cycle", U32, c.sa_ops_per_cycle.into())?);
+                c.sa_latency = f("sa_latency", u64::MAX, c.sa_latency)?;
+            }
+            DesignPoint::RegMapped(c) => {
+                c.queue_depth = narrow(f("queue_depth", U32, c.queue_depth.into())?);
+                c.transit = f("transit", u64::MAX, c.transit)?;
+                c.sa_ops_per_cycle = narrow(f("sa_ops_per_cycle", U32, c.sa_ops_per_cycle.into())?);
+                c.spill_ops = narrow(f("spill_ops", U32, c.spill_ops.into())?);
+            }
+        }
+        Ok(self)
+    }
+
     /// Validates the design parameters.
     ///
     /// # Errors
     ///
     /// Rejects zero depths, QLUs that do not divide the queue depth or
-    /// exceed a 128-byte line of 8-byte entries, and zero-rate hardware.
+    /// exceed a 128-byte line of 8-byte entries, zero-rate hardware, and
+    /// any parameter above its bound (a queue that outgrows its
+    /// [`QUEUE_SPAN`] of backing store included).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            DesignPoint::Existing(c) | DesignPoint::MemOpti(c) => {
+        match self.mechanism() {
+            Mechanism::Software(c) => {
                 if ![1, 2, 4, 8].contains(&c.qlu) {
                     return Err(ConfigError::new(
                         "software QLU must be 1, 2, 4 or 8 (16-byte data+flag slots                          on 128-byte lines)",
                     ));
                 }
-                Ok(())
             }
-            DesignPoint::SyncOpti(c) => {
+            Mechanism::SyncOpti(c) => {
                 if c.queue_depth == 0 {
                     return Err(ConfigError::new("queue depth must be non-zero"));
                 }
@@ -319,36 +475,44 @@ impl DesignPoint {
                 if c.queue_depth % c.qlu != 0 {
                     return Err(ConfigError::new("QLU must divide the queue depth"));
                 }
-                Ok(())
             }
-            DesignPoint::HeavyWt(c) => {
-                if c.queue_depth == 0 {
-                    return Err(ConfigError::new("queue depth must be non-zero"));
-                }
-                if c.transit == 0 {
-                    return Err(ConfigError::new("transit delay must be at least 1 cycle"));
-                }
-                if c.sa_ops_per_cycle == 0 {
-                    return Err(ConfigError::new(
-                        "the synchronization array needs at least one port",
-                    ));
-                }
-                if c.sa_latency == 0 {
-                    return Err(ConfigError::new(
-                        "the backing store needs at least 1 cycle of access latency",
-                    ));
-                }
-                Ok(())
-            }
-            DesignPoint::RegMapped(c) => {
-                if c.queue_depth == 0 || c.transit == 0 || c.sa_ops_per_cycle == 0 {
-                    return Err(ConfigError::new(
-                        "register-mapped queue hardware dimensions must be non-zero",
-                    ));
-                }
-                Ok(())
+            Mechanism::Dedicated(c) => {
+                let within = |what: &str, v: u64, max: u64| {
+                    if v == 0 || v > max {
+                        let bounds = format!("{what} must be between 1 and {max}");
+                        return Err(ConfigError::new(bounds));
+                    }
+                    Ok(())
+                };
+                within("queue depth", c.queue_depth.into(), MAX_QUEUE_DEPTH.into())?;
+                within("transit delay in cycles", c.transit, MAX_TRANSIT)?;
+                within(
+                    "synchronization-array ports",
+                    c.sa_ops_per_cycle.into(),
+                    MAX_SA_OPS_PER_CYCLE.into(),
+                )?;
+                within(
+                    "backing-store latency in cycles",
+                    c.sa_latency,
+                    MAX_SA_LATENCY,
+                )?;
             }
         }
+        if self.spill_ops() > MAX_SPILL_OPS {
+            return Err(ConfigError::new(format!(
+                "at most {MAX_SPILL_OPS} spill/fill pairs per iteration"
+            )));
+        }
+        // Past its span a queue's slots would alias the next queue's.
+        if self
+            .queue_mem_info(QueueId(0))
+            .is_some_and(|info| info.bytes() > QUEUE_SPAN)
+        {
+            return Err(ConfigError::new(format!(
+                "queue depth x slot stride must fit the {QUEUE_SPAN}-byte queue span"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -420,6 +584,209 @@ mod tests {
         assert!(DesignPoint::memopti().write_forwards());
         assert!(DesignPoint::syncopti().write_forwards());
         assert!(!DesignPoint::heavywt().write_forwards());
+    }
+
+    /// One row per fact another layer asks of a design, one column per
+    /// paper point: a changed answer fails by name.
+    #[test]
+    fn design_table() {
+        type Row = (&'static str, fn(&DesignPoint) -> String, [&'static str; 8]);
+        let rows: [Row; 10] = [
+            (
+                "label",
+                DesignPoint::label,
+                [
+                    "EXISTING",
+                    "MEMOPTI",
+                    "SYNCOPTI",
+                    "SYNCOPTI+SC",
+                    "SYNCOPTI+Q64",
+                    "SYNCOPTI+SC+Q64",
+                    "HEAVYWT",
+                    "REGMAPPED",
+                ],
+            ),
+            (
+                "validates",
+                |d| d.validate().is_ok().to_string(),
+                ["true"; 8],
+            ),
+            (
+                "wire kind",
+                |d| d.wire_kind().to_string(),
+                [
+                    "existing",
+                    "memopti",
+                    "syncopti",
+                    "syncopti",
+                    "syncopti",
+                    "syncopti",
+                    "heavywt",
+                    "regmapped",
+                ],
+            ),
+            (
+                "wire fields, which decode to the design they encode",
+                |d| {
+                    let mut sent = Vec::new();
+                    let same = d.map_wire_fields(|name, max, v| {
+                        assert!(v <= max, "{d}: {name}");
+                        sent.push((name, v));
+                        Ok::<_, ()>(v)
+                    });
+                    assert_eq!(same, Ok(*d));
+                    let mut wire = sent.iter();
+                    let back = DesignPoint::of_wire_kind(d.wire_kind())
+                        .unwrap()
+                        .map_wire_fields(|name, _, _| {
+                            let &(sent_name, v) = wire.next().unwrap();
+                            assert_eq!(name, sent_name, "{d}");
+                            Ok::<_, ()>(v)
+                        });
+                    assert_eq!(back, Ok(*d));
+                    let names: Vec<_> = sent.iter().map(|(name, _)| *name).collect();
+                    names.join(" ")
+                },
+                [
+                    "qlu",
+                    "qlu",
+                    "queue_depth qlu stream_cache",
+                    "queue_depth qlu stream_cache",
+                    "queue_depth qlu stream_cache",
+                    "queue_depth qlu stream_cache",
+                    "queue_depth transit sa_ops_per_cycle sa_latency",
+                    "queue_depth transit sa_ops_per_cycle spill_ops",
+                ],
+            ),
+            (
+                "mechanism",
+                |d| {
+                    match d.mechanism() {
+                        Mechanism::Software(_) => "software",
+                        Mechanism::SyncOpti(_) => "syncopti",
+                        Mechanism::Dedicated(_) => "dedicated",
+                    }
+                    .to_string()
+                },
+                [
+                    "software",
+                    "software",
+                    "syncopti",
+                    "syncopti",
+                    "syncopti",
+                    "syncopti",
+                    "dedicated",
+                    "dedicated",
+                ],
+            ),
+            (
+                "queue depth",
+                |d| d.queue_depth().to_string(),
+                ["32", "32", "32", "32", "64", "64", "32", "32"],
+            ),
+            (
+                "memory layout: depth x stride, flag offset",
+                |d| {
+                    d.queue_mem_info(QueueId(0)).map_or("none".into(), |i| {
+                        assert_eq!(i.base, queue_base(QueueId(0)));
+                        assert_eq!(u64::from(i.qlu) * i.stride, LINE_BYTES, "{d}");
+                        format!("{}x{} {:?}", i.depth, i.stride, i.flag_offset)
+                    })
+                },
+                [
+                    "32x16 Some(8)",
+                    "32x16 Some(8)",
+                    "32x16 None",
+                    "32x16 None",
+                    "64x8 None",
+                    "64x8 None",
+                    "none",
+                    "none",
+                ],
+            ),
+            (
+                "write-forwards filled lines",
+                |d| d.write_forwards().to_string(),
+                [
+                    "false", "true", "true", "true", "true", "true", "false", "false",
+                ],
+            ),
+            (
+                "dedicated hardware: depth, transit, ports, latency",
+                |d| match d.mechanism() {
+                    Mechanism::Dedicated(c) => format!(
+                        "{} {} {} {}",
+                        c.queue_depth, c.transit, c.sa_ops_per_cycle, c.sa_latency
+                    ),
+                    _ => "none".into(),
+                },
+                [
+                    "none", "none", "none", "none", "none", "none", "32 1 4 1", "32 1 4 1",
+                ],
+            ),
+            (
+                "queue operations ride existing instructions",
+                |d| d.is_register_mapped().to_string(),
+                [
+                    "false", "false", "false", "false", "false", "false", "false", "true",
+                ],
+            ),
+        ];
+        for (fact, answer, expected) in rows {
+            let got = DesignPoint::paper_points().map(|d| answer(&d));
+            assert_eq!(got, expected.map(String::from), "{fact}");
+        }
+    }
+
+    /// Each bound admits its maximum and refuses one more (huge values,
+    /// end to end: `tests/design_space.rs`).
+    #[test]
+    fn bounds_are_exact_and_leave_headroom() {
+        let hw = |queue_depth, transit, sa_ops_per_cycle, sa_latency| {
+            DesignPoint::HeavyWt(HeavyWtConfig {
+                queue_depth,
+                transit,
+                sa_ops_per_cycle,
+                sa_latency,
+            })
+        };
+        let (d, t, p, l) = (
+            MAX_QUEUE_DEPTH,
+            MAX_TRANSIT,
+            MAX_SA_OPS_PER_CYCLE,
+            MAX_SA_LATENCY,
+        );
+        assert!(hw(d, t, p, l).validate().is_ok());
+        for over in [
+            hw(d + 1, t, p, l),
+            hw(d, t + 1, p, l),
+            hw(d, t, p + 1, l),
+            hw(d, t, p, l + 1),
+        ] {
+            assert!(over.validate().is_err(), "{over:?}");
+        }
+        assert!(DesignPoint::regmapped(MAX_SPILL_OPS).validate().is_ok());
+        assert!(DesignPoint::regmapped(MAX_SPILL_OPS + 1)
+            .validate()
+            .is_err());
+        // 1024 8-byte slots fill the 8 KiB span; one more line outgrows it.
+        let syncopti = |queue_depth| {
+            DesignPoint::SyncOpti(SyncOptiConfig {
+                queue_depth,
+                qlu: 16,
+                stream_cache: false,
+            })
+        };
+        assert!(syncopti(1024).validate().is_ok());
+        assert!(syncopti(1024 + 16).validate().is_err());
+        // 8x headroom over every committed experiment, test and example.
+        for d in [
+            DesignPoint::heavywt_with(8 * 20, 8 * 64),
+            DesignPoint::heavywt_centralized(8 * 12),
+            DesignPoint::regmapped(8 * 8),
+        ] {
+            assert!(d.validate().is_ok(), "{d}");
+        }
     }
 
     #[test]

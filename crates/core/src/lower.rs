@@ -12,9 +12,9 @@
 //!   to a single ISA instruction (§3.1.2).
 //!
 //! Lowering also fixes the machine's address map: thread-private work
-//! regions and, for shared-memory backing stores, the Figure 5 queue
-//! layout (slot stride = line size / QLU, flags co-located for software
-//! queues).
+//! regions and each queue's span of the shared backing store. How a
+//! design lays a queue out within its span (Figure 5) is the design's to
+//! say: [`DesignPoint::queue_mem_info`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -38,6 +38,8 @@ pub const QUEUE_BASE: u64 = 0x4000_0000;
 /// Bytes reserved per queue in the backing store (keeps queues on
 /// distinct pages so they never falsely share lines).
 pub const QUEUE_SPAN: u64 = 8192;
+/// Architectural queues provided by the machine (§4.3: 64 queues).
+pub const ARCH_QUEUES: u64 = 64;
 /// Cache line size of the backing store (Table 2's L2/L3 lines).
 pub const LINE_BYTES: u64 = 128;
 
@@ -59,6 +61,9 @@ pub struct QueueMemInfo {
     pub qlu: u32,
     /// Byte distance between slots.
     pub stride: u64,
+    /// Offset of a slot's full/empty flag from its datum, for designs
+    /// that synchronize through flags in memory (software queues).
+    pub flag_offset: Option<u64>,
     /// Base address of slot 0.
     pub base: Addr,
 }
@@ -78,34 +83,20 @@ impl QueueMemInfo {
     pub fn bytes(&self) -> u64 {
         u64::from(self.depth) * self.stride
     }
+
+    /// The slot that byte `off` of the queue's backing store belongs to,
+    /// and whether `off` is that slot's flag rather than its datum.
+    pub(crate) fn slot_of_offset(&self, off: u64) -> (u64, bool) {
+        (
+            off / self.stride,
+            self.flag_offset == Some(off % self.stride),
+        )
+    }
 }
 
 /// Base address of queue `q`'s backing store.
 pub fn queue_base(q: QueueId) -> Addr {
     Addr::new(QUEUE_BASE + u64::from(q.0) * QUEUE_SPAN)
-}
-
-/// Shared-memory layout of `q` under `design`, or `None` for designs with
-/// dedicated backing stores.
-pub fn queue_mem_info(design: &DesignPoint, q: QueueId) -> Option<QueueMemInfo> {
-    match design {
-        DesignPoint::Existing(c) | DesignPoint::MemOpti(c) => Some(QueueMemInfo {
-            depth: design.queue_depth(),
-            qlu: c.qlu,
-            // One 8-byte datum + 8-byte flag per slot; QLU 8 packs eight
-            // slots per 128 B line, QLU 1 pads each slot to a full line
-            // (Figure 5).
-            stride: (LINE_BYTES / u64::from(c.qlu)).max(16),
-            base: queue_base(q),
-        }),
-        DesignPoint::SyncOpti(c) => Some(QueueMemInfo {
-            depth: c.queue_depth,
-            qlu: c.qlu,
-            stride: LINE_BYTES / u64::from(c.qlu),
-            base: queue_base(q),
-        }),
-        DesignPoint::HeavyWt(_) | DesignPoint::RegMapped(_) => None,
-    }
 }
 
 /// A lowered program plus the region base addresses its sequencer needs.
@@ -160,16 +151,17 @@ pub fn lower_at(
     let (prods, cons) = kernel.queue_uses();
     for (qs, qrole) in [(prods, QueueRole::Produce), (cons, QueueRole::Consume)] {
         for q in qs {
-            let layout = if design.is_software() {
-                let info = queue_mem_info(design, q).expect("software designs use memory");
-                Some(QueueMemLayout {
+            // The sequencer generates queue addresses only where flags
+            // live in memory; a produce/consume instruction leaves
+            // addressing to the backend.
+            let layout = design
+                .queue_mem_info(q)
+                .filter(|info| info.flag_offset.is_some())
+                .map(|info| QueueMemLayout {
                     base: info.base,
                     slot_stride: info.stride,
-                    flag_offset: Some(8),
-                })
-            } else {
-                None
-            };
+                    flag_offset: info.flag_offset,
+                });
             b.plan_queue(QueuePlan {
                 q,
                 role: qrole,
@@ -178,7 +170,7 @@ pub fn lower_at(
             });
         }
     }
-    lower_steps(&mut b, &kernel.steps, design, &region_ids);
+    lower_steps(&mut b, &kernel.steps, design.is_software(), &region_ids);
     // Register-mapped queues split the register space; loops with many
     // live values pay spill/fill pairs every iteration (§3.1.3).
     let spills = design.spill_ops();
@@ -230,9 +222,9 @@ pub fn lower_fused(pair: &KernelPair) -> Result<Lowered, ConfigError> {
     }
     let stripped_p = strip_comm(&pair.producer.steps);
     let stripped_c = strip_comm(&pair.consumer.steps);
-    let no_design = DesignPoint::heavywt(); // irrelevant: no comm steps remain
-    lower_steps(&mut b, &stripped_p, &no_design, &prod_ids);
-    lower_steps(&mut b, &stripped_c, &no_design, &cons_ids);
+    // No communication step remains for `software` to choose a lowering of.
+    lower_steps(&mut b, &stripped_p, false, &prod_ids);
+    lower_steps(&mut b, &stripped_c, false, &cons_ids);
     let program = b.build();
     program.validate()?;
     Ok(Lowered {
@@ -252,12 +244,9 @@ fn strip_comm(steps: &[KStep]) -> Vec<KStep> {
         .collect()
 }
 
-fn lower_steps(
-    b: &mut ProgramBuilder,
-    steps: &[KStep],
-    design: &DesignPoint,
-    region_ids: &[RegionId],
-) {
+/// Lowers `steps`; `software` picks the §4.3 load/store sequences over
+/// the produce/consume instructions for each communication.
+fn lower_steps(b: &mut ProgramBuilder, steps: &[KStep], software: bool, region_ids: &[RegionId]) {
     // Destination registers of consumes not yet used by a chain; the
     // next dependent chain reads them (one per link), modeling the
     // consume-to-use dependence that real DSWP consumers have (§4.4).
@@ -293,18 +282,17 @@ fn lower_steps(
             KStep::StoreRandom { region } => {
                 b.store_random(region_ids[*region]);
             }
-            KStep::Produce(q) => lower_produce(b, *q, design),
+            KStep::Produce(q) => lower_produce(b, *q, software),
             KStep::Consume(q) => {
-                consumed.extend(lower_consume(b, *q, design));
+                consumed.extend(lower_consume(b, *q, software));
             }
             KStep::Loop(body, n) => {
                 // Queue plans and regions stay on the parent builder; the
                 // child builder only collects body steps.
-                let design = *design;
                 let ids: Vec<RegionId> = region_ids.to_vec();
                 let body = body.clone();
                 b.inner_loop(*n, move |ib| {
-                    lower_steps(ib, &body, &design, &ids);
+                    lower_steps(ib, &body, software, &ids);
                 });
             }
         }
@@ -313,8 +301,8 @@ fn lower_steps(
 
 /// The software produce sequence of §4.3: 10 instructions — 6 for
 /// synchronization, 1 for data transfer, 3 for the stream-address update.
-fn lower_produce(b: &mut ProgramBuilder, q: QueueId, design: &DesignPoint) {
-    if !design.is_software() {
+fn lower_produce(b: &mut ProgramBuilder, q: QueueId, software: bool) {
+    if !software {
         b.produce(q);
         return;
     }
@@ -339,8 +327,8 @@ fn lower_produce(b: &mut ProgramBuilder, q: QueueId, design: &DesignPoint) {
 
 /// The software consume sequence, mirroring [`lower_produce`]. Returns
 /// the register holding the consumed datum, if the design exposes one.
-fn lower_consume(b: &mut ProgramBuilder, q: QueueId, design: &DesignPoint) -> Option<hfs_isa::Reg> {
-    if !design.is_software() {
+fn lower_consume(b: &mut ProgramBuilder, q: QueueId, software: bool) -> Option<hfs_isa::Reg> {
+    if !software {
         return Some(b.consume_into(q));
     }
     b.instr(InstrTemplate::new(Op::IntAlu, InstrKind::Comm)); // flag addr
@@ -382,7 +370,7 @@ mod tests {
 
     #[test]
     fn software_layout_places_eight_slots_per_line() {
-        let info = queue_mem_info(&DesignPoint::existing(), QueueId(2)).unwrap();
+        let info = DesignPoint::existing().queue_mem_info(QueueId(2)).unwrap();
         assert_eq!(info.qlu, 8);
         assert_eq!(info.stride, 16);
         assert_eq!(info.base, Addr::new(QUEUE_BASE + 2 * QUEUE_SPAN));
@@ -393,7 +381,9 @@ mod tests {
 
     #[test]
     fn syncopti_q64_layout_packs_sixteen_per_line() {
-        let info = queue_mem_info(&DesignPoint::syncopti_q64(), QueueId(0)).unwrap();
+        let info = DesignPoint::syncopti_q64()
+            .queue_mem_info(QueueId(0))
+            .unwrap();
         assert_eq!(info.qlu, 16);
         assert_eq!(info.stride, 8);
         assert_eq!(info.depth, 64);
@@ -404,7 +394,7 @@ mod tests {
 
     #[test]
     fn heavywt_has_no_memory_layout() {
-        assert!(queue_mem_info(&DesignPoint::heavywt(), QueueId(0)).is_none());
+        assert!(DesignPoint::heavywt().queue_mem_info(QueueId(0)).is_none());
     }
 
     #[test]

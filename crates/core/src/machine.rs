@@ -14,7 +14,7 @@ use hfs_trace::{MetricsReport, Tracer};
 use crate::backend::Backend;
 use crate::config::MachineConfig;
 use crate::kernel::KernelPair;
-use crate::lower::{lower_at, lower_fused, Role};
+use crate::lower::{lower_at, lower_fused, Role, ARCH_QUEUES, QUEUE_BASE, QUEUE_SPAN};
 
 /// Cycles between deadlock-detector sweeps. Progress timestamps are
 /// tracked exactly (per core), so striding the sweep changes only when a
@@ -23,6 +23,13 @@ const DEADLOCK_STRIDE: u64 = 64;
 
 /// The largest CMP the bus model supports (4 pipelines x 2 cores).
 const MAX_CORES: usize = 8;
+
+/// Producer/consumer pipelines that fit on it.
+const MAX_PIPELINES: usize = MAX_CORES / 2;
+
+/// The share of the architectural queues each pipeline maps its queue
+/// ids into.
+const QUEUES_PER_PIPELINE: usize = ARCH_QUEUES as usize / MAX_PIPELINES;
 
 /// Fast-forward auto-disable: evaluate the skip rate every this many
 /// *elapsed cycles*. Windowing on cycles rather than bound computations
@@ -261,7 +268,7 @@ impl Machine {
     ///
     /// Configuration errors; at most 4 pairs fit the 8-core bus model.
     pub fn new_multi_pipeline(cfg: &MachineConfig, pairs: &[KernelPair]) -> Result<Self, SimError> {
-        if pairs.is_empty() || pairs.len() > 4 {
+        if pairs.is_empty() || pairs.len() > MAX_PIPELINES {
             return Err(SimError::Config(hfs_sim::ConfigError::new(
                 "between 1 and 4 pipelines are supported",
             )));
@@ -274,8 +281,8 @@ impl Machine {
         let mut cores = Vec::new();
         let mut backends = Vec::new();
         for (i, raw_pair) in pairs.iter().enumerate() {
-            // 16 queues per pipeline keeps ids disjoint.
-            let pair = raw_pair.with_queue_offset((i * 16) as u16);
+            // Its own range of queue ids keeps the pipelines disjoint.
+            let pair = raw_pair.with_queue_offset((i * QUEUES_PER_PIPELINE) as u16);
             let producer_core = CoreId((2 * i) as u8);
             let consumer_core = CoreId((2 * i + 1) as u8);
             let producer = lower_at(&pair, &cfg.design, Role::Producer, i as u32)?;
@@ -301,10 +308,19 @@ impl Machine {
             )?);
         }
         let mut mem = MemSystem::new(cfg.mem.clone())?;
-        mem.set_streaming_range(
-            crate::lower::QUEUE_BASE,
-            crate::lower::QUEUE_BASE + 64 * crate::lower::QUEUE_SPAN,
-        );
+        mem.set_streaming_range(QUEUE_BASE, QUEUE_BASE + ARCH_QUEUES * QUEUE_SPAN);
+        Ok(Self::assemble(cfg, mem, cores, seqs, backends))
+    }
+
+    /// A machine at cycle zero over its built parts, checked as
+    /// `HFS_CHECK` asks.
+    fn assemble(
+        cfg: MachineConfig,
+        mem: MemSystem,
+        cores: Vec<Core>,
+        seqs: Vec<Sequencer>,
+        backends: Vec<Backend>,
+    ) -> Self {
         let mut m = Machine {
             mem,
             cores,
@@ -321,7 +337,7 @@ impl Machine {
             drop_scratch: Vec::new(),
         };
         m.set_checker(Checker::from_env());
-        Ok(m)
+        m
     }
 
     /// Builds a single-core machine running the fused version of `pair`
@@ -342,23 +358,8 @@ impl Machine {
             cfg.seed,
         )?];
         let cores = vec![Core::new(CoreId(0), cfg.core)?];
-        let mut m = Machine {
-            mem: MemSystem::new(cfg.mem.clone())?,
-            cores,
-            seqs,
-            backends: Vec::new(),
-            now: Cycle::ZERO,
-            cfg,
-            tracer: Tracer::disabled(),
-            checker: Checker::disabled(),
-            fast_forward: true,
-            ff: FastForwardStats::default(),
-            cancel: None,
-            events_scratch: Vec::new(),
-            drop_scratch: Vec::new(),
-        };
-        m.set_checker(Checker::from_env());
-        Ok(m)
+        let mem = MemSystem::new(cfg.mem.clone())?;
+        Ok(Self::assemble(cfg, mem, cores, seqs, Vec::new()))
     }
 
     /// Enables or disables idle-cycle fast-forwarding (machines start

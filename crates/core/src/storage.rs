@@ -8,12 +8,11 @@
 //! switch (the hidden cost that §3.4.2/§3.5.2 charge against dedicated
 //! designs).
 
-use crate::design::DesignPoint;
+use crate::design::{DesignPoint, Mechanism};
+use crate::lower::ARCH_QUEUES;
 
 /// Queue datum size in bytes.
 const ENTRY_BYTES: u64 = 8;
-/// Architectural queues provided by the machine (§4.3: 64 queues).
-pub const ARCH_QUEUES: u64 = 64;
 /// Bytes per hardware occupancy counter (enough for depth 64).
 const COUNTER_BYTES: u64 = 2;
 /// Cores sharing the streaming hardware in the evaluated CMP.
@@ -51,19 +50,14 @@ pub struct StorageCost {
 /// assert!(hw.added_storage_bytes > 1000 * sw.added_storage_bytes.max(1));
 /// ```
 pub fn storage_cost(design: &DesignPoint) -> StorageCost {
-    let depth = u64::from(design.queue_depth());
-    match design {
-        // Software queues: no hardware added; queue state lives in
-        // ordinary memory and thread-local registers.
-        DesignPoint::Existing(_) => StorageCost {
-            added_storage_bytes: 0,
-            os_context_bytes: 0,
-            needs_new_interconnect: false,
-        },
-        // MEMOPTI adds only the write-forward parameterization in the
-        // cache controller (a few configuration registers).
-        DesignPoint::MemOpti(_) => StorageCost {
-            added_storage_bytes: 16,
+    let counters = ARCH_QUEUES * COUNTER_BYTES * CORES;
+    match design.mechanism() {
+        // Software queues add no hardware: queue state lives in ordinary
+        // memory and thread-local registers. MEMOPTI adds only the
+        // write-forward parameterization in the cache controller (a few
+        // configuration registers).
+        Mechanism::Software(_) => StorageCost {
+            added_storage_bytes: if design.write_forwards() { 16 } else { 0 },
             os_context_bytes: 0,
             needs_new_interconnect: false,
         },
@@ -71,36 +65,20 @@ pub fn storage_cost(design: &DesignPoint) -> StorageCost {
         // core's L2 controller, plus the optional 1 KB stream cache; the
         // counters are the only new OS context (§4.1: "OS support to
         // context switch the synchronization counters").
-        DesignPoint::SyncOpti(c) => {
-            let counters = ARCH_QUEUES * COUNTER_BYTES * CORES;
-            let sc = if c.stream_cache { 1024 } else { 0 };
-            StorageCost {
-                added_storage_bytes: counters + sc,
-                os_context_bytes: counters,
-                needs_new_interconnect: false,
-            }
-        }
-        // HEAVYWT adds the distributed queue backing store (per-core so
-        // any core can consume), occupancy counters at both ends, and a
-        // dedicated interconnect whose in-flight buffers are also
-        // process state (§3.5.3).
-        DesignPoint::HeavyWt(h) => {
-            let backing = ARCH_QUEUES * depth * ENTRY_BYTES * CORES;
-            let counters = ARCH_QUEUES * COUNTER_BYTES * CORES;
+        Mechanism::SyncOpti(c) => StorageCost {
+            added_storage_bytes: counters + if c.stream_cache { 1024 } else { 0 },
+            os_context_bytes: counters,
+            needs_new_interconnect: false,
+        },
+        // Dedicated hardware (HEAVYWT, and REGMAPPED on top of it, whose
+        // remapped register space is architectural state by definition)
+        // adds the distributed queue backing store (per-core so any core
+        // can consume), occupancy counters at both ends, and a dedicated
+        // interconnect whose in-flight buffers are also process state
+        // (§3.5.3).
+        Mechanism::Dedicated(h) => {
+            let backing = ARCH_QUEUES * u64::from(h.queue_depth) * ENTRY_BYTES * CORES;
             let network = h.transit * u64::from(h.sa_ops_per_cycle) * ENTRY_BYTES;
-            StorageCost {
-                added_storage_bytes: backing + counters + network,
-                os_context_bytes: backing + counters + network,
-                needs_new_interconnect: true,
-            }
-        }
-        // Register-mapped queues need the same dedicated backing store
-        // and network as HEAVYWT, plus the remapped register file space
-        // is architectural state by definition.
-        DesignPoint::RegMapped(r) => {
-            let backing = ARCH_QUEUES * depth * ENTRY_BYTES * CORES;
-            let counters = ARCH_QUEUES * COUNTER_BYTES * CORES;
-            let network = r.transit * u64::from(r.sa_ops_per_cycle) * ENTRY_BYTES;
             StorageCost {
                 added_storage_bytes: backing + counters + network,
                 os_context_bytes: backing + counters + network,

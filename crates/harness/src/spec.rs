@@ -20,9 +20,7 @@
 use std::sync::Arc;
 
 use hfs_core::kernel::{KRegion, KStep, Kernel, KernelPair};
-use hfs_core::{
-    DesignPoint, HeavyWtConfig, MachineConfig, RegMappedConfig, SoftwareConfig, SyncOptiConfig,
-};
+use hfs_core::{DesignPoint, MachineConfig};
 use hfs_cpu::CoreConfig;
 use hfs_isa::QueueId;
 use hfs_mem::{BusConfig, CacheGeometry, MemConfig, Protocol};
@@ -191,102 +189,39 @@ fn read_pair<'a, S: Source<'a>>(s: &mut S) -> Result<KernelPair, DecodeError> {
 }
 
 fn write_design<S: Sink>(s: &mut S, d: &DesignPoint) {
-    use DesignPoint::*;
     s.begin_obj();
-    s.str_field(
-        "kind",
-        match d {
-            Existing(_) => "existing",
-            MemOpti(_) => "memopti",
-            SyncOpti(_) => "syncopti",
-            HeavyWt(_) => "heavywt",
-            RegMapped(_) => "regmapped",
-        },
-    );
-    // One site per field, in wire order; each variant carries a subset.
-    if let SyncOpti(SyncOptiConfig { queue_depth, .. })
-    | HeavyWt(HeavyWtConfig { queue_depth, .. })
-    | RegMapped(RegMappedConfig { queue_depth, .. }) = d
-    {
-        s.u64_field("queue_depth", u64::from(*queue_depth));
-    }
-    if let Existing(SoftwareConfig { qlu })
-    | MemOpti(SoftwareConfig { qlu })
-    | SyncOpti(SyncOptiConfig { qlu, .. }) = d
-    {
-        s.u64_field("qlu", u64::from(*qlu));
-    }
-    if let SyncOpti(c) = d {
-        s.bool_field("stream_cache", c.stream_cache);
-    }
-    if let HeavyWt(HeavyWtConfig {
-        transit,
-        sa_ops_per_cycle,
-        ..
-    })
-    | RegMapped(RegMappedConfig {
-        transit,
-        sa_ops_per_cycle,
-        ..
-    }) = d
-    {
-        s.u64_field("transit", *transit);
-        s.u64_field("sa_ops_per_cycle", u64::from(*sa_ops_per_cycle));
-    }
-    if let HeavyWt(c) = d {
-        s.u64_field("sa_latency", c.sa_latency);
-    }
-    if let RegMapped(c) = d {
-        s.u64_field("spill_ops", u64::from(c.spill_ops));
-    }
+    s.str_field("kind", d.wire_kind());
+    // Handing every value back makes the result `d` again. A field whose
+    // `max` is 1 is a flag, and travels as a boolean.
+    let _ = d.map_wire_fields(|name, max, v| {
+        if max == 1 {
+            s.bool_field(name, v != 0);
+        } else {
+            s.u64_field(name, v);
+        }
+        Ok::<_, std::convert::Infallible>(v)
+    });
     s.end_obj();
 }
 
 fn read_design<'a, S: Source<'a>>(s: &mut S) -> Result<DesignPoint, DecodeError> {
     s.obj(|s, o| {
         let kind = s.str_field(o, "kind")?;
-        let software = matches!(&*kind, "existing" | "memopti");
-        let queued = matches!(&*kind, "syncopti" | "heavywt" | "regmapped");
-        if !software && !queued {
-            return Err(DecodeError::Shape(format!("unknown design kind `{kind}`")));
-        }
-        // Mirrors `write_design`: one site per field, in wire order.
-        let mut queue_depth = 0;
-        if queued {
-            queue_depth = s.uint_field(o, "queue_depth")?;
-        }
-        let mut qlu = 0;
-        if software || &*kind == "syncopti" {
-            qlu = s.uint_field(o, "qlu")?;
-        }
-        Ok(match &*kind {
-            "existing" => DesignPoint::Existing(SoftwareConfig { qlu }),
-            "memopti" => DesignPoint::MemOpti(SoftwareConfig { qlu }),
-            "syncopti" => DesignPoint::SyncOpti(SyncOptiConfig {
-                queue_depth,
-                qlu,
-                stream_cache: s.bool_field(o, "stream_cache")?,
-            }),
-            _ => {
-                let transit = s.u64_field(o, "transit")?;
-                let sa_ops_per_cycle = s.uint_field(o, "sa_ops_per_cycle")?;
-                if &*kind == "heavywt" {
-                    DesignPoint::HeavyWt(HeavyWtConfig {
-                        queue_depth,
-                        transit,
-                        sa_ops_per_cycle,
-                        sa_latency: s.u64_field(o, "sa_latency")?,
-                    })
+        DesignPoint::of_wire_kind(&kind)
+            .ok_or_else(|| DecodeError::Shape(format!("unknown design kind `{kind}`")))?
+            .map_wire_fields(|name, max, _| {
+                let v = if max == 1 {
+                    s.bool_field(o, name)?.into()
                 } else {
-                    DesignPoint::RegMapped(RegMappedConfig {
-                        queue_depth,
-                        transit,
-                        sa_ops_per_cycle,
-                        spill_ops: s.uint_field(o, "spill_ops")?,
-                    })
+                    s.u64_field(o, name)?
+                };
+                if v > max {
+                    return Err(DecodeError::Shape(format!(
+                        "field `{name}` is out of range"
+                    )));
                 }
-            }
-        })
+                Ok(v)
+            })
     })
 }
 
@@ -630,17 +565,14 @@ mod tests {
 
     #[test]
     fn every_design_kind_round_trips() {
-        for d in [
-            DesignPoint::existing(),
+        let tuned = [
             DesignPoint::existing_with_qlu(1),
             DesignPoint::memopti_with_qlu(4),
-            DesignPoint::syncopti(),
-            DesignPoint::syncopti_sc_q64(),
-            DesignPoint::heavywt(),
             DesignPoint::heavywt_with(10, 64),
             DesignPoint::heavywt_centralized(12),
             DesignPoint::regmapped(3),
-        ] {
+        ];
+        for d in DesignPoint::paper_points().into_iter().chain(tuned) {
             let back = from_tree(&to_tree(|s| write_design(s, &d)), read_design).unwrap();
             assert_eq!(back, d, "{d}");
         }

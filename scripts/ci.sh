@@ -39,6 +39,19 @@ for m in $MUTATIONS; do
     grep -q "$m\b" <<<"$PRODUCT" || { echo "$m is armed by no product code"; exit 1; }
 done
 
+echo "==> one design module (no other file under crates/*/src names a DesignPoint variant)"
+# Product code as above. Allowed: design.rs itself and doc-comment links
+# (the crate doc in core/src/lib.rs). A glob or group import would hide
+# the names from this grep, so it counts as naming them.
+while IFS= read -r f; do
+    [ "$f" = crates/core/src/design.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'DesignPoint::(Existing|MemOpti|SyncOpti|HeavyWt|RegMapped|\*|\{)' \
+        | grep -vF '[`DesignPoint::'; then
+        echo "$f names a DesignPoint variant outside crates/core/src/design.rs"; exit 1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).

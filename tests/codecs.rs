@@ -62,15 +62,9 @@ fn busy_pair() -> KernelPair {
     }
 }
 
-fn designs() -> [DesignPoint; 6] {
-    [
-        DesignPoint::existing(),
-        DesignPoint::memopti_with_qlu(4),
-        DesignPoint::syncopti(),
-        DesignPoint::syncopti_sc_q64(),
-        DesignPoint::heavywt(),
-        DesignPoint::regmapped(3),
-    ]
+fn designs() -> impl Iterator<Item = DesignPoint> {
+    let tuned = [DesignPoint::memopti_with_qlu(4), DesignPoint::regmapped(3)];
+    DesignPoint::paper_points().into_iter().chain(tuned)
 }
 
 /// Every design variant x protocol x mode, labels and flags varied.
@@ -878,21 +872,15 @@ fn sweeps() -> Vec<Job> {
             b.pair.clone(),
             MachineConfig::itanium2_single(),
         ));
-        for design in [
-            DesignPoint::existing(),
+        let tuned = [
             DesignPoint::existing_with_qlu(1),
-            DesignPoint::memopti(),
             DesignPoint::memopti_with_qlu(4),
-            DesignPoint::syncopti(),
-            DesignPoint::syncopti_q64(),
-            DesignPoint::syncopti_sc(),
-            DesignPoint::syncopti_sc_q64(),
-            DesignPoint::heavywt(),
             DesignPoint::heavywt_with(10, 32),
             DesignPoint::heavywt_with(10, 64),
             DesignPoint::heavywt_centralized(12),
             DesignPoint::regmapped(3),
-        ] {
+        ];
+        for design in DesignPoint::paper_points().into_iter().chain(tuned) {
             for protocol in [Protocol::Msi, Protocol::Mesi, Protocol::Dragon] {
                 let mut cfg = cfg(design);
                 cfg.mem.protocol = protocol;

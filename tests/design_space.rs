@@ -1,23 +1,18 @@
 //! End-to-end integration: every design point runs every benchmark to
 //! completion with verified queue semantics and consistent accounting.
 
-use hfs::core::{DesignPoint, Machine, MachineConfig};
+use hfs::core::kernel::KernelPair;
+use hfs::core::{DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig};
+use hfs::harness::{execute, Job, JobOutcome};
 use hfs::workloads::all_benchmarks;
 
 const ITERS: u64 = 200;
 const BUDGET: u64 = 50_000_000;
 
-fn all_designs() -> Vec<DesignPoint> {
-    vec![
-        DesignPoint::existing(),
-        DesignPoint::memopti(),
-        DesignPoint::syncopti(),
-        DesignPoint::syncopti_sc(),
-        DesignPoint::syncopti_q64(),
-        DesignPoint::syncopti_sc_q64(),
-        DesignPoint::heavywt(),
-        DesignPoint::heavywt_with_transit(10),
-    ]
+fn all_designs() -> impl Iterator<Item = DesignPoint> {
+    DesignPoint::paper_points()
+        .into_iter()
+        .chain([DesignPoint::heavywt_with_transit(10)])
 }
 
 #[test]
@@ -118,5 +113,40 @@ fn single_threaded_fusion_runs_all_benchmarks() {
             .unwrap_or_else(|e| panic!("{} fused: {e}", b.name));
         assert_eq!(r.iterations, 100);
         assert_eq!(r.cores.len(), 1);
+    }
+}
+
+/// A well-formed spec whose design asks for more than a backend will
+/// allocate, loop over or address fails the job: it never reaches the
+/// allocator, and never aborts the process that decoded it.
+#[test]
+fn an_oversized_design_fails_the_job_not_the_process() {
+    let pair = KernelPair::simple("oversized", 3, 50);
+    for design in [
+        DesignPoint::heavywt_with_transit(1 << 40),
+        DesignPoint::heavywt_with(1, u32::MAX),
+        DesignPoint::heavywt_centralized(1 << 40),
+        DesignPoint::HeavyWt(HeavyWtConfig {
+            sa_ops_per_cycle: u32::MAX,
+            ..HeavyWtConfig::default()
+        }),
+        DesignPoint::regmapped(u32::MAX),
+        // One queue's slots would run into the next queue's.
+        DesignPoint::SyncOpti(SyncOptiConfig {
+            queue_depth: 2048,
+            qlu: 16,
+            stream_cache: false,
+        }),
+    ] {
+        let cfg = MachineConfig::itanium2_cmp(design);
+        assert!(
+            matches!(Machine::new_pipeline(&cfg, &pair), Err(SimError::Config(_))),
+            "{design:?}"
+        );
+        let outcome = execute(&Job::pipeline("oversized", pair.clone(), cfg), 0);
+        assert!(
+            matches!(outcome, JobOutcome::SimError(_)),
+            "{design:?}: {outcome:?}"
+        );
     }
 }

@@ -39,17 +39,12 @@ fn arb_pair(rng: &mut Rng64) -> KernelPair {
     }
 }
 
-fn designs() -> Vec<DesignPoint> {
-    vec![
-        DesignPoint::existing(),
-        DesignPoint::memopti(),
-        DesignPoint::syncopti(),
-        DesignPoint::syncopti_sc_q64(),
-        DesignPoint::heavywt(),
-        // Centralized store: long consume-to-use latency keeps the
-        // producer blocked on a full queue for whole windows.
-        DesignPoint::heavywt_centralized(12),
-    ]
+fn designs() -> impl Iterator<Item = DesignPoint> {
+    // Centralized store: long consume-to-use latency keeps the
+    // producer blocked on a full queue for whole windows.
+    DesignPoint::paper_points()
+        .into_iter()
+        .chain([DesignPoint::heavywt_centralized(12)])
 }
 
 fn run_with_ff(cfg: &MachineConfig, pair: &KernelPair, ff: bool) -> RunResult {

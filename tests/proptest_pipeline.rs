@@ -37,16 +37,6 @@ fn arb_pair(rng: &mut Rng64) -> KernelPair {
     }
 }
 
-fn designs() -> Vec<DesignPoint> {
-    vec![
-        DesignPoint::existing(),
-        DesignPoint::memopti(),
-        DesignPoint::syncopti(),
-        DesignPoint::syncopti_sc_q64(),
-        DesignPoint::heavywt(),
-    ]
-}
-
 /// Every random pipeline completes on every design, with the queue
 /// checker (produce/consume FIFO + conservation) passing and the
 /// stall breakdown accounting for every cycle.
@@ -56,7 +46,7 @@ fn random_pipelines_complete_and_verify() {
     for _ in 0..CASES {
         let pair = arb_pair(&mut rng);
         assert!(pair.validate().is_ok());
-        for design in designs() {
+        for design in DesignPoint::paper_points() {
             let cfg = MachineConfig::itanium2_cmp(design);
             let r = Machine::new_pipeline(&cfg, &pair)
                 .and_then(|mut m| m.run(20_000_000))
