@@ -214,8 +214,9 @@ impl HotCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<HotEntry>> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let Some(slot) = shard.map.get(key) else {
+        let mut guard = self.shard(key).lock().unwrap();
+        let shard = &mut *guard;
+        let Some(slot) = shard.map.get_mut(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs.get() {
                 o.misses.inc();
@@ -223,12 +224,12 @@ impl HotCache {
             return None;
         };
         let entry = Arc::clone(&slot.entry);
-        let old_tick = slot.tick;
         let new_tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.lru.remove(&old_tick);
-        shard.lru.insert(new_tick, key.to_string());
-        shard.map.get_mut(key).unwrap().tick = new_tick;
-        drop(shard);
+        let old_tick = std::mem::replace(&mut slot.tick, new_tick);
+        // The key string moves to its new tick: a hit allocates nothing.
+        let owned = shard.lru.remove(&old_tick).expect("every slot has a tick");
+        shard.lru.insert(new_tick, owned);
+        drop(guard);
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.hits.inc();

@@ -660,13 +660,18 @@ impl<'a> Reader<'a> {
             }
             at = ws(at + 1);
         }
-        // A quote or backslash in `key` would make equal bytes mean
-        // something else.
-        let quoted = bytes.get(at + 1..at + 1 + key.len())? == key.as_bytes()
-            && bytes.get(at) == Some(&b'"')
-            && bytes.get(at + 1 + key.len()) == Some(&b'"')
-            && !key.bytes().any(|b| b == b'"' || b == b'\\');
-        let colon = ws(at + key.len() + 2);
+        let end = at + 1 + key.len();
+        // The two quotes first, then the name in one pass that also
+        // refuses a quote or backslash in `key`: those would make equal
+        // bytes mean something else, so such a key always takes the
+        // tokenizer's path.
+        let quoted = bytes.get(at) == Some(&b'"')
+            && bytes.get(end) == Some(&b'"')
+            && bytes[at + 1..end]
+                .iter()
+                .zip(key.as_bytes())
+                .all(|(&t, &k)| t == k && k != b'"' && k != b'\\');
+        let colon = ws(end + 1);
         (quoted && bytes.get(colon) == Some(&b':')).then(|| ws(colon + 1))
     }
 
@@ -816,6 +821,19 @@ impl<'a> Reader<'a> {
         match self.input[start..self.pos].parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(Json::F64(v)),
             _ => Err(self.err("number out of range")),
+        }
+    }
+
+    /// An unsigned integer by the whole grammar ([`Reader::number`]);
+    /// any other number is a [`DecodeError::Shape`]. What
+    /// [`Source::u64`] falls back to where its one pass cannot decide.
+    fn number_u64(&mut self) -> Result<u64, DecodeError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.shape("expected an unsigned integer"));
+        }
+        match self.number()? {
+            Json::U64(v) => Ok(v),
+            _ => Err(self.shape("expected an unsigned integer")),
         }
     }
 
@@ -1061,13 +1079,24 @@ impl<'a> Source<'a> for Reader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        if !matches!(self.peek(), Some(b'0'..=b'9')) {
-            return Err(self.shape("expected an unsigned integer"));
+        // One pass for what every counter is: at most 19 digits (so the
+        // value fits), no leading zero, no fraction or exponent after.
+        // Anything else is left to `number_u64`, the whole grammar.
+        let rest = &self.input.as_bytes()[self.pos..];
+        let (mut value, mut len) = (0u64, 0);
+        for &d in rest.iter().take(19) {
+            if !d.is_ascii_digit() {
+                break;
+            }
+            value = value * 10 + u64::from(d - b'0');
+            len += 1;
         }
-        match self.number()? {
-            Json::U64(v) => Ok(v),
-            _ => Err(self.shape("expected an unsigned integer")),
+        let plain = !matches!(rest.get(len), Some(b'0'..=b'9' | b'.' | b'e' | b'E'));
+        if len > 0 && plain && (rest[0] != b'0' || len == 1) {
+            self.pos += len;
+            return Ok(value);
         }
+        self.number_u64()
     }
 
     fn str(&mut self) -> Result<Cow<'a, str>, DecodeError> {
@@ -1349,6 +1378,81 @@ mod tests {
                 from_text(&skipped, |r| r.obj(|r, o| r.u64_field(o, "n")));
             assert!(matches!(read, Err(DecodeError::Syntax(_))));
         }
+    }
+
+    /// `Source::u64`'s one pass decides exactly what the whole grammar
+    /// decides: the same value or the same error, with the reader left
+    /// on the same byte.
+    #[test]
+    fn the_integer_fast_path_agrees_with_the_grammar() {
+        fn agree(text: &str) {
+            let (mut fast, mut slow) = (Reader::new(text), Reader::new(text));
+            assert_eq!(Source::u64(&mut fast), slow.number_u64(), "{text:?}");
+            assert_eq!(fast.pos, slow.pos, "{text:?}");
+        }
+        for text in [
+            "0",
+            "00",
+            "01",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+        ] {
+            agree(text);
+        }
+        let mut rng = hfs_sim::Rng64::new(0xd161_7500);
+        for len in 1..=21 {
+            for lead in ["", "0", "-"] {
+                for tail in ["", "-", "+", ".", ".5", "e", "E7", "e-2", "1.0e+3"] {
+                    for end in ["", ",", "}", "]", " ", "\t", "\n", "\r"] {
+                        for _ in 0..3 {
+                            let digits: String = (0..len)
+                                .map(|_| char::from(b'0' + rng.below(10) as u8))
+                                .collect();
+                            agree(&format!("{lead}{digits}{tail}{end}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A sought key holding `"` or `\` is matched by the tokenizer, by
+    /// what the text means, never by equal bytes.
+    #[test]
+    fn a_key_with_a_quote_or_backslash_never_matches_raw_bytes() {
+        // Each text spells its key byte for byte; the key it holds is
+        // another, or the text is not JSON.
+        for (text, key, holds) in [
+            (r#"{"a\"b":1}"#, r#"a\"b"#, Some(r#"a"b"#)),
+            (r#"{"a\\b":1}"#, r"a\\b", Some(r"a\b")),
+            (r#"{"\\":1}"#, r"\\", Some(r"\")),
+            (r#"{"a"b":1}"#, r#"a"b"#, None),
+        ] {
+            let read = |key: &str| {
+                from_text(text, |r| {
+                    r.obj(|r, o| {
+                        assert_eq!(r.at_key(o.start, key), None, "{text} {key}");
+                        if r.seek(o, key)? {
+                            r.u64().map(Some)
+                        } else {
+                            Ok(None)
+                        }
+                    })
+                })
+            };
+            match holds {
+                Some(held) => {
+                    assert_eq!(read(key), Ok(None), "{text} does not hold {key}");
+                    assert_eq!(read(held), Ok(Some(1)), "{text} holds {held}");
+                }
+                None => assert!(matches!(read(key), Err(DecodeError::Syntax(_))), "{text}"),
+            }
+        }
+        // A plain key does take the byte path.
+        let mut r = Reader::new(r#"{"ab":1}"#);
+        let o = r.begin_obj().unwrap();
+        assert_eq!(r.at_key(o.start, "ab").map(|at| &r.input[at..]), Some("1}"));
     }
 
     /// `{"a":…,"b":…,"c":[…]}` read by one codec through both drivers.

@@ -1191,6 +1191,27 @@ mod tests {
         s.submitted == s.deduped + s.executed + s.cache_hits
     }
 
+    /// The connection that owns [`hold`]'s blocker.
+    const HOLDER: u64 = 99;
+
+    /// Occupies a one-worker dispatcher with a job that only
+    /// [`release`] ends, so whatever is submitted next stays queued for
+    /// as long as the test needs, at any simulator speed.
+    fn hold(d: &Dispatcher, tx: &Sender<ServerFrame>) {
+        let blocker = spec_entries(vec![job("blk/hold", 2, u64::MAX).with_max_cycles(u64::MAX)]);
+        d.submit(HOLDER, tx, "blk", 0, Subscribe::Final, blocker)
+            .unwrap();
+        wait_until_running(d);
+        assert_eq!(d.stats().running, 1, "the blocker runs");
+    }
+
+    /// Cancels [`hold`]'s blocker by dropping its connection: it counts
+    /// as `submitted` and `cancelled`, delivers nothing and sends no
+    /// `done`.
+    fn release(d: &Dispatcher) {
+        d.drop_conn(HOLDER);
+    }
+
     #[test]
     fn identical_jobs_execute_once() {
         let d = dispatcher(2, 64);
@@ -1218,15 +1239,12 @@ mod tests {
     fn concurrent_identical_batches_dedupe() {
         let d = dispatcher(1, 64);
         let (tx, rx) = channel();
-        // One worker, pinned on a long blocker job so the queue backs
-        // up: submit the same 3 jobs from 4 "clients" while the worker
-        // chews on the blocker. Dedup is then deterministic for every
-        // submission after the first (without the blocker, a fast
-        // enough simulator finishes x/a before the later submits land
-        // and re-executes it).
-        let blocker = vec![job("blk/hold", 2, 20_000)];
-        d.submit(9, &tx, "blk", 1, Subscribe::Final, spec_entries(blocker))
-            .unwrap();
+        // One worker, held on a blocker so the queue backs up: submit
+        // the same 3 jobs from 4 "clients" while it runs. Dedup is then
+        // deterministic for every submission after the first (without
+        // the blocker, a fast enough simulator finishes x/a before the
+        // later submits land and re-executes it).
+        hold(&d, &tx);
         let jobs = || vec![job("x/a", 2, 200), job("x/b", 3, 200), job("x/c", 4, 200)];
         for conn in 0..4 {
             d.submit(
@@ -1239,18 +1257,18 @@ mod tests {
             )
             .unwrap();
         }
-        let (results, all_ok) = collect(&rx, 5);
+        release(&d);
+        let (results, all_ok) = collect(&rx, 4);
         assert!(all_ok);
-        assert_eq!(results, 13, "every waiter served");
+        assert_eq!(results, 12, "every waiter served");
         let stats = d.stats();
         assert_eq!(stats.submitted, 13);
-        assert_eq!(stats.delivered, 13);
-        assert!(
-            stats.deduped >= 9,
-            "at most the blocker and the first batch's 3 jobs execute; got {stats:?}"
+        assert_eq!(stats.delivered, 12);
+        assert_eq!(
+            (stats.executed, stats.deduped, stats.cancelled),
+            (3, 9, 1),
+            "only the first batch's 3 jobs execute; {stats:?}"
         );
-        assert!(stats.executed <= 4);
-        assert!(identity_holds(&stats), "{stats:?}");
         drain(&d);
     }
 
@@ -1262,13 +1280,10 @@ mod tests {
     fn refs_join_flights_or_change_nothing() {
         let d = dispatcher(1, 64);
         let (tx, rx) = channel();
-        let blocker = vec![job("blk/hold", 2, 20_000)];
-        d.submit(0, &tx, "blk", 1, Subscribe::Final, spec_entries(blocker))
-            .unwrap();
+        hold(&d, &tx);
         let queued = || vec![job("x/a", 2, 200), job("x/b", 3, 200)];
         d.submit(0, &tx, "x", 2, Subscribe::Final, spec_entries(queued()))
             .unwrap();
-        wait_until_running(&d);
 
         let waiters = |d: &Dispatcher| -> Vec<(String, usize)> {
             let inner = d.inner.lock().unwrap();
@@ -1296,12 +1311,15 @@ mod tests {
         assert_eq!(joined.deduped, stats_before.deduped + 2);
         assert_eq!(joined.queued, stats_before.queued, "refs take no slot");
 
-        let (results, all_ok) = collect(&rx, 3);
+        release(&d);
+        let (results, all_ok) = collect(&rx, 2);
         assert!(all_ok);
-        assert_eq!(results, 5);
-        let stats = d.stats();
-        assert_eq!((stats.submitted, stats.executed, stats.deduped), (5, 3, 2));
-        assert!(identity_holds(&stats), "{stats:?}");
+        assert_eq!(results, 4);
+        let s = d.stats();
+        assert_eq!(
+            (s.submitted, s.executed, s.deduped, s.cancelled),
+            (5, 2, 2, 1)
+        );
         drain(&d);
     }
 
@@ -1310,12 +1328,10 @@ mod tests {
         let d = dispatcher(1, 2);
         let (tx, rx) = channel();
         // Occupy the worker and fill the queue.
+        hold(&d, &tx);
         let fill = vec![job("f/1", 2, 2_000), job("f/2", 3, 2_000)];
         d.submit(0, &tx, "fill", 1, Subscribe::All, spec_entries(fill))
             .unwrap();
-        // Wait until the first flight is actually running so the queue
-        // has deterministic occupancy (1 queued, 1 running).
-        wait_until_running(&d);
         let big = vec![job("b/1", 4, 10), job("b/2", 5, 10), job("b/3", 6, 10)];
         match d.submit(1, &tx, "big", 2, Subscribe::All, spec_entries(big)) {
             Err(ServerFrame::Busy { limit, id: 2, .. }) => assert_eq!(limit, 2),
@@ -1327,6 +1343,8 @@ mod tests {
         let dup = vec![job("d/2", 3, 2_000)];
         d.submit(1, &tx, "dup", 3, Subscribe::All, spec_entries(dup))
             .expect("duplicate admits without a queue slot");
+        assert_eq!(d.stats().deduped, 1);
+        release(&d);
         assert_eq!(collect(&rx, 2).0, 3);
         drain(&d);
     }

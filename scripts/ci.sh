@@ -94,6 +94,11 @@ cargo test --release -q --test check_faults every_seeded_mutation_is_detected_me
 cargo test --release -q --test check_faults every_seeded_mutation_is_detected_dragon
 cargo test --release -q --test check_faults disarmed_machine_is_unperturbed
 
+echo "==> harness + serve tests at release speed (timing-sensitive server tests)"
+# A dispatcher test that holds the queue with a running job must hold it
+# at the simulator speed the benchmark sees, not only at debug speed.
+cargo test --release -q -p hfs-harness -p hfs-serve
+
 echo "==> machine check: trace smoke under HFS_CHECK=1 (checked run, same goldens)"
 HFS_CHECK=1 cargo run --release -p hfs-bench --bin trace_smoke
 
