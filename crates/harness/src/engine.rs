@@ -5,6 +5,7 @@
 //! order, so experiment output is byte-identical at any worker count;
 //! only the (stderr) progress stream interleaves differently.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -90,12 +91,23 @@ impl Resolved {
 /// are always run again. What differs between executors is `run` alone:
 /// an in-process simulation, a round-trip through a worker process, or
 /// a traced run.
+///
+/// A `run` that panics resolves as [`JobOutcome::WorkerDied`], as a job
+/// that crashes a worker process does, so its waiters still get an
+/// answer and the calling thread lives on.
 pub fn resolve(cache: Option<&Cache>, key: &str, run: impl FnOnce() -> JobOutcome) -> Resolved {
     let started = Instant::now();
     let (outcome, cached) = match cache.and_then(|c| c.load(key)) {
         Some(hit) => (hit, true),
         None => {
-            let outcome = run();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("(no message)");
+                JobOutcome::WorkerDied(format!("job panicked: {msg}"))
+            });
             if let Some(cache) = cache {
                 cache.store(key, &outcome);
             }
@@ -611,6 +623,22 @@ mod tests {
         assert!(batch.all_ok());
         assert_eq!(engine.stats().jobs, 6);
         assert_eq!(engine.stats().cache_misses, 6);
+    }
+
+    #[test]
+    fn a_panicking_job_resolves_as_a_dead_worker() {
+        // A literal message panics with a `&str`, a formatted one with a
+        // `String`.
+        let literal = resolve(None, "0123456789abcdef", || panic!("boom"));
+        let what = String::from("boom");
+        let formatted = resolve(None, "0123456789abcdef", || panic!("{what}"));
+        for step in [literal, formatted] {
+            assert!(!step.cached);
+            match step.outcome {
+                JobOutcome::WorkerDied(msg) => assert_eq!(msg, "job panicked: boom"),
+                other => panic!("expected worker_died, got {other}"),
+            }
+        }
     }
 
     #[test]

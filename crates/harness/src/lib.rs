@@ -54,6 +54,6 @@ pub use ser::{
     outcome_to_text, read_outcome, run_result_from_json, run_result_to_json, write_outcome,
 };
 pub use spec::{
-    job_from_json, job_to_json, machine_config_from_json, machine_config_to_json, read_job,
-    sweep_from_json, sweep_to_json, write_job,
+    job_from_json, job_to_json, locality_key, machine_config_from_json, machine_config_to_json,
+    read_job, sweep_from_json, sweep_to_json, write_job,
 };

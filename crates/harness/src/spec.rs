@@ -166,14 +166,16 @@ fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
     })
 }
 
-fn write_pair<S: Sink>(s: &mut S, p: &KernelPair) {
+/// `p` with `iterations` in place of its own: [`locality_key`] writes
+/// every pair of one kernel shape alike.
+fn write_pair<S: Sink>(s: &mut S, p: &KernelPair, iterations: u64) {
     s.begin_obj();
     s.str_field("name", &p.name);
     s.key("producer");
     write_kernel(s, &p.producer);
     s.key("consumer");
     write_kernel(s, &p.consumer);
-    s.u64_field("iterations", p.iterations);
+    s.u64_field("iterations", iterations);
     s.end_obj();
 }
 
@@ -366,8 +368,18 @@ fn read_machine_config<'a, S: Source<'a>>(s: &mut S) -> Result<MachineConfig, De
 /// the display label — into the object `s` has open. The wire and the
 /// cache key ([`content_hash`]) both run this one list.
 fn write_keyed<S: Sink>(s: &mut S, job: &Job) {
+    write_mode(s, job.mode);
+    s.u64_field("max_cycles", job.max_cycles);
+    s.bool_field("metrics", job.metrics);
+    s.key("pair");
+    write_pair(s, &job.pair, job.pair.iterations);
+    s.key("cfg");
+    write_machine_config(s, &job.cfg);
+}
+
+fn write_mode<S: Sink>(s: &mut S, mode: Mode) {
     s.key("mode");
-    match job.mode {
+    match mode {
         Mode::Pipeline => s.str("pipeline"),
         Mode::Single => s.str("single"),
         Mode::Multi(n) => {
@@ -375,12 +387,6 @@ fn write_keyed<S: Sink>(s: &mut S, job: &Job) {
             s.u64_field("pairs", u64::from(n));
         }
     }
-    s.u64_field("max_cycles", job.max_cycles);
-    s.bool_field("metrics", job.metrics);
-    s.key("pair");
-    write_pair(s, &job.pair);
-    s.key("cfg");
-    write_machine_config(s, &job.cfg);
 }
 
 /// Pushes a [`Job`] spec into `s` — everything a remote engine needs to
@@ -399,6 +405,19 @@ pub(crate) fn content_hash(job: &Job) -> u64 {
     let mut h = HashSink::new(u64::from(CACHE_SCHEMA));
     write_keyed(&mut h, job);
     h.finish()
+}
+
+/// The hashes of a job's machine config (the keyed members less `pair`
+/// and `max_cycles`) and of its kernel shape (the pair with `iterations`
+/// cleared): jobs that repeat both back to back run faster on the host.
+pub fn locality_key(job: &Job) -> (u64, u64) {
+    let mut config = HashSink::new(0);
+    write_mode(&mut config, job.mode);
+    config.bool_field("metrics", job.metrics);
+    write_machine_config(&mut config, &job.cfg);
+    let mut shape = HashSink::new(0);
+    write_pair(&mut shape, &job.pair, 0);
+    (config.finish(), shape.finish())
 }
 
 /// Pulls a [`Job`] out of its wire spec.

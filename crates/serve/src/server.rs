@@ -53,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hfs_harness::{
-    execute_cancellable, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome,
+    execute_cancellable, locality_key, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome,
 };
 use hfs_obs::{Counter, Gauge, HistogramMetric, Registry};
 use hfs_sim::CancelToken;
@@ -294,6 +294,24 @@ fn spec_entries(jobs: Vec<Job>) -> Vec<Entry> {
         .collect()
 }
 
+/// A chunk's new flights, given in submission order with their
+/// [`locality_key`]s, in the order they queue: grouped by machine config,
+/// then by kernel shape, each group where its first flight stands, and
+/// in submission order within a group. The first flight stays first.
+fn locality_order(fresh: Vec<((u64, u64), String)>) -> impl Iterator<Item = String> {
+    let (mut configs, mut groups) = (HashMap::new(), HashMap::new());
+    let mut ranked: Vec<_> = fresh
+        .into_iter()
+        .enumerate()
+        .map(|(i, (place, key))| {
+            let config = *configs.entry(place.0).or_insert(i);
+            (config, *groups.entry(place).or_insert(i), i, key)
+        })
+        .collect();
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(.., key)| key)
+}
+
 /// The parent side of the worker-process pool: per-worker stdin
 /// handles (shared so `drop_conn` can forward cancels while the
 /// worker's proxy thread is blocked on its stdout) and per-shard
@@ -437,6 +455,9 @@ impl Dispatcher {
     ///   serialization spliced in, and takes no queue slot or worker, so
     ///   a warm re-sweep never trips admission control.
     /// - A key already in flight gains a waiter instead of a flight.
+    /// - The chunk's new flights queue behind everything queued before,
+    ///   in [`locality_order`]; results carry their index, so the order
+    ///   they resolve in is free.
     /// - `accepted` (and, for empty batches, `done`) is sent *under the
     ///   dispatcher lock*, before any worker can pop the new flights, so
     ///   clients see `accepted` before the first result.
@@ -458,6 +479,12 @@ impl Dispatcher {
                     None => cache.load_entry(key),
                 }
             })
+            .collect();
+        // Only a spec that missed the hot cache can become a flight.
+        let places: Vec<Option<(u64, u64)>> = entries
+            .iter()
+            .zip(&hits)
+            .map(|((_, _, job), hit)| job.as_ref().filter(|_| hit.is_none()).map(locality_key))
             .collect();
         let mut inner = self.inner.lock().unwrap();
         if inner.draining {
@@ -512,7 +539,9 @@ impl Dispatcher {
             buffer: Mutex::new(Vec::new()),
             tx: tx.clone(),
         });
-        for (index, ((key, label, job), hit)) in entries.into_iter().zip(hits).enumerate() {
+        let mut fresh = Vec::new();
+        let chunk = entries.into_iter().zip(hits).zip(places);
+        for (index, (((key, label, job), hit), place)) in chunk.enumerate() {
             self.obs.submitted.inc();
             if let Some(entry) = hit {
                 self.obs.cache_hits.inc();
@@ -539,7 +568,6 @@ impl Dispatcher {
                 self.obs.deduped.inc();
                 flight.waiters.push(waiter);
             } else {
-                let shard = self.shard_of(&key);
                 inner.flights.insert(
                     key.clone(),
                     Flight {
@@ -550,8 +578,12 @@ impl Dispatcher {
                         enqueued_at: Instant::now(),
                     },
                 );
-                inner.queues[shard].push_back(key);
+                fresh.push((place.expect("a new flight has a spec"), key));
             }
+        }
+        for key in locality_order(fresh) {
+            let shard = self.shard_of(&key);
+            inner.queues[shard].push_back(key);
         }
         self.note_queue_depth(&inner);
         drop(inner);
@@ -834,7 +866,7 @@ impl Dispatcher {
     /// ones.
     fn drop_conn(&self, conn_id: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let mut dead_queued: Vec<String> = Vec::new();
+        let mut dead_queued: HashSet<String> = HashSet::new();
         let mut cancelled: Vec<String> = Vec::new();
         for (key, flight) in &mut inner.flights {
             flight.waiters.retain(|w| w.conn_id != conn_id);
@@ -844,16 +876,19 @@ impl Dispatcher {
                     self.obs.cancelled.inc();
                     cancelled.push(key.clone());
                 } else {
-                    dead_queued.push(key.clone());
+                    dead_queued.insert(key.clone());
                 }
             }
         }
         for key in &dead_queued {
             inner.flights.remove(key);
-            for queue in &mut inner.queues {
-                queue.retain(|k| k != key);
-            }
             self.obs.aborted.inc();
+        }
+        // One pass over the queues, however many flights died.
+        if !dead_queued.is_empty() {
+            for queue in &mut inner.queues {
+                queue.retain(|k| !dead_queued.contains(k));
+            }
         }
         self.note_queue_depth(&inner);
         let drained = inner.draining && inner.idle();
@@ -1320,6 +1355,54 @@ mod tests {
             (s.submitted, s.executed, s.deduped, s.cancelled),
             (5, 2, 2, 1)
         );
+        drain(&d);
+    }
+
+    /// A chunk's new flights queue grouped by machine config, then by
+    /// kernel shape, each group where its first job stands; a later
+    /// chunk queues behind it, and a duplicate or a ref moves nothing.
+    #[test]
+    fn a_chunk_queues_in_locality_order() {
+        let d = dispatcher(1, 64);
+        let (tx, rx) = channel();
+        hold(&d, &tx);
+        let on = |design: DesignPoint, work, i: u64| {
+            Job::pipeline(
+                format!("o/{design}/{work}/{i}"),
+                KernelPair::simple("demo", work, 100 + i),
+                MachineConfig::itanium2_cmp(design),
+            )
+        };
+        // A and B share a design and differ in shape; C has A's shape on
+        // another design.
+        let a = |i| on(DesignPoint::heavywt(), 2, i);
+        let b = |i| on(DesignPoint::heavywt(), 3, i);
+        let c = |i| on(DesignPoint::syncopti(), 2, i);
+        let queued = |d: &Dispatcher| -> Vec<String> {
+            d.inner.lock().unwrap().queues[0].iter().cloned().collect()
+        };
+        let keys = |jobs: &[Job]| -> Vec<String> { jobs.iter().map(Job::key).collect() };
+
+        let first = vec![a(1), b(1), a(2), c(1), b(2), a(3)];
+        d.submit(0, &tx, "o", 1, Subscribe::Final, spec_entries(first))
+            .unwrap();
+        let mut want = keys(&[a(1), a(2), a(3), b(1), b(2), c(1)]);
+        assert_eq!(queued(&d), want);
+
+        // `a(2)` joins its queued flight. This chunk leads with B, and
+        // A's design comes before C's whatever the shapes.
+        let second = vec![b(4), c(2), a(2), a(4)];
+        d.submit(0, &tx, "o", 2, Subscribe::Final, spec_entries(second))
+            .unwrap();
+        want.extend(keys(&[b(4), a(4), c(2)]));
+        assert_eq!(queued(&d), want);
+        d.submit(1, &tx, "o", 3, Subscribe::Final, refs(vec![c(1), a(1)]))
+            .unwrap();
+        assert_eq!(queued(&d), want);
+
+        release(&d);
+        assert_eq!(collect(&rx, 3), (12, true));
+        assert_eq!(d.stats().deduped, 3);
         drain(&d);
     }
 

@@ -98,6 +98,9 @@ echo "==> harness + serve tests at release speed (timing-sensitive server tests)
 # A dispatcher test that holds the queue with a running job must hold it
 # at the simulator speed the benchmark sees, not only at debug speed.
 cargo test --release -q -p hfs-harness -p hfs-serve
+# `all_streams_results_while_later_jobs_still_run` needs a chunk's first
+# job to run first at that speed too.
+cargo test --release -q --test serve
 
 echo "==> machine check: trace smoke under HFS_CHECK=1 (checked run, same goldens)"
 HFS_CHECK=1 cargo run --release -p hfs-bench --bin trace_smoke

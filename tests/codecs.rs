@@ -7,7 +7,9 @@
 //! over the same description: nine are pinned (cache schema 2), and the
 //! properties a hash of the canonical spec owes — blind to the label, to
 //! a trip over the wire and to field order; moved by every keyed leaf;
-//! collision-free over the sweeps the repository runs — are checked.
+//! collision-free over the sweeps the repository runs — are checked, as
+//! is the locality pair the server orders a chunk by: moved by every
+//! keyed leaf but the cycle budget and the iteration count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,8 +17,9 @@ use std::sync::Arc;
 use hfs::core::kernel::{KStep, Kernel, KernelPair};
 use hfs::core::{DesignPoint, MachineConfig};
 use hfs::harness::{
-    execute, from_text, from_tree, job_to_json, outcome_to_json, outcome_to_text, parse, read_job,
-    read_outcome, to_text, write_job, write_outcome, DecodeError, Job, JobOutcome, Json, Mode,
+    execute, from_text, from_tree, job_to_json, locality_key, outcome_to_json, outcome_to_text,
+    parse, read_job, read_outcome, to_text, write_job, write_outcome, DecodeError, Job, JobOutcome,
+    Json, Mode,
 };
 use hfs::isa::QueueId;
 use hfs::mem::Protocol;
@@ -812,10 +815,19 @@ fn every_keyed_leaf_moves_the_key_and_about_half_its_bits() {
     // Every design variant, step kind and mode between them.
     for job in jobs().into_iter().step_by(4) {
         let key = job.key();
+        let place = locality_key(&job);
         let mut seen = HashMap::from([(key.clone(), "the job itself".to_string())]);
         each_single_change(&job_to_json(&job), &mut |path, doc| {
             let changed = from_tree(&doc, read_job)
                 .unwrap_or_else(|e| panic!("{path} changed to something undecodable: {e}"));
+            // The locality pair is the key less the cycle budget and the
+            // pair's iteration count.
+            let unplaced = matches!(path, ".label" | ".max_cycles" | ".pair.iterations");
+            assert_eq!(
+                locality_key(&changed) == place,
+                unplaced,
+                "{path} and the locality pair"
+            );
             if path == ".label" {
                 assert_eq!(changed.key(), key);
                 return;
