@@ -20,7 +20,7 @@ const MAX_QUEUE_DEPTH: u32 = 1024;
 const MAX_TRANSIT: u64 = 256;
 const MAX_SA_OPS_PER_CYCLE: u32 = 64;
 const MAX_SA_LATENCY: u64 = 256;
-const MAX_SPILL_OPS: u32 = 256;
+pub(crate) const MAX_SPILL_OPS: u32 = 256;
 
 /// Software-queue parameters (EXISTING/MEMOPTI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,6 +12,26 @@ use std::sync::Arc;
 use hfs_isa::QueueId;
 use hfs_sim::ConfigError;
 
+use crate::lower::ARCH_QUEUES;
+
+// Upper bounds on what lowering and running a kernel allocate: a spec from
+// the wire must fail validation, not exhaust memory. Each is 8x or more
+// the largest committed use (a 34-step body, 2 regions, a 6 MiB region,
+// a 24-byte stride).
+
+/// The most steps one kernel's body lowers to, inner loop bodies
+/// included: `n` for an `n`-instruction work step, a software queue
+/// sequence for a queue operation, one for anything else.
+pub const MAX_BODY_STEPS: u64 = 4096;
+/// The most regions one kernel declares.
+pub const MAX_REGIONS: usize = 16;
+/// The largest region, and the longest stride through one.
+pub const MAX_REGION_BYTES: u64 = 64 << 20;
+
+/// Instructions a queue operation lowers to at most: the §4.3 software
+/// sequence.
+const QUEUE_OP_STEPS: u64 = 10;
+
 /// One abstract step of a kernel loop body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KStep {
@@ -118,21 +138,92 @@ impl Kernel {
         (p, c)
     }
 
-    fn count_comm(steps: &[KStep]) -> u64 {
-        steps
-            .iter()
-            .map(|s| match s {
-                KStep::Produce(_) | KStep::Consume(_) => 1,
-                KStep::Loop(body, n) => n * Self::count_comm(body),
-                _ => 0,
-            })
-            .sum()
+    /// Communication operations per outer iteration, or `u64::MAX` if
+    /// the count overflows.
+    pub fn comm_ops_per_iteration(&self) -> u64 {
+        per_iteration(&self.steps, &|s| {
+            matches!(s, KStep::Produce(_) | KStep::Consume(_))
+        })
+        .unwrap_or(u64::MAX)
     }
 
-    /// Communication operations per outer iteration.
-    pub fn comm_ops_per_iteration(&self) -> u64 {
-        Self::count_comm(&self.steps)
+    /// Checks the kernel against its bounds: regions, strides, queue ids
+    /// and the size of its body.
+    fn validate(&self) -> Result<(), ConfigError> {
+        if self.regions.len() > MAX_REGIONS {
+            return Err(ConfigError::new(format!(
+                "a kernel declares at most {MAX_REGIONS} regions"
+            )));
+        }
+        if self.regions.iter().any(|r| r.bytes > MAX_REGION_BYTES) {
+            return Err(ConfigError::new(format!(
+                "a region is at most {MAX_REGION_BYTES} bytes"
+            )));
+        }
+        if body_steps(&self.steps) > MAX_BODY_STEPS {
+            return Err(ConfigError::new(format!(
+                "a kernel body lowers to at most {MAX_BODY_STEPS} steps"
+            )));
+        }
+        self.check_steps(&self.steps)
     }
+
+    fn check_steps(&self, steps: &[KStep]) -> Result<(), ConfigError> {
+        steps.iter().try_for_each(|s| match s {
+            KStep::LoadRandom { region } | KStep::StoreRandom { region } => {
+                self.check_region(*region, 0)
+            }
+            KStep::LoadStream { region, stride } | KStep::StoreStream { region, stride } => {
+                self.check_region(*region, *stride)
+            }
+            KStep::Produce(q) | KStep::Consume(q) if u64::from(q.0) >= ARCH_QUEUES => Err(
+                ConfigError::new(format!("{q}: the machine has {ARCH_QUEUES} queues")),
+            ),
+            KStep::Loop(body, _) => self.check_steps(body),
+            _ => Ok(()),
+        })
+    }
+
+    fn check_region(&self, region: usize, stride: u64) -> Result<(), ConfigError> {
+        if region >= self.regions.len() {
+            return Err(ConfigError::new(format!(
+                "a step names region {region} of {}",
+                self.regions.len()
+            )));
+        }
+        if stride > MAX_REGION_BYTES {
+            return Err(ConfigError::new(format!(
+                "a stride is at most {MAX_REGION_BYTES} bytes"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The steps `steps` lowers to at most (see [`MAX_BODY_STEPS`]),
+/// saturating.
+fn body_steps(steps: &[KStep]) -> u64 {
+    steps
+        .iter()
+        .map(|s| match s {
+            KStep::Alu(n) | KStep::AluChain(n) | KStep::Fp(n) | KStep::FpChain(n) => u64::from(*n),
+            KStep::Produce(_) | KStep::Consume(_) => QUEUE_OP_STEPS,
+            KStep::Loop(body, _) => body_steps(body).saturating_add(2),
+            _ => 1,
+        })
+        .fold(0, u64::saturating_add)
+}
+
+/// How many of the steps `counts` picks one outer iteration of `steps`
+/// executes, inner loops multiplied out; `None` on overflow.
+fn per_iteration(steps: &[KStep], counts: &impl Fn(&KStep) -> bool) -> Option<u64> {
+    steps.iter().try_fold(0u64, |sum, s| {
+        let n = match s {
+            KStep::Loop(body, n) => n.checked_mul(per_iteration(body, counts)?)?,
+            s => u64::from(counts(s)),
+        };
+        sum.checked_add(n)
+    })
 }
 
 /// A two-thread streaming pipeline: the unit the paper evaluates.
@@ -180,8 +271,10 @@ impl KernelPair {
             steps
                 .iter()
                 .map(|s| match s {
-                    KStep::Produce(q) => KStep::Produce(QueueId(q.0 + offset)),
-                    KStep::Consume(q) => KStep::Consume(QueueId(q.0 + offset)),
+                    // Saturating: an id past the machine's queues fails
+                    // validation, however far past.
+                    KStep::Produce(q) => KStep::Produce(QueueId(q.0.saturating_add(offset))),
+                    KStep::Consume(q) => KStep::Consume(QueueId(q.0.saturating_add(offset))),
                     KStep::Loop(body, n) => KStep::Loop(shift(body, offset), *n),
                     other => other.clone(),
                 })
@@ -222,22 +315,35 @@ impl KernelPair {
         Ok(ps)
     }
 
-    /// Validates structure: queue pairing and per-iteration produce /
-    /// consume balance per queue.
+    /// Validates structure: each kernel within its bounds (regions,
+    /// strides, queue ids, body size), queue pairing and per-iteration
+    /// produce / consume balance per queue.
     ///
     /// # Errors
     ///
-    /// See [`KernelPair::queues`]; additionally rejects pairs whose
-    /// per-iteration produce and consume counts differ for some queue.
+    /// See [`KernelPair::queues`]; additionally rejects a kernel past a
+    /// bound, a step naming an undeclared region, and pairs whose
+    /// per-iteration produce and consume counts differ (or overflow) for
+    /// some queue. The iteration count is a cycle budget, not a bound.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.producer.validate()?;
+        self.consumer.validate()?;
         let queues = self.queues()?;
         for q in queues {
-            let p = count_queue_ops(&self.producer.steps, q, true);
-            let c = count_queue_ops(&self.consumer.steps, q, false);
-            if p != c {
-                return Err(ConfigError::new(format!(
-                    "queue {q}: {p} produces but {c} consumes per iteration"
-                )));
+            let p = per_iteration(&self.producer.steps, &|s| *s == KStep::Produce(q));
+            let c = per_iteration(&self.consumer.steps, &|s| *s == KStep::Consume(q));
+            match (p, c) {
+                (Some(p), Some(c)) if p == c => {}
+                (Some(p), Some(c)) => {
+                    return Err(ConfigError::new(format!(
+                        "queue {q}: {p} produces but {c} consumes per iteration"
+                    )))
+                }
+                _ => {
+                    return Err(ConfigError::new(format!(
+                        "queue {q}: operations per iteration overflow"
+                    )))
+                }
             }
         }
         if self.iterations == 0 {
@@ -245,18 +351,6 @@ impl KernelPair {
         }
         Ok(())
     }
-}
-
-fn count_queue_ops(steps: &[KStep], q: QueueId, produce: bool) -> u64 {
-    steps
-        .iter()
-        .map(|s| match s {
-            KStep::Produce(x) if produce && *x == q => 1,
-            KStep::Consume(x) if !produce && *x == q => 1,
-            KStep::Loop(body, n) => n * count_queue_ops(body, q, produce),
-            _ => 0,
-        })
-        .sum()
 }
 
 #[cfg(test)]

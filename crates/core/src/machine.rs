@@ -290,12 +290,12 @@ impl Machine {
             seqs.push(Sequencer::new(
                 &producer.program,
                 &producer.region_bases,
-                cfg.seed + (2 * i) as u64,
+                cfg.seed.wrapping_add((2 * i) as u64),
             )?);
             seqs.push(Sequencer::new(
                 &consumer.program,
                 &consumer.region_bases,
-                cfg.seed + (2 * i + 1) as u64,
+                cfg.seed.wrapping_add((2 * i + 1) as u64),
             )?);
             cores.push(Core::new(producer_core, cfg.core)?);
             cores.push(Core::new(consumer_core, cfg.core)?);
@@ -684,10 +684,15 @@ impl Machine {
         }
         // The simulator's own events. Next deadlock sweep that could
         // declare: the first stride multiple past the declaration point,
-        // and past `now`.
-        let declare = self.last_progress().as_u64() + self.cfg.deadlock_cycles + 1;
-        let sweep = (declare.div_ceil(DEADLOCK_STRIDE) * DEADLOCK_STRIDE)
-            .max((now.as_u64() / DEADLOCK_STRIDE + 1) * DEADLOCK_STRIDE);
+        // and past `now`. The window is a cycle budget, not a bound, so
+        // the sum saturates.
+        let declare = (self.last_progress().as_u64())
+            .saturating_add(self.cfg.deadlock_cycles)
+            .saturating_add(1);
+        let sweep = (declare
+            .div_ceil(DEADLOCK_STRIDE)
+            .saturating_mul(DEADLOCK_STRIDE))
+        .max((now.as_u64() / DEADLOCK_STRIDE + 1) * DEADLOCK_STRIDE);
         target = target.min(Cycle::new(sweep));
         if let Some(step) = interval {
             target = target.min(Cycle::new((now.as_u64() / step + 1) * step));
@@ -847,6 +852,25 @@ mod tests {
     use super::*;
     use crate::design::DesignPoint;
     use hfs_sim::stats::StallComponent;
+
+    /// What the bounds let a machine that validates allocate before it
+    /// runs: every cache at its most lines (two per core plus the L3) on
+    /// the most cores, and each core's lowered body at its most steps
+    /// (spill code included), once as lowered and once as compiled into
+    /// its sequencer. The stated ceiling is 256 MiB.
+    #[test]
+    fn the_bounds_cap_what_a_machine_allocates() {
+        use std::mem::size_of;
+        // A tag array holds one `Vec` per set and at most one line
+        // number, state and LRU stamp per line.
+        let cache = hfs_mem::MAX_CACHE_LINES as usize * (size_of::<Vec<u64>>() + 24);
+        let caches = (2 * MAX_CORES + 1) * cache;
+        let steps =
+            crate::kernel::MAX_BODY_STEPS as usize + 2 * crate::design::MAX_SPILL_OPS as usize;
+        let bodies = MAX_CORES * steps * 2 * size_of::<hfs_isa::Step>();
+        let total = caches + bodies;
+        assert!(total < 256 << 20, "{} MiB", total >> 20);
+    }
 
     fn run_design(design: DesignPoint, work: u32, iters: u64) -> RunResult {
         let pair = KernelPair::simple("t", work, iters);

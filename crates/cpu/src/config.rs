@@ -2,6 +2,15 @@
 
 use hfs_sim::ConfigError;
 
+// Upper bounds on what one core may issue into its window in a cycle: a
+// spec from the wire must fail validation, not exhaust memory. Each is 8x
+// or more the largest committed value (6-issue, 6 ALUs, 32 entries).
+
+/// The widest issue and the most units of any one kind.
+pub const MAX_ISSUE_WIDTH: u32 = 64;
+/// The largest in-flight instruction window.
+pub const MAX_WINDOW: u32 = 256;
+
 /// Configuration of one in-order core (Table 2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -42,7 +51,8 @@ impl CoreConfig {
     ///
     /// # Errors
     ///
-    /// Rejects zero widths and empty windows.
+    /// Rejects zero widths and empty windows, and widths, unit counts or
+    /// windows above [`MAX_ISSUE_WIDTH`] and [`MAX_WINDOW`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.issue_width == 0 {
             return Err(ConfigError::new("issue width must be non-zero"));
@@ -54,6 +64,23 @@ impl CoreConfig {
         }
         if self.window == 0 {
             return Err(ConfigError::new("instruction window must be non-zero"));
+        }
+        let widths = [
+            self.issue_width,
+            self.int_alus,
+            self.fp_units,
+            self.branch_units,
+            self.mem_ports,
+        ];
+        if widths.iter().any(|&w| w > MAX_ISSUE_WIDTH) {
+            return Err(ConfigError::new(format!(
+                "issue width and unit counts must be at most {MAX_ISSUE_WIDTH}"
+            )));
+        }
+        if self.window > MAX_WINDOW {
+            return Err(ConfigError::new(format!(
+                "instruction window must be at most {MAX_WINDOW}"
+            )));
         }
         Ok(())
     }

@@ -19,6 +19,6 @@ mod config;
 mod core_model;
 mod port;
 
-pub use config::CoreConfig;
+pub use config::{CoreConfig, MAX_ISSUE_WIDTH, MAX_WINDOW};
 pub use core_model::{BlockedAttempt, Core, CoreStats};
 pub use port::{NullStreamPort, StreamCompletion, StreamPort, StreamSubmit, StreamToken};

@@ -87,14 +87,12 @@ impl Resolved {
 
 /// The per-job step every executor shares: answer from `cache` if it
 /// can, otherwise `run` the job and store the outcome — [`Cache::store`]
-/// keeps only successes, so failures, cancellations and dead workers
+/// keeps only successes, so failures, cancellations and panicked jobs
 /// are always run again. What differs between executors is `run` alone:
-/// an in-process simulation, a round-trip through a worker process, or
-/// a traced run.
+/// a plain or a cancellable simulation, or a traced run.
 ///
-/// A `run` that panics resolves as [`JobOutcome::WorkerDied`], as a job
-/// that crashes a worker process does, so its waiters still get an
-/// answer and the calling thread lives on.
+/// A `run` that panics resolves as [`JobOutcome::WorkerDied`], so its
+/// waiters still get an answer and the calling thread lives on.
 pub fn resolve(cache: Option<&Cache>, key: &str, run: impl FnOnce() -> JobOutcome) -> Resolved {
     let started = Instant::now();
     let (outcome, cached) = match cache.and_then(|c| c.load(key)) {

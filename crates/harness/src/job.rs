@@ -53,7 +53,7 @@ pub struct Job {
     /// untraced results serialize differently).
     pub metrics: bool,
     // Lazily computed cache key. Populated on the first `key()` call and
-    // reused by every later cache/dedup/shard lookup; the `with_*`
+    // reused by every later cache/dedup lookup; the `with_*`
     // builders reset it because they change keyed content. Cloning
     // preserves it (a clone has identical content, hence an identical
     // key). Callers mutating keyed pub fields *after* calling `key()`
@@ -139,8 +139,8 @@ impl Job {
     /// core, design point, seed), the assembly mode, the cycle budget
     /// and the metrics flag.
     ///
-    /// Computed once per job and memoized: cache lookups, dedup, and
-    /// worker sharding all reuse the first computation.
+    /// Computed once per job and memoized: cache lookups and dedup
+    /// reuse the first computation.
     pub fn key(&self) -> String {
         self.key_ref().to_string()
     }
@@ -183,10 +183,8 @@ pub enum JobOutcome {
     /// every client waiting on it disconnected). Never cached — the
     /// owner decides whether to re-enqueue.
     Cancelled,
-    /// The worker *process* executing the job died repeatedly (crash,
-    /// kill, or broken pipe) and the dispatcher exhausted its requeue
-    /// budget. The message records what the dispatcher observed. Never
-    /// cached: the next submission gets a fresh worker.
+    /// The job panicked (`worker_died` on the wire). The message is the
+    /// panic's. Never cached: the next submission runs it again.
     WorkerDied(String),
 }
 

@@ -4,6 +4,15 @@
 use hfs_sim::stats::Counter;
 use hfs_sim::ConfigError;
 
+/// The most lines (sets x ways) one cache may hold, at any level: a
+/// spec from the wire must fail validation, not exhaust memory. 8x the
+/// largest committed cache (the 1.5 MB L3's 12 288 lines).
+pub const MAX_CACHE_LINES: u64 = 1 << 17;
+
+/// The longest cache line, 8x the committed 128 bytes: a line moves over
+/// the bus in `line_bytes / width` bus cycles.
+pub const MAX_LINE_BYTES: u64 = 1024;
+
 /// Geometry of a set-associative cache.
 ///
 /// # Example
@@ -44,20 +53,28 @@ impl CacheGeometry {
     ///
     /// # Errors
     ///
-    /// Rejects zero sizes, non-power-of-two line sizes, and capacities
-    /// that do not divide evenly into sets.
+    /// Rejects zero sizes, non-power-of-two line sizes, capacities that
+    /// do not divide evenly into sets, and lines or line counts above
+    /// [`MAX_LINE_BYTES`] and [`MAX_CACHE_LINES`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.bytes == 0 || self.ways == 0 || self.line_bytes == 0 {
             return Err(ConfigError::new("cache dimensions must be non-zero"));
         }
-        if !self.line_bytes.is_power_of_two() {
-            return Err(ConfigError::new("cache line size must be a power of two"));
+        if !self.line_bytes.is_power_of_two() || self.line_bytes > MAX_LINE_BYTES {
+            return Err(ConfigError::new(format!(
+                "cache line size must be a power of two of at most {MAX_LINE_BYTES} bytes"
+            )));
         }
         let row = u64::from(self.ways) * self.line_bytes;
         if !self.bytes.is_multiple_of(row) || self.bytes / row == 0 {
             return Err(ConfigError::new(
                 "cache capacity must be a positive multiple of ways x line size",
             ));
+        }
+        if self.bytes / self.line_bytes > MAX_CACHE_LINES {
+            return Err(ConfigError::new(format!(
+                "a cache holds at most {MAX_CACHE_LINES} lines"
+            )));
         }
         Ok(())
     }

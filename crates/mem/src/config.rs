@@ -5,6 +5,32 @@ use hfs_sim::ConfigError;
 
 use crate::cache::CacheGeometry;
 
+// Upper bounds on what the memory system allocates from or adds to a
+// cycle count: a spec from the wire must fail validation, not exhaust
+// memory or overflow. Each is at least 8x the largest value any committed
+// experiment, test or example uses (4 ports, 32 OzQ entries, 141 cycles
+// of DRAM, a 4x bus clock divider, 3 bus stages).
+
+/// The most L2 ports.
+pub const MAX_L2_PORTS: u32 = 32;
+/// The most OzQ entries.
+pub const MAX_OZQ_ENTRIES: u32 = 256;
+/// The longest latency, in cycles, of any cache level, of DRAM and of
+/// a recirculation.
+pub const MAX_LATENCY: u64 = 4096;
+/// The largest bus clock divider and the deepest bus pipeline.
+pub const MAX_BUS_CYCLES: u64 = 64;
+
+/// Checks `1 <= v <= max` for the field described by `what`.
+fn within(what: &str, v: u64, max: u64) -> Result<(), ConfigError> {
+    if v == 0 || v > max {
+        return Err(ConfigError::new(format!(
+            "{what} must be between 1 and {max}"
+        )));
+    }
+    Ok(())
+}
+
 /// Shared-bus parameters.
 ///
 /// The baseline machine uses a "16-byte, 1-cycle, 3-stage pipelined,
@@ -46,18 +72,14 @@ impl BusConfig {
     ///
     /// # Errors
     ///
-    /// Rejects zero widths, dividers, or pipeline depths.
+    /// Rejects zero widths, and dividers or pipeline depths of zero or
+    /// above [`MAX_BUS_CYCLES`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.width_bytes == 0 {
             return Err(ConfigError::new("bus width must be non-zero"));
         }
-        if self.clock_divider == 0 {
-            return Err(ConfigError::new("bus clock divider must be non-zero"));
-        }
-        if self.pipeline_stages == 0 {
-            return Err(ConfigError::new("bus pipeline depth must be non-zero"));
-        }
-        Ok(())
+        within("bus clock divider", self.clock_divider, MAX_BUS_CYCLES)?;
+        within("bus pipeline depth", self.pipeline_stages, MAX_BUS_CYCLES)
     }
 }
 
@@ -135,7 +157,8 @@ impl MemConfig {
     /// # Errors
     ///
     /// Returns the first inconsistency found (zero cores, invalid cache
-    /// geometry, L2 line smaller than L1 line, etc.).
+    /// geometry, L2 line smaller than L1 line, a count or latency above
+    /// its bound, etc.).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("at least one core is required"));
@@ -156,14 +179,23 @@ impl MemConfig {
         if self.l3.line_bytes != self.l2.line_bytes {
             return Err(ConfigError::new("L3 and L2 line sizes must match"));
         }
-        if self.l2_ports == 0 {
-            return Err(ConfigError::new("L2 must have at least one port"));
-        }
-        if self.ozq_entries == 0 {
-            return Err(ConfigError::new("OzQ must have at least one entry"));
-        }
-        if self.recirc_interval == 0 {
-            return Err(ConfigError::new("recirculation interval must be non-zero"));
+        within("L2 ports", self.l2_ports.into(), MAX_L2_PORTS.into())?;
+        within(
+            "OzQ entries",
+            self.ozq_entries.into(),
+            MAX_OZQ_ENTRIES.into(),
+        )?;
+        within("recirculation interval", self.recirc_interval, MAX_LATENCY)?;
+        let latencies = [
+            self.l1_latency,
+            self.l2_latency_min,
+            self.l3_latency,
+            self.dram_latency,
+        ];
+        if latencies.iter().any(|&l| l > MAX_LATENCY) {
+            return Err(ConfigError::new(format!(
+                "cache and DRAM latencies must be at most {MAX_LATENCY} cycles"
+            )));
         }
         self.bus.validate()
     }

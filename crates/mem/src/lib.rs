@@ -41,7 +41,7 @@ mod protocol;
 mod system;
 
 pub use bus::BusStats;
-pub use cache::{CacheArray, CacheGeometry, LineState};
+pub use cache::{CacheArray, CacheGeometry, LineState, MAX_CACHE_LINES, MAX_LINE_BYTES};
 pub use config::{BusConfig, MemConfig, Protocol};
 pub use func::FuncMem;
 pub use msg::{Completion, CtlPayload, MemEvent, MemToken, OpLocation, RejectReason};

@@ -1,47 +1,33 @@
 //! The `hfs-serve` daemon: a design-space exploration server.
 //!
 //! ```text
-//! hfs-serve [--sock PATH | --addr HOST:PORT] [--workers N]
-//!           [--queue-limit N]
-//! hfs-serve --worker
+//! hfs-serve [--sock PATH | --addr HOST:PORT] [--queue-limit N]
 //! ```
 //!
 //! Without flags the endpoint comes from `HFS_SOCK`/`HFS_ADDR`. The
-//! execution environment (`HFS_JOBS`, `HFS_CACHE_DIR`, `HFS_NO_CACHE`,
-//! `HFS_HOT_CACHE_MB`) matches the offline engine.
+//! execution environment (`HFS_JOBS` simulation threads, `HFS_CACHE_DIR`,
+//! `HFS_NO_CACHE`, `HFS_HOT_CACHE_MB`) matches the offline engine.
 //! `--queue-limit N` bounds the queued flights before submissions get
-//! `busy` (default 1024). `--workers N` runs simulations on `N` *worker
-//! processes*: the server re-execs this binary with `--worker` per slot
-//! and shards jobs across the children by content key; without it,
-//! simulations run on in-process threads (`HFS_JOBS`). `--worker` is
-//! that internal child mode — it speaks frames on stdin/stdout and is
-//! not meant to be invoked by hand. Operational logging goes through
-//! the `hfs-obs` structured logger: `HFS_LOG=error|warn|info|debug`
-//! sets the level and `HFS_LOG_FILE` redirects it from stderr. The
-//! server runs until a client sends `shutdown` or the process receives
-//! SIGTERM/SIGINT, then drains: accepted work finishes, every pending
-//! result is delivered, and every worker process is reaped before exit.
+//! `busy` (default 1024). A spec that decodes runs or fails as a job on
+//! one of the threads; none can take the process down. Operational
+//! logging goes through the `hfs-obs` structured logger:
+//! `HFS_LOG=error|warn|info|debug` sets the level and `HFS_LOG_FILE`
+//! redirects it from stderr. The server runs until a client sends
+//! `shutdown` or the process receives SIGTERM/SIGINT, then drains:
+//! accepted work finishes and every pending result is delivered before
+//! exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hfs_serve::{signal, worker_main, Endpoint, Server, ServerConfig};
+use hfs_serve::{signal, Endpoint, Server, ServerConfig};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: hfs-serve [--sock PATH | --addr HOST:PORT] [--workers N] \
-         [--queue-limit N]"
-    );
+    eprintln!("usage: hfs-serve [--sock PATH | --addr HOST:PORT] [--queue-limit N]");
     std::process::exit(2);
 }
 
 fn main() -> ExitCode {
-    // Child mode: pure executor on stdin/stdout, no endpoint, no
-    // listener. Checked before anything else so a worker can never
-    // half-initialize as a server.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return ExitCode::from(u8::try_from(worker_main()).unwrap_or(1));
-    }
     let mut endpoint: Option<Endpoint> = None;
     let mut config = ServerConfig::from_env();
     let mut args = std::env::args().skip(1);
@@ -61,13 +47,6 @@ fn main() -> ExitCode {
                 }
             }
             "--addr" => endpoint = Some(Endpoint::Tcp(args.next().unwrap_or_else(|| usage()))),
-            "--workers" => {
-                config.process_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--queue-limit" => {
                 config.queue_limit = args
                     .next()
@@ -107,14 +86,7 @@ fn main() -> ExitCode {
         "listening",
         &[
             ("endpoint", server.endpoint().into()),
-            (
-                "workers",
-                if config.process_workers > 0 {
-                    format!("{} processes", config.process_workers).into()
-                } else {
-                    format!("{} threads", config.workers).into()
-                },
-            ),
+            ("workers", format!("{} threads", config.workers).into()),
             ("queue_limit", config.queue_limit.into()),
             (
                 "cache",

@@ -14,6 +14,11 @@
 //!   result cache ([`hfs_harness::Cache`]);
 //! - **admission control**: a bounded flight queue with structured
 //!   `busy` rejections instead of unbounded memory growth;
+//! - **one executor**: simulations run on in-process worker threads
+//!   (`HFS_JOBS`). Every spec that decodes ends as a result — the
+//!   simulator refuses any field past the bound of what it allocates,
+//!   and a job that panics resolves as `worker_died` — so no submission
+//!   can take the server down;
 //! - **streaming progress**: per-job result frames as they resolve,
 //!   then a batch-completion frame;
 //! - **live telemetry**: every dispatcher counter, queue/connection
@@ -37,7 +42,6 @@ pub mod net;
 pub mod proto;
 pub mod server;
 pub mod signal;
-pub mod worker;
 
 pub use client::{print_update, Client, ClientError, JobUpdate, SUBMIT_CHUNK, SUBMIT_WINDOW};
 pub use net::{Endpoint, Listener, Stream, ENV_ADDR, ENV_SOCK};
@@ -45,4 +49,10 @@ pub use proto::{
     ClientFrame, JobRef, JobResult, ProtoError, ServeStats, ServerFrame, Subscribe, MAX_FRAME_BYTES,
 };
 pub use server::{Server, ServerConfig, DEFAULT_QUEUE_LIMIT};
-pub use worker::worker_main;
+
+/// Does nothing and returns exit code 0. Kept for `benchmark/`, whose
+/// binary still answers `--worker` with it; no server starts a worker
+/// process.
+pub fn worker_main() -> i32 {
+    0
+}

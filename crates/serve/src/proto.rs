@@ -95,7 +95,7 @@ pub(crate) fn write_frame(
 
 /// Reads one frame body. Returns `Ok(None)` on a clean EOF *between*
 /// frames (the peer closed); EOF mid-frame is an error.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
+fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no more frames" from "truncated prefix" by hand: a
     // clean close yields 0 bytes before the next prefix.
@@ -167,7 +167,6 @@ macro_rules! frame_drivers {
         }
     };
 }
-pub(crate) use frame_drivers;
 
 /// How much per-job traffic a batch submission wants back. Results
 /// always travel as [`ServerFrame::BatchResults`]; the level picks how
@@ -448,7 +447,7 @@ impl ClientFrame {
 frame_drivers!(ClientFrame);
 
 /// The `"type"` tag every frame leads with.
-pub(crate) fn read_tag<'a, S: Source<'a>>(
+fn read_tag<'a, S: Source<'a>>(
     s: &mut S,
     o: &mut S::Obj,
 ) -> Result<std::borrow::Cow<'a, str>, ProtoError> {

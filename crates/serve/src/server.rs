@@ -12,27 +12,18 @@
 //! existing flight (single-flight execution), and the one result fans
 //! out to every waiter when the flight resolves.
 //!
-//! Workers pop flights and put each through the harness's per-job step
-//! ([`hfs_harness::resolve`]: the shared result [`Cache`] first, hot
-//! layer then disk, otherwise execute and store). Two worker modes share
-//! the dispatcher and its one worker loop, differing only in how a job
-//! is run: *thread mode* (the default) runs simulations on
-//! in-process threads; *process mode* (`--workers N`) re-execs the
-//! server binary as `--worker` child processes and proxies jobs to
-//! them over pipes using the same length-prefixed JSON frames as the
-//! client protocol. In process mode flights are sharded across workers
-//! by [`Job::key`], so the single-flight guarantee needs no
-//! cross-process locking: one key maps to one worker, and the
-//! parent-side dedup map is the only authority.
-//! A crashed worker is restarted and its in-flight job re-dispatched
-//! (bounded times; then the job resolves as
-//! [`JobOutcome::WorkerDied`]).
+//! Worker threads pop flights and put each through the harness's
+//! per-job step ([`hfs_harness::resolve`]: the shared result [`Cache`]
+//! first, hot layer then disk, otherwise simulate and store). Every spec
+//! that decodes runs or fails as a job: the simulator validates each
+//! field that sizes an allocation, and a run that panics anyway resolves
+//! as [`JobOutcome::WorkerDied`], so a worker thread never dies with its
+//! job.
 //!
 //! When every waiter of a flight disconnects, its queued entry is
 //! discarded (or its running simulation is cancelled via
-//! [`CancelToken`] — forwarded as a `cancel` frame in process mode); a
-//! cancelled flight that gained new waiters before the worker noticed
-//! is transparently re-enqueued with a fresh token.
+//! [`CancelToken`]); a cancelled flight that gained new waiters before
+//! the worker noticed is transparently re-enqueued with a fresh token.
 //!
 //! Admission control bounds the flight queue: a submission that would
 //! push it past the limit is rejected whole with a `busy` frame —
@@ -46,7 +37,6 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
-use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,16 +51,9 @@ use hfs_sim::CancelToken;
 use crate::net::{Endpoint, Listener};
 use crate::proto::{ClientFrame, JobResult, ServeStats, ServerFrame, Subscribe};
 use crate::signal;
-use crate::worker::{WorkerReply, WorkerRequest};
 
 /// Default bound on queued (not yet running) flights.
 pub const DEFAULT_QUEUE_LIMIT: usize = 1024;
-
-/// How many worker deaths one job survives before it resolves as
-/// [`JobOutcome::WorkerDied`] instead of being re-dispatched. A job
-/// that reliably kills its worker (e.g. by exhausting memory) would
-/// otherwise crash-loop the pool forever.
-const MAX_WORKER_CRASHES: u32 = 2;
 
 /// Results buffered per `subscribe: final` batch before a
 /// [`ServerFrame::BatchResults`] chunk is flushed; `subscribe: all`
@@ -83,16 +66,12 @@ const BATCH_CHUNK: usize = 256;
 /// warn/error).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker (simulation) threads when running in thread mode.
+    /// Worker (simulation) threads.
     pub workers: usize,
-    /// Worker *processes* (`--workers`): when nonzero, the server
-    /// re-execs its own binary `--worker` this many times and shards
-    /// flights across the children by job key; `0` (the default)
-    /// executes on in-process threads.
+    /// Ignored: jobs run on [`ServerConfig::workers`] threads. Kept for
+    /// `benchmark/`.
     pub process_workers: usize,
-    /// Binary to re-exec as `--worker` children; `None` uses
-    /// `std::env::current_exe()`. Tests point this at a specific built
-    /// `hfs-serve`.
+    /// Ignored, like [`ServerConfig::process_workers`].
     pub worker_bin: Option<PathBuf>,
     /// Maximum queued flights before submissions get `busy`.
     pub queue_limit: usize,
@@ -206,23 +185,16 @@ struct Flight {
 }
 
 struct DispatchInner {
-    /// One queue per shard: a single queue in thread mode, one per
-    /// worker process in process mode (shard = key hash % workers), so
-    /// a key always executes on the same worker and single-flight
-    /// dedup needs no cross-process coordination.
-    queues: Vec<VecDeque<String>>,
+    /// Keys of the flights no worker has picked up yet, in pickup order.
+    queue: VecDeque<String>,
     flights: HashMap<String, Flight>,
     running: usize,
     draining: bool,
 }
 
 impl DispatchInner {
-    fn queued_total(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
     fn idle(&self) -> bool {
-        self.running == 0 && self.queues.iter().all(VecDeque::is_empty)
+        self.running == 0 && self.queue.is_empty()
     }
 }
 
@@ -248,7 +220,6 @@ struct Telemetry {
     rejected: Counter,
     delivered: Counter,
     timeouts: Counter,
-    worker_restarts: Counter,
     queue_depth: Gauge,
     in_flight: Gauge,
     open_conns: Gauge,
@@ -270,7 +241,6 @@ impl Default for Telemetry {
             rejected: registry.counter("hfs_batches_rejected_total"),
             delivered: registry.counter("hfs_jobs_delivered_total"),
             timeouts: registry.counter("hfs_job_timeouts_total"),
-            worker_restarts: registry.counter("hfs_worker_restarts_total"),
             queue_depth: registry.gauge("hfs_queue_depth"),
             in_flight: registry.gauge("hfs_jobs_in_flight"),
             open_conns: registry.gauge("hfs_open_connections"),
@@ -312,37 +282,6 @@ fn locality_order(fresh: Vec<((u64, u64), String)>) -> impl Iterator<Item = Stri
     ranked.into_iter().map(|(.., key)| key)
 }
 
-/// The parent side of the worker-process pool: per-worker stdin
-/// handles (shared so `drop_conn` can forward cancels while the
-/// worker's proxy thread is blocked on its stdout) and per-shard
-/// telemetry.
-struct ProcPool {
-    worker_bin: PathBuf,
-    stdins: Vec<Mutex<Option<std::process::ChildStdin>>>,
-    shard_depth: Vec<Gauge>,
-}
-
-/// A spawned `--worker` child owned by its proxy thread.
-struct WorkerChild {
-    child: Child,
-    stdout: std::process::ChildStdout,
-}
-
-fn spawn_worker(bin: &std::path::Path) -> io::Result<(WorkerChild, std::process::ChildStdin)> {
-    let mut child = std::process::Command::new(bin)
-        .arg("--worker")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        // stderr (and HFS_LOG) is inherited, but the child must not
-        // append to the parent's structured log file: two processes
-        // sharing one file would interleave their seq counters.
-        .env_remove("HFS_LOG_FILE")
-        .spawn()?;
-    let stdin = child.stdin.take().expect("stdin was piped");
-    let stdout = child.stdout.take().expect("stdout was piped");
-    Ok((WorkerChild { child, stdout }, stdin))
-}
-
 /// The shared execution core behind every connection.
 struct Dispatcher {
     inner: Mutex<DispatchInner>,
@@ -351,11 +290,13 @@ struct Dispatcher {
     obs: Telemetry,
     cache: Option<Cache>,
     queue_limit: usize,
-    /// Queue shards: 1 in thread mode, the worker count in process
-    /// mode.
-    nshards: usize,
-    /// Present only in process mode.
-    proc: Option<ProcPool>,
+    /// How a worker runs a job the cache cannot answer.
+    run: fn(&Job, &CancelToken) -> JobOutcome,
+}
+
+/// [`Dispatcher::run`]: simulate, until the token fires.
+fn simulate(job: &Job, cancel: &CancelToken) -> JobOutcome {
+    execute_cancellable(job, Some(cancel))
 }
 
 impl Dispatcher {
@@ -373,21 +314,9 @@ impl Dispatcher {
         if let Some(h) = cache.as_ref().and_then(Cache::hot) {
             h.install_metrics(&obs.registry);
         }
-        let nshards = config.process_workers.max(1);
-        let proc = (config.process_workers > 0).then(|| ProcPool {
-            worker_bin: config.worker_bin.clone().unwrap_or_else(|| {
-                std::env::current_exe().unwrap_or_else(|_| PathBuf::from("hfs-serve"))
-            }),
-            stdins: (0..config.process_workers)
-                .map(|_| Mutex::new(None))
-                .collect(),
-            shard_depth: (0..config.process_workers)
-                .map(|i| obs.registry.gauge(&format!("hfs_worker_queue_depth_w{i}")))
-                .collect(),
-        });
         Dispatcher {
             inner: Mutex::new(DispatchInner {
-                queues: (0..nshards).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 flights: HashMap::new(),
                 running: 0,
                 draining: false,
@@ -397,31 +326,14 @@ impl Dispatcher {
             obs,
             cache,
             queue_limit: config.queue_limit,
-            nshards,
-            proc,
+            run: simulate,
         }
     }
 
-    /// The shard (queue index / worker process) a key belongs to. Keys
-    /// are 16 lowercase hex digits of a content hash, so the leading
-    /// digits are uniformly distributed.
-    fn shard_of(&self, key: &str) -> usize {
-        if self.nshards == 1 {
-            return 0;
-        }
-        let h = u64::from_str_radix(key.get(..8).unwrap_or("0"), 16).unwrap_or(0);
-        (h as usize) % self.nshards
-    }
-
-    /// Refreshes the queue-depth gauges from the queues' state; call
-    /// under the dispatcher lock after any queue mutation.
+    /// Refreshes the queue-depth gauge; call under the dispatcher lock
+    /// after any queue mutation.
     fn note_queue_depth(&self, inner: &DispatchInner) {
-        self.obs.queue_depth.set(inner.queued_total() as i64);
-        if let Some(pool) = &self.proc {
-            for (gauge, queue) in pool.shard_depth.iter().zip(&inner.queues) {
-                gauge.set(queue.len() as i64);
-            }
-        }
+        self.obs.queue_depth.set(inner.queue.len() as i64);
     }
 
     fn stats(&self) -> ServeStats {
@@ -435,7 +347,7 @@ impl Dispatcher {
             aborted: self.obs.aborted.get(),
             rejected: self.obs.rejected.get(),
             delivered: self.obs.delivered.get(),
-            queued: inner.queued_total() as u64,
+            queued: inner.queue.len() as u64,
             running: inner.running as u64,
             draining: inner.draining,
         }
@@ -509,10 +421,10 @@ impl Dispatcher {
         if !missing.is_empty() {
             return Err(ServerFrame::RefsMiss { id, missing });
         }
-        if inner.queued_total() + new_keys.len() > self.queue_limit {
+        if inner.queue.len() + new_keys.len() > self.queue_limit {
             self.obs.rejected.inc();
             return Err(ServerFrame::Busy {
-                queued: inner.queued_total() as u64,
+                queued: inner.queue.len() as u64,
                 limit: self.queue_limit as u64,
                 id,
             });
@@ -581,23 +493,20 @@ impl Dispatcher {
                 fresh.push((place.expect("a new flight has a spec"), key));
             }
         }
-        for key in locality_order(fresh) {
-            let shard = self.shard_of(&key);
-            inner.queues[shard].push_back(key);
-        }
+        inner.queue.extend(locality_order(fresh));
         self.note_queue_depth(&inner);
         drop(inner);
         self.work_ready.notify_all();
         Ok(())
     }
 
-    /// Blocks until shard `idx` has work (returning its pickup state)
-    /// or the drain condition holds (returning `None`, at which point
-    /// the caller thread exits).
-    fn next_flight(&self, idx: usize) -> Option<(String, Arc<Job>, CancelToken, u64)> {
+    /// Blocks until there is work (returning its pickup state) or the
+    /// drain condition holds (returning `None`, at which point the
+    /// caller thread exits).
+    fn next_flight(&self) -> Option<(String, Arc<Job>, CancelToken, u64)> {
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if let Some(key) = inner.queues[idx].pop_front() {
+            if let Some(key) = inner.queue.pop_front() {
                 let flight = inner
                     .flights
                     .get_mut(&key)
@@ -618,18 +527,11 @@ impl Dispatcher {
         }
     }
 
-    /// The worker loop of shard `shard`: pop a flight, put it through the
-    /// harness's per-job step, count, deliver. Thread mode and process
-    /// mode differ in the `run` closure alone — simulate here, or
-    /// round-trip the job through this shard's child process (which the
-    /// loop owns, and reaps when the drain ends it).
-    fn worker_loop(&self, shard: usize) {
-        let mut child: Option<WorkerChild> = None;
-        while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(shard) {
-            let step = resolve(self.cache.as_ref(), &key, || match &self.proc {
-                Some(pool) => self.run_on_child(pool, &mut child, shard, &key, &job),
-                None => execute_cancellable(&job, Some(&cancel)),
-            });
+    /// The worker loop: pop a flight, put it through the harness's
+    /// per-job step, count, deliver.
+    fn worker_loop(&self) {
+        while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight() {
+            let step = resolve(self.cache.as_ref(), &key, || (self.run)(&job, &cancel));
             if step.cached {
                 self.obs.cache_hits.inc();
             } else if step.executed() {
@@ -644,165 +546,6 @@ impl Dispatcher {
                 self.obs.timeouts.inc();
             }
             self.complete(&key, step.outcome, step.cached);
-        }
-        if let Some(pool) = &self.proc {
-            self.reap_worker(pool, shard, child);
-        }
-    }
-
-    /// Executes one job on worker `idx`'s child process, spawning or
-    /// respawning it as needed. A child that dies mid-job (crash, OOM
-    /// kill, operator `kill -9`) is restarted and the job re-sent, up
-    /// to [`MAX_WORKER_CRASHES`] deaths; after that the job resolves as
-    /// [`JobOutcome::WorkerDied`] so the batch still completes with a
-    /// structured error instead of hanging.
-    fn run_on_child(
-        &self,
-        pool: &ProcPool,
-        child: &mut Option<WorkerChild>,
-        idx: usize,
-        key: &str,
-        job: &Job,
-    ) -> JobOutcome {
-        // Every respawn re-sends the job from scratch, so each attempt
-        // gets a fresh progress (cycle-budget) deadline.
-        let mut crashes: u32 = 0;
-        loop {
-            if crashes > MAX_WORKER_CRASHES {
-                return JobOutcome::WorkerDied(format!(
-                    "worker {idx} died {crashes} times running this job"
-                ));
-            }
-            if child.is_none() {
-                // Once drain begins, a dead child is reaped but never
-                // respawned: the in-flight job resolves with a
-                // structured outcome instead of spinning up a process
-                // the shutdown path would immediately have to kill.
-                if crashes > 0 && self.inner.lock().unwrap().draining {
-                    return JobOutcome::WorkerDied(format!(
-                        "worker {idx} died during drain; not respawned"
-                    ));
-                }
-                match spawn_worker(&pool.worker_bin) {
-                    Ok((c, stdin)) => {
-                        hfs_obs::debug(
-                            "serve",
-                            "worker_spawned",
-                            &[
-                                ("worker", u64::from(idx as u32).into()),
-                                ("pid", u64::from(c.child.id()).into()),
-                            ],
-                        );
-                        *pool.stdins[idx].lock().unwrap() = Some(stdin);
-                        *child = Some(c);
-                    }
-                    Err(e) => {
-                        crashes += 1;
-                        self.obs.worker_restarts.inc();
-                        hfs_obs::error(
-                            "serve",
-                            "worker_spawn_failed",
-                            &[
-                                ("worker", u64::from(idx as u32).into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                        std::thread::sleep(Duration::from_millis(100));
-                        continue;
-                    }
-                }
-            }
-            let sent = {
-                let mut stdin = pool.stdins[idx].lock().unwrap();
-                match stdin.as_mut() {
-                    Some(s) => crate::proto::write_frame(s, |w| {
-                        WorkerRequest::write_run(w, key, job);
-                    })
-                    .is_ok(),
-                    None => false,
-                }
-            };
-            if !sent {
-                // The child died while idle; count it and respawn.
-                self.note_worker_death(pool, idx, child, &mut crashes, "write failed");
-                continue;
-            }
-            let reply = {
-                let c = child.as_mut().expect("child was just ensured");
-                WorkerReply::read_from(&mut c.stdout).ok().flatten()
-            };
-            match reply {
-                Some(r) if r.key == key => return r.outcome,
-                Some(r) => {
-                    // A reply for another key breaks the
-                    // one-outstanding protocol; treat the child as
-                    // wedged.
-                    self.note_worker_death(
-                        pool,
-                        idx,
-                        child,
-                        &mut crashes,
-                        &format!("protocol error: reply for {:?}", r.key),
-                    );
-                }
-                None => {
-                    self.note_worker_death(pool, idx, child, &mut crashes, "died mid-job");
-                }
-            }
-        }
-    }
-
-    /// Records one worker-process death: reaps the corpse, clears its
-    /// shared stdin slot, and bumps the restart telemetry.
-    fn note_worker_death(
-        &self,
-        pool: &ProcPool,
-        idx: usize,
-        child: &mut Option<WorkerChild>,
-        crashes: &mut u32,
-        why: &str,
-    ) {
-        *pool.stdins[idx].lock().unwrap() = None;
-        if let Some(mut c) = child.take() {
-            let _ = c.child.kill();
-            let _ = c.child.wait();
-        }
-        *crashes += 1;
-        self.obs.worker_restarts.inc();
-        hfs_obs::warn(
-            "serve",
-            "worker_died",
-            &[
-                ("worker", u64::from(idx as u32).into()),
-                ("reason", why.into()),
-            ],
-        );
-    }
-
-    /// Gracefully retires worker `idx`'s child at drain: sends `exit`,
-    /// closes its stdin, and reaps it (with a bounded wait, then a
-    /// kill) so a drained server leaves no orphan processes behind.
-    fn reap_worker(&self, pool: &ProcPool, idx: usize, child: Option<WorkerChild>) {
-        let stdin = pool.stdins[idx].lock().unwrap().take();
-        if let Some(mut s) = stdin {
-            let _ = WorkerRequest::Exit.write_to(&mut s);
-            // Dropping the handle closes the pipe: EOF is the backup
-            // exit signal if the frame never arrived.
-        }
-        let Some(mut c) = child else { return };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match c.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                _ => {
-                    let _ = c.child.kill();
-                    let _ = c.child.wait();
-                    return;
-                }
-            }
         }
     }
 
@@ -823,9 +566,8 @@ impl Dispatcher {
             flight.cancel = CancelToken::new();
             flight.running = false;
             flight.enqueued_at = Instant::now();
-            let shard = self.shard_of(key);
             inner.flights.insert(key.to_string(), flight);
-            inner.queues[shard].push_back(key.to_string());
+            inner.queue.push_back(key.to_string());
             self.note_queue_depth(&inner);
             drop(inner);
             self.work_ready.notify_all();
@@ -867,14 +609,12 @@ impl Dispatcher {
     fn drop_conn(&self, conn_id: u64) {
         let mut inner = self.inner.lock().unwrap();
         let mut dead_queued: HashSet<String> = HashSet::new();
-        let mut cancelled: Vec<String> = Vec::new();
         for (key, flight) in &mut inner.flights {
             flight.waiters.retain(|w| w.conn_id != conn_id);
             if flight.waiters.is_empty() {
                 if flight.running {
                     flight.cancel.cancel();
                     self.obs.cancelled.inc();
-                    cancelled.push(key.clone());
                 } else {
                     dead_queued.insert(key.clone());
                 }
@@ -884,25 +624,13 @@ impl Dispatcher {
             inner.flights.remove(key);
             self.obs.aborted.inc();
         }
-        // One pass over the queues, however many flights died.
+        // One pass over the queue, however many flights died.
         if !dead_queued.is_empty() {
-            for queue in &mut inner.queues {
-                queue.retain(|k| !dead_queued.contains(k));
-            }
+            inner.queue.retain(|k| !dead_queued.contains(k));
         }
         self.note_queue_depth(&inner);
         let drained = inner.draining && inner.idle();
         drop(inner);
-        // Forward cancels into the worker processes — a running flight
-        // sits on the child of its key's shard — best-effort: a result
-        // that already raced back simply wins.
-        if let Some(pool) = &self.proc {
-            for key in cancelled {
-                if let Some(stdin) = pool.stdins[self.shard_of(&key)].lock().unwrap().as_mut() {
-                    let _ = WorkerRequest::Cancel { key }.write_to(stdin);
-                }
-            }
-        }
         if drained {
             self.drained.notify_all();
         }
@@ -994,16 +722,10 @@ impl Server {
             endpoint_desc,
             workers,
         } = self;
-        // Process mode: one loop per shard, each proxying to its child.
-        // Thread mode: `workers` loops sharing the single shard.
-        let loops = match dispatcher.proc {
-            Some(_) => dispatcher.nshards,
-            None => workers,
-        };
-        let worker_handles: Vec<_> = (0..loops)
-            .map(|i| {
+        let worker_handles: Vec<_> = (0..workers)
+            .map(|_| {
                 let d = Arc::clone(&dispatcher);
-                std::thread::spawn(move || d.worker_loop(i % d.nshards))
+                std::thread::spawn(move || d.worker_loop())
             })
             .collect();
 
@@ -1179,15 +901,21 @@ mod tests {
     }
 
     fn dispatcher(workers: usize, queue_limit: usize) -> Arc<Dispatcher> {
-        let d = Arc::new(Dispatcher::new(&ServerConfig {
+        let d = Dispatcher::new(&ServerConfig {
             workers,
             queue_limit,
             cache_dir: None,
             ..ServerConfig::default()
-        }));
+        });
+        serving(d, workers)
+    }
+
+    /// `d` with `workers` worker loops running on it.
+    fn serving(d: Dispatcher, workers: usize) -> Arc<Dispatcher> {
+        let d = Arc::new(d);
         for _ in 0..workers {
             let dd = Arc::clone(&d);
-            std::thread::spawn(move || dd.worker_loop(0));
+            std::thread::spawn(move || dd.worker_loop());
         }
         d
     }
@@ -1379,7 +1107,7 @@ mod tests {
         let b = |i| on(DesignPoint::heavywt(), 3, i);
         let c = |i| on(DesignPoint::syncopti(), 2, i);
         let queued = |d: &Dispatcher| -> Vec<String> {
-            d.inner.lock().unwrap().queues[0].iter().cloned().collect()
+            d.inner.lock().unwrap().queue.iter().cloned().collect()
         };
         let keys = |jobs: &[Job]| -> Vec<String> { jobs.iter().map(Job::key).collect() };
 
@@ -1404,6 +1132,73 @@ mod tests {
         assert_eq!(collect(&rx, 3), (12, true));
         assert_eq!(d.stats().deduped, 3);
         drain(&d);
+    }
+
+    /// A job whose run panics resolves as `worker_died` on a live
+    /// dispatcher: it is not cached, it runs again when resubmitted, and
+    /// the next batch completes.
+    #[test]
+    fn a_panicking_job_fails_alone_and_is_never_cached() {
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir = std::env::temp_dir().join(format!("hfs-serve-panic-{nanos:x}"));
+        let mut d = Dispatcher::new(&ServerConfig {
+            workers: 1,
+            queue_limit: 64,
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        d.run = |job, cancel| {
+            if job.label.starts_with("boom") {
+                PANICS.fetch_add(1, Ordering::SeqCst);
+                panic!("{} blew up", job.label);
+            }
+            simulate(job, cancel)
+        };
+        let d = serving(d, 1);
+        let (tx, rx) = channel();
+        // One batch's (label, status) pairs, in submission order.
+        let statuses = |id| {
+            let mut results = Vec::new();
+            loop {
+                match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
+                    ServerFrame::BatchResults { results: r, .. } => results.extend(r),
+                    ServerFrame::Done { id: done, .. } if done == id => break,
+                    _ => {}
+                }
+            }
+            results.sort_by_key(|r| r.index);
+            let status = |r: JobResult| (r.label, r.outcome.status());
+            results.into_iter().map(status).collect::<Vec<_>>()
+        };
+        let (boom, fine) = (job("boom/1", 2, 40), job("fine/1", 3, 40));
+        let batch = spec_entries(vec![boom.clone(), fine.clone()]);
+        d.submit(0, &tx, "p", 1, Subscribe::Final, batch).unwrap();
+        let died = ("boom/1".to_string(), "worker_died");
+        assert_eq!(statuses(1), [died.clone(), ("fine/1".to_string(), "ok")]);
+        let cache = d.cache.as_ref().unwrap();
+        assert!(
+            cache.load(&boom.key()).is_none(),
+            "a dead job is not cached"
+        );
+        assert!(cache.load(&fine.key()).is_some());
+
+        let again = spec_entries(vec![boom.clone()]);
+        d.submit(0, &tx, "p", 2, Subscribe::Final, again).unwrap();
+        assert_eq!(statuses(2), [died]);
+        assert_eq!(PANICS.load(Ordering::SeqCst), 2, "it ran again");
+
+        let next = spec_entries(vec![job("after/1", 4, 40)]);
+        d.submit(0, &tx, "p", 3, Subscribe::Final, next).unwrap();
+        assert_eq!(statuses(3), [("after/1".to_string(), "ok")]);
+        let s = d.stats();
+        assert!(identity_holds(&s), "{s:?}");
+        assert_eq!((s.submitted, s.executed), (4, 4));
+        drain(&d);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! a trip over the wire and to field order; moved by every keyed leaf;
 //! collision-free over the sweeps the repository runs — are checked, as
 //! is the locality pair the server orders a chunk by: moved by every
-//! keyed leaf but the cycle budget and the iteration count.
+//! keyed leaf but the cycle budget and the iteration count. Last, every
+//! numeric leaf is pushed to its bound and past it: a spec that decodes
+//! runs or fails as a job.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +25,6 @@ use hfs::harness::{
 };
 use hfs::isa::QueueId;
 use hfs::mem::Protocol;
-use hfs::serve::worker::{WorkerReply, WorkerRequest};
 use hfs::serve::{ClientFrame, JobRef, JobResult, ServeStats, ServerFrame, Subscribe};
 use hfs::sim::Rng64;
 
@@ -246,28 +247,6 @@ fn server_frames() -> Vec<ServerFrame> {
     ]
 }
 
-fn worker_frames() -> (Vec<WorkerRequest>, Vec<WorkerReply>) {
-    let job = jobs().swap_remove(11);
-    let requests = vec![
-        WorkerRequest::Run {
-            key: job.key(),
-            job,
-        },
-        WorkerRequest::Cancel {
-            key: "0123456789abcdef".to_string(),
-        },
-        WorkerRequest::Exit,
-    ];
-    let replies = outcomes()
-        .into_iter()
-        .map(|outcome| WorkerReply {
-            key: "0123456789abcdef".to_string(),
-            outcome,
-        })
-        .collect();
-    (requests, replies)
-}
-
 #[test]
 fn the_text_driver_writes_the_tree_drivers_bytes() {
     for o in outcomes() {
@@ -288,13 +267,6 @@ fn the_text_driver_writes_the_tree_drivers_bytes() {
         assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
     }
     for f in server_frames() {
-        assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
-    }
-    let (requests, replies) = worker_frames();
-    for f in requests {
-        assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
-    }
-    for f in replies {
         assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
     }
 }
@@ -449,25 +421,6 @@ fn the_text_driver_reads_what_the_tree_driver_reads() {
             ServerFrame::to_json,
         ));
     }
-    let (requests, replies) = worker_frames();
-    for (i, f) in requests.iter().enumerate() {
-        tally(both_drivers_read_alike(
-            400 + i as u64,
-            &f.to_json(),
-            |t| WorkerRequest::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-            WorkerRequest::from_json,
-            WorkerRequest::to_json,
-        ));
-    }
-    for (i, f) in replies.iter().enumerate() {
-        tally(both_drivers_read_alike(
-            500 + i as u64,
-            &f.to_json(),
-            |t| WorkerReply::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-            WorkerReply::from_json,
-            WorkerReply::to_json,
-        ));
-    }
     assert!(
         decoded > tried / 4 && decoded < tried,
         "{decoded} of {tried} scrambled documents decoded"
@@ -566,55 +519,22 @@ fn unknown_keys_are_ignored_first_duplicates_win_and_old_blobs_default() {
 
 #[test]
 fn leftover_retry_members_are_unknown_keys() {
-    // Specs and worker frames written before the retry mechanism went
-    // still decode, to what they decode to without the member.
-    let prefixed = |text: &str| {
-        let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
-        bytes.extend_from_slice(text.as_bytes());
-        bytes
-    };
-    // `doc` with a leftover `member` among the fields at `path`, ahead
-    // of the ones still read.
-    let with = |doc: &Json, path: &[&str], member: &str| {
-        let mut old = doc.clone();
-        edit_at(&mut old, path, |pairs| {
-            pairs.insert(2, (member.to_string(), Json::U64(2)));
-        });
-        old
-    };
-
+    // Specs written before the retry mechanism went still decode, to what
+    // they decode to without the member.
     let job = jobs().swap_remove(11);
     let spec = job_to_json(&job);
     assert!(spec.get("retries").is_none(), "the spec carries no retries");
-    let old = decoded_alike(
-        &with(&spec, &[], "retries"),
+    let mut old = spec.clone();
+    edit_at(&mut old, &[], |pairs| {
+        pairs.insert(2, ("retries".to_string(), Json::U64(2)));
+    });
+    let back = decoded_alike(
+        &old,
         |t| from_text(t, read_job),
         |v| from_tree(v, read_job),
         job_to_json,
     );
-    assert_eq!(old, Some(spec));
-
-    let run = WorkerRequest::Run {
-        key: job.key(),
-        job,
-    }
-    .to_json();
-    let old = decoded_alike(
-        &with(&with(&run, &["job"], "retries"), &[], "retries"),
-        |t| WorkerRequest::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-        WorkerRequest::from_json,
-        WorkerRequest::to_json,
-    );
-    assert_eq!(old, Some(run));
-
-    let reply = worker_frames().1.swap_remove(0).to_json();
-    let old = decoded_alike(
-        &with(&reply, &[], "retries_used"),
-        |t| WorkerReply::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-        WorkerReply::from_json,
-        WorkerReply::to_json,
-    );
-    assert_eq!(old, Some(reply));
+    assert_eq!(back, Some(spec));
 }
 
 #[test]
@@ -760,15 +680,20 @@ fn change_leaf(pairs: &mut Vec<(String, Json)>, at: usize) {
     }
 }
 
-/// Calls `visit` once per leaf of `doc` with a copy of `doc` in which
-/// that leaf alone has changed, and the path to it.
-fn each_single_change(doc: &Json, visit: &mut impl FnMut(&str, Json)) {
+/// Edits the leaf at an index of the object holding it; says whether it
+/// changed the leaf.
+type LeafEdit<'a> = dyn FnMut(&mut Vec<(String, Json)>, usize) -> bool + 'a;
+
+/// Calls `visit` once per leaf of `doc` that `edit` changes, with a copy
+/// of `doc` in which that leaf alone has changed, and the path to it.
+fn each_edited_leaf(doc: &Json, edit: &mut LeafEdit, visit: &mut dyn FnMut(&str, Json)) {
     // Paths are walked by index so that each copy is edited in one place.
     fn walk(
         root: &Json,
         at: &Json,
         path: &mut Vec<usize>,
         name: &str,
+        edit: &mut LeafEdit,
         visit: &mut dyn FnMut(&str, Json),
     ) {
         let children: Vec<(String, &Json)> = match at {
@@ -786,7 +711,7 @@ fn each_single_change(doc: &Json, visit: &mut impl FnMut(&str, Json)) {
         for (i, (child_name, child)) in children.into_iter().enumerate() {
             path.push(i);
             if matches!(child, Json::Obj(_) | Json::Arr(_)) {
-                walk(root, child, path, &child_name, visit);
+                walk(root, child, path, &child_name, edit, visit);
             } else {
                 let mut copy = root.clone();
                 let mut parent = &mut copy;
@@ -797,16 +722,18 @@ fn each_single_change(doc: &Json, visit: &mut impl FnMut(&str, Json)) {
                         _ => unreachable!(),
                     };
                 }
-                match parent {
-                    Json::Obj(pairs) => change_leaf(pairs, i),
+                let changed = match parent {
+                    Json::Obj(pairs) => edit(pairs, i),
                     other => panic!("{child_name}: a spec holds no bare value in {other}"),
+                };
+                if changed {
+                    visit(&child_name, copy);
                 }
-                visit(&child_name, copy);
             }
             path.pop();
         }
     }
-    walk(doc, doc, &mut Vec::new(), "", visit);
+    walk(doc, doc, &mut Vec::new(), "", edit, visit);
 }
 
 #[test]
@@ -817,7 +744,11 @@ fn every_keyed_leaf_moves_the_key_and_about_half_its_bits() {
         let key = job.key();
         let place = locality_key(&job);
         let mut seen = HashMap::from([(key.clone(), "the job itself".to_string())]);
-        each_single_change(&job_to_json(&job), &mut |path, doc| {
+        let mut change = |pairs: &mut Vec<(String, Json)>, at| {
+            change_leaf(pairs, at);
+            true
+        };
+        each_edited_leaf(&job_to_json(&job), &mut change, &mut |path, doc| {
             let changed = from_tree(&doc, read_job)
                 .unwrap_or_else(|e| panic!("{path} changed to something undecodable: {e}"));
             // The locality pair is the key less the cycle budget and the
@@ -850,6 +781,98 @@ fn every_keyed_leaf_moves_the_key_and_about_half_its_bits() {
     assert!(leaves > 1_000, "{leaves} leaves walked");
     let mean = bits as f64 / leaves as f64;
     assert!(mean >= 20.0, "a changed leaf flips {mean:.1} of 64 bits");
+}
+
+/// Every numeric leaf of a spec, set to 0, 1, its bound and one past it,
+/// `u32::MAX` and `u64::MAX`: whatever decodes runs as a job that ends
+/// `Ok`, `SimError` or `Timeout`. Never `WorkerDied`, which is how a
+/// panic (in this profile, an unchecked overflow too) ends; an abort would
+/// end the test binary.
+#[test]
+fn no_numeric_leaf_can_abort_a_job() {
+    use hfs::core::kernel::{MAX_BODY_STEPS, MAX_REGION_BYTES};
+    use hfs::core::lower::ARCH_QUEUES;
+    use hfs::cpu::{MAX_ISSUE_WIDTH, MAX_WINDOW};
+    use hfs::mem::config::{MAX_BUS_CYCLES, MAX_L2_PORTS, MAX_LATENCY, MAX_OZQ_ENTRIES};
+    use hfs::mem::{MAX_CACHE_LINES, MAX_LINE_BYTES};
+    // The bound of each leaf that has one, by name (a cache's `bytes`
+    // bound is its largest geometry at 128-byte lines).
+    let bounds: HashMap<&str, u64> = HashMap::from([
+        ("n", MAX_BODY_STEPS),
+        ("stride", MAX_REGION_BYTES),
+        ("queue", ARCH_QUEUES - 1),
+        ("cores", 8),
+        ("line_bytes", MAX_LINE_BYTES),
+        ("l1_latency", MAX_LATENCY),
+        ("l2_latency_min", MAX_LATENCY),
+        ("l3_latency", MAX_LATENCY),
+        ("dram_latency", MAX_LATENCY),
+        ("recirc_interval", MAX_LATENCY),
+        ("l2_ports", MAX_L2_PORTS.into()),
+        ("ozq_entries", MAX_OZQ_ENTRIES.into()),
+        ("clock_divider", MAX_BUS_CYCLES),
+        ("pipeline_stages", MAX_BUS_CYCLES),
+        ("issue_width", MAX_ISSUE_WIDTH.into()),
+        ("int_alus", MAX_ISSUE_WIDTH.into()),
+        ("fp_units", MAX_ISSUE_WIDTH.into()),
+        ("branch_units", MAX_ISSUE_WIDTH.into()),
+        ("mem_ports", MAX_ISSUE_WIDTH.into()),
+        ("window", MAX_WINDOW.into()),
+    ]);
+    let (mut ran, mut refused) = (0u32, 0u32);
+    // Every design variant and every mode between them.
+    for job in jobs().into_iter().step_by(7) {
+        let doc = job_to_json(&job);
+        for slot in 0..6 {
+            let value = std::cell::Cell::new(0);
+            let mut set = |pairs: &mut Vec<(String, Json)>, at: usize| {
+                // A cache's `bytes` are bounded by its lines, a region's
+                // by their own bound.
+                let line_bytes = pairs.iter().find_map(|(k, v)| match (k.as_str(), v) {
+                    ("line_bytes", Json::U64(l)) => Some(*l),
+                    _ => None,
+                });
+                let bound = match (pairs[at].0.as_str(), line_bytes) {
+                    ("bytes", Some(line)) => Some(MAX_CACHE_LINES * line),
+                    ("bytes", None) => Some(MAX_REGION_BYTES),
+                    (name, _) => bounds.get(name).copied(),
+                };
+                value.set(match (slot, bound) {
+                    (0, _) => 0,
+                    (1, _) => 1,
+                    (2, _) => u64::from(u32::MAX),
+                    (3, _) => u64::MAX,
+                    (4, Some(max)) => max,
+                    (5, Some(max)) => max + 1,
+                    _ => return false,
+                });
+                let leaf = &mut pairs[at].1;
+                let numeric = matches!(leaf, Json::U64(_));
+                *leaf = Json::U64(value.get());
+                numeric
+            };
+            each_edited_leaf(&doc, &mut set, &mut |path, edited| {
+                let Ok(spec) = from_text(&edited.to_string(), read_job) else {
+                    refused += 1;
+                    return;
+                };
+                let budget = spec.max_cycles.min(300);
+                let spec = spec.with_max_cycles(budget);
+                let outcome = hfs::harness::resolve(None, "", || execute(&spec, 0)).outcome;
+                assert!(
+                    matches!(
+                        outcome,
+                        JobOutcome::Ok(_) | JobOutcome::SimError(_) | JobOutcome::Timeout { .. }
+                    ),
+                    "{} with {path} = {}: {outcome}",
+                    job.label,
+                    value.get()
+                );
+                ran += 1;
+            });
+        }
+    }
+    assert!(ran > 3_000 && refused > 300, "{ran} ran, {refused} refused");
 }
 
 /// The benchmark's sweep grid (5 designs x 8 work x 61 lengths, the

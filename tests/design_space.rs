@@ -1,9 +1,14 @@
 //! End-to-end integration: every design point runs every benchmark to
 //! completion with verified queue semantics and consistent accounting.
 
-use hfs::core::kernel::KernelPair;
+use hfs::core::kernel::{KStep, KernelPair, MAX_BODY_STEPS, MAX_REGIONS, MAX_REGION_BYTES};
+use hfs::core::lower::ARCH_QUEUES;
 use hfs::core::{DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig};
-use hfs::harness::{execute, Job, JobOutcome};
+use hfs::cpu::{MAX_ISSUE_WIDTH, MAX_WINDOW};
+use hfs::harness::{execute, job_from_json, job_to_json, Job, JobOutcome};
+use hfs::isa::QueueId;
+use hfs::mem::config::{MAX_BUS_CYCLES, MAX_L2_PORTS, MAX_LATENCY, MAX_OZQ_ENTRIES};
+use hfs::mem::{CacheGeometry, MAX_CACHE_LINES, MAX_LINE_BYTES};
 use hfs::workloads::all_benchmarks;
 
 const ITERS: u64 = 200;
@@ -116,13 +121,91 @@ fn single_threaded_fusion_runs_all_benchmarks() {
     }
 }
 
-/// A well-formed spec whose design asks for more than a backend will
-/// allocate, loop over or address fails the job: it never reaches the
-/// allocator, and never aborts the process that decoded it.
+/// A well-formed spec that asks for more than the machine will allocate,
+/// loop over or address fails the job: it never reaches the allocator,
+/// and never aborts the process that decoded it. Every bound admits its
+/// maximum and refuses one more; the other cases are huge, and the
+/// first two of them abort a process that does not check (a 5 GiB
+/// body, a 24 GiB L2 tag array).
 #[test]
 fn an_oversized_design_fails_the_job_not_the_process() {
-    let pair = KernelPair::simple("oversized", 3, 50);
-    for design in [
+    type Edit = fn(&mut MachineConfig, &mut KernelPair, u64);
+    let edited = |edit: Edit, v| {
+        let mut cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt());
+        // 3 ALU operations, a produce and a branch: 14 steps.
+        let mut pair = KernelPair::simple("oversized", 3, 50);
+        edit(&mut cfg, &mut pair, v);
+        (cfg, pair)
+    };
+    let bounded: [(Edit, u64); 14] = [
+        (
+            |c, _, v| c.mem.l3 = CacheGeometry::new(v * 128, 1, 128),
+            MAX_CACHE_LINES,
+        ),
+        (|c, _, v| c.mem.l2_ports = v as u32, MAX_L2_PORTS.into()),
+        (
+            |c, _, v| c.mem.ozq_entries = v as u32,
+            MAX_OZQ_ENTRIES.into(),
+        ),
+        (|c, _, v| c.mem.dram_latency = v, MAX_LATENCY),
+        (|c, _, v| c.mem.recirc_interval = v, MAX_LATENCY),
+        (|c, _, v| c.mem.bus.clock_divider = v, MAX_BUS_CYCLES),
+        (|c, _, v| c.mem.bus.pipeline_stages = v, MAX_BUS_CYCLES),
+        (
+            |c, _, v| c.core.issue_width = v as u32,
+            MAX_ISSUE_WIDTH.into(),
+        ),
+        (|c, _, v| c.core.fp_units = v as u32, MAX_ISSUE_WIDTH.into()),
+        (|c, _, v| c.core.window = v as u32, MAX_WINDOW.into()),
+        (
+            |_, p, v| p.producer.steps[0] = KStep::Alu(v as u32 - 11),
+            MAX_BODY_STEPS,
+        ),
+        (
+            |_, p, v| {
+                for _ in 0..v {
+                    p.producer.add_region("r", 64);
+                }
+            },
+            MAX_REGIONS as u64,
+        ),
+        (
+            |_, p, v| {
+                p.producer.add_region("r", v);
+            },
+            MAX_REGION_BYTES,
+        ),
+        (
+            |_, p, v| {
+                let region = p.producer.add_region("r", 64);
+                let load = KStep::LoadStream { region, stride: v };
+                p.producer.steps.push(load);
+            },
+            MAX_REGION_BYTES,
+        ),
+    ];
+    let mut over = Vec::new();
+    for (edit, max) in bounded {
+        let (cfg, pair) = edited(edit, max);
+        assert!(cfg.validate().and(pair.validate()).is_ok(), "{max}");
+        over.push(edited(edit, max + 1));
+    }
+    let huge: [Edit; 6] = [
+        |_, p, _| p.producer.steps[0] = KStep::Alu(u32::MAX),
+        |c, _, _| c.mem.l2 = CacheGeometry::new(1 << 40, 8, 128),
+        |c, _, _| c.mem.l1d = CacheGeometry::new(MAX_LINE_BYTES * 8, 4, MAX_LINE_BYTES * 2),
+        |_, p, _| p.producer.steps.push(KStep::LoadRandom { region: 0 }),
+        // A produce no consumer matches would fail anyway; the queue id
+        // is refused first.
+        |_, p, _| p.producer.steps[1] = KStep::Produce(QueueId(ARCH_QUEUES as u16)),
+        // 2^40 x 2^40 produces per iteration overflow.
+        |_, p, _| {
+            let inner = KStep::Loop(vec![KStep::Produce(QueueId(0))], 1 << 40);
+            p.producer.steps[1] = KStep::Loop(vec![inner], 1 << 40);
+        },
+    ];
+    over.extend(huge.map(|edit| edited(edit, 0)));
+    let designs = [
         DesignPoint::heavywt_with_transit(1 << 40),
         DesignPoint::heavywt_with(1, u32::MAX),
         DesignPoint::heavywt_centralized(1 << 40),
@@ -137,16 +220,22 @@ fn an_oversized_design_fails_the_job_not_the_process() {
             qlu: 16,
             stream_cache: false,
         }),
-    ] {
-        let cfg = MachineConfig::itanium2_cmp(design);
+    ];
+    over.extend(designs.map(|d| (MachineConfig::itanium2_cmp(d), edited(|_, _, _| {}, 0).1)));
+
+    for (cfg, pair) in over {
+        let what = format!("{:?} {:?}", cfg, pair.producer);
         assert!(
             matches!(Machine::new_pipeline(&cfg, &pair), Err(SimError::Config(_))),
-            "{design:?}"
+            "{what}"
         );
-        let outcome = execute(&Job::pipeline("oversized", pair.clone(), cfg), 0);
+        // What a server decodes from the wire.
+        let job = Job::pipeline("oversized", pair, cfg);
+        let job = job_from_json(&job_to_json(&job)).expect("a well-formed spec decodes");
+        let outcome = execute(&job, 0);
         assert!(
             matches!(outcome, JobOutcome::SimError(_)),
-            "{design:?}: {outcome:?}"
+            "{what}: {outcome:?}"
         );
     }
 }
