@@ -147,7 +147,8 @@ fn main() {
     if engine().metrics_enabled() {
         if let Some(dir) = engine().results_dir() {
             fs::create_dir_all(dir).expect("create results dir");
-            let json = hfs_harness::metrics_to_json(&engine().metrics_report()).to_pretty();
+            let report = engine().metrics_report();
+            let json = hfs_harness::to_text(true, |s| hfs_harness::write_metrics(s, &report));
             let path = dir.join("harness_metrics.json");
             fs::write(&path, json).expect("write harness metrics");
             hfs_obs::info(

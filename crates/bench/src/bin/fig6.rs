@@ -14,7 +14,7 @@ fn main() {
                 std::process::exit(2);
             });
             let jobs = hfs_bench::experiments::fig6::jobs();
-            let spec = hfs_harness::sweep_to_json("fig6", &jobs).to_pretty();
+            let spec = hfs_harness::to_text(true, |s| hfs_harness::write_sweep(s, "fig6", &jobs));
             if let Err(e) = std::fs::write(&path, spec) {
                 eprintln!("fig6: failed to write {path}: {e}");
                 std::process::exit(1);

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use hfs_bench::runner::QUICK_ITERATIONS;
-use hfs_harness::{env_flag, parse, sweep_from_json};
+use hfs_harness::{env_flag, from_text, read_sweep};
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hfs_{tag}_{}", std::process::id()))
@@ -87,7 +87,7 @@ fn dumped_iterations(quick: Option<&str>) -> u64 {
     assert!(fig6.status().expect("run fig6").success());
     let text = fs::read_to_string(&path).expect("fig6 wrote its sweep");
     let _ = fs::remove_file(&path);
-    let (_, jobs) = sweep_from_json(&parse(&text).expect("sweep parses")).expect("sweep decodes");
+    let (_, jobs) = from_text(&text, read_sweep).expect("sweep decodes");
     jobs.iter()
         .map(|j| j.pair.iterations)
         .max()

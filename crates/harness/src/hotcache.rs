@@ -1,10 +1,12 @@
 //! Bounded in-memory hot layer in front of the on-disk result cache.
 //!
 //! A warm sweep against the plain disk cache still pays a file read, a
-//! JSON parse, and a full [`RunResult`](hfs_core::RunResult)
+//! decode, and a full [`RunResult`](hfs_core::RunResult)
 //! reconstruction per job. The hot cache keeps recently touched
 //! outcomes resident — both the decoded [`JobOutcome`] and its
-//! serialized text — so repeat lookups cost one shard lock and a clone.
+//! serialized text — so repeat lookups cost one shard lock and a clone,
+//! and a server splices the text into its result frame as it is
+//! (`JobResult::encoded`, through [`Sink::raw`](crate::Sink::raw)).
 //!
 //! Structure: 16 shards (the same first-hex-digit split as the disk
 //! cache), each a `HashMap` keyed by content hash plus a
@@ -76,7 +78,7 @@ impl HotEntry {
     }
 
     /// The serialized text as a shared handle, cheap to splice into
-    /// outgoing frames ([`Json::Raw`](crate::Json::Raw)).
+    /// outgoing frames ([`Sink::raw`](crate::Sink::raw)).
     pub fn json_arc(&self) -> &Arc<str> {
         &self.json
     }
@@ -161,15 +163,20 @@ impl HotCache {
         }
     }
 
-    /// Builds the hot cache the environment asks for: `None` when
-    /// `HFS_HOT_CACHE_MB=0`, otherwise a cache bounded by the requested
-    /// (or default) budget.
+    /// A hot cache of `mb` MiB: `None` at `0`, and a budget too large
+    /// to count in bytes saturates at `u64::MAX` bytes rather than wrap.
+    pub fn with_mb(mb: u64) -> Option<Arc<HotCache>> {
+        (mb > 0).then(|| Arc::new(HotCache::new(mb.saturating_mul(1 << 20))))
+    }
+
+    /// The hot cache the environment asks for: [`HotCache::with_mb`] of
+    /// `HFS_HOT_CACHE_MB`, or of [`DEFAULT_HOT_CACHE_MB`] when unset.
     pub fn from_env() -> Option<Arc<HotCache>> {
         let mb = std::env::var(ENV_HOT_CACHE_MB)
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(DEFAULT_HOT_CACHE_MB);
-        (mb > 0).then(|| Arc::new(HotCache::new(mb * 1024 * 1024)))
+        HotCache::with_mb(mb)
     }
 
     /// The total byte budget.
@@ -316,7 +323,8 @@ impl HotCache {
 mod tests {
     use super::*;
     use crate::job::{execute, Job};
-    use crate::ser::{outcome_from_text, outcome_to_json};
+    use crate::json::to_text;
+    use crate::ser::{outcome_from_text, write_outcome};
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
 
@@ -349,7 +357,7 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.bytes > entry.json().len() as u64);
         // A caller's own text of the same outcome is kept as it came.
-        let pretty = outcome_to_json(&out).to_pretty();
+        let pretty = to_text(true, |w| write_outcome(w, &out));
         hot.insert(&key, &out, Some(&pretty));
         let entry = hot.get(&key).expect("hit after re-insert");
         assert_eq!(entry.json(), pretty);
@@ -441,6 +449,27 @@ mod tests {
             800,
             "inserts partition into resident + evicted: {s:?}"
         );
+    }
+
+    #[test]
+    fn a_budget_past_u64_bytes_saturates_and_never_evicts() {
+        assert!(HotCache::with_mb(0).is_none());
+        let (_, out) = demo_outcome(30);
+        for mb in [1 << 44, u64::MAX] {
+            let hot = HotCache::with_mb(mb).expect("a nonzero budget is on");
+            // All of `u64`, less what the 16-way split leaves over.
+            assert_eq!(hot.cap_bytes(), u64::MAX / 16 * 16, "{mb} MiB");
+            // Four entries in every shard.
+            let keys: Vec<String> = (0..64u64)
+                .map(|i| format!("{:016x}", (i << 58) | i))
+                .collect();
+            for k in &keys {
+                hot.insert(k, &out, None);
+            }
+            assert!(keys.iter().all(|k| hot.get(k).is_some()), "{mb} MiB");
+            let s = hot.stats();
+            assert_eq!((s.entries, s.evictions), (64, 0), "{mb} MiB");
+        }
     }
 
     #[test]

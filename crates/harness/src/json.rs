@@ -10,13 +10,14 @@
 //! There is one tokenizer ([`Reader`], a pull parser over `&str` that
 //! lends keys and strings out of the input) and one formatter
 //! ([`Writer`], which pushes compact or pretty text into a caller's
-//! buffer). The [`Json`] tree is built and printed through them, and a
-//! codec written once against [`Sink`] and [`Source`] runs either
-//! straight to and from text or to and from a tree.
+//! buffer). A codec written once against [`Sink`] and [`Source`] runs
+//! straight to and from text through them ([`to_text`], [`from_text`]);
+//! the cache key hashes the same `Sink` description. The [`Json`] tree
+//! is what [`parse`] builds and document builders print, also through
+//! them; no codec writes or reads one.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,12 +36,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
-    /// Pre-serialized JSON spliced into the output verbatim. Never
-    /// produced by the parser; constructors promise the text is exactly
-    /// one valid JSON value. Exists so hot paths (the server's cached
-    /// result delivery) can re-emit a stored serialization without
-    /// rebuilding and re-encoding the tree.
-    Raw(Arc<str>),
 }
 
 impl Json {
@@ -101,7 +96,7 @@ impl Json {
     }
 
     /// Replays the tree into `s`.
-    fn emit<S: Sink>(&self, s: &mut S) {
+    fn emit(&self, s: &mut Writer<'_>) {
         match self {
             Json::Null => s.null(),
             Json::Bool(b) => s.bool(*b),
@@ -123,7 +118,6 @@ impl Json {
                 }
                 s.end_obj();
             }
-            Json::Raw(text) => s.raw(text),
         }
     }
 }
@@ -136,8 +130,8 @@ impl std::fmt::Display for Json {
 }
 
 /// Where a codec pushes a value, one token at a time. A codec that
-/// describes a type once against this trait serves both drivers:
-/// [`Writer`] (text) and [`TreeSink`] (a [`Json`] tree).
+/// describes a type once against this trait serves [`Writer`] (text)
+/// and the cache key's hash alike.
 ///
 /// Callers emit well-formed sequences: inside an object every value
 /// follows a [`key`](Sink::key), and every `begin_*` is closed.
@@ -162,8 +156,9 @@ pub trait Sink {
     fn f64(&mut self, v: f64);
     /// A string.
     fn str(&mut self, v: &str);
-    /// Already-serialized text of exactly one value ([`Json::Raw`]).
-    fn raw(&mut self, text: &Arc<str>);
+    /// Already-serialized text of exactly one value, spliced verbatim:
+    /// how a stored outcome rides in a frame without a re-encode.
+    fn raw(&mut self, text: &str);
 
     /// `key` then an unsigned integer.
     fn u64_field(&mut self, key: &str, v: u64) {
@@ -354,7 +349,7 @@ impl Sink for Writer<'_> {
         self.escaped(v);
     }
 
-    fn raw(&mut self, text: &Arc<str>) {
+    fn raw(&mut self, text: &str) {
         self.lead();
         // Pretty text keeps its interior newlines (JSON whitespace is
         // insignificant); only the trailing newline is dropped.
@@ -371,89 +366,6 @@ pub fn to_text(pretty: bool, emit: impl FnOnce(&mut Writer<'_>)) -> String {
         out.push('\n');
     }
     out
-}
-
-/// The tree driver's [`Sink`]: builds the [`Json`] value pushed into it.
-#[derive(Default)]
-pub struct TreeSink {
-    // Finished values of every open container, each with its key (empty
-    // inside arrays). Closing a container splits its own off the top,
-    // so every vector in the tree is allocated once, at its final size.
-    done: Vec<(String, Json)>,
-    // Per open container: where its values start in `done`, and the key
-    // it will take in its parent.
-    open: Vec<(usize, String)>,
-    key: String,
-}
-
-impl TreeSink {
-    fn value(&mut self, v: Json) {
-        self.done.push((std::mem::take(&mut self.key), v));
-    }
-
-    fn begin(&mut self) {
-        self.open
-            .push((self.done.len(), std::mem::take(&mut self.key)));
-    }
-
-    fn end(&mut self, build: impl FnOnce(Vec<(String, Json)>) -> Json) {
-        let (start, key) = self.open.pop().expect("a container is open");
-        let v = build(self.done.split_off(start));
-        self.done.push((key, v));
-    }
-}
-
-impl Sink for TreeSink {
-    fn begin_obj(&mut self) {
-        self.begin();
-    }
-
-    fn end_obj(&mut self) {
-        self.end(Json::Obj);
-    }
-
-    fn begin_arr(&mut self) {
-        self.begin();
-    }
-
-    fn end_arr(&mut self) {
-        self.end(|items| Json::Arr(items.into_iter().map(|(_, v)| v).collect()));
-    }
-
-    fn key(&mut self, key: &str) {
-        self.key = key.to_string();
-    }
-
-    fn null(&mut self) {
-        self.value(Json::Null);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.value(Json::Bool(v));
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.value(Json::U64(v));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.value(Json::F64(v));
-    }
-
-    fn str(&mut self, v: &str) {
-        self.value(Json::Str(v.to_string()));
-    }
-
-    fn raw(&mut self, text: &Arc<str>) {
-        self.value(Json::Raw(Arc::clone(text)));
-    }
-}
-
-/// The tree of whatever `emit` pushes.
-pub fn to_tree(emit: impl FnOnce(&mut TreeSink)) -> Json {
-    let mut sink = TreeSink::default();
-    emit(&mut sink);
-    sink.done.pop().expect("the codec emitted one value").1
 }
 
 /// A JSON parse failure, with a byte offset into the input.
@@ -481,7 +393,7 @@ impl std::error::Error for ParseError {}
 /// shape the codec expects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Malformed JSON (text driver only).
+    /// Malformed JSON.
     Syntax(ParseError),
     /// Well-formed JSON with a missing or mistyped field.
     Shape(String),
@@ -882,11 +794,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Where a codec pulls a value from. A codec that describes a type once
-/// against this trait serves both drivers: [`Reader`] (text) and
-/// [`TreeSource`] (a [`Json`] tree). Either way unknown keys are
-/// ignored, the first of a duplicated key wins, and a missing required
-/// field is an error.
+/// Where a codec pulls a value from. [`Reader`] is the product's one
+/// source; `tests/codecs.rs` walks a parsed [`Json`] tree through this
+/// trait as the reference the text is read against. Either way unknown
+/// keys are ignored, the first of a duplicated key wins, and a missing
+/// required field is an error.
 ///
 /// The source is always *on* a value: the document's at first, then
 /// whichever [`seek`](Source::seek), [`next_entry`](Source::next_entry)
@@ -1119,97 +1031,6 @@ pub fn from_text<'a, T, E: From<DecodeError>>(
     Ok(v)
 }
 
-/// The tree driver's [`Source`]: walks a parsed [`Json`] value.
-pub struct TreeSource<'a> {
-    on: &'a Json,
-}
-
-/// The tree driver's place in an object ([`Source::Obj`]).
-pub struct TreeObj<'a> {
-    pairs: &'a [(String, Json)],
-    next: usize,
-}
-
-impl<'a> Source<'a> for TreeSource<'a> {
-    type Obj = TreeObj<'a>;
-    type Arr = std::slice::Iter<'a, Json>;
-
-    fn begin_obj(&mut self) -> Result<TreeObj<'a>, DecodeError> {
-        match self.on {
-            Json::Obj(pairs) => Ok(TreeObj { pairs, next: 0 }),
-            _ => Err(DecodeError::Shape("expected an object".into())),
-        }
-    }
-
-    fn seek(&mut self, obj: &mut TreeObj<'a>, key: &str) -> Result<bool, DecodeError> {
-        let found = obj.pairs.iter().find(|(k, _)| k == key);
-        if let Some((_, v)) = found {
-            self.on = v;
-        }
-        Ok(found.is_some())
-    }
-
-    fn next_entry(&mut self, obj: &mut TreeObj<'a>) -> Result<Option<Cow<'a, str>>, DecodeError> {
-        let Some((k, v)) = obj.pairs.get(obj.next) else {
-            return Ok(None);
-        };
-        obj.next += 1;
-        self.on = v;
-        Ok(Some(Cow::Borrowed(k)))
-    }
-
-    fn end_obj(&mut self, _: TreeObj<'a>) -> Result<(), DecodeError> {
-        Ok(())
-    }
-
-    fn begin_arr(&mut self) -> Result<Self::Arr, DecodeError> {
-        match self.on {
-            Json::Arr(items) => Ok(items.iter()),
-            _ => Err(DecodeError::Shape("expected an array".into())),
-        }
-    }
-
-    fn next_item(&mut self, arr: &mut Self::Arr) -> Result<bool, DecodeError> {
-        let item = arr.next();
-        if let Some(v) = item {
-            self.on = v;
-        }
-        Ok(item.is_some())
-    }
-
-    fn null(&mut self) -> Result<bool, DecodeError> {
-        Ok(self.on.is_null())
-    }
-
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.on {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(DecodeError::Shape("expected a boolean".into())),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.on
-            .as_u64()
-            .ok_or_else(|| DecodeError::Shape("expected an unsigned integer".into()))
-    }
-
-    fn str(&mut self) -> Result<Cow<'a, str>, DecodeError> {
-        match self.on {
-            Json::Str(s) => Ok(Cow::Borrowed(s)),
-            _ => Err(DecodeError::Shape("expected a string".into())),
-        }
-    }
-}
-
-/// Decodes a parsed tree.
-pub fn from_tree<'a, T, E>(
-    v: &'a Json,
-    read: impl FnOnce(&mut TreeSource<'a>) -> Result<T, E>,
-) -> Result<T, E> {
-    read(&mut TreeSource { on: v })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1304,9 +1125,20 @@ mod tests {
         ]);
         // Stored pretty text (trailing newline and all), spliced both
         // compactly and prettily inside a larger document.
-        let raw = Json::Raw(inner.to_pretty().into());
-        let doc = Json::obj(vec![("index", Json::U64(7)), ("outcome", raw)]);
-        for text in [doc.to_string(), doc.to_pretty()] {
+        let stored = inner.to_pretty();
+        let emit = |w: &mut Writer<'_>| {
+            w.begin_obj();
+            w.u64_field("index", 7);
+            w.key("outcome");
+            w.raw(&stored);
+            w.end_obj();
+        };
+        let compact = to_text(false, emit);
+        assert_eq!(
+            compact,
+            "{\"index\":7,\"outcome\":{\n  \"status\": \"ok\",\n  \"cycles\": 42\n}}"
+        );
+        for text in [compact, to_text(true, emit)] {
             let back = parse(&text).unwrap();
             assert_eq!(back.get("index").unwrap().as_u64(), Some(7));
             assert_eq!(back.get("outcome").unwrap(), &inner);
@@ -1455,7 +1287,7 @@ mod tests {
         assert_eq!(r.at_key(o.start, "ab").map(|at| &r.input[at..]), Some("1}"));
     }
 
-    /// `{"a":…,"b":…,"c":[…]}` read by one codec through both drivers.
+    /// `{"a":…,"b":…,"c":[…]}` read by a codec through the text source.
     fn read_abc<'a, S: Source<'a>>(s: &mut S) -> Result<(u64, String, Vec<u64>), DecodeError> {
         s.obj(|s, o| {
             let a = s.u64_field(o, "a")?;
@@ -1467,6 +1299,20 @@ mod tests {
             };
             Ok((a, b, c))
         })
+    }
+
+    /// The same read off the parsed tree's accessors, which also take the
+    /// first of a duplicated key.
+    fn abc_of(v: &Json) -> Option<(u64, String, Vec<u64>)> {
+        let c = match v.get("c") {
+            Some(c) => c
+                .as_arr()?
+                .iter()
+                .map(Json::as_u64)
+                .collect::<Option<_>>()?,
+            None => Vec::new(),
+        };
+        Some((v.get("a")?.as_u64()?, v.get("b")?.as_str()?.to_string(), c))
     }
 
     #[test]
@@ -1488,13 +1334,10 @@ mod tests {
             (r#"{"a":1,"b":"x","c":[1,"2"]}"#, None),
             (r#"[1,"x"]"#, None),
         ] {
-            let by_text = from_text(text, read_abc);
-            let by_tree = from_tree(&parse(text).unwrap(), read_abc);
-            assert_eq!(by_text.is_ok(), by_tree.is_ok(), "{text}");
-            assert_eq!(by_text.ok(), by_tree.ok(), "{text}");
-            let got = from_text(text, read_abc).ok();
+            let by_text = from_text(text, read_abc).ok();
+            assert_eq!(by_text, abc_of(&parse(text).unwrap()), "{text}");
             let want = want.map(|(a, b, c)| (a, b.to_string(), c));
-            assert_eq!(got, want, "{text}");
+            assert_eq!(by_text, want, "{text}");
         }
         // Text the codec never looks at is still validated.
         for bad in [
@@ -1514,9 +1357,11 @@ mod tests {
         }
     }
 
+    /// The compact and the pretty writer: each writes its exact text, and
+    /// both texts parse to one tree.
     #[test]
     fn both_sinks_agree() {
-        fn emit<S: Sink>(s: &mut S) {
+        fn emit(s: &mut Writer<'_>) {
             s.begin_obj();
             s.str_field("s", "a\"b");
             s.key("empty");
@@ -1532,15 +1377,18 @@ mod tests {
             s.end_arr();
             s.bool_field("t", true);
             s.key("raw");
-            s.raw(&Arc::from("{\n  \"k\": 1\n}\n"));
+            s.raw("{\n  \"k\": 1\n}\n");
             s.end_obj();
         }
-        let tree = to_tree(emit);
-        assert_eq!(to_text(false, |w| emit(w)), tree.to_string());
-        assert_eq!(to_text(true, |w| emit(w)), tree.to_pretty());
+        let (compact, pretty) = (to_text(false, emit), to_text(true, emit));
         assert_eq!(
-            tree.to_string(),
+            compact,
             "{\"s\":\"a\\\"b\",\"empty\":[],\"arr\":[1,{},null,0.5],\"t\":true,\"raw\":{\n  \"k\": 1\n}}"
         );
+        assert_eq!(
+            pretty,
+            "{\n  \"s\": \"a\\\"b\",\n  \"empty\": [],\n  \"arr\": [\n    1,\n    {},\n    null,\n    0.5\n  ],\n  \"t\": true,\n  \"raw\": {\n  \"k\": 1\n}\n}\n"
+        );
+        assert_eq!(parse(&compact).unwrap(), parse(&pretty).unwrap());
     }
 }

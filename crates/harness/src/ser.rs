@@ -3,11 +3,11 @@
 //! Everything a [`RunResult`] carries — per-core stats, the Figure 7
 //! stall breakdown, memory-system counters — round-trips exactly, so
 //! cached results reconstruct bit-identically. Each type is described
-//! once, as a `write_*`/`read_*` pair over [`Sink`]/[`Source`]: the
-//! cache and the wire run them straight to and from text
-//! ([`outcome_to_text`], [`outcome_from_text`], [`write_outcome`],
-//! [`read_outcome`]), and the `*_to_json`/`*_from_json` entry points run
-//! the same pair to and from a [`Json`] tree for document builders.
+//! once, as a `write_*`/`read_*` pair over [`Sink`]/[`Source`], and
+//! runs straight to and from text: the caches store
+//! [`outcome_to_text`] and read [`outcome_from_text`], frames push
+//! [`write_outcome`] and pull [`read_outcome`], and `all_figures`
+//! prints [`write_metrics`].
 
 use hfs_core::RunResult;
 use hfs_cpu::CoreStats;
@@ -17,7 +17,7 @@ use hfs_trace::{HistogramSummary, MetricsReport};
 
 use crate::job::JobOutcome;
 pub use crate::json::DecodeError;
-use crate::json::{from_text, from_tree, to_text, to_tree, Json, Sink, Source};
+use crate::json::{from_text, parse, to_text, Json, Sink, Source};
 
 fn write_breakdown<S: Sink>(s: &mut S, b: &Breakdown) {
     s.begin_obj();
@@ -136,9 +136,9 @@ fn read_summary<'a, S: Source<'a>>(s: &mut S) -> Result<HistogramSummary, Decode
     })
 }
 
-/// Counters and histograms keep their insertion order (the report's
-/// serialization contract).
-fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
+/// Pushes a [`MetricsReport`] into `s`. Counters and histograms keep
+/// their insertion order (the report's serialization contract).
+pub fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
     s.begin_obj();
     s.key("breakdown");
     write_breakdown(s, &m.breakdown);
@@ -299,52 +299,38 @@ pub fn outcome_from_text(text: &str) -> Result<JobOutcome, DecodeError> {
     from_text(text, read_outcome)
 }
 
-/// Serializes a [`MetricsReport`].
-pub fn metrics_to_json(m: &MetricsReport) -> Json {
-    to_tree(|s| write_metrics(s, m))
-}
-
-/// Reconstructs a [`MetricsReport`] from JSON.
-///
-/// # Errors
-///
-/// [`DecodeError`] on missing or mistyped fields.
-pub fn metrics_from_json(v: &Json) -> Result<MetricsReport, DecodeError> {
-    from_tree(v, read_metrics)
-}
-
-/// Serializes a [`RunResult`] to JSON.
-pub fn run_result_to_json(r: &RunResult) -> Json {
-    to_tree(|s| write_run_result(s, r))
-}
-
-/// Reconstructs a [`RunResult`] from JSON.
-///
-/// # Errors
-///
-/// [`DecodeError`] on missing or mistyped fields.
-pub fn run_result_from_json(v: &Json) -> Result<RunResult, DecodeError> {
-    from_tree(v, read_run_result)
-}
-
-/// Serializes a [`JobOutcome`] (the cache/artifact payload).
+/// An outcome as a [`Json`] tree, through the text driver. Kept for
+/// `benchmark/`, whose codec rows still time it; product code runs
+/// [`outcome_to_text`].
 pub fn outcome_to_json(o: &JobOutcome) -> Json {
-    to_tree(|s| write_outcome(s, o))
+    parse(&outcome_to_text(o)).expect("the text driver writes JSON")
 }
 
-/// Reconstructs a [`JobOutcome`] from JSON.
+/// An outcome back out of a [`Json`] tree, through the text driver.
+/// Kept for `benchmark/`, like [`outcome_to_json`].
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on unknown status tags or malformed payloads.
+/// As [`outcome_from_text`].
 pub fn outcome_from_json(v: &Json) -> Result<JobOutcome, DecodeError> {
-    from_tree(v, read_outcome)
+    outcome_from_text(&v.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+
+    fn metrics_text(m: &MetricsReport) -> String {
+        to_text(false, |w| write_metrics(w, m))
+    }
+
+    fn result_text(r: &RunResult) -> String {
+        to_text(false, |w| write_run_result(w, r))
+    }
+
+    fn read_result(text: &str) -> RunResult {
+        from_text(text, read_run_result).unwrap()
+    }
 
     fn sample_result() -> RunResult {
         let mut breakdown = Breakdown::new();
@@ -402,10 +388,10 @@ mod tests {
     #[test]
     fn metrics_round_trip_preserves_order_and_values() {
         let m = sample_metrics();
-        let text = metrics_to_json(&m).to_string();
-        let back = metrics_from_json(&parse(&text).unwrap()).unwrap();
+        let text = metrics_text(&m);
+        let back = from_text(&text, read_metrics).unwrap();
         assert_eq!(back, m);
-        assert_eq!(metrics_to_json(&back).to_string(), text);
+        assert_eq!(metrics_text(&back), text);
         assert_eq!(back.get_counter("trace.produce"), Some(10));
         assert_eq!(back.get_histogram("consume_to_use_cycles").unwrap().p50, 3);
     }
@@ -414,24 +400,21 @@ mod tests {
     fn result_with_metrics_round_trips_and_appends_last() {
         let mut r = sample_result();
         r.metrics = Some(Box::new(sample_metrics()));
-        let text = run_result_to_json(&r).to_string();
+        let text = result_text(&r);
         assert!(text.ends_with("}}}"), "metrics must be the last field");
-        let back = run_result_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.metrics, r.metrics);
+        assert_eq!(read_result(&text).metrics, r.metrics);
         // Untraced results carry no `metrics` key at all.
-        let plain = run_result_to_json(&sample_result()).to_string();
+        let plain = result_text(&sample_result());
         assert!(!plain.contains("\"metrics\""));
-        let back = run_result_from_json(&parse(&plain).unwrap()).unwrap();
-        assert_eq!(back.metrics, None);
+        assert_eq!(read_result(&plain).metrics, None);
     }
 
     #[test]
     fn run_result_round_trips() {
         let r = sample_result();
-        let json = run_result_to_json(&r);
-        let text = json.to_string();
-        let back = run_result_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(run_result_to_json(&back).to_string(), text);
+        let text = result_text(&r);
+        let back = read_result(&text);
+        assert_eq!(result_text(&back), text);
         assert_eq!(back.cycles, r.cycles);
         assert_eq!(back.cores.len(), 2);
         assert_eq!(back.cores[0].breakdown, r.cores[0].breakdown);
@@ -443,9 +426,7 @@ mod tests {
     fn null_stream_cache_round_trips() {
         let mut r = sample_result();
         r.stream_cache = None;
-        let text = run_result_to_json(&r).to_string();
-        let back = run_result_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.stream_cache, None);
+        assert_eq!(read_result(&result_text(&r)).stream_cache, None);
     }
 
     #[test]
@@ -458,9 +439,9 @@ mod tests {
             JobOutcome::Cancelled,
             JobOutcome::WorkerDied("worker 1 exited 3 times running this job".into()),
         ] {
-            let text = outcome_to_json(&o).to_string();
-            let back = outcome_from_json(&parse(&text).unwrap()).unwrap();
-            assert_eq!(outcome_to_json(&back).to_string(), text);
+            let text = outcome_to_text(&o);
+            let back = outcome_from_text(&text).unwrap();
+            assert_eq!(outcome_to_text(&back), text);
             assert_eq!(back.status(), o.status());
         }
     }
@@ -475,7 +456,7 @@ mod tests {
             r#"{"status":"check_failed"}"#,
             r#"{"status":"worker_died"}"#,
         ] {
-            assert!(outcome_from_json(&parse(bad).unwrap()).is_err(), "{bad}");
+            assert!(outcome_from_text(bad).is_err(), "{bad}");
         }
     }
 }

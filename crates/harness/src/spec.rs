@@ -10,9 +10,9 @@
 //!
 //! Each type is described once, as a `write_*`/`read_*` pair over
 //! [`Sink`]/[`Source`]: frames run [`write_job`]/[`read_job`] straight
-//! to and from text, the `*_to_json`/`*_from_json` entry points run the
-//! same pairs to and from a [`Json`] tree, and [`Job::key`] hashes what
-//! `write_job` writes after the label.
+//! to and from text, `fig6 --dump-jobs` and `hfs-client submit` run
+//! [`write_sweep`]/[`read_sweep`] the same way, and [`Job::key`] hashes
+//! what `write_job` writes after the label.
 //!
 //! Kernel and region names are owned by the job that carries them; a
 //! name from the wire is refused past [`MAX_NAME_BYTES`].
@@ -26,7 +26,7 @@ use hfs_isa::QueueId;
 use hfs_mem::{BusConfig, CacheGeometry, MemConfig, Protocol};
 
 use crate::job::{Job, Mode, CACHE_SCHEMA};
-use crate::json::{from_tree, to_tree, Json, Sink, Source};
+use crate::json::{from_text, parse, to_text, Json, Sink, Source};
 use crate::key::HashSink;
 use crate::ser::DecodeError;
 
@@ -443,66 +443,64 @@ pub fn read_job<'a, S: Source<'a>>(s: &mut S) -> Result<Job, DecodeError> {
     })
 }
 
-/// Serializes a full [`MachineConfig`] (memory hierarchy, core, design
-/// point, seed, deadlock window).
-pub fn machine_config_to_json(c: &MachineConfig) -> Json {
-    to_tree(|s| write_machine_config(s, c))
+/// Pushes a named sweep — the `hfs-client submit` payload and the
+/// `--dump-jobs` output format: `{"experiment": ..., "jobs": [...]}`.
+pub fn write_sweep<S: Sink>(s: &mut S, experiment: &str, jobs: &[Job]) {
+    s.begin_obj();
+    s.str_field("experiment", experiment);
+    s.arr_field("jobs", jobs, write_job);
+    s.end_obj();
 }
 
-/// Reconstructs a [`MachineConfig`] from JSON.
+/// Pulls a named sweep back out as `(experiment, jobs)`.
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on missing or mistyped fields.
-pub fn machine_config_from_json(v: &Json) -> Result<MachineConfig, DecodeError> {
-    from_tree(v, read_machine_config)
+/// [`DecodeError`] on malformed sweeps or any malformed job within.
+pub fn read_sweep<'a, S: Source<'a>>(s: &mut S) -> Result<(String, Vec<Job>), DecodeError> {
+    s.obj(|s, o| {
+        Ok((
+            s.str_field(o, "experiment")?.into_owned(),
+            s.arr_field(o, "jobs", read_job)?,
+        ))
+    })
 }
 
-/// Serializes a [`Job`] spec.
+/// A job's spec as a [`Json`] tree, through the text driver. Kept for
+/// `benchmark/`, whose codec rows still time it; product code runs
+/// [`write_job`].
 pub fn job_to_json(job: &Job) -> Json {
-    to_tree(|s| write_job(s, job))
+    parse(&to_text(false, |s| write_job(s, job))).expect("the text driver writes JSON")
 }
 
-/// Reconstructs a [`Job`] from its wire spec.
+/// A job back out of its spec's [`Json`] tree, through the text driver.
+/// Kept for `benchmark/`, like [`job_to_json`].
 ///
 /// # Errors
 ///
 /// As [`read_job`].
 pub fn job_from_json(v: &Json) -> Result<Job, DecodeError> {
-    from_tree(v, read_job)
+    from_text(&v.to_string(), read_job)
 }
 
-/// Serializes a named sweep — the `hfs-client submit` payload and the
-/// `--dump-jobs` output format: `{"experiment": ..., "jobs": [...]}`.
+/// A named sweep as a [`Json`] tree, through the text driver. Kept for
+/// `benchmark/`, like [`job_to_json`]; product code runs [`write_sweep`].
 pub fn sweep_to_json(experiment: &str, jobs: &[Job]) -> Json {
-    to_tree(|s| {
-        s.begin_obj();
-        s.str_field("experiment", experiment);
-        s.arr_field("jobs", jobs, write_job);
-        s.end_obj();
-    })
-}
-
-/// Decodes a named sweep back into `(experiment, jobs)`.
-///
-/// # Errors
-///
-/// [`DecodeError`] on malformed sweeps or any malformed job within.
-pub fn sweep_from_json(v: &Json) -> Result<(String, Vec<Job>), DecodeError> {
-    from_tree(v, |s| {
-        s.obj(|s, o| {
-            Ok((
-                s.str_field(o, "experiment")?.into_owned(),
-                s.arr_field(o, "jobs", read_job)?,
-            ))
-        })
-    })
+    parse(&to_text(false, |s| write_sweep(s, experiment, jobs)))
+        .expect("the text driver writes JSON")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+
+    fn spec_text(job: &Job) -> String {
+        to_text(false, |w| write_job(w, job))
+    }
+
+    fn decode(text: &str) -> Result<Job, DecodeError> {
+        from_text(text, read_job)
+    }
 
     fn demo_job() -> Job {
         Job::pipeline(
@@ -515,8 +513,8 @@ mod tests {
     #[test]
     fn simple_job_round_trips_exactly() {
         let job = demo_job();
-        let text = job_to_json(&job).to_pretty();
-        let back = job_from_json(&parse(&text).unwrap()).unwrap();
+        let text = to_text(true, |w| write_job(w, &job));
+        let back = decode(&text).unwrap();
         assert_eq!(back.label, job.label);
         assert_eq!(back.pair, job.pair);
         assert_eq!(back.cfg, job.cfg);
@@ -526,7 +524,7 @@ mod tests {
             job.key(),
             "wire round-trip preserves the cache key"
         );
-        assert_eq!(job_to_json(&back).to_pretty(), text);
+        assert_eq!(to_text(true, |w| write_job(w, &back)), text);
     }
 
     #[test]
@@ -572,8 +570,7 @@ mod tests {
         let job = Job::multi("spec/complex", pair, cfg, 3)
             .with_max_cycles(123_456)
             .with_metrics(true);
-        let text = job_to_json(&job).to_string();
-        let back = job_from_json(&parse(&text).unwrap()).unwrap();
+        let back = decode(&spec_text(&job)).unwrap();
         assert_eq!(back.pair, job.pair);
         assert_eq!(back.cfg, job.cfg);
         assert_eq!(back.mode, Mode::Multi(3));
@@ -592,7 +589,7 @@ mod tests {
             DesignPoint::regmapped(3),
         ];
         for d in DesignPoint::paper_points().into_iter().chain(tuned) {
-            let back = from_tree(&to_tree(|s| write_design(s, &d)), read_design).unwrap();
+            let back = from_text(&to_text(false, |s| write_design(s, &d)), read_design).unwrap();
             assert_eq!(back, d, "{d}");
         }
     }
@@ -602,7 +599,7 @@ mod tests {
         // The decode path must produce a job the simulator treats as
         // identical: same key, same deterministic cycle count.
         let job = demo_job();
-        let back = job_from_json(&job_to_json(&job)).unwrap();
+        let back = decode(&spec_text(&job)).unwrap();
         let a = crate::job::execute(&job, 0);
         let b = crate::job::execute(&back, 0);
         assert_eq!(a.ok().unwrap().cycles, b.ok().unwrap().cycles);
@@ -613,7 +610,7 @@ mod tests {
         let named = |len: usize| {
             let pair = KernelPair::simple("n".repeat(len), 3, 50);
             let job = Job::pipeline("spec/long", pair, demo_job().cfg);
-            job_from_json(&job_to_json(&job))
+            decode(&spec_text(&job))
         };
         assert!(named(MAX_NAME_BYTES).is_ok());
         let err = named(MAX_NAME_BYTES + 1).unwrap_err();
@@ -623,8 +620,8 @@ mod tests {
     #[test]
     fn sweep_round_trips() {
         let jobs = vec![demo_job(), demo_job().with_metrics(true)];
-        let v = sweep_to_json("fig6", &jobs);
-        let (name, back) = sweep_from_json(&v).unwrap();
+        let text = to_text(true, |w| write_sweep(w, "fig6", &jobs));
+        let (name, back) = from_text(&text, read_sweep).unwrap();
         assert_eq!(name, "fig6");
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].key(), jobs[0].key());
@@ -638,8 +635,8 @@ mod tests {
             r#"{"label":"x","mode":"warp"}"#,
             r#"{"label":"x","mode":"multi","max_cycles":1,"metrics":false}"#,
         ] {
-            assert!(job_from_json(&parse(bad).unwrap()).is_err(), "{bad}");
+            assert!(decode(bad).is_err(), "{bad}");
         }
-        assert!(sweep_from_json(&parse("{}").unwrap()).is_err());
+        assert!(from_text("{}", read_sweep).is_err());
     }
 }

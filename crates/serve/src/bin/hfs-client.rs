@@ -9,10 +9,12 @@
 //! ```
 //!
 //! The server endpoint comes from `HFS_SOCK`/`HFS_ADDR`. A sweep spec
-//! is the JSON written by `fig6 --dump-jobs <path>` (or
-//! [`hfs_harness::sweep_to_json`]): `{"experiment": ..., "jobs":
-//! [...]}`. The artifact written by `submit` is byte-identical to the
-//! offline runner's `results/<experiment>.json`.
+//! is the JSON written by `fig6 --dump-jobs <path>` (or any
+//! [`hfs_harness::write_sweep`]): `{"experiment": ..., "jobs": [...]}`,
+//! read back with [`hfs_harness::read_sweep`]. The artifact written by
+//! `submit` is byte-identical to the offline runner's
+//! `results/<experiment>.json`. `stats` prints the counters of the
+//! server's `stats` frame as pretty JSON, without the frame's tag.
 //!
 //! `--subscribe` picks the result traffic for `submit`: `final` (the
 //! default) has the server buffer results into chunked frames; `all`
@@ -23,7 +25,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hfs_harness::{env_flag, env_path, sweep_from_json};
+use hfs_harness::{env_flag, env_path, from_text, read_sweep, to_text, Sink};
 use hfs_serve::{print_update, Client, Subscribe};
 
 fn usage() -> ! {
@@ -49,14 +51,7 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
             return ExitCode::FAILURE;
         }
     };
-    let parsed = match hfs_harness::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("hfs-client: {spec_path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (experiment, jobs) = match sweep_from_json(&parsed) {
+    let (experiment, jobs) = match from_text(&text, read_sweep) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("hfs-client: {spec_path} is not a sweep spec: {e}");
@@ -112,7 +107,12 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
 fn stats_once(mut c: Client) -> ExitCode {
     match c.stats() {
         Ok(stats) => {
-            println!("{}", stats.to_json().to_pretty().trim_end());
+            let text = to_text(true, |s| {
+                s.begin_obj();
+                stats.write_fields(s);
+                s.end_obj();
+            });
+            println!("{}", text.trim_end());
             ExitCode::SUCCESS
         }
         Err(e) => {

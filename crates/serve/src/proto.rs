@@ -11,17 +11,18 @@
 //! Frame types are closed enums ([`ClientFrame`], [`ServerFrame`]) with
 //! a `"type"` tag; unknown tags decode to [`ProtoError::Malformed`] so
 //! version skew fails loudly instead of silently dropping work. Each
-//! frame is described once, over [`Sink`]/[`Source`]: `write_to` and
-//! `read_from` run that description straight to and from the frame's
-//! text, `to_json` and `from_json` to and from a [`Json`] tree.
+//! frame is described once, over [`Sink`]/[`Source`], and `write_to`
+//! and `read_from` run that description straight to and from the
+//! frame's text; a hot-cache hit's stored outcome text rides in
+//! verbatim ([`JobResult::encoded`]).
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use hfs_harness::json::Writer;
 use hfs_harness::{
-    from_text, from_tree, is_cache_key, read_job, read_outcome, to_text, to_tree, write_job,
-    write_outcome, DecodeError, Job, JobOutcome, Json, ParseError, Sink, Source,
+    from_text, is_cache_key, read_job, read_outcome, to_text, write_job, write_outcome,
+    DecodeError, Job, JobOutcome, ParseError, Sink, Source,
 };
 
 /// Upper bound on a single frame body. Large sweeps are a few megabytes
@@ -124,26 +125,11 @@ fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
         .or_else(|_| malformed("frame body is not UTF-8"))
 }
 
-/// The `write_to`/`read_from`/`to_json`/`from_json` quartet every frame
-/// type offers, over its one `write`/`read` description.
+/// The `write_to`/`read_from` pair every frame type offers, over its
+/// one `write`/`read` description.
 macro_rules! frame_drivers {
     ($frame:ty) => {
         impl $frame {
-            /// Encodes the frame body as a tree.
-            pub fn to_json(&self) -> Json {
-                to_tree(|s| self.write(s))
-            }
-
-            /// Decodes a frame body from a tree.
-            ///
-            /// # Errors
-            ///
-            /// [`ProtoError::Malformed`] on unknown tags,
-            /// [`ProtoError::Decode`] on missing or mistyped fields.
-            pub fn from_json(v: &Json) -> Result<$frame, ProtoError> {
-                from_tree(v, Self::read)
-            }
-
             /// Writes the frame to a transport.
             ///
             /// # Errors
@@ -157,7 +143,9 @@ macro_rules! frame_drivers {
             ///
             /// # Errors
             ///
-            /// Transport or decode failures.
+            /// Transport failures, [`ProtoError::Malformed`] on unknown
+            /// tags, [`ProtoError::Decode`] on missing or mistyped
+            /// fields.
             pub fn read_from(r: &mut impl Read) -> Result<Option<$frame>, ProtoError> {
                 match read_frame(r)? {
                     None => Ok(None),
@@ -491,8 +479,10 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Pushes the counters as fields of the object `s` has open.
-    fn write_fields<S: Sink>(&self, s: &mut S) {
+    /// Pushes the counters as fields of the object `s` has open: the
+    /// body of a `stats` frame after its tag, and all of what
+    /// `hfs-client stats` prints.
+    pub fn write_fields<S: Sink>(&self, s: &mut S) {
         s.u64_field("submitted", self.submitted);
         s.u64_field("executed", self.executed);
         s.u64_field("cache_hits", self.cache_hits);
@@ -522,15 +512,6 @@ impl ServeStats {
             queued: s.u64_field(o, "queued")?,
             running: s.u64_field(o, "running")?,
             draining: s.bool_field(o, "draining")?,
-        })
-    }
-
-    /// Encodes the snapshot as a stats frame body (sans tag).
-    pub fn to_json(&self) -> Json {
-        to_tree(|s| {
-            s.begin_obj();
-            self.write_fields(s);
-            s.end_obj();
         })
     }
 }
@@ -712,7 +693,7 @@ mod tests {
     use super::*;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
-    use hfs_harness::{execute, outcome_to_json, outcome_to_text};
+    use hfs_harness::{execute, outcome_to_text};
 
     fn demo_job() -> Job {
         Job::pipeline(
@@ -722,12 +703,14 @@ mod tests {
         )
     }
 
-    fn pipe_client(frame: &ClientFrame) -> ClientFrame {
+    fn decode_client(frame: &ClientFrame) -> Result<Option<ClientFrame>, ProtoError> {
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
         ClientFrame::read_from(&mut buf.as_slice())
-            .unwrap()
-            .expect("a frame was written")
+    }
+
+    fn pipe_client(frame: &ClientFrame) -> ClientFrame {
+        decode_client(frame).unwrap().expect("a frame was written")
     }
 
     fn pipe_server(frame: &ServerFrame) -> ServerFrame {
@@ -740,16 +723,16 @@ mod tests {
 
     #[test]
     fn refs_frames_round_trip_and_refuse_zero_ids_and_foreign_keys() {
-        let frame = ClientFrame::SubmitRefs {
+        let refs = |id, key: &str| ClientFrame::SubmitRefs {
             experiment: "sweep".to_string(),
-            id: 7,
+            id,
             subscribe: Subscribe::Final,
             refs: vec![JobRef {
-                key: "00ff00ff00ff00ff".to_string(),
+                key: key.to_string(),
                 label: "sweep/p0".to_string(),
             }],
         };
-        match pipe_client(&frame) {
+        match pipe_client(&refs(7, "00ff00ff00ff00ff")) {
             ClientFrame::SubmitRefs {
                 experiment,
                 id,
@@ -765,33 +748,16 @@ mod tests {
             }
             other => panic!("wrong frame: {other:?}"),
         }
-        let mut body = frame.to_json();
-        if let Json::Obj(pairs) = &mut body {
-            for (k, v) in pairs.iter_mut() {
-                if k == "id" {
-                    *v = Json::U64(0);
-                }
-            }
-        }
         assert!(
-            ClientFrame::from_json(&body).is_err(),
+            decode_client(&refs(0, "00ff00ff00ff00ff")).is_err(),
             "id 0 must be rejected"
         );
         // A key is a file name server-side: only the exact key shape
         // decodes.
         for foreign in ["../victim", "00ff00ff00ff00f", "00FF00FF00FF00FF"] {
-            let frame = ClientFrame::SubmitRefs {
-                experiment: "sweep".to_string(),
-                id: 7,
-                subscribe: Subscribe::Final,
-                refs: vec![JobRef {
-                    key: foreign.to_string(),
-                    label: "sweep/p0".to_string(),
-                }],
-            };
             assert!(
                 matches!(
-                    ClientFrame::from_json(&frame.to_json()),
+                    decode_client(&refs(7, foreign)),
                     Err(ProtoError::Malformed(_))
                 ),
                 "{foreign:?}"
@@ -848,7 +814,7 @@ mod tests {
     #[test]
     fn raw_splice_survives_hostile_outcome_text_byte_identically() {
         // Outcome text carrying quotes, backslashes, control characters
-        // and multi-byte UTF-8: the hot-cache splice (`Json::Raw`) must
+        // and multi-byte UTF-8: the hot-cache splice (`Sink::raw`) must
         // deliver exactly the bytes the parsed path would re-encode.
         let nasty = "q\"uote \\back\\slash\\ \nπ🚀é \t\u{1} end";
         let mut ok = execute(&demo_job(), 0);
@@ -858,7 +824,7 @@ mod tests {
         for outcome in [ok, JobOutcome::WorkerDied(nasty.to_string())] {
             // What the caches hold (compact) and what a caller of
             // `HotCache::insert` may bring (pretty): either splices.
-            let pretty = outcome_to_json(&outcome).to_pretty();
+            let pretty = to_text(true, |s| write_outcome(s, &outcome));
             for text in [outcome_to_text(&outcome), pretty.clone()] {
                 let text: Arc<str> = text.into();
                 let mk = |encoded| ServerFrame::BatchResults {
@@ -883,12 +849,12 @@ mod tests {
                         ServerFrame::BatchResults { results: b, .. },
                     ) => {
                         assert_eq!(
-                            outcome_to_json(&a[0].outcome).to_pretty(),
+                            to_text(true, |s| write_outcome(s, &a[0].outcome)),
                             pretty,
                             "parsed path must reproduce the source bytes"
                         );
                         assert_eq!(
-                            outcome_to_json(&b[0].outcome).to_pretty(),
+                            to_text(true, |s| write_outcome(s, &b[0].outcome)),
                             pretty,
                             "spliced path must reproduce the source bytes"
                         );
@@ -1055,9 +1021,17 @@ mod tests {
         // `submit` and `job` were frames once; a peer that still speaks
         // them must hear about it.
         for tag in ["warp_core", "submit", "job"] {
-            let v = Json::obj(vec![("type", Json::Str(tag.to_string()))]);
-            assert!(ClientFrame::from_json(&v).is_err(), "{tag}");
-            assert!(ServerFrame::from_json(&v).is_err(), "{tag}");
+            let body = format!("{{\"type\":\"{tag}\"}}");
+            let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(body.as_bytes());
+            assert!(
+                ClientFrame::read_from(&mut frame.as_slice()).is_err(),
+                "{tag}"
+            );
+            assert!(
+                ServerFrame::read_from(&mut frame.as_slice()).is_err(),
+                "{tag}"
+            );
         }
     }
 }

@@ -302,11 +302,9 @@ fn simulate(job: &Job, cancel: &CancelToken) -> JobOutcome {
 impl Dispatcher {
     fn new(config: &ServerConfig) -> Dispatcher {
         let obs = Telemetry::default();
-        let hot = match config.hot_cache_mb {
-            None => HotCache::from_env(),
-            Some(0) => None,
-            Some(mb) => Some(Arc::new(HotCache::new(mb << 20))),
-        };
+        let hot = config
+            .hot_cache_mb
+            .map_or_else(HotCache::from_env, HotCache::with_mb);
         let cache = config
             .cache_dir
             .as_ref()

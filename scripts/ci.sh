@@ -52,6 +52,18 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+echo "==> one codec driver (no product file writes or reads a Json tree as a codec, or calls a wrapper kept for benchmark/)"
+# Product code as above. The five tree wrappers are defined in ser.rs and
+# spec.rs for `benchmark/` alone; their definitions are the exception.
+KEPT='job_to_json|job_from_json|outcome_to_json|outcome_from_json|sweep_to_json'
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE "to_tree|from_tree|TreeSink|TreeSource|TreeObj|Json::Raw|\b($KEPT)\(" \
+        | grep -vE "pub fn ($KEPT)\(" | sed "s|^|$f:|" | grep .; then
+        echo "product code uses the tree driver or a wrapper kept for benchmark/"; exit 1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).

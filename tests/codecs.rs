@@ -1,32 +1,141 @@
-//! One description per type, two drivers. Every codec is written once
-//! against `Sink`/`Source`; the text driver (frames, cache entries) must
-//! write exactly the bytes the tree driver's `.to_string()` /
-//! `.to_pretty()` gives, and read exactly what the tree driver reads from
-//! the same bytes — unknown keys, duplicated keys, missing fields and
-//! shuffled fields included. Content keys are a third driver's output
-//! over the same description: nine are pinned (cache schema 2), and the
-//! properties a hash of the canonical spec owes — blind to the label, to
-//! a trip over the wire and to field order; moved by every keyed leaf;
-//! collision-free over the sweeps the repository runs — are checked, as
-//! is the locality pair the server orders a chunk by: moved by every
-//! keyed leaf but the cycle budget and the iteration count. Last, every
-//! numeric leaf is pushed to its bound and past it: a spec that decodes
-//! runs or fails as a job.
+//! One description per type, one text driver. Every codec is written
+//! once against `Sink`/`Source` and runs straight to and from text. What
+//! it writes is pinned by one checksum: the compact and pretty text of
+//! every outcome variant and of jobs over every design, protocol and
+//! mode, every frame as `write_to` sends it, and the counters
+//! `hfs-client stats` prints. What it reads is held against a reference:
+//! [`TreeSource`] walks the parsed tree through the same `Source` trait,
+//! and the text must read as the tree reads — unknown keys, duplicated
+//! keys, missing fields and shuffled fields included. Content keys are
+//! the hash driver's output over the same description: nine are pinned
+//! (cache schema 2), and the properties a hash of the canonical spec
+//! owes — blind to the label, to a trip over the wire and to field
+//! order; moved by every keyed leaf; collision-free over the sweeps the
+//! repository runs — are checked, as is the locality pair the server
+//! orders a chunk by: moved by every keyed leaf but the cycle budget and
+//! the iteration count. Last, every numeric leaf is pushed to its bound
+//! and past it: a spec that decodes runs or fails as a job.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hfs::core::kernel::{KStep, Kernel, KernelPair};
 use hfs::core::{DesignPoint, MachineConfig};
 use hfs::harness::{
-    execute, from_text, from_tree, job_to_json, locality_key, outcome_to_json, outcome_to_text,
-    parse, read_job, read_outcome, to_text, write_job, write_outcome, DecodeError, Job, JobOutcome,
-    Json, Mode,
+    execute, from_text, locality_key, outcome_to_text, parse, read_job, read_outcome, to_text,
+    write_job, write_outcome, DecodeError, Job, JobOutcome, Json, Mode, Sink, Source,
 };
 use hfs::isa::QueueId;
 use hfs::mem::Protocol;
 use hfs::serve::{ClientFrame, JobRef, JobResult, ServeStats, ServerFrame, Subscribe};
 use hfs::sim::Rng64;
+
+/// The tree driver's [`Source`]: walks a parsed [`Json`] value.
+pub struct TreeSource<'a> {
+    on: &'a Json,
+}
+
+/// The tree driver's place in an object ([`Source::Obj`]).
+pub struct TreeObj<'a> {
+    pairs: &'a [(String, Json)],
+    next: usize,
+}
+
+impl<'a> Source<'a> for TreeSource<'a> {
+    type Obj = TreeObj<'a>;
+    type Arr = std::slice::Iter<'a, Json>;
+
+    fn begin_obj(&mut self) -> Result<TreeObj<'a>, DecodeError> {
+        match self.on {
+            Json::Obj(pairs) => Ok(TreeObj { pairs, next: 0 }),
+            _ => Err(DecodeError::Shape("expected an object".into())),
+        }
+    }
+
+    fn seek(&mut self, obj: &mut TreeObj<'a>, key: &str) -> Result<bool, DecodeError> {
+        let found = obj.pairs.iter().find(|(k, _)| k == key);
+        if let Some((_, v)) = found {
+            self.on = v;
+        }
+        Ok(found.is_some())
+    }
+
+    fn next_entry(&mut self, obj: &mut TreeObj<'a>) -> Result<Option<Cow<'a, str>>, DecodeError> {
+        let Some((k, v)) = obj.pairs.get(obj.next) else {
+            return Ok(None);
+        };
+        obj.next += 1;
+        self.on = v;
+        Ok(Some(Cow::Borrowed(k)))
+    }
+
+    fn end_obj(&mut self, _: TreeObj<'a>) -> Result<(), DecodeError> {
+        Ok(())
+    }
+
+    fn begin_arr(&mut self) -> Result<Self::Arr, DecodeError> {
+        match self.on {
+            Json::Arr(items) => Ok(items.iter()),
+            _ => Err(DecodeError::Shape("expected an array".into())),
+        }
+    }
+
+    fn next_item(&mut self, arr: &mut Self::Arr) -> Result<bool, DecodeError> {
+        let item = arr.next();
+        if let Some(v) = item {
+            self.on = v;
+        }
+        Ok(item.is_some())
+    }
+
+    fn null(&mut self) -> Result<bool, DecodeError> {
+        Ok(self.on.is_null())
+    }
+
+    fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.on {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(DecodeError::Shape("expected a boolean".into())),
+        }
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.on
+            .as_u64()
+            .ok_or_else(|| DecodeError::Shape("expected an unsigned integer".into()))
+    }
+
+    fn str(&mut self) -> Result<Cow<'a, str>, DecodeError> {
+        match self.on {
+            Json::Str(s) => Ok(Cow::Borrowed(s)),
+            _ => Err(DecodeError::Shape("expected a string".into())),
+        }
+    }
+}
+
+/// Decodes a parsed tree.
+pub fn from_tree<'a, T, E>(
+    v: &'a Json,
+    read: impl FnOnce(&mut TreeSource<'a>) -> Result<T, E>,
+) -> Result<T, E> {
+    read(&mut TreeSource { on: v })
+}
+
+/// The tree of a written text: a document to edit and read back.
+fn doc(text: String) -> Json {
+    parse(&text).expect("the text driver writes JSON")
+}
+
+/// A job's spec as a document.
+fn spec(job: &Job) -> Json {
+    doc(to_text(false, |w| write_job(w, job)))
+}
+
+/// An outcome as a document.
+fn outcome_doc(o: &JobOutcome) -> Json {
+    doc(outcome_to_text(o))
+}
 
 /// Quotes, backslashes, control characters and multi-byte UTF-8.
 const NASTY: &str = "q\"uote \\back\\slash\\ \nπ🚀é \t\u{1} end";
@@ -175,6 +284,22 @@ fn client_frames() -> Vec<ClientFrame> {
     ]
 }
 
+fn stats() -> ServeStats {
+    ServeStats {
+        submitted: 10,
+        executed: 4,
+        cache_hits: 2,
+        deduped: 4,
+        cancelled: 1,
+        aborted: 1,
+        rejected: 2,
+        delivered: 9,
+        queued: 3,
+        running: 2,
+        draining: true,
+    }
+}
+
 fn server_frames() -> Vec<ServerFrame> {
     let results = outcomes()
         .into_iter()
@@ -223,19 +348,7 @@ fn server_frames() -> Vec<ServerFrame> {
             ok: false,
             id: 3,
         },
-        ServerFrame::Stats(ServeStats {
-            submitted: 10,
-            executed: 4,
-            cache_hits: 2,
-            deduped: 4,
-            cancelled: 1,
-            aborted: 1,
-            rejected: 2,
-            delivered: 9,
-            queued: 3,
-            running: 2,
-            draining: true,
-        }),
+        ServerFrame::Stats(stats()),
         ServerFrame::Metrics {
             text: format!("# TYPE x counter\nx 7\n{NASTY}"),
         },
@@ -247,28 +360,50 @@ fn server_frames() -> Vec<ServerFrame> {
     ]
 }
 
+/// FNV-1a over each text's length and bytes.
+fn checksum(texts: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for text in texts {
+        for b in (text.len() as u64)
+            .to_le_bytes()
+            .iter()
+            .chain(text.as_bytes())
+        {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[test]
-fn the_text_driver_writes_the_tree_drivers_bytes() {
+fn the_text_drivers_bytes_are_pinned() {
+    let mut texts = Vec::new();
     for o in outcomes() {
-        let tree = outcome_to_json(&o);
-        assert_eq!(outcome_to_text(&o), tree.to_string(), "{o}");
-        assert_eq!(
-            to_text(true, |w| write_outcome(w, &o)),
-            tree.to_pretty(),
-            "{o}"
-        );
+        texts.push(outcome_to_text(&o));
+        texts.push(to_text(true, |w| write_outcome(w, &o)));
     }
     for job in jobs() {
-        let tree = job_to_json(&job);
-        assert_eq!(to_text(false, |w| write_job(w, &job)), tree.to_string());
-        assert_eq!(to_text(true, |w| write_job(w, &job)), tree.to_pretty());
+        texts.push(to_text(false, |w| write_job(w, &job)));
+        texts.push(to_text(true, |w| write_job(w, &job)));
     }
-    for f in client_frames() {
-        assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
-    }
-    for f in server_frames() {
-        assert_eq!(framed(|b| f.write_to(b)), f.to_json().to_string());
-    }
+    texts.extend(client_frames().iter().map(|f| framed(|b| f.write_to(b))));
+    texts.extend(server_frames().iter().map(|f| framed(|b| f.write_to(b))));
+    // What `hfs-client stats` prints.
+    texts.push(to_text(true, |w| {
+        w.begin_obj();
+        stats().write_fields(w);
+        w.end_obj();
+    }));
+    // Taken while a tree driver still wrote these texts too, byte for
+    // byte. A change here moves a byte on the wire, in a cache entry or
+    // in an artifact.
+    let bytes: usize = texts.iter().map(String::len).sum();
+    assert_eq!(
+        format!("{:016x}", checksum(&texts)),
+        "e268415b89bf6dbc",
+        "{} texts, {bytes} bytes",
+        texts.len()
+    );
 }
 
 /// Fisher–Yates.
@@ -295,8 +430,8 @@ fn junk(rng: &mut Rng64) -> Json {
 
 /// Rewrites objects throughout `v`: an unknown key, a repeated key with
 /// some other value (before or after the real one), a dropped field, a
-/// new field order. A decoder may refuse the result; the two drivers
-/// must do the same with it.
+/// new field order. A decoder may refuse the result; the text and the
+/// tree reader must do the same with it.
 fn scramble(v: &mut Json, rng: &mut Rng64) {
     match v {
         Json::Arr(items) => items.iter_mut().for_each(|item| scramble(item, rng)),
@@ -322,8 +457,9 @@ fn scramble(v: &mut Json, rng: &mut Rng64) {
     }
 }
 
-/// Decodes `doc` through both drivers (the text driver from its compact
-/// and its pretty text) and requires one answer; `Some` when it decoded.
+/// Decodes `doc` through the tree reader and through the text driver
+/// (from its compact and its pretty text) and requires one answer;
+/// `Some` when it decoded.
 fn decoded_alike<T, E: From<DecodeError> + std::fmt::Display>(
     doc: &Json,
     read_text: impl Fn(&str) -> Result<T, E>,
@@ -379,46 +515,52 @@ fn the_text_driver_reads_what_the_tree_driver_reads() {
     for (i, o) in outcomes().iter().enumerate() {
         tally(both_drivers_read_alike(
             i as u64,
-            &outcome_to_json(o),
+            &outcome_doc(o),
             |t| from_text(t, read_outcome),
             |v| from_tree(v, read_outcome),
-            outcome_to_json,
+            outcome_doc,
         ));
     }
     for (i, job) in jobs().iter().enumerate().step_by(5) {
         tally(both_drivers_read_alike(
             100 + i as u64,
-            &job_to_json(job),
+            &spec(job),
             |t| from_text(t, read_job),
             |v| from_tree(v, read_job),
-            job_to_json,
+            spec,
         ));
     }
-    // Frames: `read_from` is the text driver, `from_json` the tree
-    // driver. (A spliced `encoded` text is not a tree; it decodes to the
-    // tree it was written from.)
+    // Frames: their codecs are private to `hfs-serve`, so `read_from` of
+    // the compact text stands in for the tree reader, and the pretty text
+    // must decode alike. The jobs and outcomes inside them are held
+    // against the tree reader above.
     let prefixed = |text: &str| {
         let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
         bytes.extend_from_slice(text.as_bytes());
         bytes
     };
+    let read_client =
+        |t: &str| ClientFrame::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame"));
+    let client_doc = |f: &ClientFrame| doc(framed(|b| f.write_to(b)));
     for (i, f) in client_frames().iter().enumerate() {
         tally(both_drivers_read_alike(
             200 + i as u64,
-            &f.to_json(),
-            |t| ClientFrame::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-            ClientFrame::from_json,
-            ClientFrame::to_json,
+            &client_doc(f),
+            read_client,
+            |v| read_client(&v.to_string()),
+            client_doc,
         ));
     }
+    let read_server =
+        |t: &str| ServerFrame::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame"));
+    let server_doc = |f: &ServerFrame| doc(framed(|b| f.write_to(b)));
     for (i, f) in server_frames().iter().enumerate() {
-        let doc = parse(&f.to_json().to_string()).expect("frames parse");
         tally(both_drivers_read_alike(
             300 + i as u64,
-            &doc,
-            |t| ServerFrame::read_from(&mut prefixed(t).as_slice()).map(|f| f.expect("a frame")),
-            ServerFrame::from_json,
-            ServerFrame::to_json,
+            &server_doc(f),
+            read_server,
+            |v| read_server(&v.to_string()),
+            server_doc,
         ));
     }
     assert!(
@@ -445,13 +587,13 @@ fn edit_at(doc: &mut Json, path: &[&str], edit: impl FnOnce(&mut Vec<(String, Js
 #[test]
 fn unknown_keys_are_ignored_first_duplicates_win_and_old_blobs_default() {
     let outcome = execute(&demo_job(DesignPoint::heavywt()), 0);
-    let seed = outcome_to_json(&outcome);
+    let seed = outcome_doc(&outcome);
     let read = |doc: &Json| {
         decoded_alike(
             doc,
             |t| from_text(t, read_outcome),
             |v| from_tree(v, read_outcome),
-            outcome_to_json,
+            outcome_doc,
         )
     };
 
@@ -504,7 +646,7 @@ fn unknown_keys_are_ignored_first_duplicates_win_and_old_blobs_default() {
 
     // Likewise a spec from before the protocol axis is MSI.
     let job = demo_job(DesignPoint::heavywt());
-    let mut doc = job_to_json(&job);
+    let mut doc = spec(&job);
     edit_at(&mut doc, &["cfg", "mem"], |pairs| {
         pairs.retain(|(k, _)| k != "protocol")
     });
@@ -512,9 +654,9 @@ fn unknown_keys_are_ignored_first_duplicates_win_and_old_blobs_default() {
         &doc,
         |t| from_text(t, read_job),
         |v| from_tree(v, read_job),
-        job_to_json,
+        spec,
     );
-    assert_eq!(old, Some(job_to_json(&job)));
+    assert_eq!(old, Some(spec(&job)));
 }
 
 #[test]
@@ -522,9 +664,12 @@ fn leftover_retry_members_are_unknown_keys() {
     // Specs written before the retry mechanism went still decode, to what
     // they decode to without the member.
     let job = jobs().swap_remove(11);
-    let spec = job_to_json(&job);
-    assert!(spec.get("retries").is_none(), "the spec carries no retries");
-    let mut old = spec.clone();
+    let written = spec(&job);
+    assert!(
+        written.get("retries").is_none(),
+        "the spec carries no retries"
+    );
+    let mut old = written.clone();
     edit_at(&mut old, &[], |pairs| {
         pairs.insert(2, ("retries".to_string(), Json::U64(2)));
     });
@@ -532,9 +677,9 @@ fn leftover_retry_members_are_unknown_keys() {
         &old,
         |t| from_text(t, read_job),
         |v| from_tree(v, read_job),
-        job_to_json,
+        spec,
     );
-    assert_eq!(back, Some(spec));
+    assert_eq!(back, Some(written));
 }
 
 #[test]
@@ -614,10 +759,10 @@ fn a_key_is_blind_to_the_label_the_wire_and_field_order() {
         let back = from_text(&text, read_job).expect("a written spec reads back");
         assert_eq!(back.key(), key, "a trip over the wire keeps the key");
 
-        let mut doc = job_to_json(&job);
+        let mut doc = spec(&job);
         shuffle_fields(&mut doc, &mut rng);
         for text in [doc.to_string(), doc.to_pretty()] {
-            assert_ne!(text, job_to_json(&job).to_string());
+            assert_ne!(text, spec(&job).to_string());
             let back = from_text(&text, read_job).expect("any field order decodes");
             assert_eq!(back.key(), key, "field order in {text}");
         }
@@ -748,7 +893,7 @@ fn every_keyed_leaf_moves_the_key_and_about_half_its_bits() {
             change_leaf(pairs, at);
             true
         };
-        each_edited_leaf(&job_to_json(&job), &mut change, &mut |path, doc| {
+        each_edited_leaf(&spec(&job), &mut change, &mut |path, doc| {
             let changed = from_tree(&doc, read_job)
                 .unwrap_or_else(|e| panic!("{path} changed to something undecodable: {e}"));
             // The locality pair is the key less the cycle budget and the
@@ -822,7 +967,7 @@ fn no_numeric_leaf_can_abort_a_job() {
     let (mut ran, mut refused) = (0u32, 0u32);
     // Every design variant and every mode between them.
     for job in jobs().into_iter().step_by(7) {
-        let doc = job_to_json(&job);
+        let doc = spec(&job);
         for slot in 0..6 {
             let value = std::cell::Cell::new(0);
             let mut set = |pairs: &mut Vec<(String, Json)>, at: usize| {

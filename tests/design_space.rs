@@ -5,7 +5,7 @@ use hfs::core::kernel::{KStep, KernelPair, MAX_BODY_STEPS, MAX_REGIONS, MAX_REGI
 use hfs::core::lower::ARCH_QUEUES;
 use hfs::core::{DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig};
 use hfs::cpu::{MAX_ISSUE_WIDTH, MAX_WINDOW};
-use hfs::harness::{execute, job_from_json, job_to_json, Job, JobOutcome};
+use hfs::harness::{execute, from_text, read_job, to_text, write_job, Job, JobOutcome};
 use hfs::isa::QueueId;
 use hfs::mem::config::{MAX_BUS_CYCLES, MAX_L2_PORTS, MAX_LATENCY, MAX_OZQ_ENTRIES};
 use hfs::mem::{CacheGeometry, MAX_CACHE_LINES, MAX_LINE_BYTES};
@@ -231,7 +231,8 @@ fn an_oversized_design_fails_the_job_not_the_process() {
         );
         // What a server decodes from the wire.
         let job = Job::pipeline("oversized", pair, cfg);
-        let job = job_from_json(&job_to_json(&job)).expect("a well-formed spec decodes");
+        let spec = to_text(false, |w| write_job(w, &job));
+        let job = from_text(&spec, read_job).expect("a well-formed spec decodes");
         let outcome = execute(&job, 0);
         assert!(
             matches!(outcome, JobOutcome::SimError(_)),

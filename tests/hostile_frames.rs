@@ -2,7 +2,8 @@
 //! and server frames — truncation, bit flips, lying length prefixes,
 //! wrong-typed fields — pushed through `read_from`. A decoder may refuse
 //! a frame; it may never panic, never hang, and never hand back a frame
-//! that is not itself well-formed. The same for the one JSON tokenizer
+//! whose `write_to` bytes do not decode to the same bytes again. The
+//! same for the one JSON tokenizer
 //! under them: deep nesting, huge numbers, surrogates, truncation, bit
 //! flips — and whatever parses must re-serialise to the same tree.
 
@@ -172,13 +173,14 @@ fn mutate(seed: &[u8], rng: &mut Rng64) -> Vec<u8> {
 }
 
 /// Runs [`CASES`] mutations of `seeds` through `decode`, which reports
-/// what came back: `Ok(Some(body))` for a frame (re-encoded), `Ok(None)`
-/// for a clean EOF, `Err` for a refusal. Returns how many were refused.
+/// what came back: `Ok(Some(bytes))` for a frame (re-encoded by
+/// `write_to`), `Ok(None)` for a clean EOF, `Err` for a refusal. A frame
+/// must re-decode to the bytes it was re-encoded to. Returns how many
+/// were refused.
 fn fuzz(
     stream: u64,
     seeds: &[Vec<u8>],
-    decode: impl Fn(&mut &[u8]) -> Result<Option<Json>, String>,
-    redecode: impl Fn(&Json) -> bool,
+    decode: impl Fn(&mut &[u8]) -> Result<Option<Vec<u8>>, String>,
 ) -> u64 {
     let mut rng = Rng64::new(0x5eed).split(stream);
     let mut refused = 0;
@@ -192,9 +194,10 @@ fn fuzz(
                 "case {case}: EOF on {} bytes",
                 input.len()
             ),
-            Ok(Some(body)) => assert!(
-                redecode(&body),
-                "case {case}: decoded a frame that does not re-decode: {body}"
+            Ok(Some(bytes)) => assert!(
+                decode(&mut bytes.as_slice()) == Ok(Some(bytes.clone())),
+                "case {case}: decoded a frame that does not re-decode: {}",
+                String::from_utf8_lossy(&bytes)
             ),
         }
     }
@@ -207,24 +210,14 @@ fn mutated_frames_are_refused_or_well_formed() {
     // On its own thread so that a decoder that never returns fails the
     // test instead of wedging it.
     std::thread::spawn(move || {
-        let client = fuzz(
-            1,
-            &client_seeds(),
-            |r| match ClientFrame::read_from(r) {
-                Ok(f) => Ok(f.map(|f| f.to_json())),
-                Err(e) => Err(e.to_string()),
-            },
-            |body| ClientFrame::from_json(body).is_ok(),
-        );
-        let server = fuzz(
-            2,
-            &server_seeds(),
-            |r| match ServerFrame::read_from(r) {
-                Ok(f) => Ok(f.map(|f| f.to_json())),
-                Err(e) => Err(e.to_string()),
-            },
-            |body| ServerFrame::from_json(body).is_ok(),
-        );
+        let client = fuzz(1, &client_seeds(), |r| match ClientFrame::read_from(r) {
+            Ok(f) => Ok(f.map(|f| encoded(|b| f.write_to(b)))),
+            Err(e) => Err(e.to_string()),
+        });
+        let server = fuzz(2, &server_seeds(), |r| match ServerFrame::read_from(r) {
+            Ok(f) => Ok(f.map(|f| encoded(|b| f.write_to(b)))),
+            Err(e) => Err(e.to_string()),
+        });
         let _ = tx.send((client, server));
     });
     let (client, server) = rx
@@ -363,19 +356,24 @@ fn hostile_json_is_refused_or_round_trips() {
 fn every_distinct_name_from_the_wire_decodes() {
     // A name is owned by the job that carries it: no process-wide table
     // fills up, so a client cannot talk the server out of new names.
-    let seed = ClientFrame::SubmitBatch {
+    let frame = ClientFrame::SubmitBatch {
         experiment: "hostile".to_string(),
         id: 9,
         subscribe: Subscribe::Final,
         jobs: vec![job(0)],
-    }
-    .to_json()
-    .to_string();
+    };
+    let seed = String::from_utf8(encoded(|b| frame.write_to(b)).split_off(4)).expect("UTF-8");
     let own = "\"name\":\"hostile\"";
     assert_eq!(seed.matches(own).count(), 1, "one kernel name per job");
     let submit = |name: &str| {
         let text = seed.replace(own, &format!("\"name\":\"{name}\""));
-        ClientFrame::from_json(&parse(&text).expect("the frame is well-formed JSON"))
+        let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        match ClientFrame::read_from(&mut bytes.as_slice()) {
+            Ok(Some(f)) => Ok(f),
+            Ok(None) => Err("no frame".to_string()),
+            Err(e) => Err(e.to_string()),
+        }
     };
     assert!(submit("hostile").is_ok());
 

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use hfs::core::kernel::KernelPair;
 use hfs::core::{DesignPoint, MachineConfig};
-use hfs::harness::{outcome_to_json, Engine, Job};
+use hfs::harness::{outcome_to_text, Engine, Job};
 use hfs::serve::{
     Client, ClientFrame, Endpoint, JobRef, ServeStats, Server, ServerConfig, ServerFrame, Subscribe,
 };
@@ -401,7 +401,7 @@ fn foreign_ref_keys_are_refused_and_touch_no_file() {
     std::fs::create_dir_all(&cache_dir).expect("create cache dir");
     let victim = root.join("victim.json");
     let outcome = hfs::harness::execute(&distinct_jobs("victim", 1, 40)[0], 0);
-    let body = outcome_to_json(&outcome).to_pretty();
+    let body = outcome_to_text(&outcome);
     std::fs::write(&victim, &body).expect("write victim");
 
     let (endpoint, handle) = start_server(ServerConfig {
