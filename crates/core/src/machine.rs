@@ -31,33 +31,6 @@ const MAX_PIPELINES: usize = MAX_CORES / 2;
 /// ids into.
 const QUEUES_PER_PIPELINE: usize = ARCH_QUEUES as usize / MAX_PIPELINES;
 
-/// Fast-forward auto-disable: evaluate the skip rate every this many
-/// *elapsed cycles*. Windowing on cycles rather than bound computations
-/// matters on compute-dense workloads: they rarely reach a bound
-/// computation at all, so a bound-counted window would take most of the
-/// run to fill while every cycle kept paying the fast-forward checks.
-const FF_CYCLE_WINDOW: u64 = 4096;
-
-/// Fast-forward auto-disable: absolute minimum cycles a window must
-/// skip to keep fast-forwarding — below this the per-cycle checks alone
-/// outweigh the skips, however cheap the bounds were.
-const FF_MIN_WINDOW_SKIP: u64 = 64;
-
-/// Fast-forward auto-disable: cost of one bound computation, expressed
-/// in skipped-cycle equivalents (a fold that gets as far as a jump walks
-/// every component's `next_event`, at most half the price of stepping a
-/// live cycle; one that finds the next cycle pinned stops sooner). A
-/// window must skip at least `window_bounds / FF_BOUND_COST_DIV` cycles
-/// to have paid for its bounds; workloads that compute a bound almost
-/// every cycle but jump only occasionally (e.g. streaming loops with
-/// sub-cycle average skips) net out slower than plain stepping.
-const FF_BOUND_COST_DIV: u64 = 2;
-
-/// Consecutive low-skip windows required before latching off, so a
-/// dense warm-up phase alone doesn't forfeit skips in a later
-/// memory-bound phase.
-const FF_LOW_WINDOWS: u32 = 2;
-
 /// Retained only because `benchmark/`, which the change that retired the
 /// event-driven loop could not touch, still names both variants; the next
 /// `benchmark` PR removes it. There is one production run loop, so the
@@ -185,18 +158,9 @@ pub struct FastForwardStats {
     pub bound_computations: u64,
     /// Total cycles skipped across all fast-forward jumps this run.
     pub skipped_cycles: u64,
-    /// Whether the low-skip-rate auto-disable latched fast-forward off
-    /// for the remainder of the run.
+    /// Always `false`: fast-forward no longer latches itself off. Kept
+    /// for `benchmark/`, which reads it.
     pub auto_disabled: bool,
-    /// First cycle of the current evaluation window.
-    window_start: u64,
-    /// Cycles skipped in the current evaluation window.
-    window_skipped: u64,
-    /// Bound computations in the current evaluation window.
-    window_bounds: u64,
-    /// Consecutive windows that skipped too little to pay for
-    /// themselves.
-    low_windows: u32,
 }
 
 /// The simulated machine, ready to run one workload to completion.
@@ -220,7 +184,7 @@ pub struct Machine {
     /// turns it off). Results are bit-identical either way; only
     /// wall-clock changes.
     fast_forward: bool,
-    /// Skip-rate accounting behind the fast-forward auto-disable.
+    /// Skip-rate accounting for fast-forward.
     ff: FastForwardStats,
     /// Cooperative cancellation, polled once per simulated cycle.
     cancel: Option<CancelToken>,
@@ -365,35 +329,17 @@ impl Machine {
     /// Enables or disables idle-cycle fast-forwarding (machines start
     /// with it on). Simulation results are bit-identical either way;
     /// only wall-clock changes.
-    /// Re-enabling clears a previous skip-rate auto-disable latch.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-        self.ff.window_start = self.now.as_u64();
-        self.ff.window_skipped = 0;
-        self.ff.window_bounds = 0;
-        self.ff.low_windows = 0;
-        if on {
-            self.ff.auto_disabled = false;
-        }
     }
 
-    /// Whether idle-cycle fast-forwarding is currently active. May flip
-    /// from `true` to `false` mid-run when the skip-rate auto-disable
-    /// latches (see [`Machine::fast_forward_stats`]).
+    /// Whether idle-cycle fast-forwarding is active.
     pub fn fast_forward_enabled(&self) -> bool {
         self.fast_forward
     }
 
     /// Skip-rate accounting for this run's fast-forwarding: how many jump
-    /// targets were computed, how many cycles they actually skipped, and
-    /// whether the low-skip-rate auto-disable fired. On workloads whose
-    /// skips don't pay for the bounds that found them, the fast-forward
-    /// machinery is net overhead, so after `FF_LOW_WINDOWS` consecutive
-    /// `FF_CYCLE_WINDOW`-cycle windows each skipping less than its
-    /// bound computations cost (or an absolute floor), the machine
-    /// latches back to plain per-cycle stepping for the rest of the
-    /// run. Results are bit-identical either way; only wall-clock
-    /// changes.
+    /// targets were computed and how many cycles they actually skipped.
     pub fn fast_forward_stats(&self) -> FastForwardStats {
         self.ff
     }
@@ -624,26 +570,6 @@ impl Machine {
         if !self.fast_forward || self.checker.is_enabled() {
             return next;
         }
-        // Skip-rate auto-disable, evaluated on elapsed cycles so that
-        // compute-dense stretches — which rarely even reach a bound
-        // computation below — latch within a few windows instead of
-        // paying the fast-forward checks for the whole run.
-        if now.as_u64() - self.ff.window_start >= FF_CYCLE_WINDOW {
-            let pay_floor = (self.ff.window_bounds / FF_BOUND_COST_DIV).max(FF_MIN_WINDOW_SKIP);
-            if self.ff.window_skipped < pay_floor {
-                self.ff.low_windows += 1;
-                if self.ff.low_windows >= FF_LOW_WINDOWS {
-                    self.fast_forward = false;
-                    self.ff.auto_disabled = true;
-                    return next;
-                }
-            } else {
-                self.ff.low_windows = 0;
-            }
-            self.ff.window_start = now.as_u64();
-            self.ff.window_skipped = 0;
-            self.ff.window_bounds = 0;
-        }
         // A core may have committed its last instruction during this very
         // cycle; the termination check must run on the next one, so never
         // jump once every program is done.
@@ -662,7 +588,6 @@ impl Machine {
             return next;
         }
         self.ff.bound_computations += 1;
-        self.ff.window_bounds += 1;
         // Fold the bounds, the memory system first (it is the one that
         // most often allows nothing), and stop at the first that pins
         // the next cycle: most commit-free cycles cannot be skipped, and
@@ -704,11 +629,7 @@ impl Machine {
         // core. No component changes state in a dead window, so the stall
         // component is constant across it.
         let skipped = target.as_u64() - next.as_u64();
-        // Skip-rate accounting feeding the cycle-window auto-disable
-        // above (bit-identical results either way; only wall-clock
-        // changes when the latch fires).
         self.ff.skipped_cycles += skipped;
-        self.ff.window_skipped += skipped;
         let mut live = [false; MAX_CORES];
         let mut comps = [StallComponent::PreL2; MAX_CORES];
         for i in 0..self.cores.len() {

@@ -54,9 +54,9 @@ pub struct Cache {
 impl Cache {
     /// Opens (without creating) a cache rooted at `dir`, with the hot
     /// layer the environment asks for (`HFS_HOT_CACHE_MB`; `0`
-    /// disables it).
+    /// disables it), counting on a registry of its own.
     pub fn new(dir: impl Into<PathBuf>) -> Cache {
-        Cache::with_hot(dir, HotCache::from_env())
+        Cache::with_hot(dir, HotCache::from_env(&hfs_obs::Registry::new()))
     }
 
     /// Opens a cache with an explicit hot layer (or none) — the hook

@@ -7,7 +7,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -119,61 +119,130 @@ pub fn resolve(cache: Option<&Cache>, key: &str, run: impl FnOnce() -> JobOutcom
     }
 }
 
-/// Live counters aggregated across every batch an engine runs.
-#[derive(Debug, Default)]
-struct EngineCounters {
-    jobs: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    failures: AtomicU64,
-    sim_cycles: AtomicU64,
-    exec_millis: AtomicU64,
-}
-
-/// Upper bucket (milliseconds) for the engine's latency histograms;
+/// Upper bucket (milliseconds) for the lifecycle latency histograms;
 /// slower observations land in the overflow bucket and clamp the
 /// percentiles to this value.
 const LATENCY_HISTOGRAM_MAX_MS: usize = 60_000;
 
-/// The engine's job-lifecycle telemetry: an instance-scoped
-/// [`Registry`] (so parallel tests keep exact counts) plus the handles
-/// the hot path uses. Purely observational — nothing here feeds cache
-/// keys or artifacts.
+/// The job-lifecycle instruments, registered on an executor's
+/// [`Registry`]. The offline [`Engine`] and the server's dispatcher
+/// each keep one set and count every resolved job through
+/// [`Lifecycle::record`], so both executors observe the same edges by
+/// the same rule; every stats view reads these handles. Purely
+/// observational: nothing here feeds cache keys or artifacts.
 #[derive(Debug)]
-struct EngineObs {
-    registry: Registry,
-    queue_wait_ms: HistogramMetric,
-    exec_wall_ms: HistogramMetric,
-    timeouts: Counter,
+pub struct Lifecycle {
+    /// Jobs run to a verdict (`hfs_jobs_executed_total`).
+    pub executed: Counter,
+    /// Jobs answered from a result cache (`hfs_jobs_cache_hits_total`).
+    pub cache_hits: Counter,
+    /// Executed jobs that hit their cycle budget (`hfs_job_timeouts_total`).
+    pub(crate) timeouts: Counter,
+    /// Executed jobs whose outcome is not `Ok` (`hfs_jobs_failed_total`).
+    pub(crate) failures: Counter,
+    /// Cycles simulated by executed jobs that succeeded
+    /// (`hfs_sim_cycles_total`).
+    pub(crate) sim_cycles: Counter,
+    /// Queued → picked up by a worker, per executed job
+    /// (`hfs_job_queue_wait_ms`).
+    pub(crate) queue_wait_ms: HistogramMetric,
+    /// Picked up → resolved, per executed job (`hfs_job_exec_wall_ms`).
+    pub(crate) exec_wall_ms: HistogramMetric,
 }
 
-impl Default for EngineObs {
-    fn default() -> EngineObs {
-        let registry = Registry::new();
-        EngineObs {
+impl Lifecycle {
+    /// The set, registered on `registry`.
+    pub fn new(registry: &Registry) -> Lifecycle {
+        Lifecycle {
+            executed: registry.counter("hfs_jobs_executed_total"),
+            cache_hits: registry.counter("hfs_jobs_cache_hits_total"),
+            timeouts: registry.counter("hfs_job_timeouts_total"),
+            failures: registry.counter("hfs_jobs_failed_total"),
+            sim_cycles: registry.counter("hfs_sim_cycles_total"),
             queue_wait_ms: registry.histogram("hfs_job_queue_wait_ms", LATENCY_HISTOGRAM_MAX_MS),
             exec_wall_ms: registry.histogram("hfs_job_exec_wall_ms", LATENCY_HISTOGRAM_MAX_MS),
-            timeouts: registry.counter("hfs_job_timeouts_total"),
-            registry,
+        }
+    }
+
+    /// Counts one job [`resolve`] answered, `queue_wait_ms` after it was
+    /// queued. A cache hit counts as one; an abandoned job counts
+    /// nowhere; an executed job counts once in `executed` and once in
+    /// each histogram, so `hfs_job_queue_wait_ms_count ==
+    /// hfs_jobs_executed_total` holds exactly at quiescence.
+    pub fn record(&self, step: &Resolved, queue_wait_ms: u64) {
+        if step.cached {
+            self.cache_hits.inc();
+            return;
+        }
+        if !step.executed() {
+            return;
+        }
+        self.executed.inc();
+        self.queue_wait_ms.observe(queue_wait_ms);
+        self.exec_wall_ms.observe(step.wall_millis);
+        match step.outcome.ok() {
+            Some(r) => self.sim_cycles.add(r.cycles),
+            None => self.failures.inc(),
+        }
+        if step.timed_out() {
+            self.timeouts.inc();
         }
     }
 }
 
-/// A snapshot of an engine's aggregate counters.
+/// Logs the `job_done` progress record of one resolved job at info
+/// level (`HFS_LOG=warn` silences it): `label` loses a leading
+/// `<batch>/`, and `wall_ms` is appended when the caller timed the job.
+/// The offline engine and `hfs-client` both report progress through
+/// this.
+pub fn log_job_done(
+    component: &str,
+    batch: &str,
+    label: &str,
+    (finished, total): (u64, u64),
+    outcome: &JobOutcome,
+    cached: bool,
+    wall_ms: Option<u64>,
+) {
+    // A filtered line costs this compare, not the field list.
+    if !hfs_obs::logger().enabled(Level::Info) {
+        return;
+    }
+    let label = label
+        .strip_prefix(batch)
+        .and_then(|rest| rest.strip_prefix('/'))
+        .unwrap_or(label);
+    let fields = [
+        ("finished", finished.into()),
+        ("total", total.into()),
+        ("batch", batch.into()),
+        ("label", label.into()),
+        ("status", outcome.status().into()),
+        ("outcome", outcome.to_string().into()),
+        ("cached", cached.into()),
+        ("wall_ms", wall_ms.unwrap_or(0).into()),
+    ];
+    let n = fields.len() - usize::from(wall_ms.is_none());
+    hfs_obs::info(component, "job_done", &fields[..n]);
+}
+
+/// A snapshot of an engine's aggregate counters: a view of its
+/// [`Lifecycle`] set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs processed (hits + misses).
+    /// Jobs processed: `cache_hits + cache_misses`.
     pub jobs: u64,
     /// Jobs answered from the result cache.
     pub cache_hits: u64,
-    /// Jobs actually simulated.
+    /// Jobs actually simulated: the executed count.
     pub cache_misses: u64,
     /// Jobs whose final outcome was not `Ok`.
     pub failures: u64,
     /// Total simulated cycles across executed (non-cached) jobs.
     pub sim_cycles: u64,
-    /// Wall-clock milliseconds spent executing jobs (summed over
-    /// workers, so this can exceed elapsed time when running parallel).
+    /// Wall-clock milliseconds spent executing jobs, the execution-wall
+    /// histogram's exact sum (summed over workers, so this can exceed
+    /// elapsed time when running parallel).
     pub exec_millis: u64,
 }
 
@@ -186,14 +255,16 @@ pub struct Engine {
     trace_dir: Option<PathBuf>,
     metrics: bool,
     progress: bool,
-    counters: EngineCounters,
-    obs: EngineObs,
+    /// Instance-scoped, so parallel tests keep exact counts.
+    registry: Registry,
+    lifecycle: Lifecycle,
 }
 
 impl Engine {
     /// A quiet engine with `workers` threads, no cache, and no artifact
     /// directory — the configuration tests want.
     pub fn new(workers: usize) -> Engine {
+        let registry = Registry::new();
         Engine {
             workers: workers.max(1),
             cache: None,
@@ -201,8 +272,8 @@ impl Engine {
             trace_dir: None,
             metrics: false,
             progress: false,
-            counters: EngineCounters::default(),
-            obs: EngineObs::default(),
+            lifecycle: Lifecycle::new(&registry),
+            registry,
         }
     }
 
@@ -215,14 +286,12 @@ impl Engine {
     pub fn from_env() -> Engine {
         let env = ExecEnv::read();
         Engine {
-            workers: env.workers,
             cache: env.cache_dir.map(Cache::new),
             results_dir: Some(env_path(ENV_RESULTS_DIR).unwrap_or_else(|| "results".into())),
             trace_dir: env_path(ENV_TRACE_DIR),
             metrics: env_flag(ENV_METRICS),
             progress: true,
-            counters: EngineCounters::default(),
-            obs: EngineObs::default(),
+            ..Engine::new(env.workers)
         }
     }
 
@@ -265,15 +334,18 @@ impl Engine {
         self.results_dir.as_deref()
     }
 
-    /// A snapshot of the aggregate counters.
+    /// A snapshot of the aggregate counters, read from the lifecycle
+    /// set.
     pub fn stats(&self) -> EngineStats {
+        let l = &self.lifecycle;
+        let (cache_hits, executed) = (l.cache_hits.get(), l.executed.get());
         EngineStats {
-            jobs: self.counters.jobs.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            failures: self.counters.failures.load(Ordering::Relaxed),
-            sim_cycles: self.counters.sim_cycles.load(Ordering::Relaxed),
-            exec_millis: self.counters.exec_millis.load(Ordering::Relaxed),
+            jobs: cache_hits + executed,
+            cache_hits,
+            cache_misses: executed,
+            failures: l.failures.get(),
+            sim_cycles: l.sim_cycles.get(),
+            exec_millis: l.exec_wall_ms.summary().sum,
         }
     }
 
@@ -355,66 +427,29 @@ impl Engine {
     ) -> Record {
         let key = job.key();
         // Queue wait: batch submission → this worker picking the job up.
-        self.obs
-            .queue_wait_ms
-            .observe(submitted.elapsed().as_millis() as u64);
+        let queue_wait_ms = submitted.elapsed().as_millis() as u64;
         let step = resolve(self.cache.as_ref(), &key, || match &self.trace_dir {
             Some(dir) => self.execute_traced(batch, job, dir),
             None => execute_cancellable(job, None),
         });
-        if step.timed_out() {
-            self.obs.timeouts.inc();
+        self.lifecycle.record(&step, queue_wait_ms);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.progress {
+            log_job_done(
+                "harness",
+                batch,
+                &job.label,
+                (finished as u64, total as u64),
+                &step.outcome,
+                step.cached,
+                Some(step.wall_millis),
+            );
         }
         let Resolved {
             outcome,
             cached,
             wall_millis,
         } = step;
-
-        self.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        if cached {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .exec_millis
-                .fetch_add(wall_millis, Ordering::Relaxed);
-            self.obs.exec_wall_ms.observe(wall_millis);
-            if let Some(r) = outcome.ok() {
-                self.counters
-                    .sim_cycles
-                    .fetch_add(r.cycles, Ordering::Relaxed);
-            }
-        }
-        if !outcome.is_ok() {
-            self.counters.failures.fetch_add(1, Ordering::Relaxed);
-        }
-
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.progress && hfs_obs::logger().enabled(Level::Info) {
-            // Labels conventionally start with the batch name; don't
-            // print it twice. One structured line per job, at info level
-            // — `HFS_LOG=warn` silences it.
-            let label = job
-                .label
-                .strip_prefix(batch)
-                .and_then(|rest| rest.strip_prefix('/'))
-                .unwrap_or(&job.label);
-            hfs_obs::info(
-                "harness",
-                "job_done",
-                &[
-                    ("finished", finished.into()),
-                    ("total", total.into()),
-                    ("batch", batch.into()),
-                    ("label", label.into()),
-                    ("status", outcome.status().into()),
-                    ("outcome", outcome.to_string().into()),
-                    ("cached", cached.into()),
-                    ("wall_ms", wall_millis.into()),
-                ],
-            );
-        }
         Record {
             label: job.label.clone(),
             key,
@@ -448,11 +483,10 @@ impl Engine {
         outcome
     }
 
-    /// The engine's live metric registry: job queue-wait and
-    /// execution-wall histograms plus the timeout counter, exposable
-    /// as Prometheus text via [`Registry::render_prometheus`].
+    /// The engine's live metric registry: its [`Lifecycle`] set,
+    /// exposable as Prometheus text via [`Registry::render_prometheus`].
     pub fn registry(&self) -> &Registry {
-        &self.obs.registry
+        &self.registry
     }
 
     /// The harness's own execution metrics in the same [`MetricsReport`]
@@ -469,14 +503,14 @@ impl Engine {
         m.counter("harness.failures", s.failures);
         m.counter("harness.sim_cycles", s.sim_cycles);
         m.counter("harness.exec_millis", s.exec_millis);
-        m.counter("harness.timeouts", self.obs.timeouts.get());
+        m.counter("harness.timeouts", self.lifecycle.timeouts.get());
         m.histograms.push((
             "harness.queue_wait_ms".to_string(),
-            self.obs.queue_wait_ms.summary(),
+            self.lifecycle.queue_wait_ms.summary(),
         ));
         m.histograms.push((
             "harness.exec_wall_ms".to_string(),
-            self.obs.exec_wall_ms.summary(),
+            self.lifecycle.exec_wall_ms.summary(),
         ));
         m
     }

@@ -22,10 +22,14 @@
 //! rule. Byte accounting charges each entry its serialized length plus
 //! a fixed per-entry overhead estimate, so the bound tracks real
 //! memory, not just entry counts.
+//!
+//! Every count the cache keeps is a handle on a metric [`Registry`]
+//! (`hfs_hot_cache_*`), and [`HotCache::stats`] reads those handles:
+//! the exposition and the stats view have one source.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use hfs_obs::{Counter, Gauge, Registry};
 
@@ -114,26 +118,18 @@ struct Shard {
     bytes: u64,
 }
 
-struct HotObs {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    bytes: Gauge,
-    entries: Gauge,
-}
-
 /// The sharded, byte-bounded, LRU-evicting in-memory result cache.
 pub struct HotCache {
     shards: Vec<Mutex<Shard>>,
     shard_cap: u64,
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    total_bytes: AtomicU64,
-    total_entries: AtomicU64,
-    obs: OnceLock<HotObs>,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    insertions: Counter,
+    /// Kept only by adds, so concurrent updates cannot leave it stale.
+    bytes: Gauge,
+    entries: Gauge,
 }
 
 impl std::fmt::Debug for HotCache {
@@ -147,36 +143,43 @@ impl std::fmt::Debug for HotCache {
 
 impl HotCache {
     /// A hot cache bounded by `cap_bytes` (split evenly across 16
-    /// shards; each shard keeps at least one entry's worth of room).
+    /// shards; each shard keeps at least one entry's worth of room),
+    /// counting on a registry of its own.
     pub fn new(cap_bytes: u64) -> HotCache {
+        HotCache::on(cap_bytes, &Registry::new())
+    }
+
+    /// A hot cache whose counts are the `hfs_hot_cache_*` instruments
+    /// of `registry`.
+    fn on(cap_bytes: u64, registry: &Registry) -> HotCache {
         HotCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_cap: (cap_bytes / SHARDS as u64).max(ENTRY_OVERHEAD),
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            total_bytes: AtomicU64::new(0),
-            total_entries: AtomicU64::new(0),
-            obs: OnceLock::new(),
+            hits: registry.counter("hfs_hot_cache_hits_total"),
+            misses: registry.counter("hfs_hot_cache_misses_total"),
+            evictions: registry.counter("hfs_hot_cache_evictions_total"),
+            insertions: registry.counter("hfs_hot_cache_insertions_total"),
+            bytes: registry.gauge("hfs_hot_cache_bytes"),
+            entries: registry.gauge("hfs_hot_cache_entries"),
         }
     }
 
-    /// A hot cache of `mb` MiB: `None` at `0`, and a budget too large
-    /// to count in bytes saturates at `u64::MAX` bytes rather than wrap.
-    pub fn with_mb(mb: u64) -> Option<Arc<HotCache>> {
-        (mb > 0).then(|| Arc::new(HotCache::new(mb.saturating_mul(1 << 20))))
+    /// A hot cache of `mb` MiB counting on `registry`: `None` at `0`,
+    /// and a budget too large to count in bytes saturates at `u64::MAX`
+    /// bytes rather than wrap.
+    pub fn with_mb(mb: u64, registry: &Registry) -> Option<Arc<HotCache>> {
+        (mb > 0).then(|| Arc::new(HotCache::on(mb.saturating_mul(1 << 20), registry)))
     }
 
     /// The hot cache the environment asks for: [`HotCache::with_mb`] of
     /// `HFS_HOT_CACHE_MB`, or of [`DEFAULT_HOT_CACHE_MB`] when unset.
-    pub fn from_env() -> Option<Arc<HotCache>> {
+    pub fn from_env(registry: &Registry) -> Option<Arc<HotCache>> {
         let mb = std::env::var(ENV_HOT_CACHE_MB)
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(DEFAULT_HOT_CACHE_MB);
-        HotCache::with_mb(mb)
+        HotCache::with_mb(mb, registry)
     }
 
     /// The total byte budget.
@@ -184,30 +187,10 @@ impl HotCache {
         self.shard_cap * SHARDS as u64
     }
 
-    /// Registers hit/eviction counters and residency gauges on
-    /// `registry` (`hfs_hot_cache_*`). Idempotent; the first call wins.
-    /// Until called, the cache only keeps its internal [`stats`]
-    /// counters — observability stays strictly opt-in.
-    ///
-    /// [`stats`]: HotCache::stats
-    pub fn install_metrics(&self, registry: &Registry) {
-        let _ = self.obs.set(HotObs {
-            hits: registry.counter("hfs_hot_cache_hits_total"),
-            misses: registry.counter("hfs_hot_cache_misses_total"),
-            evictions: registry.counter("hfs_hot_cache_evictions_total"),
-            bytes: registry.gauge("hfs_hot_cache_bytes"),
-            entries: registry.gauge("hfs_hot_cache_entries"),
-        });
-        self.sync_gauges();
-    }
-
-    fn sync_gauges(&self) {
-        if let Some(o) = self.obs.get() {
-            o.bytes
-                .set(i64::try_from(self.total_bytes.load(Ordering::Relaxed)).unwrap_or(i64::MAX));
-            o.entries
-                .set(i64::try_from(self.total_entries.load(Ordering::Relaxed)).unwrap_or(i64::MAX));
-        }
+    /// Takes an entry of `cost` bytes out of the residency gauges.
+    fn release(&self, cost: u64) {
+        self.bytes.add(-(cost as i64));
+        self.entries.dec();
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
@@ -224,10 +207,7 @@ impl HotCache {
         let mut guard = self.shard(key).lock().unwrap();
         let shard = &mut *guard;
         let Some(slot) = shard.map.get_mut(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.misses.inc();
-            }
+            self.misses.inc();
             return None;
         };
         let entry = Arc::clone(&slot.entry);
@@ -237,10 +217,7 @@ impl HotCache {
         let owned = shard.lru.remove(&old_tick).expect("every slot has a tick");
         shard.lru.insert(new_tick, owned);
         drop(guard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.hits.inc();
-        }
+        self.hits.inc();
         Some(entry)
     }
 
@@ -267,21 +244,19 @@ impl HotCache {
             json,
         });
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = 0u64;
         let mut shard = self.shard(key).lock().unwrap();
         if let Some(old) = shard.map.remove(key) {
             shard.lru.remove(&old.tick);
             shard.bytes -= old.cost;
-            self.total_bytes.fetch_sub(old.cost, Ordering::Relaxed);
-            self.total_entries.fetch_sub(1, Ordering::Relaxed);
+            self.release(old.cost);
         }
         shard
             .map
             .insert(key.to_string(), Slot { entry, tick, cost });
         shard.lru.insert(tick, key.to_string());
         shard.bytes += cost;
-        self.total_bytes.fetch_add(cost, Ordering::Relaxed);
-        self.total_entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.add(cost as i64);
+        self.entries.inc();
         while shard.bytes > self.shard_cap {
             // The loop terminates before touching the entry just
             // inserted: its cost alone fits the shard budget, and it
@@ -290,31 +265,23 @@ impl HotCache {
             let victim_key = shard.lru.remove(&victim_tick).unwrap();
             let victim = shard.map.remove(&victim_key).unwrap();
             shard.bytes -= victim.cost;
-            self.total_bytes.fetch_sub(victim.cost, Ordering::Relaxed);
-            self.total_entries.fetch_sub(1, Ordering::Relaxed);
-            evicted += 1;
+            self.release(victim.cost);
+            self.evictions.inc();
         }
         drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.evictions.add(evicted);
-            }
-        }
-        self.sync_gauges();
+        self.insertions.inc();
     }
 
     /// A consistent-enough snapshot of the counters (each field is
     /// individually exact; the set is not taken under one lock).
     pub fn stats(&self) -> HotCacheStats {
         HotCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            entries: self.total_entries.load(Ordering::Relaxed),
-            bytes: self.total_bytes.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            insertions: self.insertions.get(),
+            entries: self.entries.get() as u64,
+            bytes: self.bytes.get() as u64,
         }
     }
 }
@@ -453,10 +420,10 @@ mod tests {
 
     #[test]
     fn a_budget_past_u64_bytes_saturates_and_never_evicts() {
-        assert!(HotCache::with_mb(0).is_none());
+        assert!(HotCache::with_mb(0, &Registry::new()).is_none());
         let (_, out) = demo_outcome(30);
         for mb in [1 << 44, u64::MAX] {
-            let hot = HotCache::with_mb(mb).expect("a nonzero budget is on");
+            let hot = HotCache::with_mb(mb, &Registry::new()).expect("a nonzero budget is on");
             // All of `u64`, less what the 16-way split leaves over.
             assert_eq!(hot.cap_bytes(), u64::MAX / 16 * 16, "{mb} MiB");
             // Four entries in every shard.
@@ -472,18 +439,67 @@ mod tests {
         }
     }
 
+    /// The `hfs_hot_cache_*` samples of `reg`'s exposition, in
+    /// [`HotCacheStats`] field order.
+    fn exposed(reg: &Registry) -> HotCacheStats {
+        let text = reg.render_prometheus();
+        let sample = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing from\n{text}"))
+        };
+        HotCacheStats {
+            hits: sample("hfs_hot_cache_hits_total"),
+            misses: sample("hfs_hot_cache_misses_total"),
+            evictions: sample("hfs_hot_cache_evictions_total"),
+            insertions: sample("hfs_hot_cache_insertions_total"),
+            entries: sample("hfs_hot_cache_entries"),
+            bytes: sample("hfs_hot_cache_bytes"),
+        }
+    }
+
     #[test]
-    fn metrics_installation_mirrors_internal_counters() {
-        let hot = HotCache::new(1 << 20);
+    fn the_exposition_is_the_stats() {
         let reg = Registry::new();
-        hot.install_metrics(&reg);
+        let hot = HotCache::with_mb(1, &reg).expect("1 MiB is on");
         let (key, out) = demo_outcome(30);
         hot.get(&key);
         hot.insert(&key, &out, None);
         hot.get(&key);
-        let text = reg.render_prometheus();
-        assert!(text.contains("hfs_hot_cache_hits_total 1"), "{text}");
-        assert!(text.contains("hfs_hot_cache_misses_total 1"), "{text}");
-        assert!(text.contains("hfs_hot_cache_entries 1"), "{text}");
+        let s = hot.stats();
+        assert_eq!((s.hits, s.misses, s.insertions, s.entries), (1, 1, 1, 1));
+        assert_eq!(exposed(&reg), s);
+    }
+
+    #[test]
+    fn concurrent_churn_leaves_no_gauge_stale() {
+        // Each shard holds about three entries, so four threads inserting
+        // into shared shards evict constantly; replacing a resident key
+        // releases its old cost too.
+        let (_, out) = demo_outcome(30);
+        let entry_cost = ENTRY_OVERHEAD + 2 * 16 + outcome_to_text(&out).len() as u64;
+        let reg = Registry::new();
+        let hot = HotCache::on(entry_cost * 3 * SHARDS as u64, &reg);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (hot, out, start) = (&hot, &out, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..300u64 {
+                        let key = format!("{:016x}", ((i % 16) << 60) | (t * 7 + i % 5));
+                        hot.insert(&key, out, None);
+                        hot.get(&key);
+                    }
+                });
+            }
+        });
+        let s = hot.stats();
+        assert!(s.evictions > 0, "the churn evicts: {s:?}");
+        assert_eq!(s.insertions, 1200);
+        assert_eq!(exposed(&reg), s, "the exposition agrees field for field");
+        let resident: u64 = hot.shards.iter().map(|m| m.lock().unwrap().bytes).sum();
+        let count: usize = hot.shards.iter().map(|m| m.lock().unwrap().map.len()).sum();
+        assert_eq!((s.bytes, s.entries), (resident, count as u64));
     }
 }

@@ -19,8 +19,8 @@
 //!   would only recur;
 //! - observability: per-job timing and a structured progress stream via
 //!   the `hfs-obs` logger (info level; `HFS_LOG=warn` silences it),
-//!   engine counters and lifecycle histograms via
-//!   [`Engine::stats`]/[`Engine::summary`]/
+//!   one [`Lifecycle`] instrument set per executor, read by
+//!   [`Engine::stats`]/[`Engine::summary`] and exposed by
 //!   [`Engine::registry`], machine-readable `results/<experiment>.json`
 //!   artifacts, and — with `HFS_METRICS=1` / `HFS_TRACE_DIR=<dir>` —
 //!   per-run [`hfs_trace::MetricsReport`]s and Chrome trace-event
@@ -39,7 +39,9 @@ pub mod ser;
 pub mod spec;
 
 pub use cache::Cache;
-pub use engine::{resolve, Batch, Engine, EngineStats, ExecEnv, Record, Resolved};
+pub use engine::{
+    log_job_done, resolve, Batch, Engine, EngineStats, ExecEnv, Lifecycle, Record, Resolved,
+};
 pub use hfs_sim::{env_flag, env_path};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{

@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 
 use hfs_check::{Checker, Mutation};
 use hfs_isa::CoreId;
-use hfs_sim::stats::Counter;
 use hfs_sim::{fold_bound, Cycle, TimedQueue};
 use hfs_trace::{TraceEvent, Tracer};
 
@@ -108,10 +107,7 @@ pub(crate) struct Bus {
     data_rr: usize,
     data_busy_until: Cycle,
     data_inflight: TimedQueue<DataTxn>,
-    addr_phases: Counter,
-    data_transfers: Counter,
-    data_busy_cycles: Counter,
-    ctl_delivered: Counter,
+    stats: BusStats,
     tracer: Tracer,
     checker: Checker,
 }
@@ -131,10 +127,7 @@ impl Bus {
             data_rr: 0,
             data_busy_until: Cycle::ZERO,
             data_inflight: TimedQueue::new(),
-            addr_phases: Counter::new("bus.addr_phases"),
-            data_transfers: Counter::new("bus.data_transfers"),
-            data_busy_cycles: Counter::new("bus.data_busy_cycles"),
-            ctl_delivered: Counter::new("bus.ctl_delivered"),
+            stats: BusStats::default(),
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
         }
@@ -149,22 +142,7 @@ impl Bus {
     }
 
     pub(crate) fn stats(&self) -> BusStats {
-        BusStats {
-            addr_phases: self.addr_phases.value(),
-            data_transfers: self.data_transfers.value(),
-            data_busy_cycles: self.data_busy_cycles.value(),
-            ctl_delivered: self.ctl_delivered.value(),
-        }
-    }
-
-    /// The bus's named counters, for the unified metrics report.
-    pub(crate) fn counters(&self) -> Vec<Counter> {
-        vec![
-            self.addr_phases.clone(),
-            self.data_transfers.clone(),
-            self.data_busy_cycles.clone(),
-            self.ctl_delivered.clone(),
-        ]
+        self.stats
     }
 
     fn data_agent_index(&self, agent: Agent) -> usize {
@@ -223,12 +201,12 @@ impl Bus {
     ) {
         while let Some(t) = self.addr_inflight.pop_ready(now) {
             if matches!(t, AddrTxn::Ctl { .. }) {
-                self.ctl_delivered.inc();
+                self.stats.ctl_delivered += 1;
             }
             addr_out.push(t);
         }
         while let Some(t) = self.data_inflight.pop_ready(now) {
-            self.data_transfers.inc();
+            self.stats.data_transfers += 1;
             data_out.push(t);
         }
 
@@ -270,7 +248,7 @@ impl Bus {
                     if eligible {
                         let txn = self.addr_queues[idx].pop_front().expect("front checked");
                         self.addr_queued -= 1;
-                        self.addr_phases.inc();
+                        self.stats.addr_phases += 1;
                         self.tracer.emit(|| TraceEvent::BusGrant {
                             core: CoreId(idx as u8),
                             at: now.as_u64(),
@@ -295,7 +273,7 @@ impl Bus {
                                     let txn2 =
                                         self.addr_queues[idx2].pop_front().expect("front checked");
                                     self.addr_queued -= 1;
-                                    self.addr_phases.inc();
+                                    self.stats.addr_phases += 1;
                                     self.checker.on_grant(now, idx2 as u8);
                                     self.addr_inflight.push(deliver, txn2);
                                     self.addr_rr = next_agent(idx2, n);
@@ -333,7 +311,7 @@ impl Bus {
                             break;
                         }
                         let busy = self.cfg.data_cycles(bytes) * self.cfg.clock_divider;
-                        self.data_busy_cycles.add(busy);
+                        self.stats.data_busy_cycles += busy;
                         self.tracer.emit(|| TraceEvent::BusData {
                             at: now.as_u64(),
                             cycles: busy,

@@ -1,7 +1,6 @@
 //! Set-associative cache arrays with LRU replacement and coherence line
 //! states shared by every protocol (MSI, MESI, Dragon).
 
-use hfs_sim::stats::Counter;
 use hfs_sim::ConfigError;
 
 /// The most lines (sets x ways) one cache may hold, at any level: a
@@ -136,8 +135,8 @@ pub struct CacheArray {
     geom: CacheGeometry,
     sets: Vec<Vec<Way>>,
     stamp: u64,
-    hits: Counter,
-    misses: Counter,
+    hits: u64,
+    misses: u64,
 }
 
 impl CacheArray {
@@ -153,8 +152,8 @@ impl CacheArray {
             geom,
             sets,
             stamp: 0,
-            hits: Counter::new("hits"),
-            misses: Counter::new("misses"),
+            hits: 0,
+            misses: 0,
         })
     }
 
@@ -180,11 +179,11 @@ impl CacheArray {
         match self.sets[set].iter_mut().find(|w| w.line == line) {
             Some(w) => {
                 w.lru = stamp;
-                self.hits.inc();
+                self.hits += 1;
                 Some(w.state)
             }
             None => {
-                self.misses.inc();
+                self.misses += 1;
                 None
             }
         }
@@ -202,9 +201,9 @@ impl CacheArray {
         match self.sets[set].iter_mut().find(|w| w.line == line) {
             Some(w) => {
                 w.lru = stamp;
-                self.hits.add(n);
+                self.hits += n;
             }
-            None => self.misses.add(n),
+            None => self.misses += n,
         }
     }
 
@@ -277,12 +276,12 @@ impl CacheArray {
 
     /// Lookup hits recorded by [`CacheArray::access`].
     pub fn hits(&self) -> u64 {
-        self.hits.value()
+        self.hits
     }
 
     /// Lookup misses recorded by [`CacheArray::access`].
     pub fn misses(&self) -> u64 {
-        self.misses.value()
+        self.misses
     }
 }
 

@@ -10,7 +10,6 @@
 
 use hfs_check::{Checker, Mutation};
 use hfs_isa::{Addr, CoreId};
-use hfs_sim::stats::Counter;
 use hfs_sim::{ConfigError, Cycle};
 use hfs_trace::{TraceEvent, Tracer};
 
@@ -186,8 +185,8 @@ pub(crate) struct L2Ctl {
     /// scanning the OzQ, and it is what [`L2Ctl::next_event`] reports.
     work_at: Cycle,
     // Statistics.
-    pipe_accesses: Counter,
-    port_conflicts: Counter,
+    pipe_accesses: u64,
+    port_conflicts: u64,
     tracer: Tracer,
     checker: Checker,
 }
@@ -217,8 +216,8 @@ impl L2Ctl {
             want_issue: 0,
             reissue_scratch: Vec::new(),
             work_at: NEVER,
-            pipe_accesses: Counter::new("mem.l2_accesses"),
-            port_conflicts: Counter::new("mem.l2_port_conflicts"),
+            pipe_accesses: 0,
+            port_conflicts: 0,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
         })
@@ -413,7 +412,7 @@ impl L2Ctl {
                     if granted >= self.ports {
                         // Beaten in arbitration: recirculate after the
                         // interval.
-                        self.port_conflicts.inc();
+                        self.port_conflicts += 1;
                         self.tracer.emit(|| TraceEvent::OzqRecirc {
                             core: self.core,
                             at: now.as_u64(),
@@ -423,7 +422,7 @@ impl L2Ctl {
                         }
                     } else {
                         let lat = self.latency_min + 2 * (self.line_of(e.addr) % 3);
-                        self.pipe_accesses.inc();
+                        self.pipe_accesses += 1;
                         granted += 1;
                         EntryState::InPipe { done_at: now + lat }
                     }
@@ -805,12 +804,12 @@ impl L2Ctl {
 
     /// Total pipe accesses granted (port bandwidth consumed).
     pub(crate) fn pipe_accesses(&self) -> u64 {
-        self.pipe_accesses.value()
+        self.pipe_accesses
     }
 
     /// Times an entry lost port arbitration and recirculated.
     pub(crate) fn port_conflicts(&self) -> u64 {
-        self.port_conflicts.value()
+        self.port_conflicts
     }
 
     /// Tag-array lookup hits (for aggregated L2 counters).

@@ -1,7 +1,6 @@
 //! The shared L3 cache and its memory controller.
 
 use hfs_isa::CoreId;
-use hfs_sim::stats::Counter;
 use hfs_sim::{fold_bound, ConfigError, Cycle, TimedQueue};
 
 use crate::cache::{CacheArray, CacheGeometry, LineState};
@@ -38,13 +37,13 @@ pub(crate) struct L3Ready {
 /// DRAM round trip).
 #[derive(Debug)]
 pub(crate) struct L3 {
-    array: CacheArray,
+    pub(crate) array: CacheArray,
     l3_latency: u64,
     dram_latency: u64,
     lookups: TimedQueue<L3Req>,
     dram: TimedQueue<L3Req>,
     ready: Vec<L3Ready>,
-    dram_accesses: Counter,
+    dram_accesses: u64,
     dirty_evictions: u64,
 }
 
@@ -61,7 +60,7 @@ impl L3 {
             lookups: TimedQueue::new(),
             dram: TimedQueue::new(),
             ready: Vec::new(),
-            dram_accesses: Counter::new("mem.dram_accesses"),
+            dram_accesses: 0,
             dirty_evictions: 0,
         })
     }
@@ -102,7 +101,7 @@ impl L3 {
                     from_dram: false,
                 });
             } else {
-                self.dram_accesses.inc();
+                self.dram_accesses += 1;
                 self.dram.push(now + self.dram_latency, req);
                 to_dram.push(req);
             }
@@ -159,16 +158,7 @@ impl L3 {
 
     /// DRAM accesses made.
     pub(crate) fn dram_accesses(&self) -> u64 {
-        self.dram_accesses.value()
-    }
-
-    /// L3/DRAM named counters for the unified metrics report.
-    pub(crate) fn counters(&self) -> Vec<Counter> {
-        let mut l3_hits = Counter::new("mem.l3_hits");
-        l3_hits.add(self.array.hits());
-        let mut l3_misses = Counter::new("mem.l3_misses");
-        l3_misses.add(self.array.misses());
-        vec![l3_hits, l3_misses, self.dram_accesses.clone()]
+        self.dram_accesses
     }
 }
 

@@ -437,38 +437,34 @@ impl MemSystem {
         }
     }
 
-    /// The hierarchy's named counters for the unified metrics report:
-    /// aggregated L1/L2/L3 hit-miss, L2 port statistics, DRAM accesses,
-    /// bus channel activity, and write-forward completions — all sharing
-    /// [`hfs_sim::stats::Counter`] with [`MemStats`]'s sources.
+    /// The hierarchy's named counters for the unified metrics report,
+    /// and the one place a memory-system count is named: aggregated
+    /// L1/L2/L3 hit-miss, L2 port statistics, DRAM accesses, bus channel
+    /// activity, write-forward completions and update broadcasts. Every
+    /// count [`MemStats`] carries is read from [`MemSystem::stats`].
     pub fn counters(&self) -> Vec<Counter> {
-        fn agg(name: &'static str, value: u64) -> Counter {
-            let mut c = Counter::new(name);
-            c.add(value);
-            c
-        }
-        let mut out = vec![
-            agg("mem.l1_hits", self.l1s.iter().map(L1d::hits).sum()),
-            agg("mem.l1_misses", self.l1s.iter().map(L1d::misses).sum()),
-            agg("mem.l2_hits", self.l2s.iter().map(L2Ctl::array_hits).sum()),
-            agg(
-                "mem.l2_misses",
-                self.l2s.iter().map(L2Ctl::array_misses).sum(),
-            ),
-            agg(
-                "mem.l2_accesses",
-                self.l2s.iter().map(L2Ctl::pipe_accesses).sum(),
-            ),
-            agg(
-                "mem.l2_port_conflicts",
-                self.l2s.iter().map(L2Ctl::port_conflicts).sum(),
-            ),
-        ];
-        out.extend(self.l3.counters());
-        out.extend(self.bus.counters());
-        out.push(agg("mem.forwards", self.forwards_done));
-        out.push(agg("mem.updates", self.updates_done));
-        out
+        let s = self.stats();
+        let l2_sum = |count: fn(&L2Ctl) -> u64| self.l2s.iter().map(count).sum();
+        [
+            ("mem.l1_hits", s.l1_hits),
+            ("mem.l1_misses", s.l1_misses),
+            ("mem.l2_hits", l2_sum(L2Ctl::array_hits)),
+            ("mem.l2_misses", l2_sum(L2Ctl::array_misses)),
+            ("mem.l2_accesses", s.l2_accesses),
+            ("mem.l2_port_conflicts", s.l2_port_conflicts),
+            ("mem.l3_hits", self.l3.array.hits()),
+            ("mem.l3_misses", self.l3.array.misses()),
+            ("mem.dram_accesses", s.dram_accesses),
+            ("bus.addr_phases", s.bus.addr_phases),
+            ("bus.data_transfers", s.bus.data_transfers),
+            ("bus.data_busy_cycles", s.bus.data_busy_cycles),
+            ("bus.ctl_delivered", s.bus.ctl_delivered),
+            ("mem.forwards", s.forwards),
+            ("mem.updates", s.updates),
+        ]
+        .into_iter()
+        .map(|(name, value)| Counter::new(name, value))
+        .collect()
     }
 
     /// Whether `core`'s L2 currently holds the line containing `addr`.
@@ -1552,5 +1548,114 @@ mod tests {
         let (_, v) = run_until_complete(&mut m, CoreId(1), t1, end + 1, 600);
         assert_eq!(v, Some(99));
         assert_clean(&checker);
+    }
+
+    /// `counters()` names every count once, and every `MemStats` and
+    /// `BusStats` field (destructured, so a new field must be named
+    /// here) equals the counter under its name.
+    #[test]
+    fn counters_name_each_stats_field_once() {
+        for protocol in crate::Protocol::ALL {
+            let mut cfg = MemConfig::itanium2_cmp();
+            cfg.protocol = protocol;
+            let mut m = MemSystem::new(cfg).unwrap();
+            let step = |m: &mut MemSystem, t: u64| {
+                m.tick(Cycle::new(t));
+                for c in 0..2 {
+                    m.drain_completions(CoreId(c), Cycle::new(t));
+                }
+                m.drain_events();
+            };
+            // Loads and stores from both cores over four shared lines.
+            let mut now = 0;
+            for i in 0..64u64 {
+                let a = Addr::new(0x9000 + (i % 4) * 128);
+                let op = if i % 3 == 0 {
+                    MemOp::store(a, i)
+                } else {
+                    MemOp::load(a)
+                };
+                step(&mut m, now);
+                while let Submit::Rejected(_) = m.submit(CoreId((i % 2) as u8), op, Cycle::new(now))
+                {
+                    now += 1;
+                    step(&mut m, now);
+                }
+                now += 1;
+            }
+            // A dirty line forwarded to the other core, and a control
+            // message.
+            let a = Addr::new(0xa000);
+            let tok = loop {
+                step(&mut m, now);
+                now += 1;
+                if let Submit::Accepted(t) =
+                    m.submit(CoreId(0), MemOp::store(a, 1), Cycle::new(now))
+                {
+                    break t;
+                }
+            };
+            let (end, _) = run_until_complete(&mut m, CoreId(0), tok, now, 2000);
+            assert!(m.forward_line(CoreId(0), CoreId(1), a, Cycle::new(end + 1)));
+            m.send_ctl(
+                CoreId(1),
+                CoreId(0),
+                CtlPayload {
+                    kind: 2,
+                    a: 0,
+                    b: 0,
+                },
+            );
+            now = end + 1;
+            while !m.is_idle() {
+                step(&mut m, now);
+                now += 1;
+                assert!(now < end + 5000, "{protocol}: the run drains");
+            }
+
+            let named: Vec<(&str, u64)> =
+                m.counters().iter().map(|c| (c.name(), c.value())).collect();
+            let mut names: Vec<&str> = named.iter().map(|&(n, _)| n).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), named.len(), "{protocol}: a name repeats");
+            let MemStats {
+                l1_hits,
+                l1_misses,
+                l2_accesses,
+                l2_port_conflicts,
+                dram_accesses,
+                bus,
+                forwards,
+                updates,
+            } = m.stats();
+            let BusStats {
+                addr_phases,
+                data_transfers,
+                data_busy_cycles,
+                ctl_delivered,
+            } = bus;
+            for (name, value) in [
+                ("mem.l1_hits", l1_hits),
+                ("mem.l1_misses", l1_misses),
+                ("mem.l2_accesses", l2_accesses),
+                ("mem.l2_port_conflicts", l2_port_conflicts),
+                ("mem.dram_accesses", dram_accesses),
+                ("mem.forwards", forwards),
+                ("mem.updates", updates),
+                ("bus.addr_phases", addr_phases),
+                ("bus.data_transfers", data_transfers),
+                ("bus.data_busy_cycles", data_busy_cycles),
+                ("bus.ctl_delivered", ctl_delivered),
+            ] {
+                let got = named.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v);
+                assert_eq!(got, Some(value), "{protocol}: {name}");
+            }
+            assert_eq!((forwards, ctl_delivered), (1, 1), "{protocol}");
+            assert!(
+                l1_hits + l1_misses > 0 && addr_phases > 0 && l2_accesses > 0,
+                "{protocol}"
+            );
+        }
     }
 }

@@ -60,6 +60,12 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Adds `n`, which may be negative. Concurrent adds commute, so a
+    /// gauge kept only by adds is exact at quiescence.
+    pub fn add(&self, n: i64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Sets the gauge to `v`.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -221,6 +227,8 @@ mod tests {
         g.inc();
         g.dec();
         assert_eq!(g.get(), 1);
+        g.add(-3);
+        assert_eq!(g.get(), -2);
         g.set(-2);
         assert_eq!(reg.gauge("hfs_queue_depth").get(), -2);
     }

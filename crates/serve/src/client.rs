@@ -469,26 +469,13 @@ impl Client {
 /// one `job_done` record at info level per resolved job, so `HFS_LOG`
 /// governs client-side progress exactly like engine-side progress.
 pub fn print_update(experiment: &str, u: &JobUpdate<'_>) {
-    // A filtered line costs this compare, not the field list.
-    if !hfs_obs::logger().enabled(hfs_obs::Level::Info) {
-        return;
-    }
-    let label = u
-        .label
-        .strip_prefix(experiment)
-        .and_then(|rest| rest.strip_prefix('/'))
-        .unwrap_or(u.label);
-    hfs_obs::info(
+    hfs_harness::log_job_done(
         "client",
-        "job_done",
-        &[
-            ("finished", u.finished.into()),
-            ("total", u.total.into()),
-            ("batch", experiment.into()),
-            ("label", label.into()),
-            ("status", u.outcome.status().into()),
-            ("outcome", u.outcome.to_string().into()),
-            ("cached", u.cached.into()),
-        ],
+        experiment,
+        u.label,
+        (u.finished, u.total),
+        u.outcome,
+        u.cached,
+        None,
     );
 }

@@ -43,9 +43,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hfs_harness::{
-    execute_cancellable, locality_key, resolve, Cache, ExecEnv, HotCache, HotEntry, Job, JobOutcome,
+    execute_cancellable, locality_key, resolve, Cache, ExecEnv, HotCache, HotEntry, Job,
+    JobOutcome, Lifecycle,
 };
-use hfs_obs::{Counter, Gauge, HistogramMetric, Registry};
+use hfs_obs::{Counter, Gauge, Registry};
 use hfs_sim::CancelToken;
 
 use crate::net::{Endpoint, Listener};
@@ -198,55 +199,42 @@ impl DispatchInner {
     }
 }
 
-/// Upper bucket (milliseconds) for the dispatcher's latency histograms.
-const LATENCY_HISTOGRAM_MAX_MS: usize = 60_000;
-
 /// The dispatcher's telemetry: every counter the `Stats` frame reports
 /// lives in one [`Registry`], so the `stats` view and the Prometheus
 /// exposition can never disagree. Gauges mirror the queue/flight state
-/// maintained under the dispatcher lock; the two histograms record the
-/// job lifecycle (queued→executing wait, executing→completed wall) and
-/// are observed only on the executed path, so
-/// `hfs_job_queue_wait_ms_count == hfs_jobs_executed_total` holds
-/// exactly at quiescence.
+/// maintained under the dispatcher lock. Executed jobs, cache hits and
+/// the lifecycle histograms are the harness's [`Lifecycle`] set, counted
+/// by the rule the offline engine uses too.
 struct Telemetry {
     registry: Registry,
+    lifecycle: Lifecycle,
     submitted: Counter,
-    executed: Counter,
-    cache_hits: Counter,
     deduped: Counter,
     cancelled: Counter,
     aborted: Counter,
     rejected: Counter,
     delivered: Counter,
-    timeouts: Counter,
     queue_depth: Gauge,
     in_flight: Gauge,
     open_conns: Gauge,
     draining: Gauge,
-    queue_wait_ms: HistogramMetric,
-    exec_wall_ms: HistogramMetric,
 }
 
 impl Default for Telemetry {
     fn default() -> Telemetry {
         let registry = Registry::new();
         Telemetry {
+            lifecycle: Lifecycle::new(&registry),
             submitted: registry.counter("hfs_jobs_submitted_total"),
-            executed: registry.counter("hfs_jobs_executed_total"),
-            cache_hits: registry.counter("hfs_jobs_cache_hits_total"),
             deduped: registry.counter("hfs_jobs_deduped_total"),
             cancelled: registry.counter("hfs_jobs_cancelled_total"),
             aborted: registry.counter("hfs_jobs_aborted_total"),
             rejected: registry.counter("hfs_batches_rejected_total"),
             delivered: registry.counter("hfs_jobs_delivered_total"),
-            timeouts: registry.counter("hfs_job_timeouts_total"),
             queue_depth: registry.gauge("hfs_queue_depth"),
             in_flight: registry.gauge("hfs_jobs_in_flight"),
             open_conns: registry.gauge("hfs_open_connections"),
             draining: registry.gauge("hfs_draining"),
-            queue_wait_ms: registry.histogram("hfs_job_queue_wait_ms", LATENCY_HISTOGRAM_MAX_MS),
-            exec_wall_ms: registry.histogram("hfs_job_exec_wall_ms", LATENCY_HISTOGRAM_MAX_MS),
             registry,
         }
     }
@@ -302,16 +290,13 @@ fn simulate(job: &Job, cancel: &CancelToken) -> JobOutcome {
 impl Dispatcher {
     fn new(config: &ServerConfig) -> Dispatcher {
         let obs = Telemetry::default();
-        let hot = config
-            .hot_cache_mb
-            .map_or_else(HotCache::from_env, HotCache::with_mb);
-        let cache = config
-            .cache_dir
-            .as_ref()
-            .map(|dir| Cache::with_hot(dir, hot));
-        if let Some(h) = cache.as_ref().and_then(Cache::hot) {
-            h.install_metrics(&obs.registry);
-        }
+        let cache = config.cache_dir.as_ref().map(|dir| {
+            let hot = match config.hot_cache_mb {
+                Some(mb) => HotCache::with_mb(mb, &obs.registry),
+                None => HotCache::from_env(&obs.registry),
+            };
+            Cache::with_hot(dir, hot)
+        });
         Dispatcher {
             inner: Mutex::new(DispatchInner {
                 queue: VecDeque::new(),
@@ -338,8 +323,8 @@ impl Dispatcher {
         let inner = self.inner.lock().unwrap();
         ServeStats {
             submitted: self.obs.submitted.get(),
-            executed: self.obs.executed.get(),
-            cache_hits: self.obs.cache_hits.get(),
+            executed: self.obs.lifecycle.executed.get(),
+            cache_hits: self.obs.lifecycle.cache_hits.get(),
             deduped: self.obs.deduped.get(),
             cancelled: self.obs.cancelled.get(),
             aborted: self.obs.aborted.get(),
@@ -454,7 +439,7 @@ impl Dispatcher {
         for (index, (((key, label, job), hit), place)) in chunk.enumerate() {
             self.obs.submitted.inc();
             if let Some(entry) = hit {
-                self.obs.cache_hits.inc();
+                self.obs.lifecycle.cache_hits.inc();
                 // The entry's stored serialization rides along, spliced
                 // into the result frame instead of re-encoding.
                 let result = JobResult {
@@ -530,19 +515,7 @@ impl Dispatcher {
     fn worker_loop(&self) {
         while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight() {
             let step = resolve(self.cache.as_ref(), &key, || (self.run)(&job, &cancel));
-            if step.cached {
-                self.obs.cache_hits.inc();
-            } else if step.executed() {
-                // The executed path is the only one that observes the
-                // lifecycle histograms, keeping
-                // `queue_wait count == executed` an exact invariant.
-                self.obs.executed.inc();
-                self.obs.queue_wait_ms.observe(queue_wait_ms);
-                self.obs.exec_wall_ms.observe(step.wall_millis);
-            }
-            if step.timed_out() {
-                self.obs.timeouts.inc();
-            }
+            self.obs.lifecycle.record(&step, queue_wait_ms);
             self.complete(&key, step.outcome, step.cached);
         }
     }

@@ -179,18 +179,8 @@ impl fmt::Display for Breakdown {
     }
 }
 
-/// A monotonically increasing event counter with a human-readable name.
-///
-/// # Example
-///
-/// ```
-/// use hfs_sim::stats::Counter;
-///
-/// let mut misses = Counter::new("l2_misses");
-/// misses.add(3);
-/// misses.inc();
-/// assert_eq!(misses.value(), 4);
-/// ```
+/// A named count, as a component's `counters()` report lists it. The
+/// count itself is kept where it happens, as a plain integer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counter {
     name: &'static str,
@@ -198,9 +188,9 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
+    /// The count `value` under `name`.
+    pub fn new(name: &'static str, value: u64) -> Self {
+        Counter { name, value }
     }
 
     /// The counter's name.
@@ -208,25 +198,9 @@ impl Counter {
         self.name
     }
 
-    /// Current value.
+    /// The count.
     pub fn value(&self) -> u64 {
         self.value
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
     }
 }
 
@@ -425,12 +399,9 @@ mod tests {
 
     #[test]
     fn counter_behaviour() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(4);
+        let c = Counter::new("x", 5);
         assert_eq!(c.value(), 5);
         assert_eq!(c.name(), "x");
-        assert_eq!(c.to_string(), "x=5");
     }
 
     #[test]

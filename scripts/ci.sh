@@ -64,6 +64,21 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+echo "==> one count, one place (no shadow copy of a count; a memory-system count is named only in system.rs)"
+# Product code as above. The executors count through the harness's
+# `Lifecycle` set, the hot cache's counts are its registry handles, and
+# `MemSystem::counters` is the one place a `mem.*`/`bus.*` name is given.
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'EngineCounters|install_metrics|sync_gauges|HotObs' | sed "s|^|$f:|" | grep .; then
+        echo "product code keeps a second copy of a count"; exit 1
+    fi
+    [ "$f" = crates/mem/src/system.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bCounter::new\(' | sed "s|^|$f:|" | grep .; then
+        echo "a counter is named outside crates/mem/src/system.rs"; exit 1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).

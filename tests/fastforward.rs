@@ -264,43 +264,29 @@ fn sparse_pair() -> KernelPair {
     }
 }
 
-/// On a workload whose skip rate is too low to pay for bound
-/// computation, the machine must latch fast-forward off after the first
-/// observation window — and the architectural results must still be
-/// bit-identical to a plain per-cycle run.
+/// A dense workload keeps fast-forward on to the end of the run — there
+/// is no low-skip latch — and its results stay bit-identical to a plain
+/// per-cycle run.
 #[test]
-fn auto_disable_latches_on_low_skip_workloads() {
+fn dense_workloads_fast_forward_to_the_end() {
     let pair = dense_pair();
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
     let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
     m.set_fast_forward(true);
     let fast = m.run(20_000_000).expect("run completes");
     let stats = m.fast_forward_stats();
-    assert!(
-        stats.auto_disabled,
-        "dense workload must trip the low-skip auto-disable: {stats:?}"
-    );
-    assert!(
-        !m.fast_forward_enabled(),
-        "auto-disable must latch fast-forward off for the rest of the run"
-    );
-    assert!(
-        fast.cycles > 8192,
-        "latch fires only after full observation windows, so the run \
-         must span several: {} cycles",
-        fast.cycles
-    );
+    assert!(!stats.auto_disabled, "{stats:?}");
+    assert!(m.fast_forward_enabled(), "nothing turns fast-forward off");
 
     let slow = run_with_ff(&cfg, &pair, false);
-    assert_eq!(fast.cycles, slow.cycles, "auto-disable: cycles");
-    assert_eq!(fast.cores, slow.cores, "auto-disable: core stats");
-    assert_eq!(fast.mem, slow.mem, "auto-disable: mem stats");
-    assert_eq!(fast.stream_cache, slow.stream_cache, "auto-disable: SC");
+    assert_eq!(fast.cycles, slow.cycles, "dense: cycles");
+    assert_eq!(fast.cores, slow.cores, "dense: core stats");
+    assert_eq!(fast.mem, slow.mem, "dense: mem stats");
+    assert_eq!(fast.stream_cache, slow.stream_cache, "dense: SC");
 }
 
-/// On a skip-heavy workload the auto-disable must *not* fire, even
-/// across several full observation windows: fast-forward stays enabled
-/// and keeps skipping.
+/// A skip-heavy workload keeps fast-forward enabled across a long run
+/// and skips at least twice the cycles it computes bounds for.
 #[test]
 fn auto_disable_spares_skip_heavy_workloads() {
     let pair = sparse_pair();
@@ -311,35 +297,17 @@ fn auto_disable_spares_skip_heavy_workloads() {
     let stats = m.fast_forward_stats();
     assert!(
         r.cycles > 4 * 4096,
-        "test must span multiple observation windows: {} cycles",
+        "test must run long: {} cycles",
         r.cycles
     );
     assert!(
         !stats.auto_disabled,
-        "skip-heavy workload must keep fast-forward: {stats:?}"
+        "auto_disabled is always false: {stats:?}"
     );
     assert!(m.fast_forward_enabled());
     assert!(
         stats.skipped_cycles >= 2 * stats.bound_computations,
-        "skip rate should clear the disable threshold: {stats:?}"
-    );
-}
-
-/// `set_fast_forward(true)` re-arms a machine whose auto-disable has
-/// latched: the latch is per-run state, not a permanent property.
-#[test]
-fn set_fast_forward_rearms_after_auto_disable() {
-    let pair = dense_pair();
-    let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
-    let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-    m.set_fast_forward(true);
-    m.run(20_000_000).expect("run completes");
-    assert!(m.fast_forward_stats().auto_disabled, "precondition");
-    m.set_fast_forward(true);
-    assert!(m.fast_forward_enabled(), "re-arm restores fast-forward");
-    assert!(
-        !m.fast_forward_stats().auto_disabled,
-        "re-arm clears the latch"
+        "skips should be twice the folds: {stats:?}"
     );
 }
 

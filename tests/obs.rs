@@ -159,9 +159,10 @@ fn sample(text: &str, name: &str) -> i64 {
         .unwrap_or_else(|| panic!("metric {name} not found in exposition:\n{text}"))
 }
 
-/// The engine's lifecycle histograms: every job contributes a
-/// queue-wait observation; only executed (non-cached) jobs contribute
-/// an execution-wall observation.
+/// The engine's lifecycle set: only executed (non-cached) jobs
+/// contribute queue-wait and execution-wall observations, the rule the
+/// dispatcher keeps, and [`EngineStats`](hfs::harness::EngineStats) is a
+/// view of the same instruments the exposition renders.
 #[test]
 fn engine_registry_tracks_job_lifecycle() {
     let designs = [
@@ -182,7 +183,7 @@ fn engine_registry_tracks_job_lifecycle() {
     let n = jobs.len() as i64;
 
     let engine = Engine::new(2);
-    let batch = engine.run_batch("obs", jobs);
+    let batch = engine.run_batch("obs", jobs.clone());
     assert!(batch.all_ok());
 
     let text = engine.registry().render_prometheus();
@@ -193,6 +194,41 @@ fn engine_registry_tracks_job_lifecycle() {
         "no cache configured: every job executes"
     );
     assert_eq!(sample(&text, "hfs_job_timeouts_total"), 0);
+
+    // A cold pass then a warm one on a cache: the second pass only hits.
+    let cache_dir =
+        std::env::temp_dir().join(format!("hfs-obs-engine-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let engine = Engine::new(2).with_cache_dir(&cache_dir);
+    for pass in ["cold", "warm"] {
+        assert!(
+            engine.run_batch("obs", jobs.clone()).all_ok(),
+            "{pass} pass"
+        );
+    }
+    let text = engine.registry().render_prometheus();
+    let executed = sample(&text, "hfs_jobs_executed_total");
+    let cache_hits = sample(&text, "hfs_jobs_cache_hits_total");
+    assert_eq!((executed, cache_hits), (n, n));
+    assert_eq!(sample(&text, "hfs_job_queue_wait_ms_count"), executed);
+    assert_eq!(sample(&text, "hfs_job_exec_wall_ms_count"), executed);
+    let stats = engine.stats();
+    assert_eq!(stats.jobs as i64, cache_hits + executed);
+    assert_eq!(stats.cache_hits as i64, cache_hits);
+    assert_eq!(stats.cache_misses as i64, executed);
+    assert_eq!(
+        stats.failures as i64,
+        sample(&text, "hfs_jobs_failed_total")
+    );
+    assert_eq!(
+        stats.sim_cycles as i64,
+        sample(&text, "hfs_sim_cycles_total")
+    );
+    assert_eq!(
+        stats.exec_millis as i64,
+        sample(&text, "hfs_job_exec_wall_ms_sum")
+    );
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 /// End-to-end `metrics` frame invariants against a live server: the
