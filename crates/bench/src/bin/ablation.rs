@@ -1,4 +1,4 @@
 //! Runs every design-choice ablation sweep.
 fn main() {
-    print!("{}", hfs_bench::experiments::ablation::run_all());
+    hfs_bench::experiments::Figure::named("ablation").print();
 }

@@ -1,7 +1,4 @@
 //! Regenerates Figure 10 (4-cycle bus).
 fn main() {
-    print!(
-        "{}",
-        hfs_bench::experiments::fig10::run().render("Figure 10: 4-cycle bus")
-    );
+    hfs_bench::experiments::Figure::named("fig10").print();
 }

@@ -1,7 +1,4 @@
 //! Regenerates Figure 11 (4-cycle, 128-byte bus).
 fn main() {
-    print!(
-        "{}",
-        hfs_bench::experiments::fig11::run().render("Figure 11: 4-cycle, 128-byte bus")
-    );
+    hfs_bench::experiments::Figure::named("fig11").print();
 }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 12 (SYNCOPTI optimizations).
 fn main() {
-    print!("{}", hfs_bench::experiments::fig12::run().render());
+    hfs_bench::experiments::Figure::named("fig12").print();
 }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 3 (analytic model).
 fn main() {
-    print!("{}", hfs_bench::experiments::fig3::run().render());
+    hfs_bench::experiments::Figure::named("fig3").print();
 }

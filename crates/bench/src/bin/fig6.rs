@@ -1,8 +1,5 @@
 //! Regenerates Figure 6 (transit-delay sensitivity).
 //!
-//! Pass `--trace <path>` to also record a Chrome trace of the demo
-//! HEAVYWT design point, loadable in Perfetto.
-//!
 //! Pass `--dump-jobs <path>` to write the figure's sweep spec as JSON
 //! (for `hfs-client submit`) instead of simulating.
 fn main() {
@@ -23,8 +20,5 @@ fn main() {
             return;
         }
     }
-    print!("{}", hfs_bench::experiments::fig6::run().render());
-    if let Some(p) = hfs_bench::runner::maybe_write_demo_trace() {
-        eprintln!("fig6: wrote demo trace to {}", p.display());
-    }
+    hfs_bench::experiments::Figure::named("fig6").print();
 }

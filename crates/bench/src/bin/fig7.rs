@@ -1,7 +1,4 @@
 //! Regenerates Figure 7 (design-point comparison).
 fn main() {
-    print!(
-        "{}",
-        hfs_bench::experiments::fig7::run().render("Figure 7: design points, baseline bus")
-    );
+    hfs_bench::experiments::Figure::named("fig7").print();
 }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 8 (communication frequency).
 fn main() {
-    print!("{}", hfs_bench::experiments::fig8::run().render());
+    hfs_bench::experiments::Figure::named("fig8").print();
 }

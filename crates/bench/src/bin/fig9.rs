@@ -1,4 +1,4 @@
 //! Regenerates Figure 9 (speedup over single-threaded).
 fn main() {
-    print!("{}", hfs_bench::experiments::fig9::run().render());
+    hfs_bench::experiments::Figure::named("fig9").print();
 }

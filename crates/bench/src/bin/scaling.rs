@@ -1,4 +1,4 @@
 //! CMP scaling sweep: 1-4 concurrent pipelines per design point.
 fn main() {
-    print!("{}", hfs_bench::experiments::scaling::run());
+    hfs_bench::experiments::Figure::named("scaling").print();
 }

@@ -1,4 +1,4 @@
 //! Regenerates Table 1.
 fn main() {
-    print!("{}", hfs_bench::experiments::table1::run().render());
+    hfs_bench::experiments::Figure::named("table1").print();
 }

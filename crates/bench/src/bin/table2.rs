@@ -1,4 +1,4 @@
 //! Regenerates Table 2.
 fn main() {
-    print!("{}", hfs_bench::experiments::table2::run());
+    hfs_bench::experiments::Figure::named("table2").print();
 }

@@ -13,285 +13,179 @@
 //!   shared structure is farther away, raising consume-to-use latency.
 //! * **OzQ size** — footnote 1 / §4.4: the ordered transaction queue is
 //!   where software-queue designs drown.
+//! * **L2 ports** — SYNCOPTI leans on L2 bandwidth.
+//! * **Arbiter priority** — §4.2: favoring application memory requests
+//!   should not degrade the application, while pipelined streaming
+//!   tolerates the extra arbitration delay.
+//!
+//! Each sweep is one row of data: benchmarks down, machines across.
 
 use hfs_core::{DesignPoint, MachineConfig};
-use hfs_harness::Job;
 use hfs_workloads::benchmark;
 
-use crate::runner::{pipeline_job, run_batch};
+use crate::experiments::grid;
+use crate::runner::pipeline_job;
 use crate::table::{f2, TextTable};
 
-/// A pipeline job for the named benchmark with a mutated configuration.
-fn job(
-    batch: &str,
-    bench_name: &str,
-    design: DesignPoint,
-    mutate: impl Fn(&mut MachineConfig),
-) -> Job {
-    let b = benchmark(bench_name).expect("known benchmark");
-    let mut cfg = MachineConfig::itanium2_cmp(design);
-    mutate(&mut cfg);
-    pipeline_job(batch, &b, cfg)
+/// One ablation sweep.
+struct Sweep {
+    batch: &'static str,
+    title: &'static str,
+    headers: &'static [&'static str],
+    benches: &'static [&'static str],
+    /// One machine per column: a design point, its configuration tweaked.
+    cols: Vec<MachineConfig>,
+    /// A benchmark's table cells from its per-column cycle counts.
+    cells: fn(&[u64]) -> Vec<String>,
 }
 
-/// Runs one sweep's jobs as an engine batch and returns their cycle
-/// counts in submission order.
-fn cycles_batch(batch: &str, jobs: Vec<Job>) -> Vec<u64> {
-    run_batch(batch, jobs)
-        .expect_results()
-        .iter()
-        .map(|r| r.cycles)
+fn cycles(cs: &[u64]) -> Vec<String> {
+    cs.iter().map(u64::to_string).collect()
+}
+
+fn normalized(cs: &[u64]) -> Vec<String> {
+    cs.iter().map(|&c| f2(c as f64 / cs[0] as f64)).collect()
+}
+
+fn fair_favor_delta(cs: &[u64]) -> Vec<String> {
+    let (fair, fav) = (cs[0], cs[1]);
+    vec![
+        fair.to_string(),
+        fav.to_string(),
+        format!("{:+.1}%", (fav as f64 / fair as f64 - 1.0) * 100.0),
+    ]
+}
+
+fn baseline(design: DesignPoint) -> MachineConfig {
+    MachineConfig::itanium2_cmp(design)
+}
+
+/// HEAVYWT, then `rest`: the columns of a sweep normalized to HEAVYWT.
+fn after_heavywt<const N: usize>(rest: [MachineConfig; N]) -> Vec<MachineConfig> {
+    std::iter::once(baseline(DesignPoint::heavywt()))
+        .chain(rest)
         .collect()
 }
 
-/// QLU 1/2/4/8 for the software designs (Figure 5's layouts).
-pub fn qlu_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: queue layout unit for software queues (cycles, lower is better)",
-        &["bench", "QLU1", "QLU2", "QLU4", "QLU8"],
-    );
-    let benches = ["wc", "adpcmdec", "fir"];
-    let qlus = [1, 2, 4, 8];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            qlus.iter().map(|&qlu| {
-                job(
-                    "ablation_qlu",
-                    b,
-                    DesignPoint::existing_with_qlu(qlu),
-                    |_| {},
-                )
-            })
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_qlu", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(qlus.len())) {
-        let mut row = vec![bench.to_string()];
-        row.extend(chunk.iter().map(u64::to_string));
-        t.row(row);
-    }
-    t
-}
-
-/// HEAVYWT queue-depth sweep: decoupling vs storage.
-pub fn depth_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: HEAVYWT queue depth (cycles)",
-        &["bench", "d=4", "d=8", "d=16", "d=32", "d=64"],
-    );
-    // bzip2 is excluded below depth 32: its outer-gated consumer
-    // requires the inner queue to hold a whole nest, so shallower queues
-    // deadlock by construction (caught by the machine's detector).
-    let benches = ["fir", "wc"];
-    let depths = [4, 8, 16, 32, 64];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            depths
-                .iter()
-                .map(|&d| job("ablation_depth", b, DesignPoint::heavywt_with(1, d), |_| {}))
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_depth", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(depths.len())) {
-        let mut row = vec![bench.to_string()];
-        row.extend(chunk.iter().map(u64::to_string));
-        t.row(row);
-    }
-    t
-}
-
-/// Register-mapped queues vs HEAVYWT as spill pressure grows (§3.1.3).
-pub fn regmapped_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: register-mapped queues vs HEAVYWT (normalized to HEAVYWT)",
-        &["bench", "HEAVYWT", "spill0", "spill2", "spill4", "spill8"],
-    );
-    let benches = ["wc", "adpcmdec"];
-    let spills = [0, 2, 4, 8];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            std::iter::once(job("ablation_regmapped", b, DesignPoint::heavywt(), |_| {})).chain(
-                spills
-                    .iter()
-                    .map(|&s| job("ablation_regmapped", b, DesignPoint::regmapped(s), |_| {})),
-            )
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_regmapped", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(1 + spills.len())) {
-        let base = chunk[0] as f64;
-        let mut row = vec![bench.to_string(), f2(1.0)];
-        row.extend(chunk[1..].iter().map(|&c| f2(c as f64 / base)));
-        t.row(row);
-    }
-    t
-}
-
-/// Centralized vs distributed dedicated store (§3.5.2): the access
-/// latency of the backing store is the consume-to-use delay.
-pub fn store_placement_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: dedicated-store placement (consume-to-use latency; normalized)",
-        &[
-            "bench",
-            "distributed (1cy)",
-            "central 3cy",
-            "central 6cy",
-            "central 12cy",
-        ],
-    );
-    let benches = ["wc", "fir"];
-    let lats = [3, 6, 12];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            std::iter::once(job("ablation_store", b, DesignPoint::heavywt(), |_| {})).chain(
-                lats.iter().map(|&l| {
-                    job(
-                        "ablation_store",
-                        b,
-                        DesignPoint::heavywt_centralized(l),
-                        |_| {},
-                    )
-                }),
-            )
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_store", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(1 + lats.len())) {
-        let base = chunk[0] as f64;
-        let mut row = vec![bench.to_string(), f2(1.0)];
-        row.extend(chunk[1..].iter().map(|&c| f2(c as f64 / base)));
-        t.row(row);
-    }
-    t
-}
-
-/// OzQ (outstanding-transaction) capacity for the software baseline.
-pub fn ozq_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: OzQ entries under EXISTING (cycles)",
-        &["bench", "ozq=4", "ozq=8", "ozq=16", "ozq=32"],
-    );
-    let benches = ["adpcmdec", "mcf"];
-    let sizes = [4u32, 8, 16, 32];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            sizes.iter().map(|&entries| {
-                job("ablation_ozq", b, DesignPoint::existing(), move |cfg| {
+/// The seven sweeps, in rendering order.
+fn sweeps() -> [Sweep; 7] {
+    [
+        Sweep {
+            batch: "ablation_qlu",
+            title: "Ablation: queue layout unit for software queues (cycles, lower is better)",
+            headers: &["bench", "QLU1", "QLU2", "QLU4", "QLU8"],
+            benches: &["wc", "adpcmdec", "fir"],
+            cols: [1, 2, 4, 8]
+                .map(|qlu| baseline(DesignPoint::existing_with_qlu(qlu)))
+                .into(),
+            cells: cycles,
+        },
+        // bzip2 is excluded below depth 32: its outer-gated consumer
+        // requires the inner queue to hold a whole nest, so shallower
+        // queues deadlock by construction (caught by the machine's
+        // detector).
+        Sweep {
+            batch: "ablation_depth",
+            title: "Ablation: HEAVYWT queue depth (cycles)",
+            headers: &["bench", "d=4", "d=8", "d=16", "d=32", "d=64"],
+            benches: &["fir", "wc"],
+            cols: [4, 8, 16, 32, 64]
+                .map(|d| baseline(DesignPoint::heavywt_with(1, d)))
+                .into(),
+            cells: cycles,
+        },
+        Sweep {
+            batch: "ablation_regmapped",
+            title: "Ablation: register-mapped queues vs HEAVYWT (normalized to HEAVYWT)",
+            headers: &["bench", "HEAVYWT", "spill0", "spill2", "spill4", "spill8"],
+            benches: &["wc", "adpcmdec"],
+            cols: after_heavywt([0, 2, 4, 8].map(|s| baseline(DesignPoint::regmapped(s)))),
+            cells: normalized,
+        },
+        // The access latency of the backing store is the consume-to-use
+        // delay.
+        Sweep {
+            batch: "ablation_store",
+            title: "Ablation: dedicated-store placement (consume-to-use latency; normalized)",
+            headers: &[
+                "bench",
+                "distributed (1cy)",
+                "central 3cy",
+                "central 6cy",
+                "central 12cy",
+            ],
+            benches: &["wc", "fir"],
+            cols: after_heavywt([3, 6, 12].map(|l| baseline(DesignPoint::heavywt_centralized(l)))),
+            cells: normalized,
+        },
+        Sweep {
+            batch: "ablation_ozq",
+            title: "Ablation: OzQ entries under EXISTING (cycles)",
+            headers: &["bench", "ozq=4", "ozq=8", "ozq=16", "ozq=32"],
+            benches: &["adpcmdec", "mcf"],
+            cols: [4, 8, 16, 32]
+                .map(|entries| {
+                    let mut cfg = baseline(DesignPoint::existing());
                     cfg.mem.ozq_entries = entries;
+                    cfg
                 })
-            })
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_ozq", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(sizes.len())) {
-        let mut row = vec![bench.to_string()];
-        row.extend(chunk.iter().map(u64::to_string));
-        t.row(row);
-    }
-    t
+                .into(),
+            cells: cycles,
+        },
+        Sweep {
+            batch: "ablation_l2ports",
+            title: "Ablation: L2 ports under SYNCOPTI (cycles)",
+            headers: &["bench", "1 port", "2 ports", "4 ports"],
+            benches: &["wc", "epicdec"],
+            cols: [1, 2, 4]
+                .map(|ports| {
+                    let mut cfg = baseline(DesignPoint::syncopti_sc_q64());
+                    cfg.mem.l2_ports = ports;
+                    cfg
+                })
+                .into(),
+            cells: cycles,
+        },
+        // Contention only matters on the §4.5 slow bus, where line
+        // transfers take 32 CPU cycles and requests back up.
+        Sweep {
+            batch: "ablation_arbiter",
+            title: "Ablation: bus arbiter favoring application traffic (cycles)",
+            headers: &["bench", "fair arbiter", "favor app", "delta"],
+            benches: &["mcf", "equake", "wc"],
+            cols: [false, true]
+                .map(|favor| {
+                    let mut cfg = baseline(DesignPoint::syncopti_sc_q64()).with_bus_divider(4);
+                    cfg.mem.bus.favor_app_traffic = favor;
+                    cfg
+                })
+                .into(),
+            cells: fair_favor_delta,
+        },
+    ]
 }
 
-/// L2 port count under SYNCOPTI (the design leans on L2 bandwidth).
-pub fn l2_ports_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: L2 ports under SYNCOPTI (cycles)",
-        &["bench", "1 port", "2 ports", "4 ports"],
-    );
-    let benches = ["wc", "epicdec"];
-    let port_counts = [1u32, 2, 4];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            port_counts.iter().map(|&ports| {
-                job(
-                    "ablation_l2ports",
-                    b,
-                    DesignPoint::syncopti_sc_q64(),
-                    move |cfg| {
-                        cfg.mem.l2_ports = ports;
-                    },
-                )
-            })
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_l2ports", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(port_counts.len())) {
-        let mut row = vec![bench.to_string()];
-        row.extend(chunk.iter().map(u64::to_string));
-        t.row(row);
+impl Sweep {
+    fn run(&self) -> TextTable {
+        let mut t = TextTable::new(self.title, self.headers);
+        let rows = grid(self.batch, self.benches, &self.cols, |name, cfg| {
+            let b = benchmark(name).expect("known benchmark");
+            pipeline_job(self.batch, &b, cfg.clone())
+        });
+        for (name, runs) in rows {
+            let cycles: Vec<u64> = runs.iter().map(|r| r.cycles).collect();
+            let mut row = vec![name.to_string()];
+            row.extend((self.cells)(&cycles));
+            t.row(row);
+        }
+        t
     }
-    t
-}
-
-/// §4.2's arbiter: favor application memory requests over inter-thread
-/// operand traffic. Application performance should not degrade (and may
-/// improve under contention), while pipelined streaming tolerates the
-/// extra arbitration delay.
-pub fn arbiter_priority_sweep() -> TextTable {
-    let mut t = TextTable::new(
-        "Ablation: bus arbiter favoring application traffic (cycles)",
-        &["bench", "fair arbiter", "favor app", "delta"],
-    );
-    // Contention only matters on the §4.5 slow bus, where line
-    // transfers take 32 CPU cycles and requests back up.
-    let benches = ["mcf", "equake", "wc"];
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            [
-                job(
-                    "ablation_arbiter",
-                    b,
-                    DesignPoint::syncopti_sc_q64(),
-                    |cfg| {
-                        *cfg = cfg.clone().with_bus_divider(4);
-                    },
-                ),
-                job(
-                    "ablation_arbiter",
-                    b,
-                    DesignPoint::syncopti_sc_q64(),
-                    |cfg| {
-                        *cfg = cfg.clone().with_bus_divider(4);
-                        cfg.mem.bus.favor_app_traffic = true;
-                    },
-                ),
-            ]
-        })
-        .collect();
-    let cycles = cycles_batch("ablation_arbiter", jobs);
-    for (bench, chunk) in benches.iter().zip(cycles.chunks_exact(2)) {
-        let (fair, fav) = (chunk[0], chunk[1]);
-        t.row(vec![
-            bench.to_string(),
-            fair.to_string(),
-            fav.to_string(),
-            format!("{:+.1}%", (fav as f64 / fair as f64 - 1.0) * 100.0),
-        ]);
-    }
-    t
 }
 
 /// Renders every ablation.
 pub fn run_all() -> String {
-    let mut s = String::new();
-    for table in [
-        qlu_sweep(),
-        depth_sweep(),
-        regmapped_sweep(),
-        store_placement_sweep(),
-        ozq_sweep(),
-        l2_ports_sweep(),
-        arbiter_priority_sweep(),
-    ] {
-        s.push_str(&table.render());
-        s.push('\n');
-    }
-    s
+    sweeps()
+        .iter()
+        .map(|sweep| sweep.run().render() + "\n")
+        .collect()
 }

@@ -5,10 +5,10 @@
 //! show large BUS components from arbitration backlog, because a 128-byte
 //! line takes 8 bus cycles = 32 CPU cycles on the 16-byte bus.
 
-use crate::experiments::fig7::{run_with, DesignSweep};
+use crate::experiments::fig7::{designs, run_with, DesignSweep};
 
 /// Runs the four designs with a bus clock divider of 4 (HEAVYWT's
 /// dedicated interconnect slows to 4 cycles as well, as in the paper).
 pub fn run() -> DesignSweep {
-    run_with("fig10", |c| c.with_bus_divider(4))
+    run_with("fig10", &designs(), |c| c.with_bus_divider(4))
 }

@@ -4,9 +4,11 @@
 //! arbitration backlog of Figure 10, showing that *bandwidth*, not
 //! latency, is what high-frequency streaming needs from the interconnect.
 
-use crate::experiments::fig7::{run_with, DesignSweep};
+use crate::experiments::fig7::{designs, run_with, DesignSweep};
 
 /// Runs the four designs with a 4-cycle, 128-byte bus.
 pub fn run() -> DesignSweep {
-    run_with("fig11", |c| c.with_bus_divider(4).with_bus_width(128))
+    run_with("fig11", &designs(), |c| {
+        c.with_bus_divider(4).with_bus_width(128)
+    })
 }

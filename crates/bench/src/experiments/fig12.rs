@@ -4,12 +4,12 @@
 //! Paper finding: SC+Q64 reaches ~98% of HEAVYWT (a 2x speedup over
 //! EXISTING/MEMOPTI) using ~1% of the dedicated storage.
 
-use hfs_core::{DesignPoint, RunResult};
-use hfs_workloads::all_benchmarks;
+use hfs_core::DesignPoint;
 
-use crate::experiments::{breakdown_table, column_geomean};
-use crate::runner::{design_job, run_batch};
-use crate::table::f2;
+use crate::experiments::fig7::{run_with, DesignSweep};
+use crate::table::TextTable;
+
+const TITLE: &str = "Figure 12: SYNCOPTI optimizations";
 
 /// The variant order: HEAVYWT, SC+Q64, SC, Q64, plain SYNCOPTI
 /// (matching the paper's bar order 1..5).
@@ -23,75 +23,38 @@ pub fn variants() -> [DesignPoint; 5] {
     ]
 }
 
-/// Figure 12 results.
+/// Figure 12 results: the [`variants`] swept over every benchmark on the
+/// baseline machine.
 #[derive(Debug, Clone)]
-pub struct Fig12 {
-    /// Variant labels in column order.
-    pub designs: Vec<String>,
-    /// Per-benchmark runs, one per variant.
-    pub rows: Vec<(String, Vec<RunResult>)>,
-}
+pub struct Fig12(pub DesignSweep);
 
 /// Runs the five variants over every benchmark as one engine batch.
 pub fn run() -> Fig12 {
-    let vs = variants();
-    let benches = all_benchmarks();
-    let jobs = benches
-        .iter()
-        .flat_map(|b| vs.iter().map(|&v| design_job("fig12", b, v)))
-        .collect();
-    let results = run_batch("fig12", jobs).expect_results();
-    let rows = benches
-        .iter()
-        .zip(results.chunks_exact(vs.len()))
-        .map(|(b, runs)| (b.name.to_string(), runs.to_vec()))
-        .collect();
-    Fig12 {
-        designs: vs.iter().map(|d| d.label()).collect(),
-        rows,
-    }
+    Fig12(run_with("fig12", &variants(), |c| c))
 }
 
 impl Fig12 {
     /// Geomean execution time of variant `col` normalized to HEAVYWT.
     pub fn geomean(&self, col: usize) -> f64 {
-        column_geomean(&self.rows, col)
+        self.0.geomean(col)
     }
 
     /// The producer-side breakdown table.
-    pub fn producer_table(&self) -> crate::table::TextTable {
-        breakdown_table(
-            "Figure 12: SYNCOPTI optimizations (producer core)",
-            &self.designs,
-            &self.rows,
-            false,
-        )
+    pub fn producer_table(&self) -> TextTable {
+        self.0.producer_table(TITLE)
     }
 
     /// The consumer-side breakdown table.
-    pub fn consumer_table(&self) -> crate::table::TextTable {
-        breakdown_table(
-            "Figure 12: SYNCOPTI optimizations (consumer core)",
-            &self.designs,
-            &self.rows,
-            true,
-        )
+    pub fn consumer_table(&self) -> TextTable {
+        self.0.consumer_table(TITLE)
     }
 
     /// Renders producer and consumer breakdown tables plus the headline
     /// SC+Q64-vs-HEAVYWT gap.
     pub fn render(&self) -> String {
-        let mut s = self.producer_table().render();
-        s.push('\n');
-        s.push_str(&self.consumer_table().render());
-        s.push_str("GeoMean normalized to HEAVYWT:");
-        for (i, d) in self.designs.iter().enumerate() {
-            s.push_str(&format!("  {d}={}", f2(self.geomean(i))));
-        }
         let gap = (self.geomean(1) - 1.0) * 100.0;
-        s.push_str(&format!(
-            "\nSC+Q64 is within {gap:.1}% of HEAVYWT (paper: ~2%)\n"
-        ));
-        s
+        self.0
+            .render_geomeans(TITLE, "GeoMean normalized to HEAVYWT:")
+            + &format!("\nSC+Q64 is within {gap:.1}% of HEAVYWT (paper: ~2%)\n")
     }
 }

@@ -9,10 +9,12 @@
 //! 64-entry queue recovers the losses.
 
 use hfs_core::DesignPoint;
+use hfs_harness::Job;
 use hfs_sim::stats::geomean;
-use hfs_workloads::all_benchmarks;
+use hfs_workloads::{all_benchmarks, Benchmark};
 
-use crate::runner::{design_job, run_batch};
+use crate::experiments::{grid, grid_jobs};
+use crate::runner::design_job;
 use crate::table::{f2, TextTable};
 
 /// One benchmark's normalized execution times.
@@ -33,29 +35,33 @@ pub struct Fig6 {
     pub rows: Vec<Fig6Row>,
 }
 
-/// The figure's job list: three HEAVYWT variants per benchmark, in
-/// submission order. Exposed so `fig6 --dump-jobs` can write the sweep
-/// spec for `hfs-client submit` without simulating anything.
-pub fn jobs() -> Vec<hfs_harness::Job> {
-    let variants = [
+/// The three HEAVYWT variants: 1-cycle/32-entry, 10-cycle/32-entry,
+/// 10-cycle/64-entry.
+fn variants() -> [DesignPoint; 3] {
+    [
         DesignPoint::heavywt_with(1, 32),
         DesignPoint::heavywt_with(10, 32),
         DesignPoint::heavywt_with(10, 64),
-    ];
-    all_benchmarks()
-        .iter()
-        .flat_map(|b| variants.iter().map(|&v| design_job("fig6", b, v)))
-        .collect()
+    ]
+}
+
+fn job(b: &Benchmark, &v: &DesignPoint) -> Job {
+    design_job("fig6", b, v)
+}
+
+/// The figure's job list: three HEAVYWT variants per benchmark, in
+/// submission order. Exposed so `fig6 --dump-jobs` can write the sweep
+/// spec for `hfs-client submit` without simulating anything.
+pub fn jobs() -> Vec<Job> {
+    grid_jobs(&all_benchmarks(), &variants(), job)
 }
 
 /// Runs the three HEAVYWT variants over all benchmarks (one engine
 /// batch: 3 jobs per benchmark, gathered in submission order).
 pub fn run() -> Fig6 {
     let benches = all_benchmarks();
-    let results = run_batch("fig6", jobs()).expect_results();
-    let rows = benches
-        .iter()
-        .zip(results.chunks_exact(3))
+    let rows = grid("fig6", &benches, &variants(), job)
+        .into_iter()
         .map(|(b, runs)| Fig6Row {
             bench: b.name.to_string(),
             t10_q32: runs[1].cycles as f64 / runs[0].cycles as f64,

@@ -4,8 +4,8 @@
 use hfs_core::{DesignPoint, MachineConfig, RunResult};
 use hfs_workloads::all_benchmarks;
 
-use crate::experiments::{breakdown_table, column_geomean};
-use crate::runner::{pipeline_job, run_batch};
+use crate::experiments::{breakdown_table, column_geomean, grid};
+use crate::runner::pipeline_job;
 use crate::table::f2;
 
 /// The design order used by Figures 7/10/11: HEAVYWT, SYNCOPTI,
@@ -29,34 +29,30 @@ pub struct DesignSweep {
     pub rows: Vec<(String, Vec<RunResult>)>,
 }
 
-/// Runs the four designs over every benchmark with a configuration
-/// derived from the baseline by `tweak`, as one engine batch named
-/// `batch` (Figure 7 itself, plus Figures 10/11 with bus tweaks).
-pub fn run_with(batch: &str, tweak: impl Fn(MachineConfig) -> MachineConfig) -> DesignSweep {
-    let ds = designs();
+/// Runs `designs` over every benchmark with a configuration derived from
+/// the baseline by `tweak`, as one engine batch named `batch` (Figure 7
+/// itself, Figures 10/11 with bus tweaks, Figure 12 with its variants).
+pub fn run_with(
+    batch: &str,
+    designs: &[DesignPoint],
+    tweak: impl Fn(MachineConfig) -> MachineConfig,
+) -> DesignSweep {
     let benches = all_benchmarks();
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            ds.iter()
-                .map(|&d| pipeline_job(batch, b, tweak(MachineConfig::itanium2_cmp(d))))
-        })
-        .collect();
-    let results = run_batch(batch, jobs).expect_results();
-    let rows = benches
-        .iter()
-        .zip(results.chunks_exact(ds.len()))
-        .map(|(b, runs)| (b.name.to_string(), runs.to_vec()))
-        .collect();
+    let rows = grid(batch, &benches, designs, |b, &d| {
+        pipeline_job(batch, b, tweak(MachineConfig::itanium2_cmp(d)))
+    });
     DesignSweep {
-        designs: ds.iter().map(|d| d.label()).collect(),
-        rows,
+        designs: designs.iter().map(DesignPoint::label).collect(),
+        rows: rows
+            .into_iter()
+            .map(|(b, runs)| (b.name.to_string(), runs))
+            .collect(),
     }
 }
 
 /// Runs Figure 7 on the baseline machine.
 pub fn run() -> DesignSweep {
-    run_with("fig7", |c| c)
+    run_with("fig7", &designs(), |c| c)
 }
 
 impl DesignSweep {
@@ -64,14 +60,6 @@ impl DesignSweep {
     /// to the first column (HEAVYWT).
     pub fn geomean(&self, col: usize) -> f64 {
         column_geomean(&self.rows, col)
-    }
-
-    /// The run for `(bench, design-column)`.
-    pub fn result(&self, bench: &str, col: usize) -> Option<&RunResult> {
-        self.rows
-            .iter()
-            .find(|(n, _)| n == bench)
-            .map(|(_, rs)| &rs[col])
     }
 
     /// The producer-side breakdown table.
@@ -96,14 +84,19 @@ impl DesignSweep {
 
     /// Renders producer-side and consumer-side breakdown tables.
     pub fn render(&self, title: &str) -> String {
+        self.render_geomeans(title, "GeoMean normalized execution time:") + "\n"
+    }
+
+    /// Both breakdown tables, then `label` and each design's geomean, on
+    /// a line left open.
+    pub(crate) fn render_geomeans(&self, title: &str, label: &str) -> String {
         let mut s = self.producer_table(title).render();
         s.push('\n');
         s.push_str(&self.consumer_table(title).render());
-        s.push_str("GeoMean normalized execution time:");
+        s.push_str(label);
         for (i, d) in self.designs.iter().enumerate() {
             s.push_str(&format!("  {d}={}", f2(self.geomean(i))));
         }
-        s.push('\n');
         s
     }
 }

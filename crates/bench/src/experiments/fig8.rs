@@ -8,7 +8,8 @@
 use hfs_core::DesignPoint;
 use hfs_workloads::all_benchmarks;
 
-use crate::runner::{design_job, run_batch};
+use crate::experiments::grid;
+use crate::runner::design_job;
 use crate::table::{f2, TextTable};
 
 /// One benchmark's measured ratios.
@@ -34,20 +35,16 @@ pub struct Fig8 {
 /// run once.
 pub fn run() -> Fig8 {
     let benches = all_benchmarks();
-    let jobs = benches
-        .iter()
-        .map(|b| design_job("fig8", b, DesignPoint::heavywt()))
-        .collect();
-    let results = run_batch("fig8", jobs).expect_results();
-    let rows = benches
-        .iter()
-        .zip(&results)
-        .map(|(b, r)| Fig8Row {
-            bench: b.name.to_string(),
-            producer: r.producer().comm_ratio(),
-            consumer: r.consumer().expect("pipeline run").comm_ratio(),
-        })
-        .collect();
+    let rows = grid("fig8", &benches, &[DesignPoint::heavywt()], |b, &d| {
+        design_job("fig8", b, d)
+    })
+    .into_iter()
+    .map(|(b, runs)| Fig8Row {
+        bench: b.name.to_string(),
+        producer: runs[0].producer().comm_ratio(),
+        consumer: runs[0].consumer().expect("pipeline run").comm_ratio(),
+    })
+    .collect();
     Fig8 { rows }
 }
 

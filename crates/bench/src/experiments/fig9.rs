@@ -5,10 +5,12 @@
 //! at all.
 
 use hfs_core::DesignPoint;
+use hfs_harness::Job;
 use hfs_sim::stats::geomean;
-use hfs_workloads::all_benchmarks;
+use hfs_workloads::{all_benchmarks, Benchmark};
 
-use crate::runner::{design_job, run_batch, single_job};
+use crate::experiments::grid;
+use crate::runner::{design_job, single_job};
 use crate::table::{f2, TextTable};
 
 /// One benchmark's speedup.
@@ -35,19 +37,12 @@ pub struct Fig9 {
 /// one engine batch (pipeline job then single job, per benchmark).
 pub fn run() -> Fig9 {
     let benches = all_benchmarks();
-    let jobs = benches
-        .iter()
-        .flat_map(|b| {
-            [
-                design_job("fig9", b, DesignPoint::heavywt()),
-                single_job("fig9", b),
-            ]
-        })
-        .collect();
-    let results = run_batch("fig9", jobs).expect_results();
-    let rows = benches
-        .iter()
-        .zip(results.chunks_exact(2))
+    let cols: [fn(&Benchmark) -> Job; 2] = [
+        |b| design_job("fig9", b, DesignPoint::heavywt()),
+        |b| single_job("fig9", b),
+    ];
+    let rows = grid("fig9", &benches, &cols, |b, col| col(b))
+        .into_iter()
         .map(|(b, runs)| {
             let (hw, single) = (&runs[0], &runs[1]);
             Fig9Row {

@@ -1,4 +1,5 @@
-//! One module per reproduced table/figure.
+//! One module per reproduced table/figure, [`FIGURES`] listing them all,
+//! and [`grid`], the one shape every simulated sweep has.
 
 pub mod ablation;
 pub mod fig10;
@@ -13,11 +14,174 @@ pub mod scaling;
 pub mod table1;
 pub mod table2;
 
+use std::fs;
+
 use hfs_core::RunResult;
 use hfs_cpu::CoreStats;
+use hfs_harness::Job;
 use hfs_sim::stats::StallComponent;
 
+use crate::runner::{protocol_suffixed, run_batch};
 use crate::table::{f2, TextTable};
+
+/// One row of [`FIGURES`].
+pub struct Figure {
+    /// The figure's binary, and its text rendering `<name>.txt`.
+    pub name: &'static str,
+    /// The stems of its CSV tables, `<stem>.csv`, in the order `run`
+    /// returns the tables.
+    pub csv: &'static [&'static str],
+    /// Runs the experiment: the printed text, and the CSV tables.
+    pub run: fn() -> (String, Vec<TextTable>),
+}
+
+/// Every table and figure, in regeneration order: `all_figures` runs
+/// them all, each per-figure binary its own row, and `results/` holds
+/// exactly their renderings.
+pub static FIGURES: [Figure; 12] = [
+    Figure {
+        name: "table1",
+        csv: &["table1"],
+        run: || one_table(table1::run()),
+    },
+    Figure {
+        name: "table2",
+        csv: &[],
+        run: || (table2::run(), Vec::new()),
+    },
+    Figure {
+        name: "fig3",
+        csv: &[],
+        run: || (fig3::run().render(), Vec::new()),
+    },
+    Figure {
+        name: "fig6",
+        csv: &["fig6"],
+        run: || one_table(fig6::run().table()),
+    },
+    Figure {
+        name: "fig7",
+        csv: &["fig7_producer", "fig7_consumer"],
+        run: || breakdowns(&fig7::run(), "Figure 7", "design points, baseline bus"),
+    },
+    Figure {
+        name: "fig8",
+        csv: &["fig8"],
+        run: || one_table(fig8::run().table()),
+    },
+    Figure {
+        name: "fig9",
+        csv: &["fig9"],
+        run: || one_table(fig9::run().table()),
+    },
+    Figure {
+        name: "fig10",
+        csv: &["fig10_producer", "fig10_consumer"],
+        run: || breakdowns(&fig10::run(), "Figure 10", "4-cycle bus"),
+    },
+    Figure {
+        name: "fig11",
+        csv: &["fig11_producer", "fig11_consumer"],
+        run: || breakdowns(&fig11::run(), "Figure 11", "4-cycle, 128-byte bus"),
+    },
+    Figure {
+        name: "fig12",
+        csv: &["fig12_producer", "fig12_consumer"],
+        run: || {
+            let f = fig12::run();
+            (f.render(), vec![f.producer_table(), f.consumer_table()])
+        },
+    },
+    Figure {
+        name: "ablation",
+        csv: &[],
+        run: || (ablation::run_all(), Vec::new()),
+    },
+    Figure {
+        name: "scaling",
+        csv: &[],
+        run: || (scaling::run(), Vec::new()),
+    },
+];
+
+/// A figure that is one table: its rendering, and the table itself.
+fn one_table(t: TextTable) -> (String, Vec<TextTable>) {
+    (t.render(), vec![t])
+}
+
+/// A Figure 7-family rendering titled `"<title>: <caption>"`, with its
+/// producer and consumer tables.
+fn breakdowns(sweep: &fig7::DesignSweep, title: &str, caption: &str) -> (String, Vec<TextTable>) {
+    (
+        sweep.render(&format!("{title}: {caption}")),
+        vec![sweep.producer_table(title), sweep.consumer_table(title)],
+    )
+}
+
+impl Figure {
+    /// The row of [`FIGURES`] called `name`.
+    ///
+    /// # Panics
+    ///
+    /// When no row is called `name`.
+    pub fn named(name: &str) -> &'static Figure {
+        FIGURES
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("no figure named `{name}`"))
+    }
+
+    /// Runs the figure and prints its text. With `HFS_OUT_DIR` set, the
+    /// text is also written there as `<name>.txt` and each table as
+    /// `<stem>.csv`; a non-default protocol suffixes the names (see
+    /// [`protocol_suffixed`]), keeping the committed MSI goldens intact.
+    ///
+    /// # Panics
+    ///
+    /// When the experiment fails (see [`grid`]) or a file cannot be
+    /// written.
+    pub fn print(&self) {
+        let (text, tables) = (self.run)();
+        if let Some(dir) = hfs_harness::env_path("HFS_OUT_DIR") {
+            fs::create_dir_all(&dir).expect("create HFS_OUT_DIR");
+            for (stem, table) in self.csv.iter().zip(&tables) {
+                let path = dir.join(format!("{}.csv", protocol_suffixed(stem)));
+                fs::write(path, table.to_csv()).expect("write csv");
+            }
+            let path = dir.join(format!("{}.txt", protocol_suffixed(self.name)));
+            fs::write(path, &text).expect("write artifact");
+        }
+        print!("{text}");
+    }
+}
+
+/// The jobs of a sweep, row-major: `job(row, col)` for every column of
+/// the first row, then of the second, and so on.
+pub(crate) fn grid_jobs<R, C>(rows: &[R], cols: &[C], job: impl Fn(&R, &C) -> Job) -> Vec<Job> {
+    let job = &job;
+    rows.iter()
+        .flat_map(|r| cols.iter().map(move |c| job(r, c)))
+        .collect()
+}
+
+/// Runs a sweep — one job per `(row, column)` — as one engine batch named
+/// `batch`, and hands the results back by row, in column order.
+///
+/// # Panics
+///
+/// When a job fails (see [`hfs_harness::Batch::expect_results`]).
+pub fn grid<'r, R, C>(
+    batch: &str,
+    rows: &'r [R],
+    cols: &[C],
+    job: impl Fn(&R, &C) -> Job,
+) -> Vec<(&'r R, Vec<RunResult>)> {
+    let results = run_batch(batch, grid_jobs(rows, cols, job)).expect_results();
+    let mut results = results.into_iter();
+    rows.iter()
+        .map(|r| (r, results.by_ref().take(cols.len()).collect()))
+        .collect()
+}
 
 /// Builds a Figure 7-style table: per benchmark and design, execution
 /// time normalized to the first design, plus the six stall components of

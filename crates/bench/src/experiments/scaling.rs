@@ -11,7 +11,8 @@
 use hfs_core::DesignPoint;
 use hfs_workloads::benchmark;
 
-use crate::runner::{multi_job, run_batch};
+use crate::experiments::grid;
+use crate::runner::multi_job;
 use crate::table::{f2, TextTable};
 
 /// The designs compared in the scaling sweep.
@@ -43,26 +44,15 @@ impl ScalingRow {
 /// bandwidth-sensitive tight loop).
 pub fn run_on(bench_name: &str) -> Vec<ScalingRow> {
     let b = benchmark(bench_name).expect("known benchmark");
-    let ds = designs();
-    let b = &b;
-    let jobs = ds
-        .iter()
-        .flat_map(|&design| (1..=4u8).map(move |pairs| multi_job("scaling", b, design, pairs)))
-        .collect();
-    let results = run_batch("scaling", jobs).expect_results();
-    ds.iter()
-        .zip(results.chunks_exact(4))
-        .map(|(design, runs)| {
-            let mut cycles = [0u64; 4];
-            for (slot, r) in cycles.iter_mut().zip(runs) {
-                *slot = r.cycles;
-            }
-            ScalingRow {
-                design: design.label(),
-                cycles,
-            }
-        })
-        .collect()
+    grid("scaling", &designs(), &[1, 2, 3, 4], |&design, &pairs| {
+        multi_job("scaling", &b, design, pairs)
+    })
+    .into_iter()
+    .map(|(design, runs)| ScalingRow {
+        design: design.label(),
+        cycles: std::array::from_fn(|i| runs[i].cycles),
+    })
+    .collect()
 }
 
 /// Renders the scaling table.

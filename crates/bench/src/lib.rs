@@ -1,7 +1,7 @@
 //! Experiment harness regenerating every table and figure of
 //! *Support for High-Frequency Streaming in CMPs* (MICRO 2006).
 //!
-//! Each experiment lives in [`experiments`] and has a matching binary:
+//! Each experiment is a row of [`experiments::FIGURES`] and has a matching binary:
 //!
 //! | Artifact | Binary | What it reproduces |
 //! |---|---|---|

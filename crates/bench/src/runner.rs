@@ -6,17 +6,12 @@
 //! (cache-aware, watchdog-guarded), and gathered back in submission
 //! order.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use hfs_core::{DesignPoint, MachineConfig, RunResult, SimError};
+use hfs_core::{DesignPoint, MachineConfig};
 use hfs_harness::{env_flag, Batch, Engine, Job};
 use hfs_mem::Protocol;
-use hfs_trace::{chrome_trace_json, Tracer};
 use hfs_workloads::Benchmark;
-
-/// Upper bound on simulated cycles per run; hitting it is a harness bug.
-pub const MAX_CYCLES: u64 = hfs_harness::DEFAULT_MAX_CYCLES;
 
 /// Iteration cap applied when `HFS_QUICK=1` is set, trading steady-state
 /// fidelity for speed.
@@ -168,107 +163,10 @@ pub fn multi_job(batch: &str, bench: &Benchmark, design: DesignPoint, pairs: u8)
     )
 }
 
-/// Runs `bench` under an explicit machine configuration, without the
-/// engine (no cache, no pool) — the building block for one-off runs.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run.
-pub fn try_run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> Result<RunResult, SimError> {
-    let b = scaled(bench);
-    hfs_harness::execute_once(&Job::pipeline(
-        b.name,
-        b.pair.clone(),
-        apply_protocol(cfg.clone()),
-    ))
-}
-
-/// Runs `bench` as a two-thread pipeline under `design` on the baseline
-/// machine.
-///
-/// # Panics
-///
-/// Panics on simulation errors (deadlock/verification), which indicate a
-/// harness or model bug, with the failing benchmark named.
-pub fn run_design(bench: &Benchmark, design: DesignPoint) -> RunResult {
-    run_with_config(bench, &MachineConfig::itanium2_cmp(design))
-}
-
-/// Runs `bench` under an explicit machine configuration.
-///
-/// # Panics
-///
-/// See [`run_design`].
-pub fn run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> RunResult {
-    try_run_with_config(bench, cfg)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", bench.name, cfg.design))
-}
-
-/// Runs the demo design point — the Figure 6 HEAVYWT pipeline on `fir`,
-/// capped at [`QUICK_ITERATIONS`] — with a recording tracer, returning
-/// the Chrome trace-event JSON and the (metrics-carrying) run result.
-///
-/// # Panics
-///
-/// Panics if the demo run fails, which indicates a model bug.
-pub fn demo_trace() -> (String, RunResult) {
-    let b = hfs_workloads::benchmark("fir").expect("fir benchmark exists");
-    let b = b.with_iterations(b.pair.iterations.min(QUICK_ITERATIONS));
-    let job = design_job("trace-demo", &b, DesignPoint::heavywt());
-    let tracer = Tracer::recording();
-    let result = hfs_harness::execute_once_with(&job, &tracer)
-        .unwrap_or_else(|e| panic!("trace demo run failed: {e}"));
-    (chrome_trace_json(&tracer.take_events()), result)
-}
-
-/// Honors the fig binaries' trace hook: when `--trace <path>` was passed
-/// on the command line, writes the [`demo_trace`] Chrome JSON to that
-/// path and returns it.
-///
-/// # Panics
-///
-/// Panics if the trace file cannot be written.
-pub fn maybe_write_demo_trace() -> Option<PathBuf> {
-    let path = std::env::args()
-        .skip_while(|a| a != "--trace")
-        .nth(1)
-        .map(PathBuf::from)?;
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).expect("create trace output directory");
-    }
-    let (json, _) = demo_trace();
-    std::fs::write(&path, json).expect("write trace file");
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hfs_workloads::benchmark;
-
-    #[test]
-    fn run_design_completes_quickly_scaled() {
-        let b = benchmark("fir").unwrap().with_iterations(50);
-        let r = run_design(&b, DesignPoint::heavywt());
-        assert_eq!(r.iterations, 50);
-    }
-
-    #[test]
-    fn try_variants_report_errors_instead_of_panicking() {
-        // An undersized queue deadlocks bzip2's nested stream by
-        // construction; the fallible API must surface that as Err.
-        let b = benchmark("bzip2").unwrap().with_iterations(50);
-        let cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt_with(1, 4));
-        assert!(try_run_with_config(&b, &cfg).is_err());
-    }
-
-    #[test]
-    fn demo_trace_produces_chrome_json_with_metrics() {
-        let (json, r) = demo_trace();
-        assert!(json.starts_with("{\"traceEvents\":["), "chrome envelope");
-        let m = r.metrics.expect("traced run carries metrics");
-        assert!(m.get_counter("trace.produce").unwrap_or(0) > 0);
-    }
 
     #[test]
     fn default_protocol_keeps_artifact_names() {

@@ -112,11 +112,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +142,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f2(1.234), "1.23");
-        assert_eq!(pct(0.125), "12.5%");
     }
 }

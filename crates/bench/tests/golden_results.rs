@@ -4,18 +4,24 @@
 //! Stale-golden guard: every rendering committed under `results/` must
 //! equal what `all_figures` writes today, byte for byte, and
 //! `all_figures` must write no rendering that is not committed. The
-//! figure list lives in `all_figures` alone; no name is repeated here.
+//! figure list lives in `experiments::FIGURES` alone; no name is
+//! repeated here.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+use hfs_bench::experiments::FIGURES;
 use hfs_bench::runner::QUICK_ITERATIONS;
 use hfs_harness::{env_flag, from_text, read_sweep};
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hfs_{tag}_{}", std::process::id()))
+}
+
+fn committed_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
 /// File name → bytes of every rendering in `dir`. The engine's own
@@ -59,7 +65,7 @@ fn committed_results_match_a_fresh_regeneration() {
     assert!(status.success(), "all_figures: {status}");
 
     let fresh = renderings(&out);
-    let committed = renderings(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
+    let committed = renderings(&committed_dir());
     assert!(!committed.is_empty(), "results/ holds no rendering");
     let stale: BTreeSet<&String> = fresh
         .keys()
@@ -140,4 +146,43 @@ fn an_empty_path_variable_means_its_default() {
         "HFS_OUT_DIR= writes no rendering"
     );
     let _ = fs::remove_dir_all(&cwd);
+}
+
+/// `FIGURES` declares exactly the renderings `results/` holds: a figure
+/// without a golden, or a golden without a figure, fails.
+#[test]
+fn the_figure_table_names_every_committed_rendering() {
+    let declared: BTreeSet<String> = FIGURES
+        .iter()
+        .flat_map(|f| {
+            let csv = f.csv.iter().map(|stem| format!("{stem}.csv"));
+            std::iter::once(format!("{}.txt", f.name)).chain(csv)
+        })
+        .collect();
+    let committed: BTreeSet<String> = renderings(&committed_dir()).into_keys().collect();
+    assert_eq!(declared, committed);
+}
+
+/// The figures that simulate nothing print their committed rendering,
+/// byte for byte, from their own binaries.
+#[test]
+fn static_figures_print_their_goldens() {
+    for (name, bin) in [
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+        ("fig3", env!("CARGO_BIN_EXE_fig3")),
+    ] {
+        let out = Command::new(bin)
+            .env_remove("HFS_OUT_DIR")
+            .env_remove("HFS_PROTOCOL")
+            .output()
+            .unwrap_or_else(|e| panic!("run {name}: {e}"));
+        assert!(out.status.success(), "{name}: {}", out.status);
+        let golden = committed_dir().join(format!("{name}.txt"));
+        let want = fs::read(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        assert!(
+            out.stdout == want,
+            "{name} prints other bytes than its golden"
+        );
+    }
 }

@@ -251,7 +251,7 @@ fn own_tracer(job: &Job) -> Tracer {
 
 /// Runs `job` once with an explicit tracer attached to the machine —
 /// the entry point for callers that want the recorded event stream (the
-/// engine's `HFS_TRACE_DIR` export, the fig binaries' `--trace` demo).
+/// engine's `HFS_TRACE_DIR` export).
 ///
 /// # Errors
 ///

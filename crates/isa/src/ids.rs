@@ -9,11 +9,6 @@ use std::fmt;
 pub struct CoreId(pub u8);
 
 impl CoreId {
-    /// The producer core in the canonical two-thread pipeline.
-    pub const PRODUCER: CoreId = CoreId(0);
-    /// The consumer core in the canonical two-thread pipeline.
-    pub const CONSUMER: CoreId = CoreId(1);
-
     /// Zero-based index, usable for array indexing.
     #[inline]
     pub const fn index(self) -> usize {
@@ -107,8 +102,7 @@ mod tests {
 
     #[test]
     fn indices() {
-        assert_eq!(CoreId::PRODUCER.index(), 0);
-        assert_eq!(CoreId::CONSUMER.index(), 1);
+        assert_eq!(CoreId(1).index(), 1);
         assert_eq!(QueueId(63).index(), 63);
         assert_eq!(Reg(5).index(), 5);
         assert_eq!(RegionId(9).index(), 9);

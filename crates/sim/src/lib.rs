@@ -5,8 +5,8 @@
 //!
 //! * [`Cycle`] — a newtype over `u64` representing simulated time, and
 //!   [`fold_bound`] — the clamp-and-min fold behind every `next_event`,
-//! * [`TimedQueue`] and [`Pipe`] — latency-stamped message channels used to
-//!   connect hardware components without shared mutable aliasing,
+//! * [`TimedQueue`] — the latency-stamped message channel used to connect
+//!   hardware components without shared mutable aliasing,
 //! * [`stats`] — counters, histograms, and the per-component stall
 //!   [`stats::Breakdown`] that reproduces the paper's Figure 7 accounting
 //!   (`PreL2` / `L2` / `BUS` / `L3` / `MEM` / `PostL2`),
@@ -27,11 +27,12 @@
 //! # Example
 //!
 //! ```
-//! use hfs_sim::{Cycle, Pipe};
+//! use hfs_sim::{Cycle, TimedQueue};
 //!
-//! // A 3-cycle pipelined link: a message sent at cycle 10 pops at cycle 13.
-//! let mut link: Pipe<&'static str> = Pipe::new(3);
-//! link.push(Cycle::new(10), "hello");
+//! // A 3-cycle link: a message sent at cycle 10 pops at cycle 13.
+//! let mut link = TimedQueue::new();
+//! let sent = Cycle::new(10);
+//! link.push(sent + 3, "hello");
 //! assert_eq!(link.pop_ready(Cycle::new(12)), None);
 //! assert_eq!(link.pop_ready(Cycle::new(13)), Some("hello"));
 //! ```
@@ -54,5 +55,5 @@ pub use cycle::{fold_bound, Cycle};
 pub use env::{env_flag, env_path};
 pub use error::ConfigError;
 pub use map::{DenseMap, FnvMap};
-pub use queue::{Pipe, TimedQueue};
+pub use queue::TimedQueue;
 pub use rng::Rng64;

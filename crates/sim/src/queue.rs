@@ -2,9 +2,8 @@
 //!
 //! Hardware components in the simulator never call each other directly;
 //! they exchange messages through [`TimedQueue`]s (arbitrary per-message
-//! delivery times) or [`Pipe`]s (fixed-latency pipelined links). Both
-//! preserve FIFO order among messages that become ready on the same cycle,
-//! which keeps the simulation deterministic.
+//! delivery times), which preserve FIFO order among messages that become
+//! ready on the same cycle, keeping the simulation deterministic.
 
 use std::collections::VecDeque;
 
@@ -88,69 +87,6 @@ impl<T> Default for TimedQueue<T> {
     }
 }
 
-/// A fixed-latency, fully pipelined link: every message pushed at cycle `c`
-/// becomes visible at `c + latency`. One message may be accepted per push
-/// call; callers model initiation-interval limits themselves.
-///
-/// # Example
-///
-/// ```
-/// use hfs_sim::{Cycle, Pipe};
-///
-/// let mut p = Pipe::new(2);
-/// p.push(Cycle::new(0), 1u32);
-/// p.push(Cycle::new(1), 2u32);
-/// assert_eq!(p.pop_ready(Cycle::new(2)), Some(1));
-/// assert_eq!(p.pop_ready(Cycle::new(2)), None); // 2 arrives at cycle 3
-/// assert_eq!(p.pop_ready(Cycle::new(3)), Some(2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Pipe<T> {
-    latency: u64,
-    inner: TimedQueue<T>,
-}
-
-impl<T> Pipe<T> {
-    /// Creates a pipelined link with the given end-to-end latency in cycles.
-    pub fn new(latency: u64) -> Self {
-        Pipe {
-            latency,
-            inner: TimedQueue::new(),
-        }
-    }
-
-    /// The end-to-end latency of this link.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Sends `value` at cycle `now`; it arrives at `now + latency`.
-    pub fn push(&mut self, now: Cycle, value: T) {
-        self.inner.push(now + self.latency, value);
-    }
-
-    /// Receives the head message if it has arrived by `now`.
-    pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        self.inner.pop_ready(now)
-    }
-
-    /// The arrival stamp of the head message, if any (see
-    /// [`TimedQueue::next_ready`]).
-    pub fn next_ready(&self) -> Option<Cycle> {
-        self.inner.next_ready()
-    }
-
-    /// Number of messages in flight.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the link is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,42 +115,6 @@ mod tests {
         assert_eq!(q.next_ready(), Some(Cycle::new(10)));
         q.pop_ready(Cycle::new(10));
         assert_eq!(q.next_ready(), Some(Cycle::new(2)));
-
-        let mut p = Pipe::new(4);
-        assert_eq!(p.next_ready(), None);
-        p.push(Cycle::new(1), ());
-        assert_eq!(p.next_ready(), Some(Cycle::new(5)));
-    }
-
-    #[test]
-    fn pipe_applies_latency() {
-        let mut p = Pipe::new(5);
-        assert_eq!(p.latency(), 5);
-        p.push(Cycle::new(7), 42u8);
-        assert!(p.pop_ready(Cycle::new(11)).is_none());
-        assert_eq!(p.pop_ready(Cycle::new(12)), Some(42));
-    }
-
-    #[test]
-    fn pipe_zero_latency_is_same_cycle() {
-        let mut p = Pipe::new(0);
-        p.push(Cycle::new(3), ());
-        assert_eq!(p.pop_ready(Cycle::new(3)), Some(()));
-    }
-
-    #[test]
-    fn pipe_preserves_order_of_backtoback_messages() {
-        let mut p = Pipe::new(3);
-        for i in 0..4u32 {
-            p.push(Cycle::new(u64::from(i)), i);
-        }
-        let mut out = Vec::new();
-        for now in 0..10u64 {
-            while let Some(v) = p.pop_ready(Cycle::new(now)) {
-                out.push((now, v));
-            }
-        }
-        assert_eq!(out, vec![(3, 0), (4, 1), (5, 2), (6, 3)]);
     }
 
     #[test]

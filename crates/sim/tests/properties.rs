@@ -3,7 +3,7 @@
 //! external property-testing framework).
 
 use hfs_sim::stats::{geomean, Breakdown, StallComponent};
-use hfs_sim::{Cycle, Pipe, Rng64, TimedQueue};
+use hfs_sim::{Cycle, Rng64, TimedQueue};
 
 const CASES: u64 = 64;
 
@@ -41,22 +41,6 @@ fn timed_queue_respects_stamps() {
         q.push(Cycle::new(stamp), ());
         assert!(q.pop_ready(Cycle::new(stamp - 1)).is_none());
         assert!(q.pop_ready(Cycle::new(stamp)).is_some());
-    }
-}
-
-/// Pipes deliver exactly `latency` cycles after the send.
-#[test]
-fn pipe_latency_exact() {
-    let mut rng = Rng64::new(0x51_0003);
-    for _ in 0..CASES {
-        let lat = rng.below(64);
-        let sent_at = rng.below(1000);
-        let mut p = Pipe::new(lat);
-        p.push(Cycle::new(sent_at), 1u8);
-        if lat > 0 {
-            assert!(p.pop_ready(Cycle::new(sent_at + lat - 1)).is_none());
-        }
-        assert_eq!(p.pop_ready(Cycle::new(sent_at + lat)), Some(1));
     }
 }
 

@@ -79,6 +79,16 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+echo "==> one sweep shape (every experiment batch goes through experiments::grid)"
+# Product code as above. mod.rs holds `grid`, the one caller of
+# `run_batch` and the one place results are regrouped by row.
+for f in crates/bench/src/experiments/*.rs; do
+    [ "$f" = crates/bench/src/experiments/mod.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(run_batch|chunks_exact)\(' | sed "s|^|$f:|" | grep .; then
+        echo "an experiment submits or regroups a batch itself instead of calling experiments::grid"; exit 1
+    fi
+done
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).
@@ -106,9 +116,6 @@ else
     HFS_QUICK=1 cargo test --workspace -q
 fi
 
-echo "==> trace smoke (golden cycles + Chrome trace validity)"
-cargo run --release -p hfs-bench --bin trace_smoke
-
 echo "==> fast-forward equivalence (the run loop vs the per-cycle walk)"
 cargo test --release -q --test fastforward
 
@@ -128,9 +135,6 @@ cargo test --release -q -p hfs-harness -p hfs-serve
 # `all_streams_results_while_later_jobs_still_run` needs a chunk's first
 # job to run first at that speed too.
 cargo test --release -q --test serve
-
-echo "==> machine check: trace smoke under HFS_CHECK=1 (checked run, same goldens)"
-HFS_CHECK=1 cargo run --release -p hfs-bench --bin trace_smoke
 
 echo "==> machine check: quick fig6 sweep under HFS_CHECK=1"
 # Fresh results dir + cache off: cached entries would skip the checked

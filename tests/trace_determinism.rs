@@ -1,12 +1,14 @@
 //! Determinism of the tracing subsystem: recorded event streams are
-//! byte-identical across worker counts and across processes, and traced
-//! per-cycle core activity reproduces the Figure 7 accounting exactly.
+//! byte-identical across worker counts and across processes, traced
+//! per-cycle core activity reproduces the Figure 7 accounting exactly,
+//! and neither the disabled tracer, a recording one nor the checker
+//! moves a golden cycle count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use hfs::core::{DesignPoint, MachineConfig};
-use hfs::harness::{execute_once_with, Engine, Job};
-use hfs::trace::{event_stream_text, CoreActivity, TraceEvent, Tracer};
+use hfs::core::{CheckLevel, DesignPoint, Machine, MachineConfig};
+use hfs::harness::{execute_once_with, parse, Engine, Job, Json, DEFAULT_MAX_CYCLES};
+use hfs::trace::{chrome_trace_json, event_stream_text, CoreActivity, TraceEvent, Tracer};
 use hfs::workloads::benchmark;
 
 /// FNV-1a (64-bit), the same hash the harness cache keys use; hand-rolled
@@ -59,8 +61,6 @@ fn recorded_stream_matches_the_golden_hash() {
 /// byte-identical whether or not fast-forwarding is enabled.
 #[test]
 fn recorded_stream_identical_with_and_without_fastforward() {
-    use hfs::core::Machine;
-    use hfs::workloads::benchmark;
     let bench = benchmark("fir").unwrap().with_iterations(50);
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::syncopti_sc_q64());
     let mut streams = Vec::new();
@@ -149,4 +149,81 @@ fn core_state_events_sum_to_the_figure7_invariant() {
         assert_eq!(s, stats.breakdown.stall_total(), "core {i}: stall events");
         assert_eq!(b + s, stats.cycles, "core {i}: busy + stalls == cycles");
     }
+}
+
+/// Six benchmark × design points at 300 iterations on the baseline
+/// machine, with the cycle counts they had before the tracing subsystem
+/// existed.
+fn golden_cycles() -> [(&'static str, DesignPoint, u64); 6] {
+    [
+        ("fir", DesignPoint::existing(), 5433),
+        ("mcf", DesignPoint::existing(), 28349),
+        ("fir", DesignPoint::syncopti_sc_q64(), 4059),
+        ("mcf", DesignPoint::syncopti_sc_q64(), 14400),
+        ("fir", DesignPoint::heavywt(), 3590),
+        ("mcf", DesignPoint::heavywt(), 14010),
+    ]
+}
+
+/// The disabled tracer perturbs no simulation, and neither does the
+/// machine checker at its fullest level.
+#[test]
+fn golden_cycles_hold_unchecked_and_fully_checked() {
+    for (bench, design, cycles) in golden_cycles() {
+        let b = benchmark(bench).unwrap().with_iterations(300);
+        let cfg = MachineConfig::itanium2_cmp(design);
+        for level in [CheckLevel::Off, CheckLevel::Full] {
+            let mut m = Machine::new_pipeline(&cfg, &b.pair).expect("machine builds");
+            m.set_check_level(level);
+            let r = m.run(DEFAULT_MAX_CYCLES).expect("golden point runs");
+            assert_eq!(r.cycles, cycles, "{bench}/{} at {level:?}", r.design);
+            assert_eq!(r.checked, level == CheckLevel::Full);
+        }
+    }
+}
+
+/// A recorded run of one golden point (fir under HEAVYWT) keeps its
+/// cycle count, reports consume-to-use samples, and exports a Chrome
+/// document in which every declared track carries events.
+#[test]
+fn traced_golden_point_keeps_its_cycles_and_exports_every_track() {
+    let b = benchmark("fir").unwrap().with_iterations(300);
+    let job = Job::pipeline(
+        "trace/fir/HEAVYWT",
+        b.pair,
+        MachineConfig::itanium2_cmp(DesignPoint::heavywt()),
+    );
+    let tracer = Tracer::recording();
+    let r = execute_once_with(&job, &tracer).expect("traced run succeeds");
+    assert_eq!(r.cycles, 3590, "traced run matches its untraced golden");
+    let metrics = r.metrics.as_ref().expect("traced run carries metrics");
+    assert!(metrics.get_counter("trace.produce").unwrap_or(0) > 0);
+    let c2u = metrics
+        .get_histogram("consume_to_use_cycles")
+        .expect("metrics include the consume-to-use histogram");
+    assert!(c2u.count > 0, "consume-to-use histogram has samples");
+
+    let json = chrome_trace_json(&tracer.take_events());
+    assert!(json.starts_with("{\"traceEvents\":["), "chrome envelope");
+    let doc = parse(&json).expect("trace is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("trace has a traceEvents array");
+    let mut tracks = BTreeSet::new();
+    let mut populated = BTreeSet::new();
+    for e in events {
+        let tid = e.get("tid").and_then(Json::as_u64).expect("event tid");
+        if e.get("ph").and_then(Json::as_str) == Some("M") {
+            tracks.insert(tid);
+        } else {
+            populated.insert(tid);
+        }
+    }
+    assert!(!tracks.is_empty(), "trace declares named tracks");
+    assert!(
+        tracks.is_subset(&populated),
+        "tracks without events: {:?}",
+        tracks.difference(&populated).collect::<Vec<_>>()
+    );
 }
