@@ -14,14 +14,15 @@ use std::collections::VecDeque;
 
 use hfs_check::{Checker, Mutation};
 use hfs_cpu::{StreamCompletion, StreamPort, StreamSubmit, StreamToken};
+use hfs_isa::program::QueueMemLayout;
 use hfs_isa::{Addr, CoreId, QueueId};
 use hfs_mem::{Completion, CtlPayload, MemEvent, MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::StallComponent;
 use hfs_sim::{fold_bound, Cycle, DenseMap, FnvMap};
 use hfs_trace::{TraceEvent, Tracer};
 
+use crate::addr_map::queue_of_addr;
 use crate::design::{DesignPoint, HeavyWtConfig, Mechanism};
-use crate::lower::{QueueMemInfo, LINE_BYTES, QUEUE_BASE, QUEUE_SPAN};
 use crate::queues::QueueCheck;
 use crate::stream_cache::StreamCache;
 use crate::sync_array::{SyncArray, SyncArrayConfig};
@@ -29,25 +30,39 @@ use crate::sync_array::{SyncArray, SyncArrayConfig};
 /// Control-message kind: bulk consumption ACK (consumer -> producer).
 const CTL_BULK_ACK: u16 = 1;
 
-/// Maps an address into (queue, byte offset) if it lies in the queue
-/// backing store.
-fn queue_of_addr(addr: Addr, queues: &[QueueId]) -> Option<(QueueId, u64)> {
-    let a = addr.as_u64();
-    if a < QUEUE_BASE {
-        return None;
-    }
-    let qi = (a - QUEUE_BASE) / QUEUE_SPAN;
-    let off = (a - QUEUE_BASE) % QUEUE_SPAN;
-    let q = QueueId(u16::try_from(qi).ok()?);
-    queues.contains(&q).then_some((q, off))
+/// §3.5.1's forward-after-N trigger with N = QLU: a line is queued for a
+/// write-forward once QLU stores on it have performed, and queued lines
+/// are pushed to the consumer while the producer's OzQ takes them.
+#[derive(Debug, Default)]
+struct ForwardTrigger {
+    /// Per line: stores performed on it since its last forward.
+    performed: FnvMap<u32>,
+    queued: VecDeque<Addr>,
 }
 
-/// Counts one more performed store on `line`; true (and the count starts
-/// over) when that makes `per_line` of them, i.e. the line is complete.
-fn bump_line(counts: &mut FnvMap<u32>, line: u64, per_line: u32) -> bool {
-    let n = counts.get(line).copied().unwrap_or(0) + 1;
-    counts.insert(line, if n >= per_line { 0 } else { n });
-    n >= per_line
+impl ForwardTrigger {
+    /// Counts one more performed store on the slot word at `addr`.
+    fn on_store(&mut self, layout: &QueueMemLayout, addr: Addr) {
+        let line = layout.line_of(addr);
+        let n = self.performed.get(line.as_u64()).map_or(1, |n| n + 1);
+        let complete = n >= layout.qlu;
+        self.performed
+            .insert(line.as_u64(), if complete { 0 } else { n });
+        if complete {
+            self.queued.push_back(line);
+        }
+    }
+
+    /// Pushes queued lines until the OzQ refuses one; the rest stay queued
+    /// (the §4.4 back-pressure that fills MEMOPTI's OzQ).
+    fn issue(&mut self, mem: &mut MemSystem, from: CoreId, to: CoreId, now: Cycle) {
+        while let Some(&line) = self.queued.front() {
+            if !mem.forward_line(from, to, line, now) {
+                break;
+            }
+            self.queued.pop_front();
+        }
+    }
 }
 
 /// The design-point dispatch enum owned by the machine.
@@ -100,7 +115,7 @@ impl Backend {
 
     pub(crate) fn quiescent(&self) -> bool {
         match self {
-            Backend::Software(b) => b.pending_forwards.is_empty(),
+            Backend::Software(b) => b.forwards.queued.is_empty(),
             Backend::SyncOpti(b) => b.quiescent(),
             Backend::HeavyWt(b) => b.sa.is_empty() && b.waiting.values().all(VecDeque::is_empty),
         }
@@ -114,7 +129,7 @@ impl Backend {
     /// are covered by the memory system's and cores' own bounds).
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         match self {
-            Backend::Software(b) => (!b.pending_forwards.is_empty()).then(|| now.next()),
+            Backend::Software(b) => (!b.forwards.queued.is_empty()).then(|| now.next()),
             Backend::SyncOpti(b) => b.next_event(now),
             Backend::HeavyWt(b) => b.next_event(now),
         }
@@ -236,13 +251,12 @@ pub(crate) struct SoftwareBackend {
     producer: CoreId,
     consumer: CoreId,
     forward: bool,
-    /// Per line number: flag-set stores performed since last forward.
-    line_sets: FnvMap<u32>,
-    pending_forwards: VecDeque<Addr>,
+    /// Counts flag-set stores (MEMOPTI).
+    forwards: ForwardTrigger,
     check: QueueCheck,
     /// Slot geometry (Figure 5), the same for every queue of a design;
     /// only `base` is per queue, and offsets are all this backend reads.
-    layout: QueueMemInfo,
+    layout: QueueMemLayout,
     tracer: Tracer,
 }
 
@@ -253,8 +267,7 @@ impl SoftwareBackend {
             producer,
             consumer,
             forward: design.write_forwards(),
-            line_sets: FnvMap::new(),
-            pending_forwards: VecDeque::new(),
+            forwards: ForwardTrigger::default(),
             check: QueueCheck::new(),
             layout: design
                 .queue_mem_info(QueueId(0))
@@ -303,22 +316,11 @@ impl SoftwareBackend {
                     });
                     self.check.on_consume(q, seen, seen);
                 } else if core == self.producer && is_flag && value != 0 && self.forward {
-                    let line = addr.as_u64() / LINE_BYTES;
-                    if bump_line(&mut self.line_sets, line, self.layout.qlu) {
-                        self.pending_forwards.push_back(addr.line_base(LINE_BYTES));
-                    }
+                    self.forwards.on_store(&self.layout, addr);
                 }
             }
         }
-        // Issue queued forwards; OzQ-full keeps them pending (the §4.4
-        // back-pressure that fills MEMOPTI's OzQ).
-        while let Some(line_addr) = self.pending_forwards.front().copied() {
-            if mem.forward_line(self.producer, self.consumer, line_addr, now) {
-                self.pending_forwards.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.forwards.issue(mem, self.producer, self.consumer, now);
     }
 }
 
@@ -335,7 +337,7 @@ const IDLE_FLUSH: u64 = 30;
 
 #[derive(Debug)]
 struct SoQueue {
-    info: QueueMemInfo,
+    layout: QueueMemLayout,
     /// Cycle of the most recent performed produce store on this queue.
     last_perform: Cycle,
     // Producer side.
@@ -350,8 +352,7 @@ struct SoQueue {
     cons_next_completed: u64,
     forwarded: u64,
     performed: u64,
-    line_fill: FnvMap<u32>,
-    pending_forwards: VecDeque<Addr>,
+    forwards: ForwardTrigger,
 }
 
 #[derive(Debug)]
@@ -395,13 +396,12 @@ impl SyncOptiBackend {
     ) -> Self {
         let mut state = DenseMap::new();
         for &q in queues {
-            let info = design
-                .queue_mem_info(q)
-                .expect("SYNCOPTI uses memory backing");
             state.insert(
                 q.index(),
                 SoQueue {
-                    info,
+                    layout: design
+                        .queue_mem_info(q)
+                        .expect("SYNCOPTI uses memory backing"),
                     last_perform: Cycle::ZERO,
                     prod_next: 0,
                     prod_released: 0,
@@ -411,8 +411,7 @@ impl SyncOptiBackend {
                     cons_next_completed: 0,
                     forwarded: 0,
                     performed: 0,
-                    line_fill: FnvMap::new(),
-                    pending_forwards: VecDeque::new(),
+                    forwards: ForwardTrigger::default(),
                 },
             );
         }
@@ -439,7 +438,7 @@ impl SyncOptiBackend {
             && self
                 .state
                 .values()
-                .all(|s| s.waiting_produces.is_empty() && s.pending_forwards.is_empty())
+                .all(|s| s.waiting_produces.is_empty() && s.forwards.queued.is_empty())
     }
 
     fn fresh_token(&mut self) -> StreamToken {
@@ -460,7 +459,7 @@ impl SyncOptiBackend {
         let s = self.state.get_mut(q.index()).expect("queue planned");
         // Stream address generation (renaming) assigns the next slot; its
         // 2-cycle latency is overlapped with the L1 access (§4.2).
-        let addr = s.info.slot_addr(s.prod_next);
+        let addr = s.layout.slot_addr(s.prod_next);
         // The gated store sits dormant in its OzQ slot until the
         // occupancy counter admits it; a full OzQ back-pressures the
         // pipeline (PreL2).
@@ -502,7 +501,7 @@ impl SyncOptiBackend {
         assert_eq!(core, self.consumer, "{q} is consumed by {}", self.consumer);
         let s = self.state.get_mut(q.index()).expect("queue planned");
         let slot = s.cons_next;
-        let addr = s.info.slot_addr(slot);
+        let addr = s.layout.slot_addr(slot);
         // Stream-cache hit: 1-cycle consume-to-use. The consume still
         // sends a background shadow access to the L2 so the occupancy
         // counters are updated (§5).
@@ -529,7 +528,7 @@ impl SyncOptiBackend {
                 // updated (§5), so line-completing consumes still emit
                 // their bulk ACK to the producer.
                 let done = slot + 1;
-                if done.is_multiple_of(u64::from(s.info.qlu)) {
+                if done.is_multiple_of(u64::from(s.layout.qlu)) {
                     self.pending_acks.push((q, done));
                 }
                 return StreamSubmit::Done {
@@ -604,7 +603,7 @@ impl SyncOptiBackend {
             let done = w.slot + 1;
             // Bulk ACK when the last item of a line is consumed; timeout
             // path ACKs eagerly to keep the tail moving.
-            if done.is_multiple_of(u64::from(s.info.qlu)) || w.early_released {
+            if done.is_multiple_of(u64::from(s.layout.qlu)) || w.early_released {
                 self.pending_acks.push((w.q, done));
             }
         }
@@ -621,10 +620,7 @@ impl SyncOptiBackend {
                     let s = self.state.get_mut(q.index()).expect("queue planned");
                     s.performed += 1;
                     s.last_perform = now;
-                    let line = addr.as_u64() / LINE_BYTES;
-                    if bump_line(&mut s.line_fill, line, s.info.qlu) {
-                        s.pending_forwards.push_back(addr.line_base(LINE_BYTES));
-                    }
+                    s.forwards.on_store(&s.layout, addr);
                 }
                 MemEvent::ForwardDone { to, line_addr, .. } if to == self.consumer => {
                     let Some((q, _)) = queue_of_addr(line_addr, &self.queues) else {
@@ -632,7 +628,7 @@ impl SyncOptiBackend {
                     };
                     let s = self.state.get_mut(q.index()).expect("queue planned");
                     let first = s.forwarded;
-                    s.forwarded += u64::from(s.info.qlu);
+                    s.forwarded += u64::from(s.layout.qlu);
                     if let Some(sc) = self.sc.as_mut() {
                         // Reverse-map the line to queue addresses and fill
                         // the stream cache with the items it carries,
@@ -640,7 +636,7 @@ impl SyncOptiBackend {
                         // early coherence path (stale entries would pin
                         // the cache full forever).
                         for slot in first.max(s.cons_next_completed)..s.forwarded {
-                            let mut v = mem.func_mem().read(s.info.slot_addr(slot));
+                            let mut v = mem.func_mem().read(s.layout.slot_addr(slot));
                             if self.checker.fire_once(Mutation::CorruptForwardValue) {
                                 v ^= 1;
                             }
@@ -681,7 +677,7 @@ impl SyncOptiBackend {
         for q in &self.queues {
             let s = self.state.get_mut(q.index()).expect("queue planned");
             while let Some(&tok) = s.waiting_produces.front() {
-                if s.prod_released - s.acked >= u64::from(s.info.depth) {
+                if s.prod_released - s.acked >= u64::from(s.layout.depth) {
                     break; // queue full (or wrap-around not yet consumed)
                 }
                 mem.release(tok, now);
@@ -714,13 +710,7 @@ impl SyncOptiBackend {
         // 5. Issue queued line forwards.
         for q in &self.queues {
             let s = self.state.get_mut(q.index()).expect("queue planned");
-            while let Some(line_addr) = s.pending_forwards.front().copied() {
-                if mem.forward_line(self.producer, self.consumer, line_addr, now) {
-                    s.pending_forwards.pop_front();
-                } else {
-                    break;
-                }
-            }
+            s.forwards.issue(mem, self.producer, self.consumer, now);
         }
 
         // 6. Refresh stall-attribution locations.
@@ -745,7 +735,7 @@ impl SyncOptiBackend {
                     if slot < s.cons_next_completed {
                         continue;
                     }
-                    let expected = mem.func_mem().read(s.info.slot_addr(slot));
+                    let expected = mem.func_mem().read(s.layout.slot_addr(slot));
                     self.checker
                         .stream_cache_entry(now, q, slot, v, expected, s.forwarded);
                 }
@@ -762,10 +752,11 @@ impl SyncOptiBackend {
             fold_bound(&mut best, now, now.next());
         }
         for s in self.state.values() {
-            if !s.pending_forwards.is_empty() {
+            if !s.forwards.queued.is_empty() {
                 fold_bound(&mut best, now, now.next());
             }
-            if !s.waiting_produces.is_empty() && s.prod_released - s.acked < u64::from(s.info.depth)
+            if !s.waiting_produces.is_empty()
+                && s.prod_released - s.acked < u64::from(s.layout.depth)
             {
                 fold_bound(&mut best, now, now.next());
             }
@@ -1190,7 +1181,7 @@ mod tests {
         assert_eq!(s.waiting_produces.len(), 3);
         // Slot addresses stride by line/QLU = 16 bytes.
         assert_eq!(
-            s.info.slot_addr(1).as_u64() - s.info.slot_addr(0).as_u64(),
+            s.layout.slot_addr(1).as_u64() - s.layout.slot_addr(0).as_u64(),
             16
         );
     }
@@ -1215,44 +1206,72 @@ mod tests {
         assert_eq!(b.location(tok), hfs_sim::stats::StallComponent::PreL2);
     }
 
-    /// The addresses the sequencer generates for a software queue's
-    /// slots are the ones the backend takes for that slot's datum and
-    /// flag: both derive from the one `queue_mem_info`.
+    /// Every memory-backed design's one layout, over two wraps: the
+    /// addresses the sequencer generates for a slot (software queues) or
+    /// the backend renames a produce to (SYNCOPTI) map back to that slot,
+    /// datum and flag share the line the forward trigger counts, and that
+    /// line completes after exactly QLU slots.
     #[test]
-    fn sequencer_and_software_backend_agree_on_every_slot() {
+    fn sequencer_and_backends_agree_on_every_slot() {
         use crate::kernel::KernelPair;
         use crate::lower::{lower, Role};
         let pair = KernelPair::simple("t", 1, 10);
         let q = QueueId(0);
-        for qlu in [1, 2, 4, 8] {
-            for design in [
-                DesignPoint::existing_with_qlu(qlu),
-                DesignPoint::memopti_with_qlu(qlu),
-            ] {
-                let lowered = lower(&pair, &design, Role::Producer).unwrap();
-                let plan = lowered.program.queue_plan(q).unwrap();
-                let layout = plan.layout.expect("software queues are addressed");
-                let b = SoftwareBackend::new(&design, &[q], CoreId(0), CoreId(1));
-                for slot in 0..plan.depth {
-                    let at = u64::from(slot);
-                    assert_eq!(b.classify(layout.data_addr(slot)), Some((q, at, false)));
-                    assert_eq!(b.classify(layout.flag_addr(slot)), Some((q, at, true)));
+        let designs = [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|qlu| {
+                [
+                    DesignPoint::existing_with_qlu(qlu),
+                    DesignPoint::memopti_with_qlu(qlu),
+                ]
+            })
+            .chain([
+                DesignPoint::syncopti(),
+                DesignPoint::syncopti_q64(),
+                DesignPoint::syncopti_sc_q64(),
+            ]);
+        for design in designs {
+            let layout = match Backend::new(&design, &[q], CoreId(0), CoreId(1)).unwrap() {
+                Backend::Software(b) => b.layout,
+                Backend::SyncOpti(b) => b.state.get(q.index()).unwrap().layout,
+                Backend::HeavyWt(_) => unreachable!("{design} has a memory layout"),
+            };
+            // The sequencer addresses a queue exactly where flags live in
+            // memory, and then through this layout.
+            let lowered = lower(&pair, &design, Role::Producer).unwrap();
+            let plan = lowered.program.queue_plan(q).unwrap().layout;
+            assert_eq!(plan, layout.flag_offset.map(|_| layout), "{design}");
+            let sw = SoftwareBackend::new(&design, &[q], CoreId(0), CoreId(1));
+            let mut trigger = ForwardTrigger::default();
+            let qlu = u64::from(layout.qlu);
+            for seq in 0..2 * u64::from(layout.depth) {
+                let slot = (seq % u64::from(layout.depth)) as u32;
+                let datum = layout.data_addr(slot);
+                assert_eq!(layout.slot_addr(seq), datum, "{design}");
+                let mut words = vec![(datum, false)];
+                if layout.flag_offset.is_some() {
+                    words.push((layout.flag_addr(slot), true));
                 }
-                assert_eq!(plan.depth, b.layout.depth, "{design}");
+                for (addr, is_flag) in words {
+                    assert_eq!(
+                        sw.classify(addr),
+                        Some((q, u64::from(slot), is_flag)),
+                        "{design}"
+                    );
+                    assert_eq!(layout.line_of(addr), layout.line_of(datum), "{design}");
+                }
+                trigger.on_store(&layout, datum);
+                // Each line holds exactly QLU slots: the QLU-th store on
+                // a line completes it.
+                let line_of_first = layout.line_of(layout.slot_addr(seq - seq % qlu));
+                assert_eq!(layout.line_of(datum), line_of_first, "{design}");
+                assert_eq!(trigger.queued.len() as u64, (seq + 1) / qlu, "{design}");
+                if (seq + 1) % qlu == 0 {
+                    assert_eq!(trigger.queued.back(), Some(&line_of_first), "{design}");
+                    let next = layout.line_of(layout.slot_addr(seq + 1));
+                    assert_ne!(next, line_of_first, "{design}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn queue_of_addr_maps_ranges() {
-        let queues = [QueueId(0), QueueId(2)];
-        let base = crate::lower::queue_base(QueueId(0));
-        assert_eq!(queue_of_addr(base, &queues), Some((QueueId(0), 0)));
-        assert_eq!(queue_of_addr(base + 24, &queues), Some((QueueId(0), 24)));
-        // Queue 1 is not in the set.
-        let q1 = crate::lower::queue_base(QueueId(1));
-        assert_eq!(queue_of_addr(q1, &queues), None);
-        // Below the queue region entirely.
-        assert_eq!(queue_of_addr(hfs_isa::Addr::new(0x1000), &queues), None);
     }
 }

@@ -69,6 +69,7 @@ impl MachineConfig {
     /// Propagates component validation failures.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mem.validate()?;
+        crate::addr_map::check_line(&self.mem)?;
         self.core.validate()?;
         self.design.validate()
     }

@@ -6,16 +6,16 @@
 
 use std::fmt;
 
-use hfs_isa::QueueId;
+use hfs_isa::{program::QueueMemLayout, QueueId};
 use hfs_sim::ConfigError;
 
-use crate::lower::{queue_base, QueueMemInfo, LINE_BYTES, QUEUE_SPAN};
+use crate::addr_map;
 
 // Upper bounds on what a backend allocates from, loops over or adds to a
 // cycle count: a spec from the wire must fail validation, not exhaust
 // memory. Each is at least 8x the largest value any committed experiment,
 // test or example uses (depth 64, transit 20, 4 ports, latency 12,
-// spill 8). Memory-backed depth is bounded by `QUEUE_SPAN` instead.
+// spill 8). Memory-backed depth is bounded by a queue's span instead.
 const MAX_QUEUE_DEPTH: u32 = 1024;
 const MAX_TRANSIT: u64 = 256;
 const MAX_SA_OPS_PER_CYCLE: u32 = 64;
@@ -305,23 +305,15 @@ impl DesignPoint {
     }
 
     /// Shared-memory layout of `q` (Figure 5), or `None` for designs with
-    /// a dedicated backing store.
-    pub fn queue_mem_info(&self, q: QueueId) -> Option<QueueMemInfo> {
-        let (qlu, stride, flag_offset) = match self.mechanism() {
-            // One 8-byte datum then its 8-byte flag per slot; QLU 8 packs
-            // eight slots per 128 B line, QLU 1 pads each slot to a full
-            // line.
-            Mechanism::Software(c) => (c.qlu, (LINE_BYTES / u64::from(c.qlu)).max(16), Some(8)),
-            Mechanism::SyncOpti(c) => (c.qlu, LINE_BYTES / u64::from(c.qlu), None),
+    /// a dedicated backing store. The design chooses the QLU and whether
+    /// flags live in memory; the address map lays the slots out.
+    pub fn queue_mem_info(&self, q: QueueId) -> Option<QueueMemLayout> {
+        let (qlu, flags) = match self.mechanism() {
+            Mechanism::Software(c) => (c.qlu, true),
+            Mechanism::SyncOpti(c) => (c.qlu, false),
             Mechanism::Dedicated(_) => return None,
         };
-        Some(QueueMemInfo {
-            depth: self.queue_depth(),
-            qlu,
-            stride,
-            flag_offset,
-            base: queue_base(q),
-        })
+        Some(addr_map::queue_layout(q, self.queue_depth(), qlu, flags))
     }
 
     /// Whether communication lowers to software spin sequences (shared
@@ -452,8 +444,8 @@ impl DesignPoint {
     ///
     /// Rejects zero depths, QLUs that do not divide the queue depth or
     /// exceed a 128-byte line of 8-byte entries, zero-rate hardware, and
-    /// any parameter above its bound (a queue that outgrows its
-    /// [`QUEUE_SPAN`] of backing store included).
+    /// any parameter above its bound (a queue that outgrows its span of
+    /// backing store included).
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self.mechanism() {
             Mechanism::Software(c) => {
@@ -503,16 +495,8 @@ impl DesignPoint {
                 "at most {MAX_SPILL_OPS} spill/fill pairs per iteration"
             )));
         }
-        // Past its span a queue's slots would alias the next queue's.
-        if self
-            .queue_mem_info(QueueId(0))
-            .is_some_and(|info| info.bytes() > QUEUE_SPAN)
-        {
-            return Err(ConfigError::new(format!(
-                "queue depth x slot stride must fit the {QUEUE_SPAN}-byte queue span"
-            )));
-        }
-        Ok(())
+        self.queue_mem_info(QueueId(0))
+            .map_or(Ok(()), |l| addr_map::check_span(&l))
     }
 }
 
@@ -688,8 +672,8 @@ mod tests {
                 "memory layout: depth x stride, flag offset",
                 |d| {
                     d.queue_mem_info(QueueId(0)).map_or("none".into(), |i| {
-                        assert_eq!(i.base, queue_base(QueueId(0)));
-                        assert_eq!(u64::from(i.qlu) * i.stride, LINE_BYTES, "{d}");
+                        assert_eq!(i.base, addr_map::queue_base(QueueId(0)));
+                        assert_eq!(u64::from(i.qlu) * i.stride, addr_map::LINE_BYTES, "{d}");
                         format!("{}x{} {:?}", i.depth, i.stride, i.flag_offset)
                     })
                 },

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use hfs_isa::QueueId;
 use hfs_sim::ConfigError;
 
-use crate::lower::ARCH_QUEUES;
+use crate::addr_map::ARCH_QUEUES;
 
 // Upper bounds on what lowering and running a kernel allocate: a spec from
 // the wire must fail validation, not exhaust memory. Each is 8x or more

@@ -45,6 +45,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod addr_map;
 pub mod analytic;
 mod backend;
 mod config;

@@ -11,37 +11,22 @@
 //! * produce/consume designs (SYNCOPTI/HEAVYWT) lower each communication
 //!   to a single ISA instruction (§3.1.2).
 //!
-//! Lowering also fixes the machine's address map: thread-private work
-//! regions and each queue's span of the shared backing store. How a
-//! design lays a queue out within its span (Figure 5) is the design's to
-//! say: [`DesignPoint::queue_mem_info`].
+//! Where each thread's regions and each queue's slots live is the
+//! address map's to say ([`crate::addr_map`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use hfs_isa::program::QueueMemLayout;
 use hfs_isa::{
     Addr, AddrPattern, InstrKind, InstrTemplate, Op, Program, ProgramBuilder, QueueId, QueuePlan,
-    QueueRole, RegionId, StoreValue,
+    RegionId, StoreValue,
 };
 use hfs_sim::ConfigError;
 
+use crate::addr_map::{Window, SPILL_BYTES};
+pub use crate::addr_map::{ARCH_QUEUES, LINE_BYTES, QUEUE_BASE};
 use crate::design::DesignPoint;
 use crate::kernel::{KStep, KernelPair};
-
-/// Base address of producer-thread work regions.
-pub const PRODUCER_WORK_BASE: u64 = 0x1000_0000;
-/// Base address of consumer-thread work regions.
-pub const CONSUMER_WORK_BASE: u64 = 0x2000_0000;
-/// Base address of the shared queue backing store.
-pub const QUEUE_BASE: u64 = 0x4000_0000;
-/// Bytes reserved per queue in the backing store (keeps queues on
-/// distinct pages so they never falsely share lines).
-pub const QUEUE_SPAN: u64 = 8192;
-/// Architectural queues provided by the machine (§4.3: 64 queues).
-pub const ARCH_QUEUES: u64 = 64;
-/// Cache line size of the backing store (Table 2's L2/L3 lines).
-pub const LINE_BYTES: u64 = 128;
 
 /// Which thread of the pipeline is being lowered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,53 +35,6 @@ pub enum Role {
     Producer,
     /// The downstream thread.
     Consumer,
-}
-
-/// Shared-memory geometry of one queue under a design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueMemInfo {
-    /// Queue depth in entries.
-    pub depth: u32,
-    /// Entries per cache line.
-    pub qlu: u32,
-    /// Byte distance between slots.
-    pub stride: u64,
-    /// Offset of a slot's full/empty flag from its datum, for designs
-    /// that synchronize through flags in memory (software queues).
-    pub flag_offset: Option<u64>,
-    /// Base address of slot 0.
-    pub base: Addr,
-}
-
-impl QueueMemInfo {
-    /// Address of the data word of `slot` (not wrapped).
-    pub fn slot_addr(&self, slot: u64) -> Addr {
-        self.base + (slot % u64::from(self.depth)) * self.stride
-    }
-
-    /// Line base address containing `slot`.
-    pub fn line_of_slot(&self, slot: u64) -> Addr {
-        self.slot_addr(slot).line_base(LINE_BYTES)
-    }
-
-    /// Total backing bytes for the queue.
-    pub fn bytes(&self) -> u64 {
-        u64::from(self.depth) * self.stride
-    }
-
-    /// The slot that byte `off` of the queue's backing store belongs to,
-    /// and whether `off` is that slot's flag rather than its datum.
-    pub(crate) fn slot_of_offset(&self, off: u64) -> (u64, bool) {
-        (
-            off / self.stride,
-            self.flag_offset == Some(off % self.stride),
-        )
-    }
-}
-
-/// Base address of queue `q`'s backing store.
-pub fn queue_base(q: QueueId) -> Addr {
-    Addr::new(QUEUE_BASE + u64::from(q.0) * QUEUE_SPAN)
 }
 
 /// A lowered program plus the region base addresses its sequencer needs.
@@ -117,9 +55,8 @@ pub fn lower(pair: &KernelPair, design: &DesignPoint, role: Role) -> Result<Lowe
     lower_at(pair, design, role, 0)
 }
 
-/// Like [`lower`], but offsets the thread's work regions by
-/// `pair_index` x 64 MiB so the threads of independent pipelines on a
-/// larger CMP never alias each other's private data.
+/// Like [`lower`], but for the pipeline `pair_index` of a larger CMP,
+/// whose threads' work regions lie in windows of their own.
 pub fn lower_at(
     pair: &KernelPair,
     design: &DesignPoint,
@@ -132,43 +69,17 @@ pub fn lower_at(
         Role::Producer => &pair.producer,
         Role::Consumer => &pair.consumer,
     };
-    let work_base = match role {
-        Role::Producer => PRODUCER_WORK_BASE,
-        Role::Consumer => CONSUMER_WORK_BASE,
-    } + u64::from(pair_index) * 0x0400_0000;
+    let window = Window::of(role, pair_index);
     let mut b = ProgramBuilder::new(pair.iterations);
     let mut bases = HashMap::new();
-    let mut region_ids = Vec::new();
-    let mut next = work_base;
-    for r in &kernel.regions {
-        let id = b.declare_region(r.name.clone(), r.bytes);
-        bases.insert(id, Addr::new(next));
-        // Page-align successive regions.
-        next += r.bytes.div_ceil(4096) * 4096 + 4096;
-        region_ids.push(id);
-    }
-    // Plan every queue this thread touches.
+    let region_ids = window.place(&mut b, &kernel.regions, &mut bases)?;
+    // Plan every queue this thread touches. The sequencer addresses a
+    // queue's slots only where flags live in memory; a produce/consume
+    // instruction leaves addressing to the backend.
     let (prods, cons) = kernel.queue_uses();
-    for (qs, qrole) in [(prods, QueueRole::Produce), (cons, QueueRole::Consume)] {
-        for q in qs {
-            // The sequencer generates queue addresses only where flags
-            // live in memory; a produce/consume instruction leaves
-            // addressing to the backend.
-            let layout = design
-                .queue_mem_info(q)
-                .filter(|info| info.flag_offset.is_some())
-                .map(|info| QueueMemLayout {
-                    base: info.base,
-                    slot_stride: info.stride,
-                    flag_offset: info.flag_offset,
-                });
-            b.plan_queue(QueuePlan {
-                q,
-                role: qrole,
-                depth: design.queue_depth(),
-                layout,
-            });
-        }
+    for q in prods.into_iter().chain(cons) {
+        let layout = design.queue_mem_info(q).filter(|l| l.flag_offset.is_some());
+        b.plan_queue(QueuePlan { q, layout });
     }
     lower_steps(&mut b, &kernel.steps, design.is_software(), &region_ids);
     // Register-mapped queues split the register space; loops with many
@@ -178,8 +89,8 @@ pub fn lower_at(
         // One shared name: lowering allocates nothing for it.
         static SPILL_NAME: OnceLock<Arc<str>> = OnceLock::new();
         let name = SPILL_NAME.get_or_init(|| "regmapped_spill".into());
-        let spill_region = b.declare_region(Arc::clone(name), 1024);
-        bases.insert(spill_region, Addr::new(work_base + 0x0800_0000));
+        let spill_region = b.declare_region(Arc::clone(name), SPILL_BYTES);
+        bases.insert(spill_region, window.spill_slot());
         for _ in 0..spills {
             b.store_stream(spill_region, 8);
             b.load_stream(spill_region, 8);
@@ -204,27 +115,14 @@ pub fn lower_fused(pair: &KernelPair) -> Result<Lowered, ConfigError> {
     pair.validate()?;
     let mut b = ProgramBuilder::new(pair.iterations);
     let mut bases = HashMap::new();
-    let mut prod_ids = Vec::new();
-    let mut next = PRODUCER_WORK_BASE;
-    for r in &pair.producer.regions {
-        let id = b.declare_region(r.name.clone(), r.bytes);
-        bases.insert(id, Addr::new(next));
-        next += r.bytes.div_ceil(4096) * 4096 + 4096;
-        prod_ids.push(id);
+    for (role, kernel) in [
+        (Role::Producer, &pair.producer),
+        (Role::Consumer, &pair.consumer),
+    ] {
+        let ids = Window::of(role, 0).place(&mut b, &kernel.regions, &mut bases)?;
+        // No communication step remains for `software` to choose a lowering of.
+        lower_steps(&mut b, &strip_comm(&kernel.steps), false, &ids);
     }
-    let mut cons_ids = Vec::new();
-    let mut next = CONSUMER_WORK_BASE;
-    for r in &pair.consumer.regions {
-        let id = b.declare_region(r.name.clone(), r.bytes);
-        bases.insert(id, Addr::new(next));
-        next += r.bytes.div_ceil(4096) * 4096 + 4096;
-        cons_ids.push(id);
-    }
-    let stripped_p = strip_comm(&pair.producer.steps);
-    let stripped_c = strip_comm(&pair.consumer.steps);
-    // No communication step remains for `software` to choose a lowering of.
-    lower_steps(&mut b, &stripped_p, false, &prod_ids);
-    lower_steps(&mut b, &stripped_c, false, &cons_ids);
     let program = b.build();
     program.validate()?;
     Ok(Lowered {
@@ -369,30 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn software_layout_places_eight_slots_per_line() {
-        let info = DesignPoint::existing().queue_mem_info(QueueId(2)).unwrap();
-        assert_eq!(info.qlu, 8);
-        assert_eq!(info.stride, 16);
-        assert_eq!(info.base, Addr::new(QUEUE_BASE + 2 * QUEUE_SPAN));
-        // 8 slots x 16 B = one 128 B line.
-        assert_eq!(info.line_of_slot(0), info.line_of_slot(7));
-        assert_ne!(info.line_of_slot(7), info.line_of_slot(8));
-    }
-
-    #[test]
-    fn syncopti_q64_layout_packs_sixteen_per_line() {
-        let info = DesignPoint::syncopti_q64()
-            .queue_mem_info(QueueId(0))
-            .unwrap();
-        assert_eq!(info.qlu, 16);
-        assert_eq!(info.stride, 8);
-        assert_eq!(info.depth, 64);
-        assert_eq!(info.bytes(), 512);
-        assert_eq!(info.line_of_slot(0), info.line_of_slot(15));
-        assert_ne!(info.line_of_slot(15), info.line_of_slot(16));
-    }
-
-    #[test]
     fn heavywt_has_no_memory_layout() {
         assert!(DesignPoint::heavywt().queue_mem_info(QueueId(0)).is_none());
     }
@@ -412,8 +286,7 @@ mod tests {
         let low = lower(&pair, &DesignPoint::heavywt(), Role::Consumer).unwrap();
         // consume(1) + 5 ALU + branch = 7.
         assert_eq!(low.program.static_instrs_per_iteration(), 7);
-        let plan = low.program.queue_plan(QueueId(0)).unwrap();
-        assert_eq!(plan.role, QueueRole::Consume);
+        assert!(low.program.queue_plan(QueueId(0)).is_some());
     }
 
     #[test]

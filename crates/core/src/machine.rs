@@ -11,10 +11,11 @@ use hfs_sim::stats::StallComponent;
 use hfs_sim::{CancelToken, ConfigError, Cycle};
 use hfs_trace::{MetricsReport, Tracer};
 
+use crate::addr_map;
 use crate::backend::Backend;
 use crate::config::MachineConfig;
 use crate::kernel::KernelPair;
-use crate::lower::{lower_at, lower_fused, Role, ARCH_QUEUES, QUEUE_BASE, QUEUE_SPAN};
+use crate::lower::{lower_at, lower_fused, Role};
 
 /// Cycles between deadlock-detector sweeps. Progress timestamps are
 /// tracked exactly (per core), so striding the sweep changes only when a
@@ -29,7 +30,7 @@ const MAX_PIPELINES: usize = MAX_CORES / 2;
 
 /// The share of the architectural queues each pipeline maps its queue
 /// ids into.
-const QUEUES_PER_PIPELINE: usize = ARCH_QUEUES as usize / MAX_PIPELINES;
+const QUEUES_PER_PIPELINE: usize = addr_map::ARCH_QUEUES as usize / MAX_PIPELINES;
 
 /// Retained only because `benchmark/`, which the change that retired the
 /// event-driven loop could not touch, still names both variants; the next
@@ -272,7 +273,7 @@ impl Machine {
             )?);
         }
         let mut mem = MemSystem::new(cfg.mem.clone())?;
-        mem.set_streaming_range(QUEUE_BASE, QUEUE_BASE + ARCH_QUEUES * QUEUE_SPAN);
+        mem.set_streaming_range(addr_map::STREAMING.start, addr_map::STREAMING.end);
         Ok(Self::assemble(cfg, mem, cores, seqs, backends))
     }
 

@@ -8,8 +8,8 @@
 //! switch (the hidden cost that §3.4.2/§3.5.2 charge against dedicated
 //! designs).
 
+use crate::addr_map::ARCH_QUEUES;
 use crate::design::{DesignPoint, Mechanism};
-use crate::lower::ARCH_QUEUES;
 
 /// Queue datum size in bytes.
 const ENTRY_BYTES: u64 = 8;

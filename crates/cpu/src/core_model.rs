@@ -661,17 +661,17 @@ mod tests {
     #[test]
     fn spin_resolves_from_loaded_flag_and_counts_comm() {
         use hfs_isa::program::QueueMemLayout;
-        use hfs_isa::{QueueId, QueuePlan, QueueRole};
+        use hfs_isa::{QueueId, QueuePlan};
         let layout = QueueMemLayout {
             base: Addr::new(0x200000),
-            slot_stride: 16,
+            depth: 8,
+            qlu: 8,
+            stride: 16,
             flag_offset: Some(8),
         };
         let mut b = ProgramBuilder::new(4);
         b.plan_queue(QueuePlan {
             q: QueueId(0),
-            role: QueueRole::Consume,
-            depth: 8,
             layout: Some(layout),
         });
         b.alu_work(3)
@@ -707,7 +707,7 @@ mod tests {
 
     #[test]
     fn free_queue_ops_do_not_consume_issue_slots() {
-        use hfs_isa::{QueueId, QueuePlan, QueueRole};
+        use hfs_isa::{QueueId, QueuePlan};
         // 6 ALU + 2 produces per iteration: at 6-wide issue this takes
         // 2 cycles per iteration normally, 1 with register-mapped
         // (folded) queue operations.
@@ -715,8 +715,6 @@ mod tests {
             let mut b = ProgramBuilder::new(200);
             b.plan_queue(QueuePlan {
                 q: QueueId(0),
-                role: QueueRole::Produce,
-                depth: 32,
                 layout: None,
             });
             b.alu_work(6).produce(QueueId(0)).produce(QueueId(0));

@@ -43,13 +43,6 @@ impl Addr {
         debug_assert!(line_bytes.is_power_of_two());
         self.0 >> line_bytes.trailing_zeros()
     }
-
-    /// Address of the first byte of this address's cache line.
-    #[inline]
-    #[must_use]
-    pub fn line_base(self, line_bytes: u64) -> Addr {
-        Addr(self.0 & !(line_bytes - 1))
-    }
 }
 
 impl Add<u64> for Addr {
@@ -138,7 +131,6 @@ mod tests {
         let a = Addr::new(0x100);
         assert_eq!((a + 0x28).as_u64(), 0x128);
         assert_eq!(a.line(64), 4);
-        assert_eq!(Addr::new(0x17f).line_base(128), Addr::new(0x100));
     }
 
     #[test]

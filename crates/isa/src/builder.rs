@@ -71,7 +71,7 @@ impl ProgramBuilder {
         id
     }
 
-    /// Registers a queue plan (role, depth, memory layout).
+    /// Registers a queue plan.
     pub fn plan_queue(&mut self, plan: QueuePlan) -> &mut Self {
         self.queues.push(plan);
         self
@@ -311,7 +311,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{QueueMemLayout, QueueRole};
+    use crate::program::QueueMemLayout;
     use crate::Addr;
 
     #[test]
@@ -343,8 +343,6 @@ mod tests {
         assert!(b.build().validate().is_err());
         b.plan_queue(QueuePlan {
             q: QueueId(0),
-            role: QueueRole::Produce,
-            depth: 32,
             layout: None,
         });
         assert!(b.build().validate().is_ok());
@@ -355,11 +353,11 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         b.plan_queue(QueuePlan {
             q: QueueId(1),
-            role: QueueRole::Consume,
-            depth: 8,
             layout: Some(QueueMemLayout {
                 base: Addr::new(0x4000),
-                slot_stride: 16,
+                depth: 8,
+                qlu: 8,
+                stride: 16,
                 flag_offset: Some(8),
             }),
         });

@@ -36,5 +36,5 @@ pub use addr::{Addr, AddrPattern, Region};
 pub use builder::ProgramBuilder;
 pub use ids::{CoreId, QueueId, Reg, RegionId};
 pub use instr::{DynInstr, DynOp, FuClass, InstrKind, InstrTemplate, Op, StoreValue};
-pub use program::{Program, QueuePlan, QueueRole, Step};
+pub use program::{Program, QueuePlan, Step};
 pub use seq::{Sequencer, SpinToken, SPIN_REG};

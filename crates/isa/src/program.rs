@@ -6,51 +6,50 @@ use crate::addr::{Addr, Region};
 use crate::ids::{QueueId, RegionId};
 use crate::instr::InstrTemplate;
 
-/// The executing thread's relationship to a queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueRole {
-    /// This thread writes (produces into) the queue.
-    Produce,
-    /// This thread reads (consumes from) the queue.
-    Consume,
-}
-
-/// Everything a thread needs to know about one stream queue it touches:
-/// its role, the queue geometry, and — for shared-memory backing stores —
-/// the memory layout of Figure 5 (queue layout unit, slot stride, flag
-/// placement).
+/// A stream queue the thread touches and, where the program addresses
+/// its slots itself, their memory layout (Figure 5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuePlan {
     /// The queue.
     pub q: QueueId,
-    /// Whether this thread produces into or consumes from it.
-    pub role: QueueRole,
-    /// Queue depth in entries.
-    pub depth: u32,
-    /// Memory layout, for designs that back queues with shared memory.
-    /// `None` for designs with dedicated backing stores (`produce` /
-    /// `consume` never touch the memory address space there).
+    /// Memory layout, for programs that address the queue's slots
+    /// themselves. `None` where `produce` / `consume` leave addressing to
+    /// the streaming hardware.
     pub layout: Option<QueueMemLayout>,
 }
 
-/// Shared-memory layout of a queue (Figure 5 of the paper).
+/// The line queue slots are packed onto (Table 2's L2/L3 line).
+pub const LINE_BYTES: u64 = 128;
+
+/// Shared-memory layout of a queue (Figure 5 of the paper): `depth` slots
+/// of `stride` bytes from `base`, `qlu` of them to a line. This is the one
+/// place a slot becomes an address, an offset a slot, and an address a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueMemLayout {
-    /// Base address of slot 0, assigned by the machine loader.
+    /// Base address of slot 0.
     pub base: Addr,
-    /// Byte distance between consecutive slots (`line / qlu` for data-only
-    /// layouts, or data+flag pair size for software queues).
-    pub slot_stride: u64,
-    /// Offset of the full/empty flag within a slot, when the design keeps
-    /// flags in memory (software queues). `None` for SYNCOPTI-style
+    /// Queue depth in slots.
+    pub depth: u32,
+    /// Queue layout unit: slots per line.
+    pub qlu: u32,
+    /// Byte distance between consecutive slots.
+    pub stride: u64,
+    /// Offset of a slot's full/empty flag from its datum, when the design
+    /// keeps flags in memory (software queues). `None` for SYNCOPTI-style
     /// counter-synchronized designs.
     pub flag_offset: Option<u64>,
 }
 
 impl QueueMemLayout {
-    /// Address of the data word of `slot`.
+    /// Address of the datum of `slot` (`slot < depth`).
     pub fn data_addr(&self, slot: u32) -> Addr {
-        self.base + u64::from(slot) * self.slot_stride
+        self.base + u64::from(slot) * self.stride
+    }
+
+    /// Address of the datum the `seq`-th item since the start lands in.
+    #[inline]
+    pub fn slot_addr(&self, seq: u64) -> Addr {
+        self.base + (seq % u64::from(self.depth)) * self.stride
     }
 
     /// Address of the flag of `slot`.
@@ -63,6 +62,20 @@ impl QueueMemLayout {
             .flag_offset
             .expect("flag_addr on a layout without in-memory flags");
         self.data_addr(slot) + off
+    }
+
+    /// The slot that byte `off` of the queue's backing store belongs to,
+    /// and whether `off` is that slot's flag rather than its datum.
+    #[inline]
+    pub fn slot_of_offset(&self, off: u64) -> (u64, bool) {
+        let (slot, word) = (off / self.stride, off % self.stride);
+        (slot, self.flag_offset == Some(word))
+    }
+
+    /// The line holding the slot word at `addr`.
+    #[inline]
+    pub fn line_of(&self, addr: Addr) -> Addr {
+        Addr::new(addr.as_u64() & !(LINE_BYTES - 1))
     }
 }
 
@@ -99,7 +112,7 @@ pub enum Step {
 pub struct Program {
     /// Memory regions the program references.
     pub regions: Vec<Region>,
-    /// Queues the program touches, with roles and layouts.
+    /// Queues the program touches, with their layouts.
     pub queues: Vec<QueuePlan>,
     /// Outer-loop body.
     pub body: Vec<Step>,
@@ -132,7 +145,7 @@ impl Program {
         }
         let mut qseen = std::collections::HashSet::new();
         for qp in &self.queues {
-            if qp.depth == 0 {
+            if qp.layout.is_some_and(|l| l.depth == 0) {
                 return Err(ConfigError::new(format!("queue {} has zero depth", qp.q)));
             }
             if !qseen.insert(qp.q) {
@@ -148,11 +161,7 @@ impl Program {
         }
         for s in steps {
             match s {
-                Step::Spin { q, .. } | Step::AdvanceQueue(q) => {
-                    self.queue_plan(*q).ok_or_else(|| {
-                        ConfigError::new(format!("step references unplanned queue {q}"))
-                    })?;
-                }
+                Step::Spin { q, .. } | Step::AdvanceQueue(q) => self.addressed(*q)?,
                 Step::Instr(t) => self.validate_instr(t)?,
                 Step::Loop { body, count } => {
                     if *count == 0 {
@@ -187,18 +196,22 @@ impl Program {
                 })?;
             }
             Some(AddrPattern::QueueData { q }) | Some(AddrPattern::QueueFlag { q }) => {
-                let plan = self.queue_plan(q).ok_or_else(|| {
-                    ConfigError::new(format!("instruction references unplanned queue {q}"))
-                })?;
-                if plan.layout.is_none() {
-                    return Err(ConfigError::new(format!(
-                        "queue-memory access to {q}, which has no memory layout"
-                    )));
-                }
+                self.addressed(q)?
             }
             None => {}
         }
         Ok(())
+    }
+
+    /// Checks that the program may address `q`'s slots: `q` is planned
+    /// with a memory layout.
+    fn addressed(&self, q: QueueId) -> Result<(), ConfigError> {
+        let why = match self.queue_plan(q).map(|p| p.layout.is_some()) {
+            Some(true) => return Ok(()),
+            Some(false) => format!("queue-memory access to {q}, which has no memory layout"),
+            None => format!("program references unplanned queue {q}"),
+        };
+        Err(ConfigError::new(why))
     }
 
     /// Looks up the plan for a queue.
@@ -242,11 +255,11 @@ mod tests {
             regions: vec![Region::new(RegionId(0), "a", 1024)],
             queues: vec![QueuePlan {
                 q: QueueId(0),
-                role: QueueRole::Produce,
-                depth: 32,
                 layout: Some(QueueMemLayout {
                     base: Addr::new(0x1000),
-                    slot_stride: 16,
+                    depth: 32,
+                    qlu: 8,
+                    stride: 16,
                     flag_offset: Some(8),
                 }),
             }],
@@ -300,6 +313,10 @@ mod tests {
         let mut p = simple_program();
         p.queues[0].layout = None;
         assert!(p.validate().is_err());
+        // A spin or slot advance alone addresses the queue too.
+        p.body.retain(|s| !matches!(s, Step::Instr(_)));
+        p.body.truncate(1);
+        assert!(p.validate().is_err());
     }
 
     #[test]
@@ -313,12 +330,17 @@ mod tests {
     fn layout_addresses() {
         let l = QueueMemLayout {
             base: Addr::new(0x2000),
-            slot_stride: 16,
+            depth: 32,
+            qlu: 8,
+            stride: 16,
             flag_offset: Some(8),
         };
         assert_eq!(l.data_addr(0), Addr::new(0x2000));
         assert_eq!(l.data_addr(3), Addr::new(0x2030));
+        assert_eq!(l.slot_addr(35), Addr::new(0x2030));
         assert_eq!(l.flag_addr(3), Addr::new(0x2038));
+        assert_eq!(l.slot_of_offset(0x38), (3, true));
+        assert_eq!(l.line_of(Addr::new(0x20f8)), Addr::new(0x2080));
     }
 
     #[test]

@@ -38,7 +38,6 @@ enum CStep {
 #[derive(Debug)]
 struct QueueState {
     layout: Option<QueueMemLayout>,
-    depth: u32,
     /// Thread-local head/tail slot index.
     slot: u32,
     /// Produce payload counter.
@@ -134,7 +133,6 @@ impl Sequencer {
         for qp in &program.queues {
             let state = QueueState {
                 layout: qp.layout,
-                depth: qp.depth,
                 slot: 0,
                 payload: 0,
             };
@@ -317,7 +315,7 @@ impl Sequencer {
                     self.pc += 1;
                     let qs = self.queue_mut(q);
                     // `slot < depth`, so this is `(slot + 1) % depth`.
-                    qs.slot = if qs.slot + 1 == qs.depth {
+                    qs.slot = if qs.slot + 1 == qs.layout().depth {
                         0
                     } else {
                         qs.slot + 1
@@ -475,7 +473,7 @@ fn compile(steps: &[Step], out: &mut Vec<CStep>, sites: &mut usize) {
 mod tests {
     use super::*;
     use crate::addr::Region;
-    use crate::program::{QueuePlan, QueueRole};
+    use crate::program::QueuePlan;
 
     fn alu(kind: InstrKind) -> Step {
         Step::Instr(InstrTemplate::new(Op::IntAlu, kind))
@@ -564,11 +562,11 @@ mod tests {
             regions: vec![],
             queues: vec![QueuePlan {
                 q: QueueId(0),
-                role: QueueRole::Produce,
-                depth: 4,
                 layout: Some(QueueMemLayout {
                     base: Addr::new(0x8000),
-                    slot_stride: 16,
+                    depth: 4,
+                    qlu: 8,
+                    stride: 16,
                     flag_offset: Some(8),
                 }),
             }],
@@ -659,8 +657,6 @@ mod tests {
             regions: vec![],
             queues: vec![QueuePlan {
                 q: QueueId(3),
-                role: QueueRole::Produce,
-                depth: 8,
                 layout: None,
             }],
             body: vec![Step::Instr(InstrTemplate::new(
@@ -749,11 +745,11 @@ mod tests {
             .zip(0u64..)
             .map(|(&q, i)| QueuePlan {
                 q: QueueId(q),
-                role: QueueRole::Produce,
-                depth: 2 + i as u32,
                 layout: Some(QueueMemLayout {
                     base: Addr::new(0x4000_0000 + i * 0x1_0000),
-                    slot_stride: 16,
+                    depth: 2 + i as u32,
+                    qlu: 8,
+                    stride: 16,
                     flag_offset: Some(8),
                 }),
             })

@@ -157,11 +157,6 @@ impl CacheArray {
         })
     }
 
-    /// The configured geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
     fn set_index(&self, line: u64) -> usize {
         let sets = self.sets.len() as u64;
         if sets.is_power_of_two() {

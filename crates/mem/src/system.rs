@@ -1521,7 +1521,7 @@ mod tests {
             _ => panic!(),
         };
         let (end, _) = run_until_complete(&mut m, CoreId(0), t0, 0, 600);
-        assert!(m.forward_line(CoreId(0), CoreId(1), a.line_base(128), Cycle::new(end + 1)));
+        assert!(m.forward_line(CoreId(0), CoreId(1), a, Cycle::new(end + 1)));
         let mut done_at = None;
         for t in end + 1..end + 600 {
             m.tick(Cycle::new(t));

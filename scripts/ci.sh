@@ -89,6 +89,17 @@ for f in crates/bench/src/experiments/*.rs; do
     fi
 done
 
+echo "==> one address map (only the map module and the queue layout place a window, a queue or a line)"
+# Product code as above, in hfs-core and hfs-isa. Allowed: addr_map.rs,
+# the layout type's file (isa's program.rs) and lower.rs's re-export line.
+for f in crates/core/src/*.rs crates/isa/src/*.rs; do
+    case "$f" in crates/core/src/addr_map.rs | crates/isa/src/program.rs) continue ;; esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'QUEUE_BASE|QUEUE_SPAN|LINE_BYTES|WORK_BASE|line_base\(' \
+        | grep -vF ':pub use crate::addr_map::{ARCH_QUEUES, LINE_BYTES, QUEUE_BASE};' | sed "s|^|$f:|" | grep .; then
+        echo "address arithmetic outside crates/core/src/addr_map.rs and the queue layout"; exit 1
+    fi
+done
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).

@@ -190,9 +190,21 @@ fn an_oversized_design_fails_the_job_not_the_process() {
         assert!(cfg.validate().and(pair.validate()).is_ok(), "{max}");
         over.push(edited(edit, max + 1));
     }
-    let huge: [Edit; 6] = [
+    let huge: [Edit; 8] = [
         |_, p, _| p.producer.steps[0] = KStep::Alu(u32::MAX),
         |c, _, _| c.mem.l2 = CacheGeometry::new(1 << 40, 8, 128),
+        // Valid caches, but queue slots are laid out on 128-byte lines.
+        |c, _, _| {
+            c.mem.l2 = CacheGeometry::new(256 * 1024, 8, 64);
+            c.mem.l3 = CacheGeometry::new(1536 * 1024, 12, 64);
+        },
+        // Past its window a thread's data runs into other threads' and,
+        // from the thirteenth region on, into the queue store.
+        |_, p, _| {
+            for _ in 0..13 {
+                p.producer.add_region("r", MAX_REGION_BYTES);
+            }
+        },
         |c, _, _| c.mem.l1d = CacheGeometry::new(MAX_LINE_BYTES * 8, 4, MAX_LINE_BYTES * 2),
         |_, p, _| p.producer.steps.push(KStep::LoadRandom { region: 0 }),
         // A produce no consumer matches would fail anyway; the queue id
