@@ -68,6 +68,18 @@ pub(crate) fn check_span(layout: &QueueMemLayout) -> Result<(), ConfigError> {
     Ok(())
 }
 
+/// Refuses a layout whose slots do not tile a line: the forward trigger
+/// counts `qlu` stores to a line, so a line must hold exactly `qlu`
+/// slots, none straddling the next.
+pub(crate) fn check_tiling(layout: &QueueMemLayout) -> Result<(), ConfigError> {
+    if u64::from(layout.qlu) * layout.stride != LINE_BYTES {
+        return Err(ConfigError::new(format!(
+            "QLU must tile a {LINE_BYTES}-byte line: 1, 2, 4, 8 or 16"
+        )));
+    }
+    Ok(())
+}
+
 /// Refuses L2 (so L3) lines other than the one queue slots are laid out on.
 pub(crate) fn check_line(mem: &MemConfig) -> Result<(), ConfigError> {
     if mem.l2.line_bytes != LINE_BYTES {

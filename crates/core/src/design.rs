@@ -443,7 +443,7 @@ impl DesignPoint {
     /// # Errors
     ///
     /// Rejects zero depths, QLUs that do not divide the queue depth or
-    /// exceed a 128-byte line of 8-byte entries, zero-rate hardware, and
+    /// do not tile a 128-byte line of 8-byte entries, zero-rate hardware, and
     /// any parameter above its bound (a queue that outgrows its span of
     /// backing store included).
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -495,8 +495,9 @@ impl DesignPoint {
                 "at most {MAX_SPILL_OPS} spill/fill pairs per iteration"
             )));
         }
-        self.queue_mem_info(QueueId(0))
-            .map_or(Ok(()), |l| addr_map::check_span(&l))
+        self.queue_mem_info(QueueId(0)).map_or(Ok(()), |l| {
+            addr_map::check_tiling(&l).and_then(|()| addr_map::check_span(&l))
+        })
     }
 }
 

@@ -213,7 +213,8 @@ impl HotCache {
         let entry = Arc::clone(&slot.entry);
         let new_tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let old_tick = std::mem::replace(&mut slot.tick, new_tick);
-        // The key string moves to its new tick: a hit allocates nothing.
+        // The key string moves to its new tick, so a hit allocates at
+        // most one LRU tree node (when the newest leaf splits).
         let owned = shard.lru.remove(&old_tick).expect("every slot has a tick");
         shard.lru.insert(new_tick, owned);
         drop(guard);

@@ -33,7 +33,6 @@ pub mod cache;
 pub mod engine;
 pub mod hotcache;
 pub mod job;
-pub mod json;
 mod key;
 pub mod ser;
 pub mod spec;
@@ -42,7 +41,7 @@ pub use cache::Cache;
 pub use engine::{
     log_job_done, resolve, Batch, Engine, EngineStats, ExecEnv, Lifecycle, Record, Resolved,
 };
-pub use hfs_sim::{env_flag, env_path};
+pub use hfs_sim::{env_flag, env_path, json};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
     execute, execute_cancellable, execute_once, execute_once_with, is_cache_key, Job, JobOutcome,

@@ -12,7 +12,8 @@
 //! created (monotonic clock, never wall time), `component` names the
 //! subsystem (`serve`, `harness`, `client`, `net`, …) and `event` is a
 //! stable machine-matchable tag. Additional fields are typed via
-//! [`Value`]. The whole line is emitted with a single `write_all`, so
+//! [`Value`]. The line is written through [`hfs_sim::json::Writer`] into
+//! a buffer the logger keeps, and emitted with a single `write_all`, so
 //! lines from concurrent threads never interleave.
 //!
 //! The process logger ([`logger`]) is configured once from the
@@ -26,6 +27,8 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use hfs_sim::json::{Sink as _, Writer};
 
 /// Level environment variable (`HFS_LOG=error|warn|info|debug`).
 pub const ENV_LOG: &str = "HFS_LOG";
@@ -82,10 +85,6 @@ pub enum Value {
     Str(String),
     /// An unsigned integer field.
     U64(u64),
-    /// A signed integer field.
-    I64(i64),
-    /// A float field (emitted with up to 3 decimal places).
-    F64(f64),
     /// A boolean field.
     Bool(bool),
 }
@@ -114,66 +113,9 @@ impl From<usize> for Value {
     }
 }
 
-impl From<u32> for Value {
-    fn from(v: u32) -> Value {
-        Value::U64(u64::from(v))
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::I64(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::F64(v)
-    }
-}
-
 impl From<bool> for Value {
     fn from(v: bool) -> Value {
         Value::Bool(v)
-    }
-}
-
-/// Appends `s` to `out` as a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn value_into(out: &mut String, v: &Value) {
-    match v {
-        Value::Str(s) => escape_into(out, s),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::F64(f) => {
-            if f.is_finite() {
-                // Up to 3 decimals, trailing zeros trimmed, never "1." —
-                // keeps lines compact and valid JSON.
-                let s = format!("{f:.3}");
-                let s = s.trim_end_matches('0').trim_end_matches('.');
-                out.push_str(if s.is_empty() { "0" } else { s });
-            } else {
-                out.push_str("null");
-            }
-        }
     }
 }
 
@@ -208,6 +150,9 @@ impl Write for BufferSink {
 struct Sink {
     seq: u64,
     writer: Box<dyn Write + Send>,
+    /// The line being written, kept so a record allocates nothing once
+    /// the buffer has grown to the longest line.
+    line: String,
 }
 
 /// A leveled JSON-lines logger. See the [module docs](self) for the
@@ -225,7 +170,11 @@ impl Logger {
         Logger {
             level,
             epoch: Instant::now(),
-            sink: Mutex::new(Sink { seq: 0, writer }),
+            sink: Mutex::new(Sink {
+                seq: 0,
+                writer,
+                line: String::new(),
+            }),
             dropped: AtomicU64::new(0),
         }
     }
@@ -248,11 +197,6 @@ impl Logger {
         Logger::with_sink(level, writer)
     }
 
-    /// The configured level.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-
     /// Whether records at `level` would be emitted.
     pub fn enabled(&self, level: Level) -> bool {
         level <= self.level
@@ -271,32 +215,31 @@ impl Logger {
         if !self.enabled(level) {
             return;
         }
-        // Build everything but `seq` outside the lock.
         let ts_ms = self.epoch.elapsed().as_millis() as u64;
-        let mut tail = String::with_capacity(96);
-        tail.push_str(",\"ts_ms\":");
-        tail.push_str(&ts_ms.to_string());
-        tail.push_str(",\"level\":\"");
-        tail.push_str(level.name());
-        tail.push_str("\",\"component\":");
-        escape_into(&mut tail, component);
-        tail.push_str(",\"event\":");
-        escape_into(&mut tail, event);
-        for (k, v) in fields {
-            tail.push(',');
-            escape_into(&mut tail, k);
-            tail.push(':');
-            value_into(&mut tail, v);
-        }
-        tail.push_str("}\n");
-
         // Sequence assignment and the write share one critical section,
         // so sequences are strictly increasing in sink order and lines
         // never interleave.
         let mut sink = self.sink.lock().unwrap();
         sink.seq += 1;
-        let line = format!("{{\"seq\":{}{}", sink.seq, tail);
-        let ok = sink.writer.write_all(line.as_bytes()).is_ok() && sink.writer.flush().is_ok();
+        let Sink { seq, writer, line } = &mut *sink;
+        line.clear();
+        let mut w = Writer::new(line, false);
+        w.begin_obj();
+        w.u64_field("seq", *seq);
+        w.u64_field("ts_ms", ts_ms);
+        w.str_field("level", level.name());
+        w.str_field("component", component);
+        w.str_field("event", event);
+        for (k, v) in fields {
+            match v {
+                Value::Str(s) => w.str_field(k, s),
+                Value::U64(n) => w.u64_field(k, *n),
+                Value::Bool(b) => w.bool_field(k, *b),
+            }
+        }
+        w.end_obj();
+        line.push('\n');
+        let ok = writer.write_all(line.as_bytes()).is_ok() && writer.flush().is_ok();
         drop(sink);
         if !ok {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -393,8 +336,6 @@ mod tests {
             &[
                 ("s", Value::Str("a\"b\\c\nd".into())),
                 ("u", Value::U64(7)),
-                ("i", Value::I64(-3)),
-                ("f", Value::F64(1.25)),
                 ("t", Value::Bool(true)),
             ],
         );
@@ -402,28 +343,42 @@ mod tests {
         assert_eq!(l.len(), 1);
         assert!(l[0].contains("\"s\":\"a\\\"b\\\\c\\nd\""));
         assert!(l[0].contains("\"u\":7"));
-        assert!(l[0].contains("\"i\":-3"));
-        assert!(l[0].contains("\"f\":1.25"));
         assert!(l[0].contains("\"t\":true"));
     }
 
+    /// One record's exact bytes, with `ts_ms` (wall time) masked: a
+    /// quote, a backslash, a newline, control bytes and non-ASCII text.
     #[test]
-    fn float_rendering_stays_json() {
+    fn a_record_has_exact_bytes() {
         let sink = BufferSink::new();
         let log = Logger::with_sink(Level::Debug, Box::new(sink.clone()));
-        log.info(
-            "test",
-            "floats",
+        log.warn(
+            "serve",
+            "odd \"input\"",
             &[
-                ("whole", Value::F64(2.0)),
-                ("nan", Value::F64(f64::NAN)),
-                ("tiny", Value::F64(0.0004)),
+                ("path", "C:\\tmp\\a b".into()),
+                ("text", "line one\nline two\r\tend".into()),
+                ("ctl", "bell\u{7}esc\u{1b}del\u{7f}".into()),
+                ("name", "naïve — ü ✓".into()),
+                ("n", 42u64.into()),
+                ("ok", false.into()),
             ],
         );
         let line = sink.contents();
-        assert!(line.contains("\"whole\":2,"));
-        assert!(line.contains("\"nan\":null"));
-        assert!(line.contains("\"tiny\":0,") || line.contains("\"tiny\":0}"));
+        let (head, rest) = line.split_once(",\"ts_ms\":").expect("a ts_ms field");
+        let masked = format!(
+            "{head},\"ts_ms\":_{}",
+            rest.trim_start_matches(|c: char| c.is_ascii_digit())
+        );
+        let want = concat!(
+            r#"{"seq":1,"ts_ms":_,"level":"warn","component":"serve","event":"odd \"input\"","#,
+            r#""path":"C:\\tmp\\a b","text":"line one\nline two\r\tend","#,
+            r#""ctl":"bell\u0007esc\u001bdel"#,
+            "\u{7f}",
+            r#"","name":"naïve — ü ✓","n":42,"ok":false}"#,
+            "\n"
+        );
+        assert_eq!(masked, want);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   per-transaction hot-path state (cheaper than SipHash `HashMap`),
 //!   and [`DenseMap`] — a flat table for small dense ids (queues, regions),
 //! * [`ConfigError`] — validation errors for machine configuration,
+//! * [`json`] — the one JSON reader and writer: result cache, artifacts,
+//!   the wire, the structured log and the Chrome trace export,
 //! * [`env_flag`] and [`env_path`] — the one reading of every on/off
 //!   and every path `HFS_*` variable,
 //! * [`CancelToken`] — a thread-safe cooperative cancellation flag polled
@@ -44,6 +46,7 @@ mod cancel;
 mod cycle;
 mod env;
 mod error;
+pub mod json;
 mod map;
 mod queue;
 mod rng;

@@ -1,9 +1,9 @@
 //! Chrome trace-event JSON export (Perfetto / `chrome://tracing`).
 //!
-//! The exporter is self-contained string building — the harness's JSON
-//! module lives above this crate in the dependency order, and the trace
-//! format is narrow enough (ASCII names, integer timestamps) that a tiny
-//! escaper suffices.
+//! Every record is written through [`hfs_sim::json::Writer`], one record
+//! a line. One match per event decides the track the event lands on and
+//! what it writes; the tracks declared up front (`thread_name` metadata)
+//! are exactly the ones written to.
 //!
 //! Track layout (all under `pid` 0):
 //!
@@ -15,8 +15,11 @@
 //! * `tid` 200+q — one track per queue `q`: produce→consume latency
 //!   spans, stream-cache instants, and an occupancy counter series.
 
-use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
+
+use hfs_isa::{CoreId, QueueId};
+use hfs_sim::json::{to_text, Sink, Writer};
 
 use crate::event::{CoreActivity, TraceEvent};
 
@@ -25,78 +28,73 @@ const BUS_TID: u64 = 100;
 /// First queue track id (queue `q` lands on `QUEUE_TID_BASE + q`).
 const QUEUE_TID_BASE: u64 = 200;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A record's Chrome phase (`ph`), with what it carries after its
+/// common fields.
+enum Ph<'a> {
+    /// A thread-scoped instant.
+    Instant,
+    /// A duration span of this many cycles.
+    Span(u64),
+    /// One sample of a counter series.
+    Counter(&'a str, u64),
+    /// A track's display name (metadata).
+    Name(&'a str),
+}
+
+/// Writes one record: `name`, `ph`, `pid`, `tid`, `ts`, then what `ph`
+/// carries.
+fn record(out: &mut String, name: &str, tid: u64, ts: u64, ph: Ph<'_>) {
+    let code = match ph {
+        Ph::Instant => "i",
+        Ph::Span(_) => "X",
+        Ph::Counter(..) => "C",
+        Ph::Name(_) => "M",
+    };
+    let mut w = Writer::new(out, false);
+    w.begin_obj();
+    w.str_field("name", name);
+    w.str_field("ph", code);
+    w.u64_field("pid", 0);
+    w.u64_field("tid", tid);
+    w.u64_field("ts", ts);
+    match ph {
+        Ph::Instant => w.str_field("s", "t"),
+        Ph::Span(dur) => w.u64_field("dur", dur),
+        Ph::Counter(series, v) => {
+            w.key("args");
+            w.begin_obj();
+            w.u64_field(series, v);
+            w.end_obj();
+        }
+        Ph::Name(track) => {
+            w.key("args");
+            w.begin_obj();
+            w.str_field("name", track);
+            w.end_obj();
         }
     }
-    out
+    w.end_obj();
 }
 
-/// One JSON event object under construction.
-struct Ev {
-    json: String,
+/// The event records written so far, one a line, and their tracks.
+#[derive(Default)]
+struct Body {
+    text: String,
+    tids: BTreeSet<u64>,
+    /// The record being written's name, formatted once per record.
+    name: String,
 }
 
-impl Ev {
-    fn new(ph: char, name: &str, tid: u64, ts: u64) -> Ev {
-        Ev {
-            json: format!(
-                "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":0,\"tid\":{tid},\"ts\":{ts}",
-                escape(name)
-            ),
+impl Body {
+    fn push(&mut self, tid: u64, ts: u64, ph: Ph<'_>, name: fmt::Arguments<'_>) {
+        if !self.text.is_empty() {
+            self.text.push_str(",\n");
         }
+        self.tids.insert(tid);
+        self.name.clear();
+        let _ = self.name.write_fmt(name);
+        record(&mut self.text, &self.name, tid, ts, ph);
     }
-
-    fn field(mut self, key: &str, value: String) -> Ev {
-        let _ = write!(self.json, ",\"{key}\":{value}");
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.json.push('}');
-        self.json
-    }
-}
-
-fn instant(name: &str, tid: u64, ts: u64) -> String {
-    Ev::new('i', name, tid, ts)
-        .field("s", "\"t\"".to_string())
-        .finish()
-}
-
-fn span(name: &str, tid: u64, ts: u64, dur: u64) -> String {
-    Ev::new('X', name, tid, ts)
-        .field("dur", dur.to_string())
-        .finish()
-}
-
-fn counter(name: &str, tid: u64, ts: u64, series: &str, value: u64) -> String {
-    Ev::new('C', name, tid, ts)
-        .field("args", format!("{{\"{series}\":{value}}}"))
-        .finish()
-}
-
-fn thread_name(tid: u64, name: &str) -> String {
-    Ev::new('M', "thread_name", tid, 0)
-        .field("args", format!("{{\"name\":\"{}\"}}", escape(name)))
-        .finish()
-}
-
-/// A run of identical per-cycle core states being coalesced into a span.
-struct StateRun {
-    state: CoreActivity,
-    start: u64,
-    /// Last cycle covered (inclusive).
-    end: u64,
 }
 
 /// Renders a recorded event stream as a complete Chrome trace-event JSON
@@ -107,78 +105,27 @@ struct StateRun {
 /// duration spans; [`TraceEvent::Issue`] events are metrics-only and not
 /// rendered. Output is byte-deterministic for a given event stream.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    // Discover the tracks present, in deterministic order.
-    let mut cores: BTreeSet<u8> = BTreeSet::new();
-    let mut queues: BTreeSet<u16> = BTreeSet::new();
-    let mut has_bus = false;
-    for e in events {
-        match e {
-            TraceEvent::CoreState { core, .. }
-            | TraceEvent::Issue { core, .. }
-            | TraceEvent::CacheAccess { core, .. }
-            | TraceEvent::OzqRecirc { core, .. } => {
-                cores.insert(core.0);
-            }
-            TraceEvent::BusGrant { core, .. } => {
-                cores.insert(core.0);
-                has_bus = true;
-            }
-            TraceEvent::BusData { .. } | TraceEvent::Forward { .. } => has_bus = true,
-            TraceEvent::Produce { core, queue, .. } | TraceEvent::Consume { core, queue, .. } => {
-                cores.insert(core.0);
-                queues.insert(queue.0);
-            }
-            TraceEvent::SyncWait { core, queue, .. } => {
-                cores.insert(core.0);
-                queues.insert(queue.0);
-            }
-            TraceEvent::QueueDepth { queue, .. }
-            | TraceEvent::ScFill { queue, .. }
-            | TraceEvent::ScHit { queue, .. } => {
-                queues.insert(queue.0);
-            }
-        }
-    }
-
-    let mut out: Vec<String> = Vec::new();
-    for &c in &cores {
-        out.push(thread_name(u64::from(c), &format!("core{c}")));
-    }
-    if has_bus {
-        out.push(thread_name(BUS_TID, "bus"));
-    }
-    for &q in &queues {
-        out.push(thread_name(QUEUE_TID_BASE + u64::from(q), &format!("q{q}")));
-    }
-
-    // Coalesce CoreState samples into spans, per core.
-    let max_core = cores.iter().next_back().map_or(0, |&c| usize::from(c) + 1);
-    let mut runs: Vec<Option<StateRun>> = (0..max_core).map(|_| None).collect();
-    let flush = |run: &mut Option<StateRun>, tid: u64, out: &mut Vec<String>| {
-        if let Some(r) = run.take() {
-            out.push(span(&r.state.label(), tid, r.start, r.end - r.start + 1));
-        }
+    let mut body = Body::default();
+    // Per core, the open run of one state: (state, first cycle, last
+    // cycle). Per (queue, seq), the open produce, matched on consume.
+    let mut runs: BTreeMap<u8, (CoreActivity, u64, u64)> = BTreeMap::new();
+    let mut open: BTreeMap<(u16, u64), u64> = BTreeMap::new();
+    let span = |body: &mut Body, core: u8, (state, start, end): (CoreActivity, u64, u64)| {
+        let (tid, dur) = (u64::from(core), Ph::Span(end - start + 1));
+        body.push(tid, start, dur, format_args!("{}", state.label()));
     };
-
-    // Open produce spans per (queue, seq): matched on consume.
-    let mut open: std::collections::BTreeMap<(u16, u64), u64> = std::collections::BTreeMap::new();
-
+    let core_tid = |c: CoreId| u64::from(c.0);
+    let queue_tid = |q: QueueId| QUEUE_TID_BASE + u64::from(q.0);
     for e in events {
-        match e {
-            TraceEvent::CoreState { core, at, state } => {
-                let i = core.index();
-                match &mut runs[i] {
-                    Some(r) if r.state == *state && *at == r.end + 1 => r.end = *at,
-                    r => {
-                        flush(r, u64::from(core.0), &mut out);
-                        *r = Some(StateRun {
-                            state: *state,
-                            start: *at,
-                            end: *at,
-                        });
+        match *e {
+            TraceEvent::CoreState { core, at, state } => match runs.get_mut(&core.0) {
+                Some((s, _, end)) if *s == state && at == *end + 1 => *end = at,
+                _ => {
+                    if let Some(done) = runs.insert(core.0, (state, at, at)) {
+                        span(&mut body, core.0, done);
                     }
                 }
-            }
+            },
             TraceEvent::Issue { .. } => {}
             TraceEvent::CacheAccess {
                 core,
@@ -186,26 +133,24 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 level,
                 hit,
             } => {
-                let name = format!("{} {}", level.label(), if *hit { "hit" } else { "miss" });
-                out.push(instant(&name, u64::from(core.0), *at));
+                let outcome = if hit { "hit" } else { "miss" };
+                let name = format_args!("{} {outcome}", level.label());
+                body.push(core_tid(core), at, Ph::Instant, name);
             }
             TraceEvent::BusGrant {
                 core,
                 at,
                 streaming,
             } => {
-                let name = if *streaming {
-                    format!("grant core{} (stream)", core.0)
-                } else {
-                    format!("grant core{}", core.0)
-                };
-                out.push(instant(&name, BUS_TID, *at));
+                let mode = if streaming { " (stream)" } else { "" };
+                let name = format_args!("grant core{}{mode}", core.0);
+                body.push(BUS_TID, at, Ph::Instant, name);
             }
             TraceEvent::BusData { at, cycles } => {
-                out.push(span("data", BUS_TID, *at, (*cycles).max(1)));
+                body.push(BUS_TID, at, Ph::Span(cycles.max(1)), format_args!("data"))
             }
             TraceEvent::OzqRecirc { core, at } => {
-                out.push(instant("ozq-recirc", u64::from(core.0), *at));
+                body.push(core_tid(core), at, Ph::Instant, format_args!("ozq-recirc"))
             }
             TraceEvent::Produce {
                 core,
@@ -213,12 +158,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 seq,
                 at,
             } => {
-                open.insert((queue.0, *seq), *at);
-                out.push(instant(
-                    &format!("produce {queue}#{seq}"),
-                    u64::from(core.0),
-                    *at,
-                ));
+                open.insert((queue.0, seq), at);
+                let name = format_args!("produce {queue}#{seq}");
+                body.push(core_tid(core), at, Ph::Instant, name);
             }
             TraceEvent::Consume {
                 core,
@@ -226,49 +168,62 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 seq,
                 at,
             } => {
-                if let Some(start) = open.remove(&(queue.0, *seq)) {
-                    out.push(span(
-                        &format!("{queue}#{seq}"),
-                        QUEUE_TID_BASE + u64::from(queue.0),
-                        start,
-                        at.saturating_sub(start).max(1),
-                    ));
+                if let Some(start) = open.remove(&(queue.0, seq)) {
+                    let dur = at.saturating_sub(start).max(1);
+                    let name = format_args!("{queue}#{seq}");
+                    body.push(queue_tid(queue), start, Ph::Span(dur), name);
                 }
-                out.push(instant(
-                    &format!("consume {queue}#{seq}"),
-                    u64::from(core.0),
-                    *at,
-                ));
+                let name = format_args!("consume {queue}#{seq}");
+                body.push(core_tid(core), at, Ph::Instant, name);
             }
             TraceEvent::QueueDepth { queue, at, depth } => {
-                out.push(counter(
-                    &format!("{queue} depth"),
-                    QUEUE_TID_BASE + u64::from(queue.0),
-                    *at,
-                    "depth",
-                    *depth,
-                ));
+                let name = format_args!("{queue} depth");
+                body.push(queue_tid(queue), at, Ph::Counter("depth", depth), name);
             }
-            TraceEvent::SyncWait { core, queue, at } => {
-                out.push(instant(&format!("wait {queue}"), u64::from(core.0), *at));
-            }
+            TraceEvent::SyncWait { core, queue, at } => body.push(
+                core_tid(core),
+                at,
+                Ph::Instant,
+                format_args!("wait {queue}"),
+            ),
             TraceEvent::ScFill { queue, at } => {
-                out.push(instant("sc-fill", QUEUE_TID_BASE + u64::from(queue.0), *at));
+                body.push(queue_tid(queue), at, Ph::Instant, format_args!("sc-fill"))
             }
             TraceEvent::ScHit { queue, at } => {
-                out.push(instant("sc-hit", QUEUE_TID_BASE + u64::from(queue.0), *at));
+                body.push(queue_tid(queue), at, Ph::Instant, format_args!("sc-hit"))
             }
-            TraceEvent::Forward { at, line } => {
-                out.push(instant(&format!("forward line {line}"), BUS_TID, *at));
-            }
+            TraceEvent::Forward { at, line } => body.push(
+                BUS_TID,
+                at,
+                Ph::Instant,
+                format_args!("forward line {line}"),
+            ),
         }
     }
-    for (i, run) in runs.iter_mut().enumerate() {
-        flush(run, i as u64, &mut out);
+    for (core, run) in runs {
+        span(&mut body, core, run);
     }
 
-    let mut doc = String::from("{\"traceEvents\":[\n");
-    doc.push_str(&out.join(",\n"));
+    // Track names first, in tid order: cores, the bus, then queues. A
+    // compact `Writer` breaks no lines, so the separators between
+    // records, one a line, and the document's close are pushed here;
+    // each name is followed by a record, as every named track has one.
+    let mut doc = to_text(false, |w| {
+        w.begin_obj();
+        w.key("traceEvents");
+        w.begin_arr();
+    });
+    doc.push('\n');
+    for &tid in &body.tids {
+        let track = match tid {
+            BUS_TID => "bus".to_string(),
+            t if t > BUS_TID => format!("q{}", t - QUEUE_TID_BASE),
+            t => format!("core{t}"),
+        };
+        record(&mut doc, "thread_name", tid, 0, Ph::Name(&track));
+        doc.push_str(",\n");
+    }
+    doc.push_str(&body.text);
     doc.push_str("\n]}\n");
     doc
 }
@@ -276,7 +231,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfs_isa::{CoreId, QueueId};
     use hfs_sim::stats::StallComponent;
 
     #[test]

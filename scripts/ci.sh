@@ -100,6 +100,17 @@ for f in crates/core/src/*.rs crates/isa/src/*.rs; do
     fi
 done
 
+echo "==> one JSON writer (only hfs_sim::json escapes a JSON string or frames a JSON object)"
+# Product code as above. An escaper is a `fn escape` or a `"\\u` escape;
+# framing is a string literal that opens an object (`"{\"`, `{{\"`). The
+# logger and the Chrome export write through `hfs_sim::json::Writer`.
+while IFS= read -r f; do
+    [ "$f" = crates/sim/src/json.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fn escape|"\\\\u|"\{\\"|\{\{\\"' | sed "s|^|$f:|" | grep .; then
+        echo "product code escapes or frames JSON outside crates/sim/src/json.rs"; exit 1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).

@@ -233,7 +233,21 @@ fn an_oversized_design_fails_the_job_not_the_process() {
             stream_cache: false,
         }),
     ];
-    over.extend(designs.map(|d| (MachineConfig::itanium2_cmp(d), edited(|_, _, _| {}, 0).1)));
+    // QLUs that divide the depth but not the 128-byte line: slots would
+    // straddle lines the forward trigger counts QLU stores to.
+    let untiled = [(48, 3), (40, 5), (48, 6), (56, 7), (48, 12)].map(|(queue_depth, qlu)| {
+        DesignPoint::SyncOpti(SyncOptiConfig {
+            queue_depth,
+            qlu,
+            stream_cache: qlu % 2 == 1,
+        })
+    });
+    over.extend(
+        designs
+            .into_iter()
+            .chain(untiled)
+            .map(|d| (MachineConfig::itanium2_cmp(d), edited(|_, _, _| {}, 0).1)),
+    );
 
     for (cfg, pair) in over {
         let what = format!("{:?} {:?}", cfg, pair.producer);

@@ -182,9 +182,14 @@ fn golden_cycles_hold_unchecked_and_fully_checked() {
     }
 }
 
+/// FNV-1a of the Chrome export of the traced golden point below: its
+/// bytes are pinned, not only its shape.
+const GOLDEN_CHROME_FNV1A: u64 = 12_938_183_956_942_693_348;
+
 /// A recorded run of one golden point (fir under HEAVYWT) keeps its
 /// cycle count, reports consume-to-use samples, and exports a Chrome
-/// document in which every declared track carries events.
+/// document, with the golden bytes, in which every declared track
+/// carries events.
 #[test]
 fn traced_golden_point_keeps_its_cycles_and_exports_every_track() {
     let b = benchmark("fir").unwrap().with_iterations(300);
@@ -205,6 +210,11 @@ fn traced_golden_point_keeps_its_cycles_and_exports_every_track() {
 
     let json = chrome_trace_json(&tracer.take_events());
     assert!(json.starts_with("{\"traceEvents\":["), "chrome envelope");
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        GOLDEN_CHROME_FNV1A,
+        "the Chrome export drifted from its golden bytes"
+    );
     let doc = parse(&json).expect("trace is valid JSON");
     let events = doc
         .get("traceEvents")
