@@ -1,5 +1,8 @@
-//! Regenerates every table and figure in one run: each row of
-//! `experiments::FIGURES`, in order.
+//! Regenerates the paper's tables and figures: `all_figures` runs every
+//! row of `experiments::FIGURES`, in order, and `all_figures <name>…`
+//! runs the named rows only. An unknown name exits 2 and lists the
+//! valid ones. Each figure's text is followed by a blank line, except
+//! when exactly one figure runs: then stdout is that figure's text alone.
 //!
 //! All simulation work routes through the shared `hfs-harness` engine:
 //! jobs run in parallel (`HFS_JOBS` workers), completed runs land in the
@@ -19,17 +22,34 @@
 
 use std::fs;
 
-use hfs_bench::experiments::FIGURES;
+use hfs_bench::experiments::{Figure, FIGURES};
 use hfs_bench::runner::engine;
 
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let figures: Vec<&Figure> = if names.is_empty() {
+        FIGURES.iter().collect()
+    } else {
+        let named: Result<_, _> = names.iter().map(|n| Figure::named(n).ok_or(n)).collect();
+        named.unwrap_or_else(|unknown| {
+            let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            eprintln!(
+                "all_figures: no figure named `{unknown}`; valid names: {}",
+                valid.join(" ")
+            );
+            std::process::exit(2);
+        })
+    };
+    let separate = figures.len() > 1;
     let mut failed = Vec::new();
-    for fig in &FIGURES {
+    for fig in figures {
         // A failed batch or a model bug panics; the default hook has
         // already printed the payload, so the figure is only reported.
         if std::panic::catch_unwind(|| {
             fig.print();
-            println!();
+            if separate {
+                println!();
+            }
         })
         .is_err()
         {

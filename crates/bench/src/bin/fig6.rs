@@ -20,5 +20,7 @@ fn main() {
             return;
         }
     }
-    hfs_bench::experiments::Figure::named("fig6").print();
+    hfs_bench::experiments::Figure::named("fig6")
+        .expect("fig6 is a row of FIGURES")
+        .print();
 }

@@ -26,7 +26,8 @@ use crate::table::{f2, TextTable};
 
 /// One row of [`FIGURES`].
 pub struct Figure {
-    /// The figure's binary, and its text rendering `<name>.txt`.
+    /// The figure's name on `all_figures`'s command line, and its text
+    /// rendering `<name>.txt`.
     pub name: &'static str,
     /// The stems of its CSV tables, `<stem>.csv`, in the order `run`
     /// returns the tables.
@@ -36,8 +37,8 @@ pub struct Figure {
 }
 
 /// Every table and figure, in regeneration order: `all_figures` runs
-/// them all, each per-figure binary its own row, and `results/` holds
-/// exactly their renderings.
+/// them all, `all_figures <name>` one row, and `results/` holds exactly
+/// their renderings.
 pub static FIGURES: [Figure; 12] = [
     Figure {
         name: "table1",
@@ -119,16 +120,9 @@ fn breakdowns(sweep: &fig7::DesignSweep, title: &str, caption: &str) -> (String,
 }
 
 impl Figure {
-    /// The row of [`FIGURES`] called `name`.
-    ///
-    /// # Panics
-    ///
-    /// When no row is called `name`.
-    pub fn named(name: &str) -> &'static Figure {
-        FIGURES
-            .iter()
-            .find(|f| f.name == name)
-            .unwrap_or_else(|| panic!("no figure named `{name}`"))
+    /// The row of [`FIGURES`] called `name`, if there is one.
+    pub fn named(name: &str) -> Option<&'static Figure> {
+        FIGURES.iter().find(|f| f.name == name)
     }
 
     /// Runs the figure and prints its text. With `HFS_OUT_DIR` set, the

@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every table and figure of
 //! *Support for High-Frequency Streaming in CMPs* (MICRO 2006).
 //!
-//! Each experiment is a row of [`experiments::FIGURES`] and has a matching binary:
+//! Each experiment is a row of [`experiments::FIGURES`], named on
+//! `all_figures`'s command line to run it alone:
 //!
-//! | Artifact | Binary | What it reproduces |
+//! | Artifact | Name | What it reproduces |
 //! |---|---|---|
 //! | Table 1 | `table1` | Benchmark loop inventory |
 //! | Table 2 | `table2` | Baseline simulator configuration |
@@ -16,7 +17,8 @@
 //! | Figure 11 | `fig11` | 128-byte bus sensitivity |
 //! | Figure 12 | `fig12` | SYNCOPTI stream-cache / queue-size optimizations |
 //!
-//! Run everything with `cargo run -p hfs-bench --release --bin all_figures`.
+//! Run everything with `cargo run -p hfs-bench --release --bin all_figures`,
+//! one figure with `... --bin all_figures -- fig7`.
 //! Set `HFS_QUICK=1` to cap per-benchmark iteration counts for a fast
 //! (less steady-state) pass.
 //!

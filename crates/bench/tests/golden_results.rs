@@ -164,25 +164,40 @@ fn the_figure_table_names_every_committed_rendering() {
 }
 
 /// The figures that simulate nothing print their committed rendering,
-/// byte for byte, from their own binaries.
+/// byte for byte, when `all_figures` is asked for them alone.
 #[test]
 fn static_figures_print_their_goldens() {
-    for (name, bin) in [
-        ("table1", env!("CARGO_BIN_EXE_table1")),
-        ("table2", env!("CARGO_BIN_EXE_table2")),
-        ("fig3", env!("CARGO_BIN_EXE_fig3")),
-    ] {
-        let out = Command::new(bin)
+    for name in ["table1", "table2", "fig3"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+            .arg(name)
             .env_remove("HFS_OUT_DIR")
             .env_remove("HFS_PROTOCOL")
             .output()
-            .unwrap_or_else(|e| panic!("run {name}: {e}"));
-        assert!(out.status.success(), "{name}: {}", out.status);
+            .unwrap_or_else(|e| panic!("run all_figures {name}: {e}"));
+        assert!(out.status.success(), "all_figures {name}: {}", out.status);
         let golden = committed_dir().join(format!("{name}.txt"));
         let want = fs::read(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
         assert!(
             out.stdout == want,
-            "{name} prints other bytes than its golden"
+            "all_figures {name} prints other bytes than its golden"
         );
+    }
+}
+
+#[test]
+fn an_unknown_figure_name_fails_and_lists_the_valid_ones() {
+    let out = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+        .args(["table1", "fig99"])
+        .output()
+        .expect("run all_figures");
+    assert!(!out.status.success(), "all_figures fig99 succeeded");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing runs before the names are checked"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("fig99"), "{err}");
+    for f in &FIGURES {
+        assert!(err.contains(f.name), "`{}` missing from: {err}", f.name);
     }
 }

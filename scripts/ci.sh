@@ -111,6 +111,15 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+echo "==> one release profile (.cargo/config.toml sets it for the root workspace and benchmark/'s)"
+# A `[profile` table in any manifest would give one workspace a profile
+# of its own; results do not depend on the profile, the speed does.
+if grep -nE '^[[:space:]]*\[profile' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "a Cargo.toml sets a profile: the release profile lives in .cargo/config.toml"; exit 1
+fi
+sed -n '/^\[profile\.release\]/,/^\[/p' .cargo/config.toml 2>/dev/null | grep -qxF 'lto = "fat"' \
+    || { echo '.cargo/config.toml: [profile.release] lost `lto = "fat"`'; exit 1; }
+
 echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
 # Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
 # EX (MESI), EX (Dragon), SY (Dragon).
@@ -138,6 +147,12 @@ else
     HFS_QUICK=1 cargo test --workspace -q
 fi
 
+echo "==> release-speed test binaries (one cargo call, so their whole-program links share the cores)"
+# Fat LTO optimises each test executable as its own program; built in
+# one call they link side by side, not one after another.
+cargo test --release --no-run -q -p hfs -p hfs-bench --test fastforward --test check_faults \
+    --test golden_results --test protocols --test cost --test serve
+
 echo "==> fast-forward equivalence (the run loop vs the per-cycle walk)"
 cargo test --release -q --test fastforward
 
@@ -150,10 +165,14 @@ cargo test --release -q --test check_faults every_seeded_mutation_is_detected_me
 cargo test --release -q --test check_faults every_seeded_mutation_is_detected_dragon
 cargo test --release -q --test check_faults disarmed_machine_is_unperturbed
 
-echo "==> harness + serve tests at release speed (timing-sensitive server tests)"
+echo "==> tests at release speed (timing-sensitive server tests, goldens, protocol and cost pins)"
 # A dispatcher test that holds the queue with a running job must hold it
 # at the simulator speed the benchmark sees, not only at debug speed.
 cargo test --release -q -p hfs-harness -p hfs-serve
+# The shipped build against the 24 goldens, the 45 protocol pins and the
+# cost pins: the quick tier-1 pass above skips the first two.
+cargo test --release -q -p hfs-bench --test golden_results
+cargo test --release -q --test protocols --test cost
 # `all_streams_results_while_later_jobs_still_run` needs a chunk's first
 # job to run first at that speed too.
 cargo test --release -q --test serve

@@ -266,3 +266,41 @@ fn an_oversized_design_fails_the_job_not_the_process() {
         );
     }
 }
+
+/// bzip2's producer makes all 32 of an iteration's q0 items before the
+/// q1 item its consumer waits for first. With 16-entry queues q0 fills,
+/// the producer blocks on it, and the consumer never gets q1. The
+/// deadlock is the kernel's own, not a design's: SYNCOPTI with and
+/// without the stream cache and HEAVYWT all reach it at that depth, and
+/// no design reaches it at bzip2's 32 (`every_design_runs_every_benchmark`).
+/// A design deadlocks only where HEAVYWT at the same depth does.
+#[test]
+fn bzip2_deadlocks_wherever_its_inner_loop_overfills_q0() {
+    let b = hfs::workloads::benchmark("bzip2")
+        .expect("bzip2 is registered")
+        .with_iterations(300);
+    let run = |design| {
+        Machine::new_pipeline(&MachineConfig::itanium2_cmp(design), &b.pair)
+            .and_then(|mut m| m.run(BUDGET))
+    };
+    let syncopti_16 = |stream_cache| {
+        DesignPoint::SyncOpti(SyncOptiConfig {
+            queue_depth: 16,
+            qlu: 8,
+            stream_cache,
+        })
+    };
+    for design in [
+        syncopti_16(false),
+        syncopti_16(true),
+        DesignPoint::heavywt_with(1, 16),
+    ] {
+        let r = run(design);
+        assert!(
+            matches!(r, Err(SimError::Deadlock { .. })),
+            "{design}: {r:?}"
+        );
+    }
+    let r = run(DesignPoint::heavywt()).expect("HEAVYWT at depth 32 completes");
+    assert_eq!(r.cycles, 24_847);
+}
