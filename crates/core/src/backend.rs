@@ -814,7 +814,8 @@ pub(crate) struct HeavyWtBackend {
     transit: u64,
     sa_latency: u64,
     /// Per-cycle scratch for the sorted wake order, reused so the hot
-    /// loop allocates nothing in steady state.
+    /// loop allocates nothing in steady state
+    /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     wake_scratch: Vec<QueueId>,
     tracer: Tracer,
     checker: Checker,

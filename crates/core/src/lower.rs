@@ -15,7 +15,6 @@
 //! address map's to say ([`crate::addr_map`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 
 use hfs_isa::{
     Addr, AddrPattern, InstrKind, InstrTemplate, Op, Program, ProgramBuilder, QueueId, QueuePlan,
@@ -86,10 +85,7 @@ pub fn lower_at(
     // live values pay spill/fill pairs every iteration (§3.1.3).
     let spills = design.spill_ops();
     if spills > 0 {
-        // One shared name: lowering allocates nothing for it.
-        static SPILL_NAME: OnceLock<Arc<str>> = OnceLock::new();
-        let name = SPILL_NAME.get_or_init(|| "regmapped_spill".into());
-        let spill_region = b.declare_region(Arc::clone(name), SPILL_BYTES);
+        let spill_region = b.declare_region("regmapped_spill", SPILL_BYTES);
         bases.insert(spill_region, window.spill_slot());
         for _ in 0..spills {
             b.store_stream(spill_region, 8);

@@ -190,7 +190,8 @@ pub struct Machine {
     /// Cooperative cancellation, polled once per simulated cycle.
     cancel: Option<CancelToken>,
     /// Per-cycle scratch buffers, reused so the hot loop allocates
-    /// nothing in steady state.
+    /// nothing in steady state
+    /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     events_scratch: Vec<MemEvent>,
     drop_scratch: Vec<Completion>,
 }
@@ -464,7 +465,8 @@ impl Machine {
             self.mem.tick(now);
             // Drain the event stream once; every backend filters it to
             // its own queues. The buffer is machine-owned and reused, so
-            // the hot loop allocates nothing in steady state.
+            // the hot loop allocates nothing in steady state
+            // (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
             let mut events = std::mem::take(&mut self.events_scratch);
             self.mem.take_events(&mut events);
             for b in &mut self.backends {

@@ -83,7 +83,8 @@ pub struct Core {
     /// ones included) — drives the machine's strided deadlock detector.
     last_commit: Cycle,
     /// Per-tick scratch buffers, reused every cycle so draining
-    /// completions allocates nothing in steady state.
+    /// completions allocates nothing in steady state
+    /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     mem_scratch: Vec<hfs_mem::Completion>,
     stream_scratch: Vec<crate::StreamCompletion>,
     /// The structural block the issue stage hit on the last tick, if

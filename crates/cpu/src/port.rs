@@ -68,7 +68,8 @@ pub trait StreamPort {
 
     /// Drains completions for operations previously accepted as pending,
     /// appending them to the caller-owned `out` buffer (not cleared) so
-    /// the per-cycle poll allocates nothing.
+    /// the per-cycle poll allocates nothing
+    /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     fn poll(&mut self, core: CoreId, now: Cycle, out: &mut Vec<StreamCompletion>);
 
     /// Stall component charged while `token` is outstanding.

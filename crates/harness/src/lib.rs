@@ -36,6 +36,7 @@ pub mod job;
 mod key;
 pub mod ser;
 pub mod spec;
+pub mod wire;
 
 pub use cache::Cache;
 pub use engine::{

@@ -2,12 +2,13 @@
 //!
 //! Everything a [`RunResult`] carries — per-core stats, the Figure 7
 //! stall breakdown, memory-system counters — round-trips exactly, so
-//! cached results reconstruct bit-identically. Each type is described
-//! once, as a `write_*`/`read_*` pair over [`Sink`]/[`Source`], and
-//! runs straight to and from text: the caches store
-//! [`outcome_to_text`] and read [`outcome_from_text`], frames push
-//! [`write_outcome`] and pull [`read_outcome`], and `all_figures`
-//! prints [`write_metrics`].
+//! cached results reconstruct bit-identically. The stats records are
+//! one field list each ([`wire!`](crate::wire!)); the breakdown, the
+//! run result, the metrics report and the outcome are written by hand
+//! (keys that are data, a member present only when set, a tag). All
+//! run straight to and from text: the caches store [`outcome_to_text`]
+//! and read [`outcome_from_text`], frames push [`write_outcome`] and
+//! pull [`read_outcome`], and `all_figures` prints [`write_metrics`].
 
 use hfs_core::RunResult;
 use hfs_cpu::CoreStats;
@@ -18,122 +19,39 @@ use hfs_trace::{HistogramSummary, MetricsReport};
 use crate::job::JobOutcome;
 pub use crate::json::DecodeError;
 use crate::json::{from_text, parse, to_text, Json, Sink, Source};
+use crate::wire::{field, Wire};
 
-fn write_breakdown<S: Sink>(s: &mut S, b: &Breakdown) {
-    s.begin_obj();
-    s.u64_field("busy", b.busy());
-    for (c, cycles) in b.iter() {
-        s.u64_field(c.label(), cycles);
-    }
-    s.end_obj();
-}
-
-fn read_breakdown<'a, S: Source<'a>>(s: &mut S) -> Result<Breakdown, DecodeError> {
-    s.obj(|s, o| {
-        let mut b = Breakdown::new();
-        b.charge_busy(s.u64_field(o, "busy")?);
-        for c in StallComponent::ALL {
-            b.charge(c, s.u64_field(o, c.label())?);
+impl Wire for Breakdown {
+    fn write<S: Sink>(&self, s: &mut S) {
+        s.begin_obj();
+        s.u64_field("busy", self.busy());
+        for (c, cycles) in self.iter() {
+            s.u64_field(c.label(), cycles);
         }
-        Ok(b)
-    })
-}
+        s.end_obj();
+    }
 
-fn write_core<S: Sink>(s: &mut S, c: &CoreStats) {
-    s.begin_obj();
-    s.u64_field("cycles", c.cycles);
-    s.u64_field("app_instrs", c.app_instrs);
-    s.u64_field("comm_instrs", c.comm_instrs);
-    s.u64_field("ozq_stalls", c.ozq_stalls);
-    s.u64_field("stream_blocked", c.stream_blocked);
-    s.key("breakdown");
-    write_breakdown(s, &c.breakdown);
-    s.end_obj();
-}
-
-fn read_core<'a, S: Source<'a>>(s: &mut S) -> Result<CoreStats, DecodeError> {
-    s.obj(|s, o| {
-        Ok(CoreStats {
-            cycles: s.u64_field(o, "cycles")?,
-            app_instrs: s.u64_field(o, "app_instrs")?,
-            comm_instrs: s.u64_field(o, "comm_instrs")?,
-            ozq_stalls: s.u64_field(o, "ozq_stalls")?,
-            stream_blocked: s.u64_field(o, "stream_blocked")?,
-            breakdown: s.field(o, "breakdown", read_breakdown)?,
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<Breakdown, DecodeError> {
+        s.obj(|s, o| {
+            let mut b = Breakdown::new();
+            b.charge_busy(s.u64_field(o, "busy")?);
+            for c in StallComponent::ALL {
+                b.charge(c, s.u64_field(o, c.label())?);
+            }
+            Ok(b)
         })
-    })
+    }
 }
 
-fn write_bus<S: Sink>(s: &mut S, b: &BusStats) {
-    s.begin_obj();
-    s.u64_field("addr_phases", b.addr_phases);
-    s.u64_field("data_transfers", b.data_transfers);
-    s.u64_field("data_busy_cycles", b.data_busy_cycles);
-    s.u64_field("ctl_delivered", b.ctl_delivered);
-    s.end_obj();
-}
-
-fn read_bus<'a, S: Source<'a>>(s: &mut S) -> Result<BusStats, DecodeError> {
-    s.obj(|s, o| {
-        Ok(BusStats {
-            addr_phases: s.u64_field(o, "addr_phases")?,
-            data_transfers: s.u64_field(o, "data_transfers")?,
-            data_busy_cycles: s.u64_field(o, "data_busy_cycles")?,
-            ctl_delivered: s.u64_field(o, "ctl_delivered")?,
-        })
-    })
-}
-
-fn write_mem<S: Sink>(s: &mut S, m: &MemStats) {
-    s.begin_obj();
-    s.u64_field("l1_hits", m.l1_hits);
-    s.u64_field("l1_misses", m.l1_misses);
-    s.u64_field("l2_accesses", m.l2_accesses);
-    s.u64_field("l2_port_conflicts", m.l2_port_conflicts);
-    s.u64_field("dram_accesses", m.dram_accesses);
-    s.u64_field("forwards", m.forwards);
-    s.u64_field("updates", m.updates);
-    s.key("bus");
-    write_bus(s, &m.bus);
-    s.end_obj();
-}
-
-fn read_mem<'a, S: Source<'a>>(s: &mut S) -> Result<MemStats, DecodeError> {
-    s.obj(|s, o| {
-        Ok(MemStats {
-            l1_hits: s.u64_field(o, "l1_hits")?,
-            l1_misses: s.u64_field(o, "l1_misses")?,
-            l2_accesses: s.u64_field(o, "l2_accesses")?,
-            l2_port_conflicts: s.u64_field(o, "l2_port_conflicts")?,
-            dram_accesses: s.u64_field(o, "dram_accesses")?,
-            forwards: s.u64_field(o, "forwards")?,
-            // Absent in blobs cached before the protocol axis existed.
-            updates: if s.seek(o, "updates")? { s.u64()? } else { 0 },
-            bus: s.field(o, "bus", read_bus)?,
-        })
-    })
-}
-
-fn write_summary<S: Sink>(s: &mut S, h: &HistogramSummary) {
-    s.begin_obj();
-    s.u64_field("count", h.count);
-    s.u64_field("sum", h.sum);
-    s.u64_field("p50", h.p50);
-    s.u64_field("p95", h.p95);
-    s.u64_field("p99", h.p99);
-    s.end_obj();
-}
-
-fn read_summary<'a, S: Source<'a>>(s: &mut S) -> Result<HistogramSummary, DecodeError> {
-    s.obj(|s, o| {
-        Ok(HistogramSummary {
-            count: s.u64_field(o, "count")?,
-            sum: s.u64_field(o, "sum")?,
-            p50: s.u64_field(o, "p50")?,
-            p95: s.u64_field(o, "p95")?,
-            p99: s.u64_field(o, "p99")?,
-        })
-    })
+crate::wire! {
+    CoreStats { cycles, app_instrs, comm_instrs, ozq_stalls, stream_blocked, breakdown }
+    BusStats { addr_phases, data_transfers, data_busy_cycles, ctl_delivered }
+    // `updates` is absent in blobs cached before the protocol axis existed.
+    MemStats {
+        l1_hits, l1_misses, l2_accesses, l2_port_conflicts, dram_accesses, forwards,
+        updates = 0, bus,
+    }
+    HistogramSummary { count, sum, p50, p95, p99 }
 }
 
 /// Pushes a [`MetricsReport`] into `s`. Counters and histograms keep
@@ -141,7 +59,7 @@ fn read_summary<'a, S: Source<'a>>(s: &mut S) -> Result<HistogramSummary, Decode
 pub fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
     s.begin_obj();
     s.key("breakdown");
-    write_breakdown(s, &m.breakdown);
+    m.breakdown.write(s);
     s.key("counters");
     s.begin_obj();
     for (name, v) in &m.counters {
@@ -152,7 +70,7 @@ pub fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
     s.begin_obj();
     for (name, h) in &m.histograms {
         s.key(name);
-        write_summary(s, h);
+        h.write(s);
     }
     s.end_obj();
     s.end_obj();
@@ -161,7 +79,7 @@ pub fn write_metrics<S: Sink>(s: &mut S, m: &MetricsReport) {
 fn read_metrics<'a, S: Source<'a>>(s: &mut S) -> Result<MetricsReport, DecodeError> {
     s.obj(|s, o| {
         let mut m = MetricsReport::new();
-        m.breakdown = s.field(o, "breakdown", read_breakdown)?;
+        m.breakdown = field(s, o, "breakdown", None)?;
         s.field(o, "counters", |s| {
             s.obj(|s, entries| {
                 while let Some(name) = s.next_entry(entries)? {
@@ -173,7 +91,8 @@ fn read_metrics<'a, S: Source<'a>>(s: &mut S) -> Result<MetricsReport, DecodeErr
         s.field(o, "histograms", |s| {
             s.obj(|s, entries| {
                 while let Some(name) = s.next_entry(entries)? {
-                    m.histograms.push((name.into_owned(), read_summary(s)?));
+                    m.histograms
+                        .push((name.into_owned(), HistogramSummary::read(s)?));
                 }
                 Ok::<_, DecodeError>(())
             })
@@ -189,9 +108,9 @@ fn write_run_result<S: Sink>(s: &mut S, r: &RunResult) {
     s.str_field("design", &r.design);
     s.u64_field("cycles", r.cycles);
     s.u64_field("iterations", r.iterations);
-    s.arr_field("cores", &r.cores, write_core);
+    s.arr_field("cores", &r.cores, |s, c| c.write(s));
     s.key("mem");
-    write_mem(s, &r.mem);
+    r.mem.write(s);
     match r.stream_cache {
         Some((hits, misses, drops)) => s.arr_field("stream_cache", [hits, misses, drops], S::u64),
         None => {
@@ -212,8 +131,8 @@ fn read_run_result<'a, S: Source<'a>>(s: &mut S) -> Result<RunResult, DecodeErro
             design: s.str_field(o, "design")?.into_owned(),
             cycles: s.u64_field(o, "cycles")?,
             iterations: s.u64_field(o, "iterations")?,
-            cores: s.arr_field(o, "cores", read_core)?,
-            mem: s.field(o, "mem", read_mem)?,
+            cores: field(s, o, "cores", None)?,
+            mem: field(s, o, "mem", None)?,
             stream_cache: s.field(o, "stream_cache", |s| {
                 if s.null()? {
                     return Ok(None);

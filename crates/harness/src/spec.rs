@@ -8,16 +8,15 @@
 //! simulator's own `validate()` runs when the machine is built, so a
 //! malformed spec fails the job, not the server).
 //!
-//! Each type is described once, as a `write_*`/`read_*` pair over
-//! [`Sink`]/[`Source`]: frames run [`write_job`]/[`read_job`] straight
-//! to and from text, `fig6 --dump-jobs` and `hfs-client submit` run
-//! [`write_sweep`]/[`read_sweep`] the same way, and [`Job::key`] hashes
-//! what `write_job` writes after the label.
+//! Each Table 2 parameter group and kernel record is one field list
+//! ([`wire!`](crate::wire!)); `KStep`, `DesignPoint` and the job (each
+//! tagged) are written by hand. Frames run [`write_job`]/[`read_job`]
+//! straight to and from text, `fig6 --dump-jobs` and `hfs-client
+//! submit` run [`write_sweep`]/[`read_sweep`] the same way, and
+//! [`Job::key`] hashes what `write_job` writes after the label.
 //!
 //! Kernel and region names are owned by the job that carries them; a
-//! name from the wire is refused past [`MAX_NAME_BYTES`].
-
-use std::sync::Arc;
+//! name from the wire is refused past [`crate::wire::MAX_NAME_BYTES`].
 
 use hfs_core::kernel::{KRegion, KStep, Kernel, KernelPair};
 use hfs_core::{DesignPoint, MachineConfig};
@@ -29,339 +28,150 @@ use crate::job::{Job, Mode, CACHE_SCHEMA};
 use crate::json::{from_text, parse, to_text, Json, Sink, Source};
 use crate::key::HashSink;
 use crate::ser::DecodeError;
+use crate::wire::{field, Wire};
 
-/// Longest kernel or region name a spec may carry; the repository's own
-/// are at most 16 bytes.
-const MAX_NAME_BYTES: usize = 128;
-
-/// The required `name` of a kernel pair or a region.
-///
-/// # Errors
-///
-/// A name longer than [`MAX_NAME_BYTES`]: names arrive from the wire.
-fn read_name<'a, S: Source<'a>>(s: &mut S, o: &mut S::Obj) -> Result<Arc<str>, DecodeError> {
-    let name = s.str_field(o, "name")?;
-    if name.len() > MAX_NAME_BYTES {
-        return Err(DecodeError::Shape(format!(
-            "a {}-byte name (at most {MAX_NAME_BYTES})",
-            name.len()
-        )));
+crate::wire! {
+    KRegion { name, bytes }
+    Kernel { regions, steps }
+    KernelPair { name, producer, consumer, iterations }
+    CacheGeometry { bytes, ways, line_bytes }
+    BusConfig { width_bytes, clock_divider, pipeline_stages, favor_app_traffic }
+    // Specs written before the protocol axis existed are MSI.
+    MemConfig {
+        cores, l1d, l1_latency, l2, l2_latency_min, l2_ports, ozq_entries, recirc_interval,
+        l3, l3_latency, dram_latency, bus, protocol = Protocol::Msi,
     }
-    Ok(name.into())
+    CoreConfig { issue_width, int_alus, fp_units, branch_units, mem_ports, window, free_queue_ops }
+    MachineConfig { mem, core, design, seed, deadlock_cycles }
 }
 
-fn write_step<S: Sink>(s: &mut S, step: &KStep) {
-    use KStep::*;
-    s.begin_obj();
-    s.str_field(
-        "op",
-        match step {
-            Alu(_) => "alu",
-            AluChain(_) => "alu_chain",
-            FpChain(_) => "fp_chain",
-            Fp(_) => "fp",
-            Branch => "branch",
-            LoadStream { .. } => "load_stream",
-            LoadRandom { .. } => "load_random",
-            StoreStream { .. } => "store_stream",
-            StoreRandom { .. } => "store_random",
-            Produce(_) => "produce",
-            Consume(_) => "consume",
-            Loop(..) => "loop",
-        },
-    );
-    match step {
-        Alu(n) | AluChain(n) | FpChain(n) | Fp(n) => s.u64_field("n", u64::from(*n)),
-        Branch => {}
-        LoadStream { region, .. }
-        | LoadRandom { region }
-        | StoreStream { region, .. }
-        | StoreRandom { region } => s.u64_field("region", *region as u64),
-        Produce(q) | Consume(q) => s.u64_field("queue", u64::from(q.0)),
-        Loop(body, count) => {
-            s.u64_field("count", *count);
-            s.arr_field("body", body, write_step);
-        }
-    }
-    if let LoadStream { stride, .. } | StoreStream { stride, .. } = step {
-        s.u64_field("stride", *stride);
-    }
-    s.end_obj();
-}
-
-fn read_step<'a, S: Source<'a>>(s: &mut S) -> Result<KStep, DecodeError> {
-    s.obj(|s, o| {
-        let op = s.str_field(o, "op")?;
-        Ok(match &*op {
-            "alu" | "alu_chain" | "fp_chain" | "fp" => {
-                let n = s.uint_field(o, "n")?;
-                match &*op {
-                    "alu" => KStep::Alu(n),
-                    "alu_chain" => KStep::AluChain(n),
-                    "fp_chain" => KStep::FpChain(n),
-                    _ => KStep::Fp(n),
-                }
-            }
-            "branch" => KStep::Branch,
-            "load_random" | "store_random" | "load_stream" | "store_stream" => {
-                let region = s.uint_field(o, "region")?;
-                let load = op.starts_with("load");
-                if op.ends_with("random") {
-                    if load {
-                        KStep::LoadRandom { region }
-                    } else {
-                        KStep::StoreRandom { region }
-                    }
-                } else {
-                    let stride = s.u64_field(o, "stride")?;
-                    if load {
-                        KStep::LoadStream { region, stride }
-                    } else {
-                        KStep::StoreStream { region, stride }
-                    }
-                }
-            }
-            "produce" | "consume" => {
-                let q = QueueId(s.uint_field(o, "queue")?);
-                if &*op == "produce" {
-                    KStep::Produce(q)
-                } else {
-                    KStep::Consume(q)
-                }
-            }
-            "loop" => {
-                let count = s.u64_field(o, "count")?;
-                KStep::Loop(s.arr_field(o, "body", read_step)?, count)
-            }
-            other => return Err(DecodeError::Shape(format!("unknown kernel op `{other}`"))),
-        })
-    })
-}
-
-fn write_kernel<S: Sink>(s: &mut S, k: &Kernel) {
-    s.begin_obj();
-    s.arr_field("regions", &k.regions, |s, r| {
+impl Wire for KStep {
+    fn write<S: Sink>(&self, s: &mut S) {
+        use KStep::*;
         s.begin_obj();
-        s.str_field("name", &r.name);
-        s.u64_field("bytes", r.bytes);
-        s.end_obj();
-    });
-    s.arr_field("steps", &k.steps, write_step);
-    s.end_obj();
-}
-
-fn read_kernel<'a, S: Source<'a>>(s: &mut S) -> Result<Kernel, DecodeError> {
-    s.obj(|s, o| {
-        Ok(Kernel {
-            regions: s.arr_field(o, "regions", |s| {
-                s.obj(|s, o| {
-                    Ok::<_, DecodeError>(KRegion {
-                        name: read_name(s, o)?,
-                        bytes: s.u64_field(o, "bytes")?,
-                    })
-                })
-            })?,
-            steps: s.arr_field(o, "steps", read_step)?,
-        })
-    })
-}
-
-/// `p` with `iterations` in place of its own: [`locality_key`] writes
-/// every pair of one kernel shape alike.
-fn write_pair<S: Sink>(s: &mut S, p: &KernelPair, iterations: u64) {
-    s.begin_obj();
-    s.str_field("name", &p.name);
-    s.key("producer");
-    write_kernel(s, &p.producer);
-    s.key("consumer");
-    write_kernel(s, &p.consumer);
-    s.u64_field("iterations", iterations);
-    s.end_obj();
-}
-
-fn read_pair<'a, S: Source<'a>>(s: &mut S) -> Result<KernelPair, DecodeError> {
-    s.obj(|s, o| {
-        Ok(KernelPair {
-            name: read_name(s, o)?,
-            producer: s.field(o, "producer", read_kernel)?,
-            consumer: s.field(o, "consumer", read_kernel)?,
-            iterations: s.u64_field(o, "iterations")?,
-        })
-    })
-}
-
-fn write_design<S: Sink>(s: &mut S, d: &DesignPoint) {
-    s.begin_obj();
-    s.str_field("kind", d.wire_kind());
-    // Handing every value back makes the result `d` again. A field whose
-    // `max` is 1 is a flag, and travels as a boolean.
-    let _ = d.map_wire_fields(|name, max, v| {
-        if max == 1 {
-            s.bool_field(name, v != 0);
-        } else {
-            s.u64_field(name, v);
-        }
-        Ok::<_, std::convert::Infallible>(v)
-    });
-    s.end_obj();
-}
-
-fn read_design<'a, S: Source<'a>>(s: &mut S) -> Result<DesignPoint, DecodeError> {
-    s.obj(|s, o| {
-        let kind = s.str_field(o, "kind")?;
-        DesignPoint::of_wire_kind(&kind)
-            .ok_or_else(|| DecodeError::Shape(format!("unknown design kind `{kind}`")))?
-            .map_wire_fields(|name, max, _| {
-                let v = if max == 1 {
-                    s.bool_field(o, name)?.into()
-                } else {
-                    s.u64_field(o, name)?
-                };
-                if v > max {
-                    return Err(DecodeError::Shape(format!(
-                        "field `{name}` is out of range"
-                    )));
-                }
-                Ok(v)
-            })
-    })
-}
-
-fn write_geometry<S: Sink>(s: &mut S, key: &str, g: &CacheGeometry) {
-    s.key(key);
-    s.begin_obj();
-    s.u64_field("bytes", g.bytes);
-    s.u64_field("ways", u64::from(g.ways));
-    s.u64_field("line_bytes", g.line_bytes);
-    s.end_obj();
-}
-
-fn read_geometry<'a, S: Source<'a>>(s: &mut S) -> Result<CacheGeometry, DecodeError> {
-    s.obj(|s, o| {
-        Ok(CacheGeometry {
-            bytes: s.u64_field(o, "bytes")?,
-            ways: s.uint_field(o, "ways")?,
-            line_bytes: s.u64_field(o, "line_bytes")?,
-        })
-    })
-}
-
-fn write_bus<S: Sink>(s: &mut S, b: &BusConfig) {
-    s.begin_obj();
-    s.u64_field("width_bytes", b.width_bytes);
-    s.u64_field("clock_divider", b.clock_divider);
-    s.u64_field("pipeline_stages", b.pipeline_stages);
-    s.bool_field("favor_app_traffic", b.favor_app_traffic);
-    s.end_obj();
-}
-
-fn read_bus<'a, S: Source<'a>>(s: &mut S) -> Result<BusConfig, DecodeError> {
-    s.obj(|s, o| {
-        Ok(BusConfig {
-            width_bytes: s.u64_field(o, "width_bytes")?,
-            clock_divider: s.u64_field(o, "clock_divider")?,
-            pipeline_stages: s.u64_field(o, "pipeline_stages")?,
-            favor_app_traffic: s.bool_field(o, "favor_app_traffic")?,
-        })
-    })
-}
-
-fn write_mem<S: Sink>(s: &mut S, m: &MemConfig) {
-    s.begin_obj();
-    s.u64_field("cores", u64::from(m.cores));
-    write_geometry(s, "l1d", &m.l1d);
-    s.u64_field("l1_latency", m.l1_latency);
-    write_geometry(s, "l2", &m.l2);
-    s.u64_field("l2_latency_min", m.l2_latency_min);
-    s.u64_field("l2_ports", u64::from(m.l2_ports));
-    s.u64_field("ozq_entries", u64::from(m.ozq_entries));
-    s.u64_field("recirc_interval", m.recirc_interval);
-    write_geometry(s, "l3", &m.l3);
-    s.u64_field("l3_latency", m.l3_latency);
-    s.u64_field("dram_latency", m.dram_latency);
-    s.key("bus");
-    write_bus(s, &m.bus);
-    s.str_field("protocol", m.protocol.label());
-    s.end_obj();
-}
-
-fn read_mem<'a, S: Source<'a>>(s: &mut S) -> Result<MemConfig, DecodeError> {
-    s.obj(|s, o| {
-        Ok(MemConfig {
-            cores: s.uint_field(o, "cores")?,
-            l1d: s.field(o, "l1d", read_geometry)?,
-            l1_latency: s.u64_field(o, "l1_latency")?,
-            l2: s.field(o, "l2", read_geometry)?,
-            l2_latency_min: s.u64_field(o, "l2_latency_min")?,
-            l2_ports: s.uint_field(o, "l2_ports")?,
-            ozq_entries: s.uint_field(o, "ozq_entries")?,
-            recirc_interval: s.u64_field(o, "recirc_interval")?,
-            l3: s.field(o, "l3", read_geometry)?,
-            l3_latency: s.u64_field(o, "l3_latency")?,
-            dram_latency: s.u64_field(o, "dram_latency")?,
-            bus: s.field(o, "bus", read_bus)?,
-            // Specs written before the protocol axis existed default to
-            // MSI.
-            protocol: if s.seek(o, "protocol")? {
-                let label = s.str()?;
-                Protocol::parse(&label)
-                    .ok_or_else(|| DecodeError::Shape(format!("unknown protocol `{label}`")))?
-            } else {
-                Protocol::Msi
+        s.str_field(
+            "op",
+            match self {
+                Alu(_) => "alu",
+                AluChain(_) => "alu_chain",
+                FpChain(_) => "fp_chain",
+                Fp(_) => "fp",
+                Branch => "branch",
+                LoadStream { .. } => "load_stream",
+                LoadRandom { .. } => "load_random",
+                StoreStream { .. } => "store_stream",
+                StoreRandom { .. } => "store_random",
+                Produce(_) => "produce",
+                Consume(_) => "consume",
+                Loop(..) => "loop",
             },
+        );
+        match self {
+            Alu(n) | AluChain(n) | FpChain(n) | Fp(n) => s.u64_field("n", u64::from(*n)),
+            Branch => {}
+            LoadStream { region, .. }
+            | LoadRandom { region }
+            | StoreStream { region, .. }
+            | StoreRandom { region } => s.u64_field("region", *region as u64),
+            Produce(q) | Consume(q) => s.u64_field("queue", u64::from(q.0)),
+            Loop(body, count) => {
+                s.u64_field("count", *count);
+                s.arr_field("body", body, |s, step| step.write(s));
+            }
+        }
+        if let LoadStream { stride, .. } | StoreStream { stride, .. } = self {
+            s.u64_field("stride", *stride);
+        }
+        s.end_obj();
+    }
+
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<KStep, DecodeError> {
+        s.obj(|s, o| {
+            let op = s.str_field(o, "op")?;
+            Ok(match &*op {
+                "alu" | "alu_chain" | "fp_chain" | "fp" => {
+                    let n = s.uint_field(o, "n")?;
+                    match &*op {
+                        "alu" => KStep::Alu(n),
+                        "alu_chain" => KStep::AluChain(n),
+                        "fp_chain" => KStep::FpChain(n),
+                        _ => KStep::Fp(n),
+                    }
+                }
+                "branch" => KStep::Branch,
+                "load_random" | "store_random" | "load_stream" | "store_stream" => {
+                    let region = s.uint_field(o, "region")?;
+                    let load = op.starts_with("load");
+                    if op.ends_with("random") {
+                        if load {
+                            KStep::LoadRandom { region }
+                        } else {
+                            KStep::StoreRandom { region }
+                        }
+                    } else {
+                        let stride = s.u64_field(o, "stride")?;
+                        if load {
+                            KStep::LoadStream { region, stride }
+                        } else {
+                            KStep::StoreStream { region, stride }
+                        }
+                    }
+                }
+                "produce" | "consume" => {
+                    let q = QueueId(s.uint_field(o, "queue")?);
+                    if &*op == "produce" {
+                        KStep::Produce(q)
+                    } else {
+                        KStep::Consume(q)
+                    }
+                }
+                "loop" => {
+                    let count = s.u64_field(o, "count")?;
+                    KStep::Loop(field(s, o, "body", None)?, count)
+                }
+                other => return Err(DecodeError::Shape(format!("unknown kernel op `{other}`"))),
+            })
         })
-    })
+    }
 }
 
-fn write_core<S: Sink>(s: &mut S, c: &CoreConfig) {
-    s.begin_obj();
-    s.u64_field("issue_width", u64::from(c.issue_width));
-    s.u64_field("int_alus", u64::from(c.int_alus));
-    s.u64_field("fp_units", u64::from(c.fp_units));
-    s.u64_field("branch_units", u64::from(c.branch_units));
-    s.u64_field("mem_ports", u64::from(c.mem_ports));
-    s.u64_field("window", u64::from(c.window));
-    s.bool_field("free_queue_ops", c.free_queue_ops);
-    s.end_obj();
-}
+impl Wire for DesignPoint {
+    fn write<S: Sink>(&self, s: &mut S) {
+        s.begin_obj();
+        s.str_field("kind", self.wire_kind());
+        // Handing every value back makes the result `self` again. A field
+        // whose `max` is 1 is a flag, and travels as a boolean.
+        let _ = self.map_wire_fields(|name, max, v| {
+            if max == 1 {
+                s.bool_field(name, v != 0);
+            } else {
+                s.u64_field(name, v);
+            }
+            Ok::<_, std::convert::Infallible>(v)
+        });
+        s.end_obj();
+    }
 
-fn read_core<'a, S: Source<'a>>(s: &mut S) -> Result<CoreConfig, DecodeError> {
-    s.obj(|s, o| {
-        Ok(CoreConfig {
-            issue_width: s.uint_field(o, "issue_width")?,
-            int_alus: s.uint_field(o, "int_alus")?,
-            fp_units: s.uint_field(o, "fp_units")?,
-            branch_units: s.uint_field(o, "branch_units")?,
-            mem_ports: s.uint_field(o, "mem_ports")?,
-            window: s.uint_field(o, "window")?,
-            free_queue_ops: s.bool_field(o, "free_queue_ops")?,
+    fn read<'a, S: Source<'a>>(s: &mut S) -> Result<DesignPoint, DecodeError> {
+        s.obj(|s, o| {
+            let kind = s.str_field(o, "kind")?;
+            DesignPoint::of_wire_kind(&kind)
+                .ok_or_else(|| DecodeError::Shape(format!("unknown design kind `{kind}`")))?
+                .map_wire_fields(|name, max, _| {
+                    let v = if max == 1 {
+                        s.bool_field(o, name)?.into()
+                    } else {
+                        s.u64_field(o, name)?
+                    };
+                    if v > max {
+                        return Err(DecodeError::Shape(format!(
+                            "field `{name}` is out of range"
+                        )));
+                    }
+                    Ok(v)
+                })
         })
-    })
-}
-
-fn write_machine_config<S: Sink>(s: &mut S, c: &MachineConfig) {
-    s.begin_obj();
-    s.key("mem");
-    write_mem(s, &c.mem);
-    s.key("core");
-    write_core(s, &c.core);
-    s.key("design");
-    write_design(s, &c.design);
-    s.u64_field("seed", c.seed);
-    s.u64_field("deadlock_cycles", c.deadlock_cycles);
-    s.end_obj();
-}
-
-fn read_machine_config<'a, S: Source<'a>>(s: &mut S) -> Result<MachineConfig, DecodeError> {
-    s.obj(|s, o| {
-        Ok(MachineConfig {
-            mem: s.field(o, "mem", read_mem)?,
-            core: s.field(o, "core", read_core)?,
-            design: s.field(o, "design", read_design)?,
-            seed: s.u64_field(o, "seed")?,
-            deadlock_cycles: s.u64_field(o, "deadlock_cycles")?,
-        })
-    })
+    }
 }
 
 /// The members of a job's spec that determine its outcome — all but
@@ -372,9 +182,9 @@ fn write_keyed<S: Sink>(s: &mut S, job: &Job) {
     s.u64_field("max_cycles", job.max_cycles);
     s.bool_field("metrics", job.metrics);
     s.key("pair");
-    write_pair(s, &job.pair, job.pair.iterations);
+    job.pair.write(s);
     s.key("cfg");
-    write_machine_config(s, &job.cfg);
+    job.cfg.write(s);
 }
 
 fn write_mode<S: Sink>(s: &mut S, mode: Mode) {
@@ -408,15 +218,18 @@ pub(crate) fn content_hash(job: &Job) -> u64 {
 }
 
 /// The hashes of a job's machine config (the keyed members less `pair`
-/// and `max_cycles`) and of its kernel shape (the pair with `iterations`
-/// cleared): jobs that repeat both back to back run faster on the host.
+/// and `max_cycles`) and of its kernel shape (the pair's name and
+/// kernels, not its iteration count): jobs that repeat both back to back
+/// run faster on the host.
 pub fn locality_key(job: &Job) -> (u64, u64) {
     let mut config = HashSink::new(0);
     write_mode(&mut config, job.mode);
     config.bool_field("metrics", job.metrics);
-    write_machine_config(&mut config, &job.cfg);
+    job.cfg.write(&mut config);
     let mut shape = HashSink::new(0);
-    write_pair(&mut shape, &job.pair, 0);
+    job.pair.name.write(&mut shape);
+    job.pair.producer.write(&mut shape);
+    job.pair.consumer.write(&mut shape);
     (config.finish(), shape.finish())
 }
 
@@ -428,7 +241,7 @@ pub fn locality_key(job: &Job) -> (u64, u64) {
 /// unknown design kinds.
 pub fn read_job<'a, S: Source<'a>>(s: &mut S) -> Result<Job, DecodeError> {
     s.obj(|s, o| {
-        let label = s.str_field(o, "label")?.into_owned();
+        let label = field(s, o, "label", None)?;
         let mode = match &*s.str_field(o, "mode")? {
             "pipeline" => Mode::Pipeline,
             "single" => Mode::Single,
@@ -437,8 +250,8 @@ pub fn read_job<'a, S: Source<'a>>(s: &mut S) -> Result<Job, DecodeError> {
         };
         let max_cycles = s.u64_field(o, "max_cycles")?;
         let metrics = s.bool_field(o, "metrics")?;
-        let pair = s.field(o, "pair", read_pair)?;
-        let cfg = s.field(o, "cfg", read_machine_config)?;
+        let pair = field(s, o, "pair", None)?;
+        let cfg = field(s, o, "cfg", None)?;
         Ok(Job::from_parts(label, pair, cfg, mode, max_cycles, metrics))
     })
 }
@@ -460,7 +273,7 @@ pub fn write_sweep<S: Sink>(s: &mut S, experiment: &str, jobs: &[Job]) {
 pub fn read_sweep<'a, S: Source<'a>>(s: &mut S) -> Result<(String, Vec<Job>), DecodeError> {
     s.obj(|s, o| {
         Ok((
-            s.str_field(o, "experiment")?.into_owned(),
+            field(s, o, "experiment", None)?,
             s.arr_field(o, "jobs", read_job)?,
         ))
     })
@@ -493,6 +306,7 @@ pub fn sweep_to_json(experiment: &str, jobs: &[Job]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_NAME_BYTES;
 
     fn spec_text(job: &Job) -> String {
         to_text(false, |w| write_job(w, job))
@@ -589,7 +403,7 @@ mod tests {
             DesignPoint::regmapped(3),
         ];
         for d in DesignPoint::paper_points().into_iter().chain(tuned) {
-            let back = from_text(&to_text(false, |s| write_design(s, &d)), read_design).unwrap();
+            let back = from_text(&to_text(false, |s| d.write(s)), DesignPoint::read).unwrap();
             assert_eq!(back, d, "{d}");
         }
     }

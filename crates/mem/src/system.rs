@@ -137,7 +137,7 @@ pub struct MemSystem {
     completions: Vec<TimedQueue<Completion>>,
     events: Vec<MemEvent>,
     /// Per-tick scratch buffers, reused every cycle so the hot loop
-    /// allocates nothing in steady state.
+    /// allocates nothing in steady state (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     addr_scratch: Vec<AddrTxn>,
     data_scratch: Vec<DataTxn>,
     l3_scratch: Vec<L3Ready>,
@@ -417,7 +417,8 @@ impl MemSystem {
 
     /// Moves the event stream accumulated since the last call into `out`
     /// (cleared first); both buffers keep their capacity, so a caller
-    /// recycling the same buffer allocates nothing in steady state.
+    /// recycling the same buffer allocates nothing in steady state
+    /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     pub fn take_events(&mut self, out: &mut Vec<MemEvent>) {
         out.clear();
         std::mem::swap(out, &mut self.events);

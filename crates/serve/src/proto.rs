@@ -478,41 +478,12 @@ pub struct ServeStats {
     pub draining: bool,
 }
 
-impl ServeStats {
-    /// Pushes the counters as fields of the object `s` has open: the
-    /// body of a `stats` frame after its tag, and all of what
-    /// `hfs-client stats` prints.
-    pub fn write_fields<S: Sink>(&self, s: &mut S) {
-        s.u64_field("submitted", self.submitted);
-        s.u64_field("executed", self.executed);
-        s.u64_field("cache_hits", self.cache_hits);
-        s.u64_field("deduped", self.deduped);
-        s.u64_field("cancelled", self.cancelled);
-        s.u64_field("aborted", self.aborted);
-        s.u64_field("rejected", self.rejected);
-        s.u64_field("delivered", self.delivered);
-        s.u64_field("queued", self.queued);
-        s.u64_field("running", self.running);
-        s.bool_field("draining", self.draining);
-    }
-
-    fn read_fields<'a, S: Source<'a>>(
-        s: &mut S,
-        o: &mut S::Obj,
-    ) -> Result<ServeStats, DecodeError> {
-        Ok(ServeStats {
-            submitted: s.u64_field(o, "submitted")?,
-            executed: s.u64_field(o, "executed")?,
-            cache_hits: s.u64_field(o, "cache_hits")?,
-            deduped: s.u64_field(o, "deduped")?,
-            cancelled: s.u64_field(o, "cancelled")?,
-            aborted: s.u64_field(o, "aborted")?,
-            rejected: s.u64_field(o, "rejected")?,
-            delivered: s.u64_field(o, "delivered")?,
-            queued: s.u64_field(o, "queued")?,
-            running: s.u64_field(o, "running")?,
-            draining: s.bool_field(o, "draining")?,
-        })
+// The body of a `stats` frame after its tag, and all of what
+// `hfs-client stats` prints.
+hfs_harness::wire! {
+    fields ServeStats {
+        submitted, executed, cache_hits, deduped, cancelled, aborted, rejected, delivered,
+        queued, running, draining,
     }
 }
 

@@ -111,6 +111,24 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+echo "==> one field list (a wire record is a wire! field list; only tagged values and special documents are codecs by hand)"
+# Product code as above, in hfs-harness and hfs-serve. Allowed `fn read_*`:
+# the special documents (job, sweep, run result, metrics report), the
+# tagged outcome, the frame transport and its header helpers, and the
+# `read_fields` that `wire!` generates. Allowed hand-written `impl Wire`:
+# the leaves in wire.rs (`$t` is its narrow-integer macro, `$ty` the
+# record macro), the tagged `KStep`, the kind-tagged `DesignPoint` and
+# the `Breakdown`, whose keys are stall-component labels.
+READ_OK='job|sweep|run_result|metrics|outcome|frame|from|submit_header|tag|fields'
+WIRE_OK='u64|\$t|\$ty|bool|String|Arc<str>|Vec<T>|Protocol|KStep|DesignPoint|Breakdown'
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE '\bfn read_[A-Za-z0-9_]+|\bimpl\b.*\bWire for ' \
+        | grep -vE "\bfn read_($READ_OK)\b|\bWire for ($WIRE_OK) \{" | sed "s|^|$f:|" | grep .; then
+        echo "a record codec written by hand: give the type a wire! field list"; exit 1
+    fi
+done < <(find crates/harness/src crates/serve/src -name '*.rs' | sort)
+
 echo "==> one release profile (.cargo/config.toml sets it for the root workspace and benchmark/'s)"
 # A `[profile` table in any manifest would give one workspace a profile
 # of its own; results do not depend on the profile, the speed does.
@@ -235,9 +253,11 @@ rm -rf "$HEAL_TMP"
 trap - EXIT
 
 echo "==> key path (a cache key depends on no Debug output)"
-# `Job::key_ref`, the field list it hashes and the hash itself.
+# `Job::key_ref`, the field lists it hashes, their leaves and the hash
+# itself.
 if { sed -n '/pub fn key_ref/,/^    }/p' crates/harness/src/job.rs
      sed '/^#\[cfg(test)\]/,$d' crates/harness/src/spec.rs
+     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/wire.rs
      sed '/^#\[cfg(test)\]/,$d' crates/harness/src/key.rs
    } | grep -nE '\{:#?\?\}|Debug'; then
     echo "the key path formats or requires Debug"; exit 1

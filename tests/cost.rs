@@ -10,7 +10,10 @@ use std::cell::Cell;
 use hfs::core::kernel::KernelPair;
 use hfs::core::{DesignPoint, Machine, MachineConfig};
 use hfs::harness::json::Writer;
-use hfs::harness::{execute, write_outcome, HotCache, Job, DEFAULT_MAX_CYCLES};
+use hfs::harness::{
+    execute, from_text, outcome_from_text, outcome_to_text, read_job, to_text, write_job,
+    write_outcome, HotCache, Job, DEFAULT_MAX_CYCLES,
+};
 use hfs::mem::Protocol;
 use hfs::obs::{Level, Logger, Value};
 
@@ -55,9 +58,10 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// Allocations of `Machine::run` alone, construction excluded.
-fn run_allocations(design: DesignPoint, iterations: u64) -> u64 {
+fn run_allocations(design: DesignPoint, protocol: Protocol, iterations: u64) -> u64 {
     let pair = KernelPair::simple("cost", 4, iterations);
-    let cfg = MachineConfig::itanium2_cmp(design);
+    let mut cfg = MachineConfig::itanium2_cmp(design);
+    cfg.mem.protocol = protocol;
     let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
     let (n, r) = allocations(|| m.run(DEFAULT_MAX_CYCLES));
     r.expect("run completes");
@@ -65,7 +69,9 @@ fn run_allocations(design: DesignPoint, iterations: u64) -> u64 {
 }
 
 /// A run's footprint is fixed: sixteen times the iterations allocate
-/// exactly as often.
+/// exactly as often, under every coherence protocol. This is the test
+/// behind the steady-state "allocates nothing" comments in `hfs-mem`,
+/// `hfs-cpu` and `hfs-core`.
 ///
 /// SYNCOPTI+SC+Q64 reaches its footprint later. Its stream cache keys
 /// entries in an `FnvMap`, whose table doubles to 256 slots (one 6 KB
@@ -74,36 +80,48 @@ fn run_allocations(design: DesignPoint, iterations: u64) -> u64 {
 /// does. And 200 is not a multiple of its QLU (16), so the run ends on a
 /// half line that the idle flush hands over item by item; on the way the
 /// memory system's request and completion queues and the backend's wait
-/// lists reach a higher peak than a run ending on a full line. Measured:
-/// 92 allocations at 200 iterations (one table doubling fewer, six
-/// end-of-run buffer growths more), 85 at 800, and 87 at every length
-/// from 1 600 to 12 800. So it is pinned equal at 1 600 and 3 200, and
-/// within a bound of 8 at 200.
+/// lists reach a higher peak than a run ending on a full line. Measured
+/// under MSI: 92 allocations at 200 iterations (one table doubling
+/// fewer, six end-of-run buffer growths more), 85 at 800, and 87 at
+/// every length from 1 600 to 12 800; under MESI 92/87/87 and under
+/// Dragon 85/86/86 at 200/1 600/3 200. So it is pinned equal at 1 600
+/// and 3 200, and within a bound of 8 at 200.
 #[test]
 fn a_run_allocates_the_same_at_any_length() {
-    for design in [
-        DesignPoint::existing(),
-        DesignPoint::memopti(),
-        DesignPoint::syncopti(),
-        DesignPoint::heavywt(),
-    ] {
-        let short = run_allocations(design, 200);
-        let long = run_allocations(design, 3_200);
-        println!("{design}: {short} allocations at 200 iterations, {long} at 3200");
-        assert_eq!(short, long, "{design}: run allocations grow with length");
+    for protocol in Protocol::ALL {
+        let p = protocol.label();
+        for design in [
+            DesignPoint::existing(),
+            DesignPoint::memopti(),
+            DesignPoint::syncopti(),
+            DesignPoint::heavywt(),
+        ] {
+            let short = run_allocations(design, protocol, 200);
+            let long = run_allocations(design, protocol, 3_200);
+            println!("{design}/{p}: {short} allocations at 200 iterations, {long} at 3200");
+            assert_eq!(
+                short, long,
+                "{design}/{p}: run allocations grow with length"
+            );
+        }
+        let design = DesignPoint::syncopti_sc_q64();
+        let (short, filled, long) = (
+            run_allocations(design, protocol, 200),
+            run_allocations(design, protocol, 1_600),
+            run_allocations(design, protocol, 3_200),
+        );
+        println!(
+            "{design}/{p}: {short} allocations at 200 iterations, {filled} at 1600, {long} at 3200"
+        );
+        assert_eq!(
+            filled, long,
+            "{design}/{p}: run allocations grow with length"
+        );
+        assert!(
+            short.abs_diff(long) <= 8,
+            "{design}/{p}: a short run allocates {short} times, a long one {long}"
+        );
     }
-    let design = DesignPoint::syncopti_sc_q64();
-    let (short, filled, long) = (
-        run_allocations(design, 200),
-        run_allocations(design, 1_600),
-        run_allocations(design, 3_200),
-    );
-    println!("{design}: {short} allocations at 200 iterations, {filled} at 1600, {long} at 3200");
-    assert_eq!(filled, long, "{design}: run allocations grow with length");
-    assert!(
-        short.abs_diff(long) <= 8,
-        "{design}: a short run allocates {short} times, a long one {long}"
-    );
 }
 
 /// What the simulator does, not how fast: on the benchmark's nine
@@ -205,4 +223,85 @@ fn a_compact_write_into_a_sized_buffer_allocates_nothing() {
         let (n, ()) = allocations(|| line(i));
         assert_eq!(n, 0, "a log line allocated once its buffer had grown");
     }
+}
+
+/// A warm decode allocates what the decoded value owns, and nothing per
+/// key or per number: a SYNCOPTI job's 629-byte outcome its design name
+/// and its vector of core stats; the job's spec its label, its pair's
+/// name and the two kernels' step vectors. A fresh key is the memoised
+/// hex and the copy `key` hands out; `key_ref` on a job that has one
+/// allocates nothing.
+#[test]
+fn a_warm_decode_allocates_what_it_keeps() {
+    let job = Job::pipeline(
+        "cost/codec",
+        KernelPair::simple("cost", 4, 20),
+        MachineConfig::itanium2_cmp(DesignPoint::syncopti()),
+    );
+    let outcome = outcome_to_text(&execute(&job, 0));
+    assert_eq!(outcome.len(), 629, "the outcome's text");
+    let (n, decoded) = allocations(|| outcome_from_text(&outcome));
+    decoded.expect("the outcome decodes");
+    assert_eq!(n, 2, "decoding the outcome");
+
+    let spec = to_text(false, |s| write_job(s, &job));
+    let (n, decoded) = allocations(|| from_text(&spec, read_job));
+    let fresh = decoded.expect("the spec decodes");
+    assert_eq!(n, 4, "decoding the spec");
+
+    let (n, key) = allocations(|| fresh.key());
+    assert_eq!(key, job.key());
+    assert_eq!(n, 2, "a fresh key");
+    let (n, _) = allocations(|| fresh.key_ref().len());
+    assert_eq!(n, 0, "a memoised key");
+}
+
+/// The `sweep_cold` grid the benchmark serves — five designs × 1–8 ALU
+/// operations × 20–80 iterations of `KernelPair::simple`, 2 440 jobs —
+/// summed per design: [cycles, skipped_cycles, bound_computations]. The
+/// cycles total the benchmark's `sim_cycles_per_rep`. One thread per
+/// design keeps a debug build inside the tier-1 time budget.
+#[test]
+fn the_sweep_grid_simulates_pinned_totals() {
+    let designs = [
+        (DesignPoint::existing(), [646_656, 216_848, 216_449]),
+        (DesignPoint::memopti(), [651_901, 217_842, 219_048]),
+        (DesignPoint::syncopti(), [232_592, 148_333, 28_006]),
+        (DesignPoint::syncopti_sc_q64(), [321_881, 240_570, 25_017]),
+        (DesignPoint::heavywt(), [27_857, 0, 0]),
+    ];
+    let totals: Vec<[u64; 3]> = std::thread::scope(|scope| {
+        let threads: Vec<_> = designs
+            .iter()
+            .map(|&(design, _)| {
+                scope.spawn(move || {
+                    let cfg = MachineConfig::itanium2_cmp(design);
+                    let mut sum = [0u64; 3];
+                    for work in 1..=8 {
+                        for iterations in 20..=80 {
+                            let pair = KernelPair::simple("sweep", work, iterations);
+                            let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+                            let r = m.run(DEFAULT_MAX_CYCLES).expect("run completes");
+                            let ff = m.fast_forward_stats();
+                            let got = [r.cycles, ff.skipped_cycles, ff.bound_computations];
+                            for (s, v) in sum.iter_mut().zip(got) {
+                                *s += v;
+                            }
+                        }
+                    }
+                    sum
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("a design's grid runs"))
+            .collect()
+    });
+    for ((design, want), got) in designs.iter().zip(&totals) {
+        println!("{design}: {got:?}");
+        assert_eq!(got, want, "{design}");
+    }
+    let cycles: u64 = totals.iter().map(|t| t[0]).sum();
+    assert_eq!(cycles, 1_880_887, "the grid's simulated cycles");
 }
