@@ -26,8 +26,10 @@
 //! * **resource conservation** — OzQ occupancy ≤ capacity with
 //!   inserts = removals + resident, synchronization-array
 //!   `injected == delivered + in-network` with per-queue occupancy ≤
-//!   depth and no dropped consumer wake-ups, and stream-cache entries
-//!   that are both forwarded and value-coherent with memory;
+//!   depth and no dropped consumer wake-ups, every accepted
+//!   write-forward reported once as done or dropped, and stream-cache
+//!   entries whose line was delivered and that are value-coherent with
+//!   memory;
 //! * **differential data** ([`CheckLevel::Full`]) — every committed
 //!   load/store is replayed against a second golden memory, so a
 //!   timing-model bug that corrupts a value is caught at the offending
@@ -150,6 +152,7 @@ const SHARED_RULES: &[&str] = &[
     "sa.conservation",
     "sa.queue_overflow",
     "sa.dropped_wake",
+    "fwd.conservation",
     "sc.not_forwarded",
     "sc.stale_value",
     "data.load_mismatch",
@@ -278,6 +281,9 @@ pub enum Mutation {
     DropConsumerWake,
     /// Corrupt one value as it fills the stream cache.
     CorruptForwardValue,
+    /// Lose one completed write-forward's `ForwardDone` report, so the
+    /// consumer never learns its line arrived.
+    SwallowForwardDone,
     /// Deliver one load completion with a corrupted value.
     CorruptLoadValue,
     /// Perform one store with a corrupted value (the architectural
@@ -297,7 +303,7 @@ pub enum Mutation {
 impl Mutation {
     /// Every mutation, in a fixed order, for exhaustive fault-injection
     /// sweeps.
-    pub const ALL: [Mutation; 13] = [
+    pub const ALL: [Mutation; 14] = [
         Mutation::SkipSnoopInvalidate,
         Mutation::DoubleGrantBus,
         Mutation::StarveBusAgent,
@@ -306,6 +312,7 @@ impl Mutation {
         Mutation::SyncArrayLoseItem,
         Mutation::DropConsumerWake,
         Mutation::CorruptForwardValue,
+        Mutation::SwallowForwardDone,
         Mutation::CorruptLoadValue,
         Mutation::CorruptStoreValue,
         Mutation::GrantExclusiveWithSharers,
@@ -362,6 +369,9 @@ struct CheckState {
     ozq_inserted: [u64; MAX_CORES],
     /// OzQ entry removals per core since attach.
     ozq_removed: [u64; MAX_CORES],
+    /// Write-forwards per `[from][to]` pair: `(accepted, reported done
+    /// or dropped)`.
+    forwards: [[(u64, u64); MAX_CORES]; MAX_CORES],
     /// Armed fault, if any.
     mutation: Option<Mutation>,
     /// One-shot mutations that already fired.
@@ -385,6 +395,7 @@ impl CheckState {
             outstanding: Vec::new(),
             ozq_inserted: [0; MAX_CORES],
             ozq_removed: [0; MAX_CORES],
+            forwards: [[(0, 0); MAX_CORES]; MAX_CORES],
             mutation: None,
             fired: false,
         }
@@ -401,6 +412,12 @@ impl CheckState {
             detail,
         });
     }
+}
+
+/// The `(accepted, resolved)` forward counts of one core pair, if both
+/// cores are within the checker's tables.
+fn forward_pair(s: &mut CheckState, from: CoreId, to: CoreId) -> Option<&mut (u64, u64)> {
+    s.forwards.get_mut(from.index())?.get_mut(to.index())
 }
 
 /// A cloneable handle to a per-machine check sink, in the same
@@ -955,8 +972,50 @@ impl Checker {
         }
     }
 
-    /// Audits one stream-cache entry: it must cover a forwarded slot and
-    /// its value must match memory (`expected`).
+    /// Accounts one write-forward the memory system accepted.
+    pub fn on_forward_issued(&self, from: CoreId, to: CoreId) {
+        if let Some(s) = &self.inner {
+            if let Some(pair) = forward_pair(&mut s.borrow_mut(), from, to) {
+                pair.0 += 1;
+            }
+        }
+    }
+
+    /// Accounts one write-forward reported as done or dropped.
+    pub fn on_forward_resolved(&self, from: CoreId, to: CoreId) {
+        if let Some(s) = &self.inner {
+            if let Some(pair) = forward_pair(&mut s.borrow_mut(), from, to) {
+                pair.1 += 1;
+            }
+        }
+    }
+
+    /// Audits write-forward conservation once the machine is quiescent:
+    /// for every producer→consumer pair, the forwards accepted equal
+    /// those reported done plus those reported dropped. A forward that
+    /// ends without a report leaves the consumer's line unresolved.
+    pub fn audit_forwards(&self, at: Cycle) {
+        let Some(s) = &self.inner else { return };
+        let mut s = s.borrow_mut();
+        for from in 0..MAX_CORES {
+            for to in 0..MAX_CORES {
+                let (issued, resolved) = s.forwards[from][to];
+                if issued != resolved {
+                    s.violate(
+                        at,
+                        "fwd.conservation",
+                        format!(
+                            "core {from} -> core {to}: {issued} forwards issued, \
+                             {resolved} reported done or dropped"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Audits one stream-cache entry: its line must have been delivered
+    /// by a write-forward, and its value must match memory (`expected`).
     pub fn stream_cache_entry(
         &self,
         at: Cycle,
@@ -964,16 +1023,16 @@ impl Checker {
         slot: u64,
         value: u64,
         expected: u64,
-        forwarded: u64,
+        delivered: bool,
     ) {
         let Some(s) = &self.inner else { return };
         let mut s = s.borrow_mut();
-        if slot >= forwarded {
+        if !delivered {
             s.violate(
                 at,
                 "sc.not_forwarded",
                 format!(
-                    "queue {} slot {slot} cached but only {forwarded} forwarded",
+                    "queue {} slot {slot} cached but its line was never delivered",
                     q.0
                 ),
             );
@@ -1280,12 +1339,34 @@ mod tests {
     #[test]
     fn stream_cache_rules() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.stream_cache_entry(at(2), QueueId(0), 5, 42, 42, 8);
+        c.stream_cache_entry(at(2), QueueId(0), 5, 42, 42, true);
         assert_eq!(c.violation_count(), 0);
-        c.stream_cache_entry(at(3), QueueId(0), 9, 42, 42, 8);
-        c.stream_cache_entry(at(4), QueueId(0), 5, 42, 43, 8);
+        c.stream_cache_entry(at(3), QueueId(0), 9, 42, 42, false);
+        c.stream_cache_entry(at(4), QueueId(0), 5, 42, 43, true);
         let rules: Vec<&str> = c.violations().iter().map(|v| v.rule).collect();
         assert_eq!(rules, vec!["sc.not_forwarded", "sc.stale_value"]);
+    }
+
+    #[test]
+    fn forward_conservation_rule() {
+        let c = Checker::with_level(CheckLevel::Basic);
+        let (p, q) = (CoreId(0), CoreId(1));
+        c.on_forward_issued(p, q);
+        c.on_forward_issued(p, q);
+        c.on_forward_resolved(p, q);
+        c.on_forward_resolved(p, q);
+        c.audit_forwards(at(5));
+        assert_eq!(c.violation_count(), 0);
+        c.on_forward_issued(p, q);
+        c.audit_forwards(at(6));
+        let v = c.violations();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "fwd.conservation");
+        assert!(
+            v[0].detail.contains("3 forwards issued, 2 reported"),
+            "{}",
+            v[0]
+        );
     }
 
     #[test]

@@ -18,52 +18,18 @@ use hfs_isa::program::QueueMemLayout;
 use hfs_isa::{Addr, CoreId, QueueId};
 use hfs_mem::{Completion, CtlPayload, MemEvent, MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::StallComponent;
-use hfs_sim::{fold_bound, Cycle, DenseMap, FnvMap};
+use hfs_sim::{fold_bound, Cycle, DenseMap};
 use hfs_trace::{TraceEvent, Tracer};
 
 use crate::addr_map::queue_of_addr;
 use crate::design::{DesignPoint, HeavyWtConfig, Mechanism};
+use crate::ledger::{push_lines, push_outcome, LineLedger};
 use crate::queues::QueueCheck;
 use crate::stream_cache::StreamCache;
 use crate::sync_array::{SyncArray, SyncArrayConfig};
 
 /// Control-message kind: bulk consumption ACK (consumer -> producer).
 const CTL_BULK_ACK: u16 = 1;
-
-/// §3.5.1's forward-after-N trigger with N = QLU: a line is queued for a
-/// write-forward once QLU stores on it have performed, and queued lines
-/// are pushed to the consumer while the producer's OzQ takes them.
-#[derive(Debug, Default)]
-struct ForwardTrigger {
-    /// Per line: stores performed on it since its last forward.
-    performed: FnvMap<u32>,
-    queued: VecDeque<Addr>,
-}
-
-impl ForwardTrigger {
-    /// Counts one more performed store on the slot word at `addr`.
-    fn on_store(&mut self, layout: &QueueMemLayout, addr: Addr) {
-        let line = layout.line_of(addr);
-        let n = self.performed.get(line.as_u64()).map_or(1, |n| n + 1);
-        let complete = n >= layout.qlu;
-        self.performed
-            .insert(line.as_u64(), if complete { 0 } else { n });
-        if complete {
-            self.queued.push_back(line);
-        }
-    }
-
-    /// Pushes queued lines until the OzQ refuses one; the rest stay queued
-    /// (the §4.4 back-pressure that fills MEMOPTI's OzQ).
-    fn issue(&mut self, mem: &mut MemSystem, from: CoreId, to: CoreId, now: Cycle) {
-        while let Some(&line) = self.queued.front() {
-            if !mem.forward_line(from, to, line, now) {
-                break;
-            }
-            self.queued.pop_front();
-        }
-    }
-}
 
 /// The design-point dispatch enum owned by the machine.
 #[derive(Debug)]
@@ -115,7 +81,7 @@ impl Backend {
 
     pub(crate) fn quiescent(&self) -> bool {
         match self {
-            Backend::Software(b) => b.forwards.queued.is_empty(),
+            Backend::Software(b) => b.queued.is_empty(),
             Backend::SyncOpti(b) => b.quiescent(),
             Backend::HeavyWt(b) => b.sa.is_empty() && b.waiting.values().all(VecDeque::is_empty),
         }
@@ -129,7 +95,7 @@ impl Backend {
     /// are covered by the memory system's and cores' own bounds).
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         match self {
-            Backend::Software(b) => (!b.forwards.queued.is_empty()).then(|| now.next()),
+            Backend::Software(b) => (!b.queued.is_empty()).then(|| now.next()),
             Backend::SyncOpti(b) => b.next_event(now),
             Backend::HeavyWt(b) => b.next_event(now),
         }
@@ -241,7 +207,7 @@ impl StreamPort for Backend {
 // Software queues (EXISTING / MEMOPTI)
 // ---------------------------------------------------------------------
 
-/// Backend for software-queue designs. With `forward` set (MEMOPTI), the
+/// Backend for software-queue designs. Under MEMOPTI the
 /// producer's L2 pushes a queue line to the consumer once every slot on it
 /// has been produced (its flag set), per §3.5.1's locality-preserving
 /// write-forward policy (N = QLU).
@@ -250,9 +216,11 @@ pub(crate) struct SoftwareBackend {
     queues: Vec<QueueId>,
     producer: CoreId,
     consumer: CoreId,
-    forward: bool,
-    /// Counts flag-set stores (MEMOPTI).
-    forwards: ForwardTrigger,
+    /// Per queue, the ledger that counts flag-set stores (MEMOPTI only);
+    /// nothing here reads a line's state past its trigger edge.
+    ledgers: DenseMap<LineLedger>,
+    /// Lines at their trigger edge, across queues in trigger order.
+    queued: VecDeque<Addr>,
     check: QueueCheck,
     /// Slot geometry (Figure 5), the same for every queue of a design;
     /// only `base` is per queue, and offsets are all this backend reads.
@@ -262,12 +230,21 @@ pub(crate) struct SoftwareBackend {
 
 impl SoftwareBackend {
     fn new(design: &DesignPoint, queues: &[QueueId], producer: CoreId, consumer: CoreId) -> Self {
+        let mut ledgers = DenseMap::new();
+        if design.write_forwards() {
+            for &q in queues {
+                let layout = design
+                    .queue_mem_info(q)
+                    .expect("software queues live in memory");
+                ledgers.insert(q.index(), LineLedger::new(&layout));
+            }
+        }
         SoftwareBackend {
             queues: queues.to_vec(),
             producer,
             consumer,
-            forward: design.write_forwards(),
-            forwards: ForwardTrigger::default(),
+            ledgers,
+            queued: VecDeque::new(),
             check: QueueCheck::new(),
             layout: design
                 .queue_mem_info(QueueId(0))
@@ -315,12 +292,14 @@ impl SoftwareBackend {
                         at: now.as_u64(),
                     });
                     self.check.on_consume(q, seen, seen);
-                } else if core == self.producer && is_flag && value != 0 && self.forward {
-                    self.forwards.on_store(&self.layout, addr);
+                } else if core == self.producer && is_flag && value != 0 {
+                    if let Some(ledger) = self.ledgers.get_mut(q.index()) {
+                        self.queued.extend(ledger.on_store(addr));
+                    }
                 }
             }
         }
-        self.forwards.issue(mem, self.producer, self.consumer, now);
+        push_lines(&mut self.queued, mem, self.producer, self.consumer, now);
     }
 }
 
@@ -347,12 +326,10 @@ struct SoQueue {
     waiting_produces: VecDeque<MemToken>,
     // Consumer side.
     cons_next: u64,
-    /// Low-water mark: every slot below this has been consumed (used to
-    /// avoid stream-cache fills of already-read slots).
-    cons_next_completed: u64,
-    forwarded: u64,
-    performed: u64,
-    forwards: ForwardTrigger,
+    /// Which slots each line covers, and whether it was delivered.
+    lines: LineLedger,
+    /// Lines at their trigger edge, waiting for the producer's OzQ.
+    queued: VecDeque<Addr>,
 }
 
 #[derive(Debug)]
@@ -396,22 +373,21 @@ impl SyncOptiBackend {
     ) -> Self {
         let mut state = DenseMap::new();
         for &q in queues {
+            let layout = design
+                .queue_mem_info(q)
+                .expect("SYNCOPTI uses memory backing");
             state.insert(
                 q.index(),
                 SoQueue {
-                    layout: design
-                        .queue_mem_info(q)
-                        .expect("SYNCOPTI uses memory backing"),
+                    layout,
                     last_perform: Cycle::ZERO,
                     prod_next: 0,
                     prod_released: 0,
                     acked: 0,
                     waiting_produces: VecDeque::new(),
                     cons_next: 0,
-                    cons_next_completed: 0,
-                    forwarded: 0,
-                    performed: 0,
-                    forwards: ForwardTrigger::default(),
+                    lines: LineLedger::new(&layout),
+                    queued: VecDeque::new(),
                 },
             );
         }
@@ -438,7 +414,7 @@ impl SyncOptiBackend {
             && self
                 .state
                 .values()
-                .all(|s| s.waiting_produces.is_empty() && s.forwards.queued.is_empty())
+                .all(|s| s.waiting_produces.is_empty() && s.queued.is_empty())
     }
 
     fn fresh_token(&mut self) -> StreamToken {
@@ -599,7 +575,7 @@ impl SyncOptiBackend {
                 at: c.at,
             });
             let s = self.state.get_mut(w.q.index()).expect("queue planned");
-            s.cons_next_completed = s.cons_next_completed.max(w.slot + 1);
+            s.lines.on_consumed(w.slot);
             let done = w.slot + 1;
             // Bulk ACK when the last item of a line is consumed; timeout
             // path ACKs eagerly to keep the tail moving.
@@ -610,43 +586,41 @@ impl SyncOptiBackend {
     }
 
     fn process(&mut self, mem: &mut MemSystem, events: &[MemEvent], now: Cycle) {
-        // 1. Memory events: performed produces, forward completions, ACKs.
+        // 1. Memory events: performed produces, push outcomes, ACKs.
         for ev in events {
+            if let Some((to, line_addr, delivered)) = push_outcome(ev) {
+                let Some((q, _)) =
+                    queue_of_addr(line_addr, &self.queues).filter(|_| to == self.consumer)
+                else {
+                    continue;
+                };
+                let s = self.state.get_mut(q.index()).expect("queue planned");
+                let slots = s.lines.resolve(line_addr, delivered);
+                if let Some(sc) = self.sc.as_mut() {
+                    // Reverse-map the line to queue addresses and fill the
+                    // stream cache with the items it carries.
+                    for slot in slots {
+                        let mut v = mem.func_mem().read(s.layout.slot_addr(slot));
+                        if self.checker.fire_once(Mutation::CorruptForwardValue) {
+                            v ^= 1;
+                        }
+                        let _ = sc.fill(q, slot, v);
+                        self.tracer.emit(|| TraceEvent::ScFill {
+                            queue: q,
+                            at: now.as_u64(),
+                        });
+                    }
+                }
+                continue;
+            }
             match *ev {
                 MemEvent::StorePerformed { core, addr, .. } if core == self.producer => {
                     let Some((q, _)) = queue_of_addr(addr, &self.queues) else {
                         continue;
                     };
                     let s = self.state.get_mut(q.index()).expect("queue planned");
-                    s.performed += 1;
                     s.last_perform = now;
-                    s.forwards.on_store(&s.layout, addr);
-                }
-                MemEvent::ForwardDone { to, line_addr, .. } if to == self.consumer => {
-                    let Some((q, _)) = queue_of_addr(line_addr, &self.queues) else {
-                        continue;
-                    };
-                    let s = self.state.get_mut(q.index()).expect("queue planned");
-                    let first = s.forwarded;
-                    s.forwarded += u64::from(s.layout.qlu);
-                    if let Some(sc) = self.sc.as_mut() {
-                        // Reverse-map the line to queue addresses and fill
-                        // the stream cache with the items it carries,
-                        // skipping slots the consumer already read via the
-                        // early coherence path (stale entries would pin
-                        // the cache full forever).
-                        for slot in first.max(s.cons_next_completed)..s.forwarded {
-                            let mut v = mem.func_mem().read(s.layout.slot_addr(slot));
-                            if self.checker.fire_once(Mutation::CorruptForwardValue) {
-                                v ^= 1;
-                            }
-                            let _ = sc.fill(q, slot, v);
-                            self.tracer.emit(|| TraceEvent::ScFill {
-                                queue: q,
-                                at: now.as_u64(),
-                            });
-                        }
-                    }
+                    s.queued.extend(s.lines.on_store(addr));
                 }
                 MemEvent::CtlDelivered { to, payload, .. }
                     if to == self.producer && payload.kind == CTL_BULK_ACK =>
@@ -686,21 +660,22 @@ impl SyncOptiBackend {
             }
         }
 
-        // 4. Release consumes. The fast path waits for the slot's line
-        // to be write-forwarded into the consumer's L2 (the consume then
-        // hits locally). If the producer has gone idle on the queue while
-        // produced-but-unforwarded data exists — a partially filled tail
-        // line or a low-rate stream — the consume is released anyway and
-        // pulls the line through ordinary coherence.
+        // 4. Release consumes. The fast path waits for every line up to
+        // the slot's to be resolved (the consume then hits locally, or
+        // pulls a dropped line). If the producer has gone idle on the
+        // queue while produced-but-unforwarded data exists — a partially
+        // filled tail line or a low-rate stream — the consume is released
+        // anyway and pulls the line through ordinary coherence.
         for w in self.waiting_consumes.iter_mut() {
             if w.released {
                 continue;
             }
             let s = self.state.get(w.q.index()).expect("queue planned");
-            if w.slot < s.forwarded {
+            if s.lines.released(w.slot) {
                 w.released = true;
                 mem.release(w.mem_token, now);
-            } else if w.slot < s.performed && now.saturating_since(s.last_perform) > IDLE_FLUSH {
+            } else if s.lines.performed(w.slot) && now.saturating_since(s.last_perform) > IDLE_FLUSH
+            {
                 w.released = true;
                 w.early_released = true;
                 mem.release(w.mem_token, now);
@@ -710,7 +685,7 @@ impl SyncOptiBackend {
         // 5. Issue queued line forwards.
         for q in &self.queues {
             let s = self.state.get_mut(q.index()).expect("queue planned");
-            s.forwards.issue(mem, self.producer, self.consumer, now);
+            push_lines(&mut s.queued, mem, self.producer, self.consumer, now);
         }
 
         // 6. Refresh stall-attribution locations.
@@ -721,23 +696,24 @@ impl SyncOptiBackend {
         }
 
         // 7. Stream-cache inclusion audit: every still-takeable entry
-        // must cover a forwarded slot and match memory. Entries below the
-        // completion low-water mark are unreachable leftovers (their
-        // consume completed through coherence before the fill landed) and
-        // their backing word may legally be rewritten on wrap-around, so
-        // they are excluded.
+        // must cover a delivered line and match memory. Entries below the
+        // completion watermark are unreachable leftovers (their consume
+        // completed through coherence before the fill landed) and their
+        // backing word may legally be rewritten on wrap-around, so they
+        // are excluded.
         if self.checker.is_enabled() {
             if let Some(sc) = &self.sc {
                 let mut entries: Vec<_> = sc.entries().collect();
                 entries.sort_unstable_by_key(|&(q, slot, _)| (q.0, slot));
                 for (q, slot, v) in entries {
                     let s = self.state.get(q.index()).expect("queue planned");
-                    if slot < s.cons_next_completed {
+                    if s.lines.consumed(slot) {
                         continue;
                     }
                     let expected = mem.func_mem().read(s.layout.slot_addr(slot));
+                    let delivered = s.lines.delivered(slot);
                     self.checker
-                        .stream_cache_entry(now, q, slot, v, expected, s.forwarded);
+                        .stream_cache_entry(now, q, slot, v, expected, delivered);
                 }
             }
         }
@@ -752,7 +728,7 @@ impl SyncOptiBackend {
             fold_bound(&mut best, now, now.next());
         }
         for s in self.state.values() {
-            if !s.forwards.queued.is_empty() {
+            if !s.queued.is_empty() {
                 fold_bound(&mut best, now, now.next());
             }
             if !s.waiting_produces.is_empty()
@@ -766,9 +742,9 @@ impl SyncOptiBackend {
                 continue;
             }
             let s = self.state.get(w.q.index()).expect("queue planned");
-            if w.slot < s.forwarded {
+            if s.lines.released(w.slot) {
                 fold_bound(&mut best, now, now.next());
-            } else if w.slot < s.performed {
+            } else if s.lines.performed(w.slot) {
                 fold_bound(&mut best, now, s.last_perform + IDLE_FLUSH + 1);
             }
         }
@@ -1210,8 +1186,8 @@ mod tests {
     /// Every memory-backed design's one layout, over two wraps: the
     /// addresses the sequencer generates for a slot (software queues) or
     /// the backend renames a produce to (SYNCOPTI) map back to that slot,
-    /// datum and flag share the line the forward trigger counts, and that
-    /// line completes after exactly QLU slots.
+    /// datum and flag share the line the ledger counts, and that line
+    /// reaches its trigger edge after exactly QLU slots.
     #[test]
     fn sequencer_and_backends_agree_on_every_slot() {
         use crate::kernel::KernelPair;
@@ -1243,7 +1219,7 @@ mod tests {
             let plan = lowered.program.queue_plan(q).unwrap().layout;
             assert_eq!(plan, layout.flag_offset.map(|_| layout), "{design}");
             let sw = SoftwareBackend::new(&design, &[q], CoreId(0), CoreId(1));
-            let mut trigger = ForwardTrigger::default();
+            let mut ledger = LineLedger::new(&layout);
             let qlu = u64::from(layout.qlu);
             for seq in 0..2 * u64::from(layout.depth) {
                 let slot = (seq % u64::from(layout.depth)) as u32;
@@ -1261,16 +1237,24 @@ mod tests {
                     );
                     assert_eq!(layout.line_of(addr), layout.line_of(datum), "{design}");
                 }
-                trigger.on_store(&layout, datum);
+                let edge = ledger.on_store(datum);
                 // Each line holds exactly QLU slots: the QLU-th store on
                 // a line completes it.
                 let line_of_first = layout.line_of(layout.slot_addr(seq - seq % qlu));
                 assert_eq!(layout.line_of(datum), line_of_first, "{design}");
-                assert_eq!(trigger.queued.len() as u64, (seq + 1) / qlu, "{design}");
                 if (seq + 1) % qlu == 0 {
-                    assert_eq!(trigger.queued.back(), Some(&line_of_first), "{design}");
+                    assert_eq!(edge, Some(line_of_first), "{design}");
                     let next = layout.line_of(layout.slot_addr(seq + 1));
                     assert_ne!(next, line_of_first, "{design}");
+                    // The push lands: the line is delivered, and the
+                    // next one ring later may start.
+                    assert_eq!(ledger.resolve(line_of_first, true), seq + 1 - qlu..seq + 1);
+                    assert!(
+                        ledger.released(seq) && !ledger.released(seq + 1),
+                        "{design}"
+                    );
+                } else {
+                    assert_eq!(edge, None, "{design}");
                 }
             }
         }

@@ -51,6 +51,7 @@ mod backend;
 mod config;
 mod design;
 pub mod kernel;
+mod ledger;
 pub mod lower;
 mod machine;
 mod queues;

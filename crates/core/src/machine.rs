@@ -539,6 +539,7 @@ impl Machine {
             }
             self.now = self.advance(now, max_cycles, interval);
         }
+        self.checker.audit_forwards(self.now);
         if let Some(msg) = self.checker.first_violation() {
             return Err(SimError::Verification(msg));
         }

@@ -1,6 +1,6 @@
 //! Experiment job specifications and outcomes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
 
 use hfs_core::kernel::KernelPair;
@@ -12,10 +12,13 @@ use hfs_trace::Tracer;
 /// model bug, surfaced as [`JobOutcome::Timeout`] by the watchdog.
 pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 
-/// Cache-schema revision. Bump when the serialized result format or the
-/// key derivation changes; old entries then miss and are re-simulated.
-/// (2: keys hash the canonical spec; entries are compact and self-checking.)
-pub const CACHE_SCHEMA: u32 = 2;
+/// Cache-schema revision. Bump when the serialized result format, the
+/// key derivation, or the model's result for some spec changes: a key
+/// hashes the spec, not the model, so old entries must then miss and be
+/// re-simulated. (2: keys hash the canonical spec; entries are compact
+/// and self-checking. 3: SYNCOPTI credits each write-forward to the line
+/// it carried.)
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +151,13 @@ impl Job {
     /// The memoized cache key as a borrowed string — the allocation-free
     /// spelling of [`Job::key`] for hot paths that only compare or hash.
     pub fn key_ref(&self) -> &str {
-        self.key_memo
-            .get_or_init(|| format!("{:016x}", crate::spec::content_hash(self)))
+        self.key_memo.get_or_init(|| {
+            // Sized up front: `format!` alone allocates once more when
+            // the hash has a leading zero digit to pad.
+            let mut hex = String::with_capacity(16);
+            let _ = write!(hex, "{:016x}", crate::spec::content_hash(self));
+            hex
+        })
     }
 }
 

@@ -124,8 +124,10 @@ pub(crate) enum L2Outcome {
     },
     /// A forward entry found its line gone; it is abandoned.
     ForwardAbort {
-        /// Entry id.
-        id: u64,
+        /// Line it was to push.
+        line: u64,
+        /// Destination core.
+        to: CoreId,
     },
 }
 
@@ -507,7 +509,7 @@ impl L2Ctl {
                     EntryState::ForwardInFlight
                 }
                 _ => {
-                    out.push(L2Outcome::ForwardAbort { id });
+                    out.push(L2Outcome::ForwardAbort { line, to });
                     EntryState::Done
                 }
             },

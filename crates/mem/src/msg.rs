@@ -123,6 +123,19 @@ pub enum MemEvent {
         /// Base address of the forwarded line.
         line_addr: Addr,
     },
+    /// A write-forward push was dropped before it reached the bus: the
+    /// producer's copy was no longer dirty, or the destination was
+    /// already fetching the line on demand. Every push
+    /// [`crate::MemSystem::forward_line`] accepts ends in exactly one
+    /// `ForwardDone` or `ForwardDropped`.
+    ForwardDropped {
+        /// Producing (sending) core.
+        from: CoreId,
+        /// Consuming (receiving) core.
+        to: CoreId,
+        /// Base address of the line.
+        line_addr: Addr,
+    },
     /// A control message was delivered.
     CtlDelivered {
         /// Sender.

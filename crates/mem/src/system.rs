@@ -299,6 +299,7 @@ impl MemSystem {
             return false;
         }
         self.l2s[f].allocate(line_addr, EntryKind::Forward { to }, true, false, now);
+        self.checker.on_forward_issued(from, to);
         true
     }
 
@@ -632,6 +633,7 @@ impl MemSystem {
                     // The destination is already fetching the line by
                     // demand; drop the push.
                     self.l2s[c].drop_forward(id);
+                    self.forward_dropped(core, to, line);
                     return;
                 }
                 self.busy_lines.insert(line, ());
@@ -647,8 +649,19 @@ impl MemSystem {
                 // Remember which entry to complete on delivery.
                 self.forward_track.push((line, core, id));
             }
-            L2Outcome::ForwardAbort { .. } => {}
+            L2Outcome::ForwardAbort { line, to } => self.forward_dropped(core, to, line),
         }
+    }
+
+    /// Reports a push that will never reach `to`, so the consumer's
+    /// ledger can resolve the line.
+    fn forward_dropped(&mut self, from: CoreId, to: CoreId, line: u64) {
+        self.checker.on_forward_resolved(from, to);
+        self.events.push(MemEvent::ForwardDropped {
+            from,
+            to,
+            line_addr: self.line_addr(line),
+        });
     }
 
     /// A load completes: samples the functional value and schedules the
@@ -957,11 +970,14 @@ impl MemSystem {
                     at: now.as_u64(),
                     line,
                 });
-                self.events.push(MemEvent::ForwardDone {
-                    from,
-                    to,
-                    line_addr,
-                });
+                if !self.checker.fire_once(Mutation::SwallowForwardDone) {
+                    self.checker.on_forward_resolved(from, to);
+                    self.events.push(MemEvent::ForwardDone {
+                        from,
+                        to,
+                        line_addr,
+                    });
+                }
             }
         }
     }

@@ -15,139 +15,10 @@ cd "$(dirname "$0")/.."
 tree_state() { git status --porcelain; git diff HEAD | git hash-object --stdin; }
 TREE_BEFORE=$(tree_state)
 
-echo "==> knob table (README.md names exactly the HFS_* variables the crates read)"
-# Allowed exceptions: HFS_ENV_FLAG_UNDER_TEST exists only inside a unit
-# test, and HFS_FULL is this script's own.
-IN_SRC=$({ grep -rhoE '"HFS_[A-Z_]+"' crates/*/src | tr -d '"'; echo HFS_FULL; } | sort -u)
-IN_README=$({ grep -oE 'HFS_[A-Z_]+' README.md; echo HFS_ENV_FLAG_UNDER_TEST; } | sort -u)
-diff <(echo "$IN_SRC") <(echo "$IN_README") \
-    || { echo "crates/*/src (<) and README.md (>) disagree on the HFS_* variables"; exit 1; }
-
-echo "==> one protocol module (no other file of hfs-mem compares a Protocol; every fault hook still in place)"
-# Product code is what precedes a file's `#[cfg(test)]`. Allowed:
-# protocol.rs itself and the `Protocol::Msi` default in config.rs.
-for f in crates/mem/src/*.rs; do
-    [ "$f" = crates/mem/src/protocol.rs ] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Protocol::' | grep -v 'protocol: Protocol::Msi,'; then
-        echo "$f names a Protocol variant outside crates/mem/src/protocol.rs"; exit 1
-    fi
-done
-MUTATIONS=$(sed -n '/pub const ALL: \[Mutation; 13\]/,/\];/p' crates/check/src/lib.rs | grep -oE 'Mutation::[A-Za-z]+')
-[ "$(wc -l <<<"$MUTATIONS")" = 13 ] || { echo "expected 13 mutations in Mutation::ALL"; exit 1; }
-PRODUCT=$(for f in crates/{mem,core,cpu}/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
-for m in $MUTATIONS; do
-    grep -q "$m\b" <<<"$PRODUCT" || { echo "$m is armed by no product code"; exit 1; }
-done
-
-echo "==> one design module (no other file under crates/*/src names a DesignPoint variant)"
-# Product code as above. Allowed: design.rs itself and doc-comment links
-# (the crate doc in core/src/lib.rs). A glob or group import would hide
-# the names from this grep, so it counts as naming them.
-while IFS= read -r f; do
-    [ "$f" = crates/core/src/design.rs ] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" \
-        | grep -nE 'DesignPoint::(Existing|MemOpti|SyncOpti|HeavyWt|RegMapped|\*|\{)' \
-        | grep -vF '[`DesignPoint::'; then
-        echo "$f names a DesignPoint variant outside crates/core/src/design.rs"; exit 1
-    fi
-done < <(find crates -path '*/src/*' -name '*.rs' | sort)
-
-echo "==> one codec driver (no product file writes or reads a Json tree as a codec, or calls a wrapper kept for benchmark/)"
-# Product code as above. The five tree wrappers are defined in ser.rs and
-# spec.rs for `benchmark/` alone; their definitions are the exception.
-KEPT='job_to_json|job_from_json|outcome_to_json|outcome_from_json|sweep_to_json'
-while IFS= read -r f; do
-    if sed '/^#\[cfg(test)\]/,$d' "$f" \
-        | grep -nE "to_tree|from_tree|TreeSink|TreeSource|TreeObj|Json::Raw|\b($KEPT)\(" \
-        | grep -vE "pub fn ($KEPT)\(" | sed "s|^|$f:|" | grep .; then
-        echo "product code uses the tree driver or a wrapper kept for benchmark/"; exit 1
-    fi
-done < <(find crates -path '*/src/*' -name '*.rs' | sort)
-
-echo "==> one count, one place (no shadow copy of a count; a memory-system count is named only in system.rs)"
-# Product code as above. The executors count through the harness's
-# `Lifecycle` set, the hot cache's counts are its registry handles, and
-# `MemSystem::counters` is the one place a `mem.*`/`bus.*` name is given.
-while IFS= read -r f; do
-    if sed '/^#\[cfg(test)\]/,$d' "$f" \
-        | grep -nE 'EngineCounters|install_metrics|sync_gauges|HotObs' | sed "s|^|$f:|" | grep .; then
-        echo "product code keeps a second copy of a count"; exit 1
-    fi
-    [ "$f" = crates/mem/src/system.rs ] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bCounter::new\(' | sed "s|^|$f:|" | grep .; then
-        echo "a counter is named outside crates/mem/src/system.rs"; exit 1
-    fi
-done < <(find crates -path '*/src/*' -name '*.rs' | sort)
-
-echo "==> one sweep shape (every experiment batch goes through experiments::grid)"
-# Product code as above. mod.rs holds `grid`, the one caller of
-# `run_batch` and the one place results are regrouped by row.
-for f in crates/bench/src/experiments/*.rs; do
-    [ "$f" = crates/bench/src/experiments/mod.rs ] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(run_batch|chunks_exact)\(' | sed "s|^|$f:|" | grep .; then
-        echo "an experiment submits or regroups a batch itself instead of calling experiments::grid"; exit 1
-    fi
-done
-
-echo "==> one address map (only the map module and the queue layout place a window, a queue or a line)"
-# Product code as above, in hfs-core and hfs-isa. Allowed: addr_map.rs,
-# the layout type's file (isa's program.rs) and lower.rs's re-export line.
-for f in crates/core/src/*.rs crates/isa/src/*.rs; do
-    case "$f" in crates/core/src/addr_map.rs | crates/isa/src/program.rs) continue ;; esac
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'QUEUE_BASE|QUEUE_SPAN|LINE_BYTES|WORK_BASE|line_base\(' \
-        | grep -vF ':pub use crate::addr_map::{ARCH_QUEUES, LINE_BYTES, QUEUE_BASE};' | sed "s|^|$f:|" | grep .; then
-        echo "address arithmetic outside crates/core/src/addr_map.rs and the queue layout"; exit 1
-    fi
-done
-
-echo "==> one JSON writer (only hfs_sim::json escapes a JSON string or frames a JSON object)"
-# Product code as above. An escaper is a `fn escape` or a `"\\u` escape;
-# framing is a string literal that opens an object (`"{\"`, `{{\"`). The
-# logger and the Chrome export write through `hfs_sim::json::Writer`.
-while IFS= read -r f; do
-    [ "$f" = crates/sim/src/json.rs ] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fn escape|"\\\\u|"\{\\"|\{\{\\"' | sed "s|^|$f:|" | grep .; then
-        echo "product code escapes or frames JSON outside crates/sim/src/json.rs"; exit 1
-    fi
-done < <(find crates -path '*/src/*' -name '*.rs' | sort)
-
-echo "==> one field list (a wire record is a wire! field list; only tagged values and special documents are codecs by hand)"
-# Product code as above, in hfs-harness and hfs-serve. Allowed `fn read_*`:
-# the special documents (job, sweep, run result, metrics report), the
-# tagged outcome, the frame transport and its header helpers, and the
-# `read_fields` that `wire!` generates. Allowed hand-written `impl Wire`:
-# the leaves in wire.rs (`$t` is its narrow-integer macro, `$ty` the
-# record macro), the tagged `KStep`, the kind-tagged `DesignPoint` and
-# the `Breakdown`, whose keys are stall-component labels.
-READ_OK='job|sweep|run_result|metrics|outcome|frame|from|submit_header|tag|fields'
-WIRE_OK='u64|\$t|\$ty|bool|String|Arc<str>|Vec<T>|Protocol|KStep|DesignPoint|Breakdown'
-while IFS= read -r f; do
-    if sed '/^#\[cfg(test)\]/,$d' "$f" \
-        | grep -nE '\bfn read_[A-Za-z0-9_]+|\bimpl\b.*\bWire for ' \
-        | grep -vE "\bfn read_($READ_OK)\b|\bWire for ($WIRE_OK) \{" | sed "s|^|$f:|" | grep .; then
-        echo "a record codec written by hand: give the type a wire! field list"; exit 1
-    fi
-done < <(find crates/harness/src crates/serve/src -name '*.rs' | sort)
-
-echo "==> one release profile (.cargo/config.toml sets it for the root workspace and benchmark/'s)"
-# A `[profile` table in any manifest would give one workspace a profile
-# of its own; results do not depend on the profile, the speed does.
-if grep -nE '^[[:space:]]*\[profile' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
-    echo "a Cargo.toml sets a profile: the release profile lives in .cargo/config.toml"; exit 1
-fi
-sed -n '/^\[profile\.release\]/,/^\[/p' .cargo/config.toml 2>/dev/null | grep -qxF 'lto = "fat"' \
-    || { echo '.cargo/config.toml: [profile.release] lost `lto = "fat"`'; exit 1; }
-
-echo "==> protocol table (EXPERIMENTS.md and tests/protocols.rs pin the same 45 cycle counts)"
-# Both sides reduced to `bench n n n n n` rows: EX (MSI), SY (MSI),
-# EX (MESI), EX (Dragon), SY (Dragon).
-IN_DOC=$(sed -n '/^### Coherence protocols/,/^Geomean EXISTING/p' EXPERIMENTS.md \
-    | awk -F'|' '$3 ~ /^ [0-9]+ $/ { print $2, $3+0, $4+0, $6+0, $8+0, $9+0 }' | tr -s ' ' | sed 's/^ //')
-IN_TEST=$(sed -n '/^const FIG7_CYCLES/,/^];/p' tests/protocols.rs \
-    | sed -nE 's/^ *\("([a-z0-9]+)", \[([0-9, ]+)\]\),$/\1 \2/p' | tr -d ',')
-[ "$(wc -l <<<"$IN_TEST")" = 9 ] || { echo "tests/protocols.rs: expected 9 pinned rows"; exit 1; }
-diff <(echo "$IN_DOC") <(echo "$IN_TEST") \
-    || { echo "EXPERIMENTS.md (<) and tests/protocols.rs (>) disagree on the protocol table"; exit 1; }
+# The architecture rules (the knob table, one protocol, design, codec,
+# count, sweep, address-map, JSON-writer, field-list, release-profile and
+# line-ledger module, and the protocol table) are tier-1 tests in
+# tests/architecture.rs, run by the workspace tests below.
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

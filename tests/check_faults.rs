@@ -53,6 +53,9 @@ fn expectation(p: Protocol, m: Mutation) -> Option<(DesignPoint, &'static str)> 
         Mutation::DropConsumerWake => (DesignPoint::heavywt(), "sa.dropped_wake"),
         // The stream cache only exists on the SC variants.
         Mutation::CorruptForwardValue => (DesignPoint::syncopti_sc_q64(), "sc.stale_value"),
+        // A swallowed push report leaves the forward count short at
+        // quiescence on any write-forwarding design.
+        Mutation::SwallowForwardDone => (DesignPoint::syncopti(), "fwd.conservation"),
         // Differential data checks catch value corruption on any design.
         Mutation::CorruptLoadValue => (DesignPoint::existing(), "data.load_mismatch"),
         Mutation::CorruptStoreValue => (DesignPoint::existing(), "data.load_mismatch"),

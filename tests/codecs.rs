@@ -395,12 +395,14 @@ fn the_text_drivers_bytes_are_pinned() {
         w.end_obj();
     }));
     // Taken while a tree driver still wrote these texts too, byte for
-    // byte. A change here moves a byte on the wire, in a cache entry or
-    // in an artifact.
+    // byte, and re-taken once when `CACHE_SCHEMA` became 3 (the keys in
+    // the frames moved; with the schema at 2 the old value still held).
+    // A change here moves a byte on the wire, in a cache entry or in an
+    // artifact.
     let bytes: usize = texts.iter().map(String::len).sum();
     assert_eq!(
         format!("{:016x}", checksum(&texts)),
-        "e268415b89bf6dbc",
+        "4d02d69a52ff038d",
         "{} texts, {bytes} bytes",
         texts.len()
     );
@@ -688,44 +690,44 @@ fn keys_are_pinned() {
     let cfg = MachineConfig::itanium2_cmp;
     let mut dragon = cfg(DesignPoint::heavywt());
     dragon.mem.protocol = Protocol::Dragon;
-    // Literal keys printed by this list when `CACHE_SCHEMA` became 2 and
-    // the key became a hash of the canonical spec (`HashSink` under
-    // `write_job`'s field list, label excluded). A change here orphans
+    // Literal keys printed by this list when `CACHE_SCHEMA` became 3 (the
+    // key a hash of the canonical spec, `HashSink` under `write_job`'s
+    // field list, label excluded, since schema 2). A change here orphans
     // every cache: bump the schema and re-pin, once.
     let pinned = [
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::existing())),
-            "3d0de9819264215f",
+            "4ab0ad143cca1c1e",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::memopti_with_qlu(4))),
-            "631a94285a639d18",
+            "e7c5847f5e4a5b2b",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::syncopti_sc_q64())),
-            "807fdbb46727f45e",
+            "ca8bc3e3d500c967",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())),
-            "cdc4f310aae55bb0",
+            "5df546f91691b775",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::regmapped(3))),
-            "0c847dfb4a7e5c9b",
+            "873c0950a839c55a",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())).with_metrics(true),
-            "7f0c00a6e4da0bc8",
+            "e652f2be0bc3446f",
         ),
         (
             Job::multi("a", pair(), cfg(DesignPoint::heavywt()), 2),
-            "36fe6858bc000ceb",
+            "9378d3f19832fc1b",
         ),
         (
             Job::single("a", pair(), MachineConfig::itanium2_single()).with_max_cycles(12_345),
-            "c9a7bc61453ef806",
+            "969be7bb25634e94",
         ),
-        (Job::pipeline("a", pair(), dragon), "b96baa9989dfda2c"),
+        (Job::pipeline("a", pair(), dragon), "b01526828b02541b"),
     ];
     for (job, key) in pinned {
         assert_eq!(job.key(), key, "{:?} {}", job.mode, job.cfg.design);

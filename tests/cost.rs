@@ -143,7 +143,7 @@ fn the_benchmark_points_simulate_pinned_counts() {
         (("mcf", existing, msi, 250), [23_711, 13_341, 8_580]),
         (("wc", existing, msi, 1_000), [32_559, 5_490, 11_193]),
         (("fir", existing, dragon, 1_000), [15_911, 2_355, 6_243]),
-        (("fir", sc_q64, msi, 1_000), [12_199, 3_484, 5_051]),
+        (("fir", sc_q64, msi, 1_000), [11_939, 3_376, 4_870]),
         (("fir", heavywt, msi, 1_000), [11_777, 3_997, 4_131]),
         (("mcf", sc_q64, msi, 250), [12_108, 5_043, 5_891]),
         (("mcf", heavywt, msi, 250), [11_713, 5_366, 5_173]),

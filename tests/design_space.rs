@@ -1,9 +1,11 @@
 //! End-to-end integration: every design point runs every benchmark to
 //! completion with verified queue semantics and consistent accounting.
 
-use hfs::core::kernel::{KStep, KernelPair, MAX_BODY_STEPS, MAX_REGIONS, MAX_REGION_BYTES};
+use hfs::core::kernel::{KStep, Kernel, KernelPair, MAX_BODY_STEPS, MAX_REGIONS, MAX_REGION_BYTES};
 use hfs::core::lower::ARCH_QUEUES;
-use hfs::core::{DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig};
+use hfs::core::{
+    CheckLevel, DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig,
+};
 use hfs::cpu::{MAX_ISSUE_WIDTH, MAX_WINDOW};
 use hfs::harness::{execute, from_text, read_job, to_text, write_job, Job, JobOutcome};
 use hfs::isa::QueueId;
@@ -303,4 +305,82 @@ fn bzip2_deadlocks_wherever_its_inner_loop_overfills_q0() {
     }
     let r = run(DesignPoint::heavywt()).expect("HEAVYWT at depth 32 completes");
     assert_eq!(r.cycles, 24_847);
+}
+
+/// SYNCOPTI with the stream cache at `depth` slots, `qlu` to a line.
+fn syncopti_sc(queue_depth: u32, qlu: u32) -> DesignPoint {
+    DesignPoint::SyncOpti(SyncOptiConfig {
+        queue_depth,
+        qlu,
+        stream_cache: true,
+    })
+}
+
+/// Runs `pair` on `design` under the full machine checker: the run must
+/// end `Ok`, every consume having returned its slot's value, with no
+/// invariant violated.
+fn run_fully_checked(pair: &KernelPair, design: DesignPoint) {
+    let cfg = MachineConfig::itanium2_cmp(design);
+    let mut m = Machine::new_pipeline(&cfg, pair).expect("machine builds");
+    m.set_check_level(CheckLevel::Full);
+    let r = m
+        .run(BUDGET)
+        .unwrap_or_else(|e| panic!("{} under {design}: {e}", pair.name));
+    assert!(r.checked, "{} under {design}", pair.name);
+    assert_eq!(
+        r.iterations, pair.iterations,
+        "{} under {design}",
+        pair.name
+    );
+}
+
+/// Write-forwards of a SYNCOPTI queue can land out of line order, and a
+/// push can be dropped on the way. Each outcome is credited to the line
+/// the push carried, so no consume is released or stream-cache entry
+/// filled from a line that has not arrived. Crediting outcomes in
+/// arrival order returned a stale 0 on this shrunk pipeline at 16/8
+/// (`q0: consume of slot 9 returned value 0`) and on bzip2 and fft2 at
+/// every depth below with QLU 4, and on fir and art at 64/4.
+#[test]
+fn a_forward_is_credited_to_the_line_it_carried() {
+    let (q0, q1) = (QueueId(0), QueueId(1));
+    let mut producer = Kernel::new(Vec::new());
+    let region = producer.add_region("stream", 1 << 20);
+    producer.steps = vec![
+        KStep::Alu(9),
+        KStep::LoadStream { region, stride: 16 },
+        KStep::Loop(vec![KStep::Alu(2), KStep::Produce(q0), KStep::Branch], 2),
+        KStep::Produce(q0),
+        KStep::Produce(q1),
+        KStep::Branch,
+    ];
+    let consumer = Kernel::new(vec![
+        KStep::Loop(
+            vec![KStep::Consume(q0), KStep::AluChain(1), KStep::Branch],
+            2,
+        ),
+        KStep::Consume(q0),
+        KStep::Consume(q1),
+        KStep::AluChain(6),
+        KStep::Branch,
+    ]);
+    let reproducer = KernelPair {
+        name: "out-of-order forwards".into(),
+        producer,
+        consumer,
+        iterations: 8,
+    };
+    for (depth, qlu) in [(16, 8), (64, 8)] {
+        run_fully_checked(&reproducer, syncopti_sc(depth, qlu));
+    }
+    // One thread per depth: bzip2 alone runs for seconds in a debug build.
+    std::thread::scope(|scope| {
+        for depth in [32, 48, 64] {
+            scope.spawn(move || {
+                for bench in all_benchmarks() {
+                    run_fully_checked(&bench.with_iterations(300).pair, syncopti_sc(depth, 4));
+                }
+            });
+        }
+    });
 }

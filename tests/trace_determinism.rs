@@ -158,7 +158,7 @@ fn golden_cycles() -> [(&'static str, DesignPoint, u64); 6] {
     [
         ("fir", DesignPoint::existing(), 5433),
         ("mcf", DesignPoint::existing(), 28349),
-        ("fir", DesignPoint::syncopti_sc_q64(), 4059),
+        ("fir", DesignPoint::syncopti_sc_q64(), 3819),
         ("mcf", DesignPoint::syncopti_sc_q64(), 14400),
         ("fir", DesignPoint::heavywt(), 3590),
         ("mcf", DesignPoint::heavywt(), 14010),
