@@ -153,6 +153,7 @@ const SHARED_RULES: &[&str] = &[
     "sa.queue_overflow",
     "sa.dropped_wake",
     "fwd.conservation",
+    "sc.unreachable",
     "sc.not_forwarded",
     "sc.stale_value",
     "data.load_mismatch",
@@ -281,6 +282,9 @@ pub enum Mutation {
     DropConsumerWake,
     /// Corrupt one value as it fills the stream cache.
     CorruptForwardValue,
+    /// Fill the stream cache once with a slot whose consume has already
+    /// issued, an entry no consume can take.
+    FillConsumedSlot,
     /// Lose one completed write-forward's `ForwardDone` report, so the
     /// consumer never learns its line arrived.
     SwallowForwardDone,
@@ -303,7 +307,7 @@ pub enum Mutation {
 impl Mutation {
     /// Every mutation, in a fixed order, for exhaustive fault-injection
     /// sweeps.
-    pub const ALL: [Mutation; 14] = [
+    pub const ALL: [Mutation; 15] = [
         Mutation::SkipSnoopInvalidate,
         Mutation::DoubleGrantBus,
         Mutation::StarveBusAgent,
@@ -312,6 +316,7 @@ impl Mutation {
         Mutation::SyncArrayLoseItem,
         Mutation::DropConsumerWake,
         Mutation::CorruptForwardValue,
+        Mutation::FillConsumedSlot,
         Mutation::SwallowForwardDone,
         Mutation::CorruptLoadValue,
         Mutation::CorruptStoreValue,
@@ -1014,19 +1019,31 @@ impl Checker {
         }
     }
 
-    /// Audits one stream-cache entry: its line must have been delivered
-    /// by a write-forward, and its value must match memory (`expected`).
+    /// Audits one stream-cache entry: its slot must not lie below
+    /// `issued`, the consumer's issue position (a consume that has issued
+    /// never takes it), its line must have been delivered by a
+    /// write-forward, and its value must match memory (`expected`).
     pub fn stream_cache_entry(
         &self,
         at: Cycle,
         q: QueueId,
-        slot: u64,
+        (slot, issued): (u64, u64),
         value: u64,
         expected: u64,
         delivered: bool,
     ) {
         let Some(s) = &self.inner else { return };
         let mut s = s.borrow_mut();
+        if slot < issued {
+            s.violate(
+                at,
+                "sc.unreachable",
+                format!(
+                    "queue {} slot {slot} cached but the consumer issues at slot {issued}",
+                    q.0
+                ),
+            );
+        }
         if !delivered {
             s.violate(
                 at,
@@ -1339,12 +1356,16 @@ mod tests {
     #[test]
     fn stream_cache_rules() {
         let c = Checker::with_level(CheckLevel::Basic);
-        c.stream_cache_entry(at(2), QueueId(0), 5, 42, 42, true);
+        c.stream_cache_entry(at(2), QueueId(0), (5, 5), 42, 42, true);
         assert_eq!(c.violation_count(), 0);
-        c.stream_cache_entry(at(3), QueueId(0), 9, 42, 42, false);
-        c.stream_cache_entry(at(4), QueueId(0), 5, 42, 43, true);
+        c.stream_cache_entry(at(3), QueueId(0), (5, 6), 42, 42, true);
+        c.stream_cache_entry(at(3), QueueId(0), (9, 0), 42, 42, false);
+        c.stream_cache_entry(at(4), QueueId(0), (5, 0), 42, 43, true);
         let rules: Vec<&str> = c.violations().iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec!["sc.not_forwarded", "sc.stale_value"]);
+        assert_eq!(
+            rules,
+            vec!["sc.unreachable", "sc.not_forwarded", "sc.stale_value"]
+        );
     }
 
     #[test]

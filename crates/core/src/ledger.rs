@@ -76,9 +76,6 @@ pub(crate) struct LineLedger {
     /// Stores performed on the queue, counted: across lines they may
     /// perform out of slot order.
     performed: u64,
-    /// Every slot below this one completed a consume through the L2, or
-    /// lies below one that did.
-    completed: u64,
 }
 
 impl LineLedger {
@@ -95,7 +92,6 @@ impl LineLedger {
             lines: (0..u64::from(layout.depth) / qlu).map(open).collect(),
             resolved: 0,
             performed: 0,
-            completed: 0,
         }
     }
 
@@ -130,10 +126,10 @@ impl LineLedger {
 
     /// The push of the line at `line_addr` was `delivered` or dropped:
     /// resolves the oldest open line at its position. Returns the slots
-    /// a delivered line fills the stream cache with, those below the
-    /// completion watermark left out (a cached copy of them could never
-    /// be taken, and would pin the cache full).
-    pub(crate) fn resolve(&mut self, line_addr: Addr, delivered: bool) -> Range<u64> {
+    /// a delivered line fills the stream cache with, those below `issued`
+    /// (the consumer's issue position) left out: their consumes have
+    /// issued, so a cached copy could never be taken.
+    pub(crate) fn resolve(&mut self, line_addr: Addr, delivered: bool, issued: u64) -> Range<u64> {
         let (qlu, ring, pos) = (self.qlu, self.ring(), self.position(line_addr));
         let line = &mut self.lines[pos];
         if line.state != State::Open || line.stores < qlu {
@@ -158,7 +154,7 @@ impl LineLedger {
         if !delivered {
             return 0..0;
         }
-        (abs * qlu).max(self.completed)..(abs + 1) * qlu
+        (abs * qlu).max(issued)..(abs + 1) * qlu
     }
 
     fn is_resolved(&self, abs: u64) -> bool {
@@ -182,16 +178,6 @@ impl LineLedger {
         let abs = slot / self.qlu;
         let line = self.lines[(abs % self.ring()) as usize];
         line.abs > abs || line.abs == abs && line.state == State::Resident
-    }
-
-    /// A consume of `slot` completed through the L2.
-    pub(crate) fn on_consumed(&mut self, slot: u64) {
-        self.completed = self.completed.max(slot + 1);
-    }
-
-    /// Whether `slot` is below the completion watermark.
-    pub(crate) fn consumed(&self, slot: u64) -> bool {
-        slot < self.completed
     }
 }
 
@@ -222,9 +208,10 @@ mod tests {
         assert!(l.performed(15) && !l.performed(16));
         // Line 1 lands first: it fills slots 8..16, and releases nothing
         // while line 0 is open.
-        assert_eq!(l.resolve(second, true), 8..16);
+        assert_eq!(l.resolve(second, true, 0), 8..16);
         assert!(!l.released(0) && l.delivered(8) && !l.delivered(0));
-        assert_eq!(l.resolve(first, true), 0..8);
+        // Consumes of slots 0..3 have issued: the fill leaves them out.
+        assert_eq!(l.resolve(first, true, 3), 3..8);
         assert!(l.released(15) && !l.released(16));
     }
 
@@ -232,11 +219,10 @@ mod tests {
     fn a_dropped_push_resolves_its_line_without_a_fill() {
         let (mut l, layout) = ledger();
         let line = store_line(&mut l, &layout, 0).unwrap();
-        l.on_consumed(2);
-        assert_eq!(l.resolve(line, false), 0..0);
+        assert_eq!(l.resolve(line, false, 0), 0..0);
         assert!(l.released(7) && !l.delivered(0));
         // A report with no push outstanding resolves nothing.
-        assert_eq!(l.resolve(line, true), 0..0);
+        assert_eq!(l.resolve(line, true, 0), 0..0);
     }
 
     #[test]
@@ -244,18 +230,18 @@ mod tests {
         let (mut l, layout) = ledger();
         let lines: Vec<_> = (0..4).map(|abs| store_line(&mut l, &layout, abs)).collect();
         for line in &lines[1..] {
-            l.resolve(line.unwrap(), true);
+            l.resolve(line.unwrap(), true, 0);
         }
-        // Line 0 was pulled and consumed while its push was queued; line 4
-        // fills its position and pushes again.
-        l.on_consumed(7);
+        // Line 0 was pulled and consumed while its push was queued, so
+        // the consumer issues at slot 8; line 4 fills its position and
+        // pushes again.
         assert_eq!(store_line(&mut l, &layout, 4), lines[0]);
         assert!(l.performed(39) && !l.performed(40) && !l.released(32));
         // The first outcome is line 0's, with nothing left to fill; the
         // second is line 4's.
-        assert!(l.resolve(lines[0].unwrap(), true).is_empty());
+        assert!(l.resolve(lines[0].unwrap(), true, 8).is_empty());
         assert!(l.released(31) && !l.released(32));
-        assert_eq!(l.resolve(lines[0].unwrap(), true), 32..40);
+        assert_eq!(l.resolve(lines[0].unwrap(), true, 8), 32..40);
         assert!(l.released(39) && l.delivered(32));
     }
 }

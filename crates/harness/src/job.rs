@@ -17,8 +17,9 @@ pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 /// hashes the spec, not the model, so old entries must then miss and be
 /// re-simulated. (2: keys hash the canonical spec; entries are compact
 /// and self-checking. 3: SYNCOPTI credits each write-forward to the line
-/// it carried.)
-pub const CACHE_SCHEMA: u32 = 3;
+/// it carried. 4: a forwarded line fills the stream cache only from the
+/// consumer's issue position on.)
+pub const CACHE_SCHEMA: u32 = 4;
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

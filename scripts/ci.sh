@@ -17,8 +17,9 @@ TREE_BEFORE=$(tree_state)
 
 # The architecture rules (the knob table, one protocol, design, codec,
 # count, sweep, address-map, JSON-writer, field-list, release-profile and
-# line-ledger module, and the protocol table) are tier-1 tests in
-# tests/architecture.rs, run by the workspace tests below.
+# line-ledger module, the protocol table, and the key path's freedom from
+# Debug output) are tier-1 tests in tests/architecture.rs, run by the
+# workspace tests below.
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -122,17 +123,6 @@ heal_fig6 third
 cmp "$HEAL_TMP/first/fig6.json" "$HEAL_TMP/third/fig6.json"
 rm -rf "$HEAL_TMP"
 trap - EXIT
-
-echo "==> key path (a cache key depends on no Debug output)"
-# `Job::key_ref`, the field lists it hashes, their leaves and the hash
-# itself.
-if { sed -n '/pub fn key_ref/,/^    }/p' crates/harness/src/job.rs
-     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/spec.rs
-     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/wire.rs
-     sed '/^#\[cfg(test)\]/,$d' crates/harness/src/key.rs
-   } | grep -nE '\{:#?\?\}|Debug'; then
-    echo "the key path formats or requires Debug"; exit 1
-fi
 
 echo "==> benchmark: its own tests, then sim_dense, sweep_warm and sweep_cold with every correctness check"
 # The benchmark's checks (every timed run equals its warm-up run, the

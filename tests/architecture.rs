@@ -86,11 +86,10 @@ fn product(text: &str) -> &str {
     text
 }
 
-/// Whether `path` is a file directly in `dir`.
-fn directly_in(path: &str, dir: &str) -> bool {
+/// Whether `path` is a file in `dir` or one of its subdirectories.
+fn under(path: &str, dir: &str) -> bool {
     path.strip_prefix(dir)
-        .and_then(|rest| rest.strip_prefix('/'))
-        .is_some_and(|name| !name.contains('/'))
+        .is_some_and(|rest| rest.starts_with('/'))
 }
 
 fn is_ident(c: char) -> bool {
@@ -189,7 +188,7 @@ fn the_knob_table_names_every_variable_read() {
 // ---------------------------------------------------------------------
 
 /// The number of seeded faults in `Mutation::ALL`.
-const MUTATIONS: usize = 14;
+const MUTATIONS: usize = 15;
 
 /// No file of `hfs-mem` but `protocol.rs` compares a `Protocol`
 /// (DESIGN §6e); the `Protocol::Msi` default in `config.rs` is allowed.
@@ -199,7 +198,7 @@ const MUTATIONS: usize = 14;
 fn protocol_module(files: &[Source]) -> Vec<String> {
     let mut out = offending(
         files,
-        |p| directly_in(p, "crates/mem/src") && p != "crates/mem/src/protocol.rs",
+        |p| under(p, "crates/mem/src") && p != "crates/mem/src/protocol.rs",
         |line| line.contains("Protocol::") && !line.contains("protocol: Protocol::Msi,"),
     );
     let check = &files
@@ -230,7 +229,7 @@ fn protocol_module(files: &[Source]) -> Vec<String> {
         .filter(|f| {
             ["mem", "core", "cpu"]
                 .iter()
-                .any(|c| directly_in(&f.path, &format!("crates/{c}/src")))
+                .any(|c| under(&f.path, &format!("crates/{c}/src")))
         })
         .map(|f| product(&f.text))
         .collect();
@@ -393,10 +392,7 @@ fn a_count_is_kept_once() {
 fn sweep_shape(files: &[Source]) -> Vec<String> {
     offending(
         files,
-        |p| {
-            directly_in(p, "crates/bench/src/experiments")
-                && p != "crates/bench/src/experiments/mod.rs"
-        },
+        |p| under(p, "crates/bench/src/experiments") && p != "crates/bench/src/experiments/mod.rs",
         |line| {
             ["run_batch(", "chunks_exact("]
                 .iter()
@@ -432,7 +428,7 @@ fn address_map(files: &[Source]) -> Vec<String> {
     offending(
         files,
         |p| {
-            (directly_in(p, "crates/core/src") || directly_in(p, "crates/isa/src"))
+            (under(p, "crates/core/src") || under(p, "crates/isa/src"))
                 && p != "crates/core/src/addr_map.rs"
                 && p != "crates/isa/src/program.rs"
         },
@@ -713,7 +709,7 @@ fn the_protocol_table_is_the_pinned_one() {
 fn line_ledger(files: &[Source]) -> Vec<String> {
     offending(
         files,
-        |p| directly_in(p, "crates/core/src") && p != "crates/core/src/ledger.rs",
+        |p| under(p, "crates/core/src") && p != "crates/core/src/ledger.rs",
         |line| line.contains("ForwardDone") || line.contains("ForwardDropped"),
     )
 }
@@ -722,6 +718,65 @@ fn line_ledger(files: &[Source]) -> Vec<String> {
 fn one_ledger_reads_a_forwards_outcome() {
     holds(line_ledger, |files| {
         let credit = "fn f(e: &MemEvent) -> bool { matches!(e, MemEvent::ForwardDone { .. }) }";
-        with_line(files, "crates/core/src/backend.rs", credit)
+        with_line(files, "crates/core/src/backend/syncopti.rs", credit)
+    });
+}
+
+// ---------------------------------------------------------------------
+// The key path
+// ---------------------------------------------------------------------
+
+/// Whether `line` formats with `Debug` (`{:?}`, `{:#?}`, `{x:?}`) or
+/// names the trait.
+fn uses_debug(line: &str) -> bool {
+    [":?}", ":#?}", "Debug"].iter().any(|p| line.contains(p))
+}
+
+/// A cache key depends on no `Debug` output (DESIGN §6a): no line of
+/// `Job::key_ref`, of the field lists it hashes (`spec.rs`, `wire.rs`) or
+/// of the hash (`key.rs`) formats with `Debug` or requires it.
+fn key_path(files: &[Source]) -> Vec<String> {
+    const HASHED: [&str; 3] = [
+        "crates/harness/src/spec.rs",
+        "crates/harness/src/wire.rs",
+        "crates/harness/src/key.rs",
+    ];
+    let mut out = offending(files, |p| HASHED.contains(&p), uses_debug);
+    let job = "crates/harness/src/job.rs";
+    let text = product(&files.iter().find(|f| f.path == job).expect("job.rs").text);
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| !l.contains("pub fn key_ref"));
+    let Some(head) = lines.next() else {
+        out.push(format!("{job}: no `pub fn key_ref`"));
+        return out;
+    };
+    let body = lines.take_while(|(_, l)| !l.starts_with("    }"));
+    for (n, line) in std::iter::once(head).chain(body) {
+        if uses_debug(line) {
+            out.push(format!("{job}:{}: {}", n + 1, line.trim()));
+        }
+    }
+    out
+}
+
+#[test]
+fn a_cache_key_depends_on_no_debug_output() {
+    holds(key_path, |files| {
+        with_line(files, "crates/harness/src/key.rs", "#[derive(Debug)]")
+    });
+    holds(key_path, |files| {
+        let mut files = files.to_vec();
+        let job = files
+            .iter_mut()
+            .find(|f| f.path == "crates/harness/src/job.rs")
+            .expect("job.rs");
+        let hashed = "crate::spec::content_hash(self)";
+        assert!(job.text.contains(hashed), "the mutant edits key_ref");
+        job.text = job
+            .text
+            .replace(hashed, r#"crate::spec::content_hash(&format!("{self:?}"))"#);
+        files
     });
 }

@@ -53,6 +53,7 @@ fn expectation(p: Protocol, m: Mutation) -> Option<(DesignPoint, &'static str)> 
         Mutation::DropConsumerWake => (DesignPoint::heavywt(), "sa.dropped_wake"),
         // The stream cache only exists on the SC variants.
         Mutation::CorruptForwardValue => (DesignPoint::syncopti_sc_q64(), "sc.stale_value"),
+        Mutation::FillConsumedSlot => (DesignPoint::syncopti_sc_q64(), "sc.unreachable"),
         // A swallowed push report leaves the forward count short at
         // quiescence on any write-forwarding design.
         Mutation::SwallowForwardDone => (DesignPoint::syncopti(), "fwd.conservation"),

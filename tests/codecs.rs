@@ -395,14 +395,15 @@ fn the_text_drivers_bytes_are_pinned() {
         w.end_obj();
     }));
     // Taken while a tree driver still wrote these texts too, byte for
-    // byte, and re-taken once when `CACHE_SCHEMA` became 3 (the keys in
-    // the frames moved; with the schema at 2 the old value still held).
+    // byte, and re-taken once each time `CACHE_SCHEMA` moved, to 3 and to
+    // 4 (the keys in the frames moved; under the old schema the old value
+    // still held).
     // A change here moves a byte on the wire, in a cache entry or in an
     // artifact.
     let bytes: usize = texts.iter().map(String::len).sum();
     assert_eq!(
         format!("{:016x}", checksum(&texts)),
-        "4d02d69a52ff038d",
+        "8714e4aabb33ac55",
         "{} texts, {bytes} bytes",
         texts.len()
     );
@@ -690,44 +691,44 @@ fn keys_are_pinned() {
     let cfg = MachineConfig::itanium2_cmp;
     let mut dragon = cfg(DesignPoint::heavywt());
     dragon.mem.protocol = Protocol::Dragon;
-    // Literal keys printed by this list when `CACHE_SCHEMA` became 3 (the
+    // Literal keys printed by this list when `CACHE_SCHEMA` became 4 (the
     // key a hash of the canonical spec, `HashSink` under `write_job`'s
     // field list, label excluded, since schema 2). A change here orphans
     // every cache: bump the schema and re-pin, once.
     let pinned = [
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::existing())),
-            "4ab0ad143cca1c1e",
+            "5c1b232ec5b2b550",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::memopti_with_qlu(4))),
-            "e7c5847f5e4a5b2b",
+            "251ffd9a1ca3fe5e",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::syncopti_sc_q64())),
-            "ca8bc3e3d500c967",
+            "8eb088b97de8569d",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())),
-            "5df546f91691b775",
+            "e5901724a5a89a8c",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::regmapped(3))),
-            "873c0950a839c55a",
+            "ebb56a71f314ea12",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())).with_metrics(true),
-            "e652f2be0bc3446f",
+            "f3bba7afcb83f728",
         ),
         (
             Job::multi("a", pair(), cfg(DesignPoint::heavywt()), 2),
-            "9378d3f19832fc1b",
+            "9f60d8dc08876775",
         ),
         (
             Job::single("a", pair(), MachineConfig::itanium2_single()).with_max_cycles(12_345),
-            "969be7bb25634e94",
+            "c159b136cc29934c",
         ),
-        (Job::pipeline("a", pair(), dragon), "b01526828b02541b"),
+        (Job::pipeline("a", pair(), dragon), "1dea843b7e48223e"),
     ];
     for (job, key) in pinned {
         assert_eq!(job.key(), key, "{:?} {}", job.mode, job.cfg.design);

@@ -4,7 +4,8 @@
 use hfs::core::kernel::{KStep, Kernel, KernelPair, MAX_BODY_STEPS, MAX_REGIONS, MAX_REGION_BYTES};
 use hfs::core::lower::ARCH_QUEUES;
 use hfs::core::{
-    CheckLevel, DesignPoint, HeavyWtConfig, Machine, MachineConfig, SimError, SyncOptiConfig,
+    CheckLevel, DesignPoint, HeavyWtConfig, Machine, MachineConfig, RunResult, SimError,
+    SyncOptiConfig,
 };
 use hfs::cpu::{MAX_ISSUE_WIDTH, MAX_WINDOW};
 use hfs::harness::{execute, from_text, read_job, to_text, write_job, Job, JobOutcome};
@@ -319,7 +320,7 @@ fn syncopti_sc(queue_depth: u32, qlu: u32) -> DesignPoint {
 /// Runs `pair` on `design` under the full machine checker: the run must
 /// end `Ok`, every consume having returned its slot's value, with no
 /// invariant violated.
-fn run_fully_checked(pair: &KernelPair, design: DesignPoint) {
+fn run_fully_checked(pair: &KernelPair, design: DesignPoint) -> RunResult {
     let cfg = MachineConfig::itanium2_cmp(design);
     let mut m = Machine::new_pipeline(&cfg, pair).expect("machine builds");
     m.set_check_level(CheckLevel::Full);
@@ -332,6 +333,7 @@ fn run_fully_checked(pair: &KernelPair, design: DesignPoint) {
         "{} under {design}",
         pair.name
     );
+    r
 }
 
 /// Write-forwards of a SYNCOPTI queue can land out of line order, and a
@@ -379,6 +381,27 @@ fn a_forward_is_credited_to_the_line_it_carried() {
             scope.spawn(move || {
                 for bench in all_benchmarks() {
                     run_fully_checked(&bench.with_iterations(300).pair, syncopti_sc(depth, 4));
+                }
+            });
+        }
+    });
+}
+
+/// A delivered line fills the stream cache only from the consumer's
+/// issue position on: a slot whose consume has issued is never filled,
+/// so the 128 entries hold only slots a consume can still take, and no
+/// fill is dropped. Filling such slots left them resident for good, and
+/// at 1 000 iterations dropped fills on equake, bzip2, wc and fft2 under
+/// SYNCOPTI+SC and on wc under SYNCOPTI+SC+Q64.
+#[test]
+fn the_stream_cache_fills_no_slot_whose_consume_has_issued() {
+    std::thread::scope(|scope| {
+        for design in [DesignPoint::syncopti_sc(), DesignPoint::syncopti_sc_q64()] {
+            scope.spawn(move || {
+                for bench in all_benchmarks() {
+                    let r = run_fully_checked(&bench.with_iterations(1_000).pair, design);
+                    let (_, _, dropped) = r.stream_cache.expect("the design has a stream cache");
+                    assert_eq!(dropped, 0, "{} under {design}: dropped fills", bench.name);
                 }
             });
         }
