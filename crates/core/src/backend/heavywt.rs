@@ -217,14 +217,4 @@ impl HeavyWtBackend {
         }
         best
     }
-
-    /// See [`hfs_cpu::StreamPort::charge_blocked`]. A produce refused by
-    /// the occupancy counter mutates nothing; one that passed the counter
-    /// but found injection stage 0 full bumped the array's inject-stall
-    /// counter on every attempt. Consumes never block on this design.
-    pub(super) fn charge_blocked(&mut self, q: QueueId, produce: bool, n: u64) {
-        if produce && self.admits(q) {
-            self.sa.charge_inject_stalls(n);
-        }
-    }
 }

@@ -249,14 +249,6 @@ impl StreamPort for Backend {
         }
     }
 
-    fn charge_blocked(&mut self, _core: CoreId, q: QueueId, produce: bool, n: u64) {
-        match &mut self.mech {
-            Mech::Software(_) => {}
-            Mech::SyncOpti(b) => b.charge_blocked(produce, n),
-            Mech::HeavyWt(b) => b.charge_blocked(q, produce, n),
-        }
-    }
-
     fn location(&self, token: StreamToken) -> StallComponent {
         match &self.mech {
             Mech::SyncOpti(b) => b.location(token),

@@ -189,6 +189,9 @@ impl SyncOptiBackend {
         }
         match submitted {
             Submit::Accepted(tok) => {
+                if let Some(sc) = self.sc.as_mut() {
+                    sc.count_miss();
+                }
                 s.cons_next += 1;
                 let stok = sh.mint();
                 self.waiting_consumes.push_back(WaitingConsume {
@@ -399,18 +402,6 @@ impl SyncOptiBackend {
             }
         }
         best
-    }
-
-    /// See [`hfs_cpu::StreamPort::charge_blocked`]. A refused produce is
-    /// a gated store the OzQ rejected before touching anything; a refused
-    /// consume first probed the stream cache (and missed — a hit would
-    /// have completed), so only that miss counter needs replaying.
-    pub(super) fn charge_blocked(&mut self, produce: bool, n: u64) {
-        if !produce {
-            if let Some(sc) = self.sc.as_mut() {
-                sc.charge_missed_takes(n);
-            }
-        }
     }
 }
 

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use hfs_check::{CheckLevel, Checker};
-use hfs_cpu::{BlockedAttempt, Core, CoreStats, NullStreamPort, StreamPort};
+use hfs_cpu::{Core, CoreStats, NullStreamPort};
 use hfs_isa::{CoreId, Sequencer};
 use hfs_mem::{Completion, MemEvent, MemStats, MemSystem};
 use hfs_sim::stats::StallComponent;
@@ -646,24 +646,6 @@ impl Machine {
                 None => self.cores[i].idle_component(next, &self.mem, &NullStreamPort),
             };
             self.cores[i].charge_idle(skipped, comps[i]);
-            // A structurally blocked issue stage would have repeated its
-            // refused attempt on every skipped cycle; replay the side
-            // effects that live outside the core (the L1 probe of a
-            // refused demand access, the backend's blocked-path
-            // counters) so statistics match per-cycle simulation.
-            match self.cores[i].blocked_attempt() {
-                Some(BlockedAttempt::OzqLoad(addr) | BlockedAttempt::OzqStore(addr)) => {
-                    let id = self.cores[i].id();
-                    self.mem.replay_blocked_probes(id, addr, skipped);
-                }
-                Some(BlockedAttempt::Stream { q, produce }) => {
-                    let id = self.cores[i].id();
-                    if let Some(b) = self.backends.get_mut(i / 2) {
-                        b.charge_blocked(id, q, produce, skipped);
-                    }
-                }
-                Some(BlockedAttempt::Fence) | None => {}
-            }
         }
         if self.tracer.is_enabled() {
             // Replay the per-cycle stall events in live order: cycles

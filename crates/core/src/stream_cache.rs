@@ -74,34 +74,26 @@ impl StreamCache {
         true
     }
 
-    /// Consumes `(q, slot)`: returns the datum and invalidates the entry
-    /// on a hit.
+    /// Consumes `(q, slot)`: returns the datum, invalidates the entry and
+    /// counts a hit on a hit. A miss is not counted here: the consume may
+    /// yet be refused, and a refused consume is not an event.
     pub fn take(&mut self, q: QueueId, slot: u64) -> Option<u64> {
-        match self.entries.remove(key(q, slot)) {
-            Some(v) => {
-                self.hits += 1;
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let v = self.entries.remove(key(q, slot))?;
+        self.hits += 1;
+        Some(v)
     }
 
-    /// Accounts `n` additional [`StreamCache::take`] misses in bulk —
-    /// the statistics effect of a blocked consume re-probing an absent
-    /// slot every cycle across a fast-forwarded window.
-    pub fn charge_missed_takes(&mut self, n: u64) {
-        self.misses += n;
+    /// Counts a consume that missed and issued its gated load.
+    pub fn count_miss(&mut self) {
+        self.misses += 1;
     }
 
-    /// Consume hits.
+    /// Consumes that hit.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Consume misses.
+    /// Consumes that missed and went to the L2.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -142,7 +134,7 @@ mod tests {
         assert_eq!(sc.take(QueueId(0), 5), Some(42));
         assert_eq!(sc.take(QueueId(0), 5), None);
         assert_eq!(sc.hits(), 1);
-        assert_eq!(sc.misses(), 1);
+        assert_eq!(sc.misses(), 0, "a miss is counted when its load issues");
         assert!(sc.is_empty());
     }
 

@@ -70,7 +70,6 @@ pub struct SyncArray {
     budget: u32,
     injected: u64,
     delivered: u64,
-    inject_stalls: u64,
 }
 
 impl SyncArray {
@@ -87,7 +86,6 @@ impl SyncArray {
             budget: cfg.ops_per_cycle,
             injected: 0,
             delivered: 0,
-            inject_stalls: 0,
             cfg,
         })
     }
@@ -132,19 +130,11 @@ impl SyncArray {
     /// stage is full (back-pressure reached the producer).
     pub fn try_inject(&mut self, q: QueueId, value: u64) -> bool {
         if self.stages[0].len() >= self.cfg.stage_capacity as usize {
-            self.inject_stalls += 1;
             return false;
         }
         self.stages[0].push_back((q, value));
         self.injected += 1;
         true
-    }
-
-    /// Accounts `n` additional failed injections in bulk — the counter
-    /// effect of a producer re-attempting into a full first stage every
-    /// cycle across a fast-forwarded window.
-    pub fn charge_inject_stalls(&mut self, n: u64) {
-        self.inject_stalls += n;
     }
 
     /// Consumer-side read: pops the oldest value of `q` if present and an
@@ -181,11 +171,6 @@ impl SyncArray {
     /// Total items delivered into rings.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Injection attempts refused by back-pressure.
-    pub fn inject_stalls(&self) -> u64 {
-        self.inject_stalls
     }
 
     /// Array ports still unused this cycle.
@@ -275,7 +260,6 @@ mod tests {
         assert_eq!(a.occupancy(QueueId(0)), 4);
         assert_eq!(a.in_network(), 8);
         assert_eq!(accepted, 12, "capacity = ring + network stages");
-        assert!(a.inject_stalls() > 0);
         // Consuming one frees space that propagates back.
         a.begin_cycle();
         assert!(a.try_consume(QueueId(0)).is_some());

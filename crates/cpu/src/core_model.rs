@@ -2,9 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hfs_isa::{
-    Addr, CoreId, DynInstr, DynOp, FuClass, InstrKind, QueueId, Reg, Sequencer, SpinToken,
-};
+use hfs_isa::{CoreId, DynInstr, DynOp, FuClass, InstrKind, Reg, Sequencer, SpinToken};
 use hfs_mem::{MemOp, MemSystem, MemToken, Submit};
 use hfs_sim::stats::{Breakdown, StallComponent};
 use hfs_sim::{fold_bound, Cycle, TimedQueue};
@@ -88,31 +86,22 @@ pub struct Core {
     mem_scratch: Vec<hfs_mem::Completion>,
     stream_scratch: Vec<crate::StreamCompletion>,
     /// The structural block the issue stage hit on the last tick, if
-    /// any; lets fast-forward replicate the per-cycle side effects of
-    /// the re-attempts it skips.
+    /// any; fast-forward charges the re-attempts it skips to the stall
+    /// counter the block names.
     blocked: Option<BlockedAttempt>,
 }
 
-/// An issue attempt refused by structural back-pressure. While the
-/// blocking state persists the core repeats the identical attempt every
-/// cycle, so each variant records what a re-attempt touches: the stall
-/// counters on the core plus (for OzQ-refused demand accesses) an L1
-/// probe, and (for stream operations) whatever the backend's blocked
-/// path mutates.
+/// An issue attempt refused by structural back-pressure. A refused
+/// attempt leaves nothing behind outside the core (DESIGN §6c), so while
+/// the block persists each re-attempt only bumps the stall counter its
+/// variant names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockedAttempt {
-    /// A demand load the OzQ refused; every attempt probes the L1 first.
-    OzqLoad(Addr),
-    /// A store the OzQ refused; every attempt touches the L1 first.
-    OzqStore(Addr),
-    /// A produce/consume the streaming hardware refused.
-    Stream {
-        /// The queue the operation targets.
-        q: QueueId,
-        /// True for produce, false for consume.
-        produce: bool,
-    },
-    /// A release fence waiting on outstanding stores (no side effects).
+enum BlockedAttempt {
+    /// A load or store the OzQ refused (`ozq_stalls`).
+    Ozq,
+    /// A produce/consume the streaming hardware refused (`stream_blocked`).
+    Stream,
+    /// A release fence waiting on outstanding stores (no counter).
     Fence,
 }
 
@@ -169,9 +158,10 @@ impl Core {
     /// its own: deliver a spin value, commit the window front, or attempt
     /// an issue. `None` means progress depends entirely on external
     /// completions, whose timing the memory system's and backend's own
-    /// bounds cover. Issue *attempts* count as events even when they end
-    /// up blocked, because blocked attempts bump stall counters — so the
-    /// bound never skips past a cycle where the sources are ready.
+    /// bounds cover. An issue stage blocked by structural back-pressure
+    /// waits on the component that holds the block: its re-attempts
+    /// repeat identically and leave nothing behind but the stall counter
+    /// that [`Core::charge_idle`] charges.
     pub fn next_event(&self, now: Cycle, seq: &mut Sequencer) -> Option<Cycle> {
         let mut best = None;
         if let Some(t) = self.spin_deliveries.next_ready() {
@@ -182,15 +172,8 @@ impl Core {
                 fold_bound(&mut best, now, done);
             }
         }
-        if self.window.len() < self.cfg.window as usize {
-            if self.blocked.is_some() && !self.tracer.is_enabled() {
-                // The head instruction's last attempt hit structural
-                // back-pressure whose release is tracked by another
-                // component's bound; re-attempts repeat identically and
-                // fast-forward bulk-charges their side effects. Traced
-                // runs keep the conservative bound so the per-cycle
-                // event stream needs no replay of probe events.
-            } else if let Some(instr) = seq.peek() {
+        if self.window.len() < self.cfg.window as usize && self.blocked.is_none() {
+            if let Some(instr) = seq.peek() {
                 let mut ready = Cycle::ZERO;
                 let mut pending = false;
                 for r in instr.srcs.iter().flatten() {
@@ -373,7 +356,7 @@ impl Core {
                     }
                     Submit::Rejected(_) => {
                         self.stats.ozq_stalls += 1;
-                        self.blocked = Some(BlockedAttempt::OzqLoad(addr));
+                        self.blocked = Some(BlockedAttempt::Ozq);
                         break;
                     }
                 },
@@ -394,7 +377,7 @@ impl Core {
                         }
                         Submit::Rejected(_) => {
                             self.stats.ozq_stalls += 1;
-                            self.blocked = Some(BlockedAttempt::OzqStore(addr));
+                            self.blocked = Some(BlockedAttempt::Ozq);
                             break;
                         }
                         Submit::L1Hit { .. } => unreachable!("stores never L1-hit-complete"),
@@ -406,7 +389,7 @@ impl Core {
                         StreamSubmit::Pending(token) => Status::WaitStream { token },
                         StreamSubmit::Blocked => {
                             self.stats.stream_blocked += 1;
-                            self.blocked = Some(BlockedAttempt::Stream { q, produce: true });
+                            self.blocked = Some(BlockedAttempt::Stream);
                             break;
                         }
                     }
@@ -426,7 +409,7 @@ impl Core {
                     }
                     StreamSubmit::Blocked => {
                         self.stats.stream_blocked += 1;
-                        self.blocked = Some(BlockedAttempt::Stream { q, produce: false });
+                        self.blocked = Some(BlockedAttempt::Stream);
                         break;
                     }
                 },
@@ -487,19 +470,10 @@ impl Core {
         // A blocked issue attempt would have repeated (and been refused)
         // on every skipped cycle; account its stall counter in bulk.
         match self.blocked {
-            Some(BlockedAttempt::OzqLoad(_) | BlockedAttempt::OzqStore(_)) => {
-                self.stats.ozq_stalls += cycles;
-            }
-            Some(BlockedAttempt::Stream { .. }) => self.stats.stream_blocked += cycles,
+            Some(BlockedAttempt::Ozq) => self.stats.ozq_stalls += cycles,
+            Some(BlockedAttempt::Stream) => self.stats.stream_blocked += cycles,
             Some(BlockedAttempt::Fence) | None => {}
         }
-    }
-
-    /// The structural block the issue stage hit on the last tick, if any
-    /// — the machine replicates its external side effects (L1 probes,
-    /// backend counters) across fast-forwarded windows.
-    pub fn blocked_attempt(&self) -> Option<BlockedAttempt> {
-        self.blocked
     }
 
     /// Emits the `CoreState` trace event a live idle cycle would have

@@ -75,15 +75,6 @@ pub trait StreamPort {
     /// Stall component charged while `token` is outstanding.
     fn location(&self, token: StreamToken) -> StallComponent;
 
-    /// Replays the side effects of `n` additional back-to-back refused
-    /// attempts of the given operation (true = produce). Fast-forward
-    /// calls this for a core whose issue stage was blocked on the
-    /// streaming hardware across skipped cycles; the default no-op
-    /// suits backends whose blocked path mutates nothing.
-    fn charge_blocked(&mut self, core: CoreId, q: QueueId, produce: bool, n: u64) {
-        let _ = (core, q, produce, n);
-    }
-
     /// Receives background memory completions (the core routes every
     /// completion whose `background` flag is set here). Streaming
     /// backends submit their gated queue accesses as background

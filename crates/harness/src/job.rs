@@ -18,8 +18,9 @@ pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 /// re-simulated. (2: keys hash the canonical spec; entries are compact
 /// and self-checking. 3: SYNCOPTI credits each write-forward to the line
 /// it carried. 4: a forwarded line fills the stream cache only from the
-/// consumer's issue position on.)
-pub const CACHE_SCHEMA: u32 = 4;
+/// consumer's issue position on. 5: a refused attempt counts no L1
+/// access and no stream-cache miss.)
+pub const CACHE_SCHEMA: u32 = 5;
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -184,24 +184,6 @@ impl CacheArray {
         }
     }
 
-    /// Replays `n` back-to-back lookups of `line` in bulk, advancing
-    /// the LRU stamp and hit/miss statistics exactly as `n` calls to
-    /// [`CacheArray::access`] would. Used by fast-forward to account
-    /// repeated probes from a structurally blocked pipeline without
-    /// simulating each cycle.
-    pub fn replay_accesses(&mut self, line: u64, n: u64) {
-        self.stamp += n;
-        let stamp = self.stamp;
-        let set = self.set_index(line);
-        match self.sets[set].iter_mut().find(|w| w.line == line) {
-            Some(w) => {
-                w.lru = stamp;
-                self.hits += n;
-            }
-            None => self.misses += n,
-        }
-    }
-
     /// Looks up `line` without touching LRU or statistics.
     pub fn probe(&self, line: u64) -> Option<LineState> {
         let set = self.set_index(line);

@@ -41,12 +41,10 @@ impl L1d {
         self.array.access(self.line(addr)).is_some()
     }
 
-    /// Replays `n` back-to-back probes of `addr` in bulk — the LRU and
-    /// statistics effect of `n` [`L1d::load_hit`]/[`L1d::store_touch`]
-    /// calls. Fast-forward uses this for pipelines re-attempting a
-    /// refused access every cycle.
-    pub fn replay_probes(&mut self, addr: Addr, n: u64) {
-        self.array.replay_accesses(self.line(addr), n);
+    /// Whether the line containing `addr` is resident; touches neither
+    /// LRU nor statistics.
+    pub fn holds(&self, addr: Addr) -> bool {
+        self.array.probe(self.line(addr)).is_some()
     }
 
     /// Installs the line containing `addr` after an L2 fill (clean —

@@ -249,7 +249,11 @@ impl MemSystem {
     pub fn submit(&mut self, core: CoreId, op: MemOp, now: Cycle) -> Submit {
         let c = core.index();
         assert!(c < self.l2s.len(), "core {core} out of range");
-        if op.write.is_none() && !op.gated {
+        // A refused operation leaves nothing behind: unless a demand
+        // load hits, the OzQ admits the operation before the L1 is
+        // touched (DESIGN §6c).
+        let full = self.l2s[c].free_slots() == 0;
+        if op.write.is_none() && !op.gated && (!full || self.l1s[c].holds(op.addr)) {
             // Demand load: try the L1 first.
             let hit = self.l1s[c].load_hit(op.addr);
             self.trace_access(core, CacheLevel::L1, hit, now);
@@ -265,12 +269,12 @@ impl MemSystem {
                 };
             }
         }
+        if full {
+            return Submit::Rejected(RejectReason::OzqFull);
+        }
         if op.write.is_some() && !op.gated {
             // Write-through touch (no allocate).
             self.l1s[c].store_touch(op.addr);
-        }
-        if self.l2s[c].free_slots() == 0 {
-            return Submit::Rejected(RejectReason::OzqFull);
         }
         let kind = match op.write {
             Some(value) => EntryKind::Store {
@@ -399,16 +403,6 @@ impl MemSystem {
         self.completions[core.index()]
             .next_ready()
             .is_some_and(|ready| ready <= now)
-    }
-
-    /// Replays the L1 side effects of `n` back-to-back submissions the
-    /// OzQ refused: a demand load probes the L1 (and misses — a hit
-    /// would have completed instead of being refused) and a store
-    /// touches it, before either sees the full OzQ. Fast-forward calls
-    /// this so skipped re-attempt cycles leave the L1 LRU state and
-    /// hit/miss statistics exactly as per-cycle simulation would.
-    pub fn replay_blocked_probes(&mut self, core: CoreId, addr: Addr, n: u64) {
-        self.l1s[core.index()].replay_probes(addr, n);
     }
 
     /// Drains the event stream accumulated since the last call.
@@ -1128,6 +1122,53 @@ mod tests {
             Submit::L1Hit { at, .. } => assert_eq!(at, Cycle::new(t + 2)),
             other => panic!("expected L1 hit, got {other:?}"),
         }
+    }
+
+    /// A refused operation is not an event (DESIGN §6c): with the OzQ
+    /// full, a load that misses the L1 and a store to a resident line
+    /// are refused before either touches the L1, so they count no
+    /// access, move no line in the LRU order and emit no `CacheAccess`.
+    #[test]
+    fn a_refused_operation_leaves_the_l1_untouched() {
+        let mut m = sys();
+        let now = Cycle::new(0);
+        // Four lines of one 4-way L1 set (64 sets of 64 B): `set[0]` is
+        // the least recently used.
+        let set: Vec<Addr> = (0..4).map(|k| Addr::new(0x10000 + k * 4096)).collect();
+        for &a in &set {
+            m.l1s[0].fill(a);
+        }
+        let mut next = 0x100000;
+        while m.free_slots(CoreId(0)) > 0 {
+            let op = MemOp::load(Addr::new(next));
+            assert!(matches!(m.submit(CoreId(0), op, now), Submit::Accepted(_)));
+            next += 128;
+        }
+        let before = m.stats();
+        let tracer = Tracer::recording();
+        m.set_tracer(tracer.clone());
+        let refused = [MemOp::load(Addr::new(next)), MemOp::store(set[0], 7)];
+        for op in refused {
+            let outcome = m.submit(CoreId(0), op, now);
+            assert_eq!(outcome, Submit::Rejected(RejectReason::OzqFull));
+        }
+        let after = m.stats();
+        assert_eq!(
+            (after.l1_hits, after.l1_misses),
+            (before.l1_hits, before.l1_misses)
+        );
+        let events = tracer.take_events();
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::CacheAccess { .. })),
+            "{events:?}"
+        );
+        // The refused store did not make `set[0]` recently used: the
+        // next line into the set still evicts it.
+        m.l1s[0].fill(Addr::new(0x10000 + 4 * 4096));
+        assert!(!m.l1s[0].holds(set[0]));
+        assert!(set[1..].iter().all(|&a| m.l1s[0].holds(a)));
     }
 
     #[test]

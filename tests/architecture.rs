@@ -780,3 +780,61 @@ fn a_cache_key_depends_on_no_debug_output() {
         files
     });
 }
+
+// ---------------------------------------------------------------------
+// The skip path
+// ---------------------------------------------------------------------
+
+/// The skip path charges cores only (DESIGN §6c): a refused attempt
+/// leaves nothing behind outside the core, so `Machine::advance` calls
+/// no memory-system method but `next_event` and takes no `get_mut` on a
+/// backend. A replay of refused attempts' side effects would need both.
+fn skip_path(files: &[Source]) -> Vec<String> {
+    let path = "crates/core/src/machine.rs";
+    let text = product(
+        &files
+            .iter()
+            .find(|f| f.path == path)
+            .expect("machine.rs")
+            .text,
+    );
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| !l.contains("fn advance("));
+    if lines.next().is_none() {
+        return vec![format!("{path}: no `fn advance`")];
+    }
+    let mem_call = |line: &str| {
+        line.match_indices("self.mem.").any(|(i, m)| {
+            let rest = &line[i + m.len()..];
+            let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+            rest[name.len()..].starts_with('(') && name != "next_event"
+        })
+    };
+    lines
+        .take_while(|(_, l)| !l.starts_with("    }"))
+        .filter(|(_, l)| mem_call(l) || l.contains("backends") && l.contains("get_mut"))
+        .map(|(n, l)| format!("{path}:{}: {}", n + 1, l.trim()))
+        .collect()
+}
+
+#[test]
+fn the_skip_path_charges_cores_only() {
+    let charge = "self.cores[i].charge_idle(skipped, comps[i]);";
+    for replay in [
+        "self.mem.replay_blocked_probes(id, addr, skipped);",
+        "if let Some(b) = self.backends.get_mut(i / 2) { b.charge_blocked(id, q, produce, skipped); }",
+    ] {
+        holds(skip_path, |files| {
+            let mut files = files.to_vec();
+            let machine = files
+                .iter_mut()
+                .find(|f| f.path == "crates/core/src/machine.rs")
+                .expect("machine.rs");
+            assert!(machine.text.contains(charge), "the mutant edits advance");
+            machine.text = machine.text.replace(charge, &format!("{charge}\n{replay}"));
+            files
+        });
+    }
+}

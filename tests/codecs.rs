@@ -395,15 +395,15 @@ fn the_text_drivers_bytes_are_pinned() {
         w.end_obj();
     }));
     // Taken while a tree driver still wrote these texts too, byte for
-    // byte, and re-taken once each time `CACHE_SCHEMA` moved, to 3 and to
-    // 4 (the keys in the frames moved; under the old schema the old value
-    // still held).
+    // byte, and re-taken once each time `CACHE_SCHEMA` moved, to 3, to 4
+    // and to 5 (the keys in the frames moved; under the old schema the old
+    // value still held).
     // A change here moves a byte on the wire, in a cache entry or in an
     // artifact.
     let bytes: usize = texts.iter().map(String::len).sum();
     assert_eq!(
         format!("{:016x}", checksum(&texts)),
-        "8714e4aabb33ac55",
+        "6a91b69ae83cb7ad",
         "{} texts, {bytes} bytes",
         texts.len()
     );
@@ -691,44 +691,44 @@ fn keys_are_pinned() {
     let cfg = MachineConfig::itanium2_cmp;
     let mut dragon = cfg(DesignPoint::heavywt());
     dragon.mem.protocol = Protocol::Dragon;
-    // Literal keys printed by this list when `CACHE_SCHEMA` became 4 (the
+    // Literal keys printed by this list when `CACHE_SCHEMA` became 5 (the
     // key a hash of the canonical spec, `HashSink` under `write_job`'s
     // field list, label excluded, since schema 2). A change here orphans
     // every cache: bump the schema and re-pin, once.
     let pinned = [
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::existing())),
-            "5c1b232ec5b2b550",
+            "83465dbea586c310",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::memopti_with_qlu(4))),
-            "251ffd9a1ca3fe5e",
+            "2ba8be020853f76e",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::syncopti_sc_q64())),
-            "8eb088b97de8569d",
+            "be2be6094b7e11b7",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())),
-            "e5901724a5a89a8c",
+            "6331fd66c927d340",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::regmapped(3))),
-            "ebb56a71f314ea12",
+            "0b712509a900dace",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())).with_metrics(true),
-            "f3bba7afcb83f728",
+            "812dc488a8da6332",
         ),
         (
             Job::multi("a", pair(), cfg(DesignPoint::heavywt()), 2),
-            "9f60d8dc08876775",
+            "0c95b9d62a105e2b",
         ),
         (
             Job::single("a", pair(), MachineConfig::itanium2_single()).with_max_cycles(12_345),
-            "c159b136cc29934c",
+            "686e7071d3e9cff3",
         ),
-        (Job::pipeline("a", pair(), dragon), "1dea843b7e48223e"),
+        (Job::pipeline("a", pair(), dragon), "b2ebfffd4e8912cb"),
     ];
     for (job, key) in pinned {
         assert_eq!(job.key(), key, "{:?} {}", job.mode, job.cfg.design);

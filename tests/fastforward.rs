@@ -63,8 +63,10 @@ fn assert_identical(fast: &RunResult, slow: &RunResult, label: &str) {
 
 /// Fast-forwarded runs must be bit-identical to per-cycle simulation:
 /// same total cycles, same per-core statistics (including the stall
-/// breakdown and the blocked-attempt counters the skip path replays in
-/// bulk), same memory-system counters, same stream-cache counters.
+/// breakdown and the blocked-attempt counters the skip path charges in
+/// bulk), same memory-system counters, same stream-cache counters. A
+/// refused attempt touches no memory-system or stream-cache counter, so
+/// the cores' counters are all the skip path has to charge.
 #[test]
 fn fastforward_matches_percycle_on_random_configs() {
     let mut rng = Rng64::new(0xFF_0001);

@@ -42,7 +42,7 @@ fn recorded_text(job: &Job) -> String {
 /// the test once and baking the value in, so any cross-process
 /// non-determinism (map iteration order, address-dependent state) shows
 /// up as a hash mismatch here.
-const GOLDEN_STREAM_FNV1A: u64 = 16_155_924_530_647_553_623;
+const GOLDEN_STREAM_FNV1A: u64 = 11_251_641_512_398_589;
 
 #[test]
 fn recorded_stream_matches_the_golden_hash() {
@@ -56,9 +56,11 @@ fn recorded_stream_matches_the_golden_hash() {
     );
 }
 
-/// Traced machines fast-forward too (with a conservative bound that
-/// replays per-cycle stall events), so the recorded stream must be
-/// byte-identical whether or not fast-forwarding is enabled.
+/// Traced machines fast-forward the same windows as untraced ones, and
+/// a refused attempt emits no event, so the only events of a skipped
+/// cycle are the stall events the skip path emits for it: the recorded
+/// stream must be byte-identical whether or not fast-forwarding is
+/// enabled.
 #[test]
 fn recorded_stream_identical_with_and_without_fastforward() {
     let bench = benchmark("fir").unwrap().with_iterations(50);
