@@ -33,7 +33,8 @@
 //! * **differential data** ([`CheckLevel::Full`]) — every committed
 //!   load/store is replayed against a second golden memory, so a
 //!   timing-model bug that corrupts a value is caught at the offending
-//!   cycle instead of as a wrong figure.
+//!   cycle instead of as a wrong figure, and a SYNCOPTI consume released
+//!   before its slot's store performed is caught at its release.
 //!
 //! The checker is *observation-only*: with no [`Mutation`] armed it never
 //! changes simulated state, so cycle counts are bit-identical with
@@ -157,6 +158,7 @@ const SHARED_RULES: &[&str] = &[
     "sc.not_forwarded",
     "sc.stale_value",
     "data.load_mismatch",
+    "so.release_before_store",
 ];
 
 /// The complete set of rules the checker may emit for one protocol.
@@ -302,12 +304,15 @@ pub enum Mutation {
     /// Hide one sharer from a Dragon bus-update entirely (neither
     /// counted nor updated), leaving its copy silently stale.
     HideDragonSharer,
+    /// Release one waiting SYNCOPTI consume whose store has not
+    /// performed.
+    ReleaseBeforeStore,
 }
 
 impl Mutation {
     /// Every mutation, in a fixed order, for exhaustive fault-injection
     /// sweeps.
-    pub const ALL: [Mutation; 15] = [
+    pub const ALL: [Mutation; 16] = [
         Mutation::SkipSnoopInvalidate,
         Mutation::DoubleGrantBus,
         Mutation::StarveBusAgent,
@@ -323,6 +328,7 @@ impl Mutation {
         Mutation::GrantExclusiveWithSharers,
         Mutation::SkipDragonUpdate,
         Mutation::HideDragonSharer,
+        Mutation::ReleaseBeforeStore,
     ];
 }
 
@@ -1086,6 +1092,20 @@ impl Checker {
             if s.level == CheckLevel::Full {
                 s.golden.insert(addr & !7, value);
             }
+        }
+    }
+
+    /// A SYNCOPTI consume of `slot` on `q` was released: the slot word at
+    /// `addr` must already hold the slot's sequence number, its own
+    /// store having performed.
+    pub fn on_consume_released(&self, at: Cycle, q: QueueId, slot: u64, addr: u64) {
+        let Some(s) = &self.inner else { return };
+        let mut s = s.borrow_mut();
+        let held = s.golden.get(&(addr & !7)).copied();
+        if s.level == CheckLevel::Full && held != Some(slot) {
+            let held = held.map_or("nothing".into(), |v| v.to_string());
+            let detail = format!("queue {} slot {slot} released, its word holds {held}", q.0);
+            s.violate(at, "so.release_before_store", detail);
         }
     }
 

@@ -249,9 +249,9 @@ impl StreamPort for Backend {
         }
     }
 
-    fn location(&self, token: StreamToken) -> StallComponent {
+    fn location(&self, mem: &MemSystem, token: StreamToken) -> StallComponent {
         match &self.mech {
-            Mech::SyncOpti(b) => b.location(token),
+            Mech::SyncOpti(b) => b.location(mem, token),
             _ => StallComponent::PreL2,
         }
     }
@@ -396,6 +396,6 @@ mod tests {
         let mut done = Vec::new();
         b.poll(CoreId(1), Cycle::new(1), &mut done);
         assert!(done.is_empty());
-        assert_eq!(b.location(tok), StallComponent::PreL2);
+        assert_eq!(b.location(&m, tok), StallComponent::PreL2);
     }
 }

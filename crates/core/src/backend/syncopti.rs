@@ -51,6 +51,24 @@ impl SoQueue {
         let released = self.prod_next - self.waiting_produces.len() as u64;
         released - self.acked < u64::from(self.layout.depth)
     }
+
+    /// When the waiting consume of `slot` may go, for `process` and
+    /// `next_event` alike: never before the slot's own store performed.
+    fn release(&self, slot: u64) -> Option<Release> {
+        match (self.lines.released(slot), self.lines.performed(slot)) {
+            (true, _) => Some(Release::Now),
+            (false, true) => Some(Release::Flush(self.last_perform + IDLE_FLUSH + 1)),
+            (false, false) => None,
+        }
+    }
+}
+
+/// Now (every line up to the slot's is resolved: a local hit, or a pull
+/// of a dropped line), or at the idle-flush deadline, before the forward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Release {
+    Now,
+    Flush(Cycle),
 }
 
 #[derive(Debug)]
@@ -59,12 +77,8 @@ struct WaitingConsume {
     slot: u64,
     mem_token: MemToken,
     stream_token: StreamToken,
-    released: bool,
-    /// Released before the slot's line was write-forwarded: the gated
-    /// load pulls the data through ordinary coherence instead.
-    early_released: bool,
-    /// Stall-attribution location, refreshed by every `process`.
-    location: StallComponent,
+    /// How the gated load went, once released.
+    released: Option<Release>,
 }
 
 /// Backend for SYNCOPTI and its optimized variants.
@@ -199,9 +213,7 @@ impl SyncOptiBackend {
                     slot,
                     mem_token: tok,
                     stream_token: stok,
-                    released: false,
-                    early_released: false,
-                    location: StallComponent::PreL2,
+                    released: None,
                 });
                 sh.tracer.emit(|| TraceEvent::SyncWait {
                     core,
@@ -215,11 +227,14 @@ impl SyncOptiBackend {
         }
     }
 
-    pub(super) fn location(&self, token: StreamToken) -> StallComponent {
-        self.waiting_consumes
-            .iter()
-            .find(|w| w.stream_token == token)
-            .map_or(StallComponent::PreL2, |w| w.location)
+    pub(super) fn location(&self, mem: &MemSystem, token: StreamToken) -> StallComponent {
+        let waiting = &self.waiting_consumes;
+        match waiting.iter().find(|w| w.stream_token == token) {
+            Some(w) => mem
+                .location(w.mem_token)
+                .map_or(StallComponent::PostL2, |l| l.component()),
+            None => StallComponent::PreL2,
+        }
     }
 
     pub(super) fn on_mem_completion(&mut self, sh: &mut Shared, c: Completion) {
@@ -235,7 +250,7 @@ impl SyncOptiBackend {
             let done = w.slot + 1;
             // Bulk ACK when the last item of a line is consumed; timeout
             // path ACKs eagerly to keep the tail moving.
-            if done.is_multiple_of(u64::from(s.layout.qlu)) || w.early_released {
+            if done.is_multiple_of(u64::from(s.layout.qlu)) || w.released != Some(Release::Now) {
                 self.pending_acks.push((w.q, done));
             }
         }
@@ -323,26 +338,20 @@ impl SyncOptiBackend {
             }
         }
 
-        // 4. Release consumes. The fast path waits for every line up to
-        // the slot's to be resolved (the consume then hits locally, or
-        // pulls a dropped line). If the producer has gone idle on the
-        // queue while produced-but-unforwarded data exists — a partially
-        // filled tail line or a low-rate stream — the consume is released
-        // anyway and pulls the line through ordinary coherence.
-        for w in self.waiting_consumes.iter_mut() {
-            if w.released {
-                continue;
-            }
+        // 4. Release the consumes `SoQueue::release` lets go.
+        let waiting = self.waiting_consumes.iter_mut();
+        for w in waiting.filter(|w| w.released.is_none()) {
             let s = self.state.get(w.q.index()).expect("queue planned");
-            if s.lines.released(w.slot) {
-                w.released = true;
-                mem.release(w.mem_token, now);
-            } else if s.lines.performed(w.slot) && now.saturating_since(s.last_perform) > IDLE_FLUSH
-            {
-                w.released = true;
-                w.early_released = true;
-                mem.release(w.mem_token, now);
-            }
+            let how = match s.release(w.slot) {
+                Some(Release::Flush(at)) if at > now => continue,
+                Some(how) => how,
+                None if sh.checker.fire_once(Mutation::ReleaseBeforeStore) => Release::Flush(now),
+                None => continue,
+            };
+            sh.checker
+                .on_consume_released(now, w.q, w.slot, s.layout.slot_addr(w.slot).as_u64());
+            w.released = Some(how);
+            mem.release(w.mem_token, now);
         }
 
         // 5. Issue queued line forwards.
@@ -351,14 +360,7 @@ impl SyncOptiBackend {
             push_lines(&mut s.queued, mem, sh.producer, sh.consumer, now);
         }
 
-        // 6. Refresh stall-attribution locations.
-        for w in self.waiting_consumes.iter_mut() {
-            w.location = mem
-                .location(w.mem_token)
-                .map_or(StallComponent::PostL2, |l| l.component());
-        }
-
-        // 7. Stream-cache inclusion audit: every entry must lie at or
+        // 6. Stream-cache inclusion audit: every entry must lie at or
         // above the consumer's issue position (so a consume can take it),
         // cover a delivered line and match memory.
         if sh.checker.is_enabled() {
@@ -378,8 +380,8 @@ impl SyncOptiBackend {
     }
 
     /// See [`super::Backend::next_event`]. Releasable gated operations and
-    /// queued forwards retry every cycle (`now + 1`); a waiting consume on
-    /// produced-but-unforwarded data fires at the idle-flush deadline.
+    /// queued forwards retry every cycle (`now + 1`); a waiting consume
+    /// fires when `SoQueue::release` lets it go.
     pub(super) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut best = None;
         if !self.pending_acks.is_empty() {
@@ -390,15 +392,13 @@ impl SyncOptiBackend {
                 fold_bound(&mut best, now, now.next());
             }
         }
-        for w in &self.waiting_consumes {
-            if w.released {
-                continue;
-            }
+        let waiting = self.waiting_consumes.iter();
+        for w in waiting.filter(|w| w.released.is_none()) {
             let s = self.state.get(w.q.index()).expect("queue planned");
-            if s.lines.released(w.slot) {
-                fold_bound(&mut best, now, now.next());
-            } else if s.lines.performed(w.slot) {
-                fold_bound(&mut best, now, s.last_perform + IDLE_FLUSH + 1);
+            match s.release(w.slot) {
+                Some(Release::Now) => fold_bound(&mut best, now, now.next()),
+                Some(Release::Flush(at)) => fold_bound(&mut best, now, at),
+                None => {}
             }
         }
         best
@@ -450,6 +450,28 @@ mod tests {
             s.layout.slot_addr(1).as_u64() - s.layout.slot_addr(0).as_u64(),
             16
         );
+    }
+
+    /// A waiting consume is wherever the memory system has its gated
+    /// load, read when asked: released with no `process` call since, the
+    /// load has left its dormant OzQ slot for the L2 port.
+    #[test]
+    fn a_waiting_consume_is_where_its_gated_load_is() {
+        let mut b = syncopti();
+        let mut m = mem();
+        let StreamSubmit::Pending(tok) = b.try_consume(&mut m, CoreId(1), QueueId(0), Cycle::ZERO)
+        else {
+            panic!("nothing was produced, so the consume waits");
+        };
+        let Mech::SyncOpti(so) = &b.mech else {
+            unreachable!()
+        };
+        let gated = so.waiting_consumes[0].mem_token;
+        assert_eq!(b.location(&m, tok), StallComponent::PreL2);
+        m.release(gated, Cycle::new(1));
+        let live = m.location(gated).expect("in flight").component();
+        assert_eq!(live, StallComponent::L2);
+        assert_eq!(b.location(&m, tok), live);
     }
 
     /// Every memory-backed design's one layout, over two wraps: the

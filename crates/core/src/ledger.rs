@@ -73,9 +73,6 @@ pub(crate) struct LineLedger {
     lines: Vec<Line>,
     /// Every absolute line below this one is resolved.
     resolved: u64,
-    /// Stores performed on the queue, counted: across lines they may
-    /// perform out of slot order.
-    performed: u64,
 }
 
 impl LineLedger {
@@ -91,7 +88,6 @@ impl LineLedger {
             qlu,
             lines: (0..u64::from(layout.depth) / qlu).map(open).collect(),
             resolved: 0,
-            performed: 0,
         }
     }
 
@@ -109,7 +105,6 @@ impl LineLedger {
     /// the trigger edge.
     pub(crate) fn on_store(&mut self, addr: Addr) -> Option<Addr> {
         let (qlu, ring, pos) = (self.qlu, self.ring(), self.position(addr));
-        self.performed += 1;
         let line = &mut self.lines[pos];
         if line.state != State::Open && line.stores == qlu {
             *line = Line {
@@ -168,9 +163,13 @@ impl LineLedger {
         slot < self.resolved * self.qlu
     }
 
-    /// Whether more stores than `slot` performed on the queue.
+    /// Whether `slot`'s own store performed: its record moved past its
+    /// line, or counts more of the line's stores (counted a ring ahead)
+    /// than the slot's offset. A line's stores perform in slot order.
     pub(crate) fn performed(&self, slot: u64) -> bool {
-        slot < self.performed
+        let (abs, offset) = (slot / self.qlu, slot % self.qlu);
+        let line = self.lines[(abs % self.ring()) as usize];
+        line.abs > abs || line.stores > (abs - line.abs) / self.ring() * self.qlu + offset
     }
 
     /// Whether `slot`'s line was delivered by its push.
@@ -213,6 +212,17 @@ mod tests {
         // Consumes of slots 0..3 have issued: the fill leaves them out.
         assert_eq!(l.resolve(first, true, 3), 3..8);
         assert!(l.released(15) && !l.released(16));
+    }
+
+    #[test]
+    fn a_slot_is_performed_by_its_own_lines_stores() {
+        let (mut l, layout) = ledger();
+        store_line(&mut l, &layout, 1);
+        for slot in 0..7 {
+            l.on_store(layout.slot_addr(slot));
+        }
+        // Fifteen stores performed on the queue, but not slot 7's.
+        assert!(!l.performed(7) && l.performed(6) && l.performed(15));
     }
 
     #[test]

@@ -514,7 +514,7 @@ impl Core {
                     .location(token)
                     .map(|l| l.component())
                     .unwrap_or(StallComponent::PostL2),
-                Status::WaitStream { token } => stream.location(token),
+                Status::WaitStream { token } => stream.location(mem, token),
             },
         }
     }
@@ -727,7 +727,7 @@ mod tests {
                 _out: &mut Vec<crate::StreamCompletion>,
             ) {
             }
-            fn location(&self, _token: StreamToken) -> StallComponent {
+            fn location(&self, _mem: &MemSystem, _token: StreamToken) -> StallComponent {
                 StallComponent::PreL2
             }
         }

@@ -72,8 +72,9 @@ pub trait StreamPort {
     /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
     fn poll(&mut self, core: CoreId, now: Cycle, out: &mut Vec<StreamCompletion>);
 
-    /// Stall component charged while `token` is outstanding.
-    fn location(&self, token: StreamToken) -> StallComponent;
+    /// Stall component charged while `token` is outstanding; a backend
+    /// whose operation waits in `mem` reads its location there.
+    fn location(&self, mem: &hfs_mem::MemSystem, token: StreamToken) -> StallComponent;
 
     /// Receives background memory completions (the core routes every
     /// completion whose `background` flag is set here). Streaming
@@ -120,7 +121,7 @@ impl StreamPort for NullStreamPort {
 
     fn poll(&mut self, _core: CoreId, _now: Cycle, _out: &mut Vec<StreamCompletion>) {}
 
-    fn location(&self, _token: StreamToken) -> StallComponent {
+    fn location(&self, _mem: &hfs_mem::MemSystem, _token: StreamToken) -> StallComponent {
         StallComponent::PreL2
     }
 }
@@ -135,7 +136,8 @@ mod tests {
         let mut out = Vec::new();
         p.poll(CoreId(0), Cycle::ZERO, &mut out);
         assert!(out.is_empty());
-        assert_eq!(p.location(StreamToken(0)), StallComponent::PreL2);
+        let mem = hfs_mem::MemSystem::new(hfs_mem::MemConfig::itanium2_single()).unwrap();
+        assert_eq!(p.location(&mem, StreamToken(0)), StallComponent::PreL2);
     }
 
     #[test]

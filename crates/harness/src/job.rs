@@ -19,8 +19,9 @@ pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 /// and self-checking. 3: SYNCOPTI credits each write-forward to the line
 /// it carried. 4: a forwarded line fills the stream cache only from the
 /// consumer's issue position on. 5: a refused attempt counts no L1
-/// access and no stream-cache miss.)
-pub const CACHE_SCHEMA: u32 = 5;
+/// access and no stream-cache miss. 6: SYNCOPTI's idle flush waits for
+/// the slot's own store.)
+pub const CACHE_SCHEMA: u32 = 6;
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

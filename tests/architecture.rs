@@ -188,7 +188,7 @@ fn the_knob_table_names_every_variable_read() {
 // ---------------------------------------------------------------------
 
 /// The number of seeded faults in `Mutation::ALL`.
-const MUTATIONS: usize = 15;
+const MUTATIONS: usize = 16;
 
 /// No file of `hfs-mem` but `protocol.rs` compares a `Protocol`
 /// (DESIGN §6e); the `Protocol::Msi` default in `config.rs` is allowed.

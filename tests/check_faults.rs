@@ -57,6 +57,8 @@ fn expectation(p: Protocol, m: Mutation) -> Option<(DesignPoint, &'static str)> 
         // A swallowed push report leaves the forward count short at
         // quiescence on any write-forwarding design.
         Mutation::SwallowForwardDone => (DesignPoint::syncopti(), "fwd.conservation"),
+        // A consume released before its store pulls the slot's old word.
+        Mutation::ReleaseBeforeStore => (DesignPoint::syncopti(), "so.release_before_store"),
         // Differential data checks catch value corruption on any design.
         Mutation::CorruptLoadValue => (DesignPoint::existing(), "data.load_mismatch"),
         Mutation::CorruptStoreValue => (DesignPoint::existing(), "data.load_mismatch"),

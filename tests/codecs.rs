@@ -395,15 +395,15 @@ fn the_text_drivers_bytes_are_pinned() {
         w.end_obj();
     }));
     // Taken while a tree driver still wrote these texts too, byte for
-    // byte, and re-taken once each time `CACHE_SCHEMA` moved, to 3, to 4
-    // and to 5 (the keys in the frames moved; under the old schema the old
+    // byte, and re-taken once each time `CACHE_SCHEMA` moved, to 3, 4, 5
+    // and 6 (the keys in the frames moved; under the old schema the old
     // value still held).
     // A change here moves a byte on the wire, in a cache entry or in an
     // artifact.
     let bytes: usize = texts.iter().map(String::len).sum();
     assert_eq!(
         format!("{:016x}", checksum(&texts)),
-        "6a91b69ae83cb7ad",
+        "78d081c221d355c3",
         "{} texts, {bytes} bytes",
         texts.len()
     );
@@ -691,44 +691,44 @@ fn keys_are_pinned() {
     let cfg = MachineConfig::itanium2_cmp;
     let mut dragon = cfg(DesignPoint::heavywt());
     dragon.mem.protocol = Protocol::Dragon;
-    // Literal keys printed by this list when `CACHE_SCHEMA` became 5 (the
+    // Literal keys printed by this list when `CACHE_SCHEMA` became 6 (the
     // key a hash of the canonical spec, `HashSink` under `write_job`'s
     // field list, label excluded, since schema 2). A change here orphans
     // every cache: bump the schema and re-pin, once.
     let pinned = [
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::existing())),
-            "83465dbea586c310",
+            "26fb187ffa9049df",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::memopti_with_qlu(4))),
-            "2ba8be020853f76e",
+            "44fb6226f467062c",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::syncopti_sc_q64())),
-            "be2be6094b7e11b7",
+            "df71e245486b9ae0",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())),
-            "6331fd66c927d340",
+            "2c29def9429e12b2",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::regmapped(3))),
-            "0b712509a900dace",
+            "66fad077c580f6a0",
         ),
         (
             Job::pipeline("a", pair(), cfg(DesignPoint::heavywt())).with_metrics(true),
-            "812dc488a8da6332",
+            "aa37979d61c25fb6",
         ),
         (
             Job::multi("a", pair(), cfg(DesignPoint::heavywt()), 2),
-            "0c95b9d62a105e2b",
+            "742d1c9d22f9d658",
         ),
         (
             Job::single("a", pair(), MachineConfig::itanium2_single()).with_max_cycles(12_345),
-            "686e7071d3e9cff3",
+            "5226728a84e38170",
         ),
-        (Job::pipeline("a", pair(), dragon), "b2ebfffd4e8912cb"),
+        (Job::pipeline("a", pair(), dragon), "77120ddcf71e01ba"),
     ];
     for (job, key) in pinned {
         assert_eq!(job.key(), key, "{:?} {}", job.mode, job.cfg.design);

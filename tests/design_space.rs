@@ -424,3 +424,28 @@ fn the_stream_cache_fills_no_slot_whose_consume_has_issued() {
         }
     });
 }
+
+/// The idle flush releases a consume only once the slot's own store has
+/// performed. Comparing the slot with the stores performed on the whole
+/// queue released one consume early on each of these points: stores
+/// perform out of slot order across lines, so the count can pass a slot
+/// whose own store is still in flight. `so.release_before_store` catches
+/// that release.
+#[test]
+fn the_idle_flush_waits_for_the_slots_own_store() {
+    let points = [
+        ("adpcmdec", DesignPoint::syncopti()),
+        ("adpcmdec", DesignPoint::syncopti_sc()),
+        ("epicdec", DesignPoint::syncopti()),
+        ("epicdec", DesignPoint::syncopti_sc()),
+        ("fir", DesignPoint::syncopti_sc()),
+    ];
+    std::thread::scope(|scope| {
+        for (name, design) in points {
+            scope.spawn(move || {
+                let bench = hfs::workloads::benchmark(name).expect("a Table 1 kernel");
+                run_fully_checked(&bench.with_iterations(300).pair, design);
+            });
+        }
+    });
+}

@@ -158,7 +158,7 @@ const FIG7_CYCLES: [(&str, [u64; 5]); 9] = [
     ("equake", [90941, 35662, 90941, 81399, 35534]),
     ("mcf", [66791, 33109, 66791, 67571, 32761]),
     ("bzip2", [105237, 55234, 105234, 72929, 53627]),
-    ("adpcmdec", [37150, 27274, 37150, 35491, 27274]),
+    ("adpcmdec", [37150, 27295, 37150, 35491, 27295]),
     ("epicdec", [33492, 24102, 33492, 31862, 24099]),
     ("wc", [58326, 26447, 58326, 69351, 27246]),
     ("fir", [42555, 37207, 42555, 34609, 37207]),
