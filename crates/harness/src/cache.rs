@@ -13,10 +13,10 @@
 //! exactly where it failed. Writes go through a temp file + rename so a
 //! killed run never leaves a truncated entry behind.
 //!
-//! An entry checks itself. Its first line is `hfs-cache <schema> <key>
-//! <checksum of the rest>`; the rest is the outcome's compact JSON, byte
-//! for byte what the hot layer holds. A file whose first line is not the
-//! one its name and body call for — an entry of another schema, one
+//! An entry checks itself. Its first line is `hfs-cache <fingerprint>
+//! <key> <checksum of the rest>`; the rest is the outcome's compact JSON,
+//! byte for byte what the hot layer holds. A file whose first line is not
+//! the one its name and body call for — an entry of another build, one
 //! copied to another key's name, a body with a flipped bit, a file cut
 //! short — is a miss, and the next [`store`](Cache::store) replaces it.
 //!
@@ -32,14 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::hotcache::{HotCache, HotEntry};
-use crate::job::{is_cache_key, JobOutcome, CACHE_SCHEMA};
+use crate::job::{is_cache_key, JobOutcome, MODEL_FINGERPRINT};
 use crate::key::checksum;
 use crate::ser::{outcome_from_text, outcome_to_text};
 
 /// The first line of the entry holding `body` under `key`.
 fn header(key: &str, body: &str) -> String {
     let sum = checksum(body.as_bytes());
-    format!("hfs-cache {CACHE_SCHEMA} {key} {sum:016x}")
+    format!("hfs-cache {MODEL_FINGERPRINT:016x} {key} {sum:016x}")
 }
 
 /// A directory of cached job outcomes keyed by content hash, optionally
@@ -143,7 +143,7 @@ impl Cache {
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
         let file = format!("{}\n{body}", header(key, &body));
-        if fs::write(&tmp, file).is_ok() && fs::rename(&tmp, &path).is_err() {
+        if fs::write(&tmp, file).is_err() || fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -153,6 +153,7 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::job::{execute, Job};
+    use crate::spec::key_with;
     use hfs_core::kernel::KernelPair;
     use hfs_core::{DesignPoint, MachineConfig};
 
@@ -256,7 +257,7 @@ mod tests {
         let (head, body) = disk.split_once('\n').expect("a header line");
         assert_eq!(cache.hot_entry(&key).unwrap().json(), body);
         assert_eq!(head, header(&key, body));
-        assert!(head.starts_with(&format!("hfs-cache {CACHE_SCHEMA} {key} ")));
+        assert!(head.starts_with(&format!("hfs-cache {MODEL_FINGERPRINT:016x} {key} ")));
         // Removing the disk file doesn't evict the hot copy.
         let _ = fs::remove_dir_all(&dir);
         let loaded = cache.load(&key).expect("hot layer still hits");
@@ -309,9 +310,10 @@ mod tests {
                 crate::json::to_text(true, |w| crate::ser::write_outcome(w, &out))
             }),
             ("the body alone", body.to_string()),
-            ("another schema", {
-                let (this, older) = (CACHE_SCHEMA, CACHE_SCHEMA - 1);
-                good.replacen(&format!(" {this} "), &format!(" {older} "), 1)
+            ("another build's entry", {
+                let this = format!("hfs-cache {MODEL_FINGERPRINT:016x} ");
+                let other = format!("hfs-cache {:016x} ", !MODEL_FINGERPRINT);
+                good.replacen(&this, &other, 1)
             }),
             ("another key's entry", good.replace(&key, &other_key)),
             (
@@ -333,5 +335,22 @@ mod tests {
             assert!(cache.load(&key).is_some(), "{what} hits again");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn builds_share_keys_exactly_when_they_share_a_fingerprint() {
+        let pair = |work| KernelPair::simple("demo", work, 30);
+        let cmp = MachineConfig::itanium2_cmp;
+        for job in [
+            Job::pipeline("a", pair(2), cmp(DesignPoint::heavywt())),
+            Job::pipeline("b", pair(3), cmp(DesignPoint::existing())).with_metrics(true),
+            Job::single("c", pair(2), MachineConfig::itanium2_single()),
+        ] {
+            let key = job.key();
+            assert_eq!(key_with(MODEL_FINGERPRINT, &job), key, "{}", job.label);
+            let others = [!MODEL_FINGERPRINT, MODEL_FINGERPRINT ^ 1].map(|f| key_with(f, &job));
+            assert!(!others.contains(&key), "{}: another build hits", job.label);
+            assert_ne!(others[0], others[1], "{}", job.label);
+        }
     }
 }

@@ -596,18 +596,16 @@ impl Batch {
             .collect()
     }
 
-    /// The machine-readable batch artifact. Deliberately excludes
-    /// wall-clock times and cache flags so the bytes are identical across
-    /// runs, worker counts, and warm/cold caches.
+    /// The machine-readable batch artifact: labels and outcomes only. No
+    /// wall-clock time, cache flag or key, so the bytes are identical
+    /// across runs, worker counts, warm/cold caches and builds.
     pub fn artifact_json(&self) -> String {
         to_text(true, |s| {
             s.begin_obj();
             s.str_field("experiment", &self.name);
-            s.u64_field("schema", u64::from(crate::job::CACHE_SCHEMA));
             s.arr_field("jobs", &self.records, |s, r| {
                 s.begin_obj();
                 s.str_field("label", &r.label);
-                s.str_field("key", &r.key);
                 s.key("outcome");
                 write_outcome(s, &r.outcome);
                 s.end_obj();

@@ -1,6 +1,6 @@
 //! Experiment job specifications and outcomes.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::OnceLock;
 
 use hfs_core::kernel::KernelPair;
@@ -12,16 +12,9 @@ use hfs_trace::Tracer;
 /// model bug, surfaced as [`JobOutcome::Timeout`] by the watchdog.
 pub const DEFAULT_MAX_CYCLES: u64 = 500_000_000;
 
-/// Cache-schema revision. Bump when the serialized result format, the
-/// key derivation, or the model's result for some spec changes: a key
-/// hashes the spec, not the model, so old entries must then miss and be
-/// re-simulated. (2: keys hash the canonical spec; entries are compact
-/// and self-checking. 3: SYNCOPTI credits each write-forward to the line
-/// it carried. 4: a forwarded line fills the stream cache only from the
-/// consumer's issue position on. 5: a refused attempt counts no L1
-/// access and no stream-cache miss. 6: SYNCOPTI's idle flush waits for
-/// the slot's own store.)
-pub const CACHE_SCHEMA: u32 = 6;
+/// The seed of every cache key, a hash of the model's sources (`build.rs`):
+/// an edit to them moves every key, so no build hits another's results.
+pub const MODEL_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/fingerprint"));
 
 /// How the machine is assembled for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +133,7 @@ impl Job {
     ///
     /// A hash of the job's canonical spec — the field list
     /// [`write_job`](crate::spec::write_job) puts on the wire, less the
-    /// label — under [`CACHE_SCHEMA`]: the kernel pair (kernels, queues,
+    /// label — under [`MODEL_FINGERPRINT`]: the kernel pair (kernels, queues,
     /// iterations), the full machine configuration (memory hierarchy,
     /// core, design point, seed), the assembly mode, the cycle budget
     /// and the metrics flag.
@@ -154,13 +147,8 @@ impl Job {
     /// The memoized cache key as a borrowed string — the allocation-free
     /// spelling of [`Job::key`] for hot paths that only compare or hash.
     pub fn key_ref(&self) -> &str {
-        self.key_memo.get_or_init(|| {
-            // Sized up front: `format!` alone allocates once more when
-            // the hash has a leading zero digit to pad.
-            let mut hex = String::with_capacity(16);
-            let _ = write!(hex, "{:016x}", crate::spec::content_hash(self));
-            hex
-        })
+        self.key_memo
+            .get_or_init(|| crate::spec::key_with(MODEL_FINGERPRINT, self))
     }
 }
 

@@ -46,7 +46,7 @@ pub use hfs_sim::{env_flag, env_path, json};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
     execute, execute_cancellable, execute_once, execute_once_with, is_cache_key, Job, JobOutcome,
-    Mode, CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
+    Mode, DEFAULT_MAX_CYCLES, MODEL_FINGERPRINT,
 };
 pub use json::{from_text, parse, to_text, DecodeError, Json, ParseError, Sink, Source};
 pub use ser::{
@@ -54,6 +54,6 @@ pub use ser::{
     write_metrics, write_outcome,
 };
 pub use spec::{
-    job_from_json, job_to_json, locality_key, read_job, read_sweep, sweep_to_json, write_job,
-    write_sweep,
+    job_from_json, job_to_json, key_with, locality_key, read_job, read_sweep, sweep_to_json,
+    write_job, write_sweep,
 };

@@ -18,13 +18,15 @@
 //! Kernel and region names are owned by the job that carries them; a
 //! name from the wire is refused past [`crate::wire::MAX_NAME_BYTES`].
 
+use std::fmt::Write as _;
+
 use hfs_core::kernel::{KRegion, KStep, Kernel, KernelPair};
 use hfs_core::{DesignPoint, MachineConfig};
 use hfs_cpu::CoreConfig;
 use hfs_isa::QueueId;
 use hfs_mem::{BusConfig, CacheGeometry, MemConfig, Protocol};
 
-use crate::job::{Job, Mode, CACHE_SCHEMA};
+use crate::job::{Job, Mode};
 use crate::json::{from_text, parse, to_text, Json, Sink, Source};
 use crate::key::HashSink;
 use crate::ser::DecodeError;
@@ -176,7 +178,7 @@ impl Wire for DesignPoint {
 
 /// The members of a job's spec that determine its outcome — all but
 /// the display label — into the object `s` has open. The wire and the
-/// cache key ([`content_hash`]) both run this one list.
+/// cache key ([`key_with`]) both run this one list.
 fn write_keyed<S: Sink>(s: &mut S, job: &Job) {
     write_mode(s, job.mode);
     s.u64_field("max_cycles", job.max_cycles);
@@ -209,12 +211,15 @@ pub fn write_job<S: Sink>(s: &mut S, job: &Job) {
     s.end_obj();
 }
 
-/// The hash behind [`Job::key`]: [`CACHE_SCHEMA`], then the keyed
-/// members of the canonical spec.
-pub(crate) fn content_hash(job: &Job) -> u64 {
-    let mut h = HashSink::new(u64::from(CACHE_SCHEMA));
+/// `job`'s key in a build whose [`crate::MODEL_FINGERPRINT`] is
+/// `fingerprint`: its canonical spec's keyed members, hashed from that seed.
+pub fn key_with(fingerprint: u64, job: &Job) -> String {
+    let mut h = HashSink::new(fingerprint);
     write_keyed(&mut h, job);
-    h.finish()
+    // Sized up front: `format!` alone may allocate twice.
+    let mut hex = String::with_capacity(16);
+    let _ = write!(hex, "{:016x}", h.finish());
+    hex
 }
 
 /// The hashes of a job's machine config (the keyed members less `pair`

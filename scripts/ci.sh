@@ -17,8 +17,9 @@ TREE_BEFORE=$(tree_state)
 
 # The architecture rules (the knob table, one protocol, design, codec,
 # count, sweep, address-map, JSON-writer, field-list, release-profile and
-# line-ledger module, the protocol table, and the key path's freedom from
-# Debug output) are tier-1 tests in tests/architecture.rs, run by the
+# line-ledger module, the protocol table, the key path's freedom from
+# Debug output, and the model fingerprint's coverage of what a result
+# depends on) are tier-1 tests in tests/architecture.rs, run by the
 # workspace tests below.
 
 echo "==> cargo fmt --check"

@@ -733,8 +733,9 @@ fn uses_debug(line: &str) -> bool {
 }
 
 /// A cache key depends on no `Debug` output (DESIGN §6a): no line of
-/// `Job::key_ref`, of the field lists it hashes (`spec.rs`, `wire.rs`) or
-/// of the hash (`key.rs`) formats with `Debug` or requires it.
+/// `Job::key_ref`, of `key_with` and the field lists it hashes (`spec.rs`,
+/// `wire.rs`) or of the hash (`key.rs`) formats with `Debug` or requires
+/// it.
 fn key_path(files: &[Source]) -> Vec<String> {
     const HASHED: [&str; 3] = [
         "crates/harness/src/spec.rs",
@@ -772,11 +773,12 @@ fn a_cache_key_depends_on_no_debug_output() {
             .iter_mut()
             .find(|f| f.path == "crates/harness/src/job.rs")
             .expect("job.rs");
-        let hashed = "crate::spec::content_hash(self)";
+        let hashed = "key_with(MODEL_FINGERPRINT, self)";
         assert!(job.text.contains(hashed), "the mutant edits key_ref");
-        job.text = job
-            .text
-            .replace(hashed, r#"crate::spec::content_hash(&format!("{self:?}"))"#);
+        job.text = job.text.replace(
+            hashed,
+            r#"key_with(MODEL_FINGERPRINT, &format!("{self:?}"))"#,
+        );
         files
     });
 }
@@ -837,4 +839,114 @@ fn the_skip_path_charges_cores_only() {
             files
         });
     }
+}
+
+// ---------------------------------------------------------------------
+// The model's fingerprint
+// ---------------------------------------------------------------------
+
+/// The crates under `crates/` whose sources `hfs-harness`'s `build.rs`
+/// hashes into `MODEL_FINGERPRINT`: its `CRATES` literal.
+fn fingerprinted(build: &str) -> BTreeSet<String> {
+    let line = build
+        .lines()
+        .find(|l| l.starts_with("const CRATES: &str = "))
+        .expect("build.rs keeps its crate list on one line");
+    let list = line.split('"').nth(1).expect("a string literal");
+    list.split(' ').map(str::to_string).collect()
+}
+
+/// `harness` and every crate it depends on, transitively, by the
+/// `hfs-*` lines of each `[dependencies]` table in `manifests`.
+fn model_crates(manifests: &[(String, String)]) -> BTreeSet<String> {
+    let mut reached = BTreeSet::from(["harness".to_string()]);
+    let mut todo = vec!["harness".to_string()];
+    while let Some(name) = todo.pop() {
+        let path = format!("crates/{name}/Cargo.toml");
+        let (_, text) = manifests
+            .iter()
+            .find(|(p, _)| *p == path)
+            .unwrap_or_else(|| panic!("{path} is not read"));
+        let deps = text
+            .lines()
+            .skip_while(|l| *l != "[dependencies]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .filter_map(|l| l.strip_prefix("hfs-"))
+            .map(|l| l.split(['.', ' ', '=']).next().unwrap_or(l).to_string());
+        for dep in deps {
+            if reached.insert(dep.clone()) {
+                todo.push(dep);
+            }
+        }
+    }
+    reached
+}
+
+/// The fingerprint covers what a result depends on (DESIGN §6a): the
+/// crates `build.rs` hashes are `hfs-harness` and its dependencies, no
+/// more and no fewer.
+fn fingerprint_crates(manifests: &[(String, String)], build: &str) -> Vec<String> {
+    let (hashed, needed) = (fingerprinted(build), model_crates(manifests));
+    let missed = needed
+        .difference(&hashed)
+        .map(|c| format!("{c}: a dependency of hfs-harness, not fingerprinted"));
+    let extra = hashed
+        .difference(&needed)
+        .map(|c| format!("{c}: fingerprinted, not a dependency of hfs-harness"));
+    missed.chain(extra).collect()
+}
+
+#[test]
+fn the_fingerprint_covers_what_a_result_depends_on() {
+    let (manifests, build) = (manifests(), read("crates/harness/build.rs"));
+    let found = fingerprint_crates(&manifests, &build);
+    assert!(found.is_empty(), "{}", found.join("\n"));
+    let mut mutant = manifests.clone();
+    let (_, harness) = mutant
+        .iter_mut()
+        .find(|(path, _)| path == "crates/harness/Cargo.toml")
+        .expect("harness's manifest is read");
+    let deps = "[dependencies]\n";
+    assert!(harness.contains(deps), "the mutant edits [dependencies]");
+    *harness = harness.replace(deps, &format!("{deps}hfs-workloads.workspace = true\n"));
+    assert!(
+        !fingerprint_crates(&mutant, &build).is_empty(),
+        "the rule missed its mutant"
+    );
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `MODEL_FINGERPRINT` is what `build.rs` says it is: FNV-1a over the
+/// path below `crates/`, the length and the bytes of each source file of
+/// the model's crates, in path order. Catches a build script that hashed
+/// an empty or a wrong directory, or read files in `read_dir` order.
+/// (`walk` reads `.rs` files only; those `src/` trees hold nothing else.)
+#[test]
+fn the_fingerprint_is_a_hash_of_the_models_sources() {
+    let mut files = Vec::new();
+    for name in model_crates(&manifests()) {
+        walk(&format!("crates/{name}/src"), &mut files);
+    }
+    files.sort_by(|a, b| a.path.cmp(&b.path));
+    assert!(files.len() > 50, "the sources were found");
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for f in &files {
+        let path = f.path.strip_prefix("crates/").expect("under crates/");
+        h = fnv1a(h, path.as_bytes());
+        h = fnv1a(h, &(f.text.len() as u64).to_le_bytes());
+        h = fnv1a(h, f.text.as_bytes());
+    }
+    assert_eq!(
+        format!("{h:#018x}"),
+        format!("{:#018x}", hfs_harness::MODEL_FINGERPRINT),
+        "{} files",
+        files.len()
+    );
 }
