@@ -425,10 +425,9 @@ impl Engine {
         total: usize,
         submitted: Instant,
     ) -> Record {
-        let key = job.key();
         // Queue wait: batch submission → this worker picking the job up.
         let queue_wait_ms = submitted.elapsed().as_millis() as u64;
-        let step = resolve(self.cache.as_ref(), &key, || match &self.trace_dir {
+        let step = resolve(self.cache.as_ref(), &job.key(), || match &self.trace_dir {
             Some(dir) => self.execute_traced(batch, job, dir),
             None => execute_cancellable(job, None),
         });
@@ -445,17 +444,10 @@ impl Engine {
                 Some(step.wall_millis),
             );
         }
-        let Resolved {
-            outcome,
-            cached,
-            wall_millis,
-        } = step;
         Record {
             label: job.label.clone(),
-            key,
-            cached,
-            wall_millis,
-            outcome,
+            cached: step.cached,
+            outcome: step.outcome,
         }
     }
 
@@ -534,12 +526,8 @@ fn sanitize_component(s: &str) -> String {
 pub struct Record {
     /// The job's display label.
     pub label: String,
-    /// Content-derived cache key.
-    pub key: String,
     /// Whether the outcome came from the cache.
     pub cached: bool,
-    /// Wall-clock milliseconds this job took (≈0 for cache hits).
-    pub wall_millis: u64,
     /// The job's outcome.
     pub outcome: JobOutcome,
 }

@@ -475,9 +475,10 @@ impl MemSystem {
         for (i, l2) in self.l2s.iter().enumerate() {
             out.push_str(&format!("L2[{i}]: {}\n", l2.debug_entries()));
         }
+        let mut busy: Vec<u64> = self.busy_lines.iter().map(|(line, ())| line).collect();
+        busy.sort_unstable();
         out.push_str(&format!(
-            "busy_lines={:?} bus_idle={} l3_idle={}\n",
-            self.busy_lines,
+            "busy_lines={busy:?} bus_idle={} l3_idle={}\n",
             self.bus.is_idle(),
             self.l3.is_idle()
         ));
@@ -1091,6 +1092,18 @@ mod tests {
             }
         }
         panic!("operation did not complete within {limit} cycles");
+    }
+
+    #[test]
+    fn deadlock_dump_lists_busy_lines_ascending() {
+        let mut m = sys();
+        m.busy_lines.insert(0x4000, ());
+        m.busy_lines.insert(0x80, ());
+        let dump = m.debug_state();
+        assert!(
+            dump.contains("busy_lines=[128, 16384] "),
+            "busy lines not ascending in:\n{dump}"
+        );
     }
 
     #[test]

@@ -401,12 +401,7 @@ impl Client {
                         finished += 1;
                         let record = slot.insert(Record {
                             label: r.label,
-                            key: r.key,
                             cached: r.cached,
-                            // Wall time is a server-side detail;
-                            // artifacts exclude it, so zero keeps
-                            // records honest without affecting bytes.
-                            wall_millis: 0,
                             outcome: r.outcome,
                         });
                         on_update(&JobUpdate {

@@ -12,8 +12,8 @@
 //!   (`PreL2` / `L2` / `BUS` / `L3` / `MEM` / `PostL2`),
 //! * [`Rng64`] — the workspace-wide deterministic PRNG (SplitMix64-seeded
 //!   xorshift64*) behind workload address randomness and randomized tests,
-//! * [`FnvMap`] — a `u64`-keyed FNV-1a open-addressing map for
-//!   per-transaction hot-path state (cheaper than SipHash `HashMap`),
+//! * [`FnvMap`] — std's `HashMap` keyed by `u64` under an FNV-1a hasher,
+//!   for per-transaction hot-path state (cheaper than SipHash),
 //!   and [`DenseMap`] — a flat table for small dense ids (queues, regions),
 //! * [`ConfigError`] — validation errors for machine configuration,
 //! * [`json`] — the one JSON reader and writer: result cache, artifacts,

@@ -74,18 +74,22 @@ fn run_allocations(design: DesignPoint, protocol: Protocol, iterations: u64) -> 
 /// `hfs-cpu` and `hfs-core`.
 ///
 /// SYNCOPTI+SC+Q64 reaches its footprint later. Its stream cache keys
-/// entries in an `FnvMap`, whose table doubles to 256 slots (one 6 KB
-/// allocation) on the first fill that finds 96 entries resident: a
-/// 200-iteration run never holds that many, and every run of 400 or more
-/// does. And 200 is not a multiple of its QLU (16), so the run ends on a
-/// half line that the idle flush hands over item by item; on the way the
-/// memory system's request and completion queues and the backend's wait
-/// lists reach a higher peak than a run ending on a full line. Measured
-/// under MSI: 92 allocations at 200 iterations (one table doubling
-/// fewer, six end-of-run buffer growths more), 85 at 800, and 87 at
-/// every length from 1 600 to 12 800; under MESI 92/87/87 and under
-/// Dragon 85/86/86 at 200/1 600/3 200. So it is pinned equal at 1 600
-/// and 3 200, and within a bound of 8 at 200.
+/// entries in an `FnvMap`, which is std's `HashMap`: here it never holds
+/// more than 22 entries, so it settles at 32 buckets. Std's table grows
+/// when an insert finds its 7/8 load allowance (28 of 32) used up, and
+/// some removals leave tombstones that count against it; with more than
+/// half of that live (20 entries), it doubles to 64 buckets (one 1 104-byte
+/// allocation) instead of rehashing in place. Under MSI and MESI a
+/// 200-iteration run never churns that far, and every run of 1 600 or
+/// more does. And 200 is not a multiple of its QLU (16), so the run ends
+/// on a half line that the idle flush hands over item by item; on the way
+/// the memory system's request and completion queues and the backend's
+/// wait lists reach a higher peak than a run ending on a full line.
+/// Measured under MSI and MESI: 93 allocations at 200 iterations (the
+/// doubling and one buffer growth fewer, seven end-of-run allocations
+/// more) and 88 at 1 600 and 3 200; under Dragon, where at most 18
+/// entries are live and the table never doubles, 86 at all three. So it
+/// is pinned equal at 1 600 and 3 200, and within a bound of 8 at 200.
 #[test]
 fn a_run_allocates_the_same_at_any_length() {
     for protocol in Protocol::ALL {
