@@ -174,14 +174,13 @@ pub struct InvariantTable {
     pub protocol: Protocol,
     /// Protocol-specific coherence rules.
     pub coherence: &'static [&'static str],
-    /// Protocol-independent rules (identical across tables).
-    pub shared: &'static [&'static str],
 }
 
 impl InvariantTable {
-    /// Whether `rule` belongs to this protocol's table.
+    /// Whether `rule` belongs to this protocol's table: one of its
+    /// coherence rules or one of the protocol-independent rules.
     pub fn contains(&self, rule: &str) -> bool {
-        self.coherence.contains(&rule) || self.shared.contains(&rule)
+        self.coherence.contains(&rule) || SHARED_RULES.contains(&rule)
     }
 }
 
@@ -193,7 +192,6 @@ static MSI_TABLE: InvariantTable = InvariantTable {
         "msi.hit_after_invalidate",
         "msi.foreign_state",
     ],
-    shared: SHARED_RULES,
 };
 
 static MESI_TABLE: InvariantTable = InvariantTable {
@@ -205,7 +203,6 @@ static MESI_TABLE: InvariantTable = InvariantTable {
         "mesi.hit_after_invalidate",
         "mesi.foreign_state",
     ],
-    shared: SHARED_RULES,
 };
 
 static DRAGON_TABLE: InvariantTable = InvariantTable {
@@ -217,7 +214,6 @@ static DRAGON_TABLE: InvariantTable = InvariantTable {
         "dragon.sharer_stale_word",
         "dragon.invalidate_in_update_protocol",
     ],
-    shared: SHARED_RULES,
 };
 
 /// The invariant table the checker enforces for `protocol`.

@@ -11,7 +11,7 @@ use hfs_trace::TraceEvent;
 
 use super::Shared;
 use crate::design::HeavyWtConfig;
-use crate::sync_array::{SyncArray, SyncArrayConfig};
+use crate::sync_array::SyncArray;
 
 /// Backend for the synchronization-array design.
 #[derive(Debug)]
@@ -26,7 +26,7 @@ pub(super) struct HeavyWtBackend {
     /// arriving `transit` cycles later): the §4.4 synchronization
     /// acknowledgment delay that makes full queues transit-sensitive.
     acks_in_flight: hfs_sim::TimedQueue<QueueId>,
-    sa_latency: u64,
+    cfg: HeavyWtConfig,
     /// Per-cycle scratch for the sorted wake order, reused so the hot
     /// loop allocates nothing in steady state
     /// (`tests/cost.rs::a_run_allocates_the_same_at_any_length`).
@@ -36,17 +36,12 @@ pub(super) struct HeavyWtBackend {
 impl HeavyWtBackend {
     pub(super) fn new(cfg: HeavyWtConfig) -> Result<Self, hfs_sim::ConfigError> {
         Ok(HeavyWtBackend {
-            sa: SyncArray::new(SyncArrayConfig {
-                depth: cfg.queue_depth,
-                transit: cfg.transit,
-                ops_per_cycle: cfg.sa_ops_per_cycle,
-                stage_capacity: cfg.sa_ops_per_cycle,
-            })?,
+            sa: SyncArray::new(cfg)?,
             waiting: DenseMap::new(),
             injected: DenseMap::new(),
             acked: DenseMap::new(),
             acks_in_flight: hfs_sim::TimedQueue::new(),
-            sa_latency: cfg.sa_latency,
+            cfg,
             wake_scratch: Vec::new(),
         })
     }
@@ -58,7 +53,7 @@ impl HeavyWtBackend {
     /// Whether the occupancy counter admits a produce on `q`: produced
     /// minus ACKed consumptions is below the queue depth.
     fn admits(&self, q: QueueId) -> bool {
-        self.occupancy(q) < u64::from(self.sa.config().depth)
+        self.occupancy(q) < u64::from(self.cfg.queue_depth)
     }
 
     /// Producer-side occupancy of `q`: produced minus ACKed consumptions.
@@ -78,8 +73,8 @@ impl HeavyWtBackend {
         pending: Option<StreamToken>,
     ) -> Cycle {
         let slot = sh.check.consumed(q);
-        let at = now + self.sa_latency;
-        self.acks_in_flight.push(now + self.sa.config().transit, q);
+        let at = now + self.cfg.sa_latency;
+        self.acks_in_flight.push(now + self.cfg.transit, q);
         sh.consumed(q, slot, v, at, pending);
         at
     }
@@ -130,7 +125,7 @@ impl HeavyWtBackend {
                 self.sa.delivered(),
                 self.sa.in_network() as u64,
             );
-            let depth = self.sa.config().depth as usize;
+            let depth = self.cfg.queue_depth as usize;
             for (q, _) in self.injected.iter() {
                 let q = QueueId(q as u16);
                 sh.checker

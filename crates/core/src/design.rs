@@ -107,6 +107,39 @@ pub struct HeavyWtConfig {
     pub sa_latency: u64,
 }
 
+impl HeavyWtConfig {
+    /// Validates the parameters: each must be between 1 and its bound.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let within = |what: &str, v: u64, max: u64| {
+            if v == 0 || v > max {
+                let bounds = format!("{what} must be between 1 and {max}");
+                return Err(ConfigError::new(bounds));
+            }
+            Ok(())
+        };
+        within(
+            "queue depth",
+            self.queue_depth.into(),
+            MAX_QUEUE_DEPTH.into(),
+        )?;
+        within("transit delay in cycles", self.transit, MAX_TRANSIT)?;
+        within(
+            "synchronization-array ports",
+            self.sa_ops_per_cycle.into(),
+            MAX_SA_OPS_PER_CYCLE.into(),
+        )?;
+        within(
+            "backing-store latency in cycles",
+            self.sa_latency,
+            MAX_SA_LATENCY,
+        )
+    }
+}
+
 impl Default for HeavyWtConfig {
     fn default() -> Self {
         HeavyWtConfig {
@@ -468,27 +501,7 @@ impl DesignPoint {
                     return Err(ConfigError::new("QLU must divide the queue depth"));
                 }
             }
-            Mechanism::Dedicated(c) => {
-                let within = |what: &str, v: u64, max: u64| {
-                    if v == 0 || v > max {
-                        let bounds = format!("{what} must be between 1 and {max}");
-                        return Err(ConfigError::new(bounds));
-                    }
-                    Ok(())
-                };
-                within("queue depth", c.queue_depth.into(), MAX_QUEUE_DEPTH.into())?;
-                within("transit delay in cycles", c.transit, MAX_TRANSIT)?;
-                within(
-                    "synchronization-array ports",
-                    c.sa_ops_per_cycle.into(),
-                    MAX_SA_OPS_PER_CYCLE.into(),
-                )?;
-                within(
-                    "backing-store latency in cycles",
-                    c.sa_latency,
-                    MAX_SA_LATENCY,
-                )?;
-            }
+            Mechanism::Dedicated(c) => c.validate()?,
         }
         if self.spill_ops() > MAX_SPILL_OPS {
             return Err(ConfigError::new(format!(

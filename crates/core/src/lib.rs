@@ -8,8 +8,9 @@
 //! plus the proposed optimizations:
 //!
 //! * **EXISTING** — software queues in shared memory: ~10 instructions per
-//!   communication (spin on a full/empty flag, fence, pointer update),
-//!   coherence ping-pong on flag lines ([`DesignPoint::Existing`]);
+//!   communication (spin on a full/empty flag, release store of the flag,
+//!   pointer update), coherence ping-pong on flag lines
+//!   ([`DesignPoint::Existing`]);
 //! * **MEMOPTI** — EXISTING plus write-forwarding: the producer's L2
 //!   pushes a streaming line to the consumer's L2 once every queue entry
 //!   on it has been written ([`DesignPoint::MemOpti`]);
@@ -65,4 +66,4 @@ pub use hfs_check::{CheckLevel, Checker, Mutation, Violation};
 pub use machine::{FastForwardStats, Machine, RunResult, SchedMode, SchedStats, SimError};
 pub use queues::QueueCheck;
 pub use stream_cache::StreamCache;
-pub use sync_array::{SyncArray, SyncArrayConfig};
+pub use sync_array::SyncArray;

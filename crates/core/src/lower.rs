@@ -4,7 +4,7 @@
 //!
 //! * software designs (EXISTING/MEMOPTI) expand each communication into
 //!   the 10-instruction load/store sequence of §4.3 — 6 synchronization
-//!   instructions (flag address computation, spin load + branch, fence,
+//!   instructions (flag address computation, spin load + branch, release
 //!   flag store, occupancy arithmetic), 1 data-transfer instruction, and
 //!   3 stream-address-update instructions — with a dependence height of
 //!   about 4;
@@ -241,6 +241,10 @@ fn lower_consume(b: &mut ProgramBuilder, q: QueueId, software: bool) -> Option<h
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use hfs_isa::Step;
+
     use super::*;
     use crate::kernel::Kernel;
 
@@ -326,6 +330,158 @@ mod tests {
         let low = lower(&pair, &DesignPoint::heavywt(), Role::Producer).unwrap();
         // Inner: (2 ALU + produce) x 3 = 9 per outer iteration.
         assert_eq!(low.program.static_instrs_per_iteration(), 9);
+    }
+
+    /// Defines `$name`, which names a `$ty` value by an exhaustive match,
+    /// and `$all`, the text of every arm: a new variant needs an arm, and
+    /// its arm is in the list.
+    macro_rules! variants {
+        ($name:ident, $all:ident: $ty:ty { $($pat:pat),+ $(,)? }) => {
+            const $all: &[&str] = &[$(stringify!($pat)),+];
+            fn $name(v: &$ty) -> &'static str {
+                match v {
+                    $($pat => stringify!($pat)),+
+                }
+            }
+        };
+    }
+
+    variants!(kstep_name, KSTEPS: KStep {
+        KStep::Alu(_),
+        KStep::AluChain(_),
+        KStep::FpChain(_),
+        KStep::Fp(_),
+        KStep::Branch,
+        KStep::LoadStream { .. },
+        KStep::LoadRandom { .. },
+        KStep::StoreStream { .. },
+        KStep::StoreRandom { .. },
+        KStep::Produce(_),
+        KStep::Consume(_),
+        KStep::Loop(..),
+    });
+    variants!(step_name, STEPS: Step {
+        Step::Instr(_),
+        Step::Spin { .. },
+        Step::AdvanceQueue(_),
+        Step::Loop { .. },
+    });
+    variants!(op_name, OPS: Op {
+        Op::IntAlu,
+        Op::FpAlu,
+        Op::Branch,
+        Op::Load(_),
+        Op::Store(..),
+        Op::StoreRelease(..),
+        Op::Produce(_),
+        Op::Consume(_),
+    });
+    variants!(pattern_name, PATTERNS: AddrPattern {
+        AddrPattern::Stream { .. },
+        AddrPattern::Random { .. },
+        AddrPattern::QueueData { .. },
+        AddrPattern::QueueFlag { .. },
+    });
+    variants!(value_name, VALUES: StoreValue {
+        StoreValue::Opaque,
+        StoreValue::QueuePayload(_),
+        StoreValue::Flag(_),
+    });
+
+    fn walk_kernel(steps: &[KStep], seen: &mut BTreeSet<&'static str>) {
+        for s in steps {
+            seen.insert(kstep_name(s));
+            if let KStep::Loop(body, _) = s {
+                walk_kernel(body, seen);
+            }
+        }
+    }
+
+    fn walk_program(steps: &[Step], seen: &mut BTreeSet<&'static str>) {
+        for s in steps {
+            seen.insert(step_name(s));
+            match s {
+                Step::Instr(t) => {
+                    seen.insert(op_name(&t.op));
+                    if let Op::Load(p) | Op::Store(p, _) | Op::StoreRelease(p, _) = &t.op {
+                        seen.insert(pattern_name(p));
+                    }
+                    if let Op::Store(_, v) | Op::StoreRelease(_, v) = &t.op {
+                        seen.insert(value_name(v));
+                    }
+                }
+                Step::Loop { body, .. } => walk_program(body, seen),
+                Step::Spin { .. } | Step::AdvanceQueue(_) => {}
+            }
+        }
+    }
+
+    /// Every ISA construct is reached by some lowering of a job's kernel
+    /// steps, so none is model surface that no job can exercise.
+    #[test]
+    fn every_isa_construct_is_reached_by_some_lowering() {
+        let q = QueueId(0);
+        let mut producer = Kernel::new(Vec::new());
+        let a = producer.add_region("a", 4096);
+        let b2 = producer.add_region("b", 4096);
+        producer.steps = vec![
+            KStep::Alu(2),
+            KStep::AluChain(2),
+            KStep::Fp(1),
+            KStep::FpChain(2),
+            KStep::Branch,
+            KStep::LoadStream {
+                region: a,
+                stride: 8,
+            },
+            KStep::LoadRandom { region: b2 },
+            KStep::StoreStream {
+                region: a,
+                stride: 8,
+            },
+            KStep::StoreRandom { region: b2 },
+            KStep::Loop(vec![KStep::Alu(1), KStep::Produce(q)], 2),
+        ];
+        let consumer = Kernel::new(vec![
+            KStep::Loop(vec![KStep::Consume(q), KStep::AluChain(1)], 2),
+            KStep::Branch,
+        ]);
+        let pair = KernelPair {
+            name: "every".into(),
+            producer,
+            consumer,
+            iterations: 3,
+        };
+        let mut kernel_seen = BTreeSet::new();
+        walk_kernel(&pair.producer.steps, &mut kernel_seen);
+        walk_kernel(&pair.consumer.steps, &mut kernel_seen);
+        let missing: Vec<_> = KSTEPS
+            .iter()
+            .filter(|v| !kernel_seen.contains(*v))
+            .collect();
+        assert!(missing.is_empty(), "the pair leaves out {missing:?}");
+
+        let mut lowered = vec![lower_fused(&pair).unwrap()];
+        for d in [
+            DesignPoint::existing(),
+            DesignPoint::syncopti(),
+            DesignPoint::heavywt(),
+            DesignPoint::regmapped(1),
+        ] {
+            for role in [Role::Producer, Role::Consumer] {
+                lowered.push(lower(&pair, &d, role).unwrap());
+            }
+        }
+        let mut seen = BTreeSet::new();
+        for l in &lowered {
+            walk_program(&l.program.body, &mut seen);
+        }
+        let missing: Vec<_> = [STEPS, OPS, PATTERNS, VALUES]
+            .concat()
+            .into_iter()
+            .filter(|v| !seen.contains(v))
+            .collect();
+        assert!(missing.is_empty(), "no lowering reaches {missing:?}");
     }
 
     #[test]

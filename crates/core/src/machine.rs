@@ -665,11 +665,10 @@ impl Machine {
         let mut s = String::new();
         for (i, (core, seq)) in self.cores.iter().zip(&self.seqs).enumerate() {
             s.push_str(&format!(
-                "core{i}: finished={} iters={} committed={} pending_mem={}; ",
+                "core{i}: finished={} iters={} committed={}; ",
                 core.finished(seq),
                 seq.iterations_completed(),
                 core.stats().total_instrs(),
-                self.mem.pending_ops(CoreId(i as u8)),
             ));
         }
         s.push_str(&format!(

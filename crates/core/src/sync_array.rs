@@ -17,53 +17,14 @@ use std::collections::VecDeque;
 use hfs_isa::QueueId;
 use hfs_sim::{ConfigError, DenseMap};
 
-/// Synchronization-array configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncArrayConfig {
-    /// Ring-buffer entries per queue.
-    pub depth: u32,
-    /// Network pipeline stages (= end-to-end transit cycles).
-    pub transit: u64,
-    /// Array operations serviced per cycle (arrivals + consumes).
-    pub ops_per_cycle: u32,
-    /// Items each network stage can hold.
-    pub stage_capacity: u32,
-}
-
-impl SyncArrayConfig {
-    /// The paper's §4.3 configuration for a given transit delay and depth.
-    pub fn paper(transit: u64, depth: u32) -> Self {
-        SyncArrayConfig {
-            depth,
-            transit,
-            ops_per_cycle: 4,
-            stage_capacity: 4,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero depths, transits, rates, or stage capacities.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.depth == 0
-            || self.transit == 0
-            || self.ops_per_cycle == 0
-            || self.stage_capacity == 0
-        {
-            return Err(ConfigError::new(
-                "synchronization array dimensions must be non-zero",
-            ));
-        }
-        Ok(())
-    }
-}
+use crate::design::HeavyWtConfig;
 
 /// The dedicated backing store plus its network.
 #[derive(Debug)]
 pub struct SyncArray {
-    cfg: SyncArrayConfig,
+    /// Ring depth, network stages, and array ports. Each network stage
+    /// holds as many items as the array serves per cycle.
+    cfg: HeavyWtConfig,
     /// `stages[0]` is the injection point; the last stage feeds the array.
     stages: Vec<VecDeque<(QueueId, u64)>>,
     rings: DenseMap<VecDeque<u64>>,
@@ -77,28 +38,23 @@ impl SyncArray {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: SyncArrayConfig) -> Result<Self, ConfigError> {
+    /// Propagates [`HeavyWtConfig::validate`] failures.
+    pub fn new(cfg: HeavyWtConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(SyncArray {
             stages: (0..cfg.transit).map(|_| VecDeque::new()).collect(),
             rings: DenseMap::new(),
-            budget: cfg.ops_per_cycle,
+            budget: cfg.sa_ops_per_cycle,
             injected: 0,
             delivered: 0,
             cfg,
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> SyncArrayConfig {
-        self.cfg
-    }
-
     /// Starts a new cycle: advance the network (consuming array ports for
     /// arrivals) and reset the consume budget.
     pub fn begin_cycle(&mut self) {
-        self.budget = self.cfg.ops_per_cycle;
+        self.budget = self.cfg.sa_ops_per_cycle;
         // Drain the last stage into the rings, respecting per-queue depth
         // and the port budget, in FIFO order with head-of-line blocking.
         let last = self.stages.len() - 1;
@@ -107,7 +63,7 @@ impl SyncArray {
                 break;
             };
             let ring = self.rings.or_default(q.index());
-            if ring.len() >= self.cfg.depth as usize {
+            if ring.len() >= self.cfg.queue_depth as usize {
                 break; // head-of-line blocked on a full ring
             }
             let (_, v) = self.stages[last].pop_front().expect("front checked");
@@ -117,7 +73,7 @@ impl SyncArray {
         }
         // Advance earlier stages towards the array.
         for i in (0..last).rev() {
-            while self.stages[i + 1].len() < self.cfg.stage_capacity as usize {
+            while self.stages[i + 1].len() < self.cfg.sa_ops_per_cycle as usize {
                 match self.stages[i].pop_front() {
                     Some(item) => self.stages[i + 1].push_back(item),
                     None => break,
@@ -129,7 +85,7 @@ impl SyncArray {
     /// Producer-side injection. Returns false when the first network
     /// stage is full (back-pressure reached the producer).
     pub fn try_inject(&mut self, q: QueueId, value: u64) -> bool {
-        if self.stages[0].len() >= self.cfg.stage_capacity as usize {
+        if self.stages[0].len() >= self.cfg.sa_ops_per_cycle as usize {
             return false;
         }
         self.stages[0].push_back((q, value));
@@ -196,8 +152,13 @@ impl SyncArray {
 mod tests {
     use super::*;
 
-    fn sa(transit: u64, depth: u32) -> SyncArray {
-        SyncArray::new(SyncArrayConfig::paper(transit, depth)).unwrap()
+    fn sa(transit: u64, queue_depth: u32) -> SyncArray {
+        SyncArray::new(HeavyWtConfig {
+            queue_depth,
+            transit,
+            ..HeavyWtConfig::default()
+        })
+        .unwrap()
     }
 
     #[test]
@@ -280,11 +241,9 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(SyncArray::new(SyncArrayConfig {
-            depth: 0,
-            transit: 1,
-            ops_per_cycle: 4,
-            stage_capacity: 4
+        assert!(SyncArray::new(HeavyWtConfig {
+            queue_depth: 0,
+            ..HeavyWtConfig::default()
         })
         .is_err());
     }

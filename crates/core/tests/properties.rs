@@ -2,7 +2,7 @@
 //! analytic model, driven by the workspace's deterministic [`Rng64`].
 
 use hfs_core::analytic::{steady_throughput, AnalyticParams};
-use hfs_core::{StreamCache, SyncArray, SyncArrayConfig};
+use hfs_core::{HeavyWtConfig, StreamCache, SyncArray};
 use hfs_isa::QueueId;
 use hfs_sim::Rng64;
 
@@ -17,7 +17,11 @@ fn sync_array_conserves_fifo() {
         let len = 1 + rng.below(119) as usize;
         let items: Vec<u16> = (0..len).map(|_| rng.below(3) as u16).collect();
         let transit = rng.range(1, 12);
-        let mut sa = SyncArray::new(SyncArrayConfig::paper(transit, 32)).unwrap();
+        let mut sa = SyncArray::new(HeavyWtConfig {
+            transit,
+            ..HeavyWtConfig::default()
+        })
+        .unwrap();
         let mut sent: Vec<Vec<u64>> = vec![Vec::new(); 3];
         let mut got: Vec<Vec<u64>> = vec![Vec::new(); 3];
         let mut pending: std::collections::VecDeque<(QueueId, u64)> = items

@@ -101,8 +101,6 @@ enum BlockedAttempt {
     Ozq,
     /// A produce/consume the streaming hardware refused (`stream_blocked`).
     Stream,
-    /// A release fence waiting on outstanding stores (no counter).
-    Fence,
 }
 
 impl Core {
@@ -328,16 +326,6 @@ impl Core {
                 DynOp::IntAlu | DynOp::FpAlu | DynOp::Branch => Status::Done {
                     done: now + class.latency(),
                 },
-                DynOp::Fence => {
-                    // Release-fence semantics (Itanium st.rel): every
-                    // prior *store* must have performed. Loads in flight
-                    // do not block, preserving memory-level parallelism.
-                    if mem.pending_stores(self.id) > 0 {
-                        self.blocked = Some(BlockedAttempt::Fence);
-                        break;
-                    }
-                    Status::Done { done: now + 1 }
-                }
                 DynOp::Load { addr, spin } => match mem.submit(self.id, MemOp::load(addr), now) {
                     Submit::L1Hit { value, at } => {
                         if let Some(tok) = spin {
@@ -472,7 +460,7 @@ impl Core {
         match self.blocked {
             Some(BlockedAttempt::Ozq) => self.stats.ozq_stalls += cycles,
             Some(BlockedAttempt::Stream) => self.stats.stream_blocked += cycles,
-            Some(BlockedAttempt::Fence) | None => {}
+            None => {}
         }
     }
 
@@ -611,26 +599,6 @@ mod tests {
         let s = core.stats();
         // After warmup, each iteration is an L1 hit: ~1-2 cycles each.
         assert!(s.cycles < 3_000, "took {}", s.cycles);
-    }
-
-    #[test]
-    fn fence_waits_for_store_drain() {
-        let mut with_fence = ProgramBuilder::new(50);
-        let r = with_fence.declare_region("buf", 4096);
-        with_fence.store_stream(r, 8).fence();
-        let (fenced, _) = run(&with_fence.build(), 100_000);
-
-        let mut without = ProgramBuilder::new(50);
-        let r2 = without.declare_region("buf", 4096);
-        without.store_stream(r2, 8).alu_work(1);
-        let (free, _) = run(&without.build(), 100_000);
-
-        assert!(
-            fenced.stats().cycles > free.stats().cycles * 2,
-            "fence {} vs free {}",
-            fenced.stats().cycles,
-            free.stats().cycles
-        );
     }
 
     #[test]

@@ -227,6 +227,32 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A store whose rename fails (a non-empty directory squats on the
+    /// entry's path; no permission gets a file renamed over it) removes
+    /// its temp file, and the next store once the path is free heals.
+    #[test]
+    fn a_failed_rename_leaves_no_temp_file() {
+        let dir = tmp_dir("rename");
+        let cache = Cache::with_hot(&dir, None);
+        let (key, out) = demo_outcome();
+        let path = cache.path_for(&key).unwrap();
+        fs::create_dir_all(path.join("squatter")).unwrap();
+        cache.store(&key, &out);
+        let names: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(
+            !names.iter().any(|n| n.starts_with(".tmp-")),
+            "a failed store leaves its temp file: {names:?}"
+        );
+        assert!(cache.load(&key).is_none(), "a directory is not an entry");
+        fs::remove_dir_all(&path).unwrap();
+        cache.store(&key, &out);
+        assert!(cache.load(&key).is_some(), "the next store heals");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn failures_are_not_cached() {
         let dir = tmp_dir("failures");

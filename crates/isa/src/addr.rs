@@ -87,13 +87,6 @@ impl Region {
 /// advance independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrPattern {
-    /// A fixed offset within a region (scalar/global access).
-    Fixed {
-        /// Region accessed.
-        region: RegionId,
-        /// Byte offset within the region.
-        offset: u64,
-    },
     /// A sequential walk: advances by `stride` bytes per execution and
     /// wraps at the region size. Models array streaming with spatial
     /// locality.

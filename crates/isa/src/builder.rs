@@ -266,13 +266,6 @@ impl ProgramBuilder {
         self.alloc_reg()
     }
 
-    /// Appends a memory fence.
-    pub fn fence(&mut self) -> &mut Self {
-        self.body
-            .push(Step::Instr(InstrTemplate::new(Op::Fence, InstrKind::Comm)));
-        self
-    }
-
     /// Builds an inner counted loop; `f` populates the loop body on a
     /// child builder that shares this builder's register allocator state.
     pub fn inner_loop(&mut self, count: u64, f: impl FnOnce(&mut ProgramBuilder)) -> &mut Self {
@@ -361,7 +354,7 @@ mod tests {
                 flag_offset: Some(8),
             }),
         });
-        b.spin(QueueId(1), true).advance_queue(QueueId(1)).fence();
+        b.spin(QueueId(1), true).advance_queue(QueueId(1));
         assert!(b.build().validate().is_ok());
     }
 

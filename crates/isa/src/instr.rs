@@ -111,42 +111,12 @@ pub enum Op {
     /// Release store (`st.rel`): performs only after all earlier memory
     /// operations from this core (software-queue flag publication).
     StoreRelease(AddrPattern, StoreValue),
-    /// Memory fence: stalls issue until all prior memory operations from
-    /// this core have performed (required by the software-queue sequences,
-    /// §3.1.1).
-    Fence,
     /// ISA `produce` instruction (§3.1.2): enqueue one datum on a stream
     /// queue. Blocks (dormant) while the queue is full.
     Produce(QueueId),
     /// ISA `consume` instruction (§3.1.2): dequeue one datum from a stream
     /// queue. Blocks (dormant) while the queue is empty.
     Consume(QueueId),
-}
-
-impl Op {
-    /// The functional-unit class this operation executes on.
-    pub fn fu_class(&self) -> FuClass {
-        match self {
-            Op::IntAlu => FuClass::IntAlu,
-            Op::FpAlu => FuClass::Fp,
-            Op::Branch => FuClass::Branch,
-            Op::Load(_)
-            | Op::Store(..)
-            | Op::StoreRelease(..)
-            | Op::Produce(_)
-            | Op::Consume(_) => FuClass::Mem,
-            // A fence issues through the memory pipeline.
-            Op::Fence => FuClass::Mem,
-        }
-    }
-
-    /// Whether this operation accesses memory or a stream queue.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Load(_) | Op::Store(..) | Op::StoreRelease(..) | Op::Produce(_) | Op::Consume(_)
-        )
-    }
 }
 
 /// A dynamic operation: an [`Op`] with its address/value operands resolved
@@ -177,8 +147,6 @@ pub enum DynOp {
         /// Release-store ordering (`st.rel`).
         release: bool,
     },
-    /// Memory fence.
-    Fence,
     /// ISA produce of a concrete payload.
     Produce {
         /// Queue written.
@@ -203,8 +171,7 @@ impl DynOp {
             DynOp::Load { .. }
             | DynOp::Store { .. }
             | DynOp::Produce { .. }
-            | DynOp::Consume { .. }
-            | DynOp::Fence => FuClass::Mem,
+            | DynOp::Consume { .. } => FuClass::Mem,
         }
     }
 }
@@ -234,23 +201,28 @@ impl fmt::Display for DynInstr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::RegionId;
 
     #[test]
     fn fu_classes() {
-        assert_eq!(Op::IntAlu.fu_class(), FuClass::IntAlu);
-        assert_eq!(Op::FpAlu.fu_class(), FuClass::Fp);
-        assert_eq!(Op::Branch.fu_class(), FuClass::Branch);
+        assert_eq!(DynOp::IntAlu.fu_class(), FuClass::IntAlu);
+        assert_eq!(DynOp::FpAlu.fu_class(), FuClass::Fp);
+        assert_eq!(DynOp::Branch.fu_class(), FuClass::Branch);
         assert_eq!(
-            Op::Load(AddrPattern::Fixed {
-                region: RegionId(0),
-                offset: 0
-            })
+            DynOp::Load {
+                addr: Addr::new(0),
+                spin: None
+            }
             .fu_class(),
             FuClass::Mem
         );
-        assert_eq!(Op::Produce(QueueId(0)).fu_class(), FuClass::Mem);
-        assert_eq!(Op::Fence.fu_class(), FuClass::Mem);
+        assert_eq!(
+            DynOp::Produce {
+                q: QueueId(0),
+                value: 0
+            }
+            .fu_class(),
+            FuClass::Mem
+        );
     }
 
     #[test]
@@ -258,13 +230,6 @@ mod tests {
         assert_eq!(FuClass::IntAlu.latency(), 1);
         assert_eq!(FuClass::Fp.latency(), 4);
         assert_eq!(FuClass::Branch.latency(), 1);
-    }
-
-    #[test]
-    fn is_memory() {
-        assert!(Op::Consume(QueueId(1)).is_memory());
-        assert!(!Op::IntAlu.is_memory());
-        assert!(!Op::Fence.is_memory());
     }
 
     #[test]

@@ -178,19 +178,17 @@ impl Program {
         use crate::addr::AddrPattern;
         use crate::instr::Op;
         let pattern = match &t.op {
-            Op::Load(p) | Op::Store(p, _) => Some(*p),
+            Op::Load(p) | Op::Store(p, _) | Op::StoreRelease(p, _) => Some(*p),
             Op::Produce(q) | Op::Consume(q) => {
                 self.queue_plan(*q).ok_or_else(|| {
                     ConfigError::new(format!("instruction references unplanned queue {q}"))
                 })?;
                 None
             }
-            _ => None,
+            Op::IntAlu | Op::FpAlu | Op::Branch => None,
         };
         match pattern {
-            Some(AddrPattern::Fixed { region, .. })
-            | Some(AddrPattern::Stream { region, .. })
-            | Some(AddrPattern::Random { region }) => {
+            Some(AddrPattern::Stream { region, .. }) | Some(AddrPattern::Random { region }) => {
                 self.region(region).ok_or_else(|| {
                     ConfigError::new(format!("instruction references undeclared {region}"))
                 })?;
@@ -316,6 +314,19 @@ mod tests {
         // A spin or slot advance alone addresses the queue too.
         p.body.retain(|s| !matches!(s, Step::Instr(_)));
         p.body.truncate(1);
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_checks_release_store_targets() {
+        let mut p = simple_program();
+        p.body.push(Step::Instr(InstrTemplate::new(
+            Op::StoreRelease(
+                AddrPattern::QueueFlag { q: QueueId(9) },
+                crate::instr::StoreValue::Flag(true),
+            ),
+            InstrKind::Comm,
+        )));
         assert!(p.validate().is_err());
     }
 

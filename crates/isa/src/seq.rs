@@ -349,7 +349,6 @@ impl Sequencer {
             Op::IntAlu => DynOp::IntAlu,
             Op::FpAlu => DynOp::FpAlu,
             Op::Branch => DynOp::Branch,
-            Op::Fence => DynOp::Fence,
             Op::Load(p) => DynOp::Load {
                 addr: self.gen_addr(site, *p),
                 spin: None,
@@ -398,7 +397,6 @@ impl Sequencer {
 
     fn gen_addr(&mut self, site: usize, p: AddrPattern) -> Addr {
         match p {
-            AddrPattern::Fixed { region, offset } => self.region(region).0 + offset,
             AddrPattern::Stream { region, stride } => {
                 let (base, size) = self.region(region);
                 let cur = &mut self.cursors[site];
@@ -773,9 +771,9 @@ mod tests {
             ]);
         }
         body.push(instr(Op::Store(
-            AddrPattern::Fixed {
+            AddrPattern::Stream {
                 region: scalar,
-                offset: 8,
+                stride: 8,
             },
             StoreValue::Opaque,
         )));

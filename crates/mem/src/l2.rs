@@ -163,9 +163,6 @@ pub(crate) struct L2Ctl {
     recirc: u64,
     entries: Vec<OzqEntry>,
     next_id: u64,
-    /// Store entries in `entries` (release-fence draining asks every
-    /// blocked cycle).
-    stores: usize,
     /// Outstanding line requests and their stages, in no particular
     /// order. Every one has an entry waiting on it, so the OzQ capacity
     /// bounds the table and a scan beats hashing.
@@ -213,7 +210,6 @@ impl L2Ctl {
             recirc,
             entries: Vec::new(),
             next_id: 0,
-            stores: 0,
             pending_lines: Vec::new(),
             want_issue: 0,
             reissue_scratch: Vec::new(),
@@ -252,7 +248,7 @@ impl L2Ctl {
         self.capacity - self.entries.len() as u32
     }
 
-    /// Entries currently in flight (for fence draining).
+    /// Entries currently in flight.
     pub(crate) fn occupancy(&self) -> usize {
         self.entries.len()
     }
@@ -260,12 +256,6 @@ impl L2Ctl {
     /// Total OzQ slots (for the machine checker's occupancy audit).
     pub(crate) fn capacity(&self) -> usize {
         self.capacity as usize
-    }
-
-    /// Outstanding store entries (release-fence draining: `st.rel`
-    /// orders stores without waiting for in-flight loads).
-    pub(crate) fn pending_stores(&self) -> usize {
-        self.stores
     }
 
     /// Position of entry `id`. Ids are allocated in increasing order and
@@ -326,7 +316,6 @@ impl L2Ctl {
         if self.checker.fire_once(Mutation::LeakOzqSlot) {
             return id;
         }
-        self.stores += usize::from(matches!(kind, EntryKind::Store { .. }));
         self.entries.push(OzqEntry {
             id,
             addr,
@@ -560,13 +549,7 @@ impl L2Ctl {
     /// Drops the `Done` entries, in order, and tells the checker.
     fn reclaim_done(&mut self) {
         let before = self.entries.len();
-        let mut stores = self.stores;
-        self.entries.retain(|e| {
-            let done = e.state == EntryState::Done;
-            stores -= usize::from(done && matches!(e.kind, EntryKind::Store { .. }));
-            !done
-        });
-        self.stores = stores;
+        self.entries.retain(|e| e.state != EntryState::Done);
         self.note_removed(before);
     }
 
@@ -1387,11 +1370,6 @@ mod tests {
             }
             assert_eq!(fast.want_issue, backing_off(&fast), "cycle {t}");
             reissue_waits += u64::from(fast.want_issue > 0);
-            let stores = |e: &&OzqEntry| matches!(e.kind, EntryKind::Store { .. });
-            assert_eq!(
-                fast.pending_stores(),
-                fast.entries.iter().filter(stores).count()
-            );
             assert!(fast.entries.windows(2).all(|w| w[0].id < w[1].id));
 
             for o in &out_fast {

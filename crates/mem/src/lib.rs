@@ -3,9 +3,10 @@
 //! Models the machine of Table 2 in the paper: per-core write-through L1D
 //! caches, private write-back L2 caches with an ordered transaction queue
 //! (OzQ — the Itanium 2 structure whose entries double as MSHRs), a shared
-//! L3, fixed-latency DRAM, a snoop-based write-invalidate (MSI) coherence
-//! protocol, and a split-transaction pipelined shared bus with round-robin
-//! arbitration and configurable width and clock divider.
+//! L3, fixed-latency DRAM, snoop-based coherence under a per-run
+//! [`Protocol`] (write-invalidate MSI, the paper's baseline, or MESI, or
+//! write-update Dragon), and a split-transaction pipelined shared bus with
+//! round-robin arbitration and configurable width and clock divider.
 //!
 //! The crate is *timing-directed with functional backing*: a sparse
 //! [`FuncMem`] holds 64-bit words; loads sample their value at the moment

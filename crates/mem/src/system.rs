@@ -346,19 +346,6 @@ impl MemSystem {
             .request_addr(from, AddrTxn::Ctl { from, to, payload });
     }
 
-    /// In-flight operations for `core`.
-    pub fn pending_ops(&self, core: CoreId) -> usize {
-        self.l2s[core.index()].occupancy()
-    }
-
-    /// In-flight *stores* for `core`. Fences use this: the software-queue
-    /// sequences need release semantics (Itanium `st.rel`), which order
-    /// stores but do not drain outstanding loads — waiting for loads too
-    /// would serialize away all memory-level parallelism.
-    pub fn pending_stores(&self, core: CoreId) -> usize {
-        self.l2s[core.index()].pending_stores()
-    }
-
     /// Free OzQ slots for `core`.
     pub fn free_slots(&self, core: CoreId) -> u32 {
         self.l2s[core.index()].free_slots()

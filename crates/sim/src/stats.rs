@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Index};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StallComponent {
     /// Pipeline stages preceding the L2: front end, scoreboard
-    /// dependences, fences, OzQ back-pressure, queue-full/empty dormancy.
+    /// dependences, OzQ back-pressure, queue-full/empty dormancy.
     PreL2,
     /// Time spent occupying or waiting for the private L2 cache.
     L2,
