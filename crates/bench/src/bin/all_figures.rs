@@ -14,7 +14,9 @@
 //! a `.txt` file and each underlying table as a `.csv`.
 //!
 //! Observability hooks: `HFS_METRICS=1` attaches a metrics report to
-//! every run in the artifacts and writes `harness_metrics.json`;
+//! every run in the artifacts and writes `harness_metrics.json` (its
+//! wall-clock entries stay in the stderr summary, so two runs of one
+//! binary write the same bytes);
 //! `HFS_TRACE_DIR=<dir>` additionally exports a Chrome trace per
 //! executed job. A figure that fails (watchdog timeout, deadlock) is
 //! reported and skipped; the run continues, exits nonzero, and an
@@ -24,6 +26,14 @@ use std::fs;
 
 use hfs_bench::experiments::{Figure, FIGURES};
 use hfs_bench::runner::engine;
+
+/// The engine's wall-clock entries: kept out of `harness_metrics.json`,
+/// whose bytes must not depend on the host's timing.
+const WALL_CLOCK: [&str; 3] = [
+    "harness.exec_millis",
+    "harness.queue_wait_ms",
+    "harness.exec_wall_ms",
+];
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +77,13 @@ fn main() {
     if engine().metrics_enabled() {
         if let Some(dir) = engine().results_dir() {
             fs::create_dir_all(dir).expect("create results dir");
-            let report = engine().metrics_report();
+            let mut report = engine().metrics_report();
+            report
+                .counters
+                .retain(|(n, _)| !WALL_CLOCK.contains(&n.as_str()));
+            report
+                .histograms
+                .retain(|(n, _)| !WALL_CLOCK.contains(&n.as_str()));
             let json = hfs_harness::to_text(true, |s| hfs_harness::write_metrics(s, &report));
             let path = dir.join("harness_metrics.json");
             fs::write(&path, json).expect("write harness metrics");

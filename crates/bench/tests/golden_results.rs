@@ -148,6 +148,36 @@ fn an_empty_path_variable_means_its_default() {
     let _ = fs::remove_dir_all(&cwd);
 }
 
+/// `harness_metrics.json` holds no wall-clock entry: two metrics runs of
+/// one figure write it byte for byte alike.
+#[test]
+fn two_metrics_runs_write_the_same_harness_metrics() {
+    let tmp = scratch("harness_metrics");
+    let run = |tag: &str| -> Vec<u8> {
+        let results = tmp.join(tag);
+        let status = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+            .arg("fig6")
+            .env("HFS_QUICK", "1")
+            .env("HFS_NO_CACHE", "1")
+            .env("HFS_METRICS", "1")
+            .env("HFS_LOG", "warn")
+            .env("HFS_RESULTS_DIR", &results)
+            .env_remove("HFS_OUT_DIR")
+            .env_remove("HFS_TRACE_DIR")
+            .env_remove("HFS_VIA_SERVER")
+            .stdout(Stdio::null())
+            .status()
+            .expect("run all_figures");
+        assert!(status.success(), "all_figures: {status}");
+        let path = results.join("harness_metrics.json");
+        fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let first = run("a");
+    assert!(String::from_utf8_lossy(&first).contains("\"harness.jobs\""));
+    assert_eq!(first, run("b"), "harness_metrics.json differs between runs");
+    let _ = fs::remove_dir_all(&tmp);
+}
+
 /// `FIGURES` declares exactly the renderings `results/` holds: a figure
 /// without a golden, or a golden without a figure, fails.
 #[test]

@@ -1,5 +1,6 @@
 //! The in-order core pipeline model.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use hfs_isa::{CoreId, DynInstr, DynOp, FuClass, InstrKind, Reg, Sequencer, SpinToken};
@@ -89,6 +90,11 @@ pub struct Core {
     /// any; fast-forward charges the re-attempts it skips to the stall
     /// counter the block names.
     blocked: Option<BlockedAttempt>,
+    /// The stall component last derived for a memory operation, with
+    /// the operation and its L2's [`MemSystem::location_moves`] count at
+    /// the time: while both match, the component still holds and a
+    /// waiting cycle reads it instead of searching the OzQ again.
+    mem_stall: Cell<Option<(MemToken, u64, StallComponent)>>,
 }
 
 /// An issue attempt refused by structural back-pressure. A refused
@@ -123,6 +129,7 @@ impl Core {
             mem_scratch: Vec::new(),
             stream_scratch: Vec::new(),
             blocked: None,
+            mem_stall: Cell::new(None),
         })
     }
 
@@ -498,13 +505,29 @@ impl Core {
                         StallComponent::PreL2
                     }
                 }
-                Status::WaitMem { token } => mem
-                    .location(token)
-                    .map(|l| l.component())
-                    .unwrap_or(StallComponent::PostL2),
+                Status::WaitMem { token } => self.mem_stall_component(mem, token),
                 Status::WaitStream { token } => stream.location(mem, token),
             },
         }
+    }
+
+    /// The stall component of waiting on memory operation `token`,
+    /// memoized on its L2's move count.
+    fn mem_stall_component(&self, mem: &MemSystem, token: MemToken) -> StallComponent {
+        let fresh = || {
+            mem.location(token)
+                .map_or(StallComponent::PostL2, |l| l.component())
+        };
+        let moves = mem.location_moves(token.core());
+        if let Some((t, m, component)) = self.mem_stall.get() {
+            if t == token && m == moves {
+                debug_assert_eq!(component, fresh(), "stale stall memo for {token:?}");
+                return component;
+            }
+        }
+        let component = fresh();
+        self.mem_stall.set(Some((token, moves, component)));
+        component
     }
 }
 

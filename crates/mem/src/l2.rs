@@ -183,6 +183,13 @@ pub(crate) struct L2Ctl {
     /// queue, which lowers this again. Ticks before it return without
     /// scanning the OzQ, and it is what [`L2Ctl::next_event`] reports.
     work_at: Cycle,
+    /// Bumped by every change that can move the [`L2Ctl::location`] of
+    /// an entry: an allocation or removal, a change of an entry's state
+    /// kind, and every `set_pending` call. A new retry stamp inside
+    /// `WaitPort`, an exclusive escalation, snoops and array changes
+    /// leave it alone. While it stands still every location stands
+    /// still, so a core may keep the stall component it last derived.
+    moves: u64,
     // Statistics.
     pipe_accesses: u64,
     port_conflicts: u64,
@@ -214,6 +221,7 @@ impl L2Ctl {
             want_issue: 0,
             reissue_scratch: Vec::new(),
             work_at: NEVER,
+            moves: 0,
             pipe_accesses: 0,
             port_conflicts: 0,
             tracer: Tracer::disabled(),
@@ -241,6 +249,12 @@ impl L2Ctl {
     /// at or after `t` runs the full scan.
     fn note_wake(&mut self, t: Cycle) {
         self.work_at = self.work_at.min(t);
+    }
+
+    /// The move count (see the field): unchanged since a
+    /// [`L2Ctl::location`] query means that query's answer still holds.
+    pub(crate) fn moves(&self) -> u64 {
+        self.moves
     }
 
     /// Free OzQ slots.
@@ -275,6 +289,7 @@ impl L2Ctl {
     /// Sets (or with `None` clears) the pending stage of `line`, keeping
     /// `want_issue` the number of lines in the `WantIssue` stage.
     fn set_pending(&mut self, line: u64, stage: Option<LineStage>) {
+        self.moves += 1;
         let backing_off = |s: &LineStage| usize::from(matches!(s, LineStage::WantIssue { .. }));
         let at = self.pending_lines.iter().position(|(l, _)| *l == line);
         match (at, stage) {
@@ -302,6 +317,7 @@ impl L2Ctl {
         now: Cycle,
     ) -> u64 {
         debug_assert!(self.free_slots() > 0, "OzQ overflow");
+        self.moves += 1;
         let id = self.next_id;
         self.next_id += 1;
         let state = if gated {
@@ -335,6 +351,7 @@ impl L2Ctl {
         };
         if self.entries[i].state == EntryState::Dormant {
             self.entries[i].state = EntryState::WaitPort { retry_at: now };
+            self.moves += 1;
             self.note_wake(now);
         }
         true
@@ -420,6 +437,10 @@ impl L2Ctl {
                 }
                 unchanged => unchanged,
             };
+            // A new retry stamp inside `WaitPort` moves no location.
+            if std::mem::discriminant(&state) != std::mem::discriminant(&e.state) {
+                self.moves += 1;
+            }
             self.entries[i].state = state;
             match state {
                 EntryState::WaitPort { retry_at } => work = work.min(retry_at),
@@ -692,6 +713,7 @@ impl L2Ctl {
         // An entry re-arbitrates, or a held-back release store may now be
         // the oldest.
         if requeued || any_resolved {
+            self.moves += 1;
             self.note_wake(now);
         }
     }
@@ -744,6 +766,7 @@ impl L2Ctl {
     fn note_removed(&mut self, before: usize) {
         let n = before - self.entries.len();
         if n > 0 {
+            self.moves += 1;
             self.checker.on_ozq_removed(self.core, n as u64);
         }
     }
@@ -1216,6 +1239,24 @@ mod tests {
         entries.chain(lines).min().unwrap_or(NEVER)
     }
 
+    /// Every live entry's location, in queue order.
+    fn locations(c: &L2Ctl) -> Vec<(u64, Option<OpLocation>)> {
+        c.entries.iter().map(|e| (e.id, c.location(e.id))).collect()
+    }
+
+    /// The move-count contract: while `moves` stands still, no entry
+    /// arrives, leaves or changes location. `last` is the previous check.
+    fn check_moves(c: &L2Ctl, last: &mut (u64, Vec<(u64, Option<OpLocation>)>), t: u64) {
+        let now = (c.moves, locations(c));
+        if now.0 == last.0 {
+            assert_eq!(
+                now.1, last.1,
+                "cycle {t}: a location moved, the count did not"
+            );
+        }
+        *last = now;
+    }
+
     fn backing_off(c: &L2Ctl) -> usize {
         let nacked = |(_, s): &&(u64, LineStage)| matches!(s, LineStage::WantIssue { .. });
         c.pending_lines.iter().filter(nacked).count()
@@ -1227,7 +1268,8 @@ mod tests {
     /// them. `fast` is the controller as built; `slow` has `work_at`
     /// pulled back to `now` before every tick, so it walks the OzQ on
     /// every cycle. Both must agree on everything, every cycle: a tick
-    /// before `work_at` changes nothing.
+    /// before `work_at` changes nothing. Before and after each tick, the
+    /// locations only move when the move count does.
     fn run_script(protocol: Protocol, seed: u64) -> (u64, u64) {
         let mut rng = Rng64::new(seed);
         let build = || {
@@ -1243,6 +1285,7 @@ mod tests {
         let mut gated: Vec<u64> = Vec::new();
         let (mut held_skips, mut reissue_waits) = (0u64, 0u64);
         let (mut out_fast, mut out_slow) = (Vec::new(), Vec::new());
+        let mut last_moves = (fast.moves, Vec::new());
         for t in 0..6_000u64 {
             let now = Cycle::new(t);
             // Every call goes to both controllers.
@@ -1340,6 +1383,7 @@ mod tests {
                 }
             }
 
+            check_moves(&fast, &mut last_moves, t);
             let walks = fast.work_at <= now;
             held_skips += u64::from(!walks && held_expired(&fast, now));
             slow.work_at = slow.work_at.min(now);
@@ -1347,6 +1391,7 @@ mod tests {
             out_slow.clear();
             fast.tick(now, &mut out_fast);
             slow.tick(now, &mut out_slow);
+            check_moves(&fast, &mut last_moves, t);
             assert_eq!(out_fast, out_slow, "cycle {t}");
             assert_eq!(fast.entries, slow.entries, "cycle {t}");
             let sorted = |c: &L2Ctl| {

@@ -358,6 +358,14 @@ impl MemSystem {
         self.l2s[token.core().index()].location(token.id())
     }
 
+    /// A count that `core`'s L2 bumps on every change that can move the
+    /// [`MemSystem::location`] of one of its operations: while it stands
+    /// still, a location read earlier still holds.
+    #[inline]
+    pub fn location_moves(&self, core: CoreId) -> u64 {
+        self.l2s[core.index()].moves()
+    }
+
     /// Whether the whole hierarchy is quiescent.
     pub fn is_idle(&self) -> bool {
         self.bus.is_idle()

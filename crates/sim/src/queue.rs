@@ -32,28 +32,41 @@ use crate::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimedQueue<T> {
+    /// The head message's ready stamp, [`NEVER`] when the queue is empty:
+    /// a poll that finds nothing due reads only this, not the buffer.
+    head: Cycle,
     entries: VecDeque<(Cycle, T)>,
 }
+
+/// The head stamp of an empty queue.
+const NEVER: Cycle = Cycle::new(u64::MAX);
 
 impl<T> TimedQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         TimedQueue {
+            head: NEVER,
             entries: VecDeque::new(),
         }
     }
 
     /// Enqueues `value`, to become visible at `ready`.
     pub fn push(&mut self, ready: Cycle, value: T) {
+        if self.entries.is_empty() {
+            self.head = ready;
+        }
         self.entries.push_back((ready, value));
     }
 
     /// Pops the head if its ready stamp is at or before `now`.
+    #[inline]
     pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        match self.entries.front() {
-            Some((ready, _)) if *ready <= now => self.entries.pop_front().map(|(_, v)| v),
-            _ => None,
+        if self.head > now {
+            return None;
         }
+        let (_, value) = self.entries.pop_front()?;
+        self.head = self.entries.front().map_or(NEVER, |(ready, _)| *ready);
+        Some(value)
     }
 
     /// The ready stamp of the head message, if any.
@@ -61,8 +74,9 @@ impl<T> TimedQueue<T> {
     /// Because the queue is a strict FIFO gated only by its head stamp,
     /// this is the *exact* earliest cycle at which the next pop can
     /// succeed — the building block for event-driven fast-forwarding.
+    #[inline]
     pub fn next_ready(&self) -> Option<Cycle> {
-        self.entries.front().map(|(ready, _)| *ready)
+        (!self.entries.is_empty()).then_some(self.head)
     }
 
     /// Number of messages in flight (ready or not).
@@ -124,5 +138,44 @@ mod tests {
         q.push(Cycle::new(2), 'b');
         let seen: Vec<_> = q.iter().copied().collect();
         assert_eq!(seen, vec!['a', 'b']);
+    }
+
+    /// A seeded script of pushes with arbitrary stamps, pops and peeks,
+    /// checked step by step against a plain `VecDeque` of stamped values.
+    #[test]
+    fn matches_a_plain_deque_and_keeps_the_head_stamp() {
+        for seed in 0..8 {
+            let mut rng = crate::Rng64::new(0x71de + seed);
+            let mut q = TimedQueue::new();
+            let mut model: VecDeque<(Cycle, u64)> = VecDeque::new();
+            let mut now = Cycle::ZERO;
+            for step in 0..4_000u64 {
+                match rng.below(4) {
+                    0 | 1 => {
+                        let ready = now + rng.below(20);
+                        q.push(ready, step);
+                        model.push_back((ready, step));
+                    }
+                    2 => {
+                        let expected = match model.front() {
+                            Some(&(ready, v)) if ready <= now => {
+                                model.pop_front();
+                                Some(v)
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(q.pop_ready(now), expected, "seed {seed} step {step}");
+                    }
+                    _ => now += rng.below(6),
+                }
+                let front = model.front().map(|&(ready, _)| ready);
+                assert_eq!(q.next_ready(), front, "seed {seed} step {step}");
+                if let Some(ready) = front {
+                    assert_eq!(q.head, ready, "seed {seed} step {step}");
+                }
+                assert_eq!(q.len(), model.len());
+                assert!(q.iter().eq(model.iter().map(|(_, v)| v)));
+            }
+        }
     }
 }
