@@ -7,6 +7,7 @@
 //! model stays oblivious to program structure — it just pulls instructions.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 use hfs_sim::{DenseMap, Rng64};
 
@@ -16,9 +17,10 @@ use crate::instr::{DynInstr, DynOp, InstrKind, InstrTemplate, Op, StoreValue};
 use crate::program::{Program, QueueMemLayout, Step};
 
 /// Identifies one spin attempt's flag load; the core passes it back with
-/// the loaded value via [`Sequencer::deliver_spin`].
+/// the loaded value via [`Sequencer::deliver_spin`]. Tokens start at 1,
+/// so `Option<SpinToken>` is as small as the token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpinToken(pub u64);
+pub struct SpinToken(pub NonZeroU64);
 
 /// The register spin-flag loads write and spin branches read. Reserved by
 /// convention; programs should not use it for application values.
@@ -95,8 +97,7 @@ pub struct Sequencer {
     /// (the core can resolve a flag load faster than it fetches the
     /// following branch); applied when the spin reaches `AwaitValue`.
     spin_value_early: Option<(SpinToken, u64)>,
-    next_token: u64,
-    next_seq: u64,
+    next_token: NonZeroU64,
     iterations_done: u64,
     finished: bool,
     /// Buffered next instruction for peek/pop.
@@ -152,8 +153,7 @@ impl Sequencer {
             spin: SpinState::Idle,
             spin_until_full: false,
             spin_value_early: None,
-            next_token: 0,
-            next_seq: 0,
+            next_token: NonZeroU64::MIN,
             iterations_done: 0,
             finished: program.iterations == 0,
             lookahead: None,
@@ -191,6 +191,17 @@ impl Sequencer {
         }
     }
 
+    /// Consumes the instruction the last [`Sequencer::peek`] returned,
+    /// for a caller that has read what it needs from it in place.
+    #[inline]
+    pub fn skip(&mut self) {
+        debug_assert!(
+            self.lookahead.is_some(),
+            "skip without a peeked instruction"
+        );
+        self.lookahead = None;
+    }
+
     /// Delivers the value loaded by the spin flag load identified by
     /// `token`. Unblocks the sequencer: either the spin exits or another
     /// load/branch attempt is emitted.
@@ -221,24 +232,6 @@ impl Sequencer {
         }
     }
 
-    fn emit(
-        &mut self,
-        op: DynOp,
-        dest: Option<Reg>,
-        srcs: [Option<Reg>; 2],
-        kind: InstrKind,
-    ) -> DynInstr {
-        let d = DynInstr {
-            seq: self.next_seq,
-            op,
-            dest,
-            srcs,
-            kind,
-        };
-        self.next_seq += 1;
-        d
-    }
-
     /// Advances the bytecode VM until an instruction is produced, the
     /// sequencer blocks on a spin value, or the program finishes.
     ///
@@ -258,12 +251,12 @@ impl Sequencer {
             match self.spin {
                 SpinState::EmitBranch { token } => {
                     self.spin = SpinState::AwaitValue { token };
-                    return Some(self.emit(
-                        DynOp::Branch,
-                        None,
-                        [Some(SPIN_REG), None],
-                        InstrKind::Comm,
-                    ));
+                    return Some(DynInstr {
+                        op: DynOp::Branch,
+                        dest: None,
+                        srcs: [Some(SPIN_REG), None],
+                        kind: InstrKind::Comm,
+                    });
                 }
                 SpinState::AwaitValue { token } => {
                     // A value may have arrived while the branch was still
@@ -298,18 +291,17 @@ impl Sequencer {
                     // Emit the flag load; the branch and the wait follow.
                     self.spin_until_full = until_full;
                     let token = SpinToken(self.next_token);
-                    self.next_token += 1;
+                    self.next_token = self.next_token.checked_add(1).expect("< 2^64 spins");
                     self.spin = SpinState::EmitBranch { token };
-                    let addr = self.queue_flag_addr(q);
-                    return Some(self.emit(
-                        DynOp::Load {
-                            addr,
+                    return Some(DynInstr {
+                        op: DynOp::Load {
+                            addr: self.queue_flag_addr(q),
                             spin: Some(token),
                         },
-                        Some(SPIN_REG),
-                        [None, None],
-                        InstrKind::Comm,
-                    ));
+                        dest: Some(SPIN_REG),
+                        srcs: [None, None],
+                        kind: InstrKind::Comm,
+                    });
                 }
                 CStep::Advance(q) => {
                     self.pc += 1;
@@ -320,7 +312,12 @@ impl Sequencer {
                     } else {
                         qs.slot + 1
                     };
-                    return Some(self.emit(DynOp::IntAlu, None, [None, None], InstrKind::Comm));
+                    return Some(DynInstr {
+                        op: DynOp::IntAlu,
+                        dest: None,
+                        srcs: [None, None],
+                        kind: InstrKind::Comm,
+                    });
                 }
                 CStep::LoopStart { count } => {
                     self.loop_counters.push(count);
@@ -377,7 +374,12 @@ impl Sequencer {
             }
             Op::Consume(q) => DynOp::Consume { q: *q },
         };
-        self.emit(op, t.dest, t.srcs, t.kind)
+        DynInstr {
+            op,
+            dest: t.dest,
+            srcs: t.srcs,
+            kind: t.kind,
+        }
     }
 
     fn store_value(&mut self, v: StoreValue) -> u64 {
@@ -626,7 +628,7 @@ mod tests {
             _ => unreachable!(),
         };
         let _ = s.pop(); // branch
-        s.deliver_spin(SpinToken(tok.0 + 999), 1); // bogus token
+        s.deliver_spin(SpinToken(tok.0.saturating_add(999)), 1); // bogus token
         assert!(s.pop().is_none()); // still blocked
         s.deliver_spin(tok, 1); // full, and we wait until_full
         assert!(s.pop().is_some());
@@ -731,6 +733,22 @@ mod tests {
         let b = s.pop().unwrap();
         assert_eq!(a, b);
         assert!(s.pop().is_none());
+    }
+
+    #[test]
+    fn skip_consumes_what_peek_returned() {
+        let p = Program {
+            regions: vec![],
+            queues: vec![],
+            body: vec![alu(InstrKind::App), alu(InstrKind::Comm)],
+            iterations: 1,
+        };
+        let mut s = Sequencer::new(&p, &HashMap::new(), 0).unwrap();
+        assert_eq!(s.peek().map(|d| d.kind), Some(InstrKind::App));
+        s.skip();
+        assert_eq!(s.pop().map(|d| d.kind), Some(InstrKind::Comm));
+        assert!(s.peek().is_none());
+        assert!(s.finished());
     }
 
     /// Software-queue produce sequences on three queues plus a streamed

@@ -125,7 +125,7 @@ cmp "$HEAL_TMP/first/fig6.json" "$HEAL_TMP/third/fig6.json"
 rm -rf "$HEAL_TMP"
 trap - EXIT
 
-echo "==> benchmark: its own tests, then sim_dense, sweep_warm and sweep_cold with every correctness check"
+echo "==> benchmark: its own tests, then sim_dense, sim_stream, sweep_warm and sweep_cold with every correctness check"
 # The benchmark's checks (every timed run equals its warm-up run, the
 # production loop equals the per-cycle walk, recorded cycle and
 # instruction counts) gate every simulator change, not only the changes
@@ -135,6 +135,20 @@ BENCH_OUT=$(benchmark/run.sh --workload sim_dense --seed 1 --seconds 3 --trace 0
 echo "$BENCH_OUT"
 if grep -q 'model drift' <<<"$BENCH_OUT"; then
     echo "sim_dense no longer simulates the counts recorded in benchmark/goldens.json"; exit 1
+fi
+# The hardware-queue points: every stream backend behind the core's
+# stream port. Two of their recorded counts are known stale (ROADMAP
+# item 1 re-records them); any other drift, or a changed count on those
+# two, fails.
+STREAM_OUT=$(benchmark/run.sh --workload sim_stream --seed 1 --seconds 3 --trace 0)
+echo "$STREAM_OUT"
+if ! tail -n1 <<<"$STREAM_OUT" | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,'; then
+    echo "sim_stream: an operation failed"; exit 1
+fi
+STREAM_DRIFT=$(grep 'model drift' <<<"$STREAM_OUT" |
+    sed 's/.*model drift on \([^:]*\):.* simulated \([0-9]*\) cycles.*/\1 \2/' | sort)
+if [ "$STREAM_DRIFT" != $'fir/SYNCOPTI+SC+Q64@20000 202016\nmcf/SYNCOPTI+SC+Q64@5000 245518' ]; then
+    echo "sim_stream drifted from benchmark/goldens.json beyond its two known stale points"; exit 1
 fi
 # The service stack end to end over a real socket. A non-zero exit means
 # an outcome differed from direct execution, the server's accounting

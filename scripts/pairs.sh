@@ -9,8 +9,12 @@
 # each side, the parent first on odd i and the change first on even i, so
 # neither side always gets the warmer machine. Last, for every end-to-end
 # metric in BENCHMARK.json, it prints both sides' medians and quartiles
-# and the number of pairs the change won. A failed operation on either
-# side is reported and makes the script exit non-zero.
+# and the number of pairs the change won, then the same once more as one
+# JSON record per metric: `commit` (this tree, `-dirty` when it has
+# uncommitted changes), `parent`, `workload`, `metric`, `before` and
+# `after` (each `median`, `q1`, `q3`), `wins`, `pairs`, `seconds` and
+# `nproc`. A failed operation on either side is reported and makes the
+# script exit non-zero.
 #
 # Nothing tracked is written: results and the parent's build live in the
 # temporary directory (under $TMPDIR, default /tmp), removed on exit.
@@ -55,10 +59,12 @@ for ((i = 1; i <= pairs; i++)); do
     run "${order[1]}" "$i"
 done
 
-python3 - "$tmp" "$pairs" "$workload" BENCHMARK.json <<'EOF'
+python3 - "$tmp" "$pairs" "$workload" BENCHMARK.json "$seconds" \
+    "$(git describe --always --dirty --abbrev=7)" "$(git rev-parse --short=7 "$rev")" "$(nproc)" <<'EOF'
 import json, statistics, sys
 
 tmp, pairs, workload, manifest = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+seconds, commit, parent, nproc = float(sys.argv[5]), sys.argv[6], sys.argv[7], int(sys.argv[8])
 runs = {
     side: [json.load(open(f"{tmp}/{side}.{i}.json")) for i in range(1, pairs + 1)]
     for side in ("parent", "change")
@@ -72,6 +78,7 @@ def quartiles(v):
 
 print(f"{workload}: {pairs} alternated pairs")
 print(f"{'metric':<18} {'side':<7} {'median':>12} {'q1':>12} {'q3':>12}  change/parent  change won")
+records = []
 for m in json.load(open(manifest))["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
     vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
@@ -80,10 +87,16 @@ for m in json.load(open(manifest))["end_to_end"]:
         (c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"])
     )
     ratio = med["change"] / med["parent"] if med["parent"] else float("nan")
-    for s in ("parent", "change"):
+    record = {"commit": commit, "parent": parent, "workload": workload, "metric": name}
+    for s, key in (("parent", "before"), ("change", "after")):
         q1, q3 = quartiles(vals[s])
+        record[key] = {"median": med[s], "q1": q1, "q3": q3}
         tail = f"  {ratio:>13.3f}  {wins:>4}/{pairs}" if s == "change" else ""
         print(f"{name:<18} {s:<7} {med[s]:>12.4g} {q1:>12.4g} {q3:>12.4g}{tail}")
+    record.update(wins=wins, pairs=pairs, seconds=seconds, nproc=nproc)
+    records.append(record)
+for record in records:
+    print(json.dumps(record, separators=(",", ":")))
 
 bad = [
     f"{s} seed {i + 1}: {r['failed']}/{r['attempted']} failed"

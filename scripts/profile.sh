@@ -7,8 +7,12 @@
 # target/profile, so the plain release build is left alone), runs it for
 # `seconds`, and resolves every sample with `addr2line -f -i -C`, inlined
 # frames included. Prints the share of samples by innermost repo file,
-# then, for each pattern, the share of samples with a frame containing
-# it anywhere in the inline stack. A frame reads `<file>:<function>`,
+# then by non-inlined function (the outermost frame of the sample's
+# inline stack, which is the one the compiler kept as a call), then, for
+# each pattern, the share of samples with a frame containing it anywhere
+# in the inline stack. Inlining moves time between innermost files (a
+# statically dispatched callee lands in its caller's frame), so compare
+# builds by function. A frame reads `<file>:<function>`,
 # e.g. `crates/sim/src/queue.rs:pop_ready`; an inlined frame carries
 # only the function's last name, so name a method by its file, as in
 # `mem/src/system.rs:location`. A figure runs under
@@ -50,21 +54,47 @@ for line in lines:
         stacks[addr] = []
     else:
         stacks[addr].append(line)
+
+def path(fn):
+    """A demangled path without generic arguments; `<T as Trait>::f`
+    reads `T::f`."""
+    if fn.startswith("<"):
+        depth = 0
+        for i, c in enumerate(fn):
+            depth += (c == "<") - (c == ">")
+            if depth == 0:
+                break
+        fn = fn[1:i].split(" as ")[0] + fn[i + 1 :]
+    out, depth = [], 0
+    for c in fn:
+        depth += (c == "<") - (c == ">")
+        if depth == 0 and c != ">":
+            out.append(c)
+    return "".join(out)
+
 total = sum(counts.values())
-by_file, by_pattern = collections.Counter(), collections.Counter()
+by_file, by_fn, by_pattern = collections.Counter(), collections.Counter(), collections.Counter()
 for addr, n in counts.items():
     frames = stacks.get(addr, [])
     paths = [f.rsplit(":", 1)[0] for f in frames[1::2]]
     files = [p.removeprefix(repo) for p in paths]
     inner = next((f for f, p in zip(files, paths) if f != p), "(outside the repo)")
     by_file[inner] += n
-    names = [f"{file}:{fn.rsplit('::', 1)[-1]}" for fn, file in zip(frames[0::2], files)]
+    # The outermost frame as `Type::fn`; a bare name gets its file.
+    outer = "::".join(path(frames[-2]).split("::")[-2:]) if frames else "??"
+    if "::" not in outer and paths and paths[-1] != "??":
+        outer = f"{paths[-1].rsplit('/', 1)[-1]}:{outer}"
+    by_fn[outer] += n
+    names = [f"{file}:{path(fn).rsplit('::', 1)[-1]}" for fn, file in zip(frames[0::2], files)]
     for p in patterns:
         if any(p in f for f in names):
             by_pattern[p] += n
 print(f"{total} samples")
 print(f"{'share':>7}  innermost repo file")
 for f, n in by_file.most_common(20):
+    print(f"{100 * n / total:6.1f}%  {f}")
+print(f"{'share':>7}  non-inlined function")
+for f, n in by_fn.most_common(20):
     print(f"{100 * n / total:6.1f}%  {f}")
 if patterns:
     print(f"{'share':>7}  any frame containing")
