@@ -1,6 +1,7 @@
-//! `profile <sim_dense|sim_stream|figure> [seconds=10]` runs the benchmark's
-//! simulator points (`benchmark/src/inputs.rs`) or a `FIGURES` row in rounds
-//! for `seconds`, samples each millisecond of CPU time (`setitimer(ITIMER_PROF)`)
+//! `profile <sim_dense|sim_stream|point|figure> [seconds=10]` runs the
+//! benchmark's simulator points (`benchmark/src/inputs.rs`), one of them by its
+//! `benchmark/goldens.json` key (`wc/EXISTING@20000`), or a `FIGURES` row in
+//! rounds for `seconds`, samples each millisecond of CPU time (`setitimer(ITIMER_PROF)`)
 //! and prints each sample in the text as a hex offset from the executable's
 //! offset-0 mapping, for `addr2line` (`scripts/profile.sh`). `imp` holds the
 //! `unsafe`, as `hfs_serve::signal` does: the workspace has no `libc`.
@@ -100,10 +101,12 @@ const SIM_DENSE: &str = "fir/EXISTING@20000 mcf/EXISTING@5000 wc/EXISTING@20000 
 const SIM_STREAM: &str = "fir/SYNCOPTI+SC+Q64@20000 fir/HEAVYWT@20000 \
     mcf/SYNCOPTI+SC+Q64@5000 mcf/HEAVYWT@5000 wc/HEAVYWT@20000";
 
+/// A point set's jobs, or the one job of a `goldens.json` key.
 fn sim_points(workload: &str) -> Option<Vec<Job>> {
     let points = [("sim_dense", SIM_DENSE), ("sim_stream", SIM_STREAM)]
         .into_iter()
-        .find_map(|(name, points)| (name == workload).then_some(points))?;
+        .find_map(|(name, points)| (name == workload).then_some(points))
+        .or_else(|| workload.contains('@').then_some(workload))?;
     let designs = [D::existing(), D::syncopti_sc_q64(), D::heavywt()];
     let job = |key: &str| {
         let (label, iterations) = key.split_once('@').expect("label@iterations");
@@ -126,7 +129,7 @@ fn main() {
     let (jobs, figure) = (sim_points(name), Figure::named(name));
     let seconds = args.get(1).map_or(Ok(10), |s| s.parse());
     let (Ok(seconds), true) = (seconds, jobs.is_some() || figure.is_some()) else {
-        eprintln!("usage: profile <sim_dense|sim_stream|figure> [seconds=10]");
+        eprintln!("usage: profile <sim_dense|sim_stream|point|figure> [seconds=10]");
         std::process::exit(2);
     };
     let (base, text) = text_mapping().expect("the executable's mappings");

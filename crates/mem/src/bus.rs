@@ -173,6 +173,17 @@ impl Bus {
             && self.data_queued == 0
     }
 
+    /// The first bus cycle at or after `from`, for a caller that has
+    /// ticked the bus only before `from`: the stamp itself, unless ticks
+    /// were skipped past it, which leaves it behind.
+    pub(crate) fn next_bus_cycle(&self, from: Cycle) -> Cycle {
+        if self.next_bus_cycle >= from {
+            return self.next_bus_cycle;
+        }
+        let d = self.cfg.clock_divider;
+        Cycle::new(from.as_u64().div_ceil(d) * d)
+    }
+
     /// Whether `now` is a bus cycle (a multiple of the clock divider),
     /// moving the `next_bus_cycle` stamp past it. Ticks never go back in
     /// time, which is what lets the stamp stand in for the division.

@@ -19,7 +19,7 @@ use crate::msg::OpLocation;
 use crate::protocol;
 
 /// Sentinel wake time for "no timed work pending".
-const NEVER: Cycle = Cycle::new(u64::MAX);
+pub(crate) const NEVER: Cycle = Cycle::new(u64::MAX);
 
 /// What an OzQ entry is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,7 +181,8 @@ pub(crate) struct L2Ctl {
     /// held back behind older entries does not count — its timer has
     /// long expired, yet it cannot act until an older entry leaves the
     /// queue, which lowers this again. Ticks before it return without
-    /// scanning the OzQ, and it is what [`L2Ctl::next_event`] reports.
+    /// scanning the OzQ, and it is what the memory system folds into its
+    /// own stamp.
     work_at: Cycle,
     /// Bumped by every change that can move the [`L2Ctl::location`] of
     /// an entry: an allocation or removal, a change of an entry's state
@@ -574,19 +575,12 @@ impl L2Ctl {
         self.note_removed(before);
     }
 
-    /// Conservative lower bound on the next cycle at which this
-    /// controller can make progress on its own (port grants, pipe
-    /// resolutions, NACK-backoff reissues). Entries driven purely by
-    /// external events — dormant gated operations, line waiters, forwards
-    /// on the bus — contribute nothing; their wake-ups show up through
-    /// the bus/L3 bounds instead. Returns `None` when every entry is
-    /// externally driven (or there are none).
-    pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // A tick before `work_at` is a proven no-op, so the cycles up to
-        // it can be skipped as well as ticked through. A held-back
-        // release store's expired timer is not an event: whatever frees
-        // the store is some other component's bound.
-        (self.work_at != NEVER).then(|| self.work_at.max(now.next()))
+    /// The controller's bound (see the field), unclamped: it may lie in
+    /// the past. Entries driven purely by external events — dormant
+    /// gated operations, line waiters, forwards on the bus — contribute
+    /// nothing; their wake-ups show up through the bus/L3 bounds instead.
+    pub(crate) fn work_at(&self) -> Cycle {
+        self.work_at
     }
 
     fn want_line(
@@ -835,6 +829,19 @@ impl L2Ctl {
 mod tests {
     use super::*;
     use hfs_sim::Rng64;
+
+    impl L2Ctl {
+        /// [`L2Ctl::work_at`] as the bound after `now` that fast-forward
+        /// folds, `None` when every entry is externally driven (or there
+        /// are none).
+        pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            // A tick before `work_at` is a proven no-op, so the cycles up
+            // to it can be skipped as well as ticked through. A held-back
+            // release store's expired timer is not an event: whatever
+            // frees the store is some other component's bound.
+            (self.work_at != NEVER).then(|| self.work_at.max(now.next()))
+        }
+    }
 
     fn l2() -> L2Ctl {
         L2Ctl::new(

@@ -12,7 +12,7 @@ use crate::cache::LineState;
 use crate::config::MemConfig;
 use crate::func::FuncMem;
 use crate::l1::L1d;
-use crate::l2::{EntryKind, L2Ctl, L2Outcome, LineStage, ResolvedWaiter};
+use crate::l2::{EntryKind, L2Ctl, L2Outcome, LineStage, ResolvedWaiter, NEVER};
 use crate::l3::{L3Ready, L3Req, L3};
 use crate::msg::{Completion, CtlPayload, MemEvent, MemToken, OpLocation, RejectReason};
 use crate::protocol::{self, LineOp};
@@ -152,6 +152,16 @@ pub struct MemSystem {
     /// Byte range of the streaming (queue) backing store, used to tag
     /// bus requests for the §4.2 application-traffic-priority arbiter.
     streaming_range: Option<(u64, u64)>,
+    /// The hierarchy's one bound: the earliest cycle at which a tick can
+    /// change anything, the fold of every L2's, the bus's and the L3's
+    /// bound ([`NEVER`] when none has timed work). Recomputed by each
+    /// tick that runs, and lowered to the changed component's own bound
+    /// by every call that gives one new timed work; ticks before it
+    /// return at once (DESIGN §6c).
+    work_at: Cycle,
+    /// The cycle after the last tick, run or quiet: a call between ticks
+    /// acts before the tick at this cycle.
+    next_tick: Cycle,
     tracer: Tracer,
     checker: Checker,
 }
@@ -199,6 +209,8 @@ impl MemSystem {
             forwards_done: 0,
             updates_done: 0,
             streaming_range: None,
+            work_at: NEVER,
+            next_tick: Cycle::ZERO,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             cfg,
@@ -284,13 +296,25 @@ impl MemSystem {
             None => EntryKind::Load,
         };
         let id = self.l2s[c].allocate(op.addr, kind, op.background, op.gated, now);
+        self.l2_woken(c);
         Submit::Accepted(MemToken::new(core, id))
     }
 
     /// Releases a gated operation so it proceeds to the L2.
     /// Returns false if the token is unknown (already completed).
     pub fn release(&mut self, token: MemToken, now: Cycle) -> bool {
-        self.l2s[token.core().index()].release(token.id(), now)
+        let c = token.core().index();
+        let known = self.l2s[c].release(token.id(), now);
+        self.l2_woken(c);
+        known
+    }
+
+    /// Lowers the stamp to L2 `c`'s bound after a call that may have
+    /// given it timed work. Its own bound, not the next cycle: a gated
+    /// allocation, or a release of an entry already released, arms no
+    /// timer, and the stamp must stay what the fold would give.
+    fn l2_woken(&mut self, c: usize) {
+        self.work_at = self.work_at.min(self.l2s[c].work_at());
     }
 
     /// Injects a write-forward push of the line containing `line_addr`
@@ -303,6 +327,7 @@ impl MemSystem {
             return false;
         }
         self.l2s[f].allocate(line_addr, EntryKind::Forward { to }, true, false, now);
+        self.l2_woken(f);
         self.checker.on_forward_issued(from, to);
         true
     }
@@ -344,6 +369,9 @@ impl MemSystem {
     pub fn send_ctl(&mut self, from: CoreId, to: CoreId, payload: CtlPayload) {
         self.bus
             .request_addr(from, AddrTxn::Ctl { from, to, payload });
+        // A queued request is granted on the next bus cycle.
+        let grant = self.bus.next_bus_cycle(self.next_tick);
+        self.work_at = self.work_at.min(grant);
     }
 
     /// Free OzQ slots for `core`.
@@ -482,6 +510,13 @@ impl MemSystem {
 
     /// Advances the hierarchy one cycle.
     pub fn tick(&mut self, now: Cycle) {
+        self.next_tick = now.next();
+        // Quiet cycle: no component has anything due, so every step below
+        // would be a no-op. A checker audits every cycle, so it sees them.
+        if now < self.work_at && !self.checker.is_enabled() {
+            return;
+        }
+
         // 1. Bus: deliver address phases (snoops) and data transfers.
         // The scratch buffers are taken out of `self` so the handler
         // calls below can borrow the system mutably; they go back (with
@@ -528,7 +563,11 @@ impl MemSystem {
         }
         self.l3_scratch = serviced;
 
-        // 3. L2s: ports, pipe resolutions, line-request (re)issues.
+        // 3. L2s: ports, pipe resolutions, line-request (re)issues. An
+        // L2's outcomes change no other L2, so its bound is final once
+        // they are handled; the bus and the L3 bounds are read after
+        // every L2 has queued its requests.
+        let mut work = NEVER;
         let mut outcomes = std::mem::take(&mut self.l2_scratch);
         for c in 0..self.l2s.len() {
             outcomes.clear();
@@ -536,8 +575,13 @@ impl MemSystem {
             for &o in &outcomes {
                 self.handle_l2_outcome(CoreId(c as u8), o, now);
             }
+            work = work.min(self.l2s[c].work_at());
         }
         self.l2_scratch = outcomes;
+        for t in [self.bus.next_event(now), self.l3.next_event(now)] {
+            work = t.map_or(work, |t| work.min(t));
+        }
+        self.work_at = work;
 
         // 4. Machine-check audits (no-ops when checking is off).
         if self.checker.is_enabled() {
@@ -550,32 +594,19 @@ impl MemSystem {
     }
 
     /// Conservative lower bound on the next cycle at which the hierarchy
-    /// changes state on its own: bus deliveries/grants, L3 pipeline
-    /// heads, L2 port/pipe/reissue timers, and undelivered completions.
-    /// `None` when fully quiescent (nothing will ever happen without new
-    /// submissions).
+    /// changes state on its own: the stamp (bus deliveries/grants, L3
+    /// pipeline heads, L2 port/pipe/reissue timers) and undelivered
+    /// completions. `None` when fully quiescent (nothing will ever happen
+    /// without new submissions).
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let floor = now.next();
         // Undrained events must reach the backends next cycle.
-        let undrained = (!self.events.is_empty()).then_some(floor);
-        // Cheapest first, each computed only if the ones before it left
-        // room to skip: every bound is clamped to `floor`, so the first
-        // to reach it settles the answer.
-        let l2s = self.l2s.iter().map(|l2| l2.next_event(now));
-        let completions = self.completions.iter().map(|q| q.next_ready());
-        let bounds = std::iter::once(undrained)
-            .chain(l2s)
-            .chain(completions)
-            .chain(std::iter::once_with(|| self.bus.next_event(now)))
-            .chain(std::iter::once_with(|| self.l3.next_event(now)));
-        let mut best: Option<Cycle> = None;
-        for t in bounds.flatten() {
-            if t <= floor {
-                return Some(floor);
-            }
-            best = Some(best.map_or(t, |b| b.min(t)));
+        if !self.events.is_empty() {
+            return Some(floor);
         }
-        best
+        let heads = self.completions.iter().filter_map(TimedQueue::next_ready);
+        let best = heads.fold(self.work_at, Cycle::min);
+        (best != NEVER).then(|| best.max(floor))
     }
 
     fn handle_l2_outcome(&mut self, core: CoreId, o: L2Outcome, now: Cycle) {
@@ -1614,6 +1645,146 @@ mod tests {
         let (_, v) = run_until_complete(&mut m, CoreId(1), t1, end + 1, 600);
         assert_eq!(v, Some(99));
         assert_clean(&checker);
+    }
+
+    /// The stamp folded from scratch: each L2's, the bus's and the L3's
+    /// clamped `next_event`, `NEVER` when none has one.
+    fn brute_force_work(m: &MemSystem, now: Cycle) -> Cycle {
+        let l2s = m.l2s.iter().map(|l2| l2.next_event(now));
+        let outer = [m.bus.next_event(now), m.l3.next_event(now)];
+        l2s.chain(outer).flatten().fold(NEVER, Cycle::min)
+    }
+
+    /// Drives two systems with one seeded script of loads, stores and
+    /// release stores from both cores, gated submits and their releases,
+    /// forwards and control messages, in phases from busy to silent, on
+    /// a bus clocked at `divider`. `fast` is the system as built; `slow`
+    /// has its stamp pulled back to `now` before every tick, so it runs
+    /// every step on every cycle. Most cycles the calls follow the tick,
+    /// as in the machine's loop; some precede it. Every cycle both must
+    /// agree on completions, events, statistics, counters and
+    /// `next_event`, and the stamp must equal the brute-force fold of
+    /// the components' bounds. Returns (quiet ticks, releases that
+    /// lowered a stamp that lay past the next cycle).
+    fn run_stamp_script(protocol: crate::Protocol, divider: u64, seed: u64) -> (u64, u64) {
+        let mut rng = hfs_sim::Rng64::new(seed);
+        let build = || {
+            let mut cfg = MemConfig::itanium2_cmp();
+            cfg.protocol = protocol;
+            cfg.bus.clock_divider = divider;
+            MemSystem::new(cfg).unwrap()
+        };
+        let (mut fast, mut slow) = (build(), build());
+        let mut gated: Vec<MemToken> = Vec::new();
+        let (mut quiet, mut late_releases) = (0u64, 0u64);
+        // Chance in 16 that a core submits this cycle.
+        let mut rate = 0;
+        for t in 0..4_000u64 {
+            let now = Cycle::new(t);
+            let next = now.next();
+            if t % 200 == 0 {
+                rate = [0, 0, 1, 4, 12][rng.below(5) as usize];
+            }
+            let calls_first = rng.below(4) == 0;
+            let mut tick = |fast: &mut MemSystem, slow: &mut MemSystem| {
+                quiet += u64::from(fast.work_at > now);
+                slow.work_at = slow.work_at.min(now);
+                fast.tick(now);
+                slow.tick(now);
+            };
+            if !calls_first {
+                tick(&mut fast, &mut slow);
+            }
+            // Every call goes to both systems.
+            macro_rules! both {
+                ($m:ident => $call:expr) => {{
+                    let a = {
+                        let $m = &mut fast;
+                        $call
+                    };
+                    let b = {
+                        let $m = &mut slow;
+                        $call
+                    };
+                    assert_eq!(a, b, "cycle {t}");
+                    a
+                }};
+            }
+            for c in 0..2u8 {
+                if rng.below(16) >= rate {
+                    continue;
+                }
+                let addr = Addr::new(0x20000 + rng.below(12) * 128 + 8 * rng.below(16));
+                let mut op = match rng.below(8) {
+                    0..=3 => MemOp::load(addr),
+                    4..=5 => MemOp::store(addr, t),
+                    _ => MemOp::store(addr, t).release_store(),
+                };
+                let gate = rng.below(4) == 0;
+                if gate {
+                    op = op.gated();
+                }
+                if let Submit::Accepted(tok) = both!(m => m.submit(CoreId(c), op, now)) {
+                    if gate {
+                        gated.push(tok);
+                    }
+                }
+            }
+            if !gated.is_empty() && rng.below(24) == 0 {
+                let tok = gated.swap_remove(rng.below(gated.len() as u64) as usize);
+                late_releases += u64::from(fast.work_at > next);
+                both!(m => m.release(tok, now));
+            }
+            if rng.below(64) == 0 {
+                let from = CoreId(rng.below(2) as u8);
+                let to = CoreId(1 - from.0);
+                let line = Addr::new(0x20000 + rng.below(12) * 128);
+                both!(m => m.forward_line(from, to, line, now));
+            }
+            if rng.below(48) == 0 {
+                let from = CoreId(rng.below(2) as u8);
+                let payload = CtlPayload {
+                    kind: 2,
+                    a: t as u32,
+                    b: 0,
+                };
+                both!(m => m.send_ctl(from, CoreId(1 - from.0), payload));
+            }
+            if calls_first {
+                tick(&mut fast, &mut slow);
+            }
+            for c in 0..2 {
+                let done = fast.drain_completions(CoreId(c), now);
+                assert_eq!(done, slow.drain_completions(CoreId(c), now), "cycle {t}");
+            }
+            assert_eq!(fast.next_event(now), slow.next_event(now), "cycle {t}");
+            assert_eq!(fast.drain_events(), slow.drain_events(), "cycle {t}");
+            assert_eq!(fast.stats(), slow.stats(), "cycle {t}");
+            assert_eq!(fast.counters(), slow.counters(), "cycle {t}");
+            let exact = brute_force_work(&slow, now);
+            assert_eq!(fast.work_at.max(next), exact.max(next), "cycle {t}");
+            assert_eq!(slow.work_at.max(next), exact.max(next), "cycle {t}");
+        }
+        (quiet, late_releases)
+    }
+
+    #[test]
+    fn the_stamp_is_the_components_fold_and_quiet_ticks_change_nothing() {
+        for protocol in crate::Protocol::ALL {
+            let (mut quiet, mut late_releases) = (0, 0);
+            for seed in 0..4 {
+                let divider = [1, 3][seed as usize % 2];
+                let (q, r) = run_stamp_script(protocol, divider, 0x5a3c + seed);
+                quiet += q;
+                late_releases += r;
+            }
+            // The script must reach what it is there to check.
+            assert!(quiet > 5_000, "{protocol}: {quiet} quiet ticks");
+            assert!(
+                late_releases > 100,
+                "{protocol}: {late_releases} late releases"
+            );
+        }
     }
 
     /// `counters()` names every count once, and every `MemStats` and

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Where one workload's CPU time goes, from a sampled profile.
 #
-#   scripts/profile.sh <sim_dense|sim_stream|figure> [seconds=10] [pattern...]
+#   scripts/profile.sh <sim_dense|sim_stream|point|figure> [seconds=10] [pattern...]
 #
-# Builds `hfs-bench`'s `profile` binary with line tables (into
+# The workload is a benchmark set, one point of it by its
+# benchmark/goldens.json key (`wc/EXISTING@20000`, `fir/EXISTING/dragon@20000`),
+# or an `all_figures` row. Builds `hfs-bench`'s `profile` binary with line tables (into
 # target/profile, so the plain release build is left alone), runs it for
 # `seconds`, and resolves every sample with `addr2line -f -i -C`, inlined
 # frames included. Prints the share of samples by innermost repo file,
@@ -22,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ $# -lt 1 ]]; then
-    echo "usage: $0 <sim_dense|sim_stream|figure> [seconds=10] [pattern...]" >&2
+    echo "usage: $0 <sim_dense|sim_stream|point|figure> [seconds=10] [pattern...]" >&2
     exit 2
 fi
 workload=$1 seconds=${2:-10}
